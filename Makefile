@@ -2,7 +2,7 @@
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-perf bench-perf-smoke bench-service figures examples telemetry-demo service-demo service-smoke service-smoke-sharded ops-smoke analyze-smoke broker-smoke matrix-smoke trace-smoke clean
+.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke bench-service figures examples telemetry-demo service-demo service-smoke service-smoke-sharded ops-smoke analyze-smoke broker-smoke matrix-smoke trace-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -24,6 +24,14 @@ bench-perf:
 # CI-sized sanity run: every bench code path in seconds, no timing gates.
 bench-perf-smoke:
 	$(PYTHONPATH_SRC) python -m benchmarks.perf.run --scale smoke --repeats 1 --out /tmp/bench-smoke.json
+
+# The repo's benchmark (BENCHMARK.json -> benchmarks/ladder) at smoke
+# scale, then its own tests (the CI ladder-smoke job): every workload
+# both ways (--trace 0 and 1) in seconds.  Shape only -- the harness's
+# output checks and exit code -- never a timing gate.
+ladder-smoke:
+	python3 benchmarks/ladder/run.py --smoke
+	$(PYTHONPATH_SRC) pytest benchmarks/ladder -q
 
 # Regenerate every paper figure report into results/ via the CLI runner.
 figures:

@@ -84,8 +84,13 @@ class LockBlockChain:
         self._head: Optional[LockBlock] = None
         self._tail: Optional[LockBlock] = None
         self._all_blocks: set = set()
-        self._used_slots = 0
-        self._capacity_slots = 0  # cached sum over _all_blocks
+        #: Outstanding lock structures.  Plain attributes, not
+        #: properties, because the lock manager reads both on every
+        #: grant; only the chain writes them.
+        self.used_slots = 0
+        #: Total lock structures the chain can currently store (the
+        #: cached sum of capacities over ``_all_blocks``).
+        self.capacity_slots = 0
         self.add_blocks(initial_blocks)
 
     # -- capacity accounting ---------------------------------------------
@@ -96,18 +101,8 @@ class LockBlockChain:
         return len(self._all_blocks)
 
     @property
-    def capacity_slots(self) -> int:
-        """Total lock structures the chain can currently store."""
-        return self._capacity_slots
-
-    @property
-    def used_slots(self) -> int:
-        """Outstanding lock structures."""
-        return self._used_slots
-
-    @property
     def free_slots(self) -> int:
-        return self.capacity_slots - self._used_slots
+        return self.capacity_slots - self.used_slots
 
     @property
     def allocated_pages(self) -> int:
@@ -192,7 +187,7 @@ class LockBlockChain:
         for _ in range(count):
             block = LockBlock(self._capacity_per_block)
             self._all_blocks.add(block)
-            self._capacity_slots += block.capacity
+            self.capacity_slots += block.capacity
             self._push_tail(block)
         return count
 
@@ -209,9 +204,9 @@ class LockBlockChain:
         block = self._head
         if block is None:
             raise MemoryAccountingError("lock memory exhausted: no block with free slots")
-        block.used += 1
-        self._used_slots += 1
-        if block.is_full:
+        used = block.used = block.used + 1
+        self.used_slots += 1
+        if used == block.capacity:
             self._unlink(block)
         return block
 
@@ -224,12 +219,12 @@ class LockBlockChain:
         """
         if block not in self._all_blocks:
             raise MemoryAccountingError(f"{block!r} does not belong to this chain")
-        if block.used == 0:
+        used = block.used
+        if used == 0:
             raise MemoryAccountingError(f"{block!r} has no outstanding structures")
-        was_full = block.is_full
-        block.used -= 1
-        self._used_slots -= 1
-        if was_full:
+        block.used = used - 1
+        self.used_slots -= 1
+        if used == block.capacity:  # was full: back into the list
             self._push_head(block)
 
     # -- shrink -------------------------------------------------------------------
@@ -262,7 +257,7 @@ class LockBlockChain:
         for block in set_aside:
             self._unlink(block)
             self._all_blocks.remove(block)
-            self._capacity_slots -= block.capacity
+            self.capacity_slots -= block.capacity
         return len(set_aside)
 
     def check_invariants(self) -> None:
@@ -282,14 +277,14 @@ class LockBlockChain:
             if not 0 <= block.used <= block.capacity:
                 raise MemoryAccountingError(f"block {block!r} has invalid used count")
         total_used = sum(b.used for b in self._all_blocks)
-        if total_used != self._used_slots:
+        if total_used != self.used_slots:
             raise MemoryAccountingError(
-                f"used-slot counter {self._used_slots} != per-block sum {total_used}"
+                f"used-slot counter {self.used_slots} != per-block sum {total_used}"
             )
         total_capacity = sum(b.capacity for b in self._all_blocks)
-        if total_capacity != self._capacity_slots:
+        if total_capacity != self.capacity_slots:
             raise MemoryAccountingError(
-                f"capacity counter {self._capacity_slots} != per-block sum "
+                f"capacity counter {self.capacity_slots} != per-block sum "
                 f"{total_capacity}"
             )
 

@@ -17,11 +17,11 @@ standard treatment and prevents new arrivals from starving upgraders.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import LockManagerError
 from repro.lockmgr.blocks import LockBlock
-from repro.lockmgr.modes import LockMode, compatible, supremum
+from repro.lockmgr.modes import N_MODES, LockMode, compatible, supremum
 from repro.lockmgr.resources import ResourceId
 
 
@@ -35,11 +35,7 @@ class HeldLock:
     __slots__ = ("app_id", "mode", "count", "block")
 
     def __init__(
-        self,
-        app_id: int,
-        mode: LockMode,
-        count: int = 1,
-        block: Optional[LockBlock] = None,
+        self, app_id: int, mode: LockMode, count: int, block: Optional[LockBlock]
     ) -> None:
         self.app_id = app_id
         self.mode = mode
@@ -54,6 +50,36 @@ class HeldLock:
             f"HeldLock(app={self.app_id}, mode={self.mode.name}, "
             f"count={self.count})"
         )
+
+
+class AppLocks:
+    """Everything the manager tracks about one application.
+
+    One record per application with at least one structure charged,
+    created by its first charge and dropped whole by ``release_all`` --
+    so a grant costs one dictionary probe plus attribute updates, where
+    a dictionary per field cost one probe each.
+    """
+
+    __slots__ = ("held", "rows", "row_count", "row_seq", "slots")
+
+    def __init__(self) -> None:
+        #: Resources with a grant, in grant order; ``release_all``
+        #: drains it, so its iteration order is the release order.
+        self.held: Set[ResourceId] = set()
+        #: table id -> {row resource -> its HeldLock}.  Storing the
+        #: grant itself (not just the resource) lets escalation read row
+        #: modes without a lock-object lookup per row; the HeldLock's
+        #: mode field tracks in-place upgrades automatically.
+        self.rows: Dict[int, Dict[ResourceId, HeldLock]] = {}
+        #: Row locks held across all tables (the sum of ``rows`` sizes).
+        self.row_count = 0
+        #: Stamp of the first row lock (0 = none yet): the order in
+        #: which applications began row locking, the tie-break among
+        #: equal row counts when a memory escalation picks its victim.
+        self.row_seq = 0
+        #: Lock structures charged: grants plus a queued request's.
+        self.slots = 0
 
 
 class Waiter:
@@ -93,6 +119,11 @@ class LockObject:
     O(#holders) -- popular share-locked rows can have dozens of holders.
     All grant/upgrade/removal mutations must go through the methods here
     so the counters stay consistent.
+
+    ``waiters`` is the shared empty tuple until the first request
+    queues: almost every lock object lives and dies uncontended, and a
+    deque each would be the largest allocation of a grant.  Read it
+    (truth, ``len``, iteration); only the methods here mutate it.
     """
 
     __slots__ = ("resource", "granted", "waiters", "mode_counts")
@@ -100,8 +131,8 @@ class LockObject:
     def __init__(self, resource: ResourceId) -> None:
         self.resource = resource
         self.granted: Dict[int, HeldLock] = {}
-        self.waiters: Deque[Waiter] = deque()
-        self.mode_counts = [0] * len(LockMode)
+        self.waiters: Union[Deque[Waiter], Tuple[()]] = ()
+        self.mode_counts = [0] * N_MODES
 
     @property
     def is_idle(self) -> bool:
@@ -131,10 +162,10 @@ class LockObject:
 
     def add_grant(self, app_id: int, mode: LockMode, block=None) -> HeldLock:
         """Record a fresh grant (caller verified compatibility)."""
-        if app_id in self.granted:
+        granted = self.granted
+        if app_id in granted:
             raise LockManagerError(f"app {app_id} already holds {self.resource}")
-        held = HeldLock(app_id, mode, count=1, block=block)
-        self.granted[app_id] = held
+        held = granted[app_id] = HeldLock(app_id, mode, 1, block)
         self.mode_counts[mode._idx] += 1  # type: ignore[attr-defined]
         return held
 
@@ -175,6 +206,8 @@ class LockObject:
 
     def enqueue(self, waiter: Waiter) -> None:
         """Queue a waiter; conversions go ahead of non-conversions."""
+        if not self.waiters:
+            self.waiters = deque()
         if waiter.converting:
             insert_at = 0
             for i, queued in enumerate(self.waiters):
@@ -231,7 +264,7 @@ class LockObject:
 
     def check_invariants(self) -> None:
         """Verify the mode counters match the granted set (tests)."""
-        expected = [0] * len(LockMode)
+        expected = [0] * N_MODES
         for held in self.granted.values():
             expected[held.mode._idx] += 1  # type: ignore[attr-defined]
         if expected != self.mode_counts:

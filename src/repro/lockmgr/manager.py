@@ -57,9 +57,14 @@ from repro.engine.des import Environment
 from repro.errors import DeadlockError, LockManagerError
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.escalation import EscalationOutcome, EscalationStats
-from repro.lockmgr.locks import HeldLock, LockObject, Waiter
+from repro.lockmgr.locks import AppLocks, HeldLock, LockObject, Waiter
 from repro.lockmgr.modes import LockMode, covers, intent_mode_for_row, supremum
-from repro.lockmgr.resources import ResourceId, row_resource, table_resource
+from repro.lockmgr.resources import (
+    ROW_CODE,
+    ResourceId,
+    row_resource,
+    table_resource,
+)
 from repro.units import LOCK_SIZE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -176,6 +181,11 @@ class LockManager:
         self.chain = chain
         self.growth_provider = growth_provider
         self.maxlocks_provider = maxlocks_provider
+        #: ``maxlocks_limit_slots()`` memo; it is a function of the
+        #: fraction and the chain's capacity only, so it is recomputed
+        #: when either changes instead of on every request.
+        self._limit_slots = 0
+        self._limit_capacity = -1
         self.maxlocks_fraction = maxlocks_fraction
         self.refresh_period = refresh_period
         #: LOCKTIMEOUT: maximum lock-wait time before the request fails
@@ -206,28 +216,21 @@ class LockManager:
         self.deadlock_detection = "immediate"
         self.stats = LockManagerStats()
         self._objects: Dict[ResourceId, LockObject] = {}
-        self._app_held: Dict[int, Set[ResourceId]] = {}
-        #: app -> table -> {row resource -> its HeldLock}.  Storing the
-        #: grant itself (not just the resource) lets escalation read row
-        #: modes without a lock-object lookup per row; the HeldLock's
-        #: mode field tracks in-place upgrades automatically.
-        self._app_row_tables: Dict[int, Dict[int, Dict[ResourceId, HeldLock]]] = {}
-        #: Incremental row-lock totals (app -> count) kept in lockstep
-        #: with ``_app_row_tables`` so ``app_row_lock_count`` is O(1).
-        self._app_row_counts: Dict[int, int] = {}
-        #: Inverted index for victim selection: row count -> ordered set
-        #: of apps at that count (dict used as an ordered set), plus a
-        #: possibly-stale upper bound walked down lazily.  Makes
-        #: ``_memory_escalation_victim`` O(1) amortized instead of a
-        #: scan over every application's tables.
+        #: app -> its one record: held set, rows by table, row count,
+        #: first-row stamp and slot charge (see :class:`AppLocks`).
+        self._apps: Dict[int, AppLocks] = {}
+        #: Inverted index for victim selection: row count -> the apps at
+        #: that count (dict used as a set), plus a possibly-stale upper
+        #: bound walked down lazily.  Makes ``_memory_escalation_victim``
+        #: O(1) amortized instead of a scan over every application.
         self._row_count_buckets: Dict[int, Dict[int, None]] = {}
         self._max_row_count = 0
-        #: app -> tie-break stamp: the order apps first acquired a row
-        #: lock (since their last ``release_all``), mirroring the old
-        #: first-in-iteration-order victim choice among equal counts.
-        self._app_row_seq: Dict[int, int] = {}
+        #: Source of ``AppLocks.row_seq`` stamps.
         self._row_seq_counter = 0
-        self._app_slots: Dict[int, int] = {}
+        #: app -> the request it is parked on.  Kept apart from the
+        #: per-app record because its *key set* is what readers want:
+        #: the deadlock detector prunes its graph by membership and the
+        #: service polls ``has_waiters`` as a dirty ``len``.
         self._waiting_on: Dict[int, Tuple[LockObject, Waiter]] = {}
         #: Objects with a non-empty waiter queue, maintained on enqueue
         #: (here) and dequeue (in ``_pump``): the deadlock detector and
@@ -251,11 +254,13 @@ class LockManager:
 
     def app_slots(self, app_id: int) -> int:
         """Lock structures currently charged to ``app_id``."""
-        return self._app_slots.get(app_id, 0)
+        rec = self._apps.get(app_id)
+        return rec.slots if rec is not None else 0
 
     def app_row_lock_count(self, app_id: int) -> int:
         """Row locks currently held by ``app_id`` (across all tables)."""
-        return self._app_row_counts.get(app_id, 0)
+        rec = self._apps.get(app_id)
+        return rec.row_count if rec is not None else 0
 
     def holder_mode(self, app_id: int, resource: ResourceId) -> Optional[LockMode]:
         obj = self._objects.get(resource)
@@ -273,9 +278,23 @@ class LockManager:
         """Live view of the objects with queued waiters (do not mutate)."""
         return self._contended
 
+    @property
+    def maxlocks_fraction(self) -> float:
+        """lockPercentPerApplication as a fraction in (0, 1]."""
+        return self._maxlocks_fraction
+
+    @maxlocks_fraction.setter
+    def maxlocks_fraction(self, fraction: float) -> None:
+        self._maxlocks_fraction = fraction
+        self._limit_capacity = -1  # forces the limit to be recomputed
+
     def maxlocks_limit_slots(self) -> int:
         """Structures one application may hold before escalation triggers."""
-        return max(1, int(self.maxlocks_fraction * self.chain.capacity_slots))
+        capacity = self.chain.capacity_slots
+        if capacity != self._limit_capacity:
+            self._limit_capacity = capacity
+            self._limit_slots = max(1, int(self._maxlocks_fraction * capacity))
+        return self._limit_slots
 
     # -- MAXLOCKS refresh discipline (section 3.5) ---------------------------
 
@@ -364,101 +383,111 @@ class LockManager:
         """
         if self.tracer is not None:
             return False  # slow path keeps the trace stream canonical
+        objects = self._objects
         table_res = table_resource(table_id)
-        tobj = self._objects.get(table_res)
+        tobj = objects.get(table_res)
         theld = tobj.granted.get(app_id) if tobj is not None else None
-        intent = intent_mode_for_row(mode)
+        intent = mode._intent  # type: ignore[attr-defined]
         # -- plan the table step --
+        t_convert = False
         if theld is not None:
-            if covers(theld.mode, intent):
-                t_convert = False
-                t_mode_after = theld.mode
-            elif tobj.others_compatible(app_id, intent):
+            table_mode = theld.mode
+            if not table_mode._covers_mask & intent._bit:  # type: ignore[attr-defined]
+                if not tobj.others_compatible(app_id, intent):
+                    return False  # the conversion would wait
                 # conversion: queue-jumps like _convert, needs no slot
                 t_convert = True
-                t_mode_after = supremum(theld.mode, intent)
-            else:
-                return False  # the conversion would wait
-            fresh_intent = False
+                table_mode = supremum(table_mode, intent)
+            if table_mode._covers_mask & mode._bit:  # type: ignore[attr-defined]
+                # The table lock (already or once strengthened) covers
+                # the row access: the generator stops after the table step.
+                self.stats.requests += 1
+                self.stats.immediate_grants += 1
+                self._tick_refresh()
+                if t_convert:
+                    tobj.upgrade_grant(app_id, intent)  # bumps theld.count
+                else:
+                    theld.count += 1
+                return True
+            need = 0
         else:
             if tobj is not None and (
                 tobj.waiters or not tobj.others_compatible(app_id, intent)
             ):
                 return False  # the intent grant itself would wait
-            fresh_intent = True
-            t_convert = False
-            t_mode_after = intent
-        if covers(t_mode_after, mode):
-            # The table lock (already or once strengthened) covers the
-            # row access: the generator stops after the table step.
-            if fresh_intent:
-                return False  # cannot happen with real intent modes
-            self.stats.requests += 1
-            self.stats.immediate_grants += 1
-            self._tick_refresh()
-            if t_convert:
-                tobj.upgrade_grant(app_id, intent)  # bumps theld.count
-            else:
-                theld.count += 1
-            return True
+            if intent._covers_mask & mode._bit:  # type: ignore[attr-defined]
+                return False  # an IS/IX "row" request ends at the intent
+            need = 1
         # -- plan the row step --
         res = row_resource(table_id, row_id)
-        obj = self._objects.get(res)
+        obj = objects.get(res)
         held = obj.granted.get(app_id) if obj is not None else None
         r_convert = False
         if held is not None:
-            if fresh_intent:
+            if theld is None:
                 return False  # row held without intent: slow path
-            if not covers(held.mode, mode):
+            if not held.mode._covers_mask & mode._bit:  # type: ignore[attr-defined]
                 if not obj.others_compatible(app_id, mode):
                     return False  # the conversion would wait
                 r_convert = True
-            fresh_row = False
         else:
             if obj is not None and (
                 obj.waiters or not obj.others_compatible(app_id, mode)
             ):
                 return False  # the row grant would wait
-            fresh_row = True
-        need = int(fresh_intent) + int(fresh_row)
+            need += 1
+        chain = self.chain
+        rec = self._apps.get(app_id)
         if need:
-            if self.chain.free_slots < need:
+            if chain.capacity_slots - chain.used_slots < need:
                 return False  # sync growth / escalation: slow path
-            if (
-                self._app_slots.get(app_id, 0) + need
-                > self.maxlocks_limit_slots()
-            ):
-                return False  # would escalate: slow path
-        # Commit: from here the outcome is the generator's, verbatim.
-        self.stats.requests += 2
-        self.stats.immediate_grants += 2
-        self._tick_refresh()
-        self._tick_refresh()
-        if fresh_intent:
-            if tobj is None:
-                tobj = self._objects[table_res] = LockObject(table_res)
-            tblock = self.chain.allocate_slot()
-            self._charge_slot(app_id)
-            self._note_held(
-                app_id, table_res, tobj.add_grant(app_id, intent, block=tblock)
+            limit = (
+                self._limit_slots
+                if chain.capacity_slots == self._limit_capacity
+                else self.maxlocks_limit_slots()
             )
+            if rec is None:
+                if need > limit:
+                    return False  # would escalate: slow path
+                # The last planning step: nothing below can refuse.
+                rec = self._apps[app_id] = AppLocks()
+            elif rec.slots + need > limit:
+                return False  # would escalate: slow path
+        # Commit: from here the outcome is the generator's, verbatim --
+        # _acquire's ticks, _charge_slot and _note_held, written out.
+        stats = self.stats
+        stats.requests += 2
+        stats.immediate_grants += 2
+        ticks = self._requests_since_refresh + 2
+        if ticks < self.refresh_period:
+            self._requests_since_refresh = ticks
+        else:
+            self._tick_refresh()
+            self._tick_refresh()
+        if theld is None:
+            if tobj is None:
+                tobj = objects[table_res] = LockObject(table_res)
+            tobj.add_grant(app_id, intent, chain.allocate_slot())
+            rec.slots += 1
+            rec.held.add(table_res)
         elif t_convert:
             tobj.upgrade_grant(app_id, intent)  # bumps theld.count
         else:
             theld.count += 1
-        if not fresh_row:
+        if held is not None:
             if r_convert:
                 obj.upgrade_grant(app_id, mode)  # bumps held.count
             else:
                 held.count += 1
             return True
         if obj is None:
-            obj = self._objects[res] = LockObject(res)
-        block = self.chain.allocate_slot()
-        self._charge_slot(app_id)
-        if self.chain.used_slots > self.stats.peak_used_slots:
-            self.stats.peak_used_slots = self.chain.used_slots
-        self._note_held(app_id, res, obj.add_grant(app_id, mode, block=block))
+            obj = objects[res] = LockObject(res)
+        held = obj.add_grant(app_id, mode, chain.allocate_slot())
+        rec.slots += 1
+        if chain.used_slots > stats.peak_used_slots:
+            stats.peak_used_slots = chain.used_slots
+        rec.held.add(res)
+        self._note_row(app_id, rec, table_id, res, held)
         return True
 
     def release_all(self, app_id: int) -> int:
@@ -484,54 +513,45 @@ class LockManager:
                 self.wait_profiler.end_lock_wait(app_id, "cancelled")
             self._pump(obj)
             self._gc_object(obj)
-        # Bulk path: every per-app index is discarded wholesale, so the
-        # per-resource surgery of _release_one/_forget_held (held-set
-        # discard, row-table pruning, per-row bucket moves, per-slot
-        # uncharge) would be pure churn.  The same invariants are
-        # checked against the same end state.
-        held_set = self._app_held.pop(app_id, None)
-        self._app_row_tables.pop(app_id, None)
-        self._app_row_seq.pop(app_id, None)
-        old_rows = self._app_row_counts.pop(app_id, 0)
-        if old_rows > 0:
-            bucket = self._row_count_buckets.get(old_rows)
-            if bucket is not None:
-                bucket.pop(app_id, None)
-                if not bucket:
-                    del self._row_count_buckets[old_rows]
+        # Bulk path: the application's record is discarded wholesale,
+        # so the per-resource surgery of _release_one/_forget_held
+        # (held-set discard, row-table pruning, per-row bucket moves,
+        # per-slot uncharge) would be pure churn.  The same invariants
+        # are checked against the same end state.
+        rec = self._apps.pop(app_id, None)
+        if rec is None:
+            return freed  # nothing charged: nothing held
+        if rec.row_count:
+            self._move_row_bucket(app_id, rec.row_count, 0)
         rows_released = 0
         held_frees = 0
-        if held_set:
-            objects = self._objects
-            chain = self.chain
-            for resource in held_set:
-                obj = objects.get(resource)
-                if obj is None:
-                    raise LockManagerError(
-                        f"app {app_id} does not hold {resource}"
-                    )
-                held = obj.remove_grant(app_id)
-                if held.block is not None:
-                    chain.free_slot(held.block)
-                    held_frees += 1
-                if resource.is_row:
-                    rows_released += 1
+        objects = self._objects
+        free_slot = self.chain.free_slot
+        for resource in rec.held:
+            obj = objects.get(resource)
+            if obj is None:
+                raise LockManagerError(f"app {app_id} does not hold {resource}")
+            held = obj.remove_grant(app_id)
+            if held.block is not None:
+                free_slot(held.block)
+                held_frees += 1
+            if resource[0] == ROW_CODE:
+                rows_released += 1
+            if obj.waiters:
                 self._pump(obj)
-                if obj.is_idle:
-                    objects.pop(resource, None)
+            if not obj.granted and not obj.waiters:
+                del objects[resource]
         freed += held_frees
-        if old_rows != rows_released:
+        if rec.row_count != rows_released:
             raise LockManagerError(
                 f"app {app_id} row-lock accounting nonzero after release_all"
             )
         # The waiter section above already uncharged its frees, so the
         # remaining per-app slot charge must equal the held-block frees.
-        slots = self._app_slots.pop(app_id, 0)
-        if slots != held_frees:
-            self._app_slots[app_id] = slots
+        if rec.slots != held_frees:
             raise LockManagerError(
                 f"app {app_id} slot accounting nonzero after release_all: "
-                f"{slots - held_frees}"
+                f"{rec.slots - held_frees}"
             )
         if self.tracer is not None and freed:
             self._trace("release", app_id, f"{freed} structures", value=float(freed))
@@ -555,13 +575,13 @@ class LockManager:
             return
         if (
             self.chain.free_slots == 0
-            or self._app_slots.get(app_id, 0) + 1 > self.maxlocks_limit_slots()
+            or self.app_slots(app_id) + 1 > self.maxlocks_limit_slots()
         ):
             yield from self._ensure_slot_available(app_id, resource)
             # Escalation inside _ensure_slot_available may have granted
             # this application a covering table lock; re-check before
             # allocating a structure.
-            if resource.is_row:
+            if resource[0] == ROW_CODE:
                 table_mode = self.holder_mode(app_id, resource.table())
                 if table_mode is not None and covers(table_mode, mode):
                     self.stats.immediate_grants += 1
@@ -578,12 +598,12 @@ class LockManager:
                 yield from self._convert(app_id, obj, mode)
                 return
         block = self.chain.allocate_slot()
-        self._charge_slot(app_id)
+        rec = self._charge_slot(app_id)
         if self.chain.used_slots > self.stats.peak_used_slots:
             self.stats.peak_used_slots = self.chain.used_slots
         if not obj.waiters and obj.others_compatible(app_id, mode):
-            held = obj.add_grant(app_id, mode, block=block)
-            self._note_held(app_id, resource, held)
+            held = obj.add_grant(app_id, mode, block)
+            self._note_held(app_id, rec, resource, held)
             self.stats.immediate_grants += 1
             if self.tracer is not None:
                 self._trace("grant", app_id, f"{mode.name} {resource}", str(resource))
@@ -782,8 +802,11 @@ class LockManager:
             return
         for waiter in obj.pump():
             if not waiter.converting:
+                # The queued request's structure was charged on
+                # enqueue, so the application's record exists.
+                app_id = waiter.app_id
                 self._note_held(
-                    waiter.app_id, obj.resource, obj.granted[waiter.app_id]
+                    app_id, self._apps[app_id], obj.resource, obj.granted[app_id]
                 )
             waiter.event.succeed()
         if not obj.waiters:
@@ -810,59 +833,82 @@ class LockManager:
 
     # -- accounting helpers ---------------------------------------------------------
 
-    def _charge_slot(self, app_id: int) -> None:
-        self._app_slots[app_id] = self._app_slots.get(app_id, 0) + 1
+    def _charge_slot(self, app_id: int) -> AppLocks:
+        """Charge one structure to ``app_id``; returns its record."""
+        rec = self._apps.get(app_id)
+        if rec is None:
+            rec = self._apps[app_id] = AppLocks()
+        rec.slots += 1
+        return rec
 
     def _uncharge_slot(self, app_id: int) -> None:
-        current = self._app_slots.get(app_id, 0)
-        if current <= 0:
+        rec = self._apps.get(app_id)
+        if rec is None or rec.slots <= 0:
             raise LockManagerError(f"slot accounting underflow for app {app_id}")
-        self._app_slots[app_id] = current - 1
+        rec.slots -= 1
 
-    def _note_held(self, app_id: int, resource: ResourceId, held: HeldLock) -> None:
-        held_set = self._app_held.get(app_id)
-        if held_set is None:
-            held_set = self._app_held[app_id] = set()
-        held_set.add(resource)
-        if resource.is_row:
-            tables = self._app_row_tables.get(app_id)
-            if tables is None:
-                tables = self._app_row_tables[app_id] = {}
-                self._row_seq_counter += 1
-                self._app_row_seq[app_id] = self._row_seq_counter
-            rows = tables.get(resource.table_id)
-            if rows is None:
-                rows = tables[resource.table_id] = {}
-            rows[resource] = held
-            self._bump_row_count(app_id, 1)
+    def _note_held(
+        self, app_id: int, rec: AppLocks, resource: ResourceId, held: HeldLock
+    ) -> None:
+        rec.held.add(resource)
+        if resource[0] == ROW_CODE:
+            self._note_row(app_id, rec, resource[1], resource, held)
+
+    def _note_row(
+        self,
+        app_id: int,
+        rec: AppLocks,
+        table_id: int,
+        resource: ResourceId,
+        held: HeldLock,
+    ) -> None:
+        """Index a fresh row grant: rows-by-table, count, victim bucket."""
+        if not rec.row_seq:
+            self._row_seq_counter += 1
+            rec.row_seq = self._row_seq_counter
+        rows = rec.rows.get(table_id)
+        if rows is None:
+            rows = rec.rows[table_id] = {}
+        rows[resource] = held
+        count = rec.row_count
+        rec.row_count = count + 1
+        self._move_row_bucket(app_id, count, count + 1)
 
     def _forget_held(self, app_id: int, resource: ResourceId) -> None:
-        held_set = self._app_held.get(app_id)
-        if held_set is not None:
-            held_set.discard(resource)
-        if resource.is_row:
-            tables = self._app_row_tables.get(app_id)
-            if tables is not None:
-                rows = tables.get(resource.table_id)
-                if rows is not None and rows.pop(resource, None) is not None:
-                    if not rows:
-                        del tables[resource.table_id]
-                    self._bump_row_count(app_id, -1)
+        rec = self._apps.get(app_id)
+        if rec is None:
+            return
+        rec.held.discard(resource)
+        if resource[0] == ROW_CODE:
+            rows = rec.rows.get(resource[1])
+            if rows is not None and rows.pop(resource, None) is not None:
+                if not rows:
+                    del rec.rows[resource[1]]
+                count = rec.row_count
+                rec.row_count = count - 1
+                self._move_row_bucket(app_id, count, count - 1)
 
-    def _bump_row_count(self, app_id: int, delta: int) -> None:
-        """Move ``app_id`` between row-count buckets by ``delta`` (+-1)."""
-        counts = self._app_row_counts
-        old = counts.get(app_id, 0)
-        new = old + delta
-        counts[app_id] = new
+    def _move_row_bucket(self, app_id: int, old: int, new: int) -> None:
+        """Move ``app_id`` from row-count bucket ``old`` to ``new``.
+
+        Count 0 has no bucket.  A bucket emptied by the move becomes the
+        destination bucket when that does not exist yet -- the usual
+        case, one application climbing alone -- so a row grant does not
+        allocate (and free) a dictionary for the index.
+        """
         buckets = self._row_count_buckets
-        if old > 0:
+        spare = None
+        if old:
             bucket = buckets[old]
             del bucket[app_id]
             if not bucket:
                 del buckets[old]
-        if new > 0:
-            buckets.setdefault(new, {})[app_id] = None
+                spare = bucket
+        if new:
+            bucket = buckets.get(new)
+            if bucket is None:
+                bucket = buckets[new] = {} if spare is None else spare
+            bucket[app_id] = None
             if new > self._max_row_count:
                 self._max_row_count = new
         # On decrements _max_row_count may go stale; victim selection
@@ -954,7 +1000,7 @@ class LockManager:
         memory-pressure escalation (section 3.3).
         """
         guard = 0
-        while self._app_slots.get(app_id, 0) + 1 > self.maxlocks_limit_slots():
+        while self.app_slots(app_id) + 1 > self.maxlocks_limit_slots():
             guard += 1
             if guard > 1 << 20:
                 raise LockManagerError("maxlocks escalation loop did not converge")
@@ -1062,12 +1108,12 @@ class LockManager:
         Prefers the requester (DB2 escalates on behalf of the requesting
         application); if the requester has no row locks, falls back to
         the application holding the most row locks, ties broken by which
-        application first acquired a row lock (its ``_app_row_seq``
+        application first acquired a row lock (its ``row_seq``
         stamp).  The bucket index makes this O(1) amortized -- the
         walk-down of the stale maximum is bounded by prior increments,
         and the top bucket rarely holds more than a few applications.
         """
-        if self._app_row_counts.get(requester, 0) > 0:
+        if self.app_row_lock_count(requester) > 0:
             return requester
         buckets = self._row_count_buckets
         top = self._max_row_count
@@ -1076,8 +1122,8 @@ class LockManager:
         self._max_row_count = top
         if top == 0:
             return None
-        seq = self._app_row_seq
-        return min(buckets[top], key=seq.__getitem__)
+        apps = self._apps
+        return min(buckets[top], key=lambda app_id: apps[app_id].row_seq)
 
     def _escalate(self, app_id: int, reason: str, blocking: bool):
         """Generator: escalate ``app_id``'s biggest row-locked table.
@@ -1088,7 +1134,8 @@ class LockManager:
         (used for memory pressure on behalf of another application) only
         succeeds when the table lock is grantable immediately.
         """
-        tables = self._app_row_tables.get(app_id, {})
+        rec = self._apps.get(app_id)
+        tables = rec.rows if rec is not None else {}
         # Biggest table first; the position component reproduces the
         # insertion-order tie-break of the stable sort this replaces.
         # Lazy heap: the first candidate usually wins, so a full sort
@@ -1169,7 +1216,8 @@ class LockManager:
         return 0
 
     def _release_table_rows(self, app_id: int, table_id: int) -> int:
-        rows = self._app_row_tables.get(app_id, {}).get(table_id)
+        rec = self._apps.get(app_id)
+        rows = rec.rows.get(table_id) if rec is not None else None
         if not rows:
             return 0
         freed = 0
@@ -1242,21 +1290,20 @@ class LockManager:
     def check_invariants(self) -> None:
         """Cross-check manager accounting against the block chain."""
         self.chain.check_invariants()
-        slot_total = sum(self._app_slots.values())
+        slot_total = sum(rec.slots for rec in self._apps.values())
         if slot_total != self.chain.used_slots:
             raise LockManagerError(
                 f"app slot total {slot_total} != chain used {self.chain.used_slots}"
             )
-        for app_id, resources in self._app_held.items():
-            for resource in resources:
+        for app_id, rec in self._apps.items():
+            for resource in rec.held:
                 obj = self._objects.get(resource)
                 if obj is None or app_id not in obj.granted:
                     raise LockManagerError(
                         f"app {app_id} claims {resource} but grant is missing"
                     )
-        for app_id, tables in self._app_row_tables.items():
             total = 0
-            for table_id, rows in tables.items():
+            for table_id, rows in rec.rows.items():
                 total += len(rows)
                 for resource, held in rows.items():
                     obj = self._objects.get(resource)
@@ -1264,10 +1311,17 @@ class LockManager:
                         raise LockManagerError(
                             f"row index stale: app {app_id} {resource}"
                         )
-            if total != self._app_row_counts.get(app_id, 0):
+            if total != rec.row_count:
                 raise LockManagerError(
-                    f"row count {self._app_row_counts.get(app_id, 0)} != "
-                    f"indexed rows {total} for app {app_id}"
+                    f"row count {rec.row_count} != indexed rows {total} "
+                    f"for app {app_id}"
+                )
+            if rec.row_count and app_id not in self._row_count_buckets.get(
+                rec.row_count, ()
+            ):
+                raise LockManagerError(
+                    f"app {app_id} holds {rec.row_count} rows but is missing "
+                    "from that bucket"
                 )
         for count, bucket in self._row_count_buckets.items():
             if count <= 0 or not bucket:
@@ -1277,10 +1331,10 @@ class LockManager:
                     f"bucket {count} above max bound {self._max_row_count}"
                 )
             for app_id in bucket:
-                if self._app_row_counts.get(app_id) != count:
+                if self.app_row_lock_count(app_id) != count:
                     raise LockManagerError(
                         f"app {app_id} in bucket {count} but holds "
-                        f"{self._app_row_counts.get(app_id)}"
+                        f"{self.app_row_lock_count(app_id)}"
                     )
         expected_contended = {
             res for res, obj in self._objects.items() if obj.waiters

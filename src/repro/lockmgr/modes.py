@@ -137,26 +137,38 @@ def _fill_supremum() -> None:
 _fill_supremum()
 
 
-# Index-table variants of supremum/covers for the hot path.
+#: Number of lock modes (the length of ``LockObject.mode_counts``).
+N_MODES = len(LockMode)
+
+# Index-table variant of supremum for the hot path, plus the
+# per-member attributes the manager's grant path reads directly:
+# ``_idx`` (position in ``mode_counts``), ``_covers_mask`` (bits of the
+# modes this one already grants the rights of) and ``_intent`` (the
+# table intent mode a row lock of this mode needs).  Attribute reads on
+# the member avoid both a function call and the enum metaclass.
 def _bake_tables() -> None:
     modes = list(LockMode)
     for i, mode in enumerate(modes):
         mode._idx = i  # type: ignore[attr-defined]
-    n = len(modes)
-    sup_table = [[None] * n for _ in range(n)]
-    covers_table = [[False] * n for _ in range(n)]
+    sup_table = [[None] * N_MODES for _ in range(N_MODES)]
     for a in modes:
+        covers_mask = 0
         for b in modes:
             sup = _SUPREMUM[(a, b)]
             sup_table[a._idx][b._idx] = sup  # type: ignore[attr-defined]
-            covers_table[a._idx][b._idx] = sup is a  # type: ignore[attr-defined]
-    global _SUP_TABLE, _COVERS_TABLE
+            if sup is a:
+                covers_mask |= b._bit  # type: ignore[attr-defined]
+        a._covers_mask = covers_mask  # type: ignore[attr-defined]
+        # Reading rows (S/IS row locks) needs IS on the table; any
+        # modifying row mode needs IX.
+        a._intent = (  # type: ignore[attr-defined]
+            LockMode.IS if a in (LockMode.S, LockMode.IS) else LockMode.IX
+        )
+    global _SUP_TABLE
     _SUP_TABLE = sup_table
-    _COVERS_TABLE = covers_table
 
 
 _SUP_TABLE: list = []
-_COVERS_TABLE: list = []
 _bake_tables()
 
 
@@ -167,7 +179,7 @@ def supremum(a: LockMode, b: LockMode) -> LockMode:
 
 def covers(held: LockMode, requested: LockMode) -> bool:
     """True when holding ``held`` already grants ``requested``'s rights."""
-    return _COVERS_TABLE[held._idx][requested._idx]  # type: ignore[attr-defined]
+    return bool(held._covers_mask & requested._bit)  # type: ignore[attr-defined]
 
 
 def intent_mode_for_row(row_mode: LockMode) -> LockMode:
@@ -176,11 +188,7 @@ def intent_mode_for_row(row_mode: LockMode) -> LockMode:
     Reading rows (S/IS row locks) needs IS on the table; any modifying
     row mode (U, X) needs IX.
     """
-    if row_mode in (LockMode.S, LockMode.IS):
-        return LockMode.IS
-    if row_mode in (LockMode.U, LockMode.X, LockMode.IX, LockMode.SIX):
-        return LockMode.IX
-    raise ValueError(f"unsupported row lock mode {row_mode}")
+    return row_mode._intent  # type: ignore[attr-defined]
 
 
 def escalation_target_mode(row_modes) -> LockMode:

@@ -1,16 +1,17 @@
 """Lockable resource identifiers.
 
 Resources form a two-level hierarchy: tables contain rows.  A resource
-id is a small immutable-by-convention value object usable as a
-dictionary key.  Page-level resources are included for completeness
-(some vendors escalate row to page before table; DB2 escalates straight
-to table locks, which is what the manager does by default).
+id is an immutable value object used as the lock table's dictionary
+key.  Page-level resources are included for completeness (some vendors
+escalate row to page before table; DB2 escalates straight to table
+locks, which is what the manager does by default).
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 
@@ -20,41 +21,45 @@ class ResourceKind(enum.Enum):
     ROW = "row"
 
 
-#: Stable small-int code per kind, used in ResourceId's hash key.  The
-#: key must contain only ints: int hashes are pure functions of the
+#: Stable small-int code per kind, the first element of a ResourceId.
+#: The id must contain only ints: int hashes are pure functions of the
 #: value, while str hashes depend on PYTHONHASHSEED (and hash(None) on
 #: the interpreter), which would make set-of-ResourceId iteration order
 #: -- and therefore event ordering -- vary between processes.
 _KIND_CODE = {ResourceKind.TABLE: 0, ResourceKind.PAGE: 1, ResourceKind.ROW: 2}
+_KINDS = tuple(_KIND_CODE)
+#: ``ROW_CODE`` is public for the lock manager, which tests
+#: ``resource[0] == ROW_CODE`` once per grant and per release instead
+#: of paying for the ``is_row`` property call.
+_TABLE, _PAGE, ROW_CODE = _KIND_CODE.values()
+
+_new = tuple.__new__
 
 
-class ResourceId:
+class ResourceId(tuple):
     """Identifies one lockable object.
 
-    Hash and equality are computed once at construction (resource ids
-    are dictionary keys on the simulation's hottest path).  A slotted
-    plain class rather than a frozen dataclass: one id is built per row
-    lock request, and the frozen-dataclass ``object.__setattr__`` init
-    was measurable there.  Treat instances as immutable.
+    The tuple ``(kind_code, table_id, page_id | -1, row_id | -1)``
+    itself: resource ids are dictionary keys on the lock manager's
+    hottest path, and a tuple subclass hashes and compares in C, where
+    a Python ``__hash__``/``__eq__`` pair was a measurable share of
+    every grant.  Instances are immutable (no ``__dict__``, no slots).
 
-    The hash is a pure function of the id's value (an all-int key), so
-    any hash-ordered container of resource ids iterates identically in
-    every process -- a requirement for cross-process determinism of the
-    simulation (see docs/PERFORMANCE.md).
+    The hash is a pure function of the id's value (an all-int tuple),
+    so any hash-ordered container of resource ids iterates identically
+    in every process -- a requirement for cross-process determinism of
+    the simulation (see docs/PERFORMANCE.md).
     """
 
-    __slots__ = (
-        "kind", "table_id", "page_id", "row_id",
-        "is_table", "is_row", "_key", "_hash",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: ResourceKind,
         table_id: int,
         page_id: Optional[int] = None,
         row_id: Optional[int] = None,
-    ) -> None:
+    ) -> "ResourceId":
         if table_id < 0:
             raise ValueError(f"table_id must be non-negative, got {table_id}")
         if page_id is not None and page_id < 0:
@@ -70,43 +75,54 @@ class ResourceId:
         elif kind is ResourceKind.ROW:
             if row_id is None:
                 raise ValueError("row resource needs row_id")
-        self.kind = kind
-        self.table_id = table_id
-        self.page_id = page_id
-        self.row_id = row_id
-        # Plain attributes, not properties: kind tests sit on the
-        # per-acquire and per-release hot paths.
-        self.is_table = kind is ResourceKind.TABLE
-        self.is_row = kind is ResourceKind.ROW
-        key = (
-            _KIND_CODE[kind],
-            table_id,
-            -1 if page_id is None else page_id,
-            -1 if row_id is None else row_id,
+        return _new(
+            cls,
+            (
+                _KIND_CODE[kind],
+                table_id,
+                -1 if page_id is None else page_id,
+                -1 if row_id is None else row_id,
+            ),
         )
-        self._key = key
-        self._hash = hash(key)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        # copy/pickle rebuild through __new__'s signature, not tuple's.
+        return self.kind, self.table_id, self.page_id, self.row_id
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResourceId):
-            return NotImplemented
-        return self._key == other._key
+    table_id = property(itemgetter(1))
+
+    @property
+    def kind(self) -> ResourceKind:
+        return _KINDS[self[0]]
+
+    @property
+    def page_id(self) -> Optional[int]:
+        return None if self[2] < 0 else self[2]
+
+    @property
+    def row_id(self) -> Optional[int]:
+        return None if self[3] < 0 else self[3]
+
+    @property
+    def is_table(self) -> bool:
+        return self[0] == _TABLE
+
+    @property
+    def is_row(self) -> bool:
+        return self[0] == ROW_CODE
 
     def table(self) -> "ResourceId":
         """The table resource containing this resource."""
-        if self.is_table:
+        if self[0] == _TABLE:
             return self
-        return table_resource(self.table_id)
+        return table_resource(self[1])
 
     def __repr__(self) -> str:
-        if self.kind is ResourceKind.TABLE:
-            return f"T{self.table_id}"
-        if self.kind is ResourceKind.PAGE:
-            return f"T{self.table_id}.P{self.page_id}"
-        return f"T{self.table_id}.R{self.row_id}"
+        if self[0] == _TABLE:
+            return f"T{self[1]}"
+        if self[0] == _PAGE:
+            return f"T{self[1]}.P{self[2]}"
+        return f"T{self[1]}.R{self[3]}"
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +133,11 @@ def table_resource(table_id: int) -> ResourceId:
 
 def row_resource(table_id: int, row_id: int) -> ResourceId:
     """Resource id for one row of a table."""
-    return ResourceId(ResourceKind.ROW, table_id, row_id=row_id)
+    if table_id < 0:
+        raise ValueError(f"table_id must be non-negative, got {table_id}")
+    if row_id < 0:
+        raise ValueError(f"row_id must be non-negative, got {row_id}")
+    return _new(ResourceId, (ROW_CODE, table_id, -1, row_id))
 
 
 def page_resource(table_id: int, page_id: int) -> ResourceId:

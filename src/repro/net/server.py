@@ -10,7 +10,7 @@ lock does not stall the uncontended traffic behind it.
 
 The split between the event loop and the executor is the load-bearing
 decision on a box where the GIL makes threads expensive: grants that
-cannot block (``lock_row_uncontended``) are executed *inline* on the
+cannot block (``LockService.try_lock_row``) are executed *inline* on the
 loop thread -- one mutex acquire, no handoff -- and only requests that
 may genuinely park (contended locks, table locks, batches) are pushed
 to the thread pool.  Under the churn workload the overwhelming
@@ -70,7 +70,9 @@ class ServiceBackend:
     ) -> None:
         self.service = service
         self.name = name
-        self._uncontended = getattr(service, "lock_row_uncontended", None)
+        # The *checked* immediate-grant attempt: frames carry whatever
+        # session id the peer wrote, so the service must validate it.
+        self._try_lock_row = getattr(service, "try_lock_row", None)
         #: Optional :class:`repro.obs.tracing.ServerTracer` -- when set,
         #: requests carrying a sampled trace context take the timed
         #: dispatch path and their OK replies carry a hop report.
@@ -107,9 +109,9 @@ class ServiceBackend:
 
     def try_fast(self, req: wire.Request) -> bool:
         """Attempt an immediate grant; False means "use the slow path"."""
-        if self._uncontended is None or req.op != wire.OP_LOCK_ROW:
+        if self._try_lock_row is None or req.op != wire.OP_LOCK_ROW:
             return False
-        return self._uncontended(
+        return self._try_lock_row(
             req.app_id, req.table_id, req.row_id, req.lock_mode
         )
 
@@ -117,9 +119,9 @@ class ServiceBackend:
         self, app_id: int, table_id: int, row_id: int, mode: int
     ) -> bool:
         """:meth:`try_fast` without the Request object (hot path)."""
-        if self._uncontended is None:
+        if self._try_lock_row is None:
             return False
-        return self._uncontended(
+        return self._try_lock_row(
             app_id, table_id, row_id, wire.WIRE_TO_MODE[mode]
         )
 

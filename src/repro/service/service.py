@@ -325,6 +325,8 @@ class LockService:
         row_id: int,
         mode: LockMode,
         timeout_s: object = _USE_DEFAULT,
+        *,
+        prevalidated: bool = True,
     ) -> bool:
         """Fast-path-only :meth:`lock_row` for a pre-validated caller.
 
@@ -334,6 +336,9 @@ class LockService:
         attempt.  Returns False (nothing mutated, nothing counted) when
         the request needs the full generator path -- the caller then
         falls back to :meth:`lock_row`.
+
+        A caller that cannot vouch for ``app_id`` goes through
+        :meth:`try_lock_row`, which passes ``prevalidated=False``.
         """
         if timeout_s is _USE_DEFAULT:
             timeout_s = self.default_timeout_s
@@ -343,6 +348,12 @@ class LockService:
         self.env.latch_acquire()
         try:
             self._ensure_open()
+            if not prevalidated:
+                # lock_row's registry checks, in lock_row's order.
+                if app_id not in self._sessions:
+                    raise ServiceError(f"session {app_id} is not open")
+                if app_id in self._active_requests:
+                    return False  # lock_row reports the request in flight
             if self.manager.lock_row_fast(app_id, table_id, row_id, mode):
                 self.stats.requests += 1
                 self.stats.granted += 1
@@ -360,6 +371,21 @@ class LockService:
             return False
         finally:
             self.env.latch_release()
+
+    def try_lock_row(
+        self, app_id: int, table_id: int, row_id: int, mode: LockMode
+    ) -> bool:
+        """Non-blocking :meth:`lock_row` attempt for an *unvalidated* id.
+
+        The wire servers call this with whatever a frame carried: an id
+        that is not an open session raises :meth:`lock_row`'s
+        :class:`ServiceError` instead of being granted locks no
+        ``close_session`` would ever release.  False means "not granted
+        on the spot, nothing mutated -- use :meth:`lock_row`".
+        """
+        return self.lock_row_uncontended(
+            app_id, table_id, row_id, mode, prevalidated=False
+        )
 
     def lock_table(
         self,

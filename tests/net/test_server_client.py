@@ -248,3 +248,76 @@ class TestUnixDomain:
                 net.service.ping()
         finally:
             server.stop()
+
+
+def _raw_lock_row(address, app_id, *, open_first=False):
+    """Send one LOCK_ROW frame on a fresh raw connection.
+
+    With ``open_first`` an OPEN_SESSION frame precedes it and the
+    LOCK_ROW uses the id the server answered with.  Returns (the
+    LOCK_ROW response, the session id used, the still-open socket).
+    """
+    sock = socket.create_connection(address, timeout=5.0)
+    decoder = wire.FrameDecoder()
+
+    def exchange(frame: bytes) -> wire.Response:
+        sock.sendall(frame)
+        while True:
+            payloads = wire.split_frames(sock.recv(4096), decoder)
+            if payloads:
+                return wire.decode_response(payloads[0])
+
+    if open_first:
+        app_id = exchange(wire.encode_frame(wire.encode_open_session(1))).value
+    resp = exchange(
+        wire.pack_lock_row_frame(2, app_id, 3, 7, wire.MODE_TO_WIRE[LockMode.X])
+    )
+    return resp, app_id, sock
+
+
+@pytest.mark.parametrize("kind", ["threaded", "asyncio"])
+class TestInlineFastPathValidatesTheSession:
+    """The servers' inline immediate-grant path takes the session id
+    from the frame; it must make lock_row's registry checks itself."""
+
+    def test_unopened_session_gets_an_error_and_no_locks(self, stack, kind):
+        server = serve_service(stack.service, kind=kind)
+        try:
+            resp, _app, sock = _raw_lock_row(server.address, 424242)
+            with sock:
+                assert not resp.ok
+                assert wire.ERROR_CODES[resp.error_code] is wire.ServiceError
+                assert "424242 is not open" in resp.error_message
+                assert stack.chain.used_slots == 0
+            # Nothing was granted, so nothing is left after disconnect.
+            assert stack.chain.used_slots == 0
+            assert stack.service.stats.granted == 0
+        finally:
+            server.stop()
+
+    def test_opened_session_still_takes_the_fast_grant(self, stack, kind):
+        server = serve_service(stack.service, kind=kind)
+        try:
+            resp, app, sock = _raw_lock_row(server.address, 0, open_first=True)
+            with sock:
+                assert resp.ok and resp.value == 1
+                assert stack.chain.used_slots == 2  # intent + row
+                assert stack.service.manager.app_slots(app) == 2
+            # The connection owned the session: disconnect releases it.
+            assert wait_until(lambda: stack.chain.used_slots == 0)
+        finally:
+            server.stop()
+
+
+class TestPrevalidatedEntryStaysCheckFree:
+    def test_facade_entry_skips_the_registry(self, stack):
+        # The sharded facade vouches for the id, so the shard-level
+        # entry grants without consulting its own registry ...
+        service = stack.service
+        assert service.lock_row_uncontended(77, 1, 1, LockMode.X) is True
+        assert service.manager.app_slots(77) == 2
+        service.manager.release_all(77)
+        # ... while the checked entry refuses the very same id.
+        with pytest.raises(wire.ServiceError, match="77 is not open"):
+            service.try_lock_row(77, 1, 1, LockMode.X)
+        assert stack.chain.used_slots == 0
