@@ -2,7 +2,7 @@
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke bench-service figures examples telemetry-demo service-demo service-smoke service-smoke-sharded ops-smoke analyze-smoke broker-smoke matrix-smoke trace-smoke clean
+.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke bench-service figures examples telemetry-demo service-demo service-smoke ops-smoke analyze-smoke broker-smoke matrix-smoke trace-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -52,13 +52,17 @@ telemetry-demo:
 service-demo:
 	$(PYTHONPATH_SRC) python -m repro.service.cli demo
 
-# Threaded stress with exact-accounting checks at shutdown (the CI job).
+# Threaded stress with exact-accounting checks at shutdown, once per
+# topology (the CI service-smoke matrix job): one bare lock table, 4
+# in-process shards + deadlock sweep, a 2-worker pool over the wire.
+# Same load line, same asserts (the CLI exits non-zero on any leak,
+# mismatch or failed reconciliation), no timing gates.
 service-smoke:
-	$(PYTHONPATH_SRC) python -m repro.service.cli stress --threads 8 --requests 2000
-
-# Same stress through the sharded stack (4 shards + deadlock sweep).
-service-smoke-sharded:
-	$(PYTHONPATH_SRC) python -m repro.service.cli stress --threads 8 --requests 2000 --shards 4
+	for topology in "" "--shards 4" "--net --workers 2"; do \
+		echo "=== stress $$topology ==="; \
+		$(PYTHONPATH_SRC) python -m repro.service.cli stress \
+			--threads 8 --requests 2000 $$topology || exit 1; \
+	done
 
 # Live ops plane scraped from outside the process (the CI ops-smoke
 # job): sharded stress with --ops-port, /metrics + /healthz + /stmm

@@ -646,19 +646,14 @@ class LockManager:
         Returns False when the application is not currently waiting --
         including when its request was *granted but not yet resumed*
         (the grant event already fired but the waiting process/thread
-        has not run): cancelling then would double-free the structure
-        the grant now owns, so the grant wins and the cancel is a no-op.
+        has not run): the wait ended when :meth:`_pump` granted it, and
+        cancelling then would double-free the structure the grant now
+        owns, so the grant wins and the cancel is a no-op.
         """
-        entry = self._waiting_on.get(app_id)
+        entry = self._waiting_on.pop(app_id, None)
         if entry is None:
             return False
         obj, waiter = entry
-        if waiter.event.triggered:
-            # Granted (or already failed) between the caller's decision
-            # and this call; the waiter is no longer in the queue and
-            # its block now backs the grant.  Nothing to withdraw.
-            return False
-        del self._waiting_on[app_id]
         obj.remove_waiter(app_id)
         if waiter.block is not None:
             self.chain.free_slot(waiter.block)
@@ -781,7 +776,6 @@ class LockManager:
                     f"app {app_id} waited {self.lock_timeout_s}s for "
                     f"{waiter.mode.name} on {obj.resource}"
                 )
-        self._waiting_on.pop(app_id, None)
         self._record_wait(self.env.now - started)
         if self.wait_profiler is not None:
             self.wait_profiler.end_lock_wait(app_id, "granted")
@@ -801,6 +795,11 @@ class LockManager:
             self._contended.pop(obj.resource, None)
             return
         for waiter in obj.pump():
+            # The wait ends here, not when the granted thread resumes:
+            # until then it is off the queue, and a stale wait entry
+            # would make every later request look queued *ahead* of it
+            # (false wait-for edges, phantom deadlocks).
+            self._waiting_on.pop(waiter.app_id, None)
             if not waiter.converting:
                 # The queued request's structure was charged on
                 # enqueue, so the application's record exists.

@@ -10,13 +10,14 @@ the first step of the multi-process scale-out
 * :mod:`repro.net.protocol` -- the length-prefixed binary wire format:
   framing, request/response encoding, and the closed error-code
   vocabulary that maps service exceptions across the wire.
-* :mod:`repro.net.server` -- an asyncio socket server speaking the
-  protocol in front of any lock-service-shaped backend, with request
-  pipelining (many requests in flight per connection, responses
-  matched by request id).
+* :mod:`repro.net.server` -- a threaded socket server (TCP or
+  Unix-domain) speaking the protocol in front of any
+  lock-service-shaped backend, with request pipelining (many requests
+  in flight per connection, responses matched by request id).
 * :mod:`repro.net.client` -- the client library: a pooled, pipelined
-  sync facade (drop-in for the surface :class:`LoadDriver` drives) plus
-  an asyncio client used by the worker-pool router.
+  sync facade (drop-in for the surface :class:`LoadDriver` drives) and
+  the routed client that spreads sessions over a worker pool's
+  per-worker endpoints.
 """
 
 from repro.net.protocol import (

@@ -1,21 +1,24 @@
-"""Asyncio socket server fronting a lock service.
+"""Threaded socket server fronting a lock service.
 
-One :class:`LockServer` owns a private event loop (in a dedicated
-thread, like :class:`~repro.service.ops.OpsServer` owns its HTTP serve
-loop) and speaks :mod:`repro.net.protocol` on every accepted
-connection.  Requests are **pipelined**: each decoded frame becomes an
-independent unit of work and responses are written in completion
-order, matched by request id -- a connection blocked on a contended
-lock does not stall the uncontended traffic behind it.
+One :class:`ThreadedLockServer` speaks :mod:`repro.net.protocol` on
+every accepted connection, over TCP or a Unix-domain socket.  Requests
+are **pipelined**: each decoded frame becomes an independent unit of
+work and responses are written in completion order, matched by request
+id -- a connection blocked on a contended lock does not stall the
+uncontended traffic behind it.
 
-The split between the event loop and the executor is the load-bearing
-decision on a box where the GIL makes threads expensive: grants that
-cannot block (``LockService.try_lock_row``) are executed *inline* on the
-loop thread -- one mutex acquire, no handoff -- and only requests that
-may genuinely park (contended locks, table locks, batches) are pushed
-to the thread pool.  Under the churn workload the overwhelming
-majority of requests takes the inline path, which is what keeps the
-socket hop within the same order of magnitude as in-process calls.
+The split between a connection's reader thread and the shared executor
+is the load-bearing decision on a box where the GIL makes threads
+expensive: grants that cannot block (``LockService.try_lock_row``) are
+executed *inline* on the reader thread -- one mutex acquire, no handoff
+-- and only requests that may genuinely park (contended locks, table
+locks, batches) are pushed to the thread pool.  Under the churn
+workload the overwhelming majority of requests takes the inline path,
+which is what keeps the socket hop within the same order of magnitude
+as in-process calls.  The data plane serves a handful of long-lived
+connections (not thousands), so a blocking ``recv`` per connection
+beats an event loop's dispatch by more than an uncontended lock
+request's entire service time.
 
 Session lifecycle is connection-bound: sessions opened (or adopted)
 over a connection are force-closed when that connection drops, so a
@@ -24,7 +27,6 @@ killed client never leaks lock-list slots on the server.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import dataclasses
 import json
@@ -87,8 +89,9 @@ class ServiceBackend:
             self._incidents = getattr(manager, "incidents", None)
 
     #: Ops that only ever take the service mutex for microseconds --
-    #: they run inline on the event loop thread.  Everything else can
-    #: park a thread on a contended lock and goes to the executor.
+    #: they run inline on the connection's reader thread.  Everything
+    #: else can park a thread on a contended lock and goes to the
+    #: executor.
     NONPARKING_OPS = frozenset(
         {
             wire.OP_OPEN_SESSION,
@@ -102,7 +105,7 @@ class ServiceBackend:
         }
     )
 
-    # -- non-blocking (safe on the event loop thread) --
+    # -- non-blocking (safe on a reader thread) --
 
     def is_nonparking(self, req: wire.Request) -> bool:
         return req.op in self.NONPARKING_OPS
@@ -250,241 +253,6 @@ class ServiceBackend:
                 "%s: cleanup of session %d failed", self.name, app_id,
                 exc_info=True,
             )
-
-
-class _Connection(asyncio.Protocol):
-    """One client connection: frame reassembly + request dispatch."""
-
-    def __init__(self, server: "LockServer") -> None:
-        self._server = server
-        self._backend = server.backend
-        self._decoder = wire.FrameDecoder()
-        self._transport: Optional[asyncio.Transport] = None
-        #: Sessions this connection owns (opened or adopted here); they
-        #: are force-closed if the connection drops.
-        self._sessions: Set[int] = set()
-        self._closing = False
-
-    # -- asyncio.Protocol --
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._transport = transport  # type: ignore[assignment]
-        self._server._connections.add(self)
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._server._connections.discard(self)
-        if self._sessions and not self._server._stopping:
-            orphans = list(self._sessions)
-            self._sessions.clear()
-            self._server._executor.submit(self._cleanup, orphans)
-
-    def data_received(self, data: bytes) -> None:
-        try:
-            payloads = wire.split_frames(data, self._decoder)
-        except wire.ProtocolError as exc:
-            # The stream is unrecoverable (we cannot resynchronise on
-            # frame boundaries): report once on the reserved id 0, then
-            # hang up.
-            self._send(wire.encode_error(0, exc))
-            self._closing = True
-            assert self._transport is not None
-            self._transport.close()
-            return
-        for payload in payloads:
-            self._dispatch(payload)
-
-    # -- dispatch --
-
-    def _dispatch(self, payload: bytes) -> None:
-        try:
-            req = wire.decode_request(payload)
-        except wire.ProtocolError as exc:
-            # The frame boundary held, so the connection survives; the
-            # offending request id (if parseable) gets the error.
-            try:
-                request_id = wire.peek_request_id(payload)
-            except wire.ProtocolError:
-                request_id = 0
-            self._send(wire.encode_error(request_id, exc))
-            return
-        # Inline paths: the executor handoff costs two context switches
-        # -- more than most requests' entire service time on one core --
-        # so anything that cannot park runs right here on the loop
-        # thread: non-parking ops outright, and contended-capable row
-        # locks via the mutate-nothing immediate-grant attempt.
-        try:
-            if self._backend.try_fast(req):
-                self._record(req)
-                self._send(wire.encode_ok(req.request_id, 1))
-                return
-            if self._backend.is_nonparking(req):
-                value, data = self._backend.execute(req)
-                self._record(req, value)
-                if not req.no_reply:
-                    self._send(wire.encode_ok(req.request_id, value, data))
-                return
-        except Exception as exc:
-            if not req.no_reply:
-                self._send(wire.encode_error(req.request_id, exc))
-            return
-        future = self._server._loop.run_in_executor(
-            self._server._executor, self._backend.execute, req
-        )
-        future.add_done_callback(
-            lambda fut, req=req: self._complete(req, fut)
-        )
-
-    def _complete(self, req: wire.Request, fut: "asyncio.Future") -> None:
-        if self._transport is None or self._transport.is_closing():
-            fut.exception()  # consume; the requester is gone
-            return
-        exc = fut.exception()
-        if exc is not None:
-            if not req.no_reply:
-                self._send(wire.encode_error(req.request_id, exc))
-            return
-        value, data = fut.result()
-        self._record(req, value)
-        if not req.no_reply:
-            self._send(wire.encode_ok(req.request_id, value, data))
-
-    def _record(self, req: wire.Request, value: int = 0) -> None:
-        """Track connection-owned sessions for disconnect cleanup."""
-        op = req.op
-        if op == wire.OP_OPEN_SESSION:
-            self._sessions.add(value)
-        elif op == wire.OP_ADOPT_SESSION:
-            self._sessions.add(req.app_id)
-        elif op == wire.OP_CLOSE_SESSION:
-            self._sessions.discard(req.app_id)
-
-    def _send(self, payload: bytes) -> None:
-        if self._transport is not None and not self._transport.is_closing():
-            self._server._observe_response(payload)
-            self._transport.write(wire.encode_frame(payload))
-
-    def _cleanup(self, orphans: list) -> None:
-        for app_id in orphans:
-            self._backend.cleanup_session(app_id)
-
-
-class LockServer:
-    """The socket front end: event loop thread + worker executor.
-
-    ``start()`` binds and returns the live ``(host, port)`` (port 0
-    picks an ephemeral one -- how worker processes report their
-    listening port back to the router).  ``stop()`` is idempotent and
-    leaves the backend service untouched: closing the service is its
-    owner's job, the server only stops speaking for it.
-    """
-
-    def __init__(
-        self,
-        backend: ServiceBackend,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        executor_threads: int = 16,
-        metrics: Any = None,
-        metric_labels: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.backend = backend
-        self.host = host
-        self.port = port
-        self._loop = asyncio.new_event_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_threads,
-            thread_name_prefix=f"net-{backend.name}",
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[_Connection] = set()
-        self._stopping = False
-        self._started = threading.Event()
-        self._start_error: Optional[BaseException] = None
-        self._responses = 0
-        self._response_counter = None
-        if metrics is not None:
-            self._response_counter = metrics.counter(
-                "net.responses", labels=metric_labels
-            )
-
-    # -- lifecycle --
-
-    def start(self) -> Tuple[str, int]:
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._run, name=f"lockserver-{self.backend.name}",
-            daemon=True,
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._start_error is not None:
-            self._thread.join()
-            raise self._start_error
-        return self.host, self.port
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        try:
-            coro = self._loop.create_server(
-                lambda: _Connection(self), self.host, self.port
-            )
-            self._server = self._loop.run_until_complete(coro)
-            sock = self._server.sockets[0]
-            self.host, self.port = sock.getsockname()[:2]
-        except BaseException as exc:  # bind failure and friends
-            self._start_error = exc
-            self._started.set()
-            self._loop.close()
-            return
-        self._started.set()
-        try:
-            self._loop.run_forever()
-        finally:
-            self._drain()
-            self._loop.close()
-
-    def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            self._loop.run_until_complete(self._server.wait_closed())
-        for conn in list(self._connections):
-            if conn._transport is not None:
-                conn._transport.close()
-        # Flush transport close callbacks.
-        self._loop.run_until_complete(asyncio.sleep(0))
-
-    def stop(self) -> None:
-        if self._thread is None or self._stopping:
-            return
-        self._stopping = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._executor.shutdown(wait=True)
-
-    # -- observability --
-
-    def _observe_response(self, payload: bytes) -> None:
-        self._responses += 1
-        if self._response_counter is not None:
-            self._response_counter.inc()
-
-    @property
-    def responses_written(self) -> int:
-        return self._responses
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.host, self.port
-
-    def __enter__(self) -> "LockServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 class _ThreadedConnection:
@@ -740,18 +508,13 @@ class _ThreadedConnection:
 
 
 class ThreadedLockServer:
-    """Thread-per-connection variant of :class:`LockServer`.
+    """The socket front end: accept loop, one reader thread per
+    connection, a shared executor for requests that park.
 
-    Same protocol, same backend, same pipelining semantics -- different
-    scheduling: each connection gets a dedicated reader thread instead
-    of sharing an epoll loop.  On a single core the epoll dispatch in
-    asyncio costs ~25-30us per round trip over a plain blocking recv,
-    which is more than an uncontended lock request's entire service
-    time; since the data plane serves a handful of long-lived
-    connections (not thousands), threads win decisively there.  The
-    asyncio :class:`LockServer` remains the right front end for the
-    worker-pool router, which multiplexes many client connections onto
-    per-worker links.
+    ``start()`` binds and returns the live ``(host, port)`` (port 0
+    picks an ephemeral one).  ``stop()`` is idempotent and leaves the
+    backend service untouched: closing the service is its owner's job,
+    the server only stops speaking for it.
     """
 
     def __init__(
@@ -896,44 +659,28 @@ def serve_service(
     path: Optional[str] = None,
     executor_threads: int = 16,
     name: str = "service",
-    kind: str = "threaded",
     metrics: Any = None,
     metric_labels: Optional[Dict[str, str]] = None,
-) -> "LockServer | ThreadedLockServer":
+) -> ThreadedLockServer:
     """Build and start a lock server for ``service``.
 
-    ``kind="threaded"`` (default) serves the data plane with blocking
-    per-connection reader threads; ``kind="asyncio"`` uses the event-
-    loop server (the router's front end).  ``path`` selects a Unix-
-    domain socket (threaded kind only) for same-box deployments.
+    ``path`` selects a Unix-domain socket (same-box deployments)
+    instead of TCP ``host``/``port``.
     """
-    if path is not None and kind != "threaded":
-        raise ValueError("unix-domain serving requires kind='threaded'")
-    if kind == "threaded":
-        server: "LockServer | ThreadedLockServer" = ThreadedLockServer(
-            ServiceBackend(service, name=name),
-            host=host,
-            port=port,
-            path=path,
-            executor_threads=executor_threads,
-            metrics=metrics,
-            metric_labels=metric_labels,
-        )
-    else:
-        server = LockServer(
-            ServiceBackend(service, name=name),
-            host=host,
-            port=port,
-            executor_threads=executor_threads,
-            metrics=metrics,
-            metric_labels=metric_labels,
-        )
+    server = ThreadedLockServer(
+        ServiceBackend(service, name=name),
+        host=host,
+        port=port,
+        path=path,
+        executor_threads=executor_threads,
+        metrics=metrics,
+        metric_labels=metric_labels,
+    )
     server.start()
     return server
 
 
 __all__ = [
-    "LockServer",
     "ServiceBackend",
     "ThreadedLockServer",
     "serve_service",

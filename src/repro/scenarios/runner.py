@@ -6,7 +6,8 @@ Two scenario kinds share the verdict machinery:
     A closed-loop threaded load (:class:`repro.service.driver.
     LoadDriver`) against a live stack -- unsharded, sharded or the
     multi-process worker pool, per the scenario's ``shards``/``workers``
-    toggles -- under a named contention regime from
+    toggles (:func:`repro.service.stack.build_stack`) -- under a named
+    contention regime from
     :data:`repro.workloads.contention.REGIMES`, optionally with a
     long-running DSS tenant pinning locks beside the OLTP load and/or
     one armed chaos injection (:mod:`repro.service.chaos`).
@@ -32,7 +33,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.core.params import TuningParameters
 from repro.scenarios.grid import ScenarioGrid, ScenarioSpec
 from repro.scenarios.verdict import (
     FAIL,
@@ -146,51 +146,28 @@ class _DssTenant:
             self.saturated.set()  # never leave a waiter hanging
 
 
-def _build_service_stack(params: Mapping[str, Any]):
+def _build_stack(params: Mapping[str, Any]):
     """A started-able stack per the scenario's shape toggles."""
-    from repro.service.sharded import ShardedServiceConfig, ShardedServiceStack
-    from repro.service.stack import ServiceConfig, ServiceStack
+    from repro.service.stack import build_stack
 
-    threads = int(params.get("threads", 4))
-    common = dict(
+    shards = int(params.get("shards", 0))
+    workers = int(params.get("workers", 0))
+    config: Dict[str, Any] = dict(
         total_memory_pages=int(params.get("memory_pages", 16_384)),
         initial_locklist_pages=int(params.get("locklist_pages", 128)),
         tuner_interval_s=float(params.get("tuner_interval_s", 0.05)),
-        max_in_flight=max(4, threads),
-        admission_queue_depth=4 * max(4, threads),
-        params=TuningParameters(),
         broker=bool(params.get("broker", False)),
+        trace_sample_every=int(params.get("trace_sample_every", 0)),
     )
-    shards = int(params.get("shards", 0))
-    if shards > 0:
-        return ShardedServiceStack(
-            ShardedServiceConfig(
-                shards=shards,
-                deadlock_interval_s=float(
-                    params.get("deadlock_interval_s", 0.02)
-                ),
-                **common,
-            )
+    if shards > 0 and not workers:
+        config["deadlock_interval_s"] = float(
+            params.get("deadlock_interval_s", 0.02)
         )
-    return ServiceStack(ServiceConfig(**common))
-
-
-def _build_pool(params: Mapping[str, Any]):
-    """The multi-process worker pool for ``workers >= 1`` scenarios."""
-    from repro.service.workers import WorkerPoolConfig, WorkerPoolStack
-
-    threads = int(params.get("threads", 4))
-    return WorkerPoolStack(
-        WorkerPoolConfig(
-            total_memory_pages=int(params.get("memory_pages", 16_384)),
-            initial_locklist_pages=int(params.get("locklist_pages", 128)),
-            tuner_interval_s=float(params.get("tuner_interval_s", 0.05)),
-            max_in_flight=max(4, threads),
-            admission_queue_depth=4 * max(4, threads),
-            params=TuningParameters(),
-            workers=int(params["workers"]),
-            trace_sample_every=int(params.get("trace_sample_every", 0)),
-        )
+    return build_stack(
+        threads=int(params.get("threads", 4)),
+        shards=shards,
+        workers=workers,
+        **config,
     )
 
 
@@ -245,7 +222,11 @@ def _service_checks(
 
 
 def _stack_accounting_checks(stack, skip: frozenset) -> List[Check]:
-    """Exact-accounting and liveness checks for in-process stacks."""
+    """Exact-accounting and liveness checks, any topology.
+
+    ``check_invariants`` covers what is particular to one: the worker
+    pool's includes its byte-exact shutdown reconciliation.
+    """
     checks: List[Check] = []
     if "accounting-exact" not in skip:
         leaked = stack.chain.used_slots
@@ -267,48 +248,15 @@ def _stack_accounting_checks(stack, skip: frozenset) -> List[Check]:
             )
         )
     if "tuner-healthy" not in skip:
-        detector = getattr(stack, "detector", None)
-        detector_crash = getattr(detector, "crash", None)
+        detector = stack.detector
         checks.append(
             check(
                 "tuner-healthy",
                 stack.tuner.crash is None
-                and stack.service.frozen_reason is None
-                and detector_crash is None,
+                and stack.frozen_reason is None
+                and (detector is None or detector.crash is None),
                 f"tuner crash={stack.tuner.crash!r}, "
-                f"frozen={stack.service.frozen_reason!r}",
-            )
-        )
-    return checks
-
-
-def _pool_accounting_checks(pool, skip: frozenset) -> List[Check]:
-    """Reconciliation and liveness checks for the worker pool."""
-    checks: List[Check] = []
-    if "pool-reconciliation" not in skip:
-        rec = pool.reconciliation
-        invariant_error = ""
-        try:
-            pool.check_invariants()
-        except Exception as exc:  # noqa: BLE001 - folded into the verdict
-            invariant_error = f"{type(exc).__name__}: {exc}"
-        checks.append(
-            check(
-                "pool-reconciliation",
-                rec is not None and rec.ok and not invariant_error,
-                f"reconciliation={rec!r}"
-                + (f", invariants: {invariant_error}" if invariant_error else ""),
-            )
-        )
-    if "pool-healthy" not in skip:
-        checks.append(
-            check(
-                "pool-healthy",
-                pool.frozen_reason is None
-                and pool.tuner.crash is None
-                and pool.detector.crash is None,
-                f"frozen={pool.frozen_reason!r}, "
-                f"tuner crash={pool.tuner.crash!r}",
+                f"frozen={stack.frozen_reason!r}",
             )
         )
     return checks
@@ -322,9 +270,9 @@ def _trace_ring_summary(stack) -> Dict[str, Any]:
     many finished traces fell off the bounded rings, and how many the
     rings still held at shutdown.  All zeros with ``enabled: false``
     when the scenario ran untraced (the default -- grids opt in via a
-    ``trace_sample_every`` param).
+    ``trace_sample_every`` param; only the networked topology traces).
     """
-    every = int(getattr(stack.config, "trace_sample_every", 0) or 0)
+    every = stack.config.trace_sample_every if stack.request_tracers else 0
     summary = {
         "enabled": every > 0,
         "sample_every": every,
@@ -333,7 +281,7 @@ def _trace_ring_summary(stack) -> Dict[str, Any]:
         "truncated": 0,
         "held": 0,
     }
-    for tracer in getattr(stack, "request_tracers", []) or []:
+    for tracer in stack.request_tracers:
         counts = tracer.summary()
         summary["sampled"] += counts["started"]
         summary["finished"] += counts["finished"]
@@ -344,19 +292,23 @@ def _trace_ring_summary(stack) -> Dict[str, Any]:
 
 def _service_metrics(stack, report, dss: Optional[_DssTenant]) -> Dict[str, Any]:
     metrics: Dict[str, Any] = dict(report.summary())
-    stats = stack.manager_stats
+    ledger = stack.ledger
     metrics.update(
         {
-            "escalations": stats.escalations.count,
-            "sync_growth_blocks": stats.sync_growth_blocks,
+            "escalations": ledger.total("escalations"),
+            "sync_growth_blocks": ledger.total("sync_growth_blocks"),
             "allocated_pages": stack.chain.allocated_pages,
             "block_count": stack.chain.block_count,
-            "peak_used_slots": stats.peak_used_slots,
+            "peak_used_slots": ledger.total("peak_used_slots"),
             "tuner_intervals": stack.tuner.intervals_run,
-            "frozen_reason": stack.service.frozen_reason,
+            "frozen_reason": stack.frozen_reason,
             "trace_ring": _trace_ring_summary(stack),
         }
     )
+    health = stack.ops_health()
+    for key in ("workers", "worker_crashes"):
+        if key in health:
+            metrics[key] = health[key]
     if dss is not None:
         metrics["dss_locks_acquired"] = dss.acquired
         if dss.error:
@@ -365,7 +317,12 @@ def _service_metrics(stack, report, dss: Optional[_DssTenant]) -> Dict[str, Any]
 
 
 def _run_service_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    """Drive one threaded service scenario (any stack shape)."""
+    """Drive one threaded service scenario (any topology).
+
+    The load goes through ``stack.client_stack()``: in process that is
+    the stack itself, for the worker pool a routed client over the
+    workers' sockets -- which chaos may SIGKILL mid-run.
+    """
     from repro.service.chaos import build_chaos
     from repro.service.driver import LoadDriver
     from repro.workloads.contention import build_regime
@@ -375,20 +332,18 @@ def _run_service_scenario(spec: ScenarioSpec) -> ScenarioResult:
     injection = build_chaos(spec.chaos) if spec.chaos else None
     skip = injection.skip_checks if injection else frozenset()
     warm = int(params.get("chaos_warm_requests", 50))
-    if int(params.get("workers", 0)) > 0:
-        return _run_pool_scenario(spec, mix, injection, skip, warm)
 
-    stack = _build_service_stack(params)
+    stack = _build_stack(params)
     dss: Optional[_DssTenant] = None
     chaos_runner: Optional[threading.Thread] = None
-    with stack:
+    with stack, stack.client_stack() as client:
         dss_locks = int(params.get("dss_locks", 0))
         if dss_locks > 0:
-            dss = _DssTenant(stack.service, dss_locks).start()
+            dss = _DssTenant(client.service, dss_locks).start()
         if injection is not None:
             chaos_runner = _chaos_thread(injection, stack, warm)
         driver = LoadDriver(
-            stack,
+            client,
             mix=mix,
             threads=int(params.get("threads", 4)),
             requests_per_thread=int(params.get("requests_per_thread", 200)),
@@ -411,53 +366,6 @@ def _run_service_scenario(spec: ScenarioSpec) -> ScenarioResult:
     return ScenarioResult(
         spec=spec, verdict=verdict, metrics=_service_metrics(stack, report, dss)
     )
-
-
-def _run_pool_scenario(
-    spec: ScenarioSpec, mix, injection, skip: frozenset, warm: int
-) -> ScenarioResult:
-    """The worker-pool flavor: load over the wire, chaos may SIGKILL."""
-    from repro.service.driver import LoadDriver
-
-    params = spec.params
-    pool = _build_pool(params)
-    chaos_runner: Optional[threading.Thread] = None
-    with pool:
-        if injection is not None:
-            chaos_runner = _chaos_thread(injection, pool, warm)
-        with pool.client_stack(pool_size=1) as client:
-            driver = LoadDriver(
-                client,
-                mix=mix,
-                threads=int(params.get("threads", 4)),
-                requests_per_thread=int(
-                    params.get("requests_per_thread", 200)
-                ),
-                seed=int(params.get("seed", 0)),
-            )
-            report = driver.run()
-        if chaos_runner is not None:
-            chaos_runner.join(60.0)
-    checks = _service_checks(spec, report, skip)
-    checks.extend(_pool_accounting_checks(pool, skip))
-    if injection is not None:
-        checks.extend(injection.verify(pool, report))
-    verdict = ScenarioVerdict.from_checks(
-        checks,
-        expect_degraded=injection.expect_degraded if injection else False,
-    )
-    metrics: Dict[str, Any] = dict(report.summary())
-    metrics.update(
-        {
-            "workers": pool.config.workers,
-            "worker_crashes": pool.worker_crashes,
-            "allocated_pages": pool.chain.allocated_pages,
-            "tuner_intervals": pool.tuner.intervals_run,
-            "frozen_reason": pool.frozen_reason,
-            "trace_ring": _trace_ring_summary(pool),
-        }
-    )
-    return ScenarioResult(spec=spec, verdict=verdict, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------

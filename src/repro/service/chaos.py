@@ -49,19 +49,16 @@ class ChaosError(RuntimeError):
 def wait_until_warm(
     stack, min_requests: int = 50, timeout_s: float = 30.0
 ) -> bool:
-    """Block until the stack has served some load (or timeout).
+    """Block until the stack's lock tables have served some load (or
+    timeout).
 
-    Uses the stack's merged manager stats where available; the worker
-    pool (whose stats live in child processes) warms on the arbiter's
-    first interval instead.  Returns True when warm, False on timeout.
+    Reads the request count off the ledger's partition postures: live
+    for in-process tables, as last sampled (one tuner interval stale at
+    most) for forked ones.  Returns True when warm, False on timeout.
     """
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        stats = getattr(stack, "manager_stats", None)
-        if stats is not None:
-            if stats.requests >= min_requests:
-                return True
-        elif stack.tuner.intervals_run >= 2:
+        if stack.ledger.total("requests") >= min_requests:
             return True
         time.sleep(0.002)
     return False
@@ -76,8 +73,6 @@ class ChaosInjection:
     expect_degraded = True
     #: Standard runner checks a degraded run is exempt from.
     skip_checks: FrozenSet[str] = frozenset()
-    #: Stack kinds the injection applies to.
-    requires: FrozenSet[str] = frozenset()
 
     def inject(self, stack) -> None:
         """Fire the fault against a warm, running stack."""
@@ -96,16 +91,10 @@ class TunerCrashInjection(ChaosInjection):
     skip_checks = frozenset({"tuner-healthy"})
 
     def inject(self, stack) -> None:
-        controller = getattr(stack, "controller", None)
-        if controller is None:
-            raise ConfigurationError(
-                "tuner-crash chaos needs a stack with a controller"
-            )
-
         def explode(*args, **kwargs):
             raise ChaosError("chaos: injected tuner crash")
 
-        controller.compute_target_pages = explode
+        stack.controller.compute_target_pages = explode
         # Force a pass now instead of waiting out the daemon interval:
         # the crash must land even if the remaining load is brief.
         try:
@@ -129,8 +118,8 @@ class TunerCrashInjection(ChaosInjection):
             ),
             check(
                 "locklist-frozen",
-                stack.service.frozen_reason is not None,
-                f"frozen_reason={stack.service.frozen_reason!r}",
+                stack.frozen_reason is not None,
+                f"frozen_reason={stack.frozen_reason!r}",
             ),
             check(
                 "freeze-audited",
@@ -143,15 +132,17 @@ class TunerCrashInjection(ChaosInjection):
                 f"ops_health.ok={health.get('ok')!r}",
             ),
         ]
-        manager = getattr(stack.service, "manager", None)
-        if manager is not None:
-            checks.append(
-                check(
-                    "growth-disabled",
-                    manager.growth_provider is None,
-                    "synchronous growth provider detached",
-                )
+        checks.append(
+            check(
+                "growth-disabled",
+                all(
+                    part.occupancy()["frozen"] is not None
+                    for part in stack.ledger.live()
+                ),
+                "every live partition froze to static sizing "
+                "(synchronous growth provider detached)",
             )
+        )
         return checks
 
 
@@ -160,30 +151,28 @@ class ShardStallInjection(ChaosInjection):
 
     name = "shard-stall"
     expect_degraded = False
-    requires = frozenset({"sharded"})
 
     def __init__(self, stall_s: float = 0.25) -> None:
         self.stall_s = stall_s
 
     def inject(self, stack) -> None:
-        shards = getattr(stack.service, "shards", None)
-        if not shards:
+        part = stack.partitions[0]
+        if not part.atomic:
             raise ConfigurationError(
-                "shard-stall chaos needs the sharded stack (shards >= 1)"
+                "shard-stall chaos needs in-process lock tables"
             )
         # Holding the shard condition blocks every lock/release on that
         # shard -- and the tuner's all-shard pass -- until we let go.
-        with shards[0]._cond:
+        with part.service._cond:
             time.sleep(self.stall_s)
 
     def verify(self, stack, report) -> List[Check]:
         return [
             check(
                 "stall-recovered",
-                stack.tuner.crash is None
-                and stack.service.frozen_reason is None,
+                stack.tuner.crash is None and stack.frozen_reason is None,
                 f"tuner crash={stack.tuner.crash!r}, "
-                f"frozen={stack.service.frozen_reason!r}",
+                f"frozen={stack.frozen_reason!r}",
             ),
             check(
                 "served-through-stall",
@@ -198,14 +187,12 @@ class WorkerSigkillInjection(ChaosInjection):
 
     name = "worker-sigkill"
     expect_degraded = True
-    requires = frozenset({"pool"})
     skip_checks = frozenset(
         {
             "completeness",
             "worker-errors",
             "accounting-exact",
-            "pool-reconciliation",
-            "pool-healthy",
+            "tuner-healthy",
             "admission-sheds",
         }
     )
@@ -214,12 +201,12 @@ class WorkerSigkillInjection(ChaosInjection):
         self.victim = victim
 
     def inject(self, stack) -> None:
-        handles = getattr(stack, "_handles", None)
-        if not handles:
+        part = stack.partitions[self.victim]
+        if part.atomic:
             raise ConfigurationError(
                 "worker-sigkill chaos needs the worker pool (workers >= 1)"
             )
-        os.kill(handles[self.victim].process.pid, signal.SIGKILL)
+        os.kill(part.process.pid, signal.SIGKILL)
         # The pool's monitor notices the death asynchronously; wait for
         # the freeze so verification never races the detection.
         deadline = time.monotonic() + 15.0

@@ -60,6 +60,7 @@ as schema-v5 ``reqtrace`` telemetry records.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -67,21 +68,17 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional
 
 from repro.analysis.waitprofile import analyze_run
-from repro.core.params import TuningParameters
+from repro.errors import ConfigurationError
 from repro.obs.events import load_runs
 from repro.service.capture import DemandTraceRecorder
+from repro.service.control import ControlPlane
 from repro.service.driver import DriverReport, LoadDriver
-from repro.service.sharded import ShardedServiceConfig, ShardedServiceStack
-from repro.service.stack import ServiceConfig, ServiceStack
+from repro.service.stack import build_stack
 from repro.service.telemetry import service_telemetry
 from repro.service.top import run_top
-from repro.service.workers import WorkerPoolConfig, WorkerPoolStack
-
-#: Either stack shape; both expose the same reporting surface.
-AnyStack = Union[ServiceStack, ShardedServiceStack]
 
 
 def _add_load_args(parser: argparse.ArgumentParser) -> None:
@@ -128,6 +125,8 @@ def _add_load_args(parser: argparse.ArgumentParser) -> None:
         "unsharded accounting)",
     )
     parser.add_argument("--seed", type=int, default=0)
+    # The wire toggles only ``stress`` and ``serve`` expose (_add_net_args).
+    parser.set_defaults(net=False, workers=0, trace_sample=0)
     parser.add_argument(
         "--ops-port",
         type=int,
@@ -231,41 +230,28 @@ def _requests_per_thread(args: argparse.Namespace) -> Optional[int]:
     return None
 
 
-def _build_stack(args: argparse.Namespace) -> AnyStack:
-    broker = getattr(args, "broker", False)
-    if args.shards > 0:
-        return ShardedServiceStack(
-            ShardedServiceConfig(
-                total_memory_pages=args.memory_pages,
-                initial_locklist_pages=args.locklist_pages,
-                tuner_interval_s=args.tuner_interval,
-                max_in_flight=max(4, args.threads),
-                admission_queue_depth=4 * max(4, args.threads),
-                params=TuningParameters(),
-                shards=args.shards,
-                ops_port=args.ops_port,
-                span_sample_every=args.span_sample,
-                wait_profile=args.wait_profile,
-                broker=broker,
-            )
+def _build_stack(args: argparse.Namespace) -> ControlPlane:
+    """The stack the topology flags name (``--shards`` / ``--workers``)."""
+    try:
+        return build_stack(
+            threads=args.threads,
+            shards=args.shards,
+            workers=args.workers,
+            total_memory_pages=args.memory_pages,
+            initial_locklist_pages=args.locklist_pages,
+            tuner_interval_s=args.tuner_interval,
+            ops_port=args.ops_port,
+            span_sample_every=args.span_sample,
+            trace_sample_every=args.trace_sample,
+            wait_profile=args.wait_profile,
+            broker=args.broker,
         )
-    config = ServiceConfig(
-        total_memory_pages=args.memory_pages,
-        initial_locklist_pages=args.locklist_pages,
-        tuner_interval_s=args.tuner_interval,
-        max_in_flight=max(4, args.threads),
-        admission_queue_depth=4 * max(4, args.threads),
-        params=TuningParameters(),
-        ops_port=args.ops_port,
-        span_sample_every=args.span_sample,
-        wait_profile=args.wait_profile,
-        broker=broker,
-    )
-    return ServiceStack(config)
+    except ConfigurationError as exc:
+        raise SystemExit(f"repro-service {args.command}: {exc}") from exc
 
 
-def _announce_ops(stack: AnyStack) -> None:
-    ops = getattr(stack, "ops", None)
+def _announce_ops(stack: ControlPlane) -> None:
+    ops = stack.ops
     if ops is not None and ops.running:
         print(
             f"ops plane: {ops.url} "
@@ -274,28 +260,68 @@ def _announce_ops(stack: AnyStack) -> None:
         )
 
 
-def _export_telemetry(stack: AnyStack, args: argparse.Namespace) -> None:
-    if getattr(args, "telemetry", None):
+def _export_telemetry(stack: ControlPlane, args: argparse.Namespace) -> None:
+    if args.telemetry:
         label = f"service-{args.command}"
         count = service_telemetry(stack, label=label).write_jsonl(args.telemetry)
         print(f"telemetry: {count} records -> {args.telemetry}")
 
 
+@contextlib.contextmanager
+def _client_stack(stack: ControlPlane, args: argparse.Namespace) -> Iterator:
+    """What the load driver drives, per ``--net`` / ``--workers``.
+
+    In process: the stack itself.  ``--net --workers N``: a routed
+    client over the workers' sockets.  ``--net`` alone: a socket server
+    in front of the in-process service plus a client to it, both torn
+    down on exit.
+    """
+    if args.workers > 0:
+        with stack.client_stack(pool_size=args.pool_size) as client:
+            yield client
+    elif args.net:
+        from repro.net.client import NetClientStack
+        from repro.net.server import serve_service
+
+        sock_dir = tempfile.mkdtemp(prefix="repro-net-")
+        server = serve_service(
+            stack.service, path=os.path.join(sock_dir, "service.sock")
+        )
+        try:
+            with NetClientStack(
+                *server.address,
+                pool_size=args.pool_size,
+                max_in_flight=stack.config.max_in_flight,
+                max_queue_depth=stack.config.admission_queue_depth,
+            ) as client:
+                yield client
+        finally:
+            server.stop()
+            shutil.rmtree(sock_dir, ignore_errors=True)
+    else:
+        with stack.client_stack() as client:
+            yield client
+
+
 def _run_load(
-    stack: AnyStack, args: argparse.Namespace
+    stack: ControlPlane, args: argparse.Namespace
 ) -> DriverReport:
-    driver = LoadDriver(
-        stack,
-        threads=args.threads,
-        requests_per_thread=_requests_per_thread(args),
-        duration_s=args.duration,
-        seed=args.seed,
-    )
-    return driver.run()
+    """Start ``stack``, drive the configured load through it, stop it."""
+    with stack:
+        _announce_ops(stack)
+        with _client_stack(stack, args) as client:
+            driver = LoadDriver(
+                client,
+                threads=args.threads,
+                requests_per_thread=_requests_per_thread(args),
+                duration_s=args.duration,
+                seed=args.seed,
+            )
+            return driver.run()
 
 
-def _print_report(stack: AnyStack, report: DriverReport) -> None:
-    stats = stack.manager_stats
+def _print_report(stack: ControlPlane, report: DriverReport) -> None:
+    ledger = stack.ledger
     print(f"threads:            {report.threads}")
     print(f"wall time:          {report.wall_s:.2f} s")
     print(f"lock requests:      {report.lock_requests}")
@@ -308,147 +334,69 @@ def _print_report(stack: AnyStack, report: DriverReport) -> None:
     print(f"admission sheds:    {report.admission_sheds}")
     print(
         f"lock memory:        {stack.chain.allocated_pages} pages in "
-        f"{stack.chain.block_count} blocks "
-        f"(peak demand {stats.peak_used_slots} structures)"
+        f"{stack.chain.block_count} blocks over {len(ledger)} lock "
+        f"table(s) (peak demand {ledger.total('peak_used_slots')} structures)"
     )
+    victims = 0 if stack.detector is None else len(stack.detector.stats.victims)
     print(
         f"tuning:             {stack.tuner.intervals_run} intervals, "
-        f"{stats.sync_growth_blocks} blocks grown synchronously, "
-        f"{stats.escalations.count} escalations"
+        f"{ledger.total_borrowed_blocks()} blocks grown synchronously, "
+        f"{ledger.total('escalations')} escalations, "
+        f"{victims} cross-partition deadlock victims"
     )
-    broker = getattr(stack, "broker", None)
-    if broker is not None:
-        status = broker.status(audit_tail=0)
-        print(
-            f"broker:             {status['trades']} trades "
-            f"({status['pages_traded']} pages), posture "
-            f"{status['posture']}, pressure {status['pressure']:.2f}, "
-            f"free {status['free_pages']} pages"
-        )
-        for heap in status["heaps"]:
-            print(
-                f"  {heap['heap']:<10} {heap['size_pages']:>6}p "
-                f"demand {heap['demand_pages']:>6}p "
-                f"benefit {heap['benefit_per_page']:.2e}/page"
-            )
-    _print_shard_breakdown(stack)
-
-
-def _print_shard_breakdown(stack: AnyStack) -> None:
-    """Per-shard stats for the sharded stack (imbalance at a glance)."""
-    service = getattr(stack, "service", None)
-    shards = getattr(service, "shards", None)
-    if not shards or len(shards) < 2:
-        return
-    ledger = stack.ledger
-    print("per-shard breakdown:")
-    print(
-        f"  {'shard':>5} {'requests':>10} {'granted':>10} {'borrows':>8} "
-        f"{'escal':>6} {'blocks':>7} {'held slots':>11}"
-    )
-    for idx, shard in enumerate(shards):
-        stats = shard.stats
-        mstats = shard.manager.stats
-        print(
-            f"  {idx:>5} {stats.requests:>10} {stats.granted:>10} "
-            f"{ledger.borrowed_blocks(idx):>8} "
-            f"{mstats.escalations.count:>6} "
-            f"{shard.chain.block_count:>7} "
-            f"{shard.chain.used_slots:>11}"
-        )
-
-
-def _shed_failures(
-    args: argparse.Namespace, report: DriverReport
-) -> List[str]:
-    """Admission sheds beyond the declared budget are failures.
-
-    A stress run that degraded to the ``shed`` posture used to report
-    success; the shed count now feeds the exit status.  ``--allow-sheds``
-    (default 0) declares an expected shed budget for runs that probe
-    overload on purpose.
-    """
-    allowed = getattr(args, "allow_sheds", 0) or 0
-    if report.admission_sheds > allowed:
-        return [
-            f"{report.admission_sheds} admission sheds "
-            f"(allowed {allowed}; raise --allow-sheds if overload "
-            f"is intended)"
-        ]
-    return []
-
-
-def _check_shutdown_accounting(stack: AnyStack) -> List[str]:
-    """Exact accounting assertions after all sessions have closed."""
-    failures: List[str] = []
-    if stack.chain.used_slots != 0:
-        failures.append(
-            f"{stack.chain.used_slots} lock structures leaked after shutdown"
-        )
-    heap = stack.registry.heap("locklist").size_pages
-    if heap != stack.chain.allocated_pages:
-        failures.append(
-            f"locklist heap {heap}p != chain {stack.chain.allocated_pages}p"
-        )
-    try:
-        stack.check_invariants()
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
-        failures.append(f"invariant check failed: {exc}")
-    if stack.tuner.crash is not None:
-        failures.append(f"tuner crashed: {stack.tuner.crash!r}")
-    detector = getattr(stack, "detector", None)
-    if detector is not None and detector.crash is not None:
-        failures.append(f"deadlock sweep crashed: {detector.crash!r}")
-    return failures
-
-
-def _build_pool(args: argparse.Namespace) -> WorkerPoolStack:
-    return WorkerPoolStack(
-        WorkerPoolConfig(
-            total_memory_pages=args.memory_pages,
-            initial_locklist_pages=args.locklist_pages,
-            tuner_interval_s=args.tuner_interval,
-            max_in_flight=max(4, args.threads),
-            admission_queue_depth=4 * max(4, args.threads),
-            params=TuningParameters(),
-            workers=args.workers,
-            ops_port=args.ops_port,
-            trace_sample_every=getattr(args, "trace_sample", 0),
-        )
-    )
-
-
-def _print_pool_report(pool: WorkerPoolStack, report: DriverReport) -> None:
-    print(f"threads:            {report.threads}")
-    print(f"wall time:          {report.wall_s:.2f} s")
-    print(f"lock requests:      {report.lock_requests}")
-    print(f"requests/s:         {report.requests_per_s:,.0f}")
-    print(f"commits:            {report.commits}")
-    print(
-        f"rollbacks:          {report.rollbacks_deadlock} deadlock, "
-        f"{report.rollbacks_timeout} timeout, {report.rollbacks_full} full"
-    )
-    print(
-        f"lock memory:        {pool.chain.allocated_pages} pages in "
-        f"{pool.chain.block_count} blocks over {pool.config.workers} "
-        f"worker processes"
-    )
-    print(
-        f"tuning:             {pool.tuner.intervals_run} intervals, "
-        f"{pool.ledger.total_borrowed_blocks()} blocks borrowed "
-        f"synchronously, {len(pool.detector.victims)} cross-worker "
-        f"deadlock victims"
-    )
-    if pool.config.trace_sample_every > 0:
-        payload = pool.ops_traces()
+    if stack.broker is not None:
+        _print_broker(stack.broker.status(audit_tail=0))
+    if stack.request_tracers:
+        payload = stack.ops_traces()
         tax = (payload.get("summary") or {}).get("wire_tax") or {}
         print(
             f"traces:             {payload['total']} sampled "
-            f"(1/{pool.config.trace_sample_every}), "
+            f"(1/{payload['sample_every']}), "
             f"{payload['truncated']} truncated, "
             f"wire tax {tax.get('fraction', 0.0):.0%}"
         )
-    rec = pool.reconciliation
+    _print_partition_breakdown(stack)
+    _print_reconciliation(stack)
+
+
+def _print_broker(status: dict) -> None:
+    """The broker block of a run report or a live ``/stmm`` summary."""
+    print(
+        f"broker:             {status['trades']} trades "
+        f"({status['pages_traded']} pages), posture "
+        f"{status['posture']}, pressure {status['pressure']:.2f}, "
+        f"free {status['free_pages']} pages"
+    )
+    for heap in status["heaps"]:
+        print(
+            f"  {heap['heap']:<10} {heap['size_pages']:>6}p "
+            f"demand {heap['demand_pages']:>6}p "
+            f"benefit {heap['benefit_per_page']:.2e}/page"
+        )
+
+
+def _print_partition_breakdown(stack: ControlPlane) -> None:
+    """Per-partition stats (imbalance at a glance), when there are several."""
+    if len(stack.ledger) < 2:
+        return
+    label = stack.partition_label
+    print(f"per-{label} breakdown:")
+    print(
+        f"  {label:>6} {'requests':>10} {'borrows':>8} {'escal':>6} "
+        f"{'deadlk':>7} {'blocks':>7} {'held slots':>11}"
+    )
+    for occ in stack.ledger.occupancy():
+        print(
+            f"  {occ['partition']:>6} {occ['requests']:>10} "
+            f"{occ['borrowed_blocks']:>8} {occ['escalations']:>6} "
+            f"{occ['deadlocks']:>7} {occ['block_count']:>7} "
+            f"{occ['used_slots']:>11}"
+        )
+
+
+def _print_reconciliation(stack: ControlPlane) -> None:
+    """The worker pool's shutdown reconcile, worker by worker."""
+    rec = stack.reconciliation
     if rec is None:
         return
     print("per-worker reconciliation:")
@@ -471,87 +419,56 @@ def _print_pool_report(pool: WorkerPoolStack, report: DriverReport) -> None:
     )
 
 
-def _net_stress_pool(args: argparse.Namespace) -> int:
-    pool = _build_pool(args)
-    pool.start()
-    try:
-        _announce_ops(pool)
-        with pool.client_stack(pool_size=args.pool_size) as client:
-            driver = LoadDriver(
-                client,
-                threads=args.threads,
-                requests_per_thread=_requests_per_thread(args),
-                duration_s=args.duration,
-                seed=args.seed,
-            )
-            report = driver.run()
-    finally:
-        pool.stop()
-    _print_pool_report(pool, report)
-    _export_telemetry(pool, args)
-    failures = list(report.worker_errors)
-    expected = args.threads * args.requests
-    if args.duration is None and report.lock_requests < expected:
+def _shed_failures(
+    args: argparse.Namespace, report: DriverReport
+) -> List[str]:
+    """Admission sheds beyond the declared budget are failures.
+
+    A stress run that degraded to the ``shed`` posture used to report
+    success; the shed count now feeds the exit status.  ``--allow-sheds``
+    (default 0) declares an expected shed budget for runs that probe
+    overload on purpose.
+    """
+    allowed = getattr(args, "allow_sheds", 0) or 0
+    if report.admission_sheds > allowed:
+        return [
+            f"{report.admission_sheds} admission sheds "
+            f"(allowed {allowed}; raise --allow-sheds if overload "
+            f"is intended)"
+        ]
+    return []
+
+
+def _check_shutdown_accounting(stack: ControlPlane) -> List[str]:
+    """Exact accounting assertions after all sessions have closed."""
+    failures: List[str] = []
+    if stack.chain.used_slots != 0:
         failures.append(
-            f"only {report.lock_requests}/{expected} lock requests completed"
+            f"{stack.chain.used_slots} lock structures leaked after shutdown"
         )
-    failures.extend(_shed_failures(args, report))
-    rec = pool.reconciliation
-    if rec is None or not rec.ok:
-        failures.append(f"worker reconciliation failed: {rec!r}")
-    if pool.frozen_reason is not None:
-        failures.append(f"pool froze: {pool.frozen_reason}")
-    if pool.tuner.crash is not None:
-        failures.append(f"arbiter crashed: {pool.tuner.crash!r}")
-    if pool.detector.crash is not None:
-        failures.append(f"deadlock sweep crashed: {pool.detector.crash!r}")
+    heap = stack.registry.heap("locklist").size_pages
+    if heap != stack.chain.allocated_pages:
+        failures.append(
+            f"locklist heap {heap}p != chain {stack.chain.allocated_pages}p"
+        )
     try:
-        pool.check_invariants()
+        # For the worker pool this includes the shutdown reconciliation.
+        stack.check_invariants()
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         failures.append(f"invariant check failed: {exc}")
-    if failures:
-        print("\nNET STRESS FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nnet stress OK: byte-exact reconciliation across workers")
-    return 0
+    if stack.frozen_reason is not None:
+        failures.append(f"tuning froze: {stack.frozen_reason}")
+    if stack.tuner.crash is not None:
+        failures.append(f"tuner crashed: {stack.tuner.crash!r}")
+    if stack.detector is not None and stack.detector.crash is not None:
+        failures.append(f"deadlock sweep crashed: {stack.detector.crash!r}")
+    return failures
 
 
-def _net_stress_single(args: argparse.Namespace) -> int:
-    from repro.net.client import NetClientStack
-    from repro.net.server import serve_service
-
-    if args.shards > 0:
-        print("stress: --net --shards is not supported; use --workers",
-              file=sys.stderr)
-        return 2
-    stack = _build_stack(args)
-    sock_dir = tempfile.mkdtemp(prefix="repro-net-")
-    sock = os.path.join(sock_dir, "service.sock")
-    with stack:
-        _announce_ops(stack)
-        server = serve_service(stack.service, path=sock)
-        try:
-            with NetClientStack(
-                f"unix:{sock}",
-                0,
-                pool_size=args.pool_size,
-                max_in_flight=max(4, args.threads),
-                max_queue_depth=4 * max(4, args.threads),
-            ) as client:
-                driver = LoadDriver(
-                    client,
-                    threads=args.threads,
-                    requests_per_thread=_requests_per_thread(args),
-                    duration_s=args.duration,
-                    seed=args.seed,
-                )
-                report = driver.run()
-        finally:
-            server.stop()
-            shutil.rmtree(sock_dir, ignore_errors=True)
-    _print_report(stack, report)
+def _run_failures(
+    args: argparse.Namespace, stack: ControlPlane, report: DriverReport
+) -> List[str]:
+    """Everything that makes a finished stress run a failed one."""
     failures = list(report.worker_errors)
     expected = args.threads * args.requests
     if args.duration is None and report.lock_requests < expected:
@@ -560,72 +477,52 @@ def _net_stress_single(args: argparse.Namespace) -> int:
         )
     failures.extend(_shed_failures(args, report))
     failures.extend(_check_shutdown_accounting(stack))
-    if failures:
-        print("\nNET STRESS FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nnet stress OK: exact accounting verified at shutdown")
-    return 0
+    return failures
+
+
+@contextlib.contextmanager
+def _front_end(stack: ControlPlane, args: argparse.Namespace) -> Iterator[None]:
+    """Whatever listens for clients while ``serve`` runs: a pool's
+    workers already do; an in-process service gets one socket server."""
+    if args.workers > 0:
+        for endpoint, _port in stack.endpoints:
+            print(f"worker endpoint: {endpoint}", flush=True)
+        yield
+        return
+    from repro.net.server import serve_service
+
+    server = serve_service(
+        stack.service,
+        host=args.host,
+        port=args.port,
+        path=args.socket,
+        metrics=stack.metrics,
+    )
+    try:
+        host, port = server.address
+        print(f"serving on {host if args.socket else f'{host}:{port}'}", flush=True)
+        yield
+    finally:
+        server.stop()
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers > 0:
-        pool = _build_pool(args)
-        pool.start()
-        try:
-            _announce_ops(pool)
-            for endpoint, _port in pool.endpoints:
-                print(f"worker endpoint: {endpoint}", flush=True)
-            print("serving (Ctrl-C to stop)", flush=True)
-            deadline = (
-                time.monotonic() + args.duration
-                if args.duration is not None
-                else None
-            )
-            while deadline is None or time.monotonic() < deadline:
-                time.sleep(0.2)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            pool.stop()
-        rec = pool.reconciliation
-        print(
-            f"reconciliation: {rec.reported_blocks}/{rec.expected_blocks} "
-            f"blocks {'OK' if rec.ok else 'MISMATCH'}"
-        )
-        return 0 if rec.ok else 1
-
-    from repro.net.server import serve_service
-
     stack = _build_stack(args)
     with stack:
         _announce_ops(stack)
-        server = serve_service(
-            stack.service,
-            host=args.host,
-            port=args.port,
-            path=args.socket,
-            metrics=getattr(stack, "metrics", None),
-        )
-        try:
-            if args.socket:
-                print(f"serving on unix:{args.socket}", flush=True)
-            else:
-                host, port = server.address
-                print(f"serving on {host}:{port}", flush=True)
+        with _front_end(stack, args):
             print("serving (Ctrl-C to stop)", flush=True)
             deadline = (
                 time.monotonic() + args.duration
                 if args.duration is not None
                 else None
             )
-            while deadline is None or time.monotonic() < deadline:
-                time.sleep(0.2)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
+            try:
+                while deadline is None or time.monotonic() < deadline:
+                    time.sleep(0.2)
+            except KeyboardInterrupt:
+                pass
+    _print_reconciliation(stack)
     failures = _check_shutdown_accounting(stack)
     if failures:
         for failure in failures:
@@ -641,9 +538,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         f"live lock service: {args.memory_pages * 4 // 1024} MB database "
         f"memory, LOCKLIST starting at {args.locklist_pages} pages"
     )
-    with stack:
-        _announce_ops(stack)
-        report = _run_load(stack, args)
+    report = _run_load(stack, args)
     _print_report(stack, report)
     for record in stack.tuner.audit.tail(5):
         print(
@@ -659,24 +554,15 @@ def cmd_stress(args: argparse.Namespace) -> int:
     if args.workers > 0 and not args.net:
         print("stress: --workers requires --net", file=sys.stderr)
         return 2
-    if args.net:
-        if args.workers > 0:
-            return _net_stress_pool(args)
-        return _net_stress_single(args)
+    if args.net and args.shards > 0 and not args.workers:
+        print("stress: --net --shards is not supported; use --workers",
+              file=sys.stderr)
+        return 2
     stack = _build_stack(args)
-    with stack:
-        _announce_ops(stack)
-        report = _run_load(stack, args)
+    report = _run_load(stack, args)
     _print_report(stack, report)
     _export_telemetry(stack, args)
-    failures = list(report.worker_errors)
-    expected = args.threads * args.requests
-    if args.duration is None and report.lock_requests < expected:
-        failures.append(
-            f"only {report.lock_requests}/{expected} lock requests completed"
-        )
-    failures.extend(_shed_failures(args, report))
-    failures.extend(_check_shutdown_accounting(stack))
+    failures = _run_failures(args, stack, report)
     if failures:
         print("\nSTRESS FAILED:", file=sys.stderr)
         for failure in failures:
@@ -691,8 +577,7 @@ def cmd_capture(args: argparse.Namespace) -> int:
     recorder = DemandTraceRecorder(
         stack.chain, clock=stack.clock, period_s=args.period
     )
-    with stack, recorder:
-        _announce_ops(stack)
+    with recorder:
         report = _run_load(stack, args)
     count = recorder.save(args.out)
     _print_report(stack, report)
@@ -769,22 +654,8 @@ def _analyze_remote(args: argparse.Namespace) -> int:
         print("posture:")
         for key in sorted(posture):
             print(f"  {key}: {posture[key]}")
-    broker = stmm.get("broker")
-    if broker:
-        print(
-            f"broker:    posture {broker.get('posture', '?')}, pressure "
-            f"{broker.get('pressure', 0.0):.2f}, "
-            f"{broker.get('trades', 0)} trades "
-            f"({broker.get('pages_traded', 0)} pages), free "
-            f"{broker.get('free_pages', 0)} pages"
-        )
-        for heap in broker.get("heaps", []):
-            print(
-                f"  {heap.get('heap', '?'):<10} "
-                f"{heap.get('size_pages', 0):>6}p "
-                f"demand {heap.get('demand_pages', 0):>6}p "
-                f"benefit {heap.get('benefit_per_page', 0.0):.2e}/page"
-            )
+    if stmm.get("broker"):
+        _print_broker(stmm["broker"])
     print(
         f"tuning:    {stmm.get('intervals', 0)} intervals "
         f"({stmm.get('audit_total', 0)} audit records)"

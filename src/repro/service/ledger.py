@@ -1,124 +1,129 @@
-"""The shard memory ledger: one LOCKLIST budget over many lock tables.
+"""The memory ledger: one LOCKLIST budget over many lock tables.
 
-The sharded service (:mod:`repro.service.sharded`) partitions the lock
-space across N independent lock managers, each with its own
-:class:`~repro.lockmgr.blocks.LockBlockChain`.  The paper's tuning
-algorithm, however, arbitrates exactly *one* LOCKLIST against the rest
-of database memory.  This module is the bridge:
+The stacks partition the lock space across N lock managers, each with
+its own :class:`~repro.lockmgr.blocks.LockBlockChain` -- shards in this
+process or forked workers (:mod:`repro.service.partition`).  The
+paper's tuning algorithm, however, arbitrates exactly *one* LOCKLIST
+against the rest of database memory.  This module is the bridge, the
+same for every topology:
 
-* :class:`ShardMemoryLedger` is the reporting side of the protocol:
-  every shard's demand (outstanding structures), free-list occupancy
-  and cumulative synchronous borrows are readable in one place, and the
-  global views the controller and the cross-shard deadlock detector
-  need (aggregate escalation count, per-application slot totals) are
-  computed here.
+* :class:`MemoryLedger` is the reporting side: every partition's demand
+  (outstanding structures), free-list occupancy and cumulative
+  synchronous borrows are readable in one place, and so is the sum of
+  any posture counter over the partitions.
 * :class:`AggregateLockChain` is the acting side: it duck-types the
   :class:`LockBlockChain` surface that
   :class:`~repro.core.controller.LockMemoryController` and
   :class:`~repro.core.maxlocks.AdaptiveMaxlocks` consume, summing the
-  shard chains for every read.  A **grow** is distributed as per-shard
-  128 KB block grants proportional to ledger demand (largest-remainder
-  rounding, ties to the lowest shard index); a **shrink** scans the
-  shards' entirely-free blocks, preferring the shard with the most
-  free blocks (ties to the highest shard index -- the "tail" of the
-  round-robin initial layout, mirroring the unsharded tail-first
-  shrink protocol).
+  partition chains for every read.  A **grow** is distributed as
+  per-partition 128 KB block grants proportional to ledger demand
+  (largest-remainder rounding, ties to the lowest index); a **shrink**
+  scans the partitions' entirely-free blocks, preferring the partition
+  with the most of them (ties to the highest index -- the "tail" of the
+  round-robin initial layout, mirroring the single-chain tail-first
+  shrink protocol) and leaving every live partition one block, so its
+  next request escalates instead of failing on an empty chain.
 
-With one shard both classes degenerate to pass-throughs, which is what
-makes the ``shards=1`` equivalence against the unsharded stack exact.
+With one partition both classes degenerate to pass-throughs, which is
+what makes the ``shards=1`` equivalence against the unsharded stack
+exact.
 
-Locking: neither class takes locks.  Callers that mutate (the STMM
-tuner, shutdown reclaim) hold **every** shard condition; callers that
-only read for distribution decisions run under the controller's growth
-lock plus one shard condition, where the transient understatement of a
-concurrent shard's demand only skews a proportional split, never the
-accounting.
+Locking: neither class takes locks.  In-process callers that mutate
+(the tuner, shutdown reclaim) hold **every** partition condition;
+callers that only read for distribution decisions run under the
+stack's growth lock plus one partition condition, where the transient
+understatement of a concurrent partition's demand only skews a
+proportional split, never the accounting.  Across processes the single
+arbiter thread is the only mutator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.errors import ServiceError
-from repro.lockmgr.blocks import LockBlockChain
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.service import LockService
+from repro.errors import MemoryAccountingError, ServiceError
 
 
-@dataclass
-class ShardOccupancy:
-    """One shard's lock-memory picture at a point in time."""
-
-    shard: int
-    used_slots: int
-    capacity_slots: int
-    free_fraction: float
-    entirely_free_blocks: int
-    #: Cumulative 128 KB blocks this shard borrowed synchronously from
-    #: overflow (the shard's share of the paper's LMO traffic).
-    borrowed_blocks: int
+def initial_split(blocks: int, partitions: int) -> List[int]:
+    """Round-robin split of the initial LOCKLIST: early partitions take
+    the remainder."""
+    base, extra = divmod(blocks, partitions)
+    return [base + (1 if idx < extra else 0) for idx in range(partitions)]
 
 
-class ShardMemoryLedger:
-    """Global read-side of the shard memory protocol (see module doc)."""
+class MemoryLedger:
+    """Global read-side of the partition memory protocol (see module doc)."""
 
-    def __init__(self, shards: Sequence["LockService"]) -> None:
-        if not shards:
-            raise ServiceError("ledger needs at least one shard")
-        self._shards = list(shards)
-        self._borrowed_blocks = [0] * len(self._shards)
+    def __init__(self, partitions: Sequence[Any]) -> None:
+        if not partitions:
+            raise ServiceError("ledger needs at least one partition")
+        self.partitions = list(partitions)
+        self._borrowed_blocks = [0] * len(self.partitions)
 
     def __len__(self) -> int:
-        return len(self._shards)
+        return len(self.partitions)
 
-    # -- reporting (shards -> ledger) --------------------------------------
+    def live(self) -> List[Any]:
+        """Partitions still serving (not crashed, not closed)."""
+        return [p for p in self.partitions if not (p.dead or p.closed)]
 
-    def record_sync_borrow(self, shard: int, blocks: int) -> None:
-        """Account a synchronous-growth grant routed to ``shard``."""
-        if blocks < 0:
-            raise ValueError(f"blocks must be non-negative, got {blocks}")
-        self._borrowed_blocks[shard] += blocks
+    # -- reporting (partitions -> ledger) ----------------------------------
 
-    def borrowed_blocks(self, shard: int) -> int:
-        return self._borrowed_blocks[shard]
+    def record_sync_borrow(self, partition: int, blocks: int) -> None:
+        """Account a synchronous-growth grant routed to ``partition``."""
+        if blocks <= 0:
+            raise ValueError(f"blocks must be positive, got {blocks}")
+        self._borrowed_blocks[partition] += blocks
 
-    # -- global views (ledger -> controller / detector) --------------------
+    def borrowed_blocks(self, partition: int) -> int:
+        """Cumulative 128 KB blocks ``partition`` borrowed synchronously
+        from overflow (its share of the paper's LMO traffic)."""
+        return self._borrowed_blocks[partition]
 
-    def occupancy(self) -> List[ShardOccupancy]:
-        """Per-shard demand and free-list occupancy, in shard order."""
+    def total_borrowed_blocks(self) -> int:
+        return sum(self._borrowed_blocks)
+
+    # -- global views (ledger -> controller / ops plane) -------------------
+
+    def occupancy(self) -> List[Dict[str, Any]]:
+        """Every partition's posture plus its borrow count, in order."""
         return [
-            ShardOccupancy(
-                shard=idx,
-                used_slots=shard.chain.used_slots,
-                capacity_slots=shard.chain.capacity_slots,
-                free_fraction=shard.chain.free_fraction(),
-                entirely_free_blocks=shard.chain.entirely_free_blocks(),
-                borrowed_blocks=self._borrowed_blocks[idx],
-            )
-            for idx, shard in enumerate(self._shards)
+            {
+                **part.posture(),
+                "partition": part.idx,
+                "borrowed_blocks": self._borrowed_blocks[part.idx],
+            }
+            for part in self.partitions
         ]
 
-    def demand_weights(self) -> List[int]:
-        """Per-shard grow weights: outstanding structures, plus one.
+    def total(self, key: str) -> int:
+        """Sum of one posture counter over every partition."""
+        return sum(part.posture()[key] for part in self.partitions)
 
-        The +1 keeps an idle shard fundable (it still needs a minimal
-        allocation to serve its first request without a synchronous
-        borrow) and makes the weights total strictly positive.
+    def demand_weights(self) -> List[int]:
+        """Per-partition grow weights: outstanding structures, plus one.
+
+        The +1 keeps an idle partition fundable (it still needs a
+        minimal allocation to serve its first request without a
+        synchronous borrow).  A partition that is gone weighs nothing.
         """
-        return [shard.chain.used_slots + 1 for shard in self._shards]
+        return [
+            0 if part.dead or part.closed else part.chain.used_slots + 1
+            for part in self.partitions
+        ]
 
     def grant_split(self, blocks: int) -> List[int]:
-        """Split a grant of ``blocks`` across shards proportional to demand.
+        """Split a grant of ``blocks`` across partitions by demand.
 
-        Largest-remainder rounding; ties go to the lowest shard index,
-        so the split is a pure function of the demand snapshot.
+        Largest-remainder rounding; ties go to the lowest index, so the
+        split is a pure function of the demand snapshot.
         """
         if blocks < 0:
             raise ValueError(f"blocks must be non-negative, got {blocks}")
         weights = self.demand_weights()
         total = sum(weights)
+        if total == 0:
+            raise ServiceError("no live partition to fund")
         shares = [blocks * weight / total for weight in weights]
         split = [int(share) for share in shares]
         remainder = blocks - sum(split)
@@ -131,29 +136,10 @@ class ShardMemoryLedger:
                 split[i] += 1
         return split
 
-    def app_slots(self, app_id: int) -> int:
-        """Lock structures charged to ``app_id`` across every shard.
-
-        The cross-shard deadlock detector's victim rule reads this, so
-        a victim is judged by its *global* footprint, exactly as the
-        single-manager detector judges it by its only footprint.
-        """
-        return sum(shard.manager.app_slots(app_id) for shard in self._shards)
-
-    def total_escalations(self) -> int:
-        """Cumulative escalations across shards (feeds the controller's
-        escalation-recovery doubling rule)."""
-        return sum(
-            shard.manager.stats.escalations.count for shard in self._shards
-        )
-
-    def total_borrowed_blocks(self) -> int:
-        """Cumulative synchronous borrows across every shard."""
-        return sum(self._borrowed_blocks)
-
 
 class AggregateLockChain:
-    """The one global LOCKLIST the controller tunes: sum of shard chains.
+    """The one global LOCKLIST the controller tunes: sum of the
+    partitions' chains.
 
     Duck-types the :class:`LockBlockChain` surface the tuning layer
     consumes (reads, ``add_blocks``, ``release_blocks``,
@@ -161,19 +147,13 @@ class AggregateLockChain:
     distribution rules.
     """
 
-    def __init__(
-        self, chains: Sequence[LockBlockChain], ledger: ShardMemoryLedger
-    ) -> None:
-        if not chains:
-            raise ServiceError("aggregate chain needs at least one shard chain")
-        if len(chains) != len(ledger):
-            raise ServiceError(
-                f"{len(chains)} chains but ledger tracks {len(ledger)} shards"
-            )
-        self._chains = list(chains)
+    def __init__(self, ledger: MemoryLedger) -> None:
         self._ledger = ledger
+        self._parts = ledger.partitions
+        #: Read directly: the sums below sit on the MAXLOCKS refresh path.
+        self._chains = [part.chain for part in self._parts]
 
-    # -- read surface (sums over shards) -----------------------------------
+    # -- read surface (sums over partitions) -------------------------------
 
     @property
     def block_count(self) -> int:
@@ -189,7 +169,7 @@ class AggregateLockChain:
 
     @property
     def free_slots(self) -> int:
-        return self.capacity_slots - self.used_slots
+        return max(0, self.capacity_slots - self.used_slots)
 
     @property
     def allocated_pages(self) -> int:
@@ -207,21 +187,50 @@ class AggregateLockChain:
     # -- grow / shrink (the controller's physical hooks) -------------------
 
     def add_blocks(self, count: int) -> int:
-        """Distribute ``count`` new blocks across shards by demand."""
+        """Distribute ``count`` new blocks across partitions by demand."""
         if count < 0:
             raise ValueError(f"block count must be non-negative, got {count}")
         if count == 0:
             return 0
-        for chain, share in zip(self._chains, self._ledger.grant_split(count)):
+        undelivered = 0
+        for part, share in zip(self._parts, self._ledger.grant_split(count)):
             if share:
-                chain.add_blocks(share)
+                try:
+                    part.add_blocks(share)
+                except ServiceError:
+                    undelivered += share
+        if undelivered:
+            # A partition died under its share: one more round over the
+            # survivors.  Anything still undeliverable raises out of the
+            # tuning pass, which freezes tuning -- the degraded mode a
+            # dead partition leads to anyway.
+            retry = self._ledger.grant_split(undelivered)
+            for part, share in zip(self._parts, retry):
+                if share:
+                    part.add_blocks(share)
         return count
 
-    def release_blocks(self, count: int, partial: bool = False) -> int:
-        """Free up to ``count`` entirely-empty blocks across shards.
+    @staticmethod
+    def _reclaimable(part: Any) -> int:
+        """Empty blocks ``part`` may surrender to a shrink.
 
-        Keeps the unsharded semantics: with ``partial=False`` the
-        request is all-or-nothing -- if the shards cannot jointly
+        A crashed partition strands its memory; a cleanly closed one
+        (its blocks exist only in the ledger now) can give up all of
+        them; a live one keeps a block, so its next request escalates
+        instead of failing on an empty chain.
+        """
+        if part.dead:
+            return 0
+        free = part.chain.entirely_free_blocks()
+        if part.closed:
+            return free
+        return min(free, part.chain.block_count - 1)
+
+    def release_blocks(self, count: int, partial: bool = False) -> int:
+        """Free up to ``count`` entirely-empty blocks across partitions.
+
+        Keeps the single-chain semantics: with ``partial=False`` the
+        request is all-or-nothing -- if the partitions cannot jointly
         surrender ``count`` empty blocks, nothing is freed and 0 is
         returned.
         """
@@ -229,29 +238,37 @@ class AggregateLockChain:
             raise ValueError(f"block count must be non-negative, got {count}")
         if count == 0:
             return 0
-        free_per_shard = [chain.entirely_free_blocks() for chain in self._chains]
-        if sum(free_per_shard) < count and not partial:
+        available = [self._reclaimable(part) for part in self._parts]
+        if sum(available) < count and not partial:
             return 0
         order = sorted(
-            range(len(self._chains)),
-            key=lambda i: (-free_per_shard[i], -i),
+            range(len(self._parts)), key=lambda i: (-available[i], -i)
         )
         freed = 0
         for i in order:
-            if freed >= count:
-                break
-            take = min(count - freed, free_per_shard[i])
-            if take:
-                freed += self._chains[i].release_blocks(take, partial=True)
+            take = min(count - freed, available[i])
+            if take <= 0:
+                continue
+            try:
+                freed += self._parts[i].release_blocks(take)
+            except ServiceError:
+                continue  # died mid-scan: its blocks are stranded
         return freed
 
     def check_invariants(self) -> None:
-        for chain in self._chains:
-            chain.check_invariants()
+        """Every live partition's own accounting, and its block count
+        against what the ledger believes it holds."""
+        for part in self._ledger.live():
+            reported = part.check()
+            if reported != part.chain.block_count:
+                raise MemoryAccountingError(
+                    f"partition {part.idx} holds {reported} blocks but the "
+                    f"ledger says {part.chain.block_count}"
+                )
 
     def __repr__(self) -> str:
         return (
-            f"AggregateLockChain(shards={len(self._chains)}, "
+            f"AggregateLockChain(partitions={len(self._parts)}, "
             f"blocks={self.block_count}, "
             f"used={self.used_slots}/{self.capacity_slots})"
         )

@@ -14,37 +14,20 @@ the resource space across N independent lock managers:
   first time a request routes there
   (:meth:`LockService.adopt_session`).  A per-session lock enforces the
   one-request-in-flight contract *globally* -- the cross-shard deadlock
-  detector's merged wait-for graph is only sound if a session waits in
+  sweep's merged wait-for graph is only sound if a session waits in
   at most one shard.
-* **Memory** stays a single LOCKLIST: the paper's
-  :class:`~repro.core.controller.LockMemoryController` tunes the
-  :class:`~repro.service.ledger.AggregateLockChain` (the sum of the
-  shard chains); grows are distributed as per-shard 128 KB block
-  grants proportional to ledger demand, synchronous-growth borrows go
-  to the requesting shard (recorded in the
-  :class:`~repro.service.ledger.ShardMemoryLedger`) and stay bounded
-  by the global LMOmax, and the adaptive MAXLOCKS fraction -- computed
-  from aggregate usage -- is pushed to every shard on every resize.
-* **Deadlocks**: each shard keeps immediate detection for its own
-  cycles (a same-shard cycle therefore never persists), so any cycle
-  in the merged graph necessarily spans shards;
-  :class:`ShardedDeadlockDetector` sweeps for those on a wall-clock
-  interval, choosing victims by *global* lock footprint from the
-  ledger with the lowest-app-id tie-break.
 
-Lock ordering protocol (deadlock-freedom across internal actors):
-
-1. Shard conditions are only ever acquired one-at-a-time (request
-   path) or all-ascending-by-index (:class:`_AllShardConds`: tuner,
-   detector, close, invariant checks).
-2. The stack's growth lock is acquired only *after* a shard condition
-   (a sync-growing request thread) and never the other way around.
-3. The growth-lock holder never waits for any shard condition.
-
-A thread holding all shard conditions excludes every request thread,
-so the heap-grown-but-chain-not-yet window inside synchronous growth
-is unobservable to the tuner and ``check_consistency`` cannot
-misfire.
+Everything above the lock tables is the shared control plane
+(:mod:`repro.service.control`): **memory** stays a single LOCKLIST the
+paper's controller tunes through the ledger's aggregate chain
+(:mod:`repro.service.ledger`), and **deadlocks** that span shards --
+each shard keeps immediate detection for its own cycles, so any cycle
+in the merged graph necessarily does -- are found by the
+:class:`~repro.service.sweep.DeadlockSweep`, which holds every shard
+condition (:class:`_AllShardConds`) while it reads.  The stack over this
+facade is :class:`~repro.service.stack.ServiceStack` given a
+:class:`ShardedServiceConfig`; its docstring has the lock ordering
+protocol.
 
 With ``shards=1`` the routing, the ledger split and the aggregate
 chain all degenerate to pass-throughs and the stack reproduces the
@@ -53,49 +36,19 @@ unsharded stack's accounting exactly (asserted by the property tests).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.controller import LockMemoryController
-from repro.core.maxlocks import AdaptiveMaxlocks
-from repro.errors import (
-    ConfigurationError,
-    DeadlockError,
-    ServiceClosedError,
-    ServiceError,
-)
-from repro.lockmgr.blocks import LockBlockChain
-from repro.lockmgr.detector import (
-    DetectorStats,
-    build_wait_for_graph,
-    find_cycles_in_graph,
-    merge_wait_graphs,
-)
+from repro.errors import ServiceClosedError, ServiceError
 from repro.lockmgr.manager import LockManagerStats
 from repro.lockmgr.modes import LockMode
-from repro.memory.stmm import Stmm
-from repro.obs.incidents import IncidentLog, IncidentRecorder
-from repro.obs.registry import MetricRegistry
-from repro.obs.spans import RequestSpanSampler
-from repro.obs.waits import WaitEventProfiler
-from repro.service.admission import AdmissionController
 from repro.service.clock import Clock, MonotonicClock
-from repro.service.ledger import AggregateLockChain, ShardMemoryLedger
-from repro.service.ops import OpsServer
 from repro.service.service import LockService, ServiceStats, _USE_DEFAULT
-from repro.service.stack import (
-    ServiceConfig,
-    build_broker,
-    build_memory_registry,
-    controller_params,
-    wait_class_payload,
-)
-from repro.service.tuner import TunerDaemon
-from repro.units import PAGES_PER_BLOCK, round_pages_to_blocks
+from repro.service.control import check_partitioned
+from repro.service.stack import ServiceConfig, ServiceStack
 
 
 def shard_of(table_id: int, shards: int) -> int:
@@ -119,20 +72,8 @@ class ShardedServiceConfig(ServiceConfig):
     deadlock_interval_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.deadlock_interval_s <= 0:
-            raise ConfigurationError(
-                f"deadlock_interval_s must be positive, "
-                f"got {self.deadlock_interval_s}"
-            )
+        check_partitioned(self, self.shards, "shards")
         super().__post_init__()
-        blocks = round_pages_to_blocks(self.initial_locklist_pages) // PAGES_PER_BLOCK
-        if blocks < self.shards:
-            raise ConfigurationError(
-                f"initial locklist of {blocks} blocks cannot seed "
-                f"{self.shards} shards with one block each"
-            )
 
 
 class _Session:
@@ -179,47 +120,23 @@ class ShardedLockService:
 
     Exposes the same client surface as the unsharded service (session
     lifecycle, ``lock_row`` / ``lock_table`` / ``rollback`` / ``cancel``
-    / ``release_read_lock``) plus the aggregate surfaces the tuning
-    stack consumes (``chain``, ``_cond``, ``clock``, ``freeze_tuning``),
-    so both :class:`~repro.service.driver.LoadDriver` and
-    :class:`~repro.service.tuner.TunerDaemon` run unchanged against it.
+    / ``release_read_lock``), so :class:`~repro.service.driver.LoadDriver`
+    runs unchanged against it, plus what the stack needs of its service:
+    ``_cond`` (every shard condition, ascending), ``session_count``,
+    ``freeze_tuning`` and ``close``.
     """
 
     def __init__(
         self,
-        chains: Sequence[LockBlockChain],
+        shards: Sequence[LockService],
         *,
         clock: Optional[Clock] = None,
-        default_timeout_s: Optional[float] = None,
-        metrics: Optional[MetricRegistry] = None,
-        maxlocks_fraction: float = 0.98,
-        lock_timeout_s: Optional[float] = None,
     ) -> None:
-        if not chains:
-            raise ServiceError("sharded service needs at least one chain")
+        if not shards:
+            raise ServiceError("sharded service needs at least one shard")
         self.clock = clock or MonotonicClock()
-        # Shards share the clock and the metric registry; each shard's
-        # service.* instruments carry a shard=N label, so the registry
-        # holds one distinct series per shard (sum for the aggregate).
-        self.shards: List[LockService] = [
-            LockService(
-                chain,
-                clock=self.clock,
-                default_timeout_s=default_timeout_s,
-                metrics=metrics,
-                metric_labels=(
-                    None if metrics is None else {"shard": str(idx)}
-                ),
-                maxlocks_fraction=maxlocks_fraction,
-                lock_timeout_s=lock_timeout_s,
-            )
-            for idx, chain in enumerate(chains)
-        ]
+        self.shards: List[LockService] = list(shards)
         self.num_shards = len(self.shards)
-        self.ledger = ShardMemoryLedger(self.shards)
-        self.chain = AggregateLockChain(
-            [shard.chain for shard in self.shards], self.ledger
-        )
         self._cond = _AllShardConds([shard._cond for shard in self.shards])
         #: Session-lifecycle counters; request counters live in the
         #: shards (see :meth:`aggregate_stats`).
@@ -228,7 +145,6 @@ class ShardedLockService:
         self._sessions: Dict[int, _Session] = {}
         self._app_ids = itertools.count(1)
         self._closed = False
-        self.frozen_reason: Optional[str] = None
         #: Same contract as :attr:`LockService.borrow_return`: invoked
         #: once at :meth:`close` to return in-flight borrows to overflow.
         self.borrow_return = None
@@ -238,6 +154,11 @@ class ShardedLockService:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def frozen_reason(self) -> Optional[str]:
+        """Why tuning was frozen (shards freeze together), or None."""
+        return self.shards[0].frozen_reason
 
     def session_count(self) -> int:
         """Open sessions across the whole service (feeds minLockMemory)."""
@@ -440,21 +361,9 @@ class ShardedLockService:
 
     # -- tuning hooks ------------------------------------------------------
 
-    def refresh_all_maxlocks(self) -> None:
-        """Push the (aggregate-derived) MAXLOCKS fraction to every shard.
-
-        Wired as the controller's ``on_resize``; the caller (tuner pass
-        or shutdown reclaim) holds every shard condition.
-        """
-        for shard in self.shards:
-            shard.manager.refresh_maxlocks()
-
     def freeze_tuning(self, reason: str) -> None:
         """Degrade every shard to the static-LOCKLIST configuration."""
         with self._cond:
-            if self.frozen_reason is not None:
-                return
-            self.frozen_reason = reason
             for shard in self.shards:
                 shard.freeze_tuning(reason)
 
@@ -480,142 +389,12 @@ class ShardedLockService:
     def __repr__(self) -> str:
         return (
             f"ShardedLockService(shards={self.num_shards}, "
-            f"sessions={len(self._sessions)}, chain={self.chain!r})"
+            f"sessions={len(self._sessions)})"
         )
 
 
-class ShardedDeadlockDetector:
-    """Wall-clock sweep for cycles that span shards.
-
-    Shard-local cycles cannot exist (each shard keeps the manager's
-    immediate detection), so every cycle in the merged wait-for graph
-    crosses a shard boundary.  The sweep holds all shard conditions,
-    merges the per-shard graphs (:func:`merge_wait_graphs` -- which
-    also audits the one-wait-per-session invariant), and victimizes by
-    **global** lock footprint from the ledger, ties broken by lowest
-    application id -- the same pure-function-of-membership contract as
-    the single-manager detector.
-
-    Degraded mode: if the sweep thread dies (``crash`` is set), tuning
-    is *not* frozen -- lock memory management is unaffected -- but
-    cross-shard cycles then persist until a participant's request
-    deadline or LOCKTIMEOUT resolves them.  The CLI surfaces ``crash``
-    at shutdown.
-    """
-
-    def __init__(
-        self, service: ShardedLockService, *, interval_s: float = 0.25
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s}")
-        self.service = service
-        self.interval_s = interval_s
-        self.stats = DetectorStats()
-        self.crash: Optional[BaseException] = None
-        #: Optional per-shard repro.obs.incidents.IncidentRecorder list;
-        #: a victimized cycle is then captured with full forensics on
-        #: the victim's shard.
-        self.incidents: Optional[List[IncidentRecorder]] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise ServiceError("deadlock sweep already started")
-        self._thread = threading.Thread(
-            target=self._run, name="deadlock-sweep", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.check()
-            except Exception as exc:  # degraded mode, see class docstring
-                self.crash = exc
-                return
-
-    def check(self) -> int:
-        """One cross-shard sweep; returns the number of victims."""
-        service = self.service
-        # Idle short-circuit, read WITHOUT the shard conditions: a
-        # sweep that takes every condition stalls all request threads,
-        # and at sub-second intervals almost every sweep finds nobody
-        # waiting.  The dirty read can only delay detection: a cycle's
-        # waiters stay in their shards' wait maps until a victim is
-        # rolled back, so the next sweep (one interval later) sees
-        # them -- the same bound DLCHKTIME already implies.
-        if not any(shard.manager.has_waiters() for shard in service.shards):
-            self.stats.checks += 1
-            return 0
-        with service._cond:
-            self.stats.checks += 1
-            # Per-shard graphs must be built against the GLOBAL waiting
-            # set: a blocker idle in one shard may be the waiter whose
-            # edge closes the cycle in another.
-            waiting: Set[int] = set()
-            for shard in service.shards:
-                waiting |= shard.manager.waiting_apps()
-            graphs = []
-            owner: Dict[int, int] = {}
-            for idx, shard in enumerate(service.shards):
-                graph = build_wait_for_graph(shard.manager, waiting)
-                for app_id in graph:
-                    owner[app_id] = idx
-                graphs.append(graph)
-            merged = merge_wait_graphs(graphs)
-            victims = 0
-            for cycle in find_cycles_in_graph(merged):
-                self.stats.cycles_found += 1
-                victim = min(
-                    cycle, key=lambda app: (service.ledger.app_slots(app), app)
-                )
-                shard = service.shards[owner[victim]]
-                # Snapshot the contended resource before cancel_wait
-                # removes the victim from the wait map.
-                waiting_entry = shard.manager._waiting_on.get(victim)
-                resource = (
-                    waiting_entry[0].resource
-                    if waiting_entry is not None
-                    else ""
-                )
-                cancelled = shard.manager.cancel_wait(
-                    victim,
-                    DeadlockError(
-                        f"cross-shard deadlock: app {victim} chosen as "
-                        f"victim of cycle {cycle}"
-                    ),
-                )
-                if cancelled:
-                    self.stats.victims.append(victim)
-                    shard.manager.stats.deadlocks += 1
-                    victims += 1
-                    if self.incidents is not None:
-                        self.incidents[owner[victim]].record_deadlock(
-                            shard.manager,
-                            victim,
-                            resource,
-                            list(cycle),
-                            f"cross-shard sweep: victim by smallest global "
-                            f"footprint among cycle {sorted(cycle)}",
-                        )
-            return victims
-
-
-class ShardedServiceStack:
-    """A fully wired sharded service: shards below, one STMM loop above.
-
-    Mirrors :class:`~repro.service.stack.ServiceStack` wiring exactly
-    -- same memory registry layout, same controller, same adaptive
-    MAXLOCKS, same STMM and tuner daemon -- with the aggregate chain
-    standing in for the single chain and the per-shard growth
-    providers funnelling synchronous borrows through one growth lock.
-    """
+class ShardedServiceStack(ServiceStack):
+    """:class:`ServiceStack` whose default config is the sharded one."""
 
     def __init__(
         self,
@@ -623,342 +402,4 @@ class ShardedServiceStack:
         *,
         clock: Optional[Clock] = None,
     ) -> None:
-        cfg = config or ShardedServiceConfig()
-        self.config = cfg
-        self.clock = clock or MonotonicClock()
-        self.metrics: Optional[MetricRegistry] = (
-            MetricRegistry() if cfg.telemetry else None
-        )
-        self.registry = build_memory_registry(cfg)
-
-        locklist_blocks = (
-            round_pages_to_blocks(cfg.initial_locklist_pages) // PAGES_PER_BLOCK
-        )
-        # Round-robin initial split: early shards take the remainder.
-        base, extra = divmod(locklist_blocks, cfg.shards)
-        chains = [
-            LockBlockChain(initial_blocks=base + (1 if i < extra else 0))
-            for i in range(cfg.shards)
-        ]
-        self.service = ShardedLockService(
-            chains,
-            clock=self.clock,
-            default_timeout_s=cfg.default_timeout_s,
-            lock_timeout_s=cfg.lock_timeout_s,
-            metrics=self.metrics,
-        )
-        self.ledger = self.service.ledger
-        self.chain = self.service.chain
-
-        self.controller = LockMemoryController(
-            registry=self.registry,
-            chain=self.chain,
-            params=cfg.params,
-            num_applications=self.service.session_count,
-            escalation_count=self.ledger.total_escalations,
-            clock=self.clock.now,
-        )
-        self.maxlocks = AdaptiveMaxlocks(
-            params=cfg.params,
-            allocated_pages=lambda: self.chain.allocated_pages,
-            max_lock_memory_pages=self.controller.max_lock_memory_pages,
-        )
-        # Synchronous borrows from any shard funnel through one lock:
-        # the registry is not thread-safe, and the ledger must see the
-        # borrow attributed before another shard reads the split.
-        self._growth_lock = threading.Lock()
-        for idx, shard in enumerate(self.service.shards):
-            manager = shard.manager
-            manager.growth_provider = self._make_growth_provider(idx)
-            manager.maxlocks_provider = self.maxlocks.fraction
-            manager.refresh_period = cfg.params.refresh_period_requests
-            manager.refresh_maxlocks()
-        self.controller.on_resize = self.service.refresh_all_maxlocks
-        self.service.borrow_return = self.controller.reclaim_transient_blocks
-
-        stmm_cfg = cfg.stmm
-        if cfg.broker and stmm_cfg.pmc_rebalance_fraction:
-            # Mirror ServiceStack: PMC movement is the broker's job.
-            stmm_cfg = dataclasses.replace(stmm_cfg, pmc_rebalance_fraction=0.0)
-        self.stmm = Stmm(self.registry, stmm_cfg)
-        self.stmm.register_deterministic_tuner(self.controller)
-        self.tuner = TunerDaemon(
-            self.service,
-            self.stmm,
-            interval_override_s=cfg.tuner_interval_s,
-            metrics=self.metrics,
-            controller=self.controller,
-            audit_capacity=cfg.audit_capacity,
-        )
-        self.detector = ShardedDeadlockDetector(
-            self.service, interval_s=cfg.deadlock_interval_s
-        )
-        self.admission = AdmissionController(
-            cfg.max_in_flight,
-            cfg.admission_queue_depth,
-            clock=self.clock,
-        )
-        self.broker = None
-        if cfg.broker:
-            self.broker = build_broker(
-                cfg,
-                self.registry,
-                self.admission,
-                used_pages=self.controller.used_pages,
-                escalations=self.ledger.total_escalations,
-                metrics=self.metrics,
-            )
-            self.tuner.broker = self.broker
-        if cfg.span_sample_every > 0 and self.metrics is not None:
-            for idx, shard in enumerate(self.service.shards):
-                shard.span_sampler = RequestSpanSampler(
-                    cfg.span_sample_every,
-                    self.clock.now,
-                    registry=self.metrics,
-                    labels={"shard": str(idx)},
-                )
-        # Incident forensics: one shared ring, one recorder per shard
-        # (immediate in-shard deadlocks and escalations), plus the
-        # cross-shard sweep's victim captures and the tuner's freeze.
-        self.incidents = IncidentLog(capacity=cfg.incident_capacity)
-        recorders = [
-            IncidentRecorder(self.incidents, shard=idx, audit=self.tuner.audit)
-            for idx in range(cfg.shards)
-        ]
-        for idx, shard in enumerate(self.service.shards):
-            shard.manager.incidents = recorders[idx]
-        self.detector.incidents = recorders
-        self.tuner.incidents = recorders[0]
-        #: One wait profiler per shard (``{"shard": N}``-labeled series
-        #: for lock waits and latch stats) plus an unlabeled profiler
-        #: for the stack-level admission gate.
-        self.wait_profilers: List[WaitEventProfiler] = []
-        if cfg.wait_profile:
-            for idx, shard in enumerate(self.service.shards):
-                profiler = WaitEventProfiler(
-                    self.clock,
-                    registry=self.metrics,
-                    labels={"shard": str(idx)},
-                    capacity=cfg.wait_ring_capacity,
-                )
-                shard.manager.wait_profiler = profiler
-                shard.env.latch_profiler = profiler
-                self.wait_profilers.append(profiler)
-            admission_profiler = WaitEventProfiler(
-                self.clock,
-                registry=self.metrics,
-                capacity=cfg.wait_ring_capacity,
-            )
-            self.admission.wait_profiler = admission_profiler
-            self.wait_profilers.append(admission_profiler)
-        self.ops: Optional[OpsServer] = None
-        if cfg.ops_port is not None:
-            assert self.metrics is not None  # enforced by the config
-            self.ops = OpsServer(
-                self.metrics,
-                health=self.ops_health,
-                stmm_status=self.ops_stmm,
-                refresh=self.publish_ops_metrics,
-                incidents=self.ops_incidents,
-                port=cfg.ops_port,
-            )
-        self._started = False
-
-    def _make_growth_provider(self, shard_idx: int):
-        def grow(blocks_wanted: int) -> int:
-            with self._growth_lock:
-                granted = self.controller.sync_grow(blocks_wanted)
-                if granted:
-                    self.ledger.record_sync_borrow(shard_idx, granted)
-                return granted
-
-        return grow
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ShardedServiceStack":
-        if self._started:
-            raise ConfigurationError("service stack already started")
-        self._started = True
-        self.tuner.start()
-        self.detector.start()
-        if self.ops is not None:
-            self.ops.start()
-        return self
-
-    def stop(self) -> None:
-        if self.ops is not None:
-            self.ops.stop()
-        self.tuner.stop()
-        self.detector.stop()
-        self.admission.close()
-        self.service.close()
-
-    def __enter__(self) -> "ShardedServiceStack":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- reporting ---------------------------------------------------------
-
-    @property
-    def manager_stats(self) -> LockManagerStats:
-        return self.service.manager_stats()
-
-    # -- the ops plane -----------------------------------------------------
-
-    def publish_ops_metrics(self) -> None:
-        """Refresh the point-in-time gauges, per shard and aggregate.
-
-        Called before every ``/metrics`` render; counters update on the
-        hot paths, but occupancy/queue-depth readings are state, not
-        events, and must be read at scrape time.
-        """
-        if self.metrics is None:
-            return
-        reg = self.metrics
-        for occ in self.ledger.occupancy():
-            labels = {"shard": str(occ.shard)}
-            reg.gauge("shard.used_slots", labels=labels).set(
-                float(occ.used_slots)
-            )
-            reg.gauge("shard.capacity_slots", labels=labels).set(
-                float(occ.capacity_slots)
-            )
-            reg.gauge("shard.free_fraction", labels=labels).set(
-                occ.free_fraction
-            )
-            reg.gauge("shard.borrowed_blocks", labels=labels).set(
-                float(occ.borrowed_blocks)
-            )
-        for idx, shard in enumerate(self.service.shards):
-            labels = {"shard": str(idx)}
-            stats = shard.manager.stats
-            reg.gauge("shard.escalations", labels=labels).set(
-                float(stats.escalations.count)
-            )
-            reg.gauge("shard.waiters", labels=labels).set(
-                float(len(shard.manager.waiting_apps()))
-            )
-        reg.gauge("service.locklist_pages").set(
-            float(self.chain.allocated_pages)
-        )
-        reg.gauge("service.locklist_used_slots").set(
-            float(self.chain.used_slots)
-        )
-        reg.gauge("service.locklist_free_fraction").set(
-            self.chain.free_fraction()
-        )
-        reg.gauge("service.maxlocks_fraction").set(self.maxlocks.fraction())
-        reg.gauge("service.sessions").set(float(self.service.session_count()))
-        reg.gauge("service.escalations").set(
-            float(self.ledger.total_escalations())
-        )
-        reg.gauge("service.admission.in_flight").set(
-            float(self.admission.in_flight())
-        )
-        reg.gauge("service.admission.queue_depth").set(
-            float(self.admission.queue_depth())
-        )
-        if self.broker is not None:
-            self.broker.publish_metrics()
-        for prof in self.wait_profilers:
-            latch = prof.latch
-            labels = prof.labels
-            reg.gauge("latch.gets", labels=labels).set(float(latch.gets))
-            reg.gauge("latch.misses", labels=labels).set(float(latch.misses))
-            reg.gauge("latch.spins", labels=labels).set(float(latch.spins))
-            reg.gauge("latch.sleeps", labels=labels).set(float(latch.sleeps))
-            reg.gauge("latch.sleep_seconds", labels=labels).set(
-                latch.sleep_time_s
-            )
-
-    def ops_health(self) -> dict:
-        """The ``/healthz`` body; ``ok`` decides 200 vs 503."""
-        tuner = self.tuner
-        service = self.service
-        return {
-            "ok": not tuner.frozen and not service.closed,
-            "service": "sharded-lock-service",
-            "shards": service.num_shards,
-            "closed": service.closed,
-            "sessions": service.session_count(),
-            "shard_status": [
-                {"shard": idx, "open": not shard.closed}
-                for idx, shard in enumerate(service.shards)
-            ],
-            "detector": {
-                "alive": self.detector._thread is not None
-                and self.detector._thread.is_alive(),
-                "crash": (
-                    None
-                    if self.detector.crash is None
-                    else str(self.detector.crash)
-                ),
-            },
-            "tuner": {
-                "alive": tuner.alive,
-                "frozen": tuner.frozen,
-                "intervals": tuner.intervals_run,
-                "crash": None if tuner.crash is None else str(tuner.crash),
-                "frozen_reason": service.frozen_reason,
-            },
-        }
-
-    def ops_stmm(self) -> dict:
-        """The ``/stmm`` body: audit trail + current memory posture."""
-        spans: List[dict] = []
-        for shard in self.service.shards:
-            sampler = shard.span_sampler
-            if sampler is not None:
-                spans.extend(sampler.finished_dicts(limit=16))
-        return {
-            "audit": self.tuner.audit.to_dicts(),
-            "audit_total": self.tuner.audit.total_recorded,
-            "intervals": self.tuner.intervals_run,
-            "locklist_pages": self.chain.allocated_pages,
-            "locklist_free_fraction": self.chain.free_fraction(),
-            "maxlocks_fraction": self.maxlocks.fraction(),
-            "overflow_pages": self.registry.overflow_pages,
-            "frozen_reason": self.service.frozen_reason,
-            "params": controller_params(self.config, self.tuner),
-            "incident_total": self.incidents.total_recorded,
-            "wait_classes": wait_class_payload(self.wait_profilers),
-            "spans": spans,
-            "broker": (
-                None if self.broker is None else self.broker.status()
-            ),
-        }
-
-    def ops_incidents(self) -> dict:
-        """The ``/incidents`` body: the forensics ring, oldest first."""
-        return {
-            "total": self.incidents.total_recorded,
-            "counts": self.incidents.kind_counts(),
-            "incidents": self.incidents.to_dicts(),
-        }
-
-    # -- consistency -------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Aggregate accounting across every shard and the registry.
-
-        Holds all shard conditions (via the service's own check) so a
-        synchronous grow in flight on some shard cannot be observed
-        half-applied.
-        """
-        self.service.check_invariants()
-        with self.service._cond:
-            self.controller.check_consistency()
-            self.registry.overflow_pages
-
-    def thread_count(self) -> int:
-        """Live stack-owned threads (tuner + deadlock sweep)."""
-        owned = {
-            getattr(self.tuner, "_thread", None),
-            getattr(self.detector, "_thread", None),
-        }
-        return sum(
-            1 for t in threading.enumerate() if t in owned and t.is_alive()
-        )
+        super().__init__(config or ShardedServiceConfig(), clock=clock)

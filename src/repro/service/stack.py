@@ -1,302 +1,78 @@
 """One-call assembly of the live lock service and its tuning stack.
 
 :class:`ServiceStack` is the service-world analogue of
-:class:`repro.engine.database.Database`: it wires the memory registry,
-the block chain, the thread-safe :class:`LockService`, the paper's
-:class:`LockMemoryController` + adaptive MAXLOCKS, STMM, the
-:class:`TunerDaemon` and the :class:`AdmissionController` together,
-exactly the way the simulation assembly does -- same providers, same
-``on_resize`` hook, same overflow plumbing -- so the live system runs
-the identical tuning algorithm, just on wall-clock intervals.
+:class:`repro.engine.database.Database`: it puts the in-process lock
+tables under the shared control plane
+(:class:`~repro.service.control.ControlPlane` -- memory registry,
+ledger, the paper's :class:`LockMemoryController` + adaptive MAXLOCKS,
+STMM, the :class:`TunerDaemon`), exactly the way the simulation assembly
+does -- same providers, same ``on_resize`` hook, same overflow plumbing
+-- so the live system runs the identical tuning algorithm, just on
+wall-clock intervals.
+
+One class serves both in-process topologies.  A plain
+:class:`ServiceConfig` means one lock table: ``stack.service`` is the
+bare thread-safe :class:`LockService`, no facade hop.  A
+:class:`~repro.service.sharded.ShardedServiceConfig` names a shard
+count: ``stack.service`` is the
+:class:`~repro.service.sharded.ShardedLockService` routing facade over
+that many lock tables, and a deadlock sweep looks for the cycles no
+single table can see.  Everything above the tables is the same object
+graph either way -- the unsharded stack is the one-partition case.
 
 The memory model is deliberately smaller than the full simulated
 database: one bufferpool heap (the PMC donor STMM trades against) plus
 the locklist FMC heap and the overflow area.  That is all the lock
 memory algorithm of the paper interacts with.
+
+:func:`build_stack` picks the stack class for a topology (unsharded,
+``shards=N``, ``workers=N``); the CLI, the scenario runner and the
+chaos lane all build through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
-from repro.core.controller import LockMemoryController
-from repro.core.maxlocks import AdaptiveMaxlocks
-from repro.core.params import TuningParameters
-from repro.errors import ConfigurationError
 from repro.lockmgr.blocks import LockBlockChain
-from repro.memory.bufferpool import BufferpoolModel
-from repro.memory.heaps import HeapCategory, MemoryHeap
-from repro.memory.registry import DatabaseMemoryRegistry
-from repro.memory.stmm import Stmm, StmmConfig
-from repro.obs.incidents import IncidentLog, IncidentRecorder
-from repro.obs.registry import MetricRegistry
+from repro.lockmgr.manager import LockManagerStats
+from repro.obs.incidents import IncidentRecorder
 from repro.obs.spans import RequestSpanSampler
-from repro.obs.waits import WaitEventProfiler, merged_class_totals
+from repro.obs.waits import WaitEventProfiler
 from repro.service.admission import AdmissionController
 from repro.service.broker import (
-    BrokerConfig,
     MemoryBroker,
     RateMeter,
     WorkloadProfile,
     default_estimators,
 )
-from repro.service.clock import Clock, MonotonicClock
-from repro.service.ops import OpsServer
+from repro.service.clock import Clock
+from repro.service.control import ControlPlane, ServiceConfig
+from repro.service.ledger import initial_split
+from repro.service.partition import LocalPartition
 from repro.service.service import LockService
-from repro.service.tuner import TunerDaemon
 from repro.units import PAGES_PER_BLOCK, round_pages_to_blocks
 
 
-@dataclass
-class ServiceConfig:
-    """Sizing of a live service stack (defaults: 64 MB, demo scale)."""
+class ServiceStack(ControlPlane):
+    """A fully wired in-process lock service (see module docstring).
 
-    #: databaseMemory in 4 KB pages.  16384 pages = 64 MB.
-    total_memory_pages: int = 16_384
-    #: Initial LOCKLIST size in pages (rounded up to whole blocks).
-    initial_locklist_pages: int = 128
-    #: Share of databaseMemory the bufferpool (the STMM donor) starts with.
-    bufferpool_fraction: float = 0.70
-    #: STMM overflow-area goal as a fraction of databaseMemory.
-    overflow_goal_fraction: float = 0.05
-    #: Tuning parameters of the paper's algorithm.
-    params: TuningParameters = field(default_factory=TuningParameters)
-    #: STMM scheduling (interval, adaptivity).
-    stmm: StmmConfig = field(default_factory=StmmConfig)
-    #: Wall-clock seconds between tuner passes (None = STMM's interval;
-    #: demos and tests want something far shorter than DB2's 30 s).
-    tuner_interval_s: Optional[float] = 0.25
-    #: Concurrency bound and wait-queue depth at the front door.
-    max_in_flight: int = 64
-    admission_queue_depth: int = 128
-    #: Default per-request deadline (None = wait forever).
-    default_timeout_s: Optional[float] = None
-    #: Manager-level LOCKTIMEOUT (DB2's -1 default = wait forever).
-    lock_timeout_s: Optional[float] = None
-    #: Record service.* / tuner.* metrics into a registry.
-    telemetry: bool = True
-    #: TCP port of the live ops plane (/metrics, /healthz, /stmm).
-    #: None = no HTTP server; 0 = ephemeral port (tests/CI).
-    ops_port: Optional[int] = None
-    #: Sample every Nth request's admission->grant->release span
-    #: (0 = off, keeping hot paths at the one-None-check contract).
-    span_sample_every: int = 0
-    #: Sample every Nth network request for an end-to-end distributed
-    #: trace (0 = off; only the networked client/worker path traces --
-    #: see :mod:`repro.obs.tracing`).  Off costs one ``is None`` check.
-    trace_sample_every: int = 0
-    #: Ring-buffer bound of the STMM decision audit log.
-    audit_capacity: int = 256
-    #: Enable the wait-event profiler (lock waits with blocker
-    #: attribution, latch gets/misses, admission waits, sync-growth
-    #: stalls).  Off keeps every hot path at one ``is None`` check.
-    wait_profile: bool = False
-    #: Ring-buffer bound of raw wait events per profiler (per shard).
-    wait_ring_capacity: int = 512
-    #: Ring-buffer bound of the incident forensics log.
-    incident_capacity: int = 128
-    #: Enable the whole-memory broker: sort/hashjoin/pkgcache heaps join
-    #: the registry, benefit-driven block trading runs each tuning pass,
-    #: and memory pressure drives the admission posture state machine.
-    broker: bool = False
-    #: Starting shares of databaseMemory for the brokered PMC heaps
-    #: (only used when ``broker`` is on; bufferpool_fraction above is
-    #: the fourth).  Each is floored at one 128 KB block.
-    sortheap_fraction: float = 0.06
-    hashjoin_fraction: float = 0.04
-    pkgcache_fraction: float = 0.05
-    #: Broker knobs (None = BrokerConfig defaults).
-    broker_config: Optional[BrokerConfig] = None
-    #: The modelled workload rates the estimators assume (None =
-    #: WorkloadProfile defaults; fields accept callables for scripted
-    #: demand sequences).
-    broker_profile: Optional[WorkloadProfile] = None
+    Lock ordering protocol (deadlock-freedom across internal actors):
 
-    def __post_init__(self) -> None:
-        if self.initial_locklist_pages < PAGES_PER_BLOCK:
-            raise ConfigurationError(
-                f"initial_locklist_pages must be at least one block "
-                f"({PAGES_PER_BLOCK} pages)"
-            )
-        locklist = round_pages_to_blocks(self.initial_locklist_pages)
-        bufferpool = int(self.bufferpool_fraction * self.total_memory_pages)
-        initial = locklist + bufferpool
-        if self.broker:
-            for fraction in (
-                self.sortheap_fraction,
-                self.hashjoin_fraction,
-                self.pkgcache_fraction,
-            ):
-                if fraction < 0:
-                    raise ConfigurationError(
-                        f"broker heap fractions must be non-negative, "
-                        f"got {fraction}"
-                    )
-                initial += max(
-                    PAGES_PER_BLOCK, int(fraction * self.total_memory_pages)
-                )
-        if initial >= self.total_memory_pages:
-            raise ConfigurationError(
-                "initial heaps oversubscribe database memory"
-            )
-        if self.ops_port is not None and not self.telemetry:
-            raise ConfigurationError(
-                "ops_port requires telemetry: /metrics serves the registry"
-            )
-        if self.ops_port is not None and self.ops_port < 0:
-            raise ConfigurationError(
-                f"ops_port must be non-negative, got {self.ops_port}"
-            )
-        if self.span_sample_every < 0:
-            raise ConfigurationError(
-                f"span_sample_every must be non-negative, "
-                f"got {self.span_sample_every}"
-            )
-        if self.trace_sample_every < 0:
-            raise ConfigurationError(
-                f"trace_sample_every must be non-negative, "
-                f"got {self.trace_sample_every}"
-            )
-        if self.audit_capacity <= 0:
-            raise ConfigurationError(
-                f"audit_capacity must be positive, got {self.audit_capacity}"
-            )
-        if self.wait_ring_capacity <= 0:
-            raise ConfigurationError(
-                f"wait_ring_capacity must be positive, "
-                f"got {self.wait_ring_capacity}"
-            )
-        if self.incident_capacity <= 0:
-            raise ConfigurationError(
-                f"incident_capacity must be positive, "
-                f"got {self.incident_capacity}"
-            )
+    1. Partition conditions are only ever acquired one-at-a-time
+       (request path) or all-ascending-by-index (tuner, sweep, close,
+       invariant checks).
+    2. The growth lock is acquired only *after* a partition condition
+       (a sync-growing request thread) and never the other way around.
+    3. The growth-lock holder never waits for any partition condition.
 
-
-def build_memory_registry(cfg: ServiceConfig) -> DatabaseMemoryRegistry:
-    """The service memory model: bufferpool (PMC donor) + locklist + overflow.
-
-    Shared by the unsharded and sharded stacks so both run the paper's
-    tuning algorithm against the identical registry layout.
+    A thread holding all partition conditions excludes every request
+    thread, so the heap-grown-but-chain-not-yet window inside
+    synchronous growth is unobservable to the tuner and
+    ``check_consistency`` cannot misfire.
     """
-    registry = DatabaseMemoryRegistry(
-        total_pages=cfg.total_memory_pages,
-        overflow_goal_pages=int(
-            cfg.overflow_goal_fraction * cfg.total_memory_pages
-        ),
-    )
-    bp_model = BufferpoolModel()
-    registry.register(
-        MemoryHeap(
-            "bufferpool",
-            HeapCategory.PMC,
-            size_pages=int(cfg.bufferpool_fraction * cfg.total_memory_pages),
-            min_pages=int(0.10 * cfg.total_memory_pages),
-            benefit=lambda heap: bp_model.marginal_benefit(heap.size_pages),
-        )
-    )
-    registry.register(
-        MemoryHeap(
-            "locklist",
-            HeapCategory.FMC,
-            size_pages=round_pages_to_blocks(cfg.initial_locklist_pages),
-            min_pages=0,
-        )
-    )
-    if getattr(cfg, "broker", False):
-        # The remaining PMC consumers the paper's section 2.1 names;
-        # each keeps at least one block so it can always re-enter the
-        # trading ranking as a receiver.
-        for name, fraction in (
-            ("sortheap", cfg.sortheap_fraction),
-            ("hashjoin", cfg.hashjoin_fraction),
-            ("pkgcache", cfg.pkgcache_fraction),
-        ):
-            registry.register(
-                MemoryHeap(
-                    name,
-                    HeapCategory.PMC,
-                    size_pages=max(
-                        PAGES_PER_BLOCK, int(fraction * cfg.total_memory_pages)
-                    ),
-                    min_pages=PAGES_PER_BLOCK,
-                )
-            )
-    return registry
-
-
-def build_broker(
-    cfg: ServiceConfig,
-    registry: DatabaseMemoryRegistry,
-    admission: AdmissionController,
-    *,
-    used_pages,
-    escalations,
-    metrics=None,
-) -> MemoryBroker:
-    """Assemble the whole-memory broker over a built registry.
-
-    Shared by the unsharded and sharded stacks: both hand in their
-    registry, their admission front door and two live LOCKLIST signals
-    (used pages and the cumulative escalation count, differentiated
-    into a rate by a :class:`RateMeter`).
-    """
-    profile = cfg.broker_profile or WorkloadProfile()
-    estimators = default_estimators(
-        registry,
-        profile,
-        locklist_used_pages=used_pages,
-        locklist_escalation_rate=RateMeter(escalations),
-        locklist_min_free_fraction=cfg.params.min_free_fraction,
-    )
-    return MemoryBroker(
-        registry,
-        estimators,
-        admission=admission,
-        config=cfg.broker_config,
-        metrics=metrics,
-    )
-
-
-def controller_params(cfg, tuner) -> dict:
-    """The controller constants in effect, for ``/stmm`` consumers.
-
-    ``analyze`` and ``top`` label their reports with these instead of
-    guessing the paper's defaults (C1, the free band, delta_reduce and
-    the tuning interval are all configurable).
-    """
-    params = cfg.params
-    return {
-        "c1_overflow_fraction": params.c1_overflow_fraction,
-        "min_free_fraction": params.min_free_fraction,
-        "max_free_fraction": params.max_free_fraction,
-        "delta_reduce": params.delta_reduce,
-        "interval_s": (
-            tuner.interval_override_s
-            if tuner.interval_override_s is not None
-            else tuner.stmm.current_interval_s
-        ),
-    }
-
-
-def wait_class_payload(profilers) -> Optional[dict]:
-    """``{class: {count, seconds}}`` over the stack's profilers.
-
-    None when wait profiling is disabled, so consumers can tell "off"
-    apart from "on but idle".
-    """
-    if not profilers:
-        return None
-    return {
-        cls: {"count": count, "seconds": seconds}
-        for cls, (count, seconds) in merged_class_totals(profilers).items()
-    }
-
-
-class ServiceStack:
-    """A fully wired live lock service (see module docstring)."""
 
     def __init__(
         self,
@@ -305,271 +81,236 @@ class ServiceStack:
         clock: Optional[Clock] = None,
     ) -> None:
         cfg = config or ServiceConfig()
-        self.config = cfg
-        self.clock = clock or MonotonicClock()
-        self.metrics: Optional[MetricRegistry] = (
-            MetricRegistry() if cfg.telemetry else None
-        )
+        super().__init__(cfg, clock)
+        #: 0 = one bare lock table; N >= 1 = N tables behind the facade.
+        shards: int = getattr(cfg, "shards", 0)
+        self._sharded = shards > 0
+        if self._sharded:
+            self.service_name = "sharded-lock-service"
+        blocks = round_pages_to_blocks(cfg.initial_locklist_pages) // PAGES_PER_BLOCK
+        # Tables share the clock and the metric registry; behind the
+        # facade each table's service.* instruments carry a shard=N
+        # label, so the registry holds one distinct series per shard
+        # (sum for the aggregate).
+        tables = [
+            LockService(
+                LockBlockChain(initial_blocks=share),
+                clock=self.clock,
+                default_timeout_s=cfg.default_timeout_s,
+                lock_timeout_s=cfg.lock_timeout_s,
+                metrics=self.metrics,
+                metric_labels=(
+                    None if self.metrics is None else self._labels(idx)
+                ),
+            )
+            for idx, share in enumerate(initial_split(blocks, shards or 1))
+        ]
+        if self._sharded:
+            # Imported here: the facade's module builds on this one.
+            from repro.service.sharded import ShardedLockService
 
-        locklist_pages = round_pages_to_blocks(cfg.initial_locklist_pages)
-        self.registry = build_memory_registry(cfg)
-
-        self.chain = LockBlockChain(
-            initial_blocks=locklist_pages // PAGES_PER_BLOCK
+            self.service: Any = ShardedLockService(tables, clock=self.clock)
+        else:
+            self.service = tables[0]
+        self._wire(
+            [LocalPartition(idx, table) for idx, table in enumerate(tables)],
+            cond=self.service._cond,
+            sessions=self.service.session_count,
+            escalations=lambda: sum(
+                table.manager.stats.escalations.count for table in tables
+            ),
+            sweep_interval_s=cfg.deadlock_interval_s if self._sharded else None,
         )
-        self.service = LockService(
-            self.chain,
-            clock=self.clock,
-            default_timeout_s=cfg.default_timeout_s,
-            lock_timeout_s=cfg.lock_timeout_s,
-            metrics=self.metrics,
-        )
-
-        # The paper's controller + adaptive MAXLOCKS, wired exactly as
-        # AdaptiveLockMemoryPolicy.attach does for the simulation.
-        self.controller = LockMemoryController(
-            registry=self.registry,
-            chain=self.chain,
-            params=cfg.params,
-            num_applications=self.service.session_count,
-            escalation_count=lambda: self.service.manager.stats.escalations.count,
-            clock=self.clock.now,
-        )
-        self.maxlocks = AdaptiveMaxlocks(
-            params=cfg.params,
-            allocated_pages=lambda: self.chain.allocated_pages,
-            max_lock_memory_pages=self.controller.max_lock_memory_pages,
-        )
-        manager = self.service.manager
-        manager.growth_provider = self.controller.sync_grow
-        manager.maxlocks_provider = self.maxlocks.fraction
-        manager.refresh_period = cfg.params.refresh_period_requests
-        manager.refresh_maxlocks()
-        self.controller.on_resize = manager.refresh_maxlocks
-        self.service.borrow_return = self.controller.reclaim_transient_blocks
-
-        stmm_cfg = cfg.stmm
-        if cfg.broker and stmm_cfg.pmc_rebalance_fraction:
-            # All PMC movement goes through the broker's audited
-            # trading pass; STMM's unaudited 2% rebalance would fight
-            # it (and leave page moves with no trade-benefit record).
-            stmm_cfg = replace(stmm_cfg, pmc_rebalance_fraction=0.0)
-        self.stmm = Stmm(self.registry, stmm_cfg)
-        self.stmm.register_deterministic_tuner(self.controller)
-        self.tuner = TunerDaemon(
-            self.service,
-            self.stmm,
-            interval_override_s=cfg.tuner_interval_s,
-            metrics=self.metrics,
-            controller=self.controller,
-            audit_capacity=cfg.audit_capacity,
-        )
+        # Synchronous borrows from any table funnel through one lock:
+        # the registry is not thread-safe, and the ledger must see the
+        # borrow attributed before another table reads the split.
+        self._growth_lock = threading.Lock()
         self.admission = AdmissionController(
             cfg.max_in_flight,
             cfg.admission_queue_depth,
             clock=self.clock,
         )
-        self.broker: Optional[MemoryBroker] = None
         if cfg.broker:
-            self.broker = build_broker(
-                cfg,
+            # The whole-memory broker over the same registry: it trades
+            # PMC blocks by marginal benefit and drives the admission
+            # postures, reading two live LOCKLIST signals (used pages,
+            # and the escalation count as a rate).
+            estimators = default_estimators(
                 self.registry,
-                self.admission,
-                used_pages=self.controller.used_pages,
-                escalations=lambda: self.service.manager.stats.escalations.count,
+                cfg.broker_profile or WorkloadProfile(),
+                locklist_used_pages=self.controller.used_pages,
+                locklist_escalation_rate=RateMeter(self.escalation_count),
+                locklist_min_free_fraction=cfg.params.min_free_fraction,
+            )
+            self.broker = MemoryBroker(
+                self.registry,
+                estimators,
+                admission=self.admission,
+                config=cfg.broker_config,
                 metrics=self.metrics,
             )
             self.tuner.broker = self.broker
-        if cfg.span_sample_every > 0 and self.metrics is not None:
-            self.service.span_sampler = RequestSpanSampler(
-                cfg.span_sample_every,
-                self.clock.now,
-                registry=self.metrics,
+        for idx, table in enumerate(tables):
+            manager = table.manager
+            manager.growth_provider = self._growth_provider(idx)
+            manager.maxlocks_provider = self.maxlocks.fraction
+            manager.refresh_period = cfg.params.refresh_period_requests
+            manager.refresh_maxlocks()
+            # One shared incident ring, one recorder per table
+            # (immediate in-table deadlocks and escalations); the sweep
+            # captures its victims on the victim's table.
+            manager.incidents = IncidentRecorder(
+                self.incidents, shard=idx, audit=self.tuner.audit
             )
-        # Incident forensics is always on (capture only runs when a
-        # deadlock / escalation / freeze actually fires).
-        self.incidents = IncidentLog(capacity=cfg.incident_capacity)
-        recorder = IncidentRecorder(
-            self.incidents, shard=0, audit=self.tuner.audit
-        )
-        manager.incidents = recorder
-        self.tuner.incidents = recorder
-        #: Wait-event profilers feeding telemetry (one per lock domain;
-        #: a single shared instance here -- manager, latch and admission
-        #: classes are disjoint, and the sharded stack mirrors the
-        #: attribute with one profiler per shard).
-        self.wait_profilers = []
+            if cfg.span_sample_every > 0 and self.metrics is not None:
+                table.span_sampler = RequestSpanSampler(
+                    cfg.span_sample_every,
+                    self.clock.now,
+                    registry=self.metrics,
+                    labels=self._labels(idx),
+                )
+            if cfg.wait_profile:
+                profiler = self._wait_profiler(self._labels(idx))
+                manager.wait_profiler = profiler
+                table.env.latch_profiler = profiler
         if cfg.wait_profile:
-            profiler = WaitEventProfiler(
-                self.clock,
-                registry=self.metrics,
-                capacity=cfg.wait_ring_capacity,
+            # The admission gate is stack-level, so its waits are an
+            # unlabeled series: the one bare table's own profiler, or
+            # one more beside the per-shard ones.
+            self.admission.wait_profiler = (
+                self._wait_profiler(None)
+                if self._sharded
+                else self.wait_profilers[0]
             )
-            manager.wait_profiler = profiler
-            self.service.env.latch_profiler = profiler
-            self.admission.wait_profiler = profiler
-            self.wait_profilers = [profiler]
-        self.ops: Optional[OpsServer] = None
-        if cfg.ops_port is not None:
-            assert self.metrics is not None  # enforced by the config
-            self.ops = OpsServer(
-                self.metrics,
-                health=self.ops_health,
-                stmm_status=self.ops_stmm,
-                refresh=self.publish_ops_metrics,
-                incidents=self.ops_incidents,
-                port=cfg.ops_port,
-            )
-        self._started = False
+        self.service.borrow_return = self.controller.reclaim_transient_blocks
+
+    def _labels(self, idx: int) -> Optional[Dict[str, str]]:
+        return {"shard": str(idx)} if self._sharded else None
+
+    def _wait_profiler(self, labels) -> WaitEventProfiler:
+        profiler = WaitEventProfiler(
+            self.clock,
+            registry=self.metrics,
+            labels=labels,
+            capacity=self.config.wait_ring_capacity,
+        )
+        self.wait_profilers.append(profiler)
+        return profiler
+
+    def _growth_provider(self, idx: int):
+        def grow(blocks_wanted: int) -> int:
+            with self._growth_lock:
+                granted = self.controller.sync_grow(blocks_wanted)
+                if granted:
+                    self.ledger.record_sync_borrow(idx, granted)
+                return granted
+
+        return grow
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ServiceStack":
-        """Launch the tuning daemon (and the ops plane, when configured)."""
-        if self._started:
-            raise ConfigurationError("service stack already started")
-        self._started = True
-        self.tuner.start()
-        if self.ops is not None:
-            self.ops.start()
+        """Launch the tuning daemon, the deadlock sweep (when sharded)
+        and the ops plane (when configured)."""
+        self._start_daemons()
         return self
 
     def stop(self) -> None:
         """Stop tuning, close the doors, cancel pending waits."""
-        if self.ops is not None:
-            self.ops.stop()
-        self.tuner.stop()
+        self._stop_daemons()
         self.admission.close()
         self.service.close()
 
-    def __enter__(self) -> "ServiceStack":
-        return self.start()
+    def client_stack(self):
+        """What a load driver drives: in process, the stack itself.
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        Mirrors :meth:`WorkerPoolStack.client_stack`, whose clients
+        reach the lock tables over sockets instead.
+        """
+        return contextlib.nullcontext(self)
+
+    # -- what "frozen" means here ------------------------------------------
+
+    @property
+    def frozen_reason(self) -> Optional[str]:
+        return self.service.frozen_reason
+
+    def freeze_tuning(self, reason: str) -> None:
+        """Degrade every table to the static-LOCKLIST configuration."""
+        self.service.freeze_tuning(reason)
 
     # -- reporting ---------------------------------------------------------
 
     @property
-    def manager_stats(self):
-        """Lock-manager counters (one manager here; aggregated when
-        sharded)."""
-        return self.service.manager.stats
+    def manager_stats(self) -> LockManagerStats:
+        """Lock-manager counters, summed over the tables (a snapshot)."""
+        return LockManagerStats.merged(
+            [part.service.manager.stats for part in self.partitions]
+        )
 
-    # -- the ops plane -----------------------------------------------------
+    def record_sweep_victim(
+        self, owner: LocalPartition, victim: int, resource: str, cycle: List[int]
+    ) -> None:
+        manager = owner.service.manager
+        manager.incidents.record_deadlock(
+            manager,
+            victim,
+            resource,
+            cycle,
+            f"cross-partition sweep: victim by smallest global footprint "
+            f"among cycle {sorted(cycle)}",
+        )
 
-    def publish_ops_metrics(self) -> None:
-        """Refresh the point-in-time gauges a scrape should see live.
-
-        Counters update on the hot paths; these are *state* readings
-        (sizes, fractions, queue depths) that would otherwise lag one
-        tuning interval behind.
-        """
-        if self.metrics is None:
-            return
-        reg = self.metrics
-        stats = self.service.manager.stats
-        reg.gauge("service.locklist_pages").set(
-            float(self.chain.allocated_pages)
-        )
-        reg.gauge("service.locklist_used_slots").set(
-            float(self.chain.used_slots)
-        )
-        reg.gauge("service.locklist_free_fraction").set(
-            self.chain.free_fraction()
-        )
-        reg.gauge("service.maxlocks_fraction").set(
-            self.service.manager.maxlocks_fraction
-        )
-        reg.gauge("service.sessions").set(float(self.service.session_count()))
-        reg.gauge("service.escalations").set(float(stats.escalations.count))
-        reg.gauge("service.admission.in_flight").set(
-            float(self.admission.in_flight())
-        )
-        reg.gauge("service.admission.queue_depth").set(
-            float(self.admission.queue_depth())
-        )
-        if self.broker is not None:
-            self.broker.publish_metrics()
-        for prof in self.wait_profilers:
-            latch = prof.latch
-            labels = prof.labels
-            reg.gauge("latch.gets", labels=labels).set(float(latch.gets))
-            reg.gauge("latch.misses", labels=labels).set(float(latch.misses))
-            reg.gauge("latch.spins", labels=labels).set(float(latch.spins))
-            reg.gauge("latch.sleeps", labels=labels).set(float(latch.sleeps))
-            reg.gauge("latch.sleep_seconds", labels=labels).set(
-                latch.sleep_time_s
-            )
-
-    def ops_health(self) -> dict:
-        """The ``/healthz`` body; ``ok`` decides 200 vs 503."""
-        tuner = self.tuner
-        return {
-            "ok": not tuner.frozen and not self.service.closed,
-            "service": "lock-service",
-            "shards": 1,
-            "closed": self.service.closed,
-            "sessions": self.service.session_count(),
-            "tuner": {
-                "alive": tuner.alive,
-                "frozen": tuner.frozen,
-                "intervals": tuner.intervals_run,
-                "crash": None if tuner.crash is None else str(tuner.crash),
-                "frozen_reason": self.service.frozen_reason,
-            },
+    def _health(self) -> Dict[str, Any]:
+        service = self.service
+        health: Dict[str, Any] = {
+            "serving": not service.closed,
+            "shards": len(self.partitions),
+            "closed": service.closed,
         }
+        if self._sharded:
+            health["shard_status"] = [
+                {"shard": part.idx, "open": not part.service.closed}
+                for part in self.partitions
+            ]
+        return health
 
-    def ops_stmm(self) -> dict:
-        """The ``/stmm`` body: audit trail + current memory posture."""
-        sampler = self.service.span_sampler
-        return {
-            "audit": self.tuner.audit.to_dicts(),
-            "audit_total": self.tuner.audit.total_recorded,
-            "intervals": self.tuner.intervals_run,
-            "locklist_pages": self.chain.allocated_pages,
-            "locklist_free_fraction": self.chain.free_fraction(),
-            "maxlocks_fraction": self.service.manager.maxlocks_fraction,
-            "overflow_pages": self.registry.overflow_pages,
-            "frozen_reason": self.service.frozen_reason,
-            "params": controller_params(self.config, self.tuner),
-            "incident_total": self.incidents.total_recorded,
-            "wait_classes": wait_class_payload(self.wait_profilers),
-            "spans": (
-                [] if sampler is None else sampler.finished_dicts(limit=64)
-            ),
-            "broker": (
-                None if self.broker is None else self.broker.status()
-            ),
-        }
-
-    def ops_incidents(self) -> dict:
-        """The ``/incidents`` body: the forensics ring, oldest first."""
-        return {
-            "total": self.incidents.total_recorded,
-            "counts": self.incidents.kind_counts(),
-            "incidents": self.incidents.to_dicts(),
-        }
-
-    # -- consistency -------------------------------------------------------
+    def _spans(self) -> List[dict]:
+        spans: List[dict] = []
+        for part in self.partitions:
+            sampler = part.service.span_sampler
+            if sampler is not None:
+                spans.extend(
+                    sampler.finished_dicts(limit=16 if self._sharded else 64)
+                )
+        return spans
 
     def check_invariants(self) -> None:
-        """Byte-exact accounting across every layer.
-
-        The locklist heap in the registry, the physical block chain and
-        the manager's per-application slot charges must all agree --
-        after any amount of concurrent traffic, growth, escalation and
-        tuning.
-        """
+        # The facade's own bookkeeping (the adoption index) first.
         self.service.check_invariants()
-        self.controller.check_consistency()
-        # Registry-wide: overflow_pages raises if heaps oversubscribe.
-        self.registry.overflow_pages
+        super().check_invariants()
 
-    def thread_count(self) -> int:
-        """Live service-owned threads (the tuner; drivers are callers')."""
-        return sum(
-            1
-            for t in threading.enumerate()
-            if t is getattr(self.tuner, "_thread", None) and t.is_alive()
-        )
+
+def build_stack(*, threads: int, shards: int = 0, workers: int = 0, **config):
+    """The stack for a topology, sized for ``threads`` load threads.
+
+    ``workers`` forks that many worker processes
+    (:class:`~repro.service.workers.WorkerPoolStack`), ``shards`` puts
+    that many lock tables behind the in-process facade, neither means
+    one bare :class:`LockService`.  ``config`` is passed through to the
+    topology's config class, which rejects what it cannot honour.
+    """
+    config.setdefault("max_in_flight", max(4, threads))
+    config.setdefault("admission_queue_depth", 4 * max(4, threads))
+    if workers > 0:
+        from repro.service.workers import WorkerPoolConfig, WorkerPoolStack
+
+        return WorkerPoolStack(WorkerPoolConfig(workers=workers, **config))
+    if shards > 0:
+        from repro.service.sharded import ShardedServiceConfig
+
+        return ServiceStack(ShardedServiceConfig(shards=shards, **config))
+    return ServiceStack(ServiceConfig(**config))
+
+
+__all__ = ["ServiceConfig", "ServiceStack", "build_stack"]

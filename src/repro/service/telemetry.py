@@ -3,7 +3,7 @@
 The DES runner has had a ``--telemetry out.jsonl`` round trip since the
 observability PR; this module gives the *live* stacks the same exit:
 :func:`service_telemetry` gathers the shared metric registry (including
-the per-shard labeled series), the controller's tuning decisions and
+the per-partition labeled series), the controller's tuning decisions and
 the tuner's audit trail into one :class:`~repro.obs.events.RunTelemetry`
 that ``write_jsonl`` serializes and the standard ``repro.obs`` readers
 load back.
@@ -14,49 +14,45 @@ final counter values and the complete audit ring are captured.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from repro.obs.events import RunTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.sharded import ShardedServiceStack
-    from repro.service.stack import ServiceStack
-
-    AnyStack = Union[ServiceStack, ShardedServiceStack]
+    from repro.service.control import ControlPlane
 
 
-def service_telemetry(stack: "AnyStack", label: str = "service") -> RunTelemetry:
+def service_telemetry(stack: "ControlPlane", label: str = "service") -> RunTelemetry:
     """One telemetry object for a finished (or quiesced) service run.
 
-    Works for both the unsharded and the sharded stack: both expose
-    ``metrics`` (the shared registry), ``controller.decisions`` and
-    ``tuner.audit``.  When the stack ran without telemetry the stream
-    still carries the decisions and audit trail over an empty registry.
+    Works for every topology: the control plane they share holds
+    ``metrics`` (the registry), ``controller.decisions``,
+    ``tuner.audit``, the incident ring and whichever of the wait
+    profilers, request tracers and broker the topology wired.  When the
+    stack ran without telemetry the stream still carries the decisions
+    and audit trail over an empty registry.
     """
-    if getattr(stack, "publish_ops_metrics", None) is not None:
-        # Final state of the point-in-time gauges (occupancy, sessions).
-        stack.publish_ops_metrics()
+    # Final state of the point-in-time gauges (occupancy, sessions).
+    stack.publish_ops_metrics()
     waits = []
-    for profiler in getattr(stack, "wait_profilers", []) or []:
+    for profiler in stack.wait_profilers:
         waits.extend(profiler.to_dicts())
     waits.sort(key=lambda w: w["t"])
     traces = []
-    for tracer in getattr(stack, "request_tracers", []) or []:
+    for tracer in stack.request_tracers:
         traces.extend(tracer.to_dicts())
     traces.sort(key=lambda tr: tr["t"])
-    incident_log = getattr(stack, "incidents", None)
-    broker = getattr(stack, "broker", None)
-    telemetry = RunTelemetry(
+    broker = stack.broker
+    return RunTelemetry(
         label=label,
         decisions=list(stack.controller.decisions),
         registry=stack.metrics,
         audit=stack.tuner.audit.records(),
         waits=waits,
-        incidents=[] if incident_log is None else incident_log.records(),
+        incidents=stack.incidents.records(),
         broker=[] if broker is None else broker.audit.records(),
         traces=traces,
     )
-    return telemetry
 
 
 __all__ = ["service_telemetry"]

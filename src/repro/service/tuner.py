@@ -7,16 +7,20 @@ as a deterministic tuner invoked at virtual times; :class:`TunerDaemon`
 runs the *same* :class:`~repro.memory.stmm.Stmm` pass from a real
 background thread:
 
-* each pass runs **under the service mutex**, so tuning is atomic with
-  respect to lock requests -- exactly the interleaving the DES produces,
-  just at wall-clock instants instead of scheduled ones;
-* the sleep honours :attr:`Stmm.current_interval_s`, so the adaptive
-  interval (shrinking while benefit is high) carries over unchanged;
+* each pass runs **under the control plane's condition**, so tuning
+  is atomic with respect to lock requests -- exactly the interleaving
+  the DES produces, just at wall-clock instants instead of scheduled
+  ones;
+* the wait between passes honours :attr:`Stmm.current_interval_s`, so
+  the adaptive interval (shrinking while benefit is high) carries over
+  unchanged; *how* to wait is the host's business (a plain sleep in
+  process; across processes the arbiter keeps granting synchronous
+  borrows while it waits), and so is what to sample before a pass;
 * a **crash of the tuning thread degrades, never corrupts**: the daemon
-  catches the failure, records it, and freezes the service's tuning
-  hooks (:meth:`LockService.freeze_tuning`) -- from then on the system
-  behaves like the static-LOCKLIST baseline, with memory pressure
-  answered by escalation alone, while lock service continues;
+  catches the failure, records it, and freezes the host's tuning hooks
+  (``freeze_tuning``) -- from then on the system behaves like the
+  static-LOCKLIST baseline, with memory pressure answered by escalation
+  alone, while lock service continues;
 * every pass leaves one entry in a bounded
   :class:`~repro.obs.audit.TuningAuditLog` -- the inputs the controller
   saw and the action it chose, in the closed audit-reason vocabulary --
@@ -35,7 +39,7 @@ from repro.obs.audit import TuningAuditLog, TuningAuditRecord, audit_reason_for
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import LockMemoryController
     from repro.obs.registry import MetricRegistry
-    from repro.service.service import LockService
+    from repro.service.control import ControlPlane
 
 
 class TunerDaemon:
@@ -43,47 +47,41 @@ class TunerDaemon:
 
     Parameters
     ----------
-    service:
-        The :class:`LockService` whose mutex serialises tuning against
-        lock traffic and whose ``freeze_tuning`` is the failure path.
+    host:
+        The :class:`~repro.service.control.ControlPlane` being tuned:
+        its ``_cond`` serialises a pass against lock traffic, its
+        ``chain``, ``clock`` and ``controller`` are what the pass reads
+        (each controller decision becomes one :class:`TuningAuditRecord`
+        in :attr:`audit`), its ``metrics`` registry (if any) takes the
+        ``tuner.*`` instruments, its ``wait_for_pass`` / ``before_pass``
+        pace and prepare a pass, and its ``freeze_tuning`` is the
+        failure path.
     stmm:
         The memory manager to drive; its ``current_interval_s`` governs
         the sleep between passes (re-read every pass, so the adaptive
         interval applies).
     interval_override_s:
         Fixed interval for tests and demos (bypasses the STMM interval).
-    max_intervals:
-        Stop after this many passes (None = run until :meth:`stop`).
-    controller:
-        The :class:`LockMemoryController` the STMM drives.  When given,
-        each pass appends one :class:`TuningAuditRecord` to
-        :attr:`audit` mapping the controller's decision onto the audit
-        reason enum; without it the audit log only ever records
-        ``freeze`` entries.
     audit_capacity:
         Ring-buffer bound of :attr:`audit`.
     """
 
     def __init__(
         self,
-        service: "LockService",
+        host: "ControlPlane",
         stmm: Stmm,
         *,
         interval_override_s: Optional[float] = None,
-        max_intervals: Optional[int] = None,
-        metrics: Optional["MetricRegistry"] = None,
-        controller: Optional["LockMemoryController"] = None,
         audit_capacity: int = 256,
     ) -> None:
         if interval_override_s is not None and interval_override_s <= 0:
             raise ValueError(
                 f"interval_override_s must be positive, got {interval_override_s}"
             )
-        self.service = service
+        self.host = host
         self.stmm = stmm
         self.interval_override_s = interval_override_s
-        self.max_intervals = max_intervals
-        self.controller = controller
+        self.controller: "LockMemoryController" = host.controller
         self.audit = TuningAuditLog(capacity=audit_capacity)
         #: Optional repro.obs.incidents.IncidentRecorder; a tuner crash
         #: then captures a ``tuner-freeze`` incident beside the audit
@@ -91,7 +89,7 @@ class TunerDaemon:
         self.incidents = None
         #: Optional repro.service.broker.MemoryBroker; when set, each
         #: pass runs the whole-memory arbitration right after the STMM
-        #: pass, still under the service mutex.  A broker failure rides
+        #: pass, still under the host's condition.  A broker failure rides
         #: the same crash -> freeze_tuning degraded path as an STMM
         #: failure: arbitration stops, lock service continues.
         self.broker = None
@@ -103,6 +101,7 @@ class TunerDaemon:
             target=self._run, name="stmm-tuner", daemon=True
         )
         self._started = False
+        metrics: Optional["MetricRegistry"] = host.metrics
         self._metrics = metrics
         if metrics is not None:
             self._m_intervals = metrics.counter("tuner.intervals")
@@ -142,58 +141,46 @@ class TunerDaemon:
 
     def _run(self) -> None:
         try:
-            while not self._stop.wait(self._interval_s()):
+            while not self.host.wait_for_pass(self._stop, self._interval_s()):
                 self._tune_once()
-                if (
-                    self.max_intervals is not None
-                    and self.intervals_run >= self.max_intervals
-                ):
-                    return
         except BaseException as exc:  # noqa: BLE001 - degrade, never corrupt
-            self.crash = exc
-            if self._metrics is not None:
-                self._m_crashes.inc()
-            self._record_freeze(exc)
-            self.service.freeze_tuning(
-                f"tuner thread died: {type(exc).__name__}: {exc}"
-            )
+            self._degrade(exc, "tuner thread died")
 
     def tune_now(self) -> IntervalReport:
         """Run one tuning pass synchronously (tests, manual demos).
 
         Same code path as the daemon loop, including crash handling --
-        the exception is re-raised after the service is frozen so the
+        the exception is re-raised after the host is frozen so the
         caller sees the failure.
         """
         try:
             return self._tune_once()
         except BaseException as exc:  # noqa: BLE001
-            self.crash = exc
-            if self._metrics is not None:
-                self._m_crashes.inc()
-            self._record_freeze(exc)
-            self.service.freeze_tuning(
-                f"tuner pass failed: {type(exc).__name__}: {exc}"
-            )
+            self._degrade(exc, "tuner pass failed")
             raise
 
+    def _degrade(self, exc: BaseException, what: str) -> None:
+        """The crash-to-freeze path: record, then freeze the host."""
+        self.crash = exc
+        if self._metrics is not None:
+            self._m_crashes.inc()
+        self._record_freeze(exc)
+        self.host.freeze_tuning(f"{what}: {type(exc).__name__}: {exc}")
+
     def _tune_once(self) -> IntervalReport:
-        service = self.service
-        with service._cond:  # noqa: SLF001 - daemon is part of the service
-            controller = self.controller
-            decisions_before = (
-                len(controller.decisions) if controller is not None else 0
-            )
-            report = self.stmm.tune(service.clock.now())
+        host = self.host
+        with host._cond:  # noqa: SLF001 - daemon is part of the plane
+            host.before_pass()
+            decisions_before = len(self.controller.decisions)
+            report = self.stmm.tune(host.clock.now())
             self.reports.append(report)
             self.intervals_run += 1
             if self._metrics is not None:
                 self._m_intervals.inc()
-                self._m_lock_pages.set(service.chain.allocated_pages)
-            if controller is not None:
-                self._record_audit(report, decisions_before)
+                self._m_lock_pages.set(host.chain.allocated_pages)
+            self._record_audit(report, decisions_before)
             if self.broker is not None:
-                self.broker.run_interval(service.clock.now())
+                self.broker.run_interval(host.clock.now())
             return report
 
     # -- the audit trail ---------------------------------------------------
@@ -201,12 +188,11 @@ class TunerDaemon:
     def _record_audit(self, report: IntervalReport, decisions_before: int) -> None:
         """Append one audit entry per controller decision this pass made.
 
-        Runs under the service mutex right after the tuning pass, so
+        Runs under the host's condition right after the tuning pass, so
         the controller state it reads (``lmo_pages``, overflow) is
         exactly the post-decision state.
         """
         controller = self.controller
-        assert controller is not None
         delta_pages = sum(
             action.pages
             for action in report.actions
@@ -241,20 +227,14 @@ class TunerDaemon:
         self.audit.append(
             TuningAuditRecord(
                 interval=0,
-                time=self.service.clock.now(),
+                time=self.host.clock.now(),
                 reason="freeze",
                 delta_pages=0,
-                current_pages=self.service.chain.allocated_pages,
-                target_pages=self.service.chain.allocated_pages,
-                used_pages=(
-                    controller.used_pages() if controller is not None else 0
-                ),
+                current_pages=self.host.chain.allocated_pages,
+                target_pages=self.host.chain.allocated_pages,
+                used_pages=controller.used_pages(),
                 free_fraction=0.0,
-                overflow_pages=(
-                    controller.registry.overflow_pages
-                    if controller is not None
-                    else 0
-                ),
+                overflow_pages=controller.registry.overflow_pages,
                 escalations_in_interval=0,
                 lmo_headroom_pages=0,
                 detail=f"{type(exc).__name__}: {exc}",
@@ -262,5 +242,5 @@ class TunerDaemon:
         )
         if self.incidents is not None:
             self.incidents.record_freeze(
-                self.service.chain, self.service.clock.now(), exc
+                self.host.chain, self.host.clock.now(), exc
             )

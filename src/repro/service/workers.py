@@ -5,10 +5,15 @@ across shards *inside one process*; this module forks each shard group
 into its own **worker process**.  Each worker owns a complete
 :class:`LockService` (chain, manager, wait queues) and serves the wire
 protocol on its own Unix-domain socket, so lock traffic never crosses
-the parent.  The parent keeps what the paper centralizes: the database
-memory registry, the :class:`LockMemoryController`, adaptive MAXLOCKS,
-STMM and the tuning daemon -- one arbiter distributing one pool of lock
-memory over many worker processes.
+the parent.  The parent keeps what the paper centralizes -- the shared
+:class:`~repro.service.control.ControlPlane`: the database memory
+registry, the :class:`LockMemoryController`, adaptive MAXLOCKS, STMM and
+the tuning daemon -- one arbiter distributing one pool of lock memory
+over many worker processes.  A worker is a
+:class:`~repro.service.partition.LocalPartition` served over a pipe;
+the parent holds a :class:`PipePartition` proxy for each.  This module
+adds only what forking adds: the pipes, the parent's mirror of each
+worker's chain, crash handling and the shutdown reconcile.
 
 Control plane (parent <-> worker, one pair of pipes per worker):
 
@@ -28,8 +33,10 @@ system would deadlock (tuner waits for worker reply, worker waits for
 borrow grant, borrow waits for tuner).  The arbiter therefore runs as a
 single parent thread that owns all registry state and **keeps draining
 borrow pipes while it waits** -- for control replies, for lock
-acquisition, for the next tuning interval.  No parent-side lock is ever
-held across a cross-process wait.
+acquisition, for the next tuning interval.  A synchronous
+``tuner.tune_now()`` from another thread takes the same role for the
+length of its pass: borrows are only ever *served* under the pool's
+condition, which a pass holds, so there is one consumer at a time.
 
 Failure semantics mirror the single-process stack exactly: a worker
 crash degrades like a tuner crash today -- surviving workers freeze to
@@ -44,34 +51,26 @@ transiently borrowed blocks are returned to overflow.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as conn_wait
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.controller import LockMemoryController
-from repro.core.maxlocks import AdaptiveMaxlocks
 from repro.errors import (
     ConfigurationError,
-    DeadlockError,
     MemoryAccountingError,
     ServiceError,
 )
 from repro.lockmgr.blocks import LockBlockChain
-from repro.lockmgr.detector import (
-    build_wait_for_graph,
-    find_cycles_in_graph,
-    merge_wait_graphs,
-)
-from repro.memory.stmm import Stmm
 from repro.net.server import ServiceBackend, ThreadedLockServer
-from repro.obs.incidents import IncidentLog, IncidentRecord
+from repro.obs.incidents import IncidentRecord
 from repro.obs.registry import (
     Histogram,
     MetricRegistry,
@@ -85,23 +84,23 @@ from repro.obs.tracing import (
     wire_tax_summary,
 )
 from repro.service.clock import MonotonicClock
-from repro.service.ops import OpsServer
-from repro.service.service import LockService
-from repro.service.stack import (
+from repro.service.control import (
+    ControlPlane,
     ServiceConfig,
-    build_memory_registry,
-    controller_params,
+    check_partitioned,
 )
-from repro.service.tuner import TunerDaemon
+from repro.service.ledger import initial_split
+from repro.service.partition import (
+    PARTITION_OPS,
+    LocalPartition,
+    WorkerDiedError,
+)
+from repro.service.service import LockService
 from repro.units import (
     LOCKS_PER_BLOCK,
     PAGES_PER_BLOCK,
     round_pages_to_blocks,
 )
-
-
-class WorkerDiedError(ServiceError):
-    """A control-plane round trip hit a dead worker process."""
 
 
 @dataclass
@@ -119,24 +118,24 @@ class WorkerPoolConfig(ServiceConfig):
     executor_threads: int = 8
 
     def __post_init__(self) -> None:
+        check_partitioned(self, self.workers, "workers")
         super().__post_init__()
-        if self.workers <= 0:
+        # What the pool cannot honour it refuses, rather than dropping.
+        if self.broker:
             raise ConfigurationError(
-                f"workers must be positive, got {self.workers}"
+                "broker is not supported by the worker pool: its admission "
+                "gates live in the clients, so the broker's pressure "
+                "postures would have nothing to actuate"
             )
-        if self.deadlock_interval_s <= 0:
+        if self.wait_profile:
             raise ConfigurationError(
-                f"deadlock_interval_s must be positive, "
-                f"got {self.deadlock_interval_s}"
+                "wait_profile is not supported by the worker pool: the "
+                "wait rings would live in the worker processes"
             )
-        blocks = (
-            round_pages_to_blocks(self.initial_locklist_pages)
-            // PAGES_PER_BLOCK
-        )
-        if blocks < self.workers:
+        if self.span_sample_every > 0:
             raise ConfigurationError(
-                f"initial locklist of {blocks} blocks cannot seed "
-                f"{self.workers} workers with one block each"
+                "span_sample_every is not supported by the worker pool; "
+                "use trace_sample_every for end-to-end request traces"
             )
 
 
@@ -145,64 +144,70 @@ class WorkerPoolConfig(ServiceConfig):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _WorkerSpec:
-    """Everything a worker needs to build its service (fork payload)."""
+class _WorkerPartition(LocalPartition):
+    """A worker's own partition, as its control loop serves it.
 
-    idx: int
-    num_workers: int
-    initial_blocks: int
-    sock_path: str
-    default_timeout_s: Optional[float]
-    lock_timeout_s: Optional[float]
-    refresh_period: int
-    initial_fraction: float
-    executor_threads: int
-    #: Record server-side child spans for sampled traces (tentpole:
-    #: the worker half of the end-to-end request trace).
-    trace: bool = False
-    #: Build a per-worker metric registry; the parent pulls snapshots
-    #: over the control plane and merges them into one ``/metrics``
-    #: scrape under a ``worker="N"`` label.
-    telemetry: bool = False
+    The Partition ops plus the two observability pulls (the parent
+    cannot read this process's registry or span ring any other way),
+    with the socket server's life tied to the partition's.
+    """
 
+    OPS = frozenset(PARTITION_OPS) | {"metrics", "traces"}
 
-def _worker_occupancy(service: LockService, server: ThreadedLockServer) -> dict:
-    """Dirty-read posture snapshot (no locks: sampled, not exact)."""
-    chain = service.chain
-    stats = service.manager.stats
-    return {
-        "block_count": chain.block_count,
-        "used_slots": chain.used_slots,
-        "capacity_slots": chain.capacity_slots,
-        "free_fraction": chain.free_fraction(),
-        "entirely_free_blocks": chain.entirely_free_blocks(),
-        "sessions": service.session_count(),
-        "has_waiters": service.manager.has_waiters(),
-        "maxlocks_fraction": service.manager.maxlocks_fraction,
-        "escalations": stats.escalations.count,
-        "deadlocks": stats.deadlocks,
-        "sync_growth_blocks": stats.sync_growth_blocks,
-        "responses": server.responses_written,
-        "frozen": service.frozen_reason,
-    }
+    def __init__(
+        self,
+        idx: int,
+        service: LockService,
+        server: ThreadedLockServer,
+        metrics: Optional[MetricRegistry],
+    ) -> None:
+        super().__init__(idx, service)
+        self.server = server
+        self._metrics = metrics
+
+    def occupancy(self) -> Dict[str, Any]:
+        posture = super().occupancy()
+        posture["responses"] = self.server.responses_written
+        return posture
+
+    def metrics(self) -> Optional[dict]:
+        return None if self._metrics is None else self._metrics.snapshot()
+
+    def traces(self) -> Optional[dict]:
+        tracer = self.server.backend.tracer
+        if tracer is None:
+            return None
+        return {"spans": tracer.to_dicts(), "summary": tracer.summary()}
+
+    def close(self) -> Dict[str, Any]:
+        self.server.stop()
+        return super().close()
 
 
-def _worker_main(spec: _WorkerSpec, ctl: Connection, borrow: Connection) -> None:
-    """Entry point of one worker process.
+def _worker_main(
+    cfg: WorkerPoolConfig,
+    idx: int,
+    initial_blocks: int,
+    sock_path: str,
+    initial_fraction: float,
+    ctl: Connection,
+    borrow: Connection,
+) -> None:
+    """Entry point of one worker process (forked: ``cfg`` is inherited).
 
     Builds a complete lock service plus its socket server, reports
     readiness, then serves the parent's control ops until ``close`` (or
     until the parent dies, which surfaces as EOF on the control pipe).
     """
-    chain = LockBlockChain(initial_blocks=spec.initial_blocks)
-    clock = MonotonicClock()
-    wmetrics = MetricRegistry() if spec.telemetry else None
+    # A per-worker registry: the parent pulls snapshots over the control
+    # plane and merges them into one ``/metrics`` scrape under a
+    # ``worker="N"`` label.
+    wmetrics = MetricRegistry() if cfg.telemetry else None
     service = LockService(
-        chain,
-        clock=clock,
-        default_timeout_s=spec.default_timeout_s,
-        lock_timeout_s=spec.lock_timeout_s,
+        LockBlockChain(initial_blocks=initial_blocks),
+        clock=MonotonicClock(),
+        default_timeout_s=cfg.default_timeout_s,
+        lock_timeout_s=cfg.lock_timeout_s,
         metrics=wmetrics,
     )
     # Disjoint arithmetic progressions make app ids globally unique
@@ -210,13 +215,23 @@ def _worker_main(spec: _WorkerSpec, ctl: Connection, borrow: Connection) -> None
     # i+1, i+1+N, i+1+2N, ...  A session opened on one worker is then
     # adoptable on any other (OP_ADOPT_SESSION) without collision.
     service._app_ids = itertools.count(  # noqa: SLF001 - worker wiring
-        spec.idx + 1, spec.num_workers
+        idx + 1, cfg.workers
     )
-    manager = service.manager
-
+    server = ThreadedLockServer(
+        ServiceBackend(
+            service,
+            name=f"worker{idx}",
+            # The worker half of the end-to-end request trace.
+            tracer=ServerTracer() if cfg.trace_sample_every > 0 else None,
+        ),
+        path=sock_path,
+        executor_threads=cfg.executor_threads,
+        metrics=wmetrics,
+    )
+    part = _WorkerPartition(idx, service, server, wmetrics)
     # MAXLOCKS mirrors the arbiter's adaptive fraction: pushed on every
     # resize (``set_maxlocks``) and piggybacked on every borrow reply.
-    fraction_box = [spec.initial_fraction]
+    part.maxlocks_fraction = initial_fraction
 
     def _borrow_growth(blocks_wanted: int) -> int:
         # Called by the lock manager *under the service mutex*: the
@@ -228,110 +243,35 @@ def _worker_main(spec: _WorkerSpec, ctl: Connection, borrow: Connection) -> None
             granted, fraction = borrow.recv()
         except (EOFError, OSError):
             return 0  # parent gone: the escalation path answers pressure
-        fraction_box[0] = fraction
+        part.maxlocks_fraction = fraction
         return int(granted)
 
+    manager = service.manager
     manager.growth_provider = _borrow_growth
-    manager.maxlocks_provider = lambda: fraction_box[0]
-    manager.refresh_period = spec.refresh_period
+    manager.maxlocks_provider = lambda: part.maxlocks_fraction
+    manager.refresh_period = cfg.params.refresh_period_requests
     manager.refresh_maxlocks()
 
-    tracer = ServerTracer() if spec.trace else None
-    server = ThreadedLockServer(
-        ServiceBackend(service, name=f"worker{spec.idx}", tracer=tracer),
-        path=spec.sock_path,
-        executor_threads=spec.executor_threads,
-        metrics=wmetrics,
-    )
     server.start()
-    ctl.send(("ready", spec.idx, os.getpid()))
+    ctl.send(("ready", idx, part.occupancy()))
 
     while True:
         try:
             msg = ctl.recv()
         except (EOFError, OSError):
             break  # parent died: exit, the OS reclaims everything
-        op, args = msg[0], msg[1:]
         try:
-            closing = False
-            if op == "occupancy":
-                result: Any = _worker_occupancy(service, server)
-            elif op == "add_blocks":
-                with service._cond:  # noqa: SLF001
-                    chain.add_blocks(args[0])
-                result = chain.block_count
-            elif op == "release_blocks":
-                with service._cond:  # noqa: SLF001
-                    result = chain.release_blocks(args[0], partial=True)
-            elif op == "set_maxlocks":
-                fraction_box[0] = args[0]
-                with service._cond:  # noqa: SLF001
-                    manager.refresh_maxlocks()
-                result = True
-            elif op == "freeze":
-                service.freeze_tuning(args[0])
-                result = True
-            elif op == "waiting":
-                with service._mutex:  # noqa: SLF001
-                    result = sorted(manager.waiting_apps())
-            elif op == "graph":
-                waiting = set(args[0])
-                with service._mutex:  # noqa: SLF001
-                    graph = build_wait_for_graph(manager, waiting)
-                    slots = {app: manager.app_slots(app) for app in waiting}
-                result = (graph, slots)
-            elif op == "victimize":
-                victim, message = args
-                with service._mutex:  # noqa: SLF001
-                    entry = manager._waiting_on.get(victim)  # noqa: SLF001
-                    resource = (
-                        str(entry[0].resource) if entry is not None else ""
-                    )
-                    cancelled = manager.cancel_wait(
-                        victim, DeadlockError(message)
-                    )
-                    if cancelled:
-                        manager.stats.deadlocks += 1
-                result = (cancelled, resource)
-            elif op == "stats":
-                result = server.backend.stats_payload()
-            elif op == "traces":
-                result = (
-                    None
-                    if tracer is None
-                    else {
-                        "spans": tracer.to_dicts(),
-                        "summary": tracer.summary(),
-                    }
-                )
-            elif op == "metrics":
-                result = None if wmetrics is None else wmetrics.snapshot()
-            elif op == "check":
-                with service._cond:  # noqa: SLF001
-                    chain.check_invariants()
-                result = chain.block_count
-            elif op == "ping":
-                result = "pong"
-            elif op == "close":
-                server.stop()
-                service.close()
-                result = {
-                    "block_count": chain.block_count,
-                    "allocated_pages": chain.allocated_pages,
-                    "used_slots": chain.used_slots,
-                    "entirely_free_blocks": chain.entirely_free_blocks(),
-                    "sessions": service.session_count(),
-                }
-                closing = True
-            else:
+            op, *args = msg
+            if op not in part.OPS:
                 raise ServiceError(f"unknown control op {op!r}")
+            result = getattr(part, op)(*args)
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             with contextlib.suppress(OSError):
                 ctl.send(("error", f"{type(exc).__name__}: {exc}"))
             continue
         with contextlib.suppress(OSError):
             ctl.send(("ok", result))
-        if closing:
+        if op == "close":
             break
     with contextlib.suppress(OSError):
         ctl.close()
@@ -340,45 +280,23 @@ def _worker_main(spec: _WorkerSpec, ctl: Connection, borrow: Connection) -> None
 
 
 # ---------------------------------------------------------------------------
-# Parent-side mirrors
+# The parent's side of one worker
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _WorkerHandle:
-    """Parent-side bookkeeping for one worker process."""
+class _MirrorChain:
+    """What the parent knows of one worker's block chain.
 
-    idx: int
-    process: Any
-    ctl: Connection
-    borrow: Connection
-    sock_path: str
-    ctl_lock: threading.Lock = field(default_factory=threading.Lock)
-    dead: bool = False
-    #: Crash handled by the watcher (freeze + incident).  ``dead`` may
-    #: flip first on any thread whose control call hits the broken
-    #: pipe; the watcher still owns the (single) degrade response.
-    crash_reported: bool = False
-    closed: bool = False
-    final: Optional[dict] = None
-
-
-class RemoteWorkerChain:
-    """Duck-types :class:`LockBlockChain` over the pool's block mirror.
-
-    Capacity and page counts are *authoritative* (every chain mutation
-    flows through the parent: the initial split, resize distributions,
-    borrow grants), occupancy is *sampled* (refreshed from worker
-    posture snapshots before each tuning pass).  The controller, STMM
-    and adaptive MAXLOCKS read this exactly as they read a local chain.
+    Block counts are *authoritative* (every chain mutation flows through
+    the parent: the initial split, resize distributions, borrow grants),
+    occupancy is *sampled* (refreshed from the worker's posture before
+    each tuning pass).  The ledger's aggregate chain sums these exactly
+    as it sums local chains.
     """
 
-    def __init__(self, pool: "WorkerPoolStack") -> None:
-        self._pool = pool
-
-    @property
-    def block_count(self) -> int:
-        return sum(self._pool._blocks)
+    def __init__(self, owner: "PipePartition", blocks: int) -> None:
+        self._owner = owner
+        self.block_count = blocks
 
     @property
     def capacity_slots(self) -> int:
@@ -390,90 +308,122 @@ class RemoteWorkerChain:
 
     @property
     def used_slots(self) -> int:
-        return sum(occ["used_slots"] for occ in self._pool._occ)
-
-    @property
-    def free_slots(self) -> int:
-        return max(0, self.capacity_slots - self.used_slots)
-
-    def free_fraction(self) -> float:
-        capacity = self.capacity_slots
-        return self.free_slots / capacity if capacity else 1.0
+        return self._owner.posture()["used_slots"]
 
     def entirely_free_blocks(self) -> int:
-        return sum(
-            self._pool._entirely_free_blocks(idx)
-            for idx in range(self._pool.config.workers)
-        )
-
-    def add_blocks(self, count: int) -> int:
-        return self._pool._distribute_grow(count)
-
-    def release_blocks(self, count: int, partial: bool = False) -> int:
-        return self._pool._distribute_shrink(count, partial=partial)
-
-    def check_invariants(self) -> None:
-        self._pool._check_mirror()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RemoteWorkerChain(blocks={list(self._pool._blocks)}, "
-            f"used={self.used_slots})"
+        return min(
+            self._owner.posture()["entirely_free_blocks"], self.block_count
         )
 
 
-class WorkerMemoryLedger:
-    """Cross-process twin of :class:`ShardMemoryLedger`.
+class PipePartition:
+    """Parent-side proxy: the Partition ops over one worker's pipes.
 
-    Same grant-split arithmetic (largest-remainder over used-slots
-    demand weights, ties to the lowest index), same borrow bookkeeping
-    -- but demand is read from the pool's sampled posture snapshots
-    instead of live shard chains.
+    Every op is one control round trip (:meth:`call`).  Ops only the
+    borrow-consuming thread issues -- block moves, MAXLOCKS pushes,
+    freeze, check, close -- drain the borrow pipes while they wait, so
+    a worker blocked mid-request on a borrow grant can release its
+    mutex and answer.
     """
 
-    def __init__(self, pool: "WorkerPoolStack") -> None:
-        self._pool = pool
-        self._borrowed = [0] * pool.config.workers
+    #: Each op is answered at its own instant; reads of different
+    #: workers are never one snapshot.
+    atomic = False
+    #: Forwarded ops that only the borrow-consuming thread issues.
+    _DRAINING = frozenset({"set_maxlocks", "freeze", "check"})
 
-    def record_sync_borrow(self, worker: int, blocks: int) -> None:
-        if blocks <= 0:
-            raise ValueError(f"blocks must be positive, got {blocks}")
-        self._borrowed[worker] += blocks
+    def __init__(self, idx: int, sock_path: str, blocks: int, drain) -> None:
+        self.idx = idx
+        self.sock_path = sock_path
+        self.chain = _MirrorChain(self, blocks)
+        #: Services queued borrows (the pool's ``_service_borrows``).
+        self._drain = drain
+        #: Attached by the fork.
+        self.process: Any = None
+        self.ctl: Optional[Connection] = None
+        self.borrow: Optional[Connection] = None
+        self.ctl_lock = threading.Lock()
+        self.dead = False
+        #: Crash handled by the watcher (freeze + incident).  ``dead`` may
+        #: flip first on any thread whose control call hits the broken
+        #: pipe; the watcher still owns the (single) degrade response.
+        self.crash_reported = False
+        self.closed = False
+        #: Last sampled posture: the worker's own at its ready handshake,
+        #: refreshed before each pass, its final word after close.
+        self._posture: Dict[str, Any] = {}
 
-    def borrowed_blocks(self, worker: int) -> int:
-        return self._borrowed[worker]
+    def posture(self) -> Dict[str, Any]:
+        return self._posture
 
-    def total_borrowed_blocks(self) -> int:
-        return sum(self._borrowed)
+    def call(self, op: str, *args: Any, drain: bool = False) -> Any:
+        """One control round trip to the worker.
 
-    def demand_weights(self) -> List[int]:
-        """Per-worker grow weights; dead workers are unfundable."""
-        pool = self._pool
-        return [
-            0
-            if pool._handles[idx].dead or pool._handles[idx].closed
-            else pool._occ[idx]["used_slots"] + 1
-            for idx in range(pool.config.workers)
-        ]
+        ``drain=True`` is for the borrow-consuming thread (the arbiter
+        while running; whoever holds the pool's condition for a pass;
+        the stop path after the arbiter joined): while waiting for the
+        lock or the reply it keeps servicing borrow pipes.
+        """
+        if self.dead:
+            raise WorkerDiedError(f"worker {self.idx} is dead")
+        if drain:
+            while not self.ctl_lock.acquire(timeout=0.01):
+                self._drain(0.0)
+        else:
+            self.ctl_lock.acquire()
+        try:
+            try:
+                self.ctl.send((op, *args))
+                if drain:
+                    while not self.ctl.poll(0.01):
+                        self._drain(0.0)
+                tag, result = self.ctl.recv()
+            except (EOFError, OSError, BrokenPipeError) as exc:
+                self.dead = True
+                raise WorkerDiedError(
+                    f"worker {self.idx} died during {op!r}"
+                ) from exc
+        finally:
+            self.ctl_lock.release()
+        if tag == "error":
+            raise ServiceError(f"worker {self.idx} {op!r} failed: {result}")
+        return result
 
-    def grant_split(self, blocks: int) -> List[int]:
-        if blocks < 0:
-            raise ValueError(f"blocks must be non-negative, got {blocks}")
-        weights = self.demand_weights()
-        total = sum(weights)
-        if total == 0:
-            raise WorkerDiedError("no live workers to fund")
-        shares = [blocks * weight / total for weight in weights]
-        split = [int(share) for share in shares]
-        remainder = blocks - sum(split)
-        if remainder:
-            by_fraction = sorted(
-                range(len(split)),
-                key=lambda i: (-(shares[i] - split[i]), i),
-            )
-            for i in by_fraction[:remainder]:
-                split[i] += 1
-        return split
+    # -- the ops -----------------------------------------------------------
+
+    def occupancy(self, *, drain: bool = False) -> Dict[str, Any]:
+        """Sample the worker's posture (the arbiter passes ``drain``);
+        :meth:`posture` keeps answering with it until the next sample."""
+        self._posture = self.call("occupancy", drain=drain)
+        return self._posture
+
+    def add_blocks(self, count: int) -> int:
+        self.call("add_blocks", count, drain=True)
+        self.chain.block_count += count
+        return self.chain.block_count
+
+    def release_blocks(self, count: int) -> int:
+        if self.closed:
+            # The worker exited cleanly with used_slots == 0; its
+            # blocks exist only in the mirror now.
+            freed = min(count, self.chain.block_count)
+        else:
+            freed = self.call("release_blocks", count, drain=True)
+        self.chain.block_count -= freed
+        return freed
+
+    def __getattr__(self, op: str):
+        """The other ops are plain round trips, the worker's own
+        allow-list mirrored: ``part.graph(waiting)`` sends
+        ``("graph", waiting)``."""
+        if op not in PARTITION_OPS:
+            raise AttributeError(op)
+        return functools.partial(self.call, op, drain=op in self._DRAINING)
+
+    def close(self) -> Dict[str, Any]:
+        self._posture = self.call("close", drain=True)
+        self.closed = True
+        return self._posture
 
 
 @dataclass
@@ -495,319 +445,64 @@ class WorkerReconciliation:
 
 
 # ---------------------------------------------------------------------------
-# The arbiter daemon
-# ---------------------------------------------------------------------------
-
-
-class ArbiterDaemon(TunerDaemon):
-    """The pool's tuning thread: STMM passes *plus* borrow service.
-
-    Subclasses :class:`TunerDaemon` (same crash-to-freeze contract,
-    same audit trail) but replaces the sleep between passes with a
-    ``multiprocessing.connection.wait`` over the borrow pipes, so
-    synchronous-growth requests are granted the moment they arrive --
-    including *while a pass is mid-distribution* (see the module
-    docstring's deadlock note).  Worker posture is sampled right before
-    each pass so the controller tunes against fresh occupancy.
-    """
-
-    def __init__(self, pool: "WorkerPoolStack", stmm: Stmm, **kwargs: Any) -> None:
-        super().__init__(pool, stmm, **kwargs)
-        self._pool = pool
-
-    def _run(self) -> None:  # overrides the sleep loop, keeps the contract
-        pool = self._pool
-        try:
-            next_pass = time.monotonic() + self._interval_s()
-            while not self._stop.is_set():
-                pool._service_borrows(
-                    min(0.05, max(0.0, next_pass - time.monotonic()))
-                )
-                pool._apply_pending_freeze()
-                if self._stop.is_set():
-                    return
-                if time.monotonic() < next_pass:
-                    continue
-                pool._sample_occupancy()
-                self._tune_once()
-                if (
-                    self.max_intervals is not None
-                    and self.intervals_run >= self.max_intervals
-                ):
-                    return
-                next_pass = time.monotonic() + self._interval_s()
-        except BaseException as exc:  # noqa: BLE001 - degrade, never corrupt
-            self.crash = exc
-            if self._metrics is not None:
-                self._m_crashes.inc()
-            self._record_freeze(exc)
-            self.service.freeze_tuning(
-                f"tuner thread died: {type(exc).__name__}: {exc}"
-            )
-
-
-class WorkerDeadlockDetector:
-    """Cross-worker deadlock sweep: merged wait-for graphs, global victim.
-
-    The cross-shard sweep generalized across process boundaries: every
-    worker exports its waiting set, each builds its local wait-for graph
-    against the *global* waiting set, the parent merges and finds
-    cycles.  Because the per-worker snapshots are not atomic with each
-    other, a cycle is only victimized when seen in **two consecutive
-    sweeps** -- a real deadlock is permanent until broken, a phantom
-    from skewed snapshots dissolves by itself.
-    """
-
-    def __init__(
-        self, pool: "WorkerPoolStack", *, interval_s: float = 0.25
-    ) -> None:
-        self.pool = pool
-        self.interval_s = interval_s
-        self.checks = 0
-        self.cycles_found = 0
-        self.victims: List[int] = []
-        self.crash: Optional[BaseException] = None
-        self._pending: Set[frozenset] = set()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise ServiceError("deadlock sweep already started")
-        self._thread = threading.Thread(
-            target=self._run, name="worker-deadlock-sweep", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.check()
-            except WorkerDiedError:
-                continue  # the watcher owns crash handling
-            except Exception as exc:  # degraded: detection stops, service runs
-                self.crash = exc
-                return
-
-    def check(self) -> int:
-        """One sweep; returns the number of victims cancelled."""
-        pool = self.pool
-        self.checks += 1
-        waiting_by_worker: Dict[int, Set[int]] = {}
-        for idx in pool._live_workers():
-            waiting_by_worker[idx] = set(pool._call(idx, "waiting"))
-        waiting: Set[int] = set().union(*waiting_by_worker.values(), set())
-        if not waiting:
-            self._pending.clear()
-            return 0
-        graphs = []
-        slots_by_worker: Dict[int, Dict[int, int]] = {}
-        for idx in waiting_by_worker:
-            graph, slots = pool._call(idx, "graph", sorted(waiting))
-            graphs.append(graph)
-            slots_by_worker[idx] = slots
-        merged = merge_wait_graphs(graphs)
-        cycles = find_cycles_in_graph(merged)
-        confirmed = [c for c in cycles if frozenset(c) in self._pending]
-        self._pending = {frozenset(c) for c in cycles} - {
-            frozenset(c) for c in confirmed
-        }
-        victims = 0
-        for cycle in confirmed:
-            self.cycles_found += 1
-            # Victim by smallest *global* footprint (slots summed over
-            # every worker), ties to the lowest app id -- the sharded
-            # sweep's rule, evaluated across processes.
-            footprint = {
-                app: sum(
-                    slots.get(app, 0) for slots in slots_by_worker.values()
-                )
-                for app in cycle
-            }
-            victim = min(cycle, key=lambda app: (footprint[app], app))
-            owner = next(
-                (
-                    idx
-                    for idx, apps in waiting_by_worker.items()
-                    if victim in apps
-                ),
-                None,
-            )
-            if owner is None:
-                continue  # victim resumed between sweeps: phantom
-            cancelled, resource = pool._call(
-                owner,
-                "victimize",
-                victim,
-                f"cross-worker deadlock: app {victim} chosen as victim "
-                f"of cycle {sorted(cycle)}",
-            )
-            if cancelled:
-                self.victims.append(victim)
-                victims += 1
-                pool.incidents.append(
-                    IncidentRecord(
-                        kind="deadlock",
-                        time=pool.clock.now(),
-                        app_id=victim,
-                        shard=owner,
-                        detail=(
-                            f"cross-worker sweep: victim by smallest global "
-                            f"footprint among cycle {sorted(cycle)} "
-                            f"(resource {resource or 'unknown'})"
-                        ),
-                        cycle=list(cycle),
-                        posture=dict(pool._occ[owner]),
-                        data={"workers": pool.config.workers},
-                    )
-                )
-        return victims
-
-
-# ---------------------------------------------------------------------------
 # The pool stack
 # ---------------------------------------------------------------------------
 
 
-class WorkerPoolStack:
-    """A fully wired multi-process lock service (see module docstring).
+class WorkerPoolStack(ControlPlane):
+    """A fully wired multi-process lock service (see module docstring)."""
 
-    Also serves as the *service facade* the :class:`TunerDaemon`
-    contract expects: ``_cond``, ``clock``, ``chain`` and
-    ``freeze_tuning`` below are the attributes a pass touches.
-    """
+    service_name = "lock-service-workers"
+    partition_label = "worker"
 
     def __init__(self, config: Optional[WorkerPoolConfig] = None) -> None:
         cfg = config or WorkerPoolConfig()
-        self.config = cfg
-        self.clock = MonotonicClock()
-        self.metrics: Optional[MetricRegistry] = (
-            MetricRegistry() if cfg.telemetry else None
-        )
-        self.registry = build_memory_registry(cfg)
-
-        locklist_blocks = (
-            round_pages_to_blocks(cfg.initial_locklist_pages)
-            // PAGES_PER_BLOCK
-        )
-        base, extra = divmod(locklist_blocks, cfg.workers)
-        #: Authoritative per-worker block counts: every chain mutation
-        #: (initial split, resize distribution, borrow grant, shutdown
-        #: reclaim) flows through the parent and lands here first.
-        self._blocks: List[int] = [
-            base + (1 if idx < extra else 0) for idx in range(cfg.workers)
-        ]
-        #: Last sampled posture per worker (refreshed before each pass).
-        self._occ: List[dict] = [
-            {
-                "block_count": self._blocks[idx],
-                "used_slots": 0,
-                "capacity_slots": self._blocks[idx] * LOCKS_PER_BLOCK,
-                "free_fraction": 1.0,
-                "entirely_free_blocks": self._blocks[idx],
-                "sessions": 0,
-                "has_waiters": False,
-                "maxlocks_fraction": 0.0,
-                "escalations": 0,
-                "deadlocks": 0,
-                "sync_growth_blocks": 0,
-                "responses": 0,
-                "frozen": None,
-            }
-            for idx in range(cfg.workers)
-        ]
-
-        self.chain = RemoteWorkerChain(self)
-        self.ledger = WorkerMemoryLedger(self)
-        self.controller = LockMemoryController(
-            registry=self.registry,
-            chain=self.chain,
-            params=cfg.params,
-            num_applications=lambda: sum(
-                occ["sessions"] for occ in self._occ
-            ),
-            escalation_count=lambda: sum(
-                occ["escalations"] for occ in self._occ
-            ),
-            clock=self.clock.now,
-        )
-        self.maxlocks = AdaptiveMaxlocks(
-            params=cfg.params,
-            allocated_pages=lambda: self.chain.allocated_pages,
-            max_lock_memory_pages=self.controller.max_lock_memory_pages,
-        )
-        self.controller.on_resize = self._push_maxlocks
-
-        self.stmm = Stmm(self.registry, cfg.stmm)
-        self.stmm.register_deterministic_tuner(self.controller)
-        #: TunerDaemon facade: passes serialize on this condition (only
-        #: the arbiter thread takes it; cross-process safety comes from
-        #: the single-mutator arbiter design, not from this lock).
-        self._cond = threading.Condition()
-        self.frozen_reason: Optional[str] = None
-        self._freeze_request: Optional[str] = None
-        self.tuner = ArbiterDaemon(
-            self,
-            self.stmm,
-            interval_override_s=cfg.tuner_interval_s,
-            metrics=self.metrics,
-            controller=self.controller,
-            audit_capacity=cfg.audit_capacity,
-        )
-        self.detector = WorkerDeadlockDetector(
-            self, interval_s=cfg.deadlock_interval_s
-        )
-        self.incidents = IncidentLog(capacity=cfg.incident_capacity)
-        self.reconciliation: Optional[WorkerReconciliation] = None
-        self.worker_crashes = 0
-        #: Client-side request tracers, one per ``client_stack`` built
-        #: while tracing is enabled; ``/traces`` merges their rings.
-        self.request_tracers: List[RequestTracer] = []
-
+        super().__init__(cfg, None)
         self._own_socket_dir = cfg.socket_dir is None
         self.socket_dir = cfg.socket_dir or tempfile.mkdtemp(
             prefix="repro-workers-"
         )
-        self._handles: List[_WorkerHandle] = []
+        blocks = (
+            round_pages_to_blocks(cfg.initial_locklist_pages)
+            // PAGES_PER_BLOCK
+        )
+        self._wire(
+            [
+                PipePartition(
+                    idx,
+                    os.path.join(self.socket_dir, f"worker-{idx}.sock"),
+                    share,
+                    self._service_borrows,
+                )
+                for idx, share in enumerate(initial_split(blocks, cfg.workers))
+            ],
+            # The borrow-consumer token: borrows are served, and passes
+            # run, only under this condition -- one registry mutator at
+            # a time, whichever thread it is.
+            cond=threading.Condition(),
+            sessions=lambda: self.ledger.total("sessions"),
+            escalations=lambda: self.ledger.total("escalations"),
+            sweep_interval_s=cfg.deadlock_interval_s,
+        )
+        self.frozen_reason: Optional[str] = None
+        self._freeze_request: Optional[str] = None
+        self.worker_crashes = 0
         self._watch_stop = threading.Event()
         self._watch_thread: Optional[threading.Thread] = None
-        self._started = False
         self._stopping = False
         self._stopped = False
-
-        self.ops: Optional[OpsServer] = None
-        if cfg.ops_port is not None:
-            assert self.metrics is not None  # enforced by the config
-            self.ops = OpsServer(
-                self.metrics,
-                health=self.ops_health,
-                stmm_status=self.ops_stmm,
-                refresh=self.publish_ops_metrics,
-                incidents=self.ops_incidents,
-                traces=self.ops_traces,
-                port=cfg.ops_port,
-            )
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "WorkerPoolStack":
         if self._started:
             raise ConfigurationError("worker pool already started")
-        self._started = True
         self._fork_workers()
-        self.tuner.start()
-        self.detector.start()
+        self._start_daemons()
         self._watch_thread = threading.Thread(
             target=self._watch_loop, name="worker-watcher", daemon=True
         )
         self._watch_thread.start()
-        if self.ops is not None:
-            self.ops.start()
         return self
 
     def _fork_workers(self) -> None:
@@ -818,53 +513,38 @@ class WorkerPoolStack:
         ctx = get_context("fork")
         cfg = self.config
         initial_fraction = self.maxlocks.fraction()
-        for idx in range(cfg.workers):
+        for part in self.partitions:
             ctl_parent, ctl_child = ctx.Pipe()
             borrow_parent, borrow_child = ctx.Pipe()
-            sock_path = os.path.join(self.socket_dir, f"worker-{idx}.sock")
-            spec = _WorkerSpec(
-                idx=idx,
-                num_workers=cfg.workers,
-                initial_blocks=self._blocks[idx],
-                sock_path=sock_path,
-                default_timeout_s=cfg.default_timeout_s,
-                lock_timeout_s=cfg.lock_timeout_s,
-                refresh_period=cfg.params.refresh_period_requests,
-                initial_fraction=initial_fraction,
-                executor_threads=cfg.executor_threads,
-                trace=cfg.trace_sample_every > 0,
-                telemetry=cfg.telemetry,
-            )
-            process = ctx.Process(
+            part.process = ctx.Process(
                 target=_worker_main,
-                args=(spec, ctl_child, borrow_child),
-                name=f"lock-worker-{idx}",
+                args=(
+                    cfg,
+                    part.idx,
+                    part.chain.block_count,
+                    part.sock_path,
+                    initial_fraction,
+                    ctl_child,
+                    borrow_child,
+                ),
+                name=f"lock-worker-{part.idx}",
                 daemon=True,
             )
-            process.start()
+            part.process.start()
             ctl_child.close()
             borrow_child.close()
-            self._handles.append(
-                _WorkerHandle(
-                    idx=idx,
-                    process=process,
-                    ctl=ctl_parent,
-                    borrow=borrow_parent,
-                    sock_path=sock_path,
-                )
-            )
-        for handle in self._handles:
-            tag, idx, _pid = handle.ctl.recv()  # ready handshake
-            if tag != "ready" or idx != handle.idx:
+            part.ctl, part.borrow = ctl_parent, borrow_parent
+        for part in self.partitions:
+            tag, idx, part._posture = part.ctl.recv()  # ready handshake
+            if tag != "ready" or idx != part.idx:
                 raise ServiceError(
-                    f"worker {handle.idx} failed its ready handshake: "
-                    f"{tag!r}"
+                    f"worker {part.idx} failed its ready handshake: {tag!r}"
                 )
 
     @property
     def endpoints(self) -> List[Tuple[str, int]]:
         """Per-worker data-plane addresses (``("unix:<path>", 0)``)."""
-        return [(f"unix:{h.sock_path}", 0) for h in self._handles]
+        return [(f"unix:{part.sock_path}", 0) for part in self.partitions]
 
     def client_stack(
         self,
@@ -890,67 +570,50 @@ class WorkerPoolStack:
             tracer=tracer,
         )
 
-    # -- control plane -----------------------------------------------------
+    # -- the arbiter's side of the control plane ---------------------------
 
-    def _live_workers(self) -> List[int]:
-        return [
-            h.idx for h in self._handles if not h.dead and not h.closed
-        ]
+    def wait_for_pass(self, stop: threading.Event, seconds: float) -> bool:
+        """Between passes the arbiter keeps granting borrows.
 
-    def _call(self, idx: int, op: str, *args: Any, drain: bool = False) -> Any:
-        """One control round trip to worker ``idx``.
-
-        ``drain=True`` is for the single borrow-consuming thread (the
-        arbiter while running; the stop path after the arbiter joined):
-        while waiting for the lock or the reply it keeps servicing
-        borrow pipes, so a worker blocked mid-request on a borrow grant
-        can release its mutex and answer the control op.
+        Synchronous-growth requests are answered the moment they arrive
+        -- a pass does the same *while it is mid-distribution* (see the
+        module docstring's deadlock note).
         """
-        handle = self._handles[idx]
-        if handle.dead:
-            raise WorkerDiedError(f"worker {idx} is dead")
-        if drain:
-            while not handle.ctl_lock.acquire(timeout=0.01):
-                self._service_borrows(0.0)
-        else:
-            handle.ctl_lock.acquire()
-        try:
-            try:
-                handle.ctl.send((op, *args))
-                if drain:
-                    while not handle.ctl.poll(0.01):
-                        self._service_borrows(0.0)
-                tag, result = handle.ctl.recv()
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                handle.dead = True
-                raise WorkerDiedError(
-                    f"worker {idx} died during {op!r}"
-                ) from exc
-        finally:
-            handle.ctl_lock.release()
-        if tag == "error":
-            raise ServiceError(f"worker {idx} {op!r} failed: {result}")
-        return result
+        deadline = time.monotonic() + seconds
+        while not stop.is_set():
+            self._service_borrows(
+                min(0.05, max(0.0, deadline - time.monotonic()))
+            )
+            self._apply_pending_freeze()
+            if time.monotonic() >= deadline:
+                break
+        return stop.is_set()
 
-    def _broadcast(self, op: str, *args: Any, drain: bool = False) -> None:
-        for idx in self._live_workers():
-            with contextlib.suppress(WorkerDiedError, ServiceError):
-                self._call(idx, op, *args, drain=drain)
+    def before_pass(self) -> None:
+        """Sample worker posture, so the controller tunes against fresh
+        occupancy."""
+        for part in self.ledger.live():
+            with contextlib.suppress(ServiceError):
+                part.occupancy(drain=True)
+
+    def _broadcast(self, op: str, *args: Any) -> None:
+        for part in self.ledger.live():
+            with contextlib.suppress(ServiceError):
+                part.call(op, *args, drain=True)
 
     def _service_borrows(self, timeout_s: float) -> None:
         """Grant (or deny) queued synchronous-growth requests.
 
-        Runs only on the borrow-consuming thread.  A grant moves pages
-        from overflow into the locklist heap (``sync_grow``), reserves
-        the blocks for the requesting worker in the mirror, and replies
-        with the grant plus the fresh MAXLOCKS fraction; the worker's
-        manager chains the blocks on its side of the pipe.
+        A grant moves pages from overflow into the locklist heap
+        (``sync_grow``), reserves the blocks for the requesting worker
+        in the mirror, and replies with the grant plus the fresh
+        MAXLOCKS fraction; the worker's manager chains the blocks on its
+        side of the pipe.  Waiting for a request needs no lock; serving
+        one takes the pool's condition, and re-polls under it, so a
+        thread running a pass and the arbiter never both consume the
+        same request.
         """
-        conns = {
-            h.borrow: h
-            for h in self._handles
-            if not h.dead and not h.closed
-        }
+        conns = {part.borrow: part for part in self.ledger.live()}
         if not conns:
             if timeout_s > 0:
                 time.sleep(min(timeout_s, 0.05))
@@ -959,124 +622,30 @@ class WorkerPoolStack:
             ready = conn_wait(list(conns), timeout_s if timeout_s > 0 else 0)
         except OSError:
             return
-        for conn in ready:
-            handle = conns[conn]
-            try:
-                wanted = conn.recv()
-            except (EOFError, OSError):
-                continue  # the watcher owns death handling
-            granted = 0
-            if (
-                int(wanted) > 0
-                and not self._stopping
-                and self.frozen_reason is None
-                and not handle.dead
-            ):
-                granted = self.controller.sync_grow(int(wanted))
-                if granted:
-                    self._blocks[handle.idx] += granted
-                    self.ledger.record_sync_borrow(handle.idx, granted)
-            with contextlib.suppress(OSError):
-                conn.send((granted, self.maxlocks.fraction()))
-
-    def _sample_occupancy(self) -> None:
-        """Refresh per-worker posture snapshots (arbiter, pre-pass)."""
-        for idx in self._live_workers():
-            with contextlib.suppress(WorkerDiedError, ServiceError):
-                self._occ[idx] = self._call(idx, "occupancy", drain=True)
-
-    def _entirely_free_blocks(self, idx: int) -> int:
-        handle = self._handles[idx]
-        if handle.dead:
-            return 0  # stranded memory: nothing reclaimable
-        if handle.closed:
-            return self._blocks[idx]  # clean close verified used_slots == 0
-        return min(self._occ[idx]["entirely_free_blocks"], self._blocks[idx])
-
-    # -- resize distribution (the STMM arbiter's write path) ---------------
-
-    def _distribute_grow(self, blocks: int) -> int:
-        """Split an STMM grow across workers by demand weights."""
-        if blocks <= 0:
-            return 0
-        split = self.ledger.grant_split(blocks)
-        undelivered = 0
-        for idx, share in enumerate(split):
-            if share <= 0:
-                continue
-            try:
-                self._call(idx, "add_blocks", share, drain=True)
-            except (WorkerDiedError, ServiceError):
-                undelivered += share
-                continue
-            self._blocks[idx] += share
-        if undelivered:
-            # Redistribute a dead worker's share to the survivors (one
-            # round); anything still undeliverable surfaces as a crash
-            # of the pass, which freezes tuning -- the degraded mode a
-            # worker death leads to anyway.
-            retry = self.ledger.grant_split(undelivered)
-            for idx, share in enumerate(retry):
-                if share <= 0:
-                    continue
-                self._call(idx, "add_blocks", share, drain=True)
-                self._blocks[idx] += share
-        return blocks
-
-    def _distribute_shrink(self, blocks: int, *, partial: bool = False) -> int:
-        """Release entirely-free blocks, most-free worker first."""
-        if blocks <= 0:
-            return 0
-        order = sorted(
-            range(self.config.workers),
-            key=lambda i: (-self._entirely_free_blocks(i), -i),
-        )
-        freed_total = 0
-        for idx in order:
-            if freed_total >= blocks:
-                break
-            handle = self._handles[idx]
-            if handle.dead:
-                continue
-            ask = blocks - freed_total
-            if handle.closed:
-                # The worker exited cleanly with used_slots == 0; its
-                # blocks exist only in the mirror now.
-                take = min(ask, self._blocks[idx])
-                self._blocks[idx] -= take
-                freed_total += take
-                continue
-            # Keep every live worker at one block minimum so its next
-            # request escalates instead of crashing on an empty chain.
-            available = min(
-                self._entirely_free_blocks(idx), self._blocks[idx] - 1
-            )
-            ask = min(ask, max(0, available))
-            if ask <= 0:
-                continue
-            try:
-                freed = self._call(idx, "release_blocks", ask, drain=True)
-            except (WorkerDiedError, ServiceError):
-                continue
-            self._blocks[idx] -= freed
-            freed_total += freed
-        if freed_total < blocks and not partial:
-            return 0  # all-or-nothing contract of LockBlockChain
-        return freed_total
-
-    def _push_maxlocks(self) -> None:
-        """``on_resize`` hook: push the fresh fraction to every worker."""
-        fraction = self.maxlocks.fraction()
-        self._broadcast("set_maxlocks", fraction, drain=True)
-
-    def _check_mirror(self) -> None:
-        for idx in self._live_workers():
-            reported = self._call(idx, "check")
-            if reported != self._blocks[idx]:
-                raise MemoryAccountingError(
-                    f"worker {idx} holds {reported} blocks but the "
-                    f"arbiter mirror says {self._blocks[idx]}"
-                )
+        if not ready:
+            return
+        with self._cond:
+            for conn in ready:
+                part = conns[conn]
+                try:
+                    if not conn.poll(0):
+                        continue  # the condition's last holder served it
+                    wanted = conn.recv()
+                except (EOFError, OSError):
+                    continue  # the watcher owns death handling
+                granted = 0
+                if (
+                    int(wanted) > 0
+                    and not self._stopping
+                    and self.frozen_reason is None
+                    and not part.dead
+                ):
+                    granted = self.controller.sync_grow(int(wanted))
+                    if granted:
+                        part.chain.block_count += granted
+                        self.ledger.record_sync_borrow(part.idx, granted)
+                with contextlib.suppress(OSError):
+                    conn.send((granted, self.maxlocks.fraction()))
 
     # -- degraded modes ----------------------------------------------------
 
@@ -1091,7 +660,7 @@ class WorkerPoolStack:
             return
         self.frozen_reason = reason
         if threading.current_thread() is self.tuner._thread:  # noqa: SLF001
-            self._broadcast("freeze", reason, drain=True)
+            self._broadcast("freeze", reason)
         else:
             self._freeze_request = reason
 
@@ -1101,22 +670,22 @@ class WorkerPoolStack:
         if reason is None:
             return
         self._freeze_request = None
-        self._broadcast("freeze", reason, drain=True)
+        self._broadcast("freeze", reason)
 
     def _watch_loop(self) -> None:
         while not self._watch_stop.wait(0.1):
-            for handle in self._handles:
-                if handle.crash_reported or handle.closed or self._stopping:
+            for part in self.partitions:
+                if part.crash_reported or part.closed or self._stopping:
                     continue
                 # A control call racing the watcher may have flagged
                 # ``dead`` already -- the degrade response (freeze,
                 # incident, crash counter) still runs exactly once,
                 # here.
-                if handle.dead or not handle.process.is_alive():
-                    handle.crash_reported = True
-                    self._on_worker_death(handle)
+                if part.dead or not part.process.is_alive():
+                    part.crash_reported = True
+                    self._on_worker_death(part)
 
-    def _on_worker_death(self, handle: _WorkerHandle) -> None:
+    def _on_worker_death(self, part: PipePartition) -> None:
         """A worker crashed: degrade exactly like a tuner crash.
 
         Survivors freeze to static LOCKLIST, an incident is recorded,
@@ -1124,27 +693,46 @@ class WorkerPoolStack:
         the mirror (stranded, exactly as a crashed process strands its
         memory) and are reported as such by the shutdown reconcile.
         """
-        handle.dead = True
+        part.dead = True
         self.worker_crashes += 1
         reason = (
-            f"worker {handle.idx} died "
-            f"(exit code {handle.process.exitcode})"
+            f"worker {part.idx} died (exit code {part.process.exitcode})"
         )
         self.incidents.append(
             IncidentRecord(
                 kind="worker-crash",
                 time=self.clock.now(),
                 app_id=-1,
-                shard=handle.idx,
+                shard=part.idx,
                 detail=reason,
                 posture={
-                    "mirror_blocks": self._blocks[handle.idx],
-                    "last_occupancy": dict(self._occ[handle.idx]),
+                    "mirror_blocks": part.chain.block_count,
+                    "last_occupancy": dict(part.posture()),
                 },
-                data={"exit_code": handle.process.exitcode},
+                data={"exit_code": part.process.exitcode},
             )
         )
         self.freeze_tuning(reason)
+
+    def record_sweep_victim(
+        self, owner: PipePartition, victim: int, resource: str, cycle: List[int]
+    ) -> None:
+        self.incidents.append(
+            IncidentRecord(
+                kind="deadlock",
+                time=self.clock.now(),
+                app_id=victim,
+                shard=owner.idx,
+                detail=(
+                    f"cross-partition sweep: victim by smallest global "
+                    f"footprint among cycle {sorted(cycle)} "
+                    f"(resource {resource or 'unknown'})"
+                ),
+                cycle=cycle,
+                posture=dict(owner.posture()),
+                data={"workers": self.config.workers},
+            )
+        )
 
     # -- shutdown ----------------------------------------------------------
 
@@ -1153,10 +741,7 @@ class WorkerPoolStack:
         if not self._started or self._stopped:
             return
         self._stopped = True
-        if self.ops is not None:
-            self.ops.stop()
-        self.detector.stop()
-        self.tuner.stop()
+        self._stop_daemons()
         self._stopping = True
         self._watch_stop.set()
         if self._watch_thread is not None:
@@ -1165,33 +750,26 @@ class WorkerPoolStack:
         # consumer.  Workers blocked on a borrow get denials while
         # their close is negotiated.
         reports: List[Dict[str, Any]] = []
-        ok = True
-        for handle in self._handles:
-            expected = self._blocks[handle.idx]
+        for part in self.partitions:
+            expected = part.chain.block_count
             entry: Dict[str, Any] = {
-                "worker": handle.idx,
+                "worker": part.idx,
                 "expected_blocks": expected,
-                "borrowed_blocks": self.ledger.borrowed_blocks(handle.idx),
+                "borrowed_blocks": self.ledger.borrowed_blocks(part.idx),
+                "state": "crashed",
+                "reported_blocks": None,
             }
-            if handle.dead:
-                entry.update(state="crashed", reported_blocks=None)
-                ok = False
-                reports.append(entry)
+            reports.append(entry)
+            if part.dead:
                 continue
             try:
-                final = self._call(handle.idx, "close", drain=True)
-            except (WorkerDiedError, ServiceError) as exc:
-                handle.dead = True
-                entry.update(state="crashed", reported_blocks=None)
+                final = part.close()
+            except ServiceError as exc:
+                part.dead = True
                 entry["error"] = str(exc)
-                ok = False
-                reports.append(entry)
                 continue
-            handle.closed = True
-            handle.final = final
             matched = (
-                final["block_count"] == expected
-                and final["used_slots"] == 0
+                final["block_count"] == expected and final["used_slots"] == 0
             )
             entry.update(
                 state="closed" if matched else "mismatch",
@@ -1199,8 +777,7 @@ class WorkerPoolStack:
                 reported_used_slots=final["used_slots"],
                 sessions=final["sessions"],
             )
-            ok = ok and matched
-            reports.append(entry)
+        ok = all(entry["state"] == "closed" for entry in reports)
         self.reconciliation = WorkerReconciliation(
             ok=ok,
             workers=reports,
@@ -1211,174 +788,66 @@ class WorkerPoolStack:
                 entry["reported_blocks"] or 0 for entry in reports
             ),
         )
-        for handle in self._handles:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():  # pragma: no cover - watchdog
-                handle.process.terminate()
-                handle.process.join(timeout=5.0)
+        for part in self.partitions:
+            part.process.join(timeout=5.0)
+            if part.process.is_alive():  # pragma: no cover - watchdog
+                part.process.terminate()
+                part.process.join(timeout=5.0)
         # Return transiently borrowed blocks to overflow, exactly like
         # LockService.close's borrow_return (the mirror stands in for
         # the closed workers' chains).
         if ok:
             self.controller.reclaim_transient_blocks()
-        for handle in self._handles:
+        for part in self.partitions:
             with contextlib.suppress(OSError):
-                handle.ctl.close()
+                part.ctl.close()
             with contextlib.suppress(OSError):
-                handle.borrow.close()
+                part.borrow.close()
             with contextlib.suppress(OSError):
-                os.unlink(handle.sock_path)
+                os.unlink(part.sock_path)
         if self._own_socket_dir:
             shutil.rmtree(self.socket_dir, ignore_errors=True)
 
-    def __enter__(self) -> "WorkerPoolStack":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- invariants --------------------------------------------------------
-
     def check_invariants(self) -> None:
-        """Registry, controller and mirror must all agree."""
-        self.controller.check_consistency()
-        if not self._stopped:
-            self._check_mirror()
-        if self.registry.overflow_pages < 0:  # pragma: no cover
-            raise MemoryAccountingError("negative overflow")
+        """The shared invariants, plus -- once stopped -- the reconcile:
+        every worker's final block count matched the mirror."""
+        super().check_invariants()
+        rec = self.reconciliation
+        if rec is not None and not rec.ok:
+            raise MemoryAccountingError(
+                f"worker reconciliation failed: {rec.workers}"
+            )
 
     # -- the ops plane -----------------------------------------------------
 
-    def publish_ops_metrics(self) -> None:
-        """Per-worker labeled gauges plus the stack-level aggregates."""
-        if self.metrics is None:
-            return
+    def _refresh_for_scrape(self) -> None:
+        """Pull every live worker's posture and registry snapshot, then
+        publish the liveness gauges only the pool has."""
         reg = self.metrics
         if not self._stopping:
-            for idx in self._live_workers():
-                with contextlib.suppress(WorkerDiedError, ServiceError):
-                    self._occ[idx] = self._call(idx, "occupancy")
-                with contextlib.suppress(WorkerDiedError, ServiceError):
-                    snapshot = self._call(idx, "metrics")
+            for part in self.ledger.live():
+                with contextlib.suppress(ServiceError):
+                    part.occupancy()
+                with contextlib.suppress(ServiceError):
+                    snapshot = part.call("metrics")
                     if snapshot is not None:
-                        self._install_worker_metrics(idx, snapshot)
-        for idx in range(self.config.workers):
-            occ = self._occ[idx]
-            labels = {"worker": str(idx)}
-            reg.gauge("worker.locklist_blocks", labels=labels).set(
-                float(self._blocks[idx])
+                        self._install_worker_metrics(part.idx, snapshot)
+        for part in self.partitions:
+            reg.gauge("worker.alive", labels=self._labels(part.idx)).set(
+                0.0 if part.dead else 1.0
             )
-            reg.gauge("worker.used_slots", labels=labels).set(
-                float(occ["used_slots"])
-            )
-            reg.gauge("worker.free_fraction", labels=labels).set(
-                occ["free_fraction"]
-            )
-            reg.gauge("worker.sessions", labels=labels).set(
-                float(occ["sessions"])
-            )
-            reg.gauge("worker.escalations", labels=labels).set(
-                float(occ["escalations"])
-            )
-            reg.gauge("worker.deadlocks", labels=labels).set(
-                float(occ["deadlocks"])
-            )
-            reg.gauge("worker.borrowed_blocks", labels=labels).set(
-                float(self.ledger.borrowed_blocks(idx))
-            )
-            reg.gauge("worker.responses", labels=labels).set(
-                float(occ["responses"])
-            )
-            reg.gauge("worker.maxlocks_fraction", labels=labels).set(
-                occ["maxlocks_fraction"]
-            )
-            reg.gauge("worker.alive", labels=labels).set(
-                0.0 if self._handles[idx].dead else 1.0
-            )
-        reg.gauge("service.locklist_pages").set(
-            float(self.chain.allocated_pages)
-        )
-        reg.gauge("service.locklist_used_slots").set(
-            float(self.chain.used_slots)
-        )
-        reg.gauge("service.locklist_free_fraction").set(
-            self.chain.free_fraction()
-        )
-        reg.gauge("service.maxlocks_fraction").set(self.maxlocks.fraction())
-        reg.gauge("service.sessions").set(
-            float(sum(occ["sessions"] for occ in self._occ))
-        )
-        reg.gauge("service.escalations").set(
-            float(sum(occ["escalations"] for occ in self._occ))
-        )
         reg.gauge("service.workers").set(float(self.config.workers))
         reg.gauge("service.workers_alive").set(
-            float(len(self._live_workers()))
+            float(len(self.ledger.live()))
         )
 
-    def ops_health(self) -> dict:
-        """The ``/healthz`` body; ``ok`` decides 200 vs 503."""
-        alive = [not h.dead for h in self._handles]
+    def _health(self) -> Dict[str, Any]:
+        alive = [not part.dead for part in self.partitions]
         return {
-            "ok": (
-                self.frozen_reason is None
-                and not self.tuner.frozen
-                and all(alive)
-                and not self._stopped
-            ),
-            "service": "lock-service-workers",
+            "serving": all(alive) and not self._stopped,
             "workers": self.config.workers,
             "workers_alive": sum(alive),
             "worker_crashes": self.worker_crashes,
-            "frozen_reason": self.frozen_reason,
-            "tuner": {
-                "alive": self.tuner.alive,
-                "frozen": self.tuner.frozen,
-                "intervals": self.tuner.intervals_run,
-            },
-            "detector": {
-                "alive": self.detector.crash is None,
-                "checks": self.detector.checks,
-                "victims": len(self.detector.victims),
-            },
-        }
-
-    def ops_stmm(self) -> dict:
-        """The ``/stmm`` body: parameters, live posture, audit tail.
-
-        Carries the same top-level posture keys as the single-process
-        stack (the ``top`` dashboard reads those), plus a per-worker
-        ``posture`` breakdown for remote analysis.
-        """
-        return {
-            "params": controller_params(self.config, self.tuner),
-            "locklist_pages": self.chain.allocated_pages,
-            "locklist_free_fraction": self.chain.free_fraction(),
-            "maxlocks_fraction": self.maxlocks.fraction(),
-            "overflow_pages": self.registry.overflow_pages,
-            "posture": {
-                "allocated_pages": self.chain.allocated_pages,
-                "per_worker_blocks": list(self._blocks),
-                "borrowed_blocks": [
-                    self.ledger.borrowed_blocks(idx)
-                    for idx in range(self.config.workers)
-                ],
-                "overflow_pages": self.registry.overflow_pages,
-                "maxlocks_fraction": self.maxlocks.fraction(),
-            },
-            "audit": self.tuner.audit.to_dicts(),
-            "audit_total": self.tuner.audit.total_recorded,
-            "intervals": self.tuner.intervals_run,
-            "frozen_reason": self.frozen_reason,
-            "incident_total": self.incidents.total_recorded,
-        }
-
-    def ops_incidents(self) -> dict:
-        """The ``/incidents`` body: the forensics ring, oldest first."""
-        return {
-            "total": self.incidents.total_recorded,
-            "counts": self.incidents.kind_counts(),
-            "incidents": self.incidents.to_dicts(),
         }
 
     def _install_worker_metrics(self, idx: int, snapshot: dict) -> None:
@@ -1391,7 +860,6 @@ class WorkerPoolStack:
         endpoint carries the whole pool.
         """
         reg = self.metrics
-        assert reg is not None  # only called with telemetry on
 
         def _relabel(full: str) -> str:
             base, pairs = parse_labeled_name(full)
@@ -1429,11 +897,11 @@ class WorkerPoolStack:
         traces.sort(key=lambda trace: trace["t"])
         server_spans: Dict[str, Any] = {}
         if enabled and self._started and not self._stopping:
-            for idx in self._live_workers():
-                with contextlib.suppress(WorkerDiedError, ServiceError):
-                    spans = self._call(idx, "traces")
+            for part in self.ledger.live():
+                with contextlib.suppress(ServiceError):
+                    spans = part.call("traces")
                     if spans is not None:
-                        server_spans[str(idx)] = spans
+                        server_spans[str(part.idx)] = spans
         summary: Dict[str, Any] = {}
         if traces:
             summary = {
@@ -1452,11 +920,8 @@ class WorkerPoolStack:
 
 
 __all__ = [
-    "ArbiterDaemon",
-    "RemoteWorkerChain",
-    "WorkerDeadlockDetector",
+    "PipePartition",
     "WorkerDiedError",
-    "WorkerMemoryLedger",
     "WorkerPoolConfig",
     "WorkerPoolStack",
     "WorkerReconciliation",

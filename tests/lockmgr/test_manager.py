@@ -226,6 +226,41 @@ class TestDeadlock:
         assert manager.stats.deadlocks == 0
 
 
+    def test_no_false_deadlock_in_the_grant_handoff_window(self, env):
+        """A releases and re-requests in the same instant, before the
+        waiter its release granted has resumed.  That waiter is off the
+        queue and *holds* the row: A queues behind it.  A stale wait
+        entry used to make A look queued ahead of a waiting B -- a
+        cycle that is not there."""
+        manager = make_manager(env)
+        order = []
+
+        def app_a():
+            yield from manager.lock_row(1, 0, 7, LockMode.X)
+            yield env.timeout(2)
+            manager.release_all(1)  # grants B, who has not resumed yet
+            assert 2 not in manager.waiting_apps()  # the wait ended there
+            yield from manager.lock_row(1, 0, 7, LockMode.X)
+            order.append("a-again")
+            manager.release_all(1)
+
+        def app_b():
+            yield env.timeout(1)
+            yield from manager.lock_row(2, 0, 7, LockMode.X)
+            order.append("b")
+            yield env.timeout(1)
+            manager.release_all(2)
+
+        env.process(app_a())
+        env.process(app_b())
+        env.run()
+        assert order == ["b", "a-again"]
+        assert manager.stats.deadlocks == 0
+        assert manager.stats.waits == 2
+        manager.check_invariants()
+        assert manager.chain.used_slots == 0
+
+
 class TestMemoryPressure:
     def test_sync_growth_called_when_full(self, env):
         grown = []

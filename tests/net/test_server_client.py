@@ -275,13 +275,12 @@ def _raw_lock_row(address, app_id, *, open_first=False):
     return resp, app_id, sock
 
 
-@pytest.mark.parametrize("kind", ["threaded", "asyncio"])
 class TestInlineFastPathValidatesTheSession:
-    """The servers' inline immediate-grant path takes the session id
+    """The server's inline immediate-grant path takes the session id
     from the frame; it must make lock_row's registry checks itself."""
 
-    def test_unopened_session_gets_an_error_and_no_locks(self, stack, kind):
-        server = serve_service(stack.service, kind=kind)
+    def test_unopened_session_gets_an_error_and_no_locks(self, stack):
+        server = serve_service(stack.service)
         try:
             resp, _app, sock = _raw_lock_row(server.address, 424242)
             with sock:
@@ -295,8 +294,8 @@ class TestInlineFastPathValidatesTheSession:
         finally:
             server.stop()
 
-    def test_opened_session_still_takes_the_fast_grant(self, stack, kind):
-        server = serve_service(stack.service, kind=kind)
+    def test_opened_session_still_takes_the_fast_grant(self, stack):
+        server = serve_service(stack.service)
         try:
             resp, app, sock = _raw_lock_row(server.address, 0, open_first=True)
             with sock:

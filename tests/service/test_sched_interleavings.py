@@ -2,13 +2,17 @@
 
 Each test drives real threads through one *specific* interleaving using
 the :mod:`tests.service.sched` harness -- no sleeps, no hoping the
-scheduler cooperates.  The three races:
+scheduler cooperates.  The four races:
 
 * **Grant vs cancel**: a waiter's grant event fires (the holder
   released) but its thread has not resumed when a cancel arrives.  The
   grant must win -- cancelling then would double-free the structure the
   grant now owns.  Scripted by holding the service mutex across the
   release, so the granted thread *cannot* resume before the cancel.
+* **Hand-off vs re-request**: in that same window the releaser asks for
+  the row again.  The granted-but-parked waiter now *holds* the row; the
+  releaser must queue behind it -- not be told it closed a wait-for
+  cycle with a waiter that is no longer waiting.
 * **Tuner resize vs synchronous growth**: a request thread is parked
   mid-sync-growth (heap possibly grown, chain not yet) while a tuning
   pass wants to run.  The lock-ordering protocol says the tuner cannot
@@ -23,6 +27,7 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.lockmgr.blocks import LockBlockChain
+from repro.lockmgr.manager import LockTimeoutError
 from repro.lockmgr.modes import LockMode
 from repro.service.service import LockService
 from repro.service.sharded import ShardedServiceConfig, ShardedServiceStack
@@ -52,10 +57,10 @@ class TestGrantVersusCancel:
         with service._mutex:
             service.rollback(holder)
             # The grant event has fired but the contender has not
-            # resumed: it is still registered as waiting, which is
-            # precisely the state a naive cancel would corrupt.
-            _obj, waiter = service.manager._waiting_on[contender]
-            assert waiter.event.triggered
+            # resumed.  Its wait ended with the grant -- it already
+            # owns the structure a naive cancel would free twice.
+            assert contender not in service.manager.waiting_apps()
+            assert service.manager.app_slots(contender) == 2
             assert service.cancel(contender, "too late") is False
         worker.result()  # the grant, not a cancellation, reached the thread
         assert service.manager.app_slots(contender) == 2  # row + intent
@@ -83,6 +88,49 @@ class TestGrantVersusCancel:
         assert isinstance(outcome, Exception)
         service.close_session(contender)
         service.close_session(holder)
+        service.check_invariants()
+
+
+class TestHandOffVersusReRequest:
+    def test_releaser_rerequesting_queues_behind_the_granted_waiter(self):
+        """A holds X, B queues, A releases and re-requests before B
+        resumes: A waits for B.  There is no cycle -- B is not waiting
+        for anything any more."""
+        service = LockService(LockBlockChain(initial_blocks=2))
+        a = service.open_session()
+        b = service.open_session()
+        service.lock_row(a, 0, 7, LockMode.X)
+        tb = ScriptedThread(service.lock_row, b, 0, 7, LockMode.X, name="b")
+        wait_until(
+            lambda: b in service.waiting_sessions(),
+            what="b parked behind a",
+        )
+        # Pin the hand-off window open exactly as above: b is granted
+        # inside a's rollback but cannot resume while we hold the mutex
+        # (an RLock, so a's re-request runs right here, inside it).
+        with service._mutex:
+            service.rollback(a)
+            # A zero deadline makes the outcome observable without
+            # letting go of the mutex: a request that *waits* times out
+            # on the spot; one that closes a cycle raises DeadlockError.
+            with pytest.raises(LockTimeoutError):
+                service.lock_row(a, 0, 7, LockMode.X, timeout_s=0)
+            assert service.manager.stats.deadlocks == 0
+            assert service.manager.stats.waits == 2  # b's wait, then a's
+        tb.result()  # b resumes with the grant it was handed
+        # With the window closed a simply queues behind b and is granted
+        # when b lets go.
+        ta = ScriptedThread(service.lock_row, a, 0, 7, LockMode.X, name="a")
+        wait_until(
+            lambda: a in service.waiting_sessions(),
+            what="a parked behind b",
+        )
+        service.rollback(b)
+        ta.result()
+        assert service.manager.stats.deadlocks == 0
+        service.close_session(a)
+        service.close_session(b)
+        assert service.chain.used_slots == 0
         service.check_invariants()
 
 

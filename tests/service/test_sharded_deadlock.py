@@ -23,6 +23,11 @@ def make_stack(shards: int, **cfg_kwargs) -> ShardedServiceStack:
     )
 
 
+def global_slots(service, app) -> int:
+    """``app``'s lock structures summed over every shard."""
+    return sum(shard.manager.app_slots(app) for shard in service.shards)
+
+
 def park_all(service, requests):
     """Issue blocking table requests on threads; wait until all parked."""
     threads = {
@@ -145,7 +150,7 @@ class TestVictimChoice:
         service.lock_table(a, 0, LockMode.X)  # shard 0
         service.lock_table(b, 1, LockMode.X)  # shard 1
         threads = park_all(service, [(a, 1), (b, 0)])
-        assert service.ledger.app_slots(a) > service.ledger.app_slots(b)
+        assert global_slots(service, a) > global_slots(service, b)
 
         assert stack.detector.check() == 1
         # b holds fewer structures globally, so b is the victim even
@@ -170,7 +175,7 @@ class TestVictimChoice:
         service.lock_table(b, 1, LockMode.X)
         service.lock_table(a, 0, LockMode.X)
         threads = park_all(service, [(b, 0), (a, 1)])
-        assert service.ledger.app_slots(a) == service.ledger.app_slots(b)
+        assert global_slots(service, a) == global_slots(service, b)
 
         stack.detector.check()
         assert stack.detector.stats.victims == [min(a, b)]

@@ -12,6 +12,14 @@ hypothesis) so they run identically under any ``PYTHONHASHSEED``:
   a single driver thread replays the exact same decision sequence on
   every topology.
 
+* **workers=1 is shards=1** -- one forked worker behind the wire and one
+  in-process shard behind the facade are the same control plane over
+  one partition: the same scripted load and ``tune_now()`` cadence must
+  produce the identical audit reason sequence, the identical page count
+  after every pass, and identical final block/page accounting -- the
+  pipe, the parent's mirror and the pre-pass sampling may not change a
+  single decision.
+
 * **Free-band safety** -- after the asynchronous tuning passes settle
   under any stable demand, the aggregate free fraction sits inside the
   paper's 50--60 % band (modulo one resize step of rounding) unless
@@ -155,19 +163,90 @@ class TestShardCountInvariance:
             except LockTimeoutError:
                 pass
             if step % 50 == 49:
-                occupancy = service.ledger.occupancy()
-                assert sum(o.used_slots for o in occupancy) == (
+                occupancy = stack.ledger.occupancy()
+                assert sum(o["used_slots"] for o in occupancy) == (
                     stack.chain.used_slots
                 )
-                assert sum(o.capacity_slots for o in occupancy) == (
+                assert sum(o["capacity_slots"] for o in occupancy) == (
                     stack.chain.capacity_slots
                 )
-                assert all(0.0 <= o.free_fraction <= 1.0 for o in occupancy)
+                assert all(
+                    0.0 <= o["free_fraction"] <= 1.0 for o in occupancy
+                )
         for app in apps:
             service.rollback(app)
             service.close_session(app)
         stack.stop()
         stack.check_invariants()
+
+
+class TestOneWorkerIsOneShard:
+    """Same control plane, one partition: a pipe may not change a decision."""
+
+    ROWS = 1500
+
+    def drive(self, stack):
+        """Scripted load with a fixed tune_now() cadence; returns the
+        observable tuning history."""
+        pages = []
+
+        def tune():
+            stack.tuner.tune_now()
+            pages.append(stack.chain.allocated_pages)
+
+        with stack, stack.client_stack() as client:
+            service = client.service
+            apps = [service.open_session() for _ in range(3)]
+            # Fill past the 50 % free floor: the pass must grow.
+            for app in apps:
+                for row in range(self.ROWS):
+                    service.lock_row(app, app, row, LockMode.S)
+            tune()
+            # Overrun the grown LOCKLIST: synchronous borrows, then the
+            # pass that folds them into the persisted size.
+            for app in apps:
+                for row in range(self.ROWS, 9 * self.ROWS):
+                    service.lock_row(app, app, row, LockMode.S)
+            tune()
+            tune()
+            # Demand gone: the 5 % shrink walk.
+            for app in apps:
+                service.rollback(app)
+            for _ in range(6):
+                tune()
+            for app in apps:
+                service.close_session(app)
+            borrowed = stack.ledger.total_borrowed_blocks()
+            assert borrowed > 0, "the script must exercise sync growth"
+        stack.check_invariants()
+        return {
+            "reasons": stack.tuner.audit.reasons(),
+            "pages_after_each_pass": pages,
+            "borrowed_blocks": borrowed,
+            "final_pages": stack.chain.allocated_pages,
+            "final_blocks": stack.chain.block_count,
+            "final_used_slots": stack.chain.used_slots,
+            "locklist_heap_pages": stack.registry.heap("locklist").size_pages,
+            "overflow_pages": stack.registry.overflow_pages,
+            "registry": stack.registry.snapshot(),
+        }
+
+    def test_same_audit_sequence_and_final_accounting(self):
+        from repro.service.workers import WorkerPoolConfig, WorkerPoolStack
+
+        common = dict(
+            initial_locklist_pages=4 * PAGES_PER_BLOCK,
+            tuner_interval_s=3600.0,  # only the scripted passes run
+        )
+        shard = self.drive(
+            ShardedServiceStack(ShardedServiceConfig(shards=1, **common))
+        )
+        worker = self.drive(
+            WorkerPoolStack(WorkerPoolConfig(workers=1, **common))
+        )
+        assert shard["reasons"], "the script must produce audit records"
+        assert {"grow-async", "shrink-5pct"} <= set(shard["reasons"])
+        assert worker == shard
 
 
 class TestFreeBandSafety:

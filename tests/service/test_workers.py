@@ -9,13 +9,15 @@ worker-crash degraded mode.
 """
 
 import os
+import shutil
 import signal
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import DeadlockError
+from repro.errors import ConfigurationError, DeadlockError, ServiceError
 from repro.net import protocol as wire
 from repro.net.client import ConnectionLostError
 from repro.service.driver import LoadDriver, TransactionMix
@@ -45,6 +47,66 @@ def pool_config(**overrides) -> WorkerPoolConfig:
     )
     defaults.update(overrides)
     return WorkerPoolConfig(**defaults)
+
+
+class TestConfigTheWorkerPoolCannotHonour:
+    """What the pool cannot do it refuses at construction -- it used to
+    carve broker heaps it never traded, and drop the rest silently."""
+
+    def test_broker_is_refused(self):
+        with pytest.raises(ConfigurationError, match="broker"):
+            pool_config(broker=True)
+
+    def test_wait_profile_is_refused(self):
+        with pytest.raises(ConfigurationError, match="wait_profile"):
+            pool_config(wait_profile=True)
+
+    def test_span_sampling_is_refused(self):
+        with pytest.raises(ConfigurationError, match="span_sample_every"):
+            pool_config(span_sample_every=4)
+
+    def test_what_it_does_honour_still_builds(self):
+        cfg = pool_config(trace_sample_every=8, telemetry=True, ops_port=0)
+        pool = WorkerPoolStack(cfg)
+        assert pool.broker is None and pool.wait_profilers == []
+        shutil.rmtree(pool.socket_dir, ignore_errors=True)
+
+    def test_build_stack_passes_the_refusal_on(self):
+        from repro.service.stack import build_stack
+
+        with pytest.raises(ConfigurationError, match="broker"):
+            build_stack(threads=2, workers=2, broker=True)
+
+
+class TestControlOpDispatch:
+    """The worker serves an allow-list of ops; anything else is an
+    ``("error", ...)`` reply, never a dead worker."""
+
+    def test_unknown_and_malformed_ops_are_answered_not_fatal(self):
+        with WorkerPoolStack(pool_config(workers=1)) as pool:
+            part = pool.partitions[0]
+            with pytest.raises(ServiceError, match="unknown control op"):
+                part.call("reboot")
+            # Real attributes of the worker's partition object that are
+            # not ops stay unreachable through the pipe.
+            for attr in ("service", "posture", "server", "__class__"):
+                with pytest.raises(ServiceError, match="unknown control op"):
+                    part.call(attr)
+            # A known op with the wrong arity fails in the worker ...
+            with pytest.raises(ServiceError, match="TypeError"):
+                part.call("add_blocks")
+            # ... and so does a message that is not an op tuple at all.
+            with part.ctl_lock:
+                for garbage in (42, (), ([],), None):
+                    part.ctl.send(garbage)
+                    tag, detail = part.ctl.recv()
+                    assert tag == "error", (garbage, detail)
+            # The worker shrugged all of it off.
+            assert not part.dead
+            assert part.process.is_alive()
+            assert part.check() == part.chain.block_count
+            assert part.occupancy()["used_slots"] == 0
+        assert pool.reconciliation is not None and pool.reconciliation.ok
 
 
 class TestCleanShutdown:
@@ -127,6 +189,75 @@ class TestSyncGrowthBorrow:
         assert rec.expected_blocks == rec.reported_blocks
 
 
+class TestOneBorrowConsumerAtATime:
+    def test_foreign_tune_now_races_the_arbiter_over_live_borrows(self):
+        """``tune_now()`` from a test thread while the arbiter thread is
+        alive and workers are borrowing: passes and borrow grants both
+        mutate the registry, so they must serialise -- a lost update
+        shows up as a heap/mirror/worker mismatch at reconcile."""
+        cfg = pool_config(
+            initial_locklist_pages=2 * PAGES_PER_BLOCK,  # 1 block/worker
+            # The arbiter thread only ever services borrows here; every
+            # pass comes from this thread, once the first borrow landed.
+            tuner_interval_s=30.0,
+        )
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with WorkerPoolStack(cfg) as pool:
+                with pool.client_stack(pool_size=4) as net:
+                    client = net.service
+                    stop = threading.Event()
+                    errors = []
+
+                    def churn(seed: int) -> None:
+                        try:
+                            app = client.open_session()
+                            while not stop.is_set():
+                                for row in range(LOCKS_PER_BLOCK):
+                                    client.lock_row(
+                                        app, seed, row, LockMode.S
+                                    )
+                                client.rollback(app)
+                            client.close_session(app)
+                        except Exception as exc:  # noqa: BLE001
+                            errors.append(exc)
+
+                    threads = [
+                        threading.Thread(target=churn, args=(seed,))
+                        for seed in range(6)
+                    ]
+                    for t in threads:
+                        t.start()
+                    # The first wave overruns the two seed blocks before
+                    # any pass can have grown them.
+                    assert wait_until(
+                        lambda: pool.ledger.total_borrowed_blocks() >= 1
+                    )
+                    deadline = time.monotonic() + 1.0
+                    passes = 0
+                    while time.monotonic() < deadline:
+                        pool.tuner.tune_now()
+                        passes += 1
+                    stop.set()
+                    for t in threads:
+                        t.join(timeout=30.0)
+                    assert not any(t.is_alive() for t in threads)
+                    assert errors == []
+                    assert passes > 0
+                    assert pool.tuner.crash is None
+                    pool.check_invariants()
+        finally:
+            sys.setswitchinterval(old_interval)
+        rec = pool.reconciliation
+        assert rec is not None and rec.ok, rec
+        assert rec.expected_blocks == rec.reported_blocks
+        pool.check_invariants()
+        assert (
+            sum(pool.registry.snapshot().values()) == pool.registry.total_pages
+        )
+
+
 class TestCrossWorkerDeadlock:
     def test_cycle_spanning_two_workers_is_broken(self):
         with WorkerPoolStack(pool_config()) as pool:
@@ -160,8 +291,8 @@ class TestCrossWorkerDeadlock:
                     t.join(timeout=30.0)
                 assert not any(t.is_alive() for t in threads)
                 assert sorted(outcomes.values()) == ["deadlock", "granted"]
-                assert pool.detector.cycles_found >= 1
-                assert len(pool.detector.victims) >= 1
+                assert pool.detector.stats.cycles_found >= 1
+                assert len(pool.detector.stats.victims) >= 1
                 assert pool.incidents.kind_counts().get("deadlock", 0) >= 1
                 for app in (a, b):
                     client.rollback(app)
@@ -174,9 +305,9 @@ class TestCrossWorkerDeadlock:
                 with net.service.session() as app:
                     net.service.lock_row(app, 0, 1, LockMode.X)
                     net.service.lock_row(app, 1, 1, LockMode.X)
-                assert wait_until(lambda: pool.detector.checks >= 2)
-            assert pool.detector.cycles_found == 0
-            assert pool.detector.victims == []
+                assert wait_until(lambda: pool.detector.stats.checks >= 2)
+            assert pool.detector.stats.cycles_found == 0
+            assert pool.detector.stats.victims == []
 
 
 class TestWorkerCrash:
@@ -189,7 +320,7 @@ class TestWorkerCrash:
                 client.lock_row(a, 0, 1, LockMode.X)
                 client.lock_row(b, 1, 1, LockMode.X)
 
-                os.kill(pool._handles[0].process.pid, signal.SIGKILL)
+                os.kill(pool.partitions[0].process.pid, signal.SIGKILL)
                 assert wait_until(lambda: pool.frozen_reason is not None)
                 assert "worker" in pool.frozen_reason
                 assert pool.worker_crashes == 1
