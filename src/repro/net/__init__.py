@@ -14,10 +14,10 @@ the first step of the multi-process scale-out
   Unix-domain) speaking the protocol in front of any
   lock-service-shaped backend, with request pipelining (many requests
   in flight per connection, responses matched by request id).
-* :mod:`repro.net.client` -- the client library: a pooled, pipelined
-  sync facade (drop-in for the surface :class:`LoadDriver` drives) and
-  the routed client that spreads sessions over a worker pool's
-  per-worker endpoints.
+* :mod:`repro.net.client` -- the client library: one pooled,
+  pipelined sync facade (drop-in for the surface :class:`LoadDriver`
+  drives) over one server or over a worker pool's per-worker
+  endpoints.
 """
 
 from repro.net.protocol import (

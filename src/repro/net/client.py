@@ -7,14 +7,17 @@ Three layers, innermost first:
   the same connection (pipelining).  There is no dedicated reader
   thread -- whichever requester finds the read side free becomes the
   reader and settles everyone's responses until its own arrives.
-* :class:`LockClient` -- a pool of connections presenting the
-  *service* surface the in-process stacks present
-  (``open_session`` / ``session()`` / ``lock_row`` / ``rollback`` /
-  ...), plus wire-only extras: ``lock_rows`` batching, ``stats``,
-  ``ping``.  Sessions are sticky to one connection because the server
-  binds session cleanup to the connection that opened them.
-* :class:`NetClientStack` -- the shim that makes a remote server look
-  like a :class:`~repro.service.stack.ServiceStack` to
+* :class:`RoutedLockClient` -- **the** client: connection pools to one
+  or more server endpoints presenting the *service* surface the
+  in-process stacks present (``open_session`` / ``session()`` /
+  ``lock_row`` / ``rollback`` / ...), plus wire-only extras:
+  ``lock_rows`` batching, ``stats``, ``ping``.  A single server is
+  simply ``RoutedLockClient([address])`` -- one route; a worker pool is
+  one route per worker, tables placed ``table_id % workers``.  Every
+  ``lock_row`` is the same request -- one packed frame out, one reply
+  in -- whether or not it is sampled for tracing.
+* :class:`RoutedClientStack` -- the shim that makes the remote side
+  look like a :class:`~repro.service.stack.ServiceStack` to
   :class:`~repro.service.driver.LoadDriver`: ``.service`` is the
   client, ``.admission`` is a *local* admission controller (back-
   pressure belongs at the edge; the server never queues admissions).
@@ -38,6 +41,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net import protocol as wire
 from repro.net.protocol import ConnectionLostError
+from repro.obs.tracing import SERVER_HOPS
 from repro.service.admission import AdmissionController
 from repro.service.service import _USE_DEFAULT
 
@@ -74,10 +78,6 @@ class _Pending:
         self.event = threading.Event()
         self.response: "Optional[int | wire.Response]" = None
         self.error: Optional[BaseException] = None
-
-    @property
-    def settled(self) -> bool:
-        return self.response is not None or self.error is not None
 
     def reset(self) -> None:
         # When the requester was its own reader the event was never
@@ -218,9 +218,10 @@ class ClientConnection:
     def _await(self, pending: _Pending) -> None:
         """Park until ``pending`` settles, reading the socket if free.
 
-        The event is a wakeup hint, not the truth: ``pending.settled``
-        is.  A retiring reader sets every still-pending event so one
-        parked thread picks up the reader role; the rest re-park.
+        The event is a wakeup hint, not the truth: a set ``response``
+        or ``error`` is.  A retiring reader sets every still-pending
+        event so one parked thread picks up the reader role; the rest
+        re-park.
         """
         while pending.response is None and pending.error is None:
             if self._reader_lock.acquire(blocking=False):
@@ -258,9 +259,7 @@ class ClientConnection:
                     else:
                         response = wire.decode_response(payload)
                         deliver(response.request_id, response, pending)
-        except ConnectionLostError as exc:
-            self._fail(exc)
-        except (OSError, wire.ProtocolError) as exc:
+        except (ConnectionLostError, OSError, wire.ProtocolError) as exc:
             self._fail(exc)
 
     def _handoff(self) -> None:
@@ -301,291 +300,6 @@ class ClientConnection:
         self._fail(ConnectionLostError("closed by client"))
 
 
-class LockClient:
-    """Pooled sync facade over one server, session-sticky.
-
-    Presents the same method surface (and raises the same exception
-    classes) as the in-process services, so code written against
-    :class:`LockService` -- including :class:`LoadDriver` -- drives a
-    remote server unchanged.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        pool_size: int = 2,
-        connect_timeout_s: float = 5.0,
-    ) -> None:
-        if pool_size <= 0:
-            raise ValueError(f"pool_size must be positive, got {pool_size}")
-        self.host = host
-        self.port = port
-        self.pool_size = pool_size
-        self.connect_timeout_s = connect_timeout_s
-        self._lock = threading.Lock()
-        self._pool: List[Optional[ClientConnection]] = [None] * pool_size
-        self._next_slot = 0
-        self._sessions: Dict[int, ClientConnection] = {}
-        #: Open-but-idle sessions per connection, recycled by
-        #: :meth:`session` to avoid an open/close round-trip pair per
-        #: transaction scope.
-        self._idle_sessions: Dict[ClientConnection, List[int]] = {}
-        self._closed = False
-        #: Connections replaced after dying (server restart forensics).
-        self.reconnects = 0
-
-    # -- pool management --
-
-    def _connection(self, slot: Optional[int] = None) -> ClientConnection:
-        with self._lock:
-            if self._closed:
-                raise ConnectionLostError("client is closed")
-            if slot is None:
-                slot = self._next_slot
-                self._next_slot = (self._next_slot + 1) % self.pool_size
-            conn = self._pool[slot]
-            if conn is not None and conn.alive:
-                return conn
-            if conn is not None:
-                self.reconnects += 1
-                self._idle_sessions.pop(conn, None)
-            conn = ClientConnection(
-                self.host, self.port, connect_timeout_s=self.connect_timeout_s
-            )
-            self._pool[slot] = conn
-            return conn
-
-    def _session_conn(self, app_id: int) -> ClientConnection:
-        conn = self._sessions.get(app_id)  # atomic read under the GIL
-        if conn is None:
-            raise wire.ServiceError(
-                f"app {app_id} has no live session on this client"
-            )
-        if not conn.alive:
-            # The server force-closed the session when the connection
-            # died; surface that instead of silently re-opening.
-            with self._lock:
-                self._sessions.pop(app_id, None)
-            raise ConnectionLostError(
-                f"session {app_id} was lost with its connection"
-            )
-        return conn
-
-    # -- the service surface --
-
-    def open_session(self) -> int:
-        conn = self._connection()
-        app_id = _value(conn.request(wire.encode_open_session))
-        with self._lock:
-            self._sessions[app_id] = conn
-        return app_id
-
-    def close_session(self, app_id: int, *, wait: bool = True) -> int:
-        """Close ``app_id`` (releasing all its locks server-side).
-
-        With ``wait=False`` the close is fire-and-forget: one send, no
-        round trip, return value 0.  The TCP stream still orders the
-        release before anything this client sends next, so the hot
-        open/lock/close transaction loop stays correct while paying
-        one round trip less per transaction.
-        """
-        conn = self._session_conn(app_id)
-        try:
-            if wait:
-                response = conn.request(
-                    lambda rid: wire.encode_close_session(rid, app_id)
-                )
-            else:
-                conn.send_only(
-                    wire.encode_close_session(0, app_id, no_reply=True)
-                )
-                response = 0
-        finally:
-            with self._lock:
-                self._sessions.pop(app_id, None)
-        return _value(response)
-
-    @contextlib.contextmanager
-    def session(self) -> Iterator[int]:
-        """A transaction scope: yields an app id, releases its locks on
-        exit.
-
-        Sessions are *recycled*: scope exit sends one fire-and-forget
-        ``release_all`` (the strict-2PL transaction boundary) and
-        parks the still-open session on a per-connection free list for
-        the next scope, so the steady-state cost of a scope is zero
-        round trips instead of the open/close pair.  Server-side
-        cleanup is unchanged -- recycled sessions stay bound to their
-        connection and are force-closed when it drops.
-        """
-        conn = self._connection()
-        app_id: Optional[int] = None
-        idle = self._idle_sessions.get(conn)
-        if idle:
-            # list.pop is atomic under the GIL; a concurrent pop on a
-            # just-emptied list surfaces as IndexError, not corruption.
-            try:
-                app_id = idle.pop()
-            except IndexError:
-                app_id = None
-        if app_id is None:
-            app_id = _value(conn.request(wire.encode_open_session))
-            with self._lock:
-                self._sessions[app_id] = conn
-        try:
-            yield app_id
-        finally:
-            recycled = False
-            with contextlib.suppress(ConnectionLostError):
-                conn.send_only(
-                    wire.encode_release_all(0, app_id, no_reply=True)
-                )
-                recycled = True
-            if recycled and not self._closed:
-                self._idle_sessions.setdefault(conn, []).append(app_id)
-            else:
-                self._sessions.pop(app_id, None)
-
-    def lock_row(
-        self,
-        app_id: int,
-        table_id: int,
-        row_id: int,
-        mode: Any,
-        timeout_s: object = _USE_DEFAULT,
-    ) -> None:
-        timeout = _wire_timeout(timeout_s)
-        mode_byte = wire.wire_mode(mode)
-        self._session_conn(app_id).request(
-            lambda rid: wire.pack_lock_row_frame(
-                rid, app_id, table_id, row_id, mode_byte, timeout
-            ),
-            raw=True,
-        )
-
-    def lock_table(
-        self,
-        app_id: int,
-        table_id: int,
-        mode: Any,
-        timeout_s: object = _USE_DEFAULT,
-    ) -> None:
-        timeout = _wire_timeout(timeout_s)
-        self._session_conn(app_id).request(
-            lambda rid: wire.encode_lock_table(
-                rid, app_id, table_id, wire.wire_mode(mode), timeout
-            )
-        )
-
-    def lock_rows(
-        self,
-        app_id: int,
-        accesses: Sequence[Tuple[int, int, Any]],
-        timeout_s: object = _USE_DEFAULT,
-    ) -> int:
-        """Batch: acquire every ``(table, row, mode)`` in one frame.
-
-        Returns the number granted.  On failure the locks granted
-        before the failing access are still held (exactly as if the
-        caller had looped ``lock_row``) -- roll back to shed them.
-        """
-        timeout = _wire_timeout(timeout_s)
-        triples = [(t, r, wire.wire_mode(m)) for t, r, m in accesses]
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_batch_lock(rid, app_id, triples, timeout)
-        )
-        return _value(response)
-
-    def release_read_lock(
-        self, app_id: int, table_id: int, row_id: int
-    ) -> bool:
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_unlock_read(rid, app_id, table_id, row_id)
-        )
-        return bool(_value(response))
-
-    def rollback(self, app_id: int) -> int:
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_release_all(rid, app_id)
-        )
-        return _value(response)
-
-    def cancel(self, app_id: int, message: str = "cancelled") -> bool:
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_cancel(rid, app_id)
-        )
-        return bool(_value(response))
-
-    # -- wire-only extras --
-
-    def stats(self) -> Dict[str, Any]:
-        response = self._connection().request(wire.encode_stats)
-        return json.loads(response.data.decode("utf-8"))
-
-    def ping(self) -> None:
-        self._connection().request(wire.encode_ping)
-
-    @property
-    def session_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            conns = [c for c in self._pool if c is not None]
-            self._pool = [None] * self.pool_size
-            self._sessions.clear()
-        for conn in conns:
-            conn.close()
-
-    def __enter__(self) -> "LockClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class NetClientStack:
-    """Make a remote lock server drivable by :class:`LoadDriver`.
-
-    The driver touches exactly two attributes of its stack --
-    ``.service`` and ``.admission`` -- so this shim provides a
-    :class:`LockClient` as the service and a client-side
-    :class:`AdmissionController` for back-pressure (the wire protocol
-    deliberately has no admission op: shedding load *before* it hits
-    the socket is the whole point of admission control).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        pool_size: int = 2,
-        max_in_flight: int = 64,
-        max_queue_depth: int = 256,
-    ) -> None:
-        self.service = LockClient(host, port, pool_size=pool_size)
-        self.admission = AdmissionController(
-            max_in_flight=max_in_flight, max_queue_depth=max_queue_depth
-        )
-
-    def close(self) -> None:
-        self.admission.close()
-        self.service.close()
-
-    def __enter__(self) -> "NetClientStack":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class _RoutedSession:
     """One routed transaction scope: app id + per-worker connections.
 
@@ -604,22 +318,31 @@ class _RoutedSession:
 
 
 class RoutedLockClient:
-    """Client-side router over a worker pool's per-worker endpoints.
+    """Pooled sync client over one or more server endpoints.
+
+    Presents the same method surface (and raises the same exception
+    classes) as the in-process services, so code written against
+    :class:`LockService` -- including :class:`LoadDriver` -- drives a
+    remote server, or a multi-process pool, unchanged.
 
     Tables are routed ``table_id % workers`` -- the same deterministic
     placement :func:`repro.service.sharded.shard_of` uses -- so every
-    lock request goes straight to the worker that owns the table, with
-    no intermediate hop.  Sessions open on a round-robin *home* worker
-    and are lazily **adopted** (``OP_ADOPT_SESSION``) by other workers
-    on first touch; worker-allocated app ids come from disjoint
-    arithmetic progressions, so adoption never collides.
+    lock request goes straight to the server that owns the table (with
+    one endpoint, the only server).  Sessions open on a round-robin
+    *home* worker and are lazily **adopted** (``OP_ADOPT_SESSION``) by
+    other workers on first touch; worker-allocated app ids come from
+    disjoint arithmetic progressions, so adoption never collides.  A
+    session stays on the connections it was registered on, because a
+    server binds session cleanup to the connection that opened (or
+    adopted) it.
 
-    Presents the same service surface as :class:`LockClient`, so
-    :class:`LoadDriver` drives a multi-process pool unchanged.
-    Sessions are recycled exactly like :class:`LockClient.session`:
-    scope exit fans one fire-and-forget ``release_all`` out to every
-    adopted worker (strict 2PL commit across the pool) and parks the
-    record for the next scope, keeping adoption warm.
+    Sessions are *recycled*: ``session()`` scope exit fans one
+    fire-and-forget ``release_all`` (the strict-2PL transaction
+    boundary) out to every worker the session touched and parks the
+    still-open record for the next scope, so a steady-state scope
+    costs zero round trips instead of an open/close pair and adoption
+    stays warm.  Recycled sessions are force-closed server-side when
+    their connection drops, like any other.
     """
 
     def __init__(
@@ -652,8 +375,8 @@ class RoutedLockClient:
         self.reconnects = 0
         #: Optional end-to-end request tracer
         #: (:class:`repro.obs.tracing.RequestTracer`).  Sampled lock_row
-        #: calls take the traced path; everything else pays exactly one
-        #: None check here (the disabled-overhead contract).
+        #: calls carry the trace tail; without a tracer a call pays
+        #: exactly one None check (the disabled-overhead contract).
         self._tracer = tracer
         #: Optional per-worker wire-latency histograms (one observation
         #: per lock_row round trip, labeled by worker).
@@ -702,6 +425,18 @@ class RoutedLockClient:
             )
         return rec
 
+    def _route(
+        self, app_id: int, table_id: int
+    ) -> Tuple[int, ClientConnection]:
+        """``table_id``'s worker and the session's connection to it
+        (adopting the session there on first touch)."""
+        rec = self._rec(app_id)
+        worker = table_id % self._n
+        conn = rec.conns.get(worker)
+        if conn is None:
+            conn = self._adopt(rec, worker)
+        return worker, conn
+
     def _adopt(self, rec: _RoutedSession, worker: int) -> ClientConnection:
         conn = self._conn(worker)
         conn.request(
@@ -721,32 +456,35 @@ class RoutedLockClient:
         return app_id
 
     def close_session(self, app_id: int, *, wait: bool = True) -> int:
+        """Close ``app_id`` (releasing all its locks server-side).
+
+        ``wait=False`` is fire-and-forget: one send per worker, no round
+        trip, returns 0; the stream still orders it before later sends.
+        """
         rec = self._rec(app_id)
-        released = 0
+        if not wait:
+            self._discard(rec)
+            return 0
         try:
-            for conn in rec.conns.values():
-                if not conn.alive:
-                    continue
-                if wait:
-                    released += _value(
-                        conn.request(
-                            lambda rid: wire.encode_close_session(
-                                rid, app_id
-                            )
-                        )
-                    )
-                else:
-                    with contextlib.suppress(ConnectionLostError):
-                        conn.send_only(
-                            wire.encode_close_session(
-                                0, app_id, no_reply=True
-                            )
-                        )
+            return sum(
+                self._fan_out(rec, wire.encode_close_session, alive_only=True)
+            )
         finally:
             self._recs.pop(app_id, None)
-        return released
+
+    def _fan_out(
+        self, rec: _RoutedSession, encode, *, alive_only: bool = False
+    ) -> List[int]:
+        """``encode(rid, app_id)`` to every worker the session touched,
+        one round trip each; the workers' integer results."""
+        return [
+            _value(conn.request(lambda rid: encode(rid, rec.app_id)))
+            for conn in rec.conns.values()
+            if conn.alive or not alive_only
+        ]
 
     def _discard(self, rec: _RoutedSession) -> None:
+        """Forget ``rec``, closing it server-side fire-and-forget."""
         self._recs.pop(rec.app_id, None)
         for conn in rec.conns.values():
             if conn.alive:
@@ -759,7 +497,8 @@ class RoutedLockClient:
 
     @contextlib.contextmanager
     def session(self) -> Iterator[int]:
-        """A transaction scope across the pool (recycled, see class doc)."""
+        """A transaction scope: an app id whose locks are released on
+        exit (recycled, see class doc)."""
         rec: Optional[_RoutedSession] = None
         while rec is None:
             try:
@@ -771,11 +510,7 @@ class RoutedLockClient:
             else:
                 self._discard(candidate)
         if rec is None:
-            home = next(self._rr) % self._n
-            conn = self._conn(home)
-            app_id = _value(conn.request(wire.encode_open_session))
-            rec = _RoutedSession(app_id, {home: conn})
-            self._recs[app_id] = rec
+            rec = self._recs[self.open_session()]
         try:
             yield rec.app_id
         finally:
@@ -807,126 +542,97 @@ class RoutedLockClient:
         mode: Any,
         timeout_s: object = _USE_DEFAULT,
     ) -> None:
-        rec = self._rec(app_id)
-        worker = table_id % self._n
-        conn = rec.conns.get(worker)
-        if conn is None:
-            conn = self._adopt(rec, worker)
+        """One LOCK_ROW round trip: one packed frame out, one reply in.
+
+        A sampled request sends the same frame plus the trace tail and
+        is decomposed into hops on the way back; with neither tracer
+        nor latency histogram configured the clock is never read.
+        Session adoption (if any) comes first, outside the trace window.
+        """
+        worker, conn = self._route(app_id, table_id)
         timeout = _wire_timeout(timeout_s)
         mode_byte = wire.wire_mode(mode)
+        ctx = trace = None
         if self._tracer is not None:
             ctx = self._tracer.maybe_trace()
             if ctx is not None:
-                self._lock_row_traced(
-                    ctx, conn, worker, app_id, table_id, row_id,
-                    mode_byte, timeout,
-                )
-                return
-        if self._lat is None:
-            conn.request(
-                lambda rid: wire.pack_lock_row_frame(
-                    rid, app_id, table_id, row_id, mode_byte, timeout
-                ),
-                raw=True,
-            )
-            return
-        started = time.perf_counter()
-        conn.request(
-            lambda rid: wire.pack_lock_row_frame(
-                rid, app_id, table_id, row_id, mode_byte, timeout
-            ),
-            raw=True,
-        )
-        self._lat[worker].observe(time.perf_counter() - started)
+                trace = (ctx.trace_id, ctx.span_id, True)
+        started = packed = 0.0
+        if ctx is not None or self._lat is not None:
+            started = time.perf_counter()
 
-    def _lock_row_traced(
+        def build(rid: int) -> bytes:
+            nonlocal packed
+            frame = wire.pack_lock_row_frame(
+                rid, app_id, table_id, row_id, mode_byte, timeout, trace
+            )
+            if trace is not None:
+                packed = time.perf_counter()  # client.encode ends here
+            return frame
+
+        try:
+            response = conn.request(build, raw=True)
+        except BaseException as exc:
+            response = exc
+            raise
+        else:
+            if self._lat is not None:
+                self._lat[worker].observe(time.perf_counter() - started)
+        finally:
+            if ctx is not None:
+                self._land(
+                    ctx, started, packed or started, response, worker,
+                    app_id, table_id, row_id, mode_byte,
+                )
+
+    def _land(
         self,
         ctx: Any,
-        conn: ClientConnection,
+        started: float,
+        packed: float,
+        result: "int | wire.Response | BaseException",
         worker: int,
         app_id: int,
         table_id: int,
         row_id: int,
         mode_byte: int,
-        timeout: Optional[float],
     ) -> None:
-        """One sampled lock_row round trip, decomposed into hops.
+        """Finish a sampled request's trace from its clock stamps.
 
-        The payload is pre-built with request id 0 (that pack is the
-        ``client.encode`` hop) and the per-request id spliced in with
-        :func:`~repro.net.protocol.rewrite_request_id`, so the timed
-        encode work happens exactly once.  The server ships its four
-        hop durations back as the OK payload; subtracting their sum
-        from the observed wall wait leaves the disjoint
-        ``client.net_wait`` hop, so the hops sum to the end-to-end
-        latency.  Session adoption (if any) happened before this
-        method, outside the trace window -- an adopted worker adds no
-        extra hops.
+        The server ships its four hop durations back as the OK payload;
+        subtracting their sum from the observed wall wait leaves the
+        disjoint ``client.net_wait`` hop, so the hops sum to the
+        end-to-end latency.  A failed request (or an old peer that
+        ignored the trace tail) reports none: the whole wait is net.
         """
-        perf = time.perf_counter
-        t0 = perf()
-        payload = wire.encode_lock_row(
-            0, app_id, table_id, row_id, mode_byte, timeout,
-            trace=(ctx.trace_id, ctx.span_id, True),
-        )
-        t1 = perf()
-        try:
-            response = conn.request(
-                lambda rid: wire.rewrite_request_id(payload, rid)
-            )
-        except BaseException as exc:
-            t2 = perf()
-            self._tracer.finish(
-                ctx,
-                t2 - t0,
-                {
-                    "client.encode": t1 - t0,
-                    "client.net_wait": t2 - t1,
-                    "client.decode": 0.0,
-                },
-                worker=worker,
-                app_id=app_id,
-                table_id=table_id,
-                row_id=row_id,
-                mode=str(mode_byte),
-                outcome=type(exc).__name__,
-            )
-            raise
-        t2 = perf()
-        wall = t2 - t1
-        data = b"" if response.__class__ is int else response.data
-        report = wire.parse_hop_report(data)
-        t3 = perf()
+        replied = time.perf_counter()
+        report = None
+        outcome = "ok"
+        if isinstance(result, BaseException):
+            outcome = type(result).__name__
+        elif result.__class__ is not int:
+            report = wire.parse_hop_report(result.data)
+        decoded = time.perf_counter()
+        wall = replied - packed
         hops = {
-            "client.encode": t1 - t0,
-            "client.decode": t3 - t2,
+            "client.encode": packed - started,
+            "client.net_wait": wall,
+            "client.decode": decoded - replied,
         }
         if report is not None:
-            dispatch_s, lock_wait_s, park_s, reply_s = report
-            hops["server.dispatch"] = dispatch_s
-            hops["server.lock_wait"] = lock_wait_s
-            hops["server.executor_park"] = park_s
-            hops["server.reply_encode"] = reply_s
-            hops["client.net_wait"] = max(
-                0.0, wall - (dispatch_s + lock_wait_s + park_s + reply_s)
-            )
-        else:
-            # An old peer ignored the trace tail (or stripped the
-            # report): the whole wall wait is net as far as we can see.
-            hops["client.net_wait"] = wall
+            hops.update(zip(SERVER_HOPS, report))
+            hops["client.net_wait"] = max(0.0, wall - sum(report))
         self._tracer.finish(
             ctx,
-            t3 - t0,
+            decoded - started,
             hops,
             worker=worker,
             app_id=app_id,
             table_id=table_id,
             row_id=row_id,
             mode=str(mode_byte),
-            outcome="ok",
+            outcome=outcome,
         )
-        if self._lat is not None:
-            self._lat[worker].observe(wall)
 
     def lock_table(
         self,
@@ -935,9 +641,7 @@ class RoutedLockClient:
         mode: Any,
         timeout_s: object = _USE_DEFAULT,
     ) -> None:
-        rec = self._rec(app_id)
-        worker = table_id % self._n
-        conn = rec.conns.get(worker) or self._adopt(rec, worker)
+        _worker, conn = self._route(app_id, table_id)
         timeout = _wire_timeout(timeout_s)
         conn.request(
             lambda rid: wire.encode_lock_table(
@@ -961,22 +665,17 @@ class RoutedLockClient:
         rec = self._rec(app_id)
         timeout = _wire_timeout(timeout_s)
         by_worker: Dict[int, List[Tuple[int, int, int]]] = {}
-        order: List[int] = []
         for table_id, row_id, mode in accesses:
-            worker = table_id % self._n
-            if worker not in by_worker:
-                by_worker[worker] = []
-                order.append(worker)
-            by_worker[worker].append(
+            by_worker.setdefault(table_id % self._n, []).append(
                 (table_id, row_id, wire.wire_mode(mode))
             )
         granted = 0
-        for worker in order:
+        for worker, triples in by_worker.items():  # first-touch order
             conn = rec.conns.get(worker) or self._adopt(rec, worker)
             granted += _value(
                 conn.request(
-                    lambda rid, w=worker: wire.encode_batch_lock(
-                        rid, app_id, by_worker[w], timeout
+                    lambda rid: wire.encode_batch_lock(
+                        rid, app_id, triples, timeout
                     )
                 )
             )
@@ -985,34 +684,17 @@ class RoutedLockClient:
     def release_read_lock(
         self, app_id: int, table_id: int, row_id: int
     ) -> bool:
-        rec = self._rec(app_id)
-        worker = table_id % self._n
-        conn = rec.conns.get(worker) or self._adopt(rec, worker)
+        _worker, conn = self._route(app_id, table_id)
         response = conn.request(
             lambda rid: wire.encode_unlock_read(rid, app_id, table_id, row_id)
         )
         return bool(_value(response))
 
     def rollback(self, app_id: int) -> int:
-        rec = self._rec(app_id)
-        released = 0
-        for conn in rec.conns.values():
-            released += _value(
-                conn.request(
-                    lambda rid: wire.encode_release_all(rid, app_id)
-                )
-            )
-        return released
+        return sum(self._fan_out(self._rec(app_id), wire.encode_release_all))
 
     def cancel(self, app_id: int, message: str = "cancelled") -> bool:
-        rec = self._rec(app_id)
-        cancelled = False
-        for conn in rec.conns.values():
-            response = conn.request(
-                lambda rid: wire.encode_cancel(rid, app_id)
-            )
-            cancelled = cancelled or bool(_value(response))
-        return cancelled
+        return any(self._fan_out(self._rec(app_id), wire.encode_cancel))
 
     # -- wire-only extras --
 
@@ -1057,11 +739,15 @@ class RoutedLockClient:
 
 
 class RoutedClientStack:
-    """Make a worker pool drivable by :class:`LoadDriver`.
+    """Make a remote server or worker pool drivable by :class:`LoadDriver`.
 
-    Same shape as :class:`NetClientStack` -- ``.service`` plus a local
-    ``.admission`` -- but the service is a :class:`RoutedLockClient`
-    over every worker endpoint.
+    The driver touches exactly two attributes of its stack --
+    ``.service`` and ``.admission`` -- so this shim provides a
+    :class:`RoutedLockClient` over ``endpoints`` as the service and a
+    client-side :class:`AdmissionController` for back-pressure (the
+    wire protocol deliberately has no admission op: shedding load
+    *before* it hits the socket is the whole point of admission
+    control).
     """
 
     def __init__(
@@ -1095,8 +781,6 @@ class RoutedClientStack:
 __all__ = [
     "ClientConnection",
     "ConnectionLostError",
-    "LockClient",
-    "NetClientStack",
     "RoutedClientStack",
     "RoutedLockClient",
 ]

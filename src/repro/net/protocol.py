@@ -1,7 +1,6 @@
 """The lock-service wire protocol: framing + message codec.
 
-Every message -- request or response, client-to-server or
-router-to-worker -- is one **frame**::
+Every message -- request or response -- is one **frame**::
 
     +----------------+----------------------------------------+
     | length (u32 BE)| payload (length bytes)                 |
@@ -17,9 +16,13 @@ followed by an operation-specific body.  The request id is chosen by
 the sender and echoed verbatim in the response, which is what makes
 **pipelining** work: a connection may have any number of requests in
 flight, responses come back in completion order, and each side matches
-them by id.  The router additionally exploits the fixed header layout
-to splice its own ids into relayed frames without re-encoding bodies
-(:func:`rewrite_request_id`).
+them by id.
+
+What follows the header is written down exactly once, in the
+**frame-layout table** (:data:`_BODY` plus the timeout and trace tail
+fragments): the dataclass codec (``encode_*`` / ``decode_*``) and the
+one-call hot-path helpers (``pack_*`` / ``try_parse_*``) are both built
+from it, so they cannot disagree about a byte.
 
 Numbers are big-endian (network order) throughout.  Frames are bounded
 by :data:`MAX_FRAME_BYTES`; a peer announcing a larger frame is
@@ -85,8 +88,10 @@ class ConnectionLostError(ServiceError):
 #: below anything that could pressure memory.
 MAX_FRAME_BYTES = 1 << 20
 
-_LEN = struct.Struct("!I")
-_HEADER = struct.Struct("!BBQ")
+_LEN_FMT = "I"  # frame length prefix
+_HEADER_FMT = "BBQ"  # msg type, flags, request id
+_LEN = struct.Struct("!" + _LEN_FMT)
+_HEADER = struct.Struct("!" + _HEADER_FMT)
 HEADER_BYTES = _HEADER.size
 
 # -- message types ----------------------------------------------------------
@@ -106,20 +111,6 @@ OP_PING = 0x0B
 RESP_OK = 0x80
 RESP_ERR = 0x81
 
-REQUEST_NAMES = {
-    OP_OPEN_SESSION: "open_session",
-    OP_CLOSE_SESSION: "close_session",
-    OP_LOCK_ROW: "lock_row",
-    OP_LOCK_TABLE: "lock_table",
-    OP_BATCH_LOCK: "batch_lock",
-    OP_UNLOCK_READ: "unlock_read",
-    OP_RELEASE_ALL: "release_all",
-    OP_ADOPT_SESSION: "adopt_session",
-    OP_CANCEL: "cancel",
-    OP_STATS: "stats",
-    OP_PING: "ping",
-}
-
 #: flags bit 0: the request carries an explicit timeout (f64 seconds
 #: follows the fixed body); unset means "use the server default".
 FLAG_HAS_TIMEOUT = 0x01
@@ -133,19 +124,15 @@ FLAG_NO_REPLY = 0x02
 #: flags bit 2: the frame carries a trailing 17-byte trace context
 #: (trace id u64, span id u64, sampled u8) -- the distributed-tracing
 #: extension (see :mod:`repro.obs.tracing`).  The tail sits at the very
-#: end of the frame, *after* any timeout tail, and is stripped first
-#: during decode.  Because the codec enforces exact body sizes, a peer
-#: that predates this flag rejects traced frames cleanly instead of
-#: misparsing them -- so the extension is **capability-gated**: a
+#: end of the frame, *after* any timeout tail.  Because the codec
+#: enforces exact payload sizes, a peer that predates this flag rejects
+#: traced frames cleanly instead of misparsing them -- so the extension
+#: is **capability-gated**: a
 #: client only attaches trace context when explicitly configured with a
 #: tracer (both ends of an in-repo deployment speak the same version),
 #: and untraced frames remain byte-identical to the pre-extension
 #: format.
 FLAG_TRACE = 0x04
-
-#: The trace-context tail: trace id, span id, sampled.
-_TRACE_CTX = struct.Struct("!QQB")
-TRACE_CTX_BYTES = _TRACE_CTX.size
 
 # -- the closed error-code vocabulary ---------------------------------------
 
@@ -274,7 +261,104 @@ def split_frames(data: bytes, decoder: FrameDecoder) -> List[bytes]:
     return out
 
 
+# -- the frame-layout table -------------------------------------------------
+#
+# Every wire shape is spelled here, once, as ``struct`` format
+# fragments: a payload is the header, the op's body, and -- flags
+# permitting -- the timeout tail, then the trace tail; BATCH_LOCK alone
+# repeats a fragment (one per access) between body and tails.  Both
+# codecs below are generated from this table.
+
+_TIMEOUT_FMT = "d"  # FLAG_HAS_TIMEOUT tail: seconds (negative = unbounded)
+_TRACE_FMT = "QQB"  # FLAG_TRACE tail: trace id, span id, sampled
+_ACCESS_FMT = "qqB"  # one BATCH_LOCK access: table, row, mode
+TRACE_CTX_BYTES = struct.calcsize("!" + _TRACE_FMT)
+
+#: op -> (name, body format, the :class:`Request` / :class:`Response`
+#: fields the body fills, in order).
+_BODY: Dict[int, Tuple[str, str, Tuple[str, ...]]] = {
+    OP_OPEN_SESSION: ("open_session", "", ()),
+    OP_CLOSE_SESSION: ("close_session", "Q", ("app_id",)),
+    OP_LOCK_ROW: (
+        "lock_row", "QqqB", ("app_id", "table_id", "row_id", "mode")
+    ),
+    OP_LOCK_TABLE: ("lock_table", "QqB", ("app_id", "table_id", "mode")),
+    # ... + access count, then that many _ACCESS_FMT triples.
+    OP_BATCH_LOCK: ("batch_lock", "QI", ("app_id",)),
+    OP_UNLOCK_READ: ("unlock_read", "Qqq", ("app_id", "table_id", "row_id")),
+    OP_RELEASE_ALL: ("release_all", "Q", ("app_id",)),
+    OP_ADOPT_SESSION: ("adopt_session", "Q", ("app_id",)),
+    OP_CANCEL: ("cancel", "Q", ("app_id",)),
+    OP_STATS: ("stats", "", ()),
+    OP_PING: ("ping", "", ()),
+    # ... + data bytes (OK) / UTF-8 message (error) to the frame's end.
+    RESP_OK: ("ok", "q", ("value",)),
+    RESP_ERR: ("error", "H", ("error_code",)),
+}
+#: The ops that may wait for a lock, hence the ones that may carry the
+#: timeout tail (the trace tail is legal on every request); any other
+#: op only ever takes the service mutex for microseconds.
+WAITING_OPS = frozenset({OP_LOCK_ROW, OP_LOCK_TABLE, OP_BATCH_LOCK})
+
+#: Batches larger than this are rejected before execution; combined
+#: with MAX_FRAME_BYTES it bounds per-request server work.
+MAX_BATCH_ACCESSES = 4096
+
+_Layout = Tuple[struct.Struct, struct.Struct, struct.Struct]
+_LAYOUTS: Dict[Tuple[int, int], _Layout] = {}
+
+
+def _layout(op: int, tails: int = 0, accesses: int = 0) -> _Layout:
+    """The three views of one wire shape, all from one format string.
+
+    ``(frame, payload, fields)``: ``frame`` packs length prefix plus
+    payload in one call, ``payload`` the payload alone, ``fields``
+    unpacks a payload from the request id on (op and flags, read as
+    bytes first, pick the layout).  Fixed shapes are built once; a
+    batch's depends on its access count and is built per call, so a
+    peer cycling counts cannot grow the table.
+    """
+    layout = _LAYOUTS.get((op, tails)) if not accesses else None
+    if layout is None:
+        fmt = _HEADER_FMT + _BODY[op][1] + _ACCESS_FMT * accesses
+        if tails & FLAG_HAS_TIMEOUT:
+            fmt += _TIMEOUT_FMT
+        if tails & FLAG_TRACE:
+            fmt += _TRACE_FMT
+        layout = (
+            struct.Struct("!" + _LEN_FMT + fmt),
+            struct.Struct("!" + fmt),
+            struct.Struct("!xx" + fmt[2:]),  # pad over op and flags
+        )
+        if not accesses:
+            _LAYOUTS[op, tails] = layout
+    return layout
+
+
+def _tails(
+    timeout_s: Optional[float], trace: Optional[Tuple[int, int, bool]]
+) -> Tuple[int, tuple]:
+    """Flag bits and packed values of the optional tails, in wire order."""
+    if timeout_s is None:
+        flags, values = 0, ()
+    else:
+        flags, values = FLAG_HAS_TIMEOUT, (timeout_s,)
+    if trace is not None:
+        trace_id, span_id, sampled = trace
+        flags |= FLAG_TRACE
+        values += (trace_id, span_id, 1 if sampled else 0)
+    return flags, values
+
+
 # -- requests ---------------------------------------------------------------
+
+
+def lock_mode(byte: int) -> LockMode:
+    """The lock mode a wire byte names (raises :class:`ProtocolError`)."""
+    try:
+        return WIRE_TO_MODE[byte]
+    except KeyError:
+        raise ProtocolError(f"unknown lock mode byte {byte}") from None
 
 
 @dataclass
@@ -292,7 +376,6 @@ class Request:
     no_reply: bool = False
     #: BATCH_LOCK only: (table_id, row_id, mode) triples, in order.
     accesses: List[Tuple[int, int, int]] = field(default_factory=list)
-    message: str = ""
     #: FLAG_TRACE extension: propagated trace context (0 = untraced).
     trace_id: int = 0
     trace_span: int = 0
@@ -300,73 +383,48 @@ class Request:
 
     @property
     def lock_mode(self) -> LockMode:
-        try:
-            return WIRE_TO_MODE[self.mode]
-        except KeyError:
-            raise ProtocolError(f"unknown lock mode byte {self.mode}")
+        return lock_mode(self.mode)
 
 
-_BODY_SESSION = struct.Struct("!Q")  # app_id
-_BODY_LOCK_ROW = struct.Struct("!QqqB")  # app, table, row, mode
-_BODY_LOCK_TABLE = struct.Struct("!QqB")  # app, table, mode
-_BODY_BATCH_HEAD = struct.Struct("!QI")  # app, access count
-_BODY_ACCESS = struct.Struct("!qqB")  # table, row, mode
-_BODY_UNLOCK = struct.Struct("!Qqq")  # app, table, row
-_TIMEOUT = struct.Struct("!d")
-
-#: Batches larger than this are rejected before execution; combined
-#: with MAX_FRAME_BYTES it bounds per-request server work.
-MAX_BATCH_ACCESSES = 4096
-
-
-def _header(op: int, request_id: int, flags: int = 0) -> bytes:
-    return _HEADER.pack(op, flags, request_id)
-
-
-def _timeout_tail(timeout_s: Optional[float]) -> Tuple[int, bytes]:
-    if timeout_s is None:
-        return 0, b""
-    return FLAG_HAS_TIMEOUT, _TIMEOUT.pack(timeout_s)
-
-
-def _trace_tail(
-    trace: Optional[Tuple[int, int, bool]]
-) -> Tuple[int, bytes]:
-    """Flag bit + packed tail for a ``(trace_id, span_id, sampled)``."""
-    if trace is None:
-        return 0, b""
-    trace_id, span_id, sampled = trace
-    return FLAG_TRACE, _TRACE_CTX.pack(trace_id, span_id, 1 if sampled else 0)
+def _encode(
+    op: int,
+    request_id: int,
+    body: tuple = (),
+    timeout_s: Optional[float] = None,
+    trace: Optional[Tuple[int, int, bool]] = None,
+    *,
+    no_reply: bool = False,
+    accesses: int = 0,
+) -> bytes:
+    """The payload of one request, packed by its layout."""
+    tails, tail_values = _tails(timeout_s, trace)
+    flags = tails | FLAG_NO_REPLY if no_reply else tails
+    payload = _layout(op, tails, accesses)[1]
+    return payload.pack(op, flags, request_id, *body, *tail_values)
 
 
 def encode_open_session(request_id: int) -> bytes:
-    return _header(OP_OPEN_SESSION, request_id)
+    return _encode(OP_OPEN_SESSION, request_id)
 
 
 def encode_close_session(
     request_id: int, app_id: int, *, no_reply: bool = False
 ) -> bytes:
-    flags = FLAG_NO_REPLY if no_reply else 0
-    return _header(OP_CLOSE_SESSION, request_id, flags) + _BODY_SESSION.pack(
-        app_id
-    )
+    return _encode(OP_CLOSE_SESSION, request_id, (app_id,), no_reply=no_reply)
 
 
 def encode_adopt_session(request_id: int, app_id: int) -> bytes:
-    return _header(OP_ADOPT_SESSION, request_id) + _BODY_SESSION.pack(app_id)
+    return _encode(OP_ADOPT_SESSION, request_id, (app_id,))
 
 
 def encode_release_all(
     request_id: int, app_id: int, *, no_reply: bool = False
 ) -> bytes:
-    flags = FLAG_NO_REPLY if no_reply else 0
-    return _header(OP_RELEASE_ALL, request_id, flags) + _BODY_SESSION.pack(
-        app_id
-    )
+    return _encode(OP_RELEASE_ALL, request_id, (app_id,), no_reply=no_reply)
 
 
 def encode_cancel(request_id: int, app_id: int) -> bytes:
-    return _header(OP_CANCEL, request_id) + _BODY_SESSION.pack(app_id)
+    return _encode(OP_CANCEL, request_id, (app_id,))
 
 
 def encode_lock_row(
@@ -378,13 +436,37 @@ def encode_lock_row(
     timeout_s: Optional[float] = None,
     trace: Optional[Tuple[int, int, bool]] = None,
 ) -> bytes:
-    flags, tail = _timeout_tail(timeout_s)
-    trace_flag, trace_tail = _trace_tail(trace)
-    return (
-        _header(OP_LOCK_ROW, request_id, flags | trace_flag)
-        + _BODY_LOCK_ROW.pack(app_id, table_id, row_id, mode)
-        + tail
-        + trace_tail
+    return _encode(
+        OP_LOCK_ROW, request_id, (app_id, table_id, row_id, mode),
+        timeout_s, trace,
+    )
+
+
+#: tails -> layout of the four LOCK_ROW shapes, for the hot path.
+_LOCK_ROW = {
+    tails: _layout(OP_LOCK_ROW, tails)
+    for tails in (
+        0, FLAG_HAS_TIMEOUT, FLAG_TRACE, FLAG_HAS_TIMEOUT | FLAG_TRACE
+    )
+}
+
+
+def pack_lock_row_frame(
+    request_id: int,
+    app_id: int,
+    table_id: int,
+    row_id: int,
+    mode: int,
+    timeout_s: Optional[float] = None,
+    trace: Optional[Tuple[int, int, bool]] = None,
+) -> bytes:
+    """``encode_frame(encode_lock_row(...))`` in one pack, for the one
+    op that dominates every wire byte."""
+    tails, tail_values = _tails(timeout_s, trace)
+    frame, payload, _ = _LOCK_ROW[tails]
+    return frame.pack(
+        payload.size, OP_LOCK_ROW, tails, request_id,
+        app_id, table_id, row_id, mode, *tail_values,
     )
 
 
@@ -395,11 +477,8 @@ def encode_lock_table(
     mode: int,
     timeout_s: Optional[float] = None,
 ) -> bytes:
-    flags, tail = _timeout_tail(timeout_s)
-    return (
-        _header(OP_LOCK_TABLE, request_id, flags)
-        + _BODY_LOCK_TABLE.pack(app_id, table_id, mode)
-        + tail
+    return _encode(
+        OP_LOCK_TABLE, request_id, (app_id, table_id, mode), timeout_s
     )
 
 
@@ -413,32 +492,24 @@ def encode_batch_lock(
         raise ProtocolError(
             f"batch of {len(accesses)} accesses exceeds {MAX_BATCH_ACCESSES}"
         )
-    flags, tail = _timeout_tail(timeout_s)
-    parts = [
-        _header(OP_BATCH_LOCK, request_id, flags),
-        _BODY_BATCH_HEAD.pack(app_id, len(accesses)),
-    ]
-    parts.extend(
-        _BODY_ACCESS.pack(table, row, mode) for table, row, mode in accesses
+    body = (app_id, len(accesses), *(v for access in accesses for v in access))
+    return _encode(
+        OP_BATCH_LOCK, request_id, body, timeout_s, accesses=len(accesses)
     )
-    parts.append(tail)
-    return b"".join(parts)
 
 
 def encode_unlock_read(
     request_id: int, app_id: int, table_id: int, row_id: int
 ) -> bytes:
-    return _header(OP_UNLOCK_READ, request_id) + _BODY_UNLOCK.pack(
-        app_id, table_id, row_id
-    )
+    return _encode(OP_UNLOCK_READ, request_id, (app_id, table_id, row_id))
 
 
 def encode_stats(request_id: int) -> bytes:
-    return _header(OP_STATS, request_id)
+    return _encode(OP_STATS, request_id)
 
 
 def encode_ping(request_id: int) -> bytes:
-    return _header(OP_PING, request_id)
+    return _encode(OP_PING, request_id)
 
 
 def decode_request(payload: bytes) -> Request:
@@ -448,83 +519,73 @@ def decode_request(payload: bytes) -> Request:
             f"request payload of {len(payload)} bytes is shorter than the "
             f"{HEADER_BYTES}-byte header"
         )
-    op, flags, request_id = _HEADER.unpack_from(payload)
-    body = memoryview(payload)[HEADER_BYTES:]
-    req = Request(op=op, request_id=request_id)
-    if flags & FLAG_NO_REPLY:
-        req.no_reply = True
-    if flags & FLAG_TRACE:
-        # The trace tail is always the last thing in the frame; strip
-        # it before the per-op parsing (which strips the timeout tail).
-        if len(body) < _TRACE_CTX.size:
-            raise ProtocolError("trace flag set but no trace context present")
-        req.trace_id, req.trace_span, sampled = _TRACE_CTX.unpack(
-            body[-_TRACE_CTX.size :]
-        )
-        req.trace_sampled = bool(sampled)
-        body = body[: -_TRACE_CTX.size]
-    try:
-        if op in (OP_OPEN_SESSION, OP_STATS, OP_PING):
-            _expect(body, 0)
-        elif op in (
-            OP_CLOSE_SESSION,
-            OP_RELEASE_ALL,
-            OP_ADOPT_SESSION,
-            OP_CANCEL,
-        ):
-            _expect(body, _BODY_SESSION.size)
-            (req.app_id,) = _BODY_SESSION.unpack(body)
-        elif op == OP_LOCK_ROW:
-            body = _split_timeout(req, flags, body)
-            _expect(body, _BODY_LOCK_ROW.size)
-            req.app_id, req.table_id, req.row_id, req.mode = (
-                _BODY_LOCK_ROW.unpack(body)
+    op, flags = payload[0], payload[1]
+    if op >= RESP_OK or op not in _BODY:
+        raise ProtocolError(f"unknown request op 0x{op:02x}")
+    name, _fmt, attrs = _BODY[op]
+    tails = flags & FLAG_TRACE
+    if op in WAITING_OPS:
+        tails |= flags & FLAG_HAS_TIMEOUT
+    count = 0
+    if op == OP_BATCH_LOCK:
+        head = _layout(op)[2]
+        if len(payload) < head.size:
+            raise ProtocolError("batch header truncated")
+        count = head.unpack_from(payload)[2]
+        if count > MAX_BATCH_ACCESSES:
+            raise ProtocolError(
+                f"batch of {count} accesses exceeds {MAX_BATCH_ACCESSES}"
             )
-        elif op == OP_LOCK_TABLE:
-            body = _split_timeout(req, flags, body)
-            _expect(body, _BODY_LOCK_TABLE.size)
-            req.app_id, req.table_id, req.mode = _BODY_LOCK_TABLE.unpack(body)
-        elif op == OP_BATCH_LOCK:
-            body = _split_timeout(req, flags, body)
-            if len(body) < _BODY_BATCH_HEAD.size:
-                raise ProtocolError("batch header truncated")
-            req.app_id, count = _BODY_BATCH_HEAD.unpack_from(body)
-            if count > MAX_BATCH_ACCESSES:
-                raise ProtocolError(
-                    f"batch of {count} accesses exceeds {MAX_BATCH_ACCESSES}"
-                )
-            rest = body[_BODY_BATCH_HEAD.size :]
-            _expect(rest, count * _BODY_ACCESS.size)
-            req.accesses = [
-                _BODY_ACCESS.unpack_from(rest, i * _BODY_ACCESS.size)
-                for i in range(count)
-            ]
-        elif op == OP_UNLOCK_READ:
-            _expect(body, _BODY_UNLOCK.size)
-            req.app_id, req.table_id, req.row_id = _BODY_UNLOCK.unpack(body)
-        else:
-            raise ProtocolError(f"unknown request op 0x{op:02x}")
-    except struct.error as exc:
-        raise ProtocolError(f"malformed {REQUEST_NAMES.get(op, op)}: {exc}")
+    fields = _layout(op, tails, count)[2]
+    if len(payload) != fields.size:
+        # Exact sizes are what make the tails capability-gated: a flag
+        # without its tail, or a tail without its flag, never parses.
+        raise ProtocolError(
+            f"{name} payload with flags 0x{flags:02x} is "
+            f"{len(payload)} bytes, expected exactly {fields.size}"
+        )
+    values = fields.unpack(payload)
+    req = Request(op, values[0], no_reply=bool(flags & FLAG_NO_REPLY))
+    for attr, value in zip(attrs, values[1:]):
+        setattr(req, attr, value)
+    end = len(values)
+    if tails & FLAG_TRACE:
+        end -= 3
+        req.trace_id, req.trace_span, sampled = values[end:]
+        req.trace_sampled = bool(sampled)
+    if tails & FLAG_HAS_TIMEOUT:
+        end -= 1
+        req.timeout_s = values[end]
+        req.has_timeout = True
+    if count:
+        flat = values[3:end]  # past the request id, app id and count
+        req.accesses = list(zip(flat[0::3], flat[1::3], flat[2::3]))
     return req
 
 
-def _split_timeout(req: Request, flags: int, body: memoryview) -> memoryview:
-    """Strip the trailing f64 timeout when FLAG_HAS_TIMEOUT is set."""
-    if not flags & FLAG_HAS_TIMEOUT:
-        return body
-    if len(body) < _TIMEOUT.size:
-        raise ProtocolError("timeout flag set but no timeout value present")
-    (req.timeout_s,) = _TIMEOUT.unpack(body[-_TIMEOUT.size :])
-    req.has_timeout = True
-    return body[: -_TIMEOUT.size]
+#: payload size -> (flags, fields) of the two plain LOCK_ROW shapes.
+_PLAIN_LOCK_ROW = {
+    layout[2].size: (tails, layout[2])
+    for tails, layout in _LOCK_ROW.items()
+    if not tails & FLAG_TRACE
+}
 
 
-def _expect(body: memoryview, size: int) -> None:
-    if len(body) != size:
-        raise ProtocolError(
-            f"body is {len(body)} bytes, expected exactly {size}"
-        )
+def try_parse_lock_row(
+    payload: bytes,
+) -> Optional[Tuple[int, int, int, int, int, Optional[float]]]:
+    """Parse a plain LOCK_ROW payload without building a Request.
+
+    Returns ``(request_id, app_id, table_id, row_id, mode, timeout_s)``
+    (timeout None when absent) or None when the payload is anything
+    else -- another op, or a LOCK_ROW with the trace tail or
+    ``FLAG_NO_REPLY`` -- and the caller uses :func:`decode_request`.
+    """
+    shape = _PLAIN_LOCK_ROW.get(len(payload))
+    if shape is None or payload[0] != OP_LOCK_ROW or payload[1] != shape[0]:
+        return None
+    values = shape[1].unpack(payload)
+    return values if shape[0] else values + (None,)
 
 
 # -- responses --------------------------------------------------------------
@@ -551,20 +612,22 @@ class Response:
             raise exception_for(self.error_code, self.error_message)
 
 
-_RESP_OK_BODY = struct.Struct("!q")
-_RESP_ERR_HEAD = struct.Struct("!H")
+_OK_FRAME, _OK_PAYLOAD, _OK_FIELDS = _layout(RESP_OK)
 
 
 def encode_ok(request_id: int, value: int = 0, data: bytes = b"") -> bytes:
-    return _header(RESP_OK, request_id) + _RESP_OK_BODY.pack(value) + data
+    return _OK_PAYLOAD.pack(RESP_OK, 0, request_id, value) + data
+
+
+def pack_ok_frame(request_id: int, value: int = 0) -> bytes:
+    """``encode_frame(encode_ok(request_id, value))`` in one pack."""
+    return _OK_FRAME.pack(_OK_PAYLOAD.size, RESP_OK, 0, request_id, value)
 
 
 def encode_error(request_id: int, exc: BaseException) -> bytes:
     code = code_for_exception(exc)
     message = str(exc).encode("utf-8", "replace")[:4096]
-    return (
-        _header(RESP_ERR, request_id) + _RESP_ERR_HEAD.pack(code) + message
-    )
+    return _layout(RESP_ERR)[1].pack(RESP_ERR, 0, request_id, code) + message
 
 
 def decode_response(payload: bytes) -> Response:
@@ -573,91 +636,34 @@ def decode_response(payload: bytes) -> Response:
             f"response payload of {len(payload)} bytes is shorter than the "
             f"{HEADER_BYTES}-byte header"
         )
-    op, _flags, request_id = _HEADER.unpack_from(payload)
-    body = memoryview(payload)[HEADER_BYTES:]
+    op = payload[0]
+    if op != RESP_OK and op != RESP_ERR:
+        raise ProtocolError(f"unknown response op 0x{op:02x}")
+    fields = _layout(op)[2]
+    if len(payload) < fields.size:
+        raise ProtocolError(f"{_BODY[op][0]} response body truncated")
+    request_id, head = fields.unpack_from(payload)
+    rest = bytes(payload[fields.size :])
     if op == RESP_OK:
-        if len(body) < _RESP_OK_BODY.size:
-            raise ProtocolError("OK response body truncated")
-        (value,) = _RESP_OK_BODY.unpack_from(body)
-        return Response(
-            request_id=request_id,
-            ok=True,
-            value=value,
-            data=bytes(body[_RESP_OK_BODY.size :]),
-        )
-    if op == RESP_ERR:
-        if len(body) < _RESP_ERR_HEAD.size:
-            raise ProtocolError("error response body truncated")
-        (code,) = _RESP_ERR_HEAD.unpack_from(body)
-        message = bytes(body[_RESP_ERR_HEAD.size :]).decode("utf-8", "replace")
-        return Response(
-            request_id=request_id,
-            ok=False,
-            error_code=code,
-            error_message=message,
-        )
-    raise ProtocolError(f"unknown response op 0x{op:02x}")
-
-
-# -- preassembled hot-path frames -------------------------------------------
-#
-# The request/response codecs above parse into dataclasses -- right for
-# every control-plane op, too slow for the one op that dominates every
-# wire byte: LOCK_ROW and its OK.  These helpers pack a complete frame
-# (length prefix included) in a single struct call each.
-
-_LOCK_ROW_FRAME = struct.Struct("!IBBQQqqB")  # len,op,flags,rid,app,tbl,row,md
-_LOCK_ROW_FRAME_T = struct.Struct("!IBBQQqqBd")  # ... + timeout
-# Traced variants append the 17-byte trace context (trace id, span id,
-# sampled) after the body/timeout, mirroring encode_lock_row's layout.
-_LOCK_ROW_FRAME_TR = struct.Struct("!IBBQQqqBQQB")
-_LOCK_ROW_FRAME_T_TR = struct.Struct("!IBBQQqqBdQQB")
-_OK_FRAME = struct.Struct("!IBBQq")  # len, RESP_OK, 0, rid, value
-_LOCK_ROW_BODY = _LOCK_ROW_FRAME.size - _LEN.size
-_LOCK_ROW_BODY_T = _LOCK_ROW_FRAME_T.size - _LEN.size
-_LOCK_ROW_BODY_TR = _LOCK_ROW_FRAME_TR.size - _LEN.size
-_LOCK_ROW_BODY_T_TR = _LOCK_ROW_FRAME_T_TR.size - _LEN.size
-_OK_BODY = _OK_FRAME.size - _LEN.size
-
-
-def pack_lock_row_frame(
-    request_id: int,
-    app_id: int,
-    table_id: int,
-    row_id: int,
-    mode: int,
-    timeout_s: Optional[float] = None,
-    trace: Optional[Tuple[int, int, bool]] = None,
-) -> bytes:
-    """One-pack equivalent of ``encode_frame(encode_lock_row(...))``."""
-    if trace is None:
-        if timeout_s is None:
-            return _LOCK_ROW_FRAME.pack(
-                _LOCK_ROW_BODY, OP_LOCK_ROW, 0, request_id,
-                app_id, table_id, row_id, mode,
-            )
-        return _LOCK_ROW_FRAME_T.pack(
-            _LOCK_ROW_BODY_T, OP_LOCK_ROW, FLAG_HAS_TIMEOUT, request_id,
-            app_id, table_id, row_id, mode, timeout_s,
-        )
-    trace_id, span_id, sampled = trace
-    if timeout_s is None:
-        return _LOCK_ROW_FRAME_TR.pack(
-            _LOCK_ROW_BODY_TR, OP_LOCK_ROW, FLAG_TRACE, request_id,
-            app_id, table_id, row_id, mode,
-            trace_id, span_id, 1 if sampled else 0,
-        )
-    return _LOCK_ROW_FRAME_T_TR.pack(
-        _LOCK_ROW_BODY_T_TR, OP_LOCK_ROW,
-        FLAG_HAS_TIMEOUT | FLAG_TRACE, request_id,
-        app_id, table_id, row_id, mode, timeout_s,
-        trace_id, span_id, 1 if sampled else 0,
+        return Response(request_id, True, value=head, data=rest)
+    return Response(
+        request_id,
+        False,
+        error_code=head,
+        error_message=rest.decode("utf-8", "replace"),
     )
 
 
-def pack_ok_frame(request_id: int, value: int = 0) -> bytes:
-    """One-pack equivalent of ``encode_frame(encode_ok(...))``."""
-    return _OK_FRAME.pack(_OK_BODY, RESP_OK, 0, request_id, value)
+def try_parse_ok(payload: bytes) -> Optional[Tuple[int, int]]:
+    """Parse a data-free RESP_OK payload without building a Response.
+
+    Returns ``(request_id, value)``, or None for anything else (error
+    responses, stats payloads) -- callers fall back to
+    :func:`decode_response`.
+    """
+    if len(payload) != _OK_FIELDS.size or payload[0] != RESP_OK:
+        return None
+    return _OK_FIELDS.unpack(payload)
 
 
 # -- server hop report ------------------------------------------------------
@@ -686,86 +692,17 @@ def parse_hop_report(
     """Inverse of :func:`pack_hop_report`; None on a size mismatch."""
     if len(data) != _HOP_REPORT.size:
         return None
-    dispatch_s, lock_wait_s, park_s, reply_s = _HOP_REPORT.unpack(data)
-    return dispatch_s, lock_wait_s, park_s, reply_s
+    return _HOP_REPORT.unpack(data)
 
 
-_FAST_OK = struct.Struct("!Qq")  # request_id, value (flags byte skipped)
-
-
-def try_parse_ok(payload: bytes) -> Optional[Tuple[int, int]]:
-    """Fast parse of a data-free RESP_OK payload.
-
-    Returns ``(request_id, value)``, or None for anything else (error
-    responses, stats payloads) -- callers fall back to
-    :func:`decode_response`.
-    """
-    if payload[0] != RESP_OK or len(payload) != _OK_BODY:
-        return None
-    request_id, value = _FAST_OK.unpack_from(payload, _FAST_OFF)
-    return request_id, value
-
-
-_FAST_LOCK_ROW = struct.Struct("!QQqqB")  # rid, app, table, row, mode
-_FAST_LOCK_ROW_T = struct.Struct("!QQqqBd")  # ... + timeout
-_FAST_OFF = 2  # past op + flags
-
-
-def try_parse_lock_row(
-    payload: bytes,
-) -> Optional[Tuple[int, int, int, int, int, Optional[float]]]:
-    """Fast parse of a LOCK_ROW payload, timeout variant included.
-
-    Returns ``(request_id, app_id, table_id, row_id, mode, timeout_s)``
-    (timeout None when absent) or None when the payload is anything
-    else -- callers fall back to :func:`decode_request`.
-    """
-    if payload[0] != OP_LOCK_ROW:
-        return None
-    flags = payload[1]
-    if flags == 0 and len(payload) == _FAST_OFF + _FAST_LOCK_ROW.size:
-        rid, app, table, row, mode = _FAST_LOCK_ROW.unpack_from(
-            payload, _FAST_OFF
-        )
-        return rid, app, table, row, mode, None
-    if (
-        flags == FLAG_HAS_TIMEOUT
-        and len(payload) == _FAST_OFF + _FAST_LOCK_ROW_T.size
-    ):
-        rid, app, table, row, mode, timeout = _FAST_LOCK_ROW_T.unpack_from(
-            payload, _FAST_OFF
-        )
-        return rid, app, table, row, mode, timeout
-    return None
-
-
-# -- router helpers ---------------------------------------------------------
-
-_REQUEST_ID_OFFSET = 2  # after msg type (u8) + flags (u8)
-_REQUEST_ID = struct.Struct("!Q")
-
-
-def rewrite_request_id(payload: bytes, request_id: int) -> bytes:
-    """A copy of ``payload`` carrying ``request_id`` in its header.
-
-    The router relays request *bodies* verbatim between client and
-    worker connections but must splice in its own id space (many client
-    connections multiplex onto one worker link); the fixed header
-    layout makes that an 8-byte overwrite instead of a decode/encode
-    round trip.
-    """
-    if len(payload) < HEADER_BYTES:
-        raise ProtocolError("payload shorter than the fixed header")
-    out = bytearray(payload)
-    _REQUEST_ID.pack_into(out, _REQUEST_ID_OFFSET, request_id)
-    return bytes(out)
+# -- stream helpers ---------------------------------------------------------
 
 
 def peek_request_id(payload: bytes) -> int:
+    """The request id of a payload too broken to decode any further."""
     if len(payload) < HEADER_BYTES:
         raise ProtocolError("payload shorter than the fixed header")
-    (request_id,) = _REQUEST_ID.unpack_from(payload, _REQUEST_ID_OFFSET)
-    return request_id
+    return _HEADER.unpack_from(payload)[2]
 
 
 def iter_frames(data: bytes) -> Iterator[bytes]:
@@ -807,14 +744,15 @@ __all__ = [
     "encode_stats",
     "encode_unlock_read",
     "iter_frames",
+    "lock_mode",
     "pack_hop_report",
     "pack_lock_row_frame",
     "pack_ok_frame",
     "parse_hop_report",
     "peek_request_id",
-    "rewrite_request_id",
     "try_parse_lock_row",
     "try_parse_ok",
     "wire_mode",
     "TRACE_CTX_BYTES",
+    "WAITING_OPS",
 ]

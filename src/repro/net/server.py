@@ -7,18 +7,22 @@ work and responses are written in completion order, matched by request
 id -- a connection blocked on a contended lock does not stall the
 uncontended traffic behind it.
 
-The split between a connection's reader thread and the shared executor
-is the load-bearing decision on a box where the GIL makes threads
-expensive: grants that cannot block (``LockService.try_lock_row``) are
-executed *inline* on the reader thread -- one mutex acquire, no handoff
--- and only requests that may genuinely park (contended locks, table
-locks, batches) are pushed to the thread pool.  Under the churn
-workload the overwhelming majority of requests takes the inline path,
-which is what keeps the socket hop within the same order of magnitude
-as in-process calls.  The data plane serves a handful of long-lived
-connections (not thousands), so a blocking ``recv`` per connection
-beats an event loop's dispatch by more than an uncontended lock
-request's entire service time.
+Every frame takes **one path** (``_ThreadedConnection._dispatch``) on
+its connection's reader thread, traced or not.  A LOCK_ROW gets exactly
+one immediate-grant attempt there (``LockService.try_lock_row``: one
+mutex acquire, no handoff), ops that cannot park run there too, and
+only a request that may genuinely park a thread (a contended lock, a
+table lock, a batch) is pushed to the thread pool, which finishes it
+through the same two methods the reader uses.  Mode-byte validation,
+``FLAG_NO_REPLY`` and the mapping of exceptions onto error frames each
+live in one place, and a sampled request is the same request with a
+clock running.  The split is the load-bearing decision on a box where
+the GIL makes threads expensive: under churn nearly every request
+stays on the reader thread, which keeps the socket hop within an order
+of magnitude of an in-process call.  The data plane serves a handful
+of long-lived connections (not thousands), so a blocking ``recv`` per
+connection beats an event loop's dispatch by more than an uncontended
+lock request's entire service time.
 
 Session lifecycle is connection-bound: sessions opened (or adopted)
 over a connection are force-closed when that connection drops, so a
@@ -36,9 +40,10 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.net import protocol as wire
+from repro.obs.tracing import SERVER_HOPS
 from repro.service.service import _USE_DEFAULT
 
 logger = logging.getLogger(__name__)
@@ -58,8 +63,7 @@ class ServiceBackend:
 
     Works against :class:`~repro.service.service.LockService`,
     :class:`~repro.service.sharded.ShardedLockService`, or anything
-    duck-typing their session/lock surface.  ``try_fast`` exposes the
-    non-blocking grant attempt when the service has one.
+    duck-typing their session/lock surface.
     """
 
     def __init__(
@@ -68,7 +72,6 @@ class ServiceBackend:
         *,
         name: str = "service",
         tracer: Any = None,
-        incidents: Any = None,
     ) -> None:
         self.service = service
         self.name = name
@@ -76,59 +79,31 @@ class ServiceBackend:
         # session id the peer wrote, so the service must validate it.
         self._try_lock_row = getattr(service, "try_lock_row", None)
         #: Optional :class:`repro.obs.tracing.ServerTracer` -- when set,
-        #: requests carrying a sampled trace context take the timed
-        #: dispatch path and their OK replies carry a hop report.
+        #: requests carrying a sampled trace context run with the hop
+        #: clock on and their OK replies carry a hop report.
         self.tracer = tracer
-        #: Optional :class:`repro.obs.incidents.IncidentRecorder` --
-        #: traced executions register their trace id so incidents
-        #: raised while they run (deadlock victim, escalation) are
-        #: stamped with it.  Falls back to the service's own recorder.
-        self._incidents = incidents
-        if self._incidents is None:
-            manager = getattr(service, "manager", None)
-            self._incidents = getattr(manager, "incidents", None)
-
-    #: Ops that only ever take the service mutex for microseconds --
-    #: they run inline on the connection's reader thread.  Everything
-    #: else can park a thread on a contended lock and goes to the
-    #: executor.
-    NONPARKING_OPS = frozenset(
-        {
-            wire.OP_OPEN_SESSION,
-            wire.OP_CLOSE_SESSION,
-            wire.OP_UNLOCK_READ,
-            wire.OP_RELEASE_ALL,
-            wire.OP_ADOPT_SESSION,
-            wire.OP_CANCEL,
-            wire.OP_STATS,
-            wire.OP_PING,
-        }
-    )
+        manager = getattr(service, "manager", None)
+        incidents = getattr(manager, "incidents", None)
+        #: app id -> trace id of the traced request it is running, kept
+        #: by the service's :class:`repro.obs.incidents.IncidentRecorder`
+        #: (None without one): an incident raised meanwhile (deadlock
+        #: victim, escalation) is stamped with the request it hurt.
+        self.trace_ids = getattr(incidents, "trace_ids", None)
 
     # -- non-blocking (safe on a reader thread) --
 
-    def is_nonparking(self, req: wire.Request) -> bool:
-        return req.op in self.NONPARKING_OPS
-
-    def try_fast(self, req: wire.Request) -> bool:
-        """Attempt an immediate grant; False means "use the slow path"."""
-        if self._try_lock_row is None or req.op != wire.OP_LOCK_ROW:
-            return False
-        return self._try_lock_row(
-            req.app_id, req.table_id, req.row_id, req.lock_mode
-        )
-
-    def fast_lock_row(
+    def try_lock_row(
         self, app_id: int, table_id: int, row_id: int, mode: int
     ) -> bool:
-        """:meth:`try_fast` without the Request object (hot path)."""
+        """One immediate-grant attempt; False means "this has to wait"
+        (or the service offers no non-blocking entry)."""
         if self._try_lock_row is None:
             return False
         return self._try_lock_row(
-            app_id, table_id, row_id, wire.WIRE_TO_MODE[mode]
+            app_id, table_id, row_id, wire.lock_mode(mode)
         )
 
-    # -- potentially blocking (executor only) --
+    # -- potentially blocking (executor only for ``wire.WAITING_OPS``) --
 
     @staticmethod
     def _timeout_of(req: wire.Request) -> object:
@@ -159,7 +134,7 @@ class ServiceBackend:
                     req.app_id,
                     table_id,
                     row_id,
-                    wire.WIRE_TO_MODE[mode],
+                    wire.lock_mode(mode),
                     timeout_s=timeout,
                 )
                 granted += 1
@@ -201,26 +176,6 @@ class ServiceBackend:
             return 0, b""
         raise wire.ProtocolError(f"unknown request op 0x{op:02x}")
 
-    def execute_traced(self, req: wire.Request) -> Tuple[int, bytes]:
-        """:meth:`execute` with the trace id registered for incidents.
-
-        While the request runs, any incident recorded against its app
-        (deadlock victimhood, an escalation it triggered) carries
-        ``trace_id`` in its data, linking the incident to the exact
-        traced request it hurt.
-        """
-        incidents = self._incidents
-        if incidents is None:
-            return self.execute(req)
-        trace_ids = getattr(incidents, "trace_ids", None)
-        if trace_ids is None:
-            return self.execute(req)
-        trace_ids[req.app_id] = req.trace_id
-        try:
-            return self.execute(req)
-        finally:
-            trace_ids.pop(req.app_id, None)
-
     def stats_payload(self) -> Dict[str, Any]:
         svc = self.service
         sessions = svc.session_count
@@ -258,13 +213,11 @@ class ServiceBackend:
 class _ThreadedConnection:
     """One connection of :class:`ThreadedLockServer` (own reader thread).
 
-    The reader thread *is* the fast path: it decodes a frame and --
-    for immediate grants and non-parking ops -- executes and replies
-    without leaving the thread, so an uncontended lock costs one
-    client->server and one server->client context switch, nothing
-    else.  Only requests that can park are handed to the shared
-    executor; their replies are written out of order under the send
-    lock, which is what keeps pipelining intact.
+    The reader thread runs :meth:`_dispatch` for every frame, so an
+    uncontended request costs one client->server and one
+    server->client context switch, nothing else.  Replies of parked
+    requests are written out of order under the send lock, which is
+    what keeps pipelining intact.
     """
 
     def __init__(
@@ -287,31 +240,16 @@ class _ThreadedConnection:
 
     def _read_loop(self) -> None:
         decoder = wire.FrameDecoder()
-        sock = self._sock
-        recv = sock.recv
+        recv = self._sock.recv
         split_frames = wire.split_frames
-        try_parse_lock_row = wire.try_parse_lock_row
-        pack_ok_frame = wire.pack_ok_frame
-        fast_lock_row = self._backend.fast_lock_row
-        send = self._send
+        dispatch = self._dispatch
         try:
             while True:
                 data = recv(65536)
                 if not data:
                     break
                 for payload in split_frames(data, decoder):
-                    # Hot path inline: plain LOCK_ROW, immediate grant.
-                    parsed = try_parse_lock_row(payload)
-                    if parsed is not None:
-                        rid, app, table, row, mode, _timeout = parsed
-                        try:
-                            if fast_lock_row(app, table, row, mode):
-                                send(pack_ok_frame(rid, 1))
-                                continue
-                        except Exception as exc:
-                            self._send_payload(wire.encode_error(rid, exc))
-                            continue
-                    self._dispatch(payload)
+                    dispatch(payload)
         except wire.ProtocolError as exc:
             self._send_payload(wire.encode_error(0, exc))
         except OSError:
@@ -320,152 +258,144 @@ class _ThreadedConnection:
             self._shutdown()
 
     def _dispatch(self, payload: bytes) -> None:
-        # The disabled-overhead contract: with no tracer configured this
-        # costs exactly one None check before the untraced flow.
-        tracer = self._backend.tracer
-        t0 = time.perf_counter() if tracer is not None else 0.0
-        try:
-            req = wire.decode_request(payload)
-        except wire.ProtocolError as exc:
-            try:
-                request_id = wire.peek_request_id(payload)
-            except wire.ProtocolError:
-                request_id = 0
-            self._send_payload(wire.encode_error(request_id, exc))
-            return
-        if tracer is not None and req.trace_sampled:
-            self._dispatch_traced(req, t0)
-            return
-        try:
-            if self._backend.try_fast(req):
-                self._send(wire.pack_ok_frame(req.request_id, 1))
-                return
-            if self._backend.is_nonparking(req):
-                value, data = self._backend.execute(req)
-                self._record(req, value)
-                if not req.no_reply:
-                    self._send_payload(
-                        wire.encode_ok(req.request_id, value, data)
-                    )
-                return
-        except Exception as exc:
-            if not req.no_reply:
-                self._send_payload(wire.encode_error(req.request_id, exc))
-            return
-        self._server.executor.submit(self._run_parking, req)
+        """The one request path: parse, then grant, run or park.
 
-    def _dispatch_traced(self, req: wire.Request, t0: float) -> None:
-        """The traced twin of :meth:`_dispatch`: same scheduling
-        decisions (inline immediate grant / inline non-parking /
-        executor handoff), with the hop clock running.  ``t0`` is the
-        frame's arrival at dispatch; everything up to execution start
-        is the ``server.dispatch`` hop.
+        A plain LOCK_ROW granted on the spot costs one
+        ``try_parse_lock_row``, one ``try_lock_row``, one
+        ``pack_ok_frame`` and one ``sendall`` -- no :class:`Request`;
+        every other frame is decoded into one.  A LOCK_ROW not granted
+        here is parked, and the service's blocking ``lock_row`` makes
+        the only other grant attempt it will get.
+
+        ``clock`` is a sampled request's hop clock, perf-counter stamps
+        ``[arrived, parked, started]`` (``parked`` stays 0.0 unless the
+        executor takes over), and None otherwise: with no tracer
+        configured, tracing costs the one None check below.
         """
-        perf = time.perf_counter
         backend = self._backend
+        tracer = backend.tracer
+        arrived = time.perf_counter() if tracer is not None else 0.0
+        req: Optional[wire.Request] = None
+        clock: Optional[List[float]] = None
+        fields = wire.try_parse_lock_row(payload)
         try:
-            t_exec = perf()
-            if backend.try_fast(req):
-                t_done = perf()
-                self._finish_traced(
-                    req, 1, t_exec - t0, t_done - t_exec, 0.0, t_done
-                )
-                return
-            if backend.is_nonparking(req):
-                t_svc = perf()
-                value, _data = backend.execute_traced(req)
-                t_done = perf()
-                self._record(req, value)
-                self._finish_traced(
-                    req, value, t_svc - t0, t_done - t_svc, 0.0, t_done
-                )
-                return
+            if fields is None:
+                req = wire.decode_request(payload)
+                if tracer is not None and req.trace_sampled:
+                    clock = [arrived, 0.0, time.perf_counter()]
+                if req.op == wire.OP_LOCK_ROW:
+                    fields = (
+                        req.request_id, req.app_id, req.table_id,
+                        req.row_id, req.mode, req.timeout_s,
+                    )
+            if fields is not None:
+                rid, app, table, row, mode, timeout = fields
+                if backend.try_lock_row(app, table, row, mode):
+                    if req is None:
+                        # A plain shape: never traced, never no-reply.
+                        self._send(wire.pack_ok_frame(rid, 1))
+                    else:
+                        self._finish(req, clock, 1)
+                    return
+                if req is None:
+                    req = wire.Request(
+                        wire.OP_LOCK_ROW, rid, app, table, row, mode,
+                        timeout, timeout is not None,
+                    )
         except Exception as exc:
-            self._fail_traced(req, exc, t0)
+            if req is None:
+                # Undecodable, or a plain LOCK_ROW refused outright:
+                # all that is known is the id to answer to.
+                if fields is not None:
+                    rid = fields[0]
+                elif len(payload) >= wire.HEADER_BYTES:
+                    rid = wire.peek_request_id(payload)
+                else:
+                    rid = 0
+                req = wire.Request(0, rid)
+            self._finish(req, clock, exc=exc)
             return
-        self._server.executor.submit(self._run_parking, req, t0, perf())
+        if req.op not in wire.WAITING_OPS:
+            self._run(req, clock)  # cannot park a thread: run it here
+            return
+        if clock is not None:
+            clock[1] = time.perf_counter()
+        self._server.executor.submit(self._run, req, clock)
 
-    def _run_parking(
+    def _run(
+        self, req: wire.Request, clock: Optional[List[float]]
+    ) -> None:
+        """Execute ``req`` to completion and answer it: on the reader
+        for ops that cannot park, on an executor thread for the rest."""
+        backend = self._backend
+        trace_ids = None
+        if clock is not None:
+            clock[2] = time.perf_counter()
+            trace_ids = backend.trace_ids
+            if trace_ids is not None:
+                trace_ids[req.app_id] = req.trace_id
+        try:
+            value, data = backend.execute(req)
+            self._record(req, value)
+        except Exception as exc:
+            self._finish(req, clock, exc=exc)
+            return
+        finally:
+            if trace_ids is not None:
+                trace_ids.pop(req.app_id, None)
+        self._finish(req, clock, value, data)
+
+    def _finish(
         self,
         req: wire.Request,
-        trace_t0: Optional[float] = None,
-        t_submit: Optional[float] = None,
+        clock: Optional[List[float]],
+        value: int = 0,
+        data: bytes = b"",
+        exc: Optional[Exception] = None,
     ) -> None:
-        if trace_t0 is not None:
-            assert t_submit is not None
-            perf = time.perf_counter
-            t_start = perf()
-            try:
-                value, _data = self._backend.execute_traced(req)
-            except Exception as exc:
-                self._fail_traced(req, exc, trace_t0)
-                return
-            t_svc_end = perf()
-            self._finish_traced(
-                req,
-                value,
-                t_submit - trace_t0,
-                t_svc_end - t_start,
-                t_start - t_submit,
-                t_svc_end,
-            )
-            return
-        try:
-            value, data = self._backend.execute(req)
-        except Exception as exc:
-            if not req.no_reply:
-                self._send_payload(wire.encode_error(req.request_id, exc))
-            return
-        if not req.no_reply:
-            self._send_payload(wire.encode_ok(req.request_id, value, data))
+        """Answer ``req``: the one place that closes a sampled
+        request's server span, honours ``FLAG_NO_REPLY`` and maps an
+        exception onto its error frame.
 
-    def _finish_traced(
-        self,
-        req: wire.Request,
-        value: int,
-        dispatch_s: float,
-        lock_wait_s: float,
-        park_s: float,
-        t_svc_end: float,
-    ) -> None:
-        """Record the server child span and reply with the hop report.
-
-        ``server.reply_encode`` is measured service-completion to
-        reply-assembly start; the final byte pack itself (~us) lands in
-        the client's ``client.net_wait`` hop, which is derived by
-        subtraction and absorbs whatever the report cannot carry.
+        ``server.dispatch`` runs from arrival to execution start (to
+        the hand-over for a parked request, whose wait for a thread is
+        ``server.executor_park``), ``server.lock_wait`` is the service
+        call, ``server.reply_encode`` service completion to
+        reply-assembly start; the byte pack itself (~us) lands in
+        ``client.net_wait``, which is derived by subtraction.  A failed
+        request records its dispatch time only and ships no report.
         """
-        reply_s = time.perf_counter() - t_svc_end
-        self._backend.tracer.record(
-            req.trace_id,
-            req.trace_span + 1,
-            {
-                "server.dispatch": dispatch_s,
-                "server.lock_wait": lock_wait_s,
-                "server.executor_park": park_s,
-                "server.reply_encode": reply_s,
-            },
-            app_id=req.app_id,
-            outcome="ok",
-        )
-        if not req.no_reply:
-            report = wire.pack_hop_report(
-                dispatch_s, lock_wait_s, park_s, reply_s
+        if clock is not None:
+            ended = time.perf_counter()
+            arrived, parked, started = clock
+            if exc is not None:
+                hops = {"server.dispatch": ended - arrived}
+            else:
+                report = (
+                    (parked or started) - arrived,
+                    ended - started,
+                    started - parked if parked else 0.0,
+                    time.perf_counter() - ended,
+                )
+                hops = dict(zip(SERVER_HOPS, report))
+                data = wire.pack_hop_report(*report)
+            # Recorded before the reply goes out: whoever has seen the
+            # reply finds the span in the ring.
+            self._backend.tracer.record(
+                req.trace_id,
+                req.trace_span + 1,
+                hops,
+                app_id=req.app_id,
+                outcome="ok" if exc is None else type(exc).__name__,
             )
-            self._send_payload(wire.encode_ok(req.request_id, value, report))
-
-    def _fail_traced(
-        self, req: wire.Request, exc: Exception, t0: float
-    ) -> None:
-        self._backend.tracer.record(
-            req.trace_id,
-            req.trace_span + 1,
-            {"server.dispatch": time.perf_counter() - t0},
-            app_id=req.app_id,
-            outcome=type(exc).__name__,
-        )
-        if not req.no_reply:
+        if req.no_reply:
+            return
+        if exc is not None:
             self._send_payload(wire.encode_error(req.request_id, exc))
+        elif data:
+            self._send_payload(wire.encode_ok(req.request_id, value, data))
+        else:
+            self._send(wire.pack_ok_frame(req.request_id, value))
 
     def _record(self, req: wire.Request, value: int) -> None:
         op = req.op
@@ -533,7 +463,7 @@ class ThreadedLockServer:
         self.port = port
         #: Unix-domain socket path; when set it replaces host/port and
         #: ``address`` reports ``("unix:<path>", 0)`` so clients can be
-        #: built with ``NetClientStack(*server.address)`` either way.
+        #: built with ``RoutedLockClient([server.address])`` either way.
         self.path = path
         self.executor = ThreadPoolExecutor(
             max_workers=executor_threads,

@@ -273,14 +273,14 @@ def _client_stack(stack: ControlPlane, args: argparse.Namespace) -> Iterator:
 
     In process: the stack itself.  ``--net --workers N``: a routed
     client over the workers' sockets.  ``--net`` alone: a socket server
-    in front of the in-process service plus a client to it, both torn
-    down on exit.
+    in front of the in-process service plus the same client with that
+    one route, both torn down on exit.
     """
     if args.workers > 0:
         with stack.client_stack(pool_size=args.pool_size) as client:
             yield client
     elif args.net:
-        from repro.net.client import NetClientStack
+        from repro.net.client import RoutedClientStack
         from repro.net.server import serve_service
 
         sock_dir = tempfile.mkdtemp(prefix="repro-net-")
@@ -288,8 +288,8 @@ def _client_stack(stack: ControlPlane, args: argparse.Namespace) -> Iterator:
             stack.service, path=os.path.join(sock_dir, "service.sock")
         )
         try:
-            with NetClientStack(
-                *server.address,
+            with RoutedClientStack(
+                [server.address],
                 pool_size=args.pool_size,
                 max_in_flight=stack.config.max_in_flight,
                 max_queue_depth=stack.config.admission_queue_depth,

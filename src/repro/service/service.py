@@ -318,42 +318,26 @@ class LockService:
             span=span,
         )
 
-    def lock_row_uncontended(
-        self,
-        app_id: int,
-        table_id: int,
-        row_id: int,
-        mode: LockMode,
-        timeout_s: object = _USE_DEFAULT,
-        *,
-        prevalidated: bool = True,
+    def try_lock_row(
+        self, app_id: int, table_id: int, row_id: int, mode: LockMode
     ) -> bool:
-        """Fast-path-only :meth:`lock_row` for a pre-validated caller.
+        """The non-blocking :meth:`lock_row` attempt, same checks first.
 
-        The sharded facade has already checked the session registry and
-        holds the per-session in-flight exclusion, so only the closed
-        check stands between it and the manager's immediate-grant
-        attempt.  Returns False (nothing mutated, nothing counted) when
-        the request needs the full generator path -- the caller then
-        falls back to :meth:`lock_row`.
-
-        A caller that cannot vouch for ``app_id`` goes through
-        :meth:`try_lock_row`, which passes ``prevalidated=False``.
+        The wire server calls this with whatever a frame carried: an id
+        that is not an open session raises :meth:`lock_row`'s
+        :class:`ServiceError` instead of being granted locks no
+        ``close_session`` would ever release.  False means "not granted
+        on the spot, nothing mutated, nothing counted -- use
+        :meth:`lock_row`" (which also reports a request in flight).
         """
-        if timeout_s is _USE_DEFAULT:
-            timeout_s = self.default_timeout_s
-        if timeout_s is not None and timeout_s < 0:  # type: ignore[operator]
-            raise ServiceError(f"timeout_s must be non-negative, got {timeout_s}")
         started = perf_counter()
         self.env.latch_acquire()
         try:
             self._ensure_open()
-            if not prevalidated:
-                # lock_row's registry checks, in lock_row's order.
-                if app_id not in self._sessions:
-                    raise ServiceError(f"session {app_id} is not open")
-                if app_id in self._active_requests:
-                    return False  # lock_row reports the request in flight
+            if app_id not in self._sessions:
+                raise ServiceError(f"session {app_id} is not open")
+            if app_id in self._active_requests:
+                return False
             if self.manager.lock_row_fast(app_id, table_id, row_id, mode):
                 self.stats.requests += 1
                 self.stats.granted += 1
@@ -371,21 +355,6 @@ class LockService:
             return False
         finally:
             self.env.latch_release()
-
-    def try_lock_row(
-        self, app_id: int, table_id: int, row_id: int, mode: LockMode
-    ) -> bool:
-        """Non-blocking :meth:`lock_row` attempt for an *unvalidated* id.
-
-        The wire servers call this with whatever a frame carried: an id
-        that is not an open session raises :meth:`lock_row`'s
-        :class:`ServiceError` instead of being granted locks no
-        ``close_session`` would ever release.  False means "not granted
-        on the spot, nothing mutated -- use :meth:`lock_row`".
-        """
-        return self.lock_row_uncontended(
-            app_id, table_id, row_id, mode, prevalidated=False
-        )
 
     def lock_table(
         self,

@@ -289,26 +289,9 @@ class ShardedLockService:
     ) -> None:
         """Route to the owning shard; semantics of
         :meth:`LockService.lock_row`."""
-        # Inlined _route plus the shard's uncontended fast path: the
-        # facade has validated the session and holds its in-flight
-        # lock, so the shard can skip its own registry re-checks.
-        entry = self._sessions.get(app_id)
-        if entry is None:
-            raise ServiceError(f"session {app_id} is not open")
-        if not entry.lock.acquire(blocking=False):
-            raise ServiceError(
-                f"session {app_id} already has a request in flight"
-            )
+        entry, shard = self._route(app_id, table_id)
         try:
-            idx = table_id % self.num_shards
-            shard = self.shards[idx]
-            if idx not in entry.shard_ids:
-                shard.adopt_session(app_id)
-                entry.shard_ids = entry.shard_ids + (idx,)
-            if not shard.lock_row_uncontended(
-                app_id, table_id, row_id, mode, timeout_s
-            ):
-                shard.lock_row(app_id, table_id, row_id, mode, timeout_s)
+            shard.lock_row(app_id, table_id, row_id, mode, timeout_s)
         finally:
             entry.lock.release()
 

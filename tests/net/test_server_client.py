@@ -1,10 +1,14 @@
 """End-to-end socket server + client library behavior.
 
 A real :class:`ServiceStack` behind a real socket (TCP and Unix
-domain), driven by the client library: session lifecycle and
-recycling, pipelined requests, error classes crossing the wire,
-disconnect cleanup, reconnect after a server restart, and the
-oversized-frame teardown.
+domain), driven by the client library -- the one client, with the one
+route a single server is: session lifecycle and recycling, pipelined
+requests, error classes crossing the wire, disconnect cleanup,
+reconnect after a server restart, and the oversized-frame teardown.
+Then hand-built frames against the server's one dispatch path: every
+LOCK_ROW shape gets the same mode-byte validation, FLAG_NO_REPLY and
+error mapping, and a request that must wait costs one immediate-grant
+attempt per layer.
 """
 
 import socket
@@ -14,22 +18,30 @@ import time
 
 import pytest
 
-from repro.lockmgr.manager import LockTimeoutError
+from repro.lockmgr.manager import LockManager, LockTimeoutError
 from repro.lockmgr.modes import LockMode
 from repro.net import protocol as wire
-from repro.net.client import ConnectionLostError, LockClient, NetClientStack
+from repro.net.client import (
+    ConnectionLostError,
+    RoutedClientStack,
+    RoutedLockClient,
+)
 from repro.net.server import serve_service
+from repro.service.sharded import ShardedServiceConfig
 from repro.service.stack import ServiceConfig, ServiceStack
 
 
+SMALL = dict(
+    total_memory_pages=8192,
+    initial_locklist_pages=128,
+    tuner_interval_s=0.05,
+    max_in_flight=16,
+    admission_queue_depth=64,
+)
+
+
 def small_config() -> ServiceConfig:
-    return ServiceConfig(
-        total_memory_pages=8192,
-        initial_locklist_pages=128,
-        tuner_interval_s=0.05,
-        max_in_flight=16,
-        admission_queue_depth=64,
-    )
+    return ServiceConfig(**SMALL)
 
 
 @pytest.fixture()
@@ -47,7 +59,7 @@ def server(stack):
 
 @pytest.fixture()
 def client(server):
-    with LockClient(*server.address, pool_size=2) as lock_client:
+    with RoutedLockClient([server.address], pool_size=2) as lock_client:
         yield lock_client
 
 
@@ -63,7 +75,7 @@ def wait_until(predicate, timeout_s: float = 5.0) -> bool:
 class TestRoundTrips:
     def test_ping_and_stats(self, client):
         client.ping()
-        payload = client.stats()
+        (payload,) = client.stats()  # one entry per route
         assert payload["sessions"] == 0
         assert "service" in payload and "manager" in payload
 
@@ -108,7 +120,7 @@ class TestSessionLifecycle:
     def test_scope_recycles_the_session(self, server):
         # Recycling is per-connection: pin the pool to one socket so
         # both scopes land on it.
-        with LockClient(*server.address, pool_size=1) as lock_client:
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
             with lock_client.session() as first:
                 lock_client.lock_row(first, 1, 1, LockMode.X)
             with lock_client.session() as second:
@@ -128,7 +140,7 @@ class TestSessionLifecycle:
         assert stack.chain.used_slots == 0
 
     def test_disconnect_force_closes_sessions(self, server, stack):
-        lock_client = LockClient(*server.address, pool_size=1)
+        lock_client = RoutedLockClient([server.address], pool_size=1)
         app = lock_client.open_session()
         lock_client.lock_row(app, 1, 1, LockMode.X)
         assert stack.service.session_count() == 1
@@ -140,7 +152,7 @@ class TestSessionLifecycle:
 
 class TestPipelining:
     def test_concurrent_threads_on_a_small_pool(self, server):
-        with LockClient(*server.address, pool_size=1) as lock_client:
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
             errors = []
 
             def worker(i: int) -> None:
@@ -167,7 +179,7 @@ class TestReconnect:
     def test_client_survives_server_restart(self, stack):
         first = serve_service(stack.service, host="127.0.0.1", port=0)
         host, port = first.address
-        lock_client = LockClient(host, port, pool_size=1)
+        lock_client = RoutedLockClient([(host, port)], pool_size=1)
         try:
             app = lock_client.open_session()
             lock_client.lock_row(app, 1, 1, LockMode.X)
@@ -191,7 +203,7 @@ class TestReconnect:
             lock_client.close()
 
 
-def _can_ping(lock_client: LockClient) -> bool:
+def _can_ping(lock_client: RoutedLockClient) -> bool:
     try:
         lock_client.ping()
         return True
@@ -220,17 +232,17 @@ class TestFraming:
             assert wire.ERROR_CODES[resp.error_code] is wire.ProtocolError
 
         # And the server still serves new connections afterwards.
-        with LockClient(host, port) as lock_client:
+        with RoutedLockClient([(host, port)]) as lock_client:
             lock_client.ping()
 
     def test_no_reply_ordering(self, server, stack):
         # A fire-and-forget release_all is ordered before the next
         # request on the same stream: the lock must be free by the
         # time a second session asks for it.
-        with LockClient(*server.address, pool_size=1) as lock_client:
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
             app = lock_client.open_session()
             lock_client.lock_row(app, 1, 1, LockMode.X)
-            conn = lock_client._session_conn(app)
+            (conn,) = lock_client._rec(app).conns.values()
             conn.send_only(wire.encode_release_all(0, app, no_reply=True))
             other = lock_client.open_session()
             lock_client.lock_row(other, 1, 1, LockMode.X, timeout_s=0.5)
@@ -241,8 +253,8 @@ class TestUnixDomain:
         sock_path = str(tmp_path / "svc.sock")
         server = serve_service(stack.service, path=sock_path)
         try:
-            with NetClientStack(*server.address, pool_size=1) as net:
-                assert net.service.host.startswith("unix:")
+            assert server.address[0].startswith("unix:")
+            with RoutedClientStack([server.address], pool_size=1) as net:
                 with net.service.session() as app:
                     net.service.lock_row(app, 1, 1, LockMode.X)
                 net.service.ping()
@@ -250,73 +262,210 @@ class TestUnixDomain:
             server.stop()
 
 
-def _raw_lock_row(address, app_id, *, open_first=False):
-    """Send one LOCK_ROW frame on a fresh raw connection.
+class RawConnection:
+    """A bare socket speaking hand-built frames to the server."""
 
-    With ``open_first`` an OPEN_SESSION frame precedes it and the
-    LOCK_ROW uses the id the server answered with.  Returns (the
-    LOCK_ROW response, the session id used, the still-open socket).
-    """
-    sock = socket.create_connection(address, timeout=5.0)
-    decoder = wire.FrameDecoder()
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=5.0)
+        self._decoder = wire.FrameDecoder()
+        self._replies = []
 
-    def exchange(frame: bytes) -> wire.Response:
-        sock.sendall(frame)
-        while True:
-            payloads = wire.split_frames(sock.recv(4096), decoder)
-            if payloads:
-                return wire.decode_response(payloads[0])
+    def send(self, frame: bytes) -> None:
+        self.sock.sendall(frame)
 
-    if open_first:
-        app_id = exchange(wire.encode_frame(wire.encode_open_session(1))).value
-    resp = exchange(
-        wire.pack_lock_row_frame(2, app_id, 3, 7, wire.MODE_TO_WIRE[LockMode.X])
-    )
-    return resp, app_id, sock
+    def reply(self) -> wire.Response:
+        while not self._replies:
+            self._replies = wire.split_frames(
+                self.sock.recv(4096), self._decoder
+            )
+        return wire.decode_response(self._replies.pop(0))
+
+    def exchange(self, frame: bytes) -> wire.Response:
+        self.send(frame)
+        return self.reply()
+
+    def open_session(self) -> int:
+        return self.exchange(
+            wire.encode_frame(wire.encode_open_session(1))
+        ).value
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.sock.close()
+
+
+X = wire.MODE_TO_WIRE[LockMode.X]
 
 
 class TestInlineFastPathValidatesTheSession:
-    """The server's inline immediate-grant path takes the session id
-    from the frame; it must make lock_row's registry checks itself."""
+    """The server's immediate-grant attempt takes the session id from
+    the frame; ``try_lock_row`` must make lock_row's registry checks."""
 
-    def test_unopened_session_gets_an_error_and_no_locks(self, stack):
-        server = serve_service(stack.service)
-        try:
-            resp, _app, sock = _raw_lock_row(server.address, 424242)
-            with sock:
-                assert not resp.ok
-                assert wire.ERROR_CODES[resp.error_code] is wire.ServiceError
-                assert "424242 is not open" in resp.error_message
-                assert stack.chain.used_slots == 0
-            # Nothing was granted, so nothing is left after disconnect.
+    def test_unopened_session_gets_an_error_and_no_locks(self, server, stack):
+        with RawConnection(server.address) as raw:
+            resp = raw.exchange(wire.pack_lock_row_frame(2, 424242, 3, 7, X))
+            assert not resp.ok
+            assert wire.ERROR_CODES[resp.error_code] is wire.ServiceError
+            assert "424242 is not open" in resp.error_message
             assert stack.chain.used_slots == 0
-            assert stack.service.stats.granted == 0
-        finally:
-            server.stop()
+        # Nothing was granted, so nothing is left after disconnect.
+        assert stack.chain.used_slots == 0
+        assert stack.service.stats.granted == 0
 
-    def test_opened_session_still_takes_the_fast_grant(self, stack):
-        server = serve_service(stack.service)
-        try:
-            resp, app, sock = _raw_lock_row(server.address, 0, open_first=True)
-            with sock:
-                assert resp.ok and resp.value == 1
-                assert stack.chain.used_slots == 2  # intent + row
-                assert stack.service.manager.app_slots(app) == 2
-            # The connection owned the session: disconnect releases it.
-            assert wait_until(lambda: stack.chain.used_slots == 0)
-        finally:
-            server.stop()
+    def test_opened_session_still_takes_the_fast_grant(self, server, stack):
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            resp = raw.exchange(wire.pack_lock_row_frame(2, app, 3, 7, X))
+            assert resp.ok and resp.value == 1
+            assert stack.chain.used_slots == 2  # intent + row
+            assert stack.service.manager.app_slots(app) == 2
+        # The connection owned the session: disconnect releases it.
+        assert wait_until(lambda: stack.chain.used_slots == 0)
 
 
-class TestPrevalidatedEntryStaysCheckFree:
-    def test_facade_entry_skips_the_registry(self, stack):
-        # The sharded facade vouches for the id, so the shard-level
-        # entry grants without consulting its own registry ...
+class TestTryLockRow:
+    def test_refuses_an_unopened_id(self, stack):
+        # try_lock_row is the one non-blocking entry and it always
+        # validates: there is no pre-validated twin to reach around it.
         service = stack.service
-        assert service.lock_row_uncontended(77, 1, 1, LockMode.X) is True
-        assert service.manager.app_slots(77) == 2
-        service.manager.release_all(77)
-        # ... while the checked entry refuses the very same id.
         with pytest.raises(wire.ServiceError, match="77 is not open"):
             service.try_lock_row(77, 1, 1, LockMode.X)
         assert stack.chain.used_slots == 0
+        assert not hasattr(service, "lock_row_uncontended")
+
+    def test_defers_to_lock_row_while_a_request_is_in_flight(self, stack):
+        service = stack.service
+        holder = service.open_session()
+        waiter = service.open_session()
+        service.lock_row(holder, 7, 7, LockMode.X)
+        thread = threading.Thread(
+            target=service.lock_row,
+            args=(waiter, 7, 7, LockMode.X),
+            kwargs={"timeout_s": 5.0},
+        )
+        thread.start()
+        assert wait_until(lambda: service.waiting_sessions() == {waiter})
+        used = stack.chain.used_slots
+        # A free row, but the session is mid-request: not granted here,
+        # nothing touched; lock_row is what reports the double request.
+        assert service.try_lock_row(waiter, 8, 8, LockMode.X) is False
+        assert stack.chain.used_slots == used
+        service.close_session(holder)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        service.close_session(waiter)
+
+
+LOCK_ROW_SHAPES = {
+    "plain": {},
+    "timeout": {"timeout_s": 1.0},
+    "traced": {"trace": (0xABCD, 1, True)},
+}
+
+
+class TestOneDispatchPath:
+    """Whatever a LOCK_ROW frame looks like, the same body serves it."""
+
+    @pytest.mark.parametrize("shape", sorted(LOCK_ROW_SHAPES))
+    def test_unknown_mode_byte_is_a_protocol_error(self, server, stack, shape):
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            resp = raw.exchange(
+                wire.pack_lock_row_frame(
+                    9, app, 3, 7, 200, **LOCK_ROW_SHAPES[shape]
+                )
+            )
+            assert not resp.ok and resp.request_id == 9
+            assert wire.ERROR_CODES[resp.error_code] is wire.ProtocolError
+            assert resp.error_message == "unknown lock mode byte 200"
+            assert stack.service.manager.app_slots(app) == 0
+
+    def test_unknown_mode_byte_inside_a_batch(self, server):
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            resp = raw.exchange(
+                wire.encode_frame(wire.encode_batch_lock(9, app, [(3, 7, 200)]))
+            )
+            assert wire.ERROR_CODES[resp.error_code] is wire.ProtocolError
+
+    def test_no_reply_lock_row_granted_on_the_spot_writes_no_frame(
+        self, server, stack
+    ):
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            frame = bytearray(wire.pack_lock_row_frame(2, app, 3, 7, X))
+            frame[5] |= wire.FLAG_NO_REPLY  # flags: past length + op
+            raw.send(bytes(frame))
+            ping = raw.exchange(wire.encode_frame(wire.encode_ping(3)))
+            # The only frame on the stream is the PING's answer ...
+            assert ping.ok and ping.request_id == 3
+            raw.sock.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                raw.sock.recv(1)
+            # ... and the lock was granted all the same.
+            assert stack.service.manager.app_slots(app) == 2
+
+    def test_runt_frame_is_answered_not_fatal(self, server):
+        with RawConnection(server.address) as raw:
+            resp = raw.exchange(wire.encode_frame(b""))
+            assert wire.ERROR_CODES[resp.error_code] is wire.ProtocolError
+            assert raw.exchange(wire.encode_frame(wire.encode_ping(3))).ok
+
+
+class TestImmediateGrantAttempts:
+    """A request that has to wait tries the immediate grant once per
+    layer it crosses -- not once per copy of the dispatch code."""
+
+    @pytest.fixture()
+    def attempts(self, monkeypatch):
+        calls = []
+        original = LockManager.lock_row_fast
+
+        def counting(self, app_id, *args):
+            calls.append(app_id)
+            return original(self, app_id, *args)
+
+        monkeypatch.setattr(LockManager, "lock_row_fast", counting)
+        return calls
+
+    def test_wire_waiter_tries_on_the_reader_and_in_the_service(
+        self, client, stack, attempts
+    ):
+        holder = client.open_session()
+        waiter = client.open_session()
+        client.lock_row(holder, 7, 7, LockMode.X)
+        thread = threading.Thread(
+            target=client.lock_row,
+            args=(waiter, 7, 7, LockMode.X),
+            kwargs={"timeout_s": 5.0},
+        )
+        thread.start()
+        assert wait_until(lambda: stack.service.waiting_sessions() == {waiter})
+        # One on the connection's reader, one inside LockService.lock_row.
+        assert attempts.count(waiter) == 2
+        client.close_session(holder)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert attempts.count(waiter) == 2
+        client.close_session(waiter)
+
+    def test_sharded_waiter_tries_once(self, attempts):
+        with ServiceStack(ShardedServiceConfig(shards=2, **SMALL)) as sharded:
+            service = sharded.service
+            holder = service.open_session()
+            waiter = service.open_session()
+            service.lock_row(holder, 7, 7, LockMode.X)
+            thread = threading.Thread(
+                target=service.lock_row,
+                args=(waiter, 7, 7, LockMode.X),
+                kwargs={"timeout_s": 5.0},
+            )
+            thread.start()
+            assert wait_until(lambda: service.waiting_sessions() == {waiter})
+            assert attempts.count(waiter) == 1
+            service.close_session(holder)
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            service.close_session(waiter)

@@ -99,31 +99,31 @@ class TestOverheadContract:
 class TestTracingOverheadContract:
     """Request tracing off costs exactly one ``is None`` check.
 
-    The only tracing code on the untraced ``lock_row`` path is the
-    ``self._tracer is None`` branch: no sampling arithmetic, no traced
-    frame encoding, no hop bookkeeping.  Enforced the same way as the
-    lock-manager contract -- count the tracing entry points across
-    identical request runs with tracing off (zero) and on (nonzero).
+    Traced or not, ``lock_row`` is one body; the only tracing code an
+    untraced client runs in it is the ``self._tracer is None`` branch:
+    no sampling arithmetic, no trace tail, no hop bookkeeping.
+    Enforced the same way as the lock-manager contract -- count the
+    tracer's two entry points (``maybe_trace`` samples, ``finish``
+    lands the hops) across identical request runs with tracing off
+    (zero) and on (nonzero).
     """
 
     @pytest.fixture
     def tracing_calls(self, monkeypatch):
-        calls = {"maybe_trace": 0, "traced_path": 0}
+        calls = {"maybe_trace": 0, "finish": 0}
         original_maybe = RequestTracer.maybe_trace
-        original_traced = RoutedLockClient._lock_row_traced
+        original_finish = RequestTracer.finish
 
         def counting_maybe(self):
             calls["maybe_trace"] += 1
             return original_maybe(self)
 
-        def counting_traced(self, *args, **kwargs):
-            calls["traced_path"] += 1
-            return original_traced(self, *args, **kwargs)
+        def counting_finish(self, *args, **kwargs):
+            calls["finish"] += 1
+            return original_finish(self, *args, **kwargs)
 
         monkeypatch.setattr(RequestTracer, "maybe_trace", counting_maybe)
-        monkeypatch.setattr(
-            RoutedLockClient, "_lock_row_traced", counting_traced
-        )
+        monkeypatch.setattr(RequestTracer, "finish", counting_finish)
         return calls
 
     def request_run(self, sock_path, tracer):
@@ -155,9 +155,9 @@ class TestTracingOverheadContract:
         self, tmp_path, tracing_calls
     ):
         self.request_run(tmp_path / "w0.sock", tracer=None)
-        assert tracing_calls == {"maybe_trace": 0, "traced_path": 0}
+        assert tracing_calls == {"maybe_trace": 0, "finish": 0}
 
     def test_traced_companion_run_does(self, tmp_path, tracing_calls):
         self.request_run(tmp_path / "w0.sock", tracer=RequestTracer(2))
         assert tracing_calls["maybe_trace"] == 8
-        assert tracing_calls["traced_path"] == 4  # every 2nd request
+        assert tracing_calls["finish"] == 4  # every 2nd request
