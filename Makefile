@@ -78,13 +78,16 @@ ops-smoke:
 broker-smoke:
 	$(PYTHONPATH_SRC) python scripts/broker_smoke.py
 
-# Record a wait-profiled stress run, then run the offline analysis
-# plane over its telemetry (the CI analyze-smoke job).
+# Record a wait-profiled, 1-in-16 traced stress run, then run the
+# offline analysis plane over its telemetry (the CI analyze-smoke job).
 analyze-smoke:
 	$(PYTHONPATH_SRC) python -m repro.service.cli stress \
 		--threads 4 --requests 500 --shards 2 \
-		--wait-profile --span-sample 16 --telemetry /tmp/analyze-smoke.jsonl
-	$(PYTHONPATH_SRC) python -m repro.service.cli analyze /tmp/analyze-smoke.jsonl
+		--wait-profile --trace-sample 16 --telemetry /tmp/analyze-smoke.jsonl
+	$(PYTHONPATH_SRC) python -m repro.service.cli analyze /tmp/analyze-smoke.jsonl \
+		> /tmp/analyze-smoke.txt
+	cat /tmp/analyze-smoke.txt
+	grep -q "request traces:" /tmp/analyze-smoke.txt
 	$(PYTHONPATH_SRC) python -m repro.service.cli analyze /tmp/analyze-smoke.jsonl --json > /dev/null
 
 # End-to-end distributed tracing over the 2-worker pool (the CI

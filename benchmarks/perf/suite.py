@@ -31,7 +31,7 @@ The benches and the hot paths they stress:
     curve.
 ``service_churn_t8_ops``
     ``service_churn_t8`` with the full ops plane enabled (metric
-    registry, live /metrics endpoint, 1-in-64 request spans); the
+    registry, live /metrics endpoint, 1-in-64 request traces); the
     paired delta against the ops-off run is the observability
     overhead, contractually <= 5 % of median throughput.
 ``service_churn_t8_waits``
@@ -282,7 +282,7 @@ def run_service_churn(
     initial_locklist_pages: int = 128,
     tuner_interval_s: float = 0.05,
     ops: bool = False,
-    span_sample_every: int = 64,
+    trace_sample_every: int = 64,
     waits: bool = False,
     broker: bool = False,
 ) -> int:
@@ -296,7 +296,7 @@ def run_service_churn(
     scale linearly; the interesting result is how gracefully req/s
     holds).  With ``ops=True`` the full observability plane rides along
     (metric registry, live /metrics HTTP endpoint on an ephemeral port,
-    1-in-``span_sample_every`` request spans); paired against the
+    1-in-``trace_sample_every`` request traces); paired against the
     ops-off run it measures the plane's overhead, which the contract
     caps at 5 % of median throughput.  ``waits=True`` additionally
     enables the wait-event profiler (latch try-acquire/spin path on
@@ -319,7 +319,7 @@ def run_service_churn(
             max_in_flight=max(4, threads),
             admission_queue_depth=4 * max(4, threads),
             ops_port=0 if ops else None,
-            span_sample_every=span_sample_every if ops else 0,
+            trace_sample_every=trace_sample_every if ops else 0,
             wait_profile=waits,
             broker=broker,
         )

@@ -3,11 +3,11 @@
 
 Launches the sharded service under sustained load with ``--ops-port``
 and ``--wait-profile``, scrapes the running process's ``/metrics``,
-``/healthz``, ``/stmm`` and ``/incidents`` over real HTTP, asserts the
-per-shard labeled series (including wait-class histograms and latch
-counters) and tuner liveness are visible from outside, then waits for
-the clean shutdown (the stress CLI exits non-zero on any accounting
-violation).
+``/healthz``, ``/stmm``, ``/incidents`` and ``/traces`` over real HTTP,
+asserts the per-shard labeled series (including wait-class histograms
+and latch counters), tuner liveness and the 1-in-16 sampled request
+traces are visible from outside, then waits for the clean shutdown (the
+stress CLI exits non-zero on any accounting violation).
 
 Deliberately no timing gates: the scrape retries until the load has
 touched every shard, and the only assertions are on *state* -- series
@@ -65,7 +65,7 @@ def main() -> int:
             "--threads", "4", "--requests", "1000000",
             "--duration", str(LOAD_SECONDS),
             "--shards", str(SHARDS),
-            "--ops-port", "0", "--span-sample", "16",
+            "--ops-port", "0", "--trace-sample", "16",
             "--wait-profile",
         ],
         stdout=subprocess.PIPE,
@@ -142,18 +142,21 @@ def main() -> int:
         print(f"[ops-smoke] /incidents reachable: "
               f"{incidents['total']} captured ({incidents['counts']})")
 
-        # Tracing is off in this run: /traces must still answer 200
-        # with the empty-but-valid payload shape, not 404 or an error.
+        # The in-process trace path: 1-in-16 sampled requests land on
+        # /traces with the one hop an in-process request has.
         status, body = _get(base + "/traces")
         assert status == 200, f"/traces returned {status}"
         traces = json.loads(body)
-        assert traces["enabled"] is False, traces
-        assert traces["total"] == 0 and traces["traces"] == [], traces
+        assert traces["enabled"] is True, traces
+        assert traces["sample_every"] == 16, traces
+        assert traces["total"] >= 1 and traces["traces"], traces
         assert set(traces) >= {
             "enabled", "sample_every", "total", "truncated",
             "traces", "server_spans", "summary",
         }, f"/traces payload missing keys: {sorted(traces)}"
-        print("[ops-smoke] /traces empty-but-valid with tracing off")
+        assert set(traces["summary"]["hops"]) == {"server.lock_wait"}, traces
+        print(f"[ops-smoke] /traces: {traces['total']} in-process traces "
+              f"sampled 1/16")
     finally:
         # Drain the remaining output so the stress process can finish
         # its report and shut down cleanly.

@@ -630,7 +630,7 @@ class RoutedLockClient:
             app_id=app_id,
             table_id=table_id,
             row_id=row_id,
-            mode=str(mode_byte),
+            mode=wire.lock_mode(mode_byte).name,
             outcome=outcome,
         )
 

@@ -16,18 +16,17 @@ meets:
   of a registry for the live service's ``/metrics`` endpoint,
 * :mod:`repro.obs.audit` -- the bounded STMM decision audit log
   (:class:`TuningAuditLog`) with its closed reason vocabulary,
-* :mod:`repro.obs.spans` -- 1-in-N sampled per-request
-  admission->grant->release timelines (:class:`RequestSpanSampler`),
 * :mod:`repro.obs.waits` -- the wait-event profiler
   (:class:`WaitEventProfiler`): wait-class histograms with blocker
   attribution plus Oracle-style latch statistics,
 * :mod:`repro.obs.incidents` -- incident forensics
   (:class:`IncidentLog`): structured deadlock / escalation /
   tuner-freeze records with posture, blockers and audit tail,
-* :mod:`repro.obs.tracing` -- end-to-end distributed request tracing
+* :mod:`repro.obs.tracing` -- the one sampled-request record
   (:class:`RequestTracer` / :class:`ServerTracer`): 1-in-N sampled
-  cross-process traces decomposed into the closed ``HOP_NAMES``
-  vocabulary with per-trace wire-tax attribution.
+  requests decomposed into the closed ``HOP_NAMES`` vocabulary with
+  per-trace wire-tax attribution -- seven hops across the process
+  boundary, the one ``server.lock_wait`` hop in process.
 
 Enable on a database with ``db.enable_telemetry()`` before the run,
 collect with ``db.telemetry()`` (or
@@ -75,7 +74,6 @@ from repro.obs.incidents import (
     IncidentRecord,
     IncidentRecorder,
 )
-from repro.obs.spans import RequestSpan, RequestSpanSampler
 from repro.obs.tracing import (
     HOP_NAMES,
     LOCK_HOPS,
@@ -117,8 +115,6 @@ __all__ = [
     "TuningAuditLog",
     "TuningAuditRecord",
     "audit_reason_for",
-    "RequestSpan",
-    "RequestSpanSampler",
     "LATENCY_BUCKETS_S",
     "WALL_CLOCK_BUCKETS_S",
     "SLOT_COUNT_BUCKETS",

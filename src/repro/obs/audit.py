@@ -171,14 +171,20 @@ class BrokerAuditRecord:
 
 
 class TuningAuditLog:
-    """A bounded, thread-safe ring of audit records.
+    """A bounded, thread-safe ring of records in a closed vocabulary.
 
     Appends from the tuner thread and reads from HTTP handler threads
     (the ``/stmm`` endpoint) interleave freely; readers always get a
     point-in-time copy.  The allowed reason vocabulary is closed:
     :data:`AUDIT_REASONS` by default (the LOCKLIST tuner's log),
-    :data:`BROKER_REASONS` for the whole-memory broker's log.
+    :data:`BROKER_REASONS` for the whole-memory broker's log.  The
+    incident ring (:class:`repro.obs.incidents.IncidentLog`) is this
+    class keyed on ``kind``.
     """
+
+    #: What the log calls its records, and the record attribute checked
+    #: against the vocabulary.
+    KEYED_ON = ("audit", "reason")
 
     def __init__(self, capacity: int = 256, reasons=AUDIT_REASONS) -> None:
         if capacity <= 0:
@@ -193,9 +199,11 @@ class TuningAuditLog:
         self.total_recorded = 0
 
     def append(self, record) -> None:
-        if record.reason not in self.allowed_reasons:
+        what, attr = self.KEYED_ON
+        key = getattr(record, attr)
+        if key not in self.allowed_reasons:
             raise ValueError(
-                f"unknown audit reason {record.reason!r}; "
+                f"unknown {what} {attr} {key!r}; "
                 f"expected one of {self.allowed_reasons}"
             )
         with self._lock:
@@ -216,7 +224,7 @@ class TuningAuditLog:
 
     def reasons(self) -> List[str]:
         """The reason sequence currently in the ring, oldest first."""
-        return [record.reason for record in self.records()]
+        return [getattr(record, self.KEYED_ON[1]) for record in self.records()]
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [record.to_dict() for record in self.records()]
@@ -231,8 +239,8 @@ class TuningAuditLog:
     def __repr__(self) -> str:
         with self._lock:
             return (
-                f"TuningAuditLog({len(self._records)}/{self.capacity} held, "
-                f"{self.total_recorded} total)"
+                f"{type(self).__name__}({len(self._records)}/{self.capacity} "
+                f"held, {self.total_recorded} total)"
             )
 
 

@@ -20,7 +20,7 @@ Every record also snapshots the lock-table *posture* (pages, slots,
 free fraction, waiter count), the top blockers at capture time, and the
 tail of the STMM audit ring -- the context a DBA would pull from DB2's
 ``db2pd -locks`` plus the event monitor after the fact.  Records live
-in a bounded ring (:class:`IncidentLog`, same shape as the audit ring),
+in a bounded ring (:class:`IncidentLog`, the audit ring keyed on kind),
 are served on the ``/incidents`` ops endpoint, and ride the telemetry
 JSONL as schema-v3 ``incident`` records.
 
@@ -32,10 +32,10 @@ recording is always on; the hot-path contract is the usual single
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
+
+from repro.obs.audit import TuningAuditLog
 
 #: Closed vocabulary of incident kinds.  ``worker-crash`` is the
 #: multi-process analogue of ``tuner-freeze``: a worker process died
@@ -88,71 +88,29 @@ class IncidentRecord:
         )
 
 
-class IncidentLog:
-    """A bounded, thread-safe ring of :class:`IncidentRecord`.
+class IncidentLog(TuningAuditLog):
+    """The audit ring keyed on :attr:`IncidentRecord.kind`.
 
     Appends come from request threads (deadlock, escalation) and the
     tuner thread (freeze); reads come from HTTP handler threads via
-    ``/incidents``.  Same discipline as the STMM audit ring.
+    ``/incidents``.
     """
 
+    KEYED_ON = ("incident", "kind")
+
     def __init__(self, capacity: int = 128) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._records: Deque[IncidentRecord] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        #: Total incidents ever recorded (survives ring eviction).
-        self.total_recorded = 0
-
-    def append(self, record: IncidentRecord) -> None:
-        if record.kind not in INCIDENT_KINDS:
-            raise ValueError(
-                f"unknown incident kind {record.kind!r}; "
-                f"expected one of {INCIDENT_KINDS}"
-            )
-        with self._lock:
-            self._records.append(record)
-            self.total_recorded += 1
-
-    def records(self) -> List[IncidentRecord]:
-        """A snapshot copy of the ring, oldest first."""
-        with self._lock:
-            return list(self._records)
-
-    def tail(self, n: int) -> List[IncidentRecord]:
-        if n <= 0:
-            return []
-        with self._lock:
-            return list(self._records)[-n:]
+        super().__init__(capacity, INCIDENT_KINDS)
 
     def kinds(self) -> List[str]:
         """The kind sequence currently in the ring, oldest first."""
-        return [record.kind for record in self.records()]
+        return self.reasons()
 
     def kind_counts(self) -> Dict[str, int]:
         """``{kind: count}`` over the current ring contents."""
         counts = {kind: 0 for kind in INCIDENT_KINDS}
-        for record in self.records():
-            counts[record.kind] += 1
+        for kind in self.kinds():
+            counts[kind] += 1
         return counts
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [record.to_dict() for record in self.records()]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def __iter__(self):
-        return iter(self.records())
-
-    def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"IncidentLog({len(self._records)}/{self.capacity} held, "
-                f"{self.total_recorded} total)"
-            )
 
 
 class IncidentRecorder:

@@ -1,13 +1,19 @@
-"""End-to-end request tracing across the process boundary.
+"""Request tracing: the one sampled-request record, on every topology.
 
-The sampled spans of :mod:`repro.obs.spans` and the wait-event
-profiler of :mod:`repro.obs.waits` both stop at the process edge: once
-a lock request leaves :class:`~repro.net.client.RoutedLockClient` for a
-worker's socket, nothing can say where its time went.  This module is
-the cross-process layer -- the same decomposition discipline Nikolaev's
-DTrace study applies to Oracle latches (gets / misses / spins / sleeps
-instead of one opaque total), applied to a request's journey over the
-wire.
+Recording a timeline for *every* lock request would violate the
+overhead budget the live service promises (Nikolaev's DTrace latch
+study is explicit that heavyweight probes distort exactly the
+contention they measure), so a :class:`RequestTracer` samples **1 in
+N** row-lock requests and decomposes each one the way that study
+decomposes Oracle latches (gets / misses / spins / sleeps instead of
+one opaque total).  Over the wire the tracer sits in
+:class:`~repro.net.client.RoutedLockClient` and follows the request
+through the worker's socket and back; in process it sits in
+:class:`~repro.service.service.LockService` and the same record has a
+single hop, ``server.lock_wait`` (= the request's service time), so
+its hops still sum to ``total_s`` and its wire tax is 0.  One config
+field (``trace_sample_every``) turns it on for whichever topology is
+running.
 
 A sampled request is decomposed into the **closed hop vocabulary**
 :data:`HOP_NAMES`:
@@ -21,10 +27,10 @@ A sampled request is decomposed into the **closed hop vocabulary**
     Frame arrival in the server's read loop to execution start (decode
     plus any inline dispatch work).
 ``server.lock_wait``
-    Inside the worker's ``LockService`` call -- latch acquisition,
-    grant, or a parked lock wait.  This is the hop the wait-event
-    profiler attributes to a blocker; join trace and wait records on
-    (app, time) in telemetry for the blocker identity.
+    Inside the ``LockService`` call -- latch acquisition, grant, or a
+    parked lock wait; the whole of an in-process trace.  This is the
+    hop the wait-event profiler attributes to a blocker; join trace and
+    wait records on (app, time) in telemetry for the blocker identity.
 ``server.executor_park``
     Waiting for an executor thread after dispatch chose the parking
     path (0 for inline grants).
@@ -46,14 +52,14 @@ extension (:mod:`repro.net.protocol`): a 17-byte (trace id, span id,
 sampled) tail the client attaches only when a tracer is configured, so
 untraced deployments exchange byte-identical frames with old peers.
 
-Overhead contract: a client stack without a tracer holds ``None`` and
-pays exactly one ``is None`` check per request; with a tracer, the
-off-sample cost is one increment and one modulo (the
-:class:`~repro.obs.spans.RequestSpanSampler` discipline).
+Overhead contract: a client stack or lock service without a tracer
+holds ``None`` and pays exactly one ``is None`` check per request; with
+a tracer, the off-sample cost is one increment and one modulo, and only
+the sampled 1/N requests allocate a record.
 
 Thread safety: ``deque.append`` and the integer bumps are GIL-atomic;
 tracers are mutated by request threads and read by ops handler threads,
-which copy the ring via ``list()`` -- same model as the span sampler.
+which copy the ring via ``list()``.
 """
 
 from __future__ import annotations
@@ -130,7 +136,7 @@ class TraceContext:
 
 
 class RequestTrace:
-    """One completed end-to-end trace (client side, all hops)."""
+    """One completed trace: a sampled request and every hop it crossed."""
 
     __slots__ = (
         "trace_id",
@@ -197,7 +203,7 @@ class RequestTrace:
 
 
 class RequestTracer:
-    """Client-side 1-in-N end-to-end tracer with a bounded trace ring.
+    """1-in-N request tracer with a bounded ring of completed traces.
 
     Parameters
     ----------

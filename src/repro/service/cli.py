@@ -46,15 +46,15 @@ Subcommands:
     as a bench lane (same engine as ``matrix run``).
 
 Every load subcommand accepts ``--ops-port`` (serve ``/metrics`` /
-``/healthz`` / ``/stmm`` while running), ``--span-sample N`` (sample
-every Nth request's admission->grant->release span) and ``--telemetry
+``/healthz`` / ``/stmm`` / ``/traces`` while running), ``--telemetry
 out.jsonl`` (export the run's registry, tuning decisions and audit
-trail as a JSONL stream readable by ``repro.obs``).  The networked
-pool lanes (``--net --workers N``) additionally accept
-``--trace-sample N``: sample every Nth wire request for an end-to-end
-distributed trace (client encode -> net wait -> server dispatch/lock
-wait/park/reply -> client decode), served on ``/traces`` and exported
-as schema-v5 ``reqtrace`` telemetry records.
+trail as a JSONL stream readable by ``repro.obs``) and ``--trace-sample
+N``: sample every Nth row-lock request into a hop-decomposed trace,
+served on ``/traces`` and exported as schema-v5 ``reqtrace`` telemetry
+records.  Over the worker pool (``--net --workers N``) a trace carries
+all seven hops (client encode -> net wait -> server dispatch/lock
+wait/park/reply -> client decode); in process its one hop is
+``server.lock_wait``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _add_load_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=0)
     # The wire toggles only ``stress`` and ``serve`` expose (_add_net_args).
-    parser.set_defaults(net=False, workers=0, trace_sample=0)
+    parser.set_defaults(net=False, workers=0)
     parser.add_argument(
         "--ops-port",
         type=int,
@@ -135,11 +135,12 @@ def _add_load_args(parser: argparse.ArgumentParser) -> None:
         "running (0 = ephemeral; the bound URL is printed)",
     )
     parser.add_argument(
-        "--span-sample",
+        "--trace-sample",
         type=int,
         default=0,
-        help="sample every Nth request's admission->grant->release span "
-        "(0 = off, the default)",
+        metavar="N",
+        help="sample every Nth row-lock request into a hop-decomposed "
+        "trace on /traces and in --telemetry (0 = off, the default)",
     )
     parser.add_argument(
         "--wait-profile",
@@ -182,15 +183,6 @@ def _add_net_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="client connections per endpoint (default 1)",
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=0,
-        metavar="N",
-        help="sample every Nth network request for an end-to-end "
-        "distributed trace (0 = off, the default; requires --net "
-        "--workers; traces land on /traces and in --telemetry)",
     )
 
 
@@ -241,7 +233,6 @@ def _build_stack(args: argparse.Namespace) -> ControlPlane:
             initial_locklist_pages=args.locklist_pages,
             tuner_interval_s=args.tuner_interval,
             ops_port=args.ops_port,
-            span_sample_every=args.span_sample,
             trace_sample_every=args.trace_sample,
             wait_profile=args.wait_profile,
             broker=args.broker,
@@ -523,6 +514,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 pass
     _print_reconciliation(stack)
+    _export_telemetry(stack, args)
     failures = _check_shutdown_accounting(stack)
     if failures:
         for failure in failures:

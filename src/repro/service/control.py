@@ -13,8 +13,8 @@ written once, here, over the :mod:`repro.service.partition` surface:
   (:mod:`repro.service.ledger`) -> :class:`LockMemoryController` ->
   adaptive MAXLOCKS -> STMM -> :class:`TunerDaemon` -> the
   cross-partition :class:`DeadlockSweep` -> incident log -> ops plane,
-  and serves ``/metrics`` ``/healthz`` ``/stmm`` ``/incidents`` from
-  one body each.
+  and serves ``/metrics`` ``/healthz`` ``/stmm`` ``/incidents``
+  ``/traces`` from one body each.
 
 A topology (:class:`repro.service.stack.ServiceStack` in-process,
 :class:`repro.service.workers.WorkerPoolStack` across processes) builds
@@ -40,6 +40,7 @@ from repro.memory.registry import DatabaseMemoryRegistry
 from repro.memory.stmm import Stmm, StmmConfig
 from repro.obs.incidents import IncidentLog, IncidentRecorder
 from repro.obs.registry import MetricRegistry
+from repro.obs.tracing import hop_percentiles, wire_tax_summary
 from repro.obs.waits import merged_class_totals
 from repro.service.broker import BrokerConfig, WorkloadProfile
 from repro.service.clock import Clock, MonotonicClock
@@ -81,12 +82,10 @@ class ServiceConfig:
     #: TCP port of the live ops plane (/metrics, /healthz, /stmm).
     #: None = no HTTP server; 0 = ephemeral port (tests/CI).
     ops_port: Optional[int] = None
-    #: Sample every Nth request's admission->grant->release span
-    #: (0 = off, keeping hot paths at the one-None-check contract).
-    span_sample_every: int = 0
-    #: Sample every Nth network request for an end-to-end distributed
-    #: trace (0 = off; only the networked client/worker path traces --
-    #: see :mod:`repro.obs.tracing`).  Off costs one ``is None`` check.
+    #: Sample every Nth row-lock request into a hop-decomposed
+    #: :class:`~repro.obs.tracing.RequestTrace` on ``/traces`` and in
+    #: telemetry, on every topology (in process a trace's one hop is
+    #: ``server.lock_wait``).  0 = off, costing one ``is None`` check.
     trace_sample_every: int = 0
     #: Ring-buffer bound of the STMM decision audit log.
     audit_capacity: int = 256
@@ -149,11 +148,6 @@ class ServiceConfig:
         if self.ops_port is not None and self.ops_port < 0:
             raise ConfigurationError(
                 f"ops_port must be non-negative, got {self.ops_port}"
-            )
-        if self.span_sample_every < 0:
-            raise ConfigurationError(
-                f"span_sample_every must be non-negative, "
-                f"got {self.span_sample_every}"
             )
         if self.trace_sample_every < 0:
             raise ConfigurationError(
@@ -262,8 +256,6 @@ class ControlPlane:
     service_name = "lock-service"
     #: Label key of the per-partition metric series.
     partition_label = "shard"
-    #: ``/traces`` body provider (only the networked topology traces).
-    ops_traces: Optional[Callable[[], dict]] = None
     #: The shutdown reconcile report (only forked partitions need one).
     reconciliation: Any = None
 
@@ -517,10 +509,6 @@ class ControlPlane:
         body.update(health)
         return body
 
-    def _spans(self) -> List[dict]:
-        """Recently finished sampled request spans (``/stmm``)."""
-        return []
-
     def ops_stmm(self) -> dict:
         """The ``/stmm`` body: audit trail + current memory posture."""
         label = self.partition_label
@@ -571,7 +559,6 @@ class ControlPlane:
             },
             "incident_total": self.incidents.total_recorded,
             "wait_classes": waits,
-            "spans": self._spans(),
             "broker": (
                 None if self.broker is None else self.broker.status()
             ),
@@ -583,6 +570,38 @@ class ControlPlane:
             "total": self.incidents.total_recorded,
             "counts": self.incidents.kind_counts(),
             "incidents": self.incidents.to_dicts(),
+        }
+
+    def _server_spans(self) -> Dict[str, Any]:
+        """Per-partition server-side span rings (forked partitions only)."""
+        return {}
+
+    def ops_traces(self) -> dict:
+        """The ``/traces`` body: every tracer's completed traces (hop
+        decomposition and wire tax), time ordered, plus whatever span
+        rings the partitions keep on their side of a wire."""
+        traces: List[Dict[str, Any]] = []
+        total = truncated = 0
+        for tracer in self.request_tracers:
+            traces.extend(tracer.to_dicts())
+            total += tracer.finished
+            truncated += tracer.truncated
+        traces.sort(key=lambda trace: trace["t"])
+        enabled = self.config.trace_sample_every > 0
+        summary: Dict[str, Any] = {}
+        if traces:
+            summary = {
+                "hops": hop_percentiles(traces),
+                "wire_tax": wire_tax_summary(traces),
+            }
+        return {
+            "enabled": enabled,
+            "sample_every": self.config.trace_sample_every,
+            "total": total,
+            "truncated": truncated,
+            "traces": traces,
+            "server_spans": self._server_spans() if enabled else {},
+            "summary": summary,
         }
 
     # -- consistency -------------------------------------------------------

@@ -26,9 +26,8 @@ service stack:
 ``GET /stmm``
     The STMM decision audit trail as JSON: the bounded
     :class:`~repro.obs.audit.TuningAuditLog` ring (inputs + chosen
-    action per interval, in the closed reason vocabulary), current
-    LOCKLIST / MAXLOCKS posture, and the most recent sampled request
-    spans.
+    action per interval, in the closed reason vocabulary) and the
+    current LOCKLIST / MAXLOCKS posture.
 
 ``GET /incidents``
     The incident forensics ring as JSON: every captured deadlock
@@ -38,12 +37,11 @@ service stack:
     incident log.
 
 ``GET /traces``
-    The end-to-end request-trace rings as JSON (see
-    :mod:`repro.obs.tracing`): completed client traces with their hop
-    decomposition and wire tax, plus the per-worker server span rings
-    merged by the parent pool.  Always 200 -- an unwired or disabled
-    tracer serves the same shape with ``enabled: false`` and empty
-    rings.
+    The sampled request traces as JSON (see :mod:`repro.obs.tracing`):
+    completed traces with their hop decomposition and wire tax, plus
+    the per-worker server span rings merged by the parent pool.  Always
+    200 -- an unwired or disabled tracer serves the same shape with
+    ``enabled: false`` and empty rings.
 
 The server binds ``127.0.0.1`` by default and serves each request from
 a pooled thread; handlers only ever *read* (snapshot copies from the

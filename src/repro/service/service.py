@@ -59,7 +59,7 @@ from repro.service.wallenv import WallClockEnvironment, WallEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricRegistry
-    from repro.obs.spans import RequestSpanSampler
+    from repro.obs.tracing import RequestTracer
 
 #: Sentinel distinguishing "no timeout given" from "explicitly None".
 _USE_DEFAULT = object()
@@ -148,10 +148,12 @@ class LockService:
         self.borrow_return: Optional[Callable[[], int]] = None
         self._metrics = metrics
         self.metric_labels = metric_labels
-        #: Optional 1-in-N request span sampler (see repro.obs.spans).
-        #: None keeps the hot paths at one ``is None`` check; the stack
-        #: installs one when span sampling is configured.
-        self.span_sampler: Optional["RequestSpanSampler"] = None
+        #: Optional 1-in-N request tracer (see repro.obs.tracing) and the
+        #: ``worker`` its traces carry (this table's partition index).
+        #: None keeps the request paths at one ``is None`` check; the
+        #: stack installs one when ``trace_sample_every`` is set.
+        self.tracer: Optional["RequestTracer"] = None
+        self.trace_worker = 0
         if metrics is not None:
             from repro.obs.registry import WALL_CLOCK_BUCKETS_S
 
@@ -243,8 +245,6 @@ class LockService:
                     f"session {app_id} still has a request in flight"
                 )
             freed = self.manager.release_all(app_id)
-            if self.span_sampler is not None:
-                self.span_sampler.release(app_id)
             self._sessions.discard(app_id)
             self.stats.sessions_closed += 1
             return freed
@@ -285,7 +285,6 @@ class LockService:
         if timeout_s is not None and timeout_s < 0:  # type: ignore[operator]
             raise ServiceError(f"timeout_s must be non-negative, got {timeout_s}")
         started = perf_counter()
-        span = None
         # Latch-aware acquisition of the service mutex (the profiler's
         # "latch" wait class); disabled it is the plain ``with self._cond``
         # acquisition behind one None check.
@@ -302,20 +301,16 @@ class LockService:
                 if self._metrics is not None:
                     self._m_requests.inc()
                     self._m_latency.observe(perf_counter() - started)
-                if self.span_sampler is not None:
-                    span = self.span_sampler.maybe_start(app_id, table_id, row_id)
-                    if span is not None:
-                        self.span_sampler.grant(span)
+                if self.tracer is not None:
+                    self._trace(started, app_id, table_id, row_id, mode)
                 return
-            if self.span_sampler is not None:
-                span = self.span_sampler.maybe_start(app_id, table_id, row_id)
         finally:
             self.env.latch_release()
         self._request(
             app_id,
             self.manager.lock_row(app_id, table_id, row_id, mode),
             timeout_s,
-            span=span,
+            row=(table_id, row_id, mode),
         )
 
     def try_lock_row(
@@ -346,11 +341,9 @@ class LockService:
                     self._m_latency.observe(perf_counter() - started)
                 # Probe only the granted case: a False return falls back
                 # to lock_row, which runs its own probe -- every request
-                # is counted by the sampler exactly once.
-                if self.span_sampler is not None:
-                    span = self.span_sampler.maybe_start(app_id, table_id, row_id)
-                    if span is not None:
-                        self.span_sampler.grant(span)
+                # is counted by the tracer exactly once.
+                if self.tracer is not None:
+                    self._trace(started, app_id, table_id, row_id, mode)
                 return True
             return False
         finally:
@@ -379,10 +372,7 @@ class LockService:
         with self._mutex:
             if app_id not in self._sessions:
                 raise ServiceError(f"session {app_id} is not open")
-            freed = self.manager.release_all(app_id)
-            if self.span_sampler is not None:
-                self.span_sampler.release(app_id)
-            return freed
+            return self.manager.release_all(app_id)
 
     def release_read_lock(self, app_id: int, table_id: int, row_id: int) -> bool:
         """Cursor-stability early release (never blocks)."""
@@ -461,7 +451,9 @@ class LockService:
         if self._closed:
             raise ServiceClosedError("lock service is closed")
 
-    def _request(self, app_id: int, gen, timeout_s: object, span=None) -> None:
+    def _request(self, app_id: int, gen, timeout_s: object, row=None) -> None:
+        """Drive ``gen`` for ``app_id``; ``row`` is the ``(table, row,
+        mode)`` of a row request (the only kind the tracer samples)."""
         if timeout_s is _USE_DEFAULT:
             timeout_s = self.default_timeout_s
         if timeout_s is not None and timeout_s < 0:  # type: ignore[operator]
@@ -483,31 +475,53 @@ class LockService:
             deadline = (
                 None if timeout_s is None else self.clock.now() + timeout_s  # type: ignore[operator]
             )
-            outcome = "failed"
+            outcome = "ok"
             try:
                 self._drive(app_id, gen, deadline)
                 self.stats.granted += 1
-                outcome = "granted"
-            except LockTimeoutError:
-                self.stats.timeouts += 1
-                outcome = "timeout"
-                if self._metrics is not None:
-                    self._m_timeouts.inc()
-                raise
-            except (RequestCancelledError, ServiceClosedError):
-                outcome = "cancelled"
-                raise
-            except Exception:
-                self.stats.failures += 1
+            except BaseException as exc:
+                outcome = type(exc).__name__
+                if isinstance(exc, LockTimeoutError):
+                    self.stats.timeouts += 1
+                    if self._metrics is not None:
+                        self._m_timeouts.inc()
+                elif not isinstance(
+                    exc, (RequestCancelledError, ServiceClosedError)
+                ):
+                    self.stats.failures += 1
                 raise
             finally:
                 self._active_requests.discard(app_id)
                 if self._metrics is not None:
                     self._m_latency.observe(perf_counter() - started)
-                if span is not None:
-                    self.span_sampler.grant(span, outcome)
+                if self.tracer is not None and row is not None:
+                    self._trace(started, app_id, *row, outcome)
         finally:
             self.env.latch_release()
+
+    def _trace(self, started, app_id, table_id, row_id, mode, outcome="ok") -> None:
+        """Count one row request on the tracer; land the sampled 1/N.
+
+        An in-process request crosses no wire: its one hop is
+        ``server.lock_wait`` (= its service time), so the hops still
+        sum to ``total_s`` and the trace's wire tax is 0.  ``outcome``
+        is ``"ok"`` or the exception class name, as the routed client
+        records it.
+        """
+        ctx = self.tracer.maybe_trace()
+        if ctx is not None:
+            total_s = perf_counter() - started
+            self.tracer.finish(
+                ctx,
+                total_s,
+                {"server.lock_wait": total_s},
+                worker=self.trace_worker,
+                app_id=app_id,
+                table_id=table_id,
+                row_id=row_id,
+                mode=mode.name,
+                outcome=outcome,
+            )
 
     def _drive(self, app_id: int, gen, deadline: Optional[float]) -> None:
         """Run one locking generator to completion under the mutex.

@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockManagerStats
 from repro.obs.incidents import IncidentRecorder
-from repro.obs.spans import RequestSpanSampler
+from repro.obs.tracing import RequestTracer
 from repro.obs.waits import WaitEventProfiler
 from repro.service.admission import AdmissionController
 from repro.service.broker import (
@@ -150,6 +150,12 @@ class ServiceStack(ControlPlane):
                 metrics=self.metrics,
             )
             self.tuner.broker = self.broker
+        tracer = None
+        if cfg.trace_sample_every > 0:
+            # One tracer over every table, stamped on the stack clock so
+            # traces merge with the wait events in ``t`` order.
+            tracer = RequestTracer(cfg.trace_sample_every, self.clock.now)
+            self.request_tracers.append(tracer)
         for idx, table in enumerate(tables):
             manager = table.manager
             manager.growth_provider = self._growth_provider(idx)
@@ -162,13 +168,7 @@ class ServiceStack(ControlPlane):
             manager.incidents = IncidentRecorder(
                 self.incidents, shard=idx, audit=self.tuner.audit
             )
-            if cfg.span_sample_every > 0 and self.metrics is not None:
-                table.span_sampler = RequestSpanSampler(
-                    cfg.span_sample_every,
-                    self.clock.now,
-                    registry=self.metrics,
-                    labels=self._labels(idx),
-                )
+            table.tracer, table.trace_worker = tracer, idx
             if cfg.wait_profile:
                 profiler = self._wait_profiler(self._labels(idx))
                 manager.wait_profiler = profiler
@@ -274,16 +274,6 @@ class ServiceStack(ControlPlane):
                 for part in self.partitions
             ]
         return health
-
-    def _spans(self) -> List[dict]:
-        spans: List[dict] = []
-        for part in self.partitions:
-            sampler = part.service.span_sampler
-            if sampler is not None:
-                spans.extend(
-                    sampler.finished_dicts(limit=16 if self._sharded else 64)
-                )
-        return spans
 
     def check_invariants(self) -> None:
         # The facade's own bookkeeping (the adoption index) first.

@@ -19,10 +19,12 @@ and redraws one console frame per poll:
 * when the whole-memory broker is enabled, the per-heap table (size,
   demand, marginal benefit per page) and the pressure posture.
 
-Series that a given run does not publish (span sampling off: no latency
-histogram; profiler off: no wait series) render as ``-`` rather than a
-misleading ``0``.  ``--json`` swaps the dashboard for one JSON object
-per frame built from the same :func:`shard_summary` rows.
+The latency columns read ``service_request_latency_s``, which every
+stack with an ops plane publishes.  What a run has nothing to say about
+(profiler off: no wait series; nothing served yet: no percentile)
+renders as ``-`` rather than a misleading ``0``.  ``--json`` swaps the
+dashboard for one JSON object per frame built from the same
+:func:`shard_summary` rows.
 
 Everything here is a *client* of the HTTP endpoints -- ``top`` holds no
 reference to the stack and can watch a service in another process.  The
@@ -255,8 +257,8 @@ def shard_summary(
     """One shard's dashboard row as raw values (None = not published).
 
     ``shard=None`` reads the unlabeled series of the unsharded stack.
-    Series a run does not publish -- the latency histogram with span
-    sampling off, the wait series with the profiler off -- come back as
+    What a run does not publish -- the wait series with the profiler
+    off, latency percentiles before the first request -- comes back as
     None, never a fake zero.
     """
     requests = _value(metrics, "service_requests_total", shard)

@@ -77,12 +77,7 @@ from repro.obs.registry import (
     labeled_name,
     parse_labeled_name,
 )
-from repro.obs.tracing import (
-    RequestTracer,
-    ServerTracer,
-    hop_percentiles,
-    wire_tax_summary,
-)
+from repro.obs.tracing import RequestTracer, ServerTracer
 from repro.service.clock import MonotonicClock
 from repro.service.control import (
     ControlPlane,
@@ -131,11 +126,6 @@ class WorkerPoolConfig(ServiceConfig):
             raise ConfigurationError(
                 "wait_profile is not supported by the worker pool: the "
                 "wait rings would live in the worker processes"
-            )
-        if self.span_sample_every > 0:
-            raise ConfigurationError(
-                "span_sample_every is not supported by the worker pool; "
-                "use trace_sample_every for end-to-end request traces"
             )
 
 
@@ -876,47 +866,17 @@ class WorkerPoolStack(ControlPlane):
             renamed["name"] = _relabel(name)
             reg.install(Histogram.from_snapshot(renamed))
 
-    def ops_traces(self) -> dict:
-        """The ``/traces`` body: client trace rings + worker span rings.
-
-        Client-side completed traces (with their hop decomposition and
-        wire tax) merge across every tracer this pool handed out, time
-        ordered; each live worker contributes its server span ring so a
-        truncated client trace can still be attributed from the
-        surviving side.
-        """
-        enabled = self.config.trace_sample_every > 0
-        traces: List[Dict[str, Any]] = []
-        total = 0
-        truncated = 0
-        for tracer in self.request_tracers:
-            traces.extend(tracer.to_dicts())
-            counts = tracer.summary()
-            total += counts["finished"]
-            truncated += counts["truncated"]
-        traces.sort(key=lambda trace: trace["t"])
+    def _server_spans(self) -> Dict[str, Any]:
+        """Each live worker's span ring, so a truncated client trace can
+        still be attributed from the surviving side."""
         server_spans: Dict[str, Any] = {}
-        if enabled and self._started and not self._stopping:
+        if self._started and not self._stopping:
             for part in self.ledger.live():
                 with contextlib.suppress(ServiceError):
                     spans = part.call("traces")
                     if spans is not None:
                         server_spans[str(part.idx)] = spans
-        summary: Dict[str, Any] = {}
-        if traces:
-            summary = {
-                "hops": hop_percentiles(traces),
-                "wire_tax": wire_tax_summary(traces),
-            }
-        return {
-            "enabled": enabled,
-            "sample_every": self.config.trace_sample_every,
-            "total": total,
-            "truncated": truncated,
-            "traces": traces,
-            "server_spans": server_spans,
-            "summary": summary,
-        }
+        return server_spans
 
 
 __all__ = [

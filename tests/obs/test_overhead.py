@@ -99,9 +99,10 @@ class TestOverheadContract:
 class TestTracingOverheadContract:
     """Request tracing off costs exactly one ``is None`` check.
 
-    Traced or not, ``lock_row`` is one body; the only tracing code an
-    untraced client runs in it is the ``self._tracer is None`` branch:
-    no sampling arithmetic, no trace tail, no hop bookkeeping.
+    Traced or not, ``lock_row`` is one body -- the routed client's and
+    the in-process ``LockService``'s alike; the only tracing code an
+    untraced one runs in it is the ``tracer is None`` branch: no
+    sampling arithmetic, no trace tail, no hop bookkeeping.
     Enforced the same way as the lock-manager contract -- count the
     tracer's two entry points (``maybe_trace`` samples, ``finish``
     lands the hops) across identical request runs with tracing off
@@ -150,6 +151,30 @@ class TestTracingOverheadContract:
             finally:
                 client.close()
                 server.stop()
+
+    def in_process_run(self, trace_sample_every):
+        config = ServiceConfig(
+            total_memory_pages=8192,
+            initial_locklist_pages=128,
+            tuner_interval_s=30.0,
+            trace_sample_every=trace_sample_every,
+        )
+        with ServiceStack(config) as stack:
+            with stack.service.session() as app:
+                for row in range(8):
+                    stack.service.lock_row(app, 0, row, LockMode.X)
+        return stack
+
+    def test_untraced_service_never_enters_tracing_code(self, tracing_calls):
+        stack = self.in_process_run(trace_sample_every=0)
+        assert stack.service.tracer is None
+        assert stack.service.stats.requests == 8
+        assert tracing_calls == {"maybe_trace": 0, "finish": 0}
+
+    def test_traced_service_companion_run_does(self, tracing_calls):
+        stack = self.in_process_run(trace_sample_every=2)
+        assert stack.service.tracer is stack.request_tracers[0]
+        assert tracing_calls == {"maybe_trace": 8, "finish": 4}
 
     def test_untraced_client_never_enters_tracing_code(
         self, tmp_path, tracing_calls

@@ -1,114 +1,69 @@
-"""RequestSpanSampler: 1-in-N selection, timelines, histogram feeding."""
+"""The in-process sampled request: a trace with zero net hops.
+
+``repro.obs.spans`` is gone.  What it called a span is a
+:class:`~repro.obs.tracing.RequestTrace` whose only hop is
+``server.lock_wait``, landed by ``LockService`` itself when the stack's
+``trace_sample_every`` is set.  These are the span-era cases that still
+describe it -- selection, a failed request, the ring bound -- driven
+through a real stack; the tracer's own arithmetic is pinned in
+``test_tracing.py``.
+"""
 
 import pytest
 
-from repro.obs.registry import MetricRegistry
-from repro.obs.spans import RequestSpanSampler
+from repro.errors import ConfigurationError
+from repro.lockmgr.manager import LockTimeoutError
+from repro.lockmgr.modes import LockMode
+from repro.service.stack import ServiceConfig, build_stack
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
+def traced(every, requests):
+    """A stack sampling 1-in-``every`` after ``requests`` row locks."""
+    stack = build_stack(threads=2, trace_sample_every=every, tuner_interval_s=None)
+    with stack.service.session() as app:
+        for row in range(requests):
+            stack.service.lock_row(app, 1, row, LockMode.S)
+    return stack
 
 
 class TestSampling:
     def test_one_in_n_selection(self):
-        clock = FakeClock()
-        sampler = RequestSpanSampler(4, clock.now)
-        spans = [sampler.maybe_start(1, 1, i) for i in range(12)]
-        hits = [s for s in spans if s is not None]
-        assert len(hits) == 3  # requests 4, 8, 12
-        assert sampler.seen == 12
-        assert sampler.sampled == 3
+        (tracer,) = traced(4, requests=12).request_tracers
+        assert tracer.seen == 12
+        assert [t["row"] for t in tracer.to_dicts()] == [3, 7, 11]
 
     def test_every_one_samples_all(self):
-        clock = FakeClock()
-        sampler = RequestSpanSampler(1, clock.now)
-        assert sampler.maybe_start(1, 1, 1) is not None
-        assert sampler.sampled == 1
+        (tracer,) = traced(1, requests=3).request_tracers
+        assert [t["row"] for t in tracer.to_dicts()] == [0, 1, 2]
 
     def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            RequestSpanSampler(0, FakeClock().now)
+        with pytest.raises(ConfigurationError, match="trace_sample_every"):
+            ServiceConfig(trace_sample_every=-1)
+        with pytest.raises(ConfigurationError, match="trace_sample_every"):
+            build_stack(threads=2, workers=1, trace_sample_every=-1)
 
 
 class TestTimeline:
-    def test_admit_grant_release(self):
-        clock = FakeClock()
-        sampler = RequestSpanSampler(1, clock.now)
-        span = sampler.maybe_start(7, 3, 42)
-        clock.t = 0.25
-        sampler.grant(span)
-        clock.t = 1.0
-        sampler.release(7)
-        assert span.wait_s == 0.25
-        assert span.hold_s == 0.75
-        assert span.outcome == "released"
-        (record,) = sampler.finished_dicts()
-        assert record == {
-            "app": 7,
-            "table": 3,
-            "row": 42,
-            "t_admit": 0.0,
-            "t_grant": 0.25,
-            "t_release": 1.0,
-            "outcome": "released",
-        }
-
     def test_failed_request_retires_immediately(self):
-        clock = FakeClock()
-        sampler = RequestSpanSampler(1, clock.now)
-        span = sampler.maybe_start(1, 1, 1)
-        sampler.grant(span, outcome="timeout")
-        assert sampler.open_count() == 0
-        assert sampler.finished_dicts()[0]["outcome"] == "timeout"
-
-    def test_release_without_span_is_noop(self):
-        sampler = RequestSpanSampler(1, FakeClock().now)
-        sampler.release(99)  # never sampled
-        assert sampler.finished_dicts() == []
-
-    def test_new_span_retires_stale_open_span(self):
-        clock = FakeClock()
-        sampler = RequestSpanSampler(1, clock.now)
-        first = sampler.maybe_start(1, 1, 1)
-        sampler.grant(first)
-        second = sampler.maybe_start(1, 2, 2)
-        assert sampler.open_count() == 1
-        assert first.to_dict() in sampler.finished_dicts()
-        sampler.grant(second)
-        sampler.release(1)
-        assert second.outcome == "released"
+        stack = build_stack(threads=2, trace_sample_every=1)
+        service = stack.service
+        with service.session() as holder, service.session() as waiter:
+            service.lock_row(holder, 0, 7, LockMode.X)
+            with pytest.raises(LockTimeoutError):
+                service.lock_row(waiter, 0, 7, LockMode.X, timeout_s=0.01)
+            # Landed by the failing call itself, not by a later release.
+            granted, timed_out = stack.request_tracers[0].to_dicts()
+        assert granted["outcome"] == "ok" and granted["app"] == holder
+        assert timed_out["outcome"] == "LockTimeoutError"
+        assert timed_out["app"] == waiter and timed_out["total_s"] >= 0.01
+        assert timed_out["hops"] == {"server.lock_wait": timed_out["total_s"]}
+        assert timed_out["wire_tax"] == 0.0
+        assert stack.request_tracers[0].truncated == 0
 
     def test_ring_buffer_bounded(self):
-        clock = FakeClock()
-        sampler = RequestSpanSampler(1, clock.now, capacity=3)
-        for i in range(10):
-            span = sampler.maybe_start(1, 1, i)
-            sampler.grant(span)
-            sampler.release(1)
-        finished = sampler.finished_dicts()
-        assert len(finished) == 3
-        assert [f["row"] for f in finished] == [7, 8, 9]
-
-
-class TestHistogramFeeding:
-    def test_sampled_waits_observed_with_labels(self):
-        clock = FakeClock()
-        reg = MetricRegistry()
-        sampler = RequestSpanSampler(
-            2, clock.now, registry=reg, labels={"shard": "1"}
-        )
-        for i in range(4):
-            span = sampler.maybe_start(1, 1, i)
-            if span is not None:
-                clock.t += 0.5
-                sampler.grant(span)
-                sampler.release(1)
-        hist = reg.get('service.span.wait_latency_s{shard="1"}')
-        assert hist is not None
-        assert hist.count == 2
-        assert hist.sum == 1.0
+        stack = traced(1, requests=300)
+        (tracer,) = stack.request_tracers
+        held = tracer.to_dicts()
+        assert len(held) == tracer.capacity == 256
+        assert [t["row"] for t in held] == list(range(44, 300))
+        assert stack.ops_traces()["total"] == 300  # exact after wrap

@@ -3,15 +3,23 @@
 The live smokes (``scripts/trace_smoke.py`` and the propagation tests
 in ``tests/net``) exercise the wire; these tests pin the pure-Python
 surface -- sampling arithmetic, ring bounds, the hop aggregations --
-and the schema-v5 JSONL round trip plus the analyzer fields that
-downstream tooling (``analyze``, ``top``, ``matrix``) reads.
+the schema-v5 JSONL round trip plus the analyzer fields that
+downstream tooling (``analyze``, ``top``, ``matrix``) reads, and the
+one knob (``trace_sample_every``) landing the same record on every
+topology ``build_stack`` can build.
 """
 
 import itertools
+import json
+import re
+import urllib.request
 
 import pytest
 
 from repro.analysis.waitprofile import analyze_run
+from repro.lockmgr.modes import LockMode
+from repro.net.client import RoutedLockClient
+from repro.net.server import serve_service
 from repro.obs.events import SCHEMA_VERSION, RunTelemetry, load_runs
 from repro.obs.tracing import (
     HOP_NAMES,
@@ -24,7 +32,10 @@ from repro.obs.tracing import (
     wire_tax,
     wire_tax_summary,
 )
+from repro.service.cli import main as cli_main
 from repro.service.ops import empty_traces_payload
+from repro.service.stack import build_stack
+from repro.service.telemetry import service_telemetry
 
 
 def fake_clock(start: float = 100.0, step: float = 0.25):
@@ -244,3 +255,143 @@ class TestOpsPayload:
             "server_spans": {},
             "summary": {},
         }
+
+
+def traced_stack(every, **topology):
+    return build_stack(
+        threads=2,
+        trace_sample_every=every,
+        ops_port=0,
+        tuner_interval_s=30.0,
+        **topology,
+    )
+
+
+def scrape_traces(stack):
+    with urllib.request.urlopen(stack.ops.url + "/traces", timeout=5) as resp:
+        return resp.read()
+
+
+class TestOneKnobEveryTopology:
+    """``trace_sample_every`` lands the same ``RequestTrace`` wherever
+    the request runs: no topology drops or refuses it."""
+
+    REQUESTS = 42
+
+    @pytest.mark.parametrize(
+        "topology",
+        [{}, {"shards": 2}, {"workers": 1}],
+        ids=["unsharded", "sharded", "pool"],
+    )
+    def test_sampled_requests_reach_traces_and_telemetry(
+        self, topology, tmp_path
+    ):
+        stack = traced_stack(4, **topology)
+        with stack, stack.client_stack() as client:
+            service = client.service
+            app = service.open_session()
+            for row in range(self.REQUESTS):
+                service.lock_row(app, row % 3, row, LockMode.X)
+            service.close_session(app)
+            payload = json.loads(scrape_traces(stack))
+
+        assert payload["enabled"] is True
+        assert payload["sample_every"] == 4
+        if "workers" in topology:
+            assert payload["total"] >= 1
+            assert set(payload["server_spans"]) == {"0"}
+        else:
+            assert payload["total"] == self.REQUESTS // 4
+            assert payload["server_spans"] == {}
+            assert payload["summary"]["wire_tax"]["fraction"] == 0.0
+        traces = payload["traces"]
+        assert len(traces) == payload["total"]
+        for trace in traces:
+            assert set(trace["hops"]) <= set(HOP_NAMES)
+            assert sum(trace["hops"].values()) == pytest.approx(
+                trace["total_s"], rel=0.10
+            )
+            assert trace["mode"] == "X" and trace["outcome"] == "ok"
+            assert trace["app"] == app and trace["table"] == trace["row"] % 3
+        assert {trace["worker"] for trace in traces} <= set(
+            range(len(stack.partitions))
+        )
+
+        path = tmp_path / "run.jsonl"
+        service_telemetry(stack, label="traced").write_jsonl(path)
+        (loaded,) = load_runs(path)
+        assert loaded.traces == traces
+        assert analyze_run(loaded).trace_count == len(traces)
+
+    @pytest.mark.parametrize("telemetry", [True, False])
+    def test_in_process_tracer_needs_no_registry(self, telemetry):
+        stack = build_stack(threads=2, trace_sample_every=2, telemetry=telemetry)
+        (tracer,) = stack.request_tracers
+        assert stack.service.tracer is tracer
+        with stack.service.session() as app:
+            for row in range(4):
+                stack.service.lock_row(app, 0, row, LockMode.S)
+        assert [t["row"] for t in tracer.to_dicts()] == [1, 3]
+        assert stack.ops_traces()["total"] == 2
+
+    def test_off_is_the_empty_payload_on_the_wire(self):
+        stack = traced_stack(0, shards=2)
+        assert stack.request_tracers == []
+        assert all(part.service.tracer is None for part in stack.partitions)
+        with stack:
+            with stack.service.session() as app:
+                stack.service.lock_row(app, 0, 1, LockMode.X)
+            payload = json.loads(scrape_traces(stack))
+        assert payload == empty_traces_payload()
+        assert list(payload) == list(empty_traces_payload())  # byte-identical
+
+    def test_mode_is_the_lock_mode_name_on_every_topology(self, tmp_path):
+        """The routed client used to record the wire byte (``"5"``)."""
+        stack = traced_stack(1)
+        wire_tracer = RequestTracer(1)
+        server = serve_service(stack.service, path=str(tmp_path / "s.sock"))
+        client = RoutedLockClient([server.address], tracer=wire_tracer)
+        try:
+            app = client.open_session()
+            for row, mode in enumerate((LockMode.X, LockMode.S, LockMode.U)):
+                client.lock_row(app, 0, row, mode)
+            client.close_session(app)
+        finally:
+            client.close()
+            server.stop()
+        (in_process,) = stack.request_tracers
+        wire_modes = [trace["mode"] for trace in wire_tracer.to_dicts()]
+        assert wire_modes == ["X", "S", "U"]
+        assert [t["mode"] for t in in_process.to_dicts()] == wire_modes
+
+
+class TestServeExportsTelemetry:
+    def test_serve_writes_the_telemetry_it_accepts(self, tmp_path, capsys):
+        """``serve --telemetry`` used to be accepted and ignored."""
+        out = tmp_path / "serve.jsonl"
+        code = cli_main(
+            [
+                "serve", "--duration", "0.3", "--trace-sample", "1",
+                "--socket", str(tmp_path / "serve.sock"),
+                "--telemetry", str(out),
+            ]
+        )
+        assert code == 0
+        assert f"-> {out}" in capsys.readouterr().out
+        (run,) = load_runs(out)
+        assert run.label == "service-serve"
+        assert run.traces == []  # tracing on, nobody connected
+
+    def test_net_alone_front_end_traces_in_process(self, tmp_path, capsys):
+        out = tmp_path / "stress.jsonl"
+        code = cli_main(
+            [
+                "stress", "--net", "--threads", "2", "--requests", "40",
+                "--trace-sample", "8", "--telemetry", str(out),
+            ]
+        )
+        assert code == 0
+        (run,) = load_runs(out)
+        served = re.search(r"lock requests:\s+(\d+)", capsys.readouterr().out)
+        assert len(run.traces) == int(served.group(1)) // 8 >= 10
+        assert all(set(t["hops"]) == {"server.lock_wait"} for t in run.traces)

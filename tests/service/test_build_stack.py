@@ -62,6 +62,7 @@ class TestOneControlPlane:
             "ops_health",
             "ops_stmm",
             "ops_incidents",
+            "ops_traces",
             "thread_count",
             "_push_maxlocks",
         ):

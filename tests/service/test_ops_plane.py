@@ -36,7 +36,7 @@ def make_stack(**overrides):
         tuner_interval_s=30.0,
         telemetry=True,
         ops_port=0,
-        span_sample_every=1,
+        trace_sample_every=1,
     )
     defaults.update(overrides)
     return ServiceStack(ServiceConfig(**defaults))
@@ -50,7 +50,7 @@ def make_sharded(**overrides):
         telemetry=True,
         shards=2,
         ops_port=0,
-        span_sample_every=1,
+        trace_sample_every=1,
     )
     defaults.update(overrides)
     return ShardedServiceStack(ShardedServiceConfig(**defaults))
@@ -70,14 +70,15 @@ class TestConfig:
             ShardedServiceConfig(telemetry=False, ops_port=0)
 
     def test_no_ops_port_no_server(self):
-        stack = make_stack(ops_port=None, span_sample_every=0)
+        stack = make_stack(ops_port=None, trace_sample_every=0)
         assert stack.ops is None
         with stack:
             pass
 
     def test_disabled_plane_installs_no_sampler(self):
-        stack = make_stack(ops_port=None, span_sample_every=0)
-        assert stack.service.span_sampler is None
+        stack = make_stack(ops_port=None, trace_sample_every=0)
+        assert stack.service.tracer is None
+        assert stack.request_tracers == []
 
 
 class TestUnshardedEndpoints:
@@ -97,7 +98,6 @@ class TestUnshardedEndpoints:
             assert dump["service_requests_total"][()] == 1.0
             assert dump["service_locklist_pages"][()] > 0
             assert "service_request_latency_s_bucket" in dump
-            assert "service_span_wait_latency_s_bucket" in dump
 
             status, ctype, body = _get(base + "/healthz")
             assert status == 200
@@ -117,7 +117,14 @@ class TestUnshardedEndpoints:
             )
             assert stmm["locklist_pages"] == stack.chain.allocated_pages
             assert stmm["frozen_reason"] is None
-            assert len(stmm["spans"]) >= 1
+            assert "spans" not in stmm
+
+            _, _, body = _get(base + "/traces")
+            traces = json.loads(body)
+            assert traces["enabled"] is True and traces["total"] == 1
+            (trace,) = traces["traces"]
+            assert trace["mode"] == "X" and trace["outcome"] == "ok"
+            assert list(trace["hops"]) == ["server.lock_wait"]
 
     def test_unknown_path_is_404(self):
         stack = make_stack()
@@ -178,8 +185,12 @@ class TestShardedEndpoints:
             occupancy = dump["shard_used_slots"]
             assert (("shard", "0"),) in occupancy
             assert (("shard", "1"),) in occupancy
-            waits = dump["service_span_wait_latency_s_count"]
-            assert sum(waits.values()) == 16.0
+            latency = dump["service_request_latency_s_count"]
+            assert sum(latency.values()) == 16.0
+            _, _, body = _get(stack.ops.url + "/traces")
+            traces = json.loads(body)
+            assert traces["total"] == 16
+            assert {tr["worker"] for tr in traces["traces"]} == {0, 1}
 
     def test_sharded_healthz_lists_shards(self):
         stack = make_sharded(shards=3, initial_locklist_pages=96)
@@ -400,9 +411,9 @@ class TestTopWaitColumns:
     def test_frame_dashes_when_series_absent(self):
         from repro.service.top import shard_summary
 
-        # No span sampler, no wait profiler: latency and wait columns
+        # Nothing served, no wait profiler: latency and wait columns
         # must show "-", not fabricated zeros.
-        stack = make_stack(span_sample_every=0, wait_profile=False)
+        stack = make_stack(trace_sample_every=0, wait_profile=False)
         with stack:
             _, _, body = _get(stack.ops.url + "/metrics")
             metrics = parse_prometheus(body.decode())

@@ -61,10 +61,6 @@ class TestConfigTheWorkerPoolCannotHonour:
         with pytest.raises(ConfigurationError, match="wait_profile"):
             pool_config(wait_profile=True)
 
-    def test_span_sampling_is_refused(self):
-        with pytest.raises(ConfigurationError, match="span_sample_every"):
-            pool_config(span_sample_every=4)
-
     def test_what_it_does_honour_still_builds(self):
         cfg = pool_config(trace_sample_every=8, telemetry=True, ops_port=0)
         pool = WorkerPoolStack(cfg)
