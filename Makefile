@@ -2,7 +2,7 @@
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke bench-service figures examples telemetry-demo service-demo service-smoke ops-smoke analyze-smoke broker-smoke matrix-smoke trace-smoke clean
+.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke footprint bench-service figures examples telemetry-demo service-demo service-smoke ops-smoke analyze-smoke broker-smoke matrix-smoke trace-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -32,6 +32,13 @@ bench-perf-smoke:
 ladder-smoke:
 	python3 benchmarks/ladder/run.py --smoke
 	$(PYTHONPATH_SRC) pytest benchmarks/ladder -q
+
+# What one held lock costs the interpreter (docs/PERFORMANCE.md, "What
+# one held lock costs"): heap bytes and collector-tracked objects per
+# lock by allocating line, then the collector's passes over one
+# 96 000-lock surge cycle.  Also a step of the CI test job; shape only.
+footprint:
+	$(PYTHONPATH_SRC) python scripts/lock_footprint.py
 
 # Regenerate every paper figure report into results/ via the CLI runner.
 figures:

@@ -78,7 +78,6 @@ def build_wait_for_graph(
     if waiting is None:
         waiting = manager._waiting_on
     for obj in manager.contended_objects().values():
-        granted = obj.granted
         incompatible_cache: Dict[int, List[int]] = {}
         ahead: List[int] = []
         for waiter in obj.waiters:
@@ -87,10 +86,10 @@ def build_wait_for_graph(
             if holders is None:
                 mask = waiter.mode._compat_mask  # type: ignore[attr-defined]
                 holders = incompatible_cache[mode_idx] = [
-                    app
-                    for app, held in granted.items()
+                    held.app_id
+                    for held in obj.holders()
                     if not (mask & held.mode._bit)  # type: ignore[attr-defined]
-                    and app in waiting
+                    and held.app_id in waiting
                 ]
             app_id = waiter.app_id
             if waiter.converting:

@@ -17,11 +17,11 @@ standard treatment and prevents new arrivals from starving upgraders.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import LockManagerError
 from repro.lockmgr.blocks import LockBlock
-from repro.lockmgr.modes import N_MODES, LockMode, compatible, supremum
+from repro.lockmgr.modes import COUNT_FIELD_MAX, LockMode, compatible, supremum
 from repro.lockmgr.resources import ResourceId
 
 
@@ -114,92 +114,117 @@ class Waiter:
 class LockObject:
     """Lock state for one resource.
 
-    Holder modes are additionally aggregated into ``mode_counts`` (one
-    counter per lock mode) so compatibility checks cost O(#modes), not
-    O(#holders) -- popular share-locked rows can have dozens of holders.
-    All grant/upgrade/removal mutations must go through the methods here
-    so the counters stay consistent.
+    Almost every lock object lives and dies with one holder and no
+    queue, so that case allocates nothing beside the grant itself:
 
-    ``waiters`` is the shared empty tuple until the first request
-    queues: almost every lock object lives and dies uncontended, and a
-    deque each would be the largest allocation of a grant.  Read it
-    (truth, ``len``, iteration); only the methods here mutate it.
+    * the first holder's :class:`HeldLock` is stored inline in ``sole``;
+      ``shared`` (app id -> grant, in grant order) is created when a
+      second application joins and then serves for the rest of the
+      object's life, so holders always iterate in grant order;
+    * ``counts`` packs one holder count per lock mode into a single int
+      (``COUNT_FIELD_BITS`` each, see ``modes.py``), so compatibility
+      checks cost one AND, not O(#holders) -- popular share-locked rows
+      can have dozens of holders;
+    * ``waiters`` is the shared empty tuple whenever nothing is queued.
+
+    Read the holders through :meth:`held_by` / :meth:`holders` and the
+    queue as ``waiters`` (truth, ``len``, iteration); all mutations must
+    go through the methods here so the counts stay consistent.
     """
 
-    __slots__ = ("resource", "granted", "waiters", "mode_counts")
+    __slots__ = ("resource", "sole", "shared", "waiters", "counts")
 
     def __init__(self, resource: ResourceId) -> None:
         self.resource = resource
-        self.granted: Dict[int, HeldLock] = {}
+        self.sole: Optional[HeldLock] = None
+        self.shared: Optional[Dict[int, HeldLock]] = None
         self.waiters: Union[Deque[Waiter], Tuple[()]] = ()
-        self.mode_counts = [0] * N_MODES
+        self.counts = 0
 
     @property
     def is_idle(self) -> bool:
         """True when nobody holds or waits for this resource."""
-        return not self.granted and not self.waiters
+        return self.sole is None and not self.shared and not self.waiters
+
+    def held_by(self, app_id: int) -> Optional[HeldLock]:
+        """``app_id``'s grant on this resource, or None."""
+        sole = self.sole
+        if sole is not None:
+            return sole if sole.app_id == app_id else None
+        shared = self.shared
+        return shared.get(app_id) if shared is not None else None
+
+    def holders(self) -> Iterable[HeldLock]:
+        """Every grant on this resource, in grant order."""
+        if self.sole is not None:
+            return (self.sole,)
+        return self.shared.values() if self.shared is not None else ()
 
     def holder_mode(self, app_id: int) -> Optional[LockMode]:
         """Mode ``app_id`` currently holds, or None."""
-        held = self.granted.get(app_id)
+        held = self.held_by(app_id)
         return held.mode if held else None
 
     def others_compatible(self, app_id: int, mode: LockMode) -> bool:
         """True when ``mode`` is compatible with every *other* holder."""
-        mask = mode._compat_mask  # type: ignore[attr-defined]
-        own = self.granted.get(app_id)
-        own_idx = own.mode._idx if own is not None else -1  # type: ignore[attr-defined]
-        for idx, count in enumerate(self.mode_counts):
-            if count and not (mask & (1 << idx)):
-                # An incompatible mode is held; tolerable only when the
-                # requester itself is its sole holder.
-                if idx == own_idx and count == 1:
-                    continue
-                return False
-        return True
+        conflicts = self.counts & mode._conflict_fields  # type: ignore[attr-defined]
+        if not conflicts:
+            return True
+        # A conflicting mode is held; tolerable only when the requester
+        # itself is its one holder.
+        own = self.held_by(app_id)
+        return own is not None and conflicts == own.mode._unit  # type: ignore[attr-defined]
 
     # -- counted mutations ------------------------------------------------
 
     def add_grant(self, app_id: int, mode: LockMode, block=None) -> HeldLock:
         """Record a fresh grant (caller verified compatibility)."""
-        granted = self.granted
-        if app_id in granted:
+        if self.held_by(app_id) is not None:
             raise LockManagerError(f"app {app_id} already holds {self.resource}")
-        held = granted[app_id] = HeldLock(app_id, mode, 1, block)
-        self.mode_counts[mode._idx] += 1  # type: ignore[attr-defined]
+        held = HeldLock(app_id, mode, 1, block)
+        sole = self.sole
+        if self.shared is not None:
+            self.shared[app_id] = held
+        elif sole is None:
+            self.sole = held
+        else:
+            self.shared = {sole.app_id: sole, app_id: held}
+            self.sole = None
+        # A first holder shares the mode's baked unit: no int allocated.
+        counts = self.counts
+        unit = mode._unit  # type: ignore[attr-defined]
+        self.counts = counts + unit if counts else unit
         return held
 
     def upgrade_grant(self, app_id: int, mode: LockMode) -> HeldLock:
         """Strengthen an existing grant to sup(held, requested)."""
-        held = self.granted.get(app_id)
+        held = self.held_by(app_id)
         if held is None:
             raise LockManagerError(
                 f"app {app_id} holds nothing on {self.resource} to upgrade"
             )
         new_mode = supremum(held.mode, mode)
         if new_mode is not held.mode:
-            self.mode_counts[held.mode._idx] -= 1  # type: ignore[attr-defined]
-            self.mode_counts[new_mode._idx] += 1  # type: ignore[attr-defined]
+            self.counts += new_mode._unit - held.mode._unit  # type: ignore[attr-defined]
             held.mode = new_mode
         held.count += 1
         return held
 
     def remove_grant(self, app_id: int) -> HeldLock:
         """Drop a holder entirely (release path)."""
-        held = self.granted.pop(app_id, None)
+        held = self.held_by(app_id)
         if held is None:
             raise LockManagerError(f"app {app_id} does not hold {self.resource}")
-        self.mode_counts[held.mode._idx] -= 1  # type: ignore[attr-defined]
+        if held is self.sole:
+            self.sole = None
+        else:
+            del self.shared[app_id]
+        self.counts -= held.mode._unit  # type: ignore[attr-defined]
         return held
 
     def grant_now(self, waiter: Waiter) -> None:
         """Move ``waiter`` into the granted set (caller checked compat)."""
         if waiter.converting:
-            if waiter.app_id not in self.granted:
-                raise LockManagerError(
-                    f"conversion grant for {waiter.app_id} on {self.resource} "
-                    "but nothing is held"
-                )
             self.upgrade_grant(waiter.app_id, waiter.mode)
         else:
             self.add_grant(waiter.app_id, waiter.mode, block=waiter.block)
@@ -223,7 +248,7 @@ class LockObject:
         """Remove (and return) every queued waiter of ``app_id``."""
         removed = [w for w in self.waiters if w.app_id == app_id]
         if removed:
-            self.waiters = deque(w for w in self.waiters if w.app_id != app_id)
+            self.waiters = deque(w for w in self.waiters if w.app_id != app_id) or ()
         return removed
 
     def pump(self) -> List[Waiter]:
@@ -242,6 +267,8 @@ class LockObject:
             self.waiters.popleft()
             self.grant_now(waiter)
             granted.append(waiter)
+        if not self.waiters:
+            self.waiters = ()
         return granted
 
     def blockers_of(self, waiter: Waiter) -> List[int]:
@@ -251,9 +278,9 @@ class LockObject:
         waiter queued ahead (strict FIFO means they gate the grant).
         """
         blockers = [
-            holder
-            for holder, held in self.granted.items()
-            if holder != waiter.app_id and not compatible(held.mode, waiter.mode)
+            held.app_id
+            for held in self.holders()
+            if held.app_id != waiter.app_id and not compatible(held.mode, waiter.mode)
         ]
         for queued in self.waiters:
             if queued is waiter:
@@ -263,19 +290,28 @@ class LockObject:
         return blockers
 
     def check_invariants(self) -> None:
-        """Verify the mode counters match the granted set (tests)."""
-        expected = [0] * N_MODES
-        for held in self.granted.values():
-            expected[held.mode._idx] += 1  # type: ignore[attr-defined]
-        if expected != self.mode_counts:
+        """Verify the packed counts and the queue representation (tests)."""
+        if self.sole is not None and self.shared is not None:
+            raise LockManagerError(f"sole and shared holders on {self.resource}")
+        expected = sum(held.mode._unit for held in self.holders())  # type: ignore[attr-defined]
+        if expected != self.counts:
             raise LockManagerError(
-                f"mode counters {self.mode_counts} != granted modes {expected} "
+                f"mode counts {self.counts:#x} != granted modes {expected:#x} "
                 f"on {self.resource}"
             )
+        for mode in LockMode:
+            field = mode._unit * COUNT_FIELD_MAX  # type: ignore[attr-defined]
+            if self.counts & field == field:
+                raise LockManagerError(
+                    f"{mode.name} holder count saturated on {self.resource}"
+                )
+        if not self.waiters and self.waiters != ():
+            raise LockManagerError(f"drained queue kept on {self.resource}")
 
     def __repr__(self) -> str:
         holders = ", ".join(
-            f"{app}:{held.mode.name}" for app, held in sorted(self.granted.items())
+            f"{held.app_id}:{held.mode.name}"
+            for held in sorted(self.holders(), key=lambda held: held.app_id)
         )
         queue = ", ".join(f"{w.app_id}:{w.mode.name}" for w in self.waiters)
         return f"LockObject({self.resource}, granted=[{holders}], queue=[{queue}])"

@@ -348,7 +348,7 @@ class LockManager:
         intent = intent_mode_for_row(mode)
         # Fast path: the covering intent lock is usually already held.
         tobj = self._objects.get(table_res)
-        theld = tobj.granted.get(app_id) if tobj is not None else None
+        theld = tobj.held_by(app_id) if tobj is not None else None
         if theld is not None and covers(theld.mode, intent):
             theld.count += 1
             self.stats.requests += 1
@@ -386,7 +386,7 @@ class LockManager:
         objects = self._objects
         table_res = table_resource(table_id)
         tobj = objects.get(table_res)
-        theld = tobj.granted.get(app_id) if tobj is not None else None
+        theld = tobj.held_by(app_id) if tobj is not None else None
         intent = mode._intent  # type: ignore[attr-defined]
         # -- plan the table step --
         t_convert = False
@@ -421,7 +421,7 @@ class LockManager:
         # -- plan the row step --
         res = row_resource(table_id, row_id)
         obj = objects.get(res)
-        held = obj.granted.get(app_id) if obj is not None else None
+        held = obj.held_by(app_id) if obj is not None else None
         r_convert = False
         if held is not None:
             if theld is None:
@@ -539,7 +539,7 @@ class LockManager:
                 rows_released += 1
             if obj.waiters:
                 self._pump(obj)
-            if not obj.granted and not obj.waiters:
+            if obj.sole is None and not obj.shared and not obj.waiters:
                 del objects[resource]
         freed += held_frees
         if rec.row_count != rows_released:
@@ -563,9 +563,7 @@ class LockManager:
         self.stats.requests += 1
         self._tick_refresh()
         obj = self._objects.get(resource)
-        if obj is None:
-            obj = self._objects[resource] = LockObject(resource)
-        held = obj.granted.get(app_id)
+        held = obj.held_by(app_id) if obj is not None else None
         if held is not None:
             if covers(held.mode, mode):
                 held.count += 1
@@ -586,10 +584,8 @@ class LockManager:
                 if table_mode is not None and covers(table_mode, mode):
                     self.stats.immediate_grants += 1
                     return
-            obj = self._objects.get(resource)
-            if obj is None:  # released and garbage-collected while we waited
-                obj = self._objects[resource] = LockObject(resource)
-            held = obj.granted.get(app_id)
+            obj = self._objects.get(resource)  # may have come or gone meanwhile
+            held = obj.held_by(app_id) if obj is not None else None
             if held is not None:  # appeared while we escalated or waited
                 if covers(held.mode, mode):
                     held.count += 1
@@ -601,6 +597,10 @@ class LockManager:
         rec = self._charge_slot(app_id)
         if self.chain.used_slots > self.stats.peak_used_slots:
             self.stats.peak_used_slots = self.chain.used_slots
+        if obj is None:
+            # Only now that a structure is secured: a refused request
+            # must not leave an idle object behind.
+            obj = self._objects[resource] = LockObject(resource)
         if not obj.waiters and obj.others_compatible(app_id, mode):
             held = obj.add_grant(app_id, mode, block)
             self._note_held(app_id, rec, resource, held)
@@ -721,7 +721,7 @@ class LockManager:
         if self.wait_profiler is not None:
             blockers = obj.blockers_of(waiter)
             blocker = blockers[0] if blockers else None
-            held = obj.granted.get(blocker) if blocker is not None else None
+            held = obj.held_by(blocker) if blocker is not None else None
             self.wait_profiler.begin_lock_wait(
                 app_id,
                 str(obj.resource),
@@ -805,7 +805,7 @@ class LockManager:
                 # enqueue, so the application's record exists.
                 app_id = waiter.app_id
                 self._note_held(
-                    app_id, self._apps[app_id], obj.resource, obj.granted[app_id]
+                    app_id, self._apps[app_id], obj.resource, obj.held_by(app_id)
                 )
             waiter.event.succeed()
         if not obj.waiters:
@@ -1161,11 +1161,11 @@ class LockManager:
                     break
             table_res = table_resource(table_id)
             obj = self._objects.get(table_res)
-            if obj is None or app_id not in obj.granted:
+            held = obj.held_by(app_id) if obj is not None else None
+            if held is None:
                 raise LockManagerError(
                     f"app {app_id} holds rows of table {table_id} without intent lock"
                 )
-            held = obj.granted[app_id]
             waited = False
             if covers(held.mode, target):
                 pass  # already covered (e.g. SIX -> S)
@@ -1236,7 +1236,7 @@ class LockManager:
         """
         resource = row_resource(table_id, row_id)
         obj = self._objects.get(resource)
-        held = obj.granted.get(app_id) if obj is not None else None
+        held = obj.held_by(app_id) if obj is not None else None
         if held is None:
             return False
         if held.mode is not LockMode.S:
@@ -1260,7 +1260,8 @@ class LockManager:
         if obj is None or obj.is_idle:
             return f"{resource}: unlocked"
         holders = ", ".join(
-            f"{app}:{held.mode.name}" for app, held in sorted(obj.granted.items())
+            f"{held.app_id}:{held.mode.name}"
+            for held in sorted(obj.holders(), key=lambda held: held.app_id)
         )
         queue = ", ".join(f"{w.app_id}:{w.mode.name}" for w in obj.waiters)
         return f"{resource}: granted[{holders}] queue[{queue}]"
@@ -1297,7 +1298,7 @@ class LockManager:
         for app_id, rec in self._apps.items():
             for resource in rec.held:
                 obj = self._objects.get(resource)
-                if obj is None or app_id not in obj.granted:
+                if obj is None or obj.held_by(app_id) is None:
                     raise LockManagerError(
                         f"app {app_id} claims {resource} but grant is missing"
                     )
@@ -1306,7 +1307,7 @@ class LockManager:
                 total += len(rows)
                 for resource, held in rows.items():
                     obj = self._objects.get(resource)
-                    if obj is None or obj.granted.get(app_id) is not held:
+                    if obj is None or obj.held_by(app_id) is not held:
                         raise LockManagerError(
                             f"row index stale: app {app_id} {resource}"
                         )
@@ -1335,9 +1336,12 @@ class LockManager:
                         f"app {app_id} in bucket {count} but holds "
                         f"{self.app_row_lock_count(app_id)}"
                     )
-        expected_contended = {
-            res for res, obj in self._objects.items() if obj.waiters
-        }
+        expected_contended = set()
+        for res, obj in self._objects.items():
+            if obj.is_idle:
+                raise LockManagerError(f"idle lock object kept for {res}")
+            if obj.waiters:
+                expected_contended.add(res)
         if expected_contended != set(self._contended):
             raise LockManagerError(
                 f"contended set {sorted(map(str, self._contended))} != "

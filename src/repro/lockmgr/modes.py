@@ -80,18 +80,35 @@ _COMPATIBLE: FrozenSet[Tuple[LockMode, LockMode]] = frozenset(
 )
 
 
+#: Width of one per-mode holder count in a lock object's packed
+#: ``counts`` int (field ``i`` belongs to the ``i``-th mode).  A full
+#: field would carry into its neighbour, so
+#: ``LockObject.check_invariants`` fails on a saturated one.
+COUNT_FIELD_BITS = 16
+COUNT_FIELD_MAX = (1 << COUNT_FIELD_BITS) - 1
+
+
 # Performance: the compatibility check sits on the hottest path of the
 # simulation, so the symmetric matrix is baked into per-mode bitmasks
-# (attribute lookups avoid enum hashing entirely).
+# (attribute lookups avoid enum hashing entirely): ``_bit`` /
+# ``_compat_mask`` answer "may these two modes coexist", ``_unit`` (one
+# holder of this mode in the packed counts) / ``_conflict_fields`` (the
+# count fields of every mode this one conflicts with) answer "does any
+# holder conflict" in one AND.
 def _bake_bitmasks() -> None:
     for i, mode in enumerate(LockMode):
         mode._bit = 1 << i  # type: ignore[attr-defined]
+        mode._unit = 1 << (i * COUNT_FIELD_BITS)  # type: ignore[attr-defined]
     for mode in LockMode:
         mask = 0
+        conflict_fields = 0
         for other in LockMode:
             if (mode, other) in _COMPATIBLE or (other, mode) in _COMPATIBLE:
                 mask |= other._bit  # type: ignore[attr-defined]
+            else:
+                conflict_fields |= other._unit * COUNT_FIELD_MAX  # type: ignore[attr-defined]
         mode._compat_mask = mask  # type: ignore[attr-defined]
+        mode._conflict_fields = conflict_fields  # type: ignore[attr-defined]
 
 
 _bake_bitmasks()
@@ -137,12 +154,12 @@ def _fill_supremum() -> None:
 _fill_supremum()
 
 
-#: Number of lock modes (the length of ``LockObject.mode_counts``).
+#: Number of lock modes (the side of the supremum table).
 N_MODES = len(LockMode)
 
 # Index-table variant of supremum for the hot path, plus the
 # per-member attributes the manager's grant path reads directly:
-# ``_idx`` (position in ``mode_counts``), ``_covers_mask`` (bits of the
+# ``_idx`` (row/column in that table), ``_covers_mask`` (bits of the
 # modes this one already grants the rights of) and ``_intent`` (the
 # table intent mode a row lock of this mode needs).  Attribute reads on
 # the member avoid both a function call and the enum metaclass.

@@ -1,5 +1,7 @@
 """Unit tests for LockObject: grants, convoys, pumping, blockers."""
 
+from collections import deque
+
 import pytest
 
 from repro.engine.des import Environment
@@ -113,6 +115,24 @@ class TestQueue:
         removed = obj.remove_waiter(1)
         assert len(removed) == 1
         assert [w.app_id for w in obj.waiters] == [2]
+
+    def test_drained_queue_is_the_shared_empty_tuple_again(self, obj):
+        """``waiters`` is ``()`` whenever nothing is queued, however the
+        queue emptied: a long-lived table object must not keep a deque."""
+        env = Environment()
+        obj.add_grant(9, LockMode.X)
+        obj.enqueue(waiter(env, 1, LockMode.X))
+        obj.remove_waiter(1)
+        assert obj.waiters == ()
+        obj.check_invariants()
+        obj.enqueue(waiter(env, 2, LockMode.S))
+        obj.remove_grant(9)
+        assert [w.app_id for w in obj.pump()] == [2]
+        assert obj.waiters == ()
+        obj.check_invariants()
+        obj.waiters = deque()
+        with pytest.raises(LockManagerError, match="drained queue"):
+            obj.check_invariants()
 
 
 class TestPump:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.engine.des import Environment
 from repro.errors import DeadlockError, LockManagerError
 from repro.lockmgr.blocks import LockBlockChain
+from repro.lockmgr.locks import LockObject
 from repro.lockmgr.manager import LockListFullError, LockManager
 from repro.lockmgr.modes import LockMode
 from repro.lockmgr.resources import row_resource, table_resource
@@ -310,6 +311,36 @@ class TestMemoryPressure:
         with pytest.raises(LockListFullError):
             run_process(env, victim())
         assert manager.stats.lock_list_full_errors == 1
+
+    def test_refused_requests_leave_no_lock_objects(self, env):
+        """A request refused with the lock list full never got a
+        structure, so it must not leave an (idle) lock object either."""
+        manager = make_manager(env, blocks=1, capacity=64)
+
+        def filler():
+            # table locks only: nothing escalatable
+            for table in range(64):
+                yield from manager.lock_table(1 + table % 2, table, LockMode.S)
+
+        run_process(env, filler())
+        assert len(manager._objects) == 64
+        for table in range(1_000, 2_000):
+            with pytest.raises(LockListFullError):
+                run_process(env, grab_table(manager, 3, table, LockMode.S))
+        assert manager.stats.lock_list_full_errors == 1_000
+        assert len(manager._objects) == 64
+        manager.check_invariants()
+        for app in (1, 2, 3):
+            manager.release_all(app)
+        assert not manager._objects
+        manager.check_invariants()
+
+    def test_check_invariants_rejects_an_idle_lock_object(self, env):
+        manager = make_manager(env)
+        run_process(env, grab_row(manager, 1, 0, 5, LockMode.S))
+        manager._objects[row_resource(0, 6)] = LockObject(row_resource(0, 6))
+        with pytest.raises(LockManagerError, match="idle lock object"):
+            manager.check_invariants()
 
     def test_escalation_prefers_biggest_table(self, env):
         manager = make_manager(env, blocks=1, capacity=16, maxlocks_fraction=0.98)
