@@ -4,9 +4,12 @@ Three layers, innermost first:
 
 * :class:`ClientConnection` -- one socket with a pending-request
   table: any number of caller threads may have requests in flight on
-  the same connection (pipelining).  There is no dedicated reader
-  thread -- whichever requester finds the read side free becomes the
-  reader and settles everyone's responses until its own arrives.
+  the same connection (pipelining).  A request is an op and its fields,
+  packed by :func:`~repro.net.protocol.pack_request` -- no per-request
+  closure.  There is no dedicated reader thread -- whichever requester
+  finds the read side free becomes the reader and settles everyone's
+  responses until its own arrives, out of the connection's one reusable
+  receive buffer.
 * :class:`RoutedLockClient` -- **the** client: connection pools to one
   or more server endpoints presenting the *service* surface the
   in-process stacks present (``open_session`` / ``session()`` /
@@ -75,18 +78,11 @@ class _Pending:
     __slots__ = ("event", "response", "error")
 
     def __init__(self) -> None:
+        #: A wakeup hint, cleared after each wait: a stale set only costs
+        #: the next park one more round of the await loop.
         self.event = threading.Event()
         self.response: "Optional[int | wire.Response]" = None
         self.error: Optional[BaseException] = None
-
-    def reset(self) -> None:
-        # When the requester was its own reader the event was never
-        # set; skipping the clear avoids two condition-lock rounds per
-        # request on the hot path.
-        if self.event.is_set():
-            self.event.clear()
-        self.response = None
-        self.error = None
 
 
 class ClientConnection:
@@ -132,10 +128,11 @@ class ClientConnection:
         #: only have one request outstanding (request() blocks), so no
         #: shared pool -- and no pool lock -- is needed.
         self._tls = threading.local()
-        self._ids = itertools.count(1)
+        #: The next request id (C-level, so atomic under the GIL).
+        self.next_id = itertools.count(1).__next__
         self._dead: Optional[BaseException] = None
-        self._decoder = wire.FrameDecoder()
-        #: Held by the thread currently playing reader.
+        #: The receive side; used only by the thread holding the reader lock.
+        self._reader = wire.FrameDecoder()
         self._reader_lock = threading.Lock()
 
     @property
@@ -144,43 +141,59 @@ class ClientConnection:
 
     # -- request/response --
 
-    def request(self, build, raw: bool = False) -> "int | wire.Response":
-        """Send ``build(request_id)`` and block for its response.
+    def request(
+        self, op: int, *body: Any, timeout_s: Optional[float] = None
+    ) -> "int | wire.Response":
+        """One round trip: ``op`` with its fields, packed by the
+        protocol's one request packer (which raises ProtocolError for a
+        field that does not fit), then :meth:`exchange`."""
+        request_id = self.next_id()
+        return self.exchange(
+            request_id, wire.pack_request(op, request_id, body, timeout_s)
+        )
 
-        ``build`` returns a payload (framed here), or -- with
-        ``raw=True`` -- a complete frame, for hot-path callers using
-        the protocol's one-pack helpers.  Returns the OK value as a
-        bare ``int`` on the hot path, a full ``Response`` when the
-        reply carried data.  Raises the mapped service exception on
-        RESP_ERR and :class:`ConnectionLostError` if the socket dies
-        first.
+    def exchange(self, request_id: int, frame: bytes) -> "int | wire.Response":
+        """Send the packed ``frame`` of ``request_id``; block for its reply.
+
+        Returns the OK value as a bare ``int`` on the hot path, a full
+        ``Response`` when the reply carried data.  Raises the mapped
+        service exception on RESP_ERR and :class:`ConnectionLostError`
+        if the socket dies first.  The request is registered only now
+        that its frame exists, so a frame that failed to pack leaves
+        nothing behind.
         """
-        if self._dead is not None:
-            raise ConnectionLostError(
-                f"connection to {self.host}:{self.port} is down: "
-                f"{self._dead}"
-            )
         try:
             pending = self._tls.pending
         except AttributeError:
             pending = self._tls.pending = _Pending()
-        request_id = next(self._ids)  # atomic (C-level) under the GIL
         self._pending[request_id] = pending
-        frame = (
-            build(request_id) if raw else wire.encode_frame(build(request_id))
-        )
         try:
-            with self._send_lock:
-                self._sock.sendall(frame)
-        except OSError as exc:
+            self._send(frame)
+        except ConnectionLostError:
             self._pending.pop(request_id, None)
-            self._fail(exc)
-            raise ConnectionLostError(
-                f"send to {self.host}:{self.port} failed: {exc}"
-            ) from exc
-        self._await(pending)
+            raise
+        # Park until the entry settles, taking the reader role while the
+        # read side is free.  The event is a wakeup hint, not the truth:
+        # a set ``response`` or ``error`` is.  A retiring reader sets
+        # every still-pending event so one parked thread picks up the
+        # role; the rest re-park.
+        while pending.response is None and pending.error is None:
+            if not self._reader_lock.acquire(False):
+                pending.event.wait(timeout=0.2)
+                pending.event.clear()
+                continue
+            try:
+                self._read_until(pending)
+            except (ConnectionLostError, OSError, wire.ProtocolError) as exc:
+                self._fail(exc)
+            finally:
+                self._reader_lock.release()
+                # Dirty read: with nothing pending, nobody is parked.
+                if self._pending:
+                    for waiter in list(self._pending.values()):
+                        waiter.event.set()
         response, error = pending.response, pending.error
-        pending.reset()
+        pending.response = pending.error = None
         if error is not None:
             raise ConnectionLostError(
                 f"connection to {self.host}:{self.port} lost mid-request: "
@@ -197,15 +210,17 @@ class ClientConnection:
 
         Only for payloads carrying ``FLAG_NO_REPLY``: the server sends
         nothing back, so registering a pending entry would leak it.
-        The TCP stream still orders the op before any later request on
-        this connection.
+        The stream still orders the op before any later request on this
+        connection.
         """
+        self._send(wire.encode_frame(payload))
+
+    def _send(self, frame: bytes) -> None:
         if self._dead is not None:
             raise ConnectionLostError(
                 f"connection to {self.host}:{self.port} is down: "
                 f"{self._dead}"
             )
-        frame = wire.encode_frame(payload)
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
@@ -215,74 +230,32 @@ class ClientConnection:
                 f"send to {self.host}:{self.port} failed: {exc}"
             ) from exc
 
-    def _await(self, pending: _Pending) -> None:
-        """Park until ``pending`` settles, reading the socket if free.
-
-        The event is a wakeup hint, not the truth: a set ``response``
-        or ``error`` is.  A retiring reader sets every still-pending
-        event so one parked thread picks up the reader role; the rest
-        re-park.
-        """
-        while pending.response is None and pending.error is None:
-            if self._reader_lock.acquire(blocking=False):
-                try:
-                    if pending.response is None and pending.error is None:
-                        self._read_until(pending)
-                finally:
-                    self._reader_lock.release()
-                    # Dirty read: an empty pending table means nobody
-                    # can be parked in wait() below (a later requester
-                    # will find the reader lock free and read for
-                    # itself), so the lock round in _handoff is skipped.
-                    if self._pending:
-                        self._handoff()
-            else:
-                pending.event.wait(timeout=0.2)
-                pending.event.clear()
-
     def _read_until(self, pending: _Pending) -> None:
-        """Reader role: consume frames until ``pending`` settles."""
-        recv = self._sock.recv
-        decoder = self._decoder
-        split_frames = wire.split_frames
-        try_parse_ok = wire.try_parse_ok
-        deliver = self._deliver
-        try:
-            while pending.response is None and pending.error is None:
-                data = recv(65536)
-                if not data:
-                    raise ConnectionLostError("server closed the connection")
-                for payload in split_frames(data, decoder):
-                    fast = try_parse_ok(payload)
-                    if fast is not None:
-                        deliver(fast[0], fast[1], pending)
-                    else:
-                        response = wire.decode_response(payload)
-                        deliver(response.request_id, response, pending)
-        except (ConnectionLostError, OSError, wire.ProtocolError) as exc:
-            self._fail(exc)
-
-    def _handoff(self) -> None:
-        """Wake parked waiters so one of them takes the reader role."""
-        for waiter in list(self._pending.values()):
-            waiter.event.set()
-
-    def _deliver(
-        self,
-        request_id: int,
-        response: "int | wire.Response",
-        reader: Optional[_Pending] = None,
-    ) -> None:
-        pending = self._pending.pop(request_id, None)
-        if pending is None:
-            # id 0 is the server's "stream broken" report; anything
-            # else is a response whose waiter already gave up.
-            return
-        pending.response = response
-        if pending is not reader:
-            # The reader checks ``settled`` itself; waking it through
-            # the event would be pure condition-variable overhead.
-            pending.event.set()
+        """The reader role: settle replies until ``pending``'s is in."""
+        waiters = self._pending
+        while pending.response is None and pending.error is None:
+            frames = self._reader.receive(self._sock.recv_into)
+            if frames is None:
+                raise ConnectionLostError("server closed the connection")
+            for frame in frames:
+                if frame.__class__ is bytes:  # an error, or data
+                    response = wire.decode_response(frame)
+                    request_id, value = response.request_id, response
+                elif frame[0] == wire.RESP_OK:
+                    request_id, value = frame[2], frame[3]
+                else:
+                    raise wire.ProtocolError(
+                        f"request op 0x{frame[0]:02x} in the reply stream"
+                    )
+                # id 0 is the server's "stream broken" report; any other
+                # unknown id is a reply whose waiter gave up.
+                waiter = waiters.pop(request_id, None)
+                if waiter is not None:
+                    waiter.response = value
+                    if waiter is not pending:
+                        # The reader checks its own entry: waking it too
+                        # would be pure condition-variable cost.
+                        waiter.event.set()
 
     def _fail(self, exc: BaseException) -> None:
         with self._pending_lock:
@@ -430,7 +403,7 @@ class RoutedLockClient:
     ) -> Tuple[int, ClientConnection]:
         """``table_id``'s worker and the session's connection to it
         (adopting the session there on first touch)."""
-        rec = self._rec(app_id)
+        rec = self._recs.get(app_id) or self._rec(app_id)
         worker = table_id % self._n
         conn = rec.conns.get(worker)
         if conn is None:
@@ -439,9 +412,7 @@ class RoutedLockClient:
 
     def _adopt(self, rec: _RoutedSession, worker: int) -> ClientConnection:
         conn = self._conn(worker)
-        conn.request(
-            lambda rid: wire.encode_adopt_session(rid, rec.app_id)
-        )
+        conn.request(wire.OP_ADOPT_SESSION, rec.app_id)
         rec.conns[worker] = conn
         return conn
 
@@ -450,7 +421,7 @@ class RoutedLockClient:
     def open_session(self) -> int:
         home = next(self._rr) % self._n
         conn = self._conn(home)
-        app_id = _value(conn.request(wire.encode_open_session))
+        app_id = _value(conn.request(wire.OP_OPEN_SESSION))
         rec = _RoutedSession(app_id, {home: conn})
         self._recs[app_id] = rec
         return app_id
@@ -467,18 +438,18 @@ class RoutedLockClient:
             return 0
         try:
             return sum(
-                self._fan_out(rec, wire.encode_close_session, alive_only=True)
+                self._fan_out(rec, wire.OP_CLOSE_SESSION, alive_only=True)
             )
         finally:
             self._recs.pop(app_id, None)
 
     def _fan_out(
-        self, rec: _RoutedSession, encode, *, alive_only: bool = False
+        self, rec: _RoutedSession, op: int, *, alive_only: bool = False
     ) -> List[int]:
-        """``encode(rid, app_id)`` to every worker the session touched,
-        one round trip each; the workers' integer results."""
+        """``op`` on the session to every worker it touched, one round
+        trip each; the workers' integer results."""
         return [
-            _value(conn.request(lambda rid: encode(rid, rec.app_id)))
+            _value(conn.request(op, rec.app_id))
             for conn in rec.conns.values()
             if conn.alive or not alive_only
         ]
@@ -544,95 +515,103 @@ class RoutedLockClient:
     ) -> None:
         """One LOCK_ROW round trip: one packed frame out, one reply in.
 
-        A sampled request sends the same frame plus the trace tail and
-        is decomposed into hops on the way back; with neither tracer
-        nor latency histogram configured the clock is never read.
-        Session adoption (if any) comes first, outside the trace window.
+        The fields are packed as they are (no per-request closure) and
+        the latency window, when a histogram is configured, holds the
+        exchange alone; with neither tracer nor histogram the clock is
+        never read.  Session adoption (if any) comes first, outside any
+        latency or trace window.
         """
         worker, conn = self._route(app_id, table_id)
         timeout = _wire_timeout(timeout_s)
         mode_byte = wire.wire_mode(mode)
-        ctx = trace = None
         if self._tracer is not None:
             ctx = self._tracer.maybe_trace()
             if ctx is not None:
-                trace = (ctx.trace_id, ctx.span_id, True)
-        started = packed = 0.0
-        if ctx is not None or self._lat is not None:
-            started = time.perf_counter()
+                self._traced_lock_row(
+                    ctx, worker, conn, app_id, table_id, row_id, mode_byte,
+                    timeout,
+                )
+                return
+        request_id = conn.next_id()
+        frame = wire.pack_request(
+            wire.OP_LOCK_ROW, request_id, (app_id, table_id, row_id, mode_byte),
+            timeout,
+        )
+        if self._lat is None:
+            conn.exchange(request_id, frame)
+            return
+        started = time.perf_counter()
+        conn.exchange(request_id, frame)
+        self._lat[worker].observe(time.perf_counter() - started)
 
-        def build(rid: int) -> bytes:
-            nonlocal packed
-            frame = wire.pack_lock_row_frame(
-                rid, app_id, table_id, row_id, mode_byte, timeout, trace
-            )
-            if trace is not None:
-                packed = time.perf_counter()  # client.encode ends here
-            return frame
-
+    def _traced_lock_row(
+        self,
+        ctx: Any,
+        worker: int,
+        conn: ClientConnection,
+        app_id: int,
+        table_id: int,
+        row_id: int,
+        mode_byte: int,
+        timeout: Optional[float],
+    ) -> None:
+        """A sampled lock_row: the same request plus the trace tail,
+        packed here so ``client.encode`` can be timed.  The server ships
+        its four hop durations back as the OK payload; their sum off the
+        observed wall wait is the disjoint ``client.net_wait`` hop, so
+        the hops sum to the end-to-end latency.  A failed request (or an
+        old peer that ignored the tail) reports none: the wait is net.
+        """
+        started = time.perf_counter()
+        packed = 0.0
+        result: "int | wire.Response | BaseException"
         try:
-            response = conn.request(build, raw=True)
+            request_id = conn.next_id()
+            frame = wire.pack_request(
+                wire.OP_LOCK_ROW,
+                request_id,
+                (app_id, table_id, row_id, mode_byte),
+                timeout,
+                (ctx.trace_id, ctx.span_id, True),
+            )
+            packed = time.perf_counter()  # client.encode ends here
+            result = conn.exchange(request_id, frame)
         except BaseException as exc:
-            response = exc
+            result = exc
             raise
         else:
             if self._lat is not None:
                 self._lat[worker].observe(time.perf_counter() - started)
         finally:
-            if ctx is not None:
-                self._land(
-                    ctx, started, packed or started, response, worker,
-                    app_id, table_id, row_id, mode_byte,
-                )
-
-    def _land(
-        self,
-        ctx: Any,
-        started: float,
-        packed: float,
-        result: "int | wire.Response | BaseException",
-        worker: int,
-        app_id: int,
-        table_id: int,
-        row_id: int,
-        mode_byte: int,
-    ) -> None:
-        """Finish a sampled request's trace from its clock stamps.
-
-        The server ships its four hop durations back as the OK payload;
-        subtracting their sum from the observed wall wait leaves the
-        disjoint ``client.net_wait`` hop, so the hops sum to the
-        end-to-end latency.  A failed request (or an old peer that
-        ignored the trace tail) reports none: the whole wait is net.
-        """
-        replied = time.perf_counter()
-        report = None
-        outcome = "ok"
-        if isinstance(result, BaseException):
-            outcome = type(result).__name__
-        elif result.__class__ is not int:
-            report = wire.parse_hop_report(result.data)
-        decoded = time.perf_counter()
-        wall = replied - packed
-        hops = {
-            "client.encode": packed - started,
-            "client.net_wait": wall,
-            "client.decode": decoded - replied,
-        }
-        if report is not None:
-            hops.update(zip(SERVER_HOPS, report))
-            hops["client.net_wait"] = max(0.0, wall - sum(report))
-        self._tracer.finish(
-            ctx,
-            decoded - started,
-            hops,
-            worker=worker,
-            app_id=app_id,
-            table_id=table_id,
-            row_id=row_id,
-            mode=wire.lock_mode(mode_byte).name,
-            outcome=outcome,
-        )
+            replied = time.perf_counter()
+            packed = packed or started
+            report = None
+            outcome = "ok"
+            if isinstance(result, BaseException):
+                outcome = type(result).__name__
+            elif result.__class__ is not int:
+                report = wire.parse_hop_report(result.data)
+            decoded = time.perf_counter()
+            wall = replied - packed
+            hops = {
+                "client.encode": packed - started,
+                "client.net_wait": wall,
+                "client.decode": decoded - replied,
+            }
+            if report is not None:
+                hops.update(zip(SERVER_HOPS, report))
+                hops["client.net_wait"] = max(0.0, wall - sum(report))
+            self._tracer.finish(
+                ctx,
+                decoded - started,
+                hops,
+                worker=worker,
+                app_id=app_id,
+                table_id=table_id,
+                row_id=row_id,
+                mode=wire.lock_mode(mode_byte).name,
+                outcome=outcome,
+            )
 
     def lock_table(
         self,
@@ -642,11 +621,9 @@ class RoutedLockClient:
         timeout_s: object = _USE_DEFAULT,
     ) -> None:
         _worker, conn = self._route(app_id, table_id)
-        timeout = _wire_timeout(timeout_s)
         conn.request(
-            lambda rid: wire.encode_lock_table(
-                rid, app_id, table_id, wire.wire_mode(mode), timeout
-            )
+            wire.OP_LOCK_TABLE, app_id, table_id, wire.wire_mode(mode),
+            timeout_s=_wire_timeout(timeout_s),
         )
 
     def lock_rows(
@@ -664,19 +641,18 @@ class RoutedLockClient:
         """
         rec = self._rec(app_id)
         timeout = _wire_timeout(timeout_s)
-        by_worker: Dict[int, List[Tuple[int, int, int]]] = {}
+        by_worker: Dict[int, List[int]] = {}  # worker -> flattened triples
         for table_id, row_id, mode in accesses:
-            by_worker.setdefault(table_id % self._n, []).append(
+            by_worker.setdefault(table_id % self._n, []).extend(
                 (table_id, row_id, wire.wire_mode(mode))
             )
         granted = 0
-        for worker, triples in by_worker.items():  # first-touch order
+        for worker, flat in by_worker.items():  # first-touch order
             conn = rec.conns.get(worker) or self._adopt(rec, worker)
             granted += _value(
                 conn.request(
-                    lambda rid: wire.encode_batch_lock(
-                        rid, app_id, triples, timeout
-                    )
+                    wire.OP_BATCH_LOCK, app_id, len(flat) // 3, *flat,
+                    timeout_s=timeout,
                 )
             )
         return granted
@@ -685,16 +661,14 @@ class RoutedLockClient:
         self, app_id: int, table_id: int, row_id: int
     ) -> bool:
         _worker, conn = self._route(app_id, table_id)
-        response = conn.request(
-            lambda rid: wire.encode_unlock_read(rid, app_id, table_id, row_id)
-        )
+        response = conn.request(wire.OP_UNLOCK_READ, app_id, table_id, row_id)
         return bool(_value(response))
 
     def rollback(self, app_id: int) -> int:
-        return sum(self._fan_out(self._rec(app_id), wire.encode_release_all))
+        return sum(self._fan_out(self._rec(app_id), wire.OP_RELEASE_ALL))
 
     def cancel(self, app_id: int, message: str = "cancelled") -> bool:
-        return any(self._fan_out(self._rec(app_id), wire.encode_cancel))
+        return any(self._fan_out(self._rec(app_id), wire.OP_CANCEL))
 
     # -- wire-only extras --
 
@@ -702,13 +676,13 @@ class RoutedLockClient:
         """Per-worker stats payloads, indexed by worker."""
         payloads = []
         for worker in range(self._n):
-            response = self._conn(worker).request(wire.encode_stats)
+            response = self._conn(worker).request(wire.OP_STATS)
             payloads.append(json.loads(response.data.decode("utf-8")))
         return payloads
 
     def ping(self) -> None:
         for worker in range(self._n):
-            self._conn(worker).request(wire.encode_ping)
+            self._conn(worker).request(wire.OP_PING)
 
     @property
     def session_count(self) -> int:

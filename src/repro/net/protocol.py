@@ -20,9 +20,11 @@ them by id.
 
 What follows the header is written down exactly once, in the
 **frame-layout table** (:data:`_BODY` plus the timeout and trace tail
-fragments): the dataclass codec (``encode_*`` / ``decode_*``) and the
-one-call hot-path helpers (``pack_*`` / ``try_parse_*``) are both built
-from it, so they cannot disagree about a byte.
+fragments): every request is packed from it by :func:`pack_request`,
+the connection reader (:class:`FrameDecoder`) unpacks every fixed-size
+shape from it in place, and the dataclass codec (``encode_*`` /
+``decode_*``) is a thin view over the same two, so no two of them can
+disagree about a byte.
 
 Numbers are big-endian (network order) throughout.  Frames are bounded
 by :data:`MAX_FRAME_BYTES`; a peer announcing a larger frame is
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, Union
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -62,13 +64,20 @@ MODE_TO_WIRE: Dict[LockMode, int] = {
 WIRE_TO_MODE: Dict[int, LockMode] = {
     i: mode for mode, i in MODE_TO_WIRE.items()
 }
+# Each member also carries its byte, so the request path reads it off
+# the member instead of hashing an Enum (a Python-level ``__hash__``).
+for _mode, _byte in MODE_TO_WIRE.items():
+    _mode._wire = _byte  # type: ignore[attr-defined]
 
 
 def wire_mode(mode: "LockMode | int") -> int:
     """The u8 wire value for ``mode`` (idempotent on ints)."""
-    if isinstance(mode, int):
-        return mode
-    return MODE_TO_WIRE[mode]
+    try:
+        return mode._wire  # type: ignore[union-attr]
+    except AttributeError:
+        if isinstance(mode, int):
+            return mode
+        return MODE_TO_WIRE[mode]  # type: ignore[index]
 
 
 class ProtocolError(ServiceError):
@@ -115,23 +124,16 @@ RESP_ERR = 0x81
 #: follows the fixed body); unset means "use the server default".
 FLAG_HAS_TIMEOUT = 0x01
 #: flags bit 1: fire-and-forget -- the server executes the request but
-#: sends no response frame (success or failure).  Only meaningful for
-#: ops whose result the caller can discard (session close, rollback):
-#: the TCP stream still orders the op before everything the client
-#: sends next, so "close then open" semantics are preserved without
-#: paying a round trip.
+#: sends no response frame (success or failure).  For ops whose result
+#: the caller can discard (session close, rollback): the stream still
+#: orders the op before whatever the client sends next.
 FLAG_NO_REPLY = 0x02
-#: flags bit 2: the frame carries a trailing 17-byte trace context
-#: (trace id u64, span id u64, sampled u8) -- the distributed-tracing
-#: extension (see :mod:`repro.obs.tracing`).  The tail sits at the very
-#: end of the frame, *after* any timeout tail.  Because the codec
-#: enforces exact payload sizes, a peer that predates this flag rejects
-#: traced frames cleanly instead of misparsing them -- so the extension
-#: is **capability-gated**: a
-#: client only attaches trace context when explicitly configured with a
-#: tracer (both ends of an in-repo deployment speak the same version),
-#: and untraced frames remain byte-identical to the pre-extension
-#: format.
+#: flags bit 2: the frame ends in a 17-byte trace context (trace id
+#: u64, span id u64, sampled u8; see :mod:`repro.obs.tracing`), after
+#: any timeout tail.  Exact payload sizes make the extension
+#: capability-gated: a peer that predates it rejects traced frames
+#: instead of misparsing them, a client attaches the tail only when
+#: configured with a tracer, and untraced frames stay byte-identical.
 FLAG_TRACE = 0x04
 
 # -- the closed error-code vocabulary ---------------------------------------
@@ -186,79 +188,103 @@ def encode_frame(payload: bytes) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-class FrameDecoder:
-    """Incremental frame reassembly over an arbitrary byte stream.
+#: A reader's buffer: a whole pipelined burst fits one ``recv_into``; a
+#: bigger frame grows it while that frame is in flight.  The slack past
+#: it is never received into, so a frame's length and op/flags word can
+#: be read in one unpack even for a zero- or one-byte frame at the end.
+_RECV_BYTES, _SLACK = 1 << 16, 2
+_PREFIX = struct.Struct("!IH")  # length, op << 8 | flags
 
-    Feed it whatever the socket produced -- single bytes, torn length
-    prefixes, many frames at once -- and iterate complete payloads.
-    The decoder never buffers beyond one frame plus unread input, and
-    rejects oversized announcements *before* buffering the body.
+#: A frame as a reader yields it: fixed-size shapes as field tuples.
+Frame = Union[tuple, bytes]
+
+
+class FrameDecoder:
+    """One connection's receive side: one reusable buffer, frames in place.
+
+    :meth:`receive` fills the buffer with one ``recv_into`` and returns
+    the frames that completed, in order: a fixed-size shape
+    (:data:`_FIXED`) as its field tuple ``(op, flags, request id,
+    body..., tails...)`` unpacked straight from the buffer, any other
+    frame as its payload bytes.  Only such a cold frame, or a torn tail
+    moved to the front for the next receive, is copied.  :meth:`feed`
+    does the same for bytes from elsewhere and returns payloads only.
+    A length prefix above :data:`MAX_FRAME_BYTES` raises
+    :class:`FrameTooLargeError` before any of its body is buffered.
     """
 
-    __slots__ = ("_buffer", "_need")
+    __slots__ = ("_buf", "_end")
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._need: Optional[int] = None  # body length once prefix is read
+        self._buf = bytearray(_RECV_BYTES + _SLACK)
+        self._end = 0  # bytes of a torn frame at the front of the buffer
+
+    def receive(self, recv_into) -> Optional[List[Frame]]:
+        """One ``recv_into`` (a socket's); the frames it completed, or
+        None once the peer has closed its end."""
+        buf, end = self._buf, self._end
+        if end:
+            got = recv_into(memoryview(buf)[end:-_SLACK])
+        else:
+            got = recv_into(buf, len(buf) - _SLACK)
+        if not got:
+            return None
+        end += got
+        # The request/response rhythm: the buffer holds exactly one
+        # fixed-size frame.  One unpack for its header, one for its fields.
+        length, key = _PREFIX.unpack_from(buf)
+        shape = _FIXED.get(key)
+        if shape is not None and shape.size == length and end == length + 4:
+            self._end = 0
+            return [shape.unpack_from(buf, 4)]
+        self._end = end
+        return self._scan(_FIXED)
 
     def feed(self, data: bytes) -> List[bytes]:
         """Append ``data``; return every frame payload now complete."""
-        self._buffer.extend(data)
-        out: List[bytes] = []
-        while True:
-            if self._need is None:
-                if len(self._buffer) < _LEN.size:
-                    return out
-                (length,) = _LEN.unpack_from(self._buffer)
-                if length > MAX_FRAME_BYTES:
-                    raise FrameTooLargeError(
-                        f"peer announced a {length}-byte frame "
-                        f"(limit {MAX_FRAME_BYTES})"
-                    )
-                del self._buffer[: _LEN.size]
-                self._need = length
-            if len(self._buffer) < self._need:
-                return out
-            out.append(bytes(self._buffer[: self._need]))
-            del self._buffer[: self._need]
-            self._need = None
+        self._buf[self._end :] = bytes(data) + bytes(_SLACK)
+        self._end += len(data)
+        return self._scan({})
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered towards the next (incomplete) frame."""
-        return len(self._buffer)
+        return self._end
 
-
-def split_frames(data: bytes, decoder: FrameDecoder) -> List[bytes]:
-    """Frame payloads in ``data``, skipping the decoder when possible.
-
-    When ``decoder`` holds no partial frame -- the overwhelmingly
-    common case for request/response traffic -- complete frames are
-    sliced straight out of ``data`` with no bytearray copies; only a
-    trailing partial frame (or a pre-existing one) goes through the
-    incremental decoder.  Semantically identical to
-    ``decoder.feed(data)``, including the oversize rejection.
-    """
-    if decoder.pending_bytes:
-        return decoder.feed(data)
-    out: List[bytes] = []
-    offset = 0
-    total = len(data)
-    while total - offset >= _LEN.size:
-        (length,) = _LEN.unpack_from(data, offset)
-        if length > MAX_FRAME_BYTES:
-            raise FrameTooLargeError(
-                f"peer announced a {length}-byte frame "
-                f"(limit {MAX_FRAME_BYTES})"
-            )
-        end = offset + _LEN.size + length
-        if end > total:
-            break
-        out.append(data[offset + _LEN.size : end])
-        offset = end
-    if offset < total:
-        decoder.feed(data[offset:])
-    return out
+    def _scan(self, shapes: Dict[int, struct.Struct]) -> List[Frame]:
+        buf, end = self._buf, self._end
+        frames: List[Frame] = []
+        pos = 0
+        while end - pos >= 4:
+            length, key = _PREFIX.unpack_from(buf, pos)
+            if length > MAX_FRAME_BYTES:
+                raise FrameTooLargeError(
+                    f"peer announced a {length}-byte frame "
+                    f"(limit {MAX_FRAME_BYTES})"
+                )
+            start = pos + 4
+            stop = start + length
+            if stop > end:
+                break
+            shape = shapes.get(key)
+            if shape is not None and shape.size == length:
+                frames.append(shape.unpack_from(buf, start))
+            else:
+                frames.append(bytes(buf[start:stop]))
+            pos = stop
+        # The torn tail goes to the front, with room behind it for the
+        # rest of its frame; a grown buffer shrinks once its frame is in.
+        tail = end - pos
+        room = _RECV_BYTES
+        if tail >= 4:
+            room = max(room, 4 + _LEN.unpack_from(buf, pos)[0])
+        if len(buf) != room + _SLACK:
+            self._buf = bytearray(room + _SLACK)
+            self._buf[:tail] = buf[pos:end]
+        elif tail and pos:
+            buf[:tail] = buf[pos:end]
+        self._end = tail
+        return frames
 
 
 # -- the frame-layout table -------------------------------------------------
@@ -311,12 +337,10 @@ _LAYOUTS: Dict[Tuple[int, int], _Layout] = {}
 def _layout(op: int, tails: int = 0, accesses: int = 0) -> _Layout:
     """The three views of one wire shape, all from one format string.
 
-    ``(frame, payload, fields)``: ``frame`` packs length prefix plus
-    payload in one call, ``payload`` the payload alone, ``fields``
-    unpacks a payload from the request id on (op and flags, read as
-    bytes first, pick the layout).  Fixed shapes are built once; a
-    batch's depends on its access count and is built per call, so a
-    peer cycling counts cannot grow the table.
+    ``(frame, payload, fields)``: length prefix plus payload, the
+    payload alone, the payload from the request id on (past op and
+    flags).  Fixed shapes are built once; a batch's is built per call,
+    so a peer cycling access counts cannot grow the table.
     """
     layout = _LAYOUTS.get((op, tails)) if not accesses else None
     if layout is None:
@@ -335,22 +359,29 @@ def _layout(op: int, tails: int = 0, accesses: int = 0) -> _Layout:
     return layout
 
 
-def _tails(
-    timeout_s: Optional[float], trace: Optional[Tuple[int, int, bool]]
-) -> Tuple[int, tuple]:
-    """Flag bits and packed values of the optional tails, in wire order."""
-    if timeout_s is None:
-        flags, values = 0, ()
-    else:
-        flags, values = FLAG_HAS_TIMEOUT, (timeout_s,)
-    if trace is not None:
-        trace_id, span_id, sampled = trace
-        flags |= FLAG_TRACE
-        values += (trace_id, span_id, 1 if sampled else 0)
-    return flags, values
-
-
 # -- requests ---------------------------------------------------------------
+
+
+def _tails_of(op: int, flags: int) -> int:
+    """The tails ``flags`` announce (a timeout only on a waiting op)."""
+    tails = flags & FLAG_TRACE
+    if op in WAITING_OPS:
+        tails |= flags & FLAG_HAS_TIMEOUT
+    return tails
+
+
+#: (op << 8 | flags) -> payload layout of every fixed-size shape, the
+#: ones :class:`FrameDecoder` unpacks in place: each request op but
+#: BATCH_LOCK in every tail and FLAG_NO_REPLY combination, and plain OK.
+_FIXED: Dict[int, struct.Struct] = {
+    op << 8 | tails | no_reply: _layout(op, tails)[1]
+    for op in _BODY
+    if op < RESP_OK and op != OP_BATCH_LOCK
+    for tails in (0, FLAG_HAS_TIMEOUT, FLAG_TRACE, FLAG_HAS_TIMEOUT | FLAG_TRACE)
+    if tails == _tails_of(op, tails)
+    for no_reply in (0, FLAG_NO_REPLY)
+}
+_FIXED[RESP_OK << 8] = _layout(RESP_OK)[1]
 
 
 def lock_mode(byte: int) -> LockMode:
@@ -386,21 +417,60 @@ class Request:
         return lock_mode(self.mode)
 
 
-def _encode(
-    op: int,
-    request_id: int,
-    body: tuple = (),
+# The two plain LOCK_ROW frames, and their payload sizes.
+_PLAIN, _TIMED = _layout(OP_LOCK_ROW)[0], _layout(OP_LOCK_ROW, FLAG_HAS_TIMEOUT)[0]
+_PLAIN_BYTES, _TIMED_BYTES = _PLAIN.size - _LEN.size, _TIMED.size - _LEN.size
+
+
+def pack_request(
+    op: int, request_id: int, body: tuple = (),
     timeout_s: Optional[float] = None,
-    trace: Optional[Tuple[int, int, bool]] = None,
-    *,
-    no_reply: bool = False,
-    accesses: int = 0,
+    trace: Optional[Tuple[int, int, bool]] = None, *, no_reply: bool = False,
 ) -> bytes:
-    """The payload of one request, packed by its layout."""
-    tails, tail_values = _tails(timeout_s, trace)
-    flags = tails | FLAG_NO_REPLY if no_reply else tails
-    payload = _layout(op, tails, accesses)[1]
-    return payload.pack(op, flags, request_id, *body, *tail_values)
+    """One request frame, length prefix included, packed by its layout.
+
+    ``body`` holds the op's fields in :data:`_BODY` order (BATCH_LOCK:
+    app id, access count, then the flattened triples).  This is the one
+    place a request meets ``struct``: a value that does not fit its
+    wire slot raises :class:`ProtocolError`, as an oversized batch does,
+    never a bare ``struct.error``.  The two plain LOCK_ROW shapes --
+    nearly every frame on the wire -- take one explicit pack.
+    """
+    try:
+        if op == OP_LOCK_ROW and trace is None and not no_reply:
+            app_id, table_id, row_id, mode = body
+            if timeout_s is None:
+                return _PLAIN.pack(
+                    _PLAIN_BYTES, OP_LOCK_ROW, 0, request_id,
+                    app_id, table_id, row_id, mode,
+                )
+            return _TIMED.pack(
+                _TIMED_BYTES, OP_LOCK_ROW, FLAG_HAS_TIMEOUT, request_id,
+                app_id, table_id, row_id, mode, timeout_s,
+            )
+        count = body[1] if op == OP_BATCH_LOCK else 0
+        if count > MAX_BATCH_ACCESSES:
+            raise ProtocolError(
+                f"batch of {count} accesses exceeds {MAX_BATCH_ACCESSES}"
+            )
+        tails, tail = 0, ()  # flag bits and values of the tails, in order
+        if timeout_s is not None:
+            tails, tail = FLAG_HAS_TIMEOUT, (timeout_s,)
+        if trace is not None:
+            tails |= FLAG_TRACE
+            tail += (trace[0], trace[1], 1 if trace[2] else 0)
+        frame, payload, _ = _layout(op, tails, count)
+        flags = tails | FLAG_NO_REPLY if no_reply else tails
+        return frame.pack(payload.size, op, flags, request_id, *body, *tail)
+    except struct.error as exc:
+        raise ProtocolError(
+            f"{_BODY[op][0]} request does not fit its wire layout: {exc}"
+        ) from None
+
+
+def _encode(*args: Any, **kwargs: Any) -> bytes:
+    """The payload of :func:`pack_request`'s frame (same arguments)."""
+    return pack_request(*args, **kwargs)[_LEN.size :]
 
 
 def encode_open_session(request_id: int) -> bytes:
@@ -427,75 +497,42 @@ def encode_cancel(request_id: int, app_id: int) -> bytes:
     return _encode(OP_CANCEL, request_id, (app_id,))
 
 
-def encode_lock_row(
-    request_id: int,
-    app_id: int,
-    table_id: int,
-    row_id: int,
-    mode: int,
-    timeout_s: Optional[float] = None,
-    trace: Optional[Tuple[int, int, bool]] = None,
-) -> bytes:
-    return _encode(
-        OP_LOCK_ROW, request_id, (app_id, table_id, row_id, mode),
-        timeout_s, trace,
-    )
-
-
-#: tails -> layout of the four LOCK_ROW shapes, for the hot path.
-_LOCK_ROW = {
-    tails: _layout(OP_LOCK_ROW, tails)
-    for tails in (
-        0, FLAG_HAS_TIMEOUT, FLAG_TRACE, FLAG_HAS_TIMEOUT | FLAG_TRACE
-    )
-}
-
-
 def pack_lock_row_frame(
-    request_id: int,
-    app_id: int,
-    table_id: int,
-    row_id: int,
-    mode: int,
+    request_id: int, app_id: int, table_id: int, row_id: int, mode: int,
     timeout_s: Optional[float] = None,
     trace: Optional[Tuple[int, int, bool]] = None,
 ) -> bytes:
     """``encode_frame(encode_lock_row(...))`` in one pack, for the one
     op that dominates every wire byte."""
-    tails, tail_values = _tails(timeout_s, trace)
-    frame, payload, _ = _LOCK_ROW[tails]
-    return frame.pack(
-        payload.size, OP_LOCK_ROW, tails, request_id,
-        app_id, table_id, row_id, mode, *tail_values,
+    return pack_request(
+        OP_LOCK_ROW, request_id, (app_id, table_id, row_id, mode),
+        timeout_s, trace,
     )
+
+
+def encode_lock_row(
+    request_id: int, app_id: int, table_id: int, row_id: int, mode: int,
+    timeout_s: Optional[float] = None,
+    trace: Optional[Tuple[int, int, bool]] = None,
+) -> bytes:
+    return pack_lock_row_frame(
+        request_id, app_id, table_id, row_id, mode, timeout_s, trace
+    )[_LEN.size :]
 
 
 def encode_lock_table(
-    request_id: int,
-    app_id: int,
-    table_id: int,
-    mode: int,
+    request_id: int, app_id: int, table_id: int, mode: int,
     timeout_s: Optional[float] = None,
 ) -> bytes:
-    return _encode(
-        OP_LOCK_TABLE, request_id, (app_id, table_id, mode), timeout_s
-    )
+    return _encode(OP_LOCK_TABLE, request_id, (app_id, table_id, mode), timeout_s)
 
 
 def encode_batch_lock(
-    request_id: int,
-    app_id: int,
-    accesses: List[Tuple[int, int, int]],
+    request_id: int, app_id: int, accesses: List[Tuple[int, int, int]],
     timeout_s: Optional[float] = None,
 ) -> bytes:
-    if len(accesses) > MAX_BATCH_ACCESSES:
-        raise ProtocolError(
-            f"batch of {len(accesses)} accesses exceeds {MAX_BATCH_ACCESSES}"
-        )
     body = (app_id, len(accesses), *(v for access in accesses for v in access))
-    return _encode(
-        OP_BATCH_LOCK, request_id, body, timeout_s, accesses=len(accesses)
-    )
+    return _encode(OP_BATCH_LOCK, request_id, body, timeout_s)
 
 
 def encode_unlock_read(
@@ -512,8 +549,13 @@ def encode_ping(request_id: int) -> bytes:
     return _encode(OP_PING, request_id)
 
 
-def decode_request(payload: bytes) -> Request:
-    """Parse one request payload (raises :class:`ProtocolError`)."""
+def request_fields(payload: bytes) -> tuple:
+    """Validate one request payload and unpack it in wire order.
+
+    ``(op, flags, request id, body..., tails...)``: the tuple
+    :class:`FrameDecoder` yields for a fixed-size shape, here for any
+    request payload (raises :class:`ProtocolError`).
+    """
     if len(payload) < HEADER_BYTES:
         raise ProtocolError(
             f"request payload of {len(payload)} bytes is shorter than the "
@@ -522,10 +564,6 @@ def decode_request(payload: bytes) -> Request:
     op, flags = payload[0], payload[1]
     if op >= RESP_OK or op not in _BODY:
         raise ProtocolError(f"unknown request op 0x{op:02x}")
-    name, _fmt, attrs = _BODY[op]
-    tails = flags & FLAG_TRACE
-    if op in WAITING_OPS:
-        tails |= flags & FLAG_HAS_TIMEOUT
     count = 0
     if op == OP_BATCH_LOCK:
         head = _layout(op)[2]
@@ -536,17 +574,24 @@ def decode_request(payload: bytes) -> Request:
             raise ProtocolError(
                 f"batch of {count} accesses exceeds {MAX_BATCH_ACCESSES}"
             )
-    fields = _layout(op, tails, count)[2]
-    if len(payload) != fields.size:
+    layout = _layout(op, _tails_of(op, flags), count)[1]
+    if len(payload) != layout.size:
         # Exact sizes are what make the tails capability-gated: a flag
         # without its tail, or a tail without its flag, never parses.
         raise ProtocolError(
-            f"{name} payload with flags 0x{flags:02x} is "
-            f"{len(payload)} bytes, expected exactly {fields.size}"
+            f"{_BODY[op][0]} payload with flags 0x{flags:02x} is "
+            f"{len(payload)} bytes, expected exactly {layout.size}"
         )
-    values = fields.unpack(payload)
-    req = Request(op, values[0], no_reply=bool(flags & FLAG_NO_REPLY))
-    for attr, value in zip(attrs, values[1:]):
+    return layout.unpack(payload)
+
+
+def decode_request(payload: bytes) -> Request:
+    """Parse one request payload (raises :class:`ProtocolError`)."""
+    values = request_fields(payload)
+    op, flags = values[0], values[1]
+    tails = _tails_of(op, flags)
+    req = Request(op, values[2], no_reply=bool(flags & FLAG_NO_REPLY))
+    for attr, value in zip(_BODY[op][2], values[3:]):
         setattr(req, attr, value)
     end = len(values)
     if tails & FLAG_TRACE:
@@ -557,17 +602,16 @@ def decode_request(payload: bytes) -> Request:
         end -= 1
         req.timeout_s = values[end]
         req.has_timeout = True
-    if count:
-        flat = values[3:end]  # past the request id, app id and count
+    if op == OP_BATCH_LOCK:
+        flat = values[5:end]  # past op, flags, request id, app id, count
         req.accesses = list(zip(flat[0::3], flat[1::3], flat[2::3]))
     return req
 
 
 #: payload size -> (flags, fields) of the two plain LOCK_ROW shapes.
 _PLAIN_LOCK_ROW = {
-    layout[2].size: (tails, layout[2])
-    for tails, layout in _LOCK_ROW.items()
-    if not tails & FLAG_TRACE
+    _layout(OP_LOCK_ROW, tails)[2].size: (tails, _layout(OP_LOCK_ROW, tails)[2])
+    for tails in (0, FLAG_HAS_TIMEOUT)
 }
 
 
@@ -718,6 +762,7 @@ def iter_frames(data: bytes) -> Iterator[bytes]:
 
 __all__ = [
     "ConnectionLostError",
+    "Frame",
     "FrameDecoder",
     "FrameTooLargeError",
     "HOP_REPORT_BYTES",
@@ -748,8 +793,10 @@ __all__ = [
     "pack_hop_report",
     "pack_lock_row_frame",
     "pack_ok_frame",
+    "pack_request",
     "parse_hop_report",
     "peek_request_id",
+    "request_fields",
     "try_parse_lock_row",
     "try_parse_ok",
     "wire_mode",

@@ -8,21 +8,25 @@ id -- a connection blocked on a contended lock does not stall the
 uncontended traffic behind it.
 
 Every frame takes **one path** (``_ThreadedConnection._dispatch``) on
-its connection's reader thread, traced or not.  A LOCK_ROW gets exactly
-one immediate-grant attempt there (``LockService.try_lock_row``: one
-mutex acquire, no handoff), ops that cannot park run there too, and
+its connection's reader thread, traced or not.  The reader
+(:class:`~repro.net.protocol.FrameDecoder`) fills one reusable buffer
+per connection with ``recv_into`` and hands every fixed-size request
+over as its field tuple, unpacked in place; an op -> method table
+(``_ThreadedConnection._OPS``) runs it.  A LOCK_ROW gets exactly one
+immediate-grant attempt on the reader (``LockService.try_lock_row``:
+one mutex acquire, no handoff), ops that cannot park run there too, and
 only a request that may genuinely park a thread (a contended lock, a
 table lock, a batch) is pushed to the thread pool, which finishes it
 through the same two methods the reader uses.  Mode-byte validation,
 ``FLAG_NO_REPLY`` and the mapping of exceptions onto error frames each
-live in one place, and a sampled request is the same request with a
-clock running.  The split is the load-bearing decision on a box where
-the GIL makes threads expensive: under churn nearly every request
-stays on the reader thread, which keeps the socket hop within an order
-of magnitude of an in-process call.  The data plane serves a handful
-of long-lived connections (not thousands), so a blocking ``recv`` per
-connection beats an event loop's dispatch by more than an uncontended
-lock request's entire service time.
+live in one place, and a sampled request is the same request, plus its
+trace tail, with a clock running.  The split is the load-bearing
+decision on a box where the GIL makes threads expensive: under churn
+nearly every request stays on the reader thread, which keeps the socket
+hop within an order of magnitude of an in-process call.  The data plane
+serves a handful of long-lived connections (not thousands), so a
+blocking receive per connection beats an event loop's dispatch by more
+than an uncontended lock request's entire service time.
 
 Session lifecycle is connection-bound: sessions opened (or adopted)
 over a connection are force-closed when that connection drops, so a
@@ -59,25 +63,16 @@ def _json_safe(value: Any) -> Any:
 
 
 class ServiceBackend:
-    """Adapts a lock-service-shaped object to the wire operations.
-
-    Works against :class:`~repro.service.service.LockService`,
+    """A lock-service-shaped object, named, as a server fronts it: a
+    :class:`~repro.service.service.LockService`, a
     :class:`~repro.service.sharded.ShardedLockService`, or anything
-    duck-typing their session/lock surface.
-    """
+    duck-typing their session/lock surface."""
 
     def __init__(
-        self,
-        service: Any,
-        *,
-        name: str = "service",
-        tracer: Any = None,
+        self, service: Any, *, name: str = "service", tracer: Any = None
     ) -> None:
         self.service = service
         self.name = name
-        # The *checked* immediate-grant attempt: frames carry whatever
-        # session id the peer wrote, so the service must validate it.
-        self._try_lock_row = getattr(service, "try_lock_row", None)
         #: Optional :class:`repro.obs.tracing.ServerTracer` -- when set,
         #: requests carrying a sampled trace context run with the hop
         #: clock on and their OK replies carry a hop report.
@@ -89,92 +84,6 @@ class ServiceBackend:
         #: (None without one): an incident raised meanwhile (deadlock
         #: victim, escalation) is stamped with the request it hurt.
         self.trace_ids = getattr(incidents, "trace_ids", None)
-
-    # -- non-blocking (safe on a reader thread) --
-
-    def try_lock_row(
-        self, app_id: int, table_id: int, row_id: int, mode: int
-    ) -> bool:
-        """One immediate-grant attempt; False means "this has to wait"
-        (or the service offers no non-blocking entry)."""
-        if self._try_lock_row is None:
-            return False
-        return self._try_lock_row(
-            app_id, table_id, row_id, wire.lock_mode(mode)
-        )
-
-    # -- potentially blocking (executor only for ``wire.WAITING_OPS``) --
-
-    @staticmethod
-    def _timeout_of(req: wire.Request) -> object:
-        """Wire timeout -> service convention (negative = unbounded)."""
-        if not req.has_timeout:
-            return _USE_DEFAULT
-        assert req.timeout_s is not None
-        return None if req.timeout_s < 0 else req.timeout_s
-
-    def execute(self, req: wire.Request) -> Tuple[int, bytes]:
-        """Run ``req`` to completion; returns (value, data) for RESP_OK."""
-        svc = self.service
-        op = req.op
-        if op == wire.OP_LOCK_ROW:
-            svc.lock_row(
-                req.app_id,
-                req.table_id,
-                req.row_id,
-                req.lock_mode,
-                timeout_s=self._timeout_of(req),
-            )
-            return 1, b""
-        if op == wire.OP_BATCH_LOCK:
-            timeout = self._timeout_of(req)
-            granted = 0
-            for table_id, row_id, mode in req.accesses:
-                svc.lock_row(
-                    req.app_id,
-                    table_id,
-                    row_id,
-                    wire.lock_mode(mode),
-                    timeout_s=timeout,
-                )
-                granted += 1
-            return granted, b""
-        if op == wire.OP_LOCK_TABLE:
-            svc.lock_table(
-                req.app_id,
-                req.table_id,
-                req.lock_mode,
-                timeout_s=self._timeout_of(req),
-            )
-            return 1, b""
-        if op == wire.OP_UNLOCK_READ:
-            released = svc.release_read_lock(
-                req.app_id, req.table_id, req.row_id
-            )
-            return int(released), b""
-        if op == wire.OP_RELEASE_ALL:
-            return svc.rollback(req.app_id), b""
-        if op == wire.OP_OPEN_SESSION:
-            return svc.open_session(), b""
-        if op == wire.OP_CLOSE_SESSION:
-            return svc.close_session(req.app_id), b""
-        if op == wire.OP_ADOPT_SESSION:
-            adopt = getattr(svc, "adopt_session", None)
-            if adopt is None:
-                raise wire.ProtocolError(
-                    f"{self.name} does not support session adoption"
-                )
-            adopt(req.app_id)
-            return 0, b""
-        if op == wire.OP_CANCEL:
-            return int(svc.cancel(req.app_id)), b""
-        if op == wire.OP_STATS:
-            return 0, json.dumps(
-                self.stats_payload(), default=_json_safe
-            ).encode("utf-8")
-        if op == wire.OP_PING:
-            return 0, b""
-        raise wire.ProtocolError(f"unknown request op 0x{op:02x}")
 
     def stats_payload(self) -> Dict[str, Any]:
         svc = self.service
@@ -210,6 +119,24 @@ class ServiceBackend:
             )
 
 
+#: The ops whose body does not start with a session's app id.
+_SESSIONLESS = frozenset({wire.OP_OPEN_SESSION, wire.OP_STATS, wire.OP_PING})
+
+
+def _app_id(f: tuple) -> int:
+    """The session a request's fields name (0 for an op that names none)."""
+    return 0 if f[0] in _SESSIONLESS else f[3]
+
+
+def _timeout(f: tuple) -> object:
+    """A waiting op's wire timeout as the service takes it (<0: none)."""
+    flags = f[1]
+    if not flags & wire.FLAG_HAS_TIMEOUT:
+        return _USE_DEFAULT
+    timeout = f[-4] if flags & wire.FLAG_TRACE else f[-1]
+    return None if timeout < 0 else timeout
+
+
 class _ThreadedConnection:
     """One connection of :class:`ThreadedLockServer` (own reader thread).
 
@@ -218,6 +145,11 @@ class _ThreadedConnection:
     server->client context switch, nothing else.  Replies of parked
     requests are written out of order under the send lock, which is
     what keeps pipelining intact.
+
+    A request travels as its field tuple ``(op, flags, request id,
+    body..., tails...)``, as the reader unpacked it in place or
+    :func:`~repro.net.protocol.request_fields` parsed a cold frame, and
+    :data:`_OPS` maps its op to the method that runs it.
     """
 
     def __init__(
@@ -225,6 +157,11 @@ class _ThreadedConnection:
     ) -> None:
         self._server = server
         self._backend = server.backend
+        self._service = server.backend.service
+        self._tracer = server.backend.tracer
+        # The *checked* immediate-grant attempt: frames carry whatever
+        # session id the peer wrote, so the service must validate it.
+        self._try_lock_row = getattr(self._service, "try_lock_row", None)
         self._sock = sock
         self._send_lock = threading.Lock()
         self._sessions: Set[int] = set()
@@ -239,132 +176,111 @@ class _ThreadedConnection:
         self._thread.start()
 
     def _read_loop(self) -> None:
-        decoder = wire.FrameDecoder()
-        recv = self._sock.recv
-        split_frames = wire.split_frames
+        receive = wire.FrameDecoder().receive
+        recv_into = self._sock.recv_into
         dispatch = self._dispatch
         try:
             while True:
-                data = recv(65536)
-                if not data:
+                frames = receive(recv_into)
+                if frames is None:
                     break
-                for payload in split_frames(data, decoder):
-                    dispatch(payload)
+                for frame in frames:
+                    dispatch(frame)
         except wire.ProtocolError as exc:
-            self._send_payload(wire.encode_error(0, exc))
+            self._send(wire.encode_frame(wire.encode_error(0, exc)))
         except OSError:
             pass
         finally:
             self._shutdown()
 
-    def _dispatch(self, payload: bytes) -> None:
-        """The one request path: parse, then grant, run or park.
+    def _dispatch(self, f: wire.Frame) -> None:
+        """The one request path: grant, run or park.
 
-        A plain LOCK_ROW granted on the spot costs one
-        ``try_parse_lock_row``, one ``try_lock_row``, one
-        ``pack_ok_frame`` and one ``sendall`` -- no :class:`Request`;
-        every other frame is decoded into one.  A LOCK_ROW not granted
-        here is parked, and the service's blocking ``lock_row`` makes
-        the only other grant attempt it will get.
-
-        ``clock`` is a sampled request's hop clock, perf-counter stamps
+        A LOCK_ROW gets one immediate-grant attempt here -- the
+        service's own ``try_lock_row``, no adapter in between; one not
+        granted is parked, and the service's blocking ``lock_row`` makes
+        the only other attempt it will get.  Ops that cannot park run
+        here.  ``clock`` is a sampled request's hop clock, stamps
         ``[arrived, parked, started]`` (``parked`` stays 0.0 unless the
-        executor takes over), and None otherwise: with no tracer
-        configured, tracing costs the one None check below.
+        executor takes over); an untraced frame pays one flags test.
         """
-        backend = self._backend
-        tracer = backend.tracer
-        arrived = time.perf_counter() if tracer is not None else 0.0
-        req: Optional[wire.Request] = None
         clock: Optional[List[float]] = None
-        fields = wire.try_parse_lock_row(payload)
         try:
-            if fields is None:
-                req = wire.decode_request(payload)
-                if tracer is not None and req.trace_sampled:
-                    clock = [arrived, 0.0, time.perf_counter()]
-                if req.op == wire.OP_LOCK_ROW:
-                    fields = (
-                        req.request_id, req.app_id, req.table_id,
-                        req.row_id, req.mode, req.timeout_s,
-                    )
-            if fields is not None:
-                rid, app, table, row, mode, timeout = fields
-                if backend.try_lock_row(app, table, row, mode):
-                    if req is None:
-                        # A plain shape: never traced, never no-reply.
-                        self._send(wire.pack_ok_frame(rid, 1))
-                    else:
-                        self._finish(req, clock, 1)
-                    return
-                if req is None:
-                    req = wire.Request(
-                        wire.OP_LOCK_ROW, rid, app, table, row, mode,
-                        timeout, timeout is not None,
-                    )
+            if f.__class__ is bytes:
+                f = wire.request_fields(f)  # a cold shape, or no request
+            if f[1] & wire.FLAG_TRACE and self._tracer is not None and f[-1]:
+                now = time.perf_counter()
+                clock = [now, 0.0, now]
+            op = f[0]
+            if op == wire.OP_LOCK_ROW:
+                mode = wire.WIRE_TO_MODE.get(f[6])
+                if mode is None:
+                    wire.lock_mode(f[6])  # raises the ProtocolError
+                if self._try_lock_row is not None:
+                    if clock is not None:
+                        clock[2] = time.perf_counter()
+                    if self._try_lock_row(f[3], f[4], f[5], mode):
+                        self._finish(f, clock, 1)
+                        return
+            elif op not in wire.WAITING_OPS:
+                self._run(f, clock)  # cannot park a thread: run it here
+                return
         except Exception as exc:
-            if req is None:
-                # Undecodable, or a plain LOCK_ROW refused outright:
-                # all that is known is the id to answer to.
-                if fields is not None:
-                    rid = fields[0]
-                elif len(payload) >= wire.HEADER_BYTES:
-                    rid = wire.peek_request_id(payload)
-                else:
-                    rid = 0
-                req = wire.Request(0, rid)
-            self._finish(req, clock, exc=exc)
-            return
-        if req.op not in wire.WAITING_OPS:
-            self._run(req, clock)  # cannot park a thread: run it here
+            if f.__class__ is bytes:
+                # Undecodable: all that is known is the id to answer to.
+                rid = wire.peek_request_id(f) if len(f) >= wire.HEADER_BYTES else 0
+                self._send(wire.encode_frame(wire.encode_error(rid, exc)))
+            else:
+                self._finish(f, clock, exc=exc)
             return
         if clock is not None:
             clock[1] = time.perf_counter()
-        self._server.executor.submit(self._run, req, clock)
+        self._server.executor.submit(self._run, f, clock)
 
-    def _run(
-        self, req: wire.Request, clock: Optional[List[float]]
-    ) -> None:
-        """Execute ``req`` to completion and answer it: on the reader
+    def _run(self, f: tuple, clock: Optional[List[float]]) -> None:
+        """Execute a request to completion and answer it: on the reader
         for ops that cannot park, on an executor thread for the rest."""
-        backend = self._backend
         trace_ids = None
         if clock is not None:
             clock[2] = time.perf_counter()
-            trace_ids = backend.trace_ids
+            trace_ids = self._backend.trace_ids
             if trace_ids is not None:
-                trace_ids[req.app_id] = req.trace_id
+                trace_ids[_app_id(f)] = f[-3]
         try:
-            value, data = backend.execute(req)
-            self._record(req, value)
+            run = self._OPS.get(f[0])
+            if run is None:  # e.g. a reply sent as a request
+                raise wire.ProtocolError(f"unknown request op 0x{f[0]:02x}")
+            value = run(self, f)
         except Exception as exc:
-            self._finish(req, clock, exc=exc)
+            self._finish(f, clock, exc=exc)
             return
         finally:
             if trace_ids is not None:
-                trace_ids.pop(req.app_id, None)
-        self._finish(req, clock, value, data)
+                trace_ids.pop(_app_id(f), None)
+        self._finish(f, clock, value)
 
     def _finish(
         self,
-        req: wire.Request,
+        f: tuple,
         clock: Optional[List[float]],
-        value: int = 0,
-        data: bytes = b"",
+        value: "int | bytes" = 0,
         exc: Optional[Exception] = None,
     ) -> None:
-        """Answer ``req``: the one place that closes a sampled
-        request's server span, honours ``FLAG_NO_REPLY`` and maps an
-        exception onto its error frame.
+        """Answer a request (``value``: the OK value, or the data an OK
+        carries): the one place that closes a sampled request's server
+        span, honours ``FLAG_NO_REPLY`` and maps an exception onto its
+        error frame.
 
-        ``server.dispatch`` runs from arrival to execution start (to
-        the hand-over for a parked request, whose wait for a thread is
+        ``server.dispatch`` runs from arrival to execution start (to the
+        hand-over for a parked request, whose wait for a thread is
         ``server.executor_park``), ``server.lock_wait`` is the service
-        call, ``server.reply_encode`` service completion to
-        reply-assembly start; the byte pack itself (~us) lands in
-        ``client.net_wait``, which is derived by subtraction.  A failed
+        call, ``server.reply_encode`` service completion to reply
+        assembly; the byte pack lands in ``client.net_wait``.  A failed
         request records its dispatch time only and ships no report.
         """
+        data = b""
+        if value.__class__ is bytes:
+            data, value = value, 0
         if clock is not None:
             ended = time.perf_counter()
             arrived, parked, started = clock
@@ -381,41 +297,103 @@ class _ThreadedConnection:
                 data = wire.pack_hop_report(*report)
             # Recorded before the reply goes out: whoever has seen the
             # reply finds the span in the ring.
-            self._backend.tracer.record(
-                req.trace_id,
-                req.trace_span + 1,
+            self._tracer.record(
+                f[-3],
+                f[-2] + 1,
                 hops,
-                app_id=req.app_id,
+                app_id=_app_id(f),
                 outcome="ok" if exc is None else type(exc).__name__,
             )
-        if req.no_reply:
+        if f[1] & wire.FLAG_NO_REPLY:
             return
         if exc is not None:
-            self._send_payload(wire.encode_error(req.request_id, exc))
+            self._send(wire.encode_frame(wire.encode_error(f[2], exc)))
         elif data:
-            self._send_payload(wire.encode_ok(req.request_id, value, data))
+            self._send(wire.encode_frame(wire.encode_ok(f[2], value, data)))
         else:
-            self._send(wire.pack_ok_frame(req.request_id, value))
+            self._send(wire.pack_ok_frame(f[2], value))
 
-    def _record(self, req: wire.Request, value: int) -> None:
-        op = req.op
-        if op == wire.OP_OPEN_SESSION:
-            self._sessions.add(value)
-        elif op == wire.OP_ADOPT_SESSION:
-            self._sessions.add(req.app_id)
-        elif op == wire.OP_CLOSE_SESSION:
-            self._sessions.discard(req.app_id)
+    # -- the op table: a request's fields in, its OK value out --
+
+    def _open_session(self, f: tuple) -> int:
+        app_id = self._service.open_session()
+        self._sessions.add(app_id)
+        return app_id
+
+    def _close_session(self, f: tuple) -> int:
+        freed = self._service.close_session(f[3])
+        self._sessions.discard(f[3])
+        return freed
+
+    def _adopt_session(self, f: tuple) -> int:
+        adopt = getattr(self._service, "adopt_session", None)
+        if adopt is None:
+            raise wire.ProtocolError(
+                f"{self._backend.name} does not support session adoption"
+            )
+        adopt(f[3])
+        self._sessions.add(f[3])
+        return 0
+
+    def _release_all(self, f: tuple) -> int:
+        return self._service.rollback(f[3])
+
+    def _cancel(self, f: tuple) -> int:
+        return int(self._service.cancel(f[3]))
+
+    def _unlock_read(self, f: tuple) -> int:
+        return int(self._service.release_read_lock(f[3], f[4], f[5]))
+
+    def _lock_row(self, f: tuple) -> int:
+        self._service.lock_row(
+            f[3], f[4], f[5], wire.lock_mode(f[6]), timeout_s=_timeout(f)
+        )
+        return 1
+
+    def _lock_table(self, f: tuple) -> int:
+        self._service.lock_table(
+            f[3], f[4], wire.lock_mode(f[5]), timeout_s=_timeout(f)
+        )
+        return 1
+
+    def _batch_lock(self, f: tuple) -> int:
+        timeout = _timeout(f)
+        count = f[4]
+        for i in range(5, 5 + 3 * count, 3):  # past app id and count
+            self._service.lock_row(
+                f[3], f[i], f[i + 1], wire.lock_mode(f[i + 2]),
+                timeout_s=timeout,
+            )
+        return count
+
+    def _stats(self, f: tuple) -> bytes:
+        payload = self._backend.stats_payload()
+        return json.dumps(payload, default=_json_safe).encode("utf-8")
+
+    def _ping(self, f: tuple) -> int:
+        return 0
+
+    _OPS = {
+        wire.OP_OPEN_SESSION: _open_session,
+        wire.OP_CLOSE_SESSION: _close_session,
+        wire.OP_ADOPT_SESSION: _adopt_session,
+        wire.OP_RELEASE_ALL: _release_all,
+        wire.OP_CANCEL: _cancel,
+        wire.OP_UNLOCK_READ: _unlock_read,
+        wire.OP_LOCK_ROW: _lock_row,
+        wire.OP_LOCK_TABLE: _lock_table,
+        wire.OP_BATCH_LOCK: _batch_lock,
+        wire.OP_STATS: _stats,
+        wire.OP_PING: _ping,
+    }
 
     def _send(self, frame: bytes) -> None:
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
-            self._server._observe_response()
         except OSError:
-            pass  # reader sees the dead socket and cleans up
-
-    def _send_payload(self, payload: bytes) -> None:
-        self._send(wire.encode_frame(payload))
+            return  # reader sees the dead socket and cleans up
+        self._server._responses += 1
 
     def _shutdown(self) -> None:
         if self._closed:
@@ -431,8 +409,14 @@ class _ThreadedConnection:
                 self._backend.cleanup_session(app_id)
 
     def close(self) -> None:
+        """Stop serving.  On a Unix socket ``shutdown`` keeps what the
+        peer already sent readable, so the reader still runs it (a
+        client's last fire-and-forget release, say) before it sees the
+        end of the stream and closes the socket itself."""
         with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)
+        if self._thread.is_alive():
+            self._thread.join(timeout=5.0)
         with contextlib.suppress(OSError):
             self._sock.close()
 
@@ -475,10 +459,9 @@ class ThreadedLockServer:
         self._conn_lock = threading.Lock()
         self._stopping = False
         self._responses = 0
-        self._response_counter = None
         if metrics is not None:
-            self._response_counter = metrics.counter(
-                "net.responses", labels=metric_labels
+            metrics.counter_view(
+                "net.responses", lambda: self._responses, labels=metric_labels
             )
 
     def start(self) -> Tuple[str, int]:
@@ -559,11 +542,6 @@ class ThreadedLockServer:
         for conn in conns:
             conn.close()
         self.executor.shutdown(wait=True)
-
-    def _observe_response(self) -> None:
-        self._responses += 1
-        if self._response_counter is not None:
-            self._response_counter.inc()
 
     @property
     def responses_written(self) -> int:

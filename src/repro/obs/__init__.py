@@ -61,6 +61,7 @@ from repro.obs.registry import (
     SLOT_COUNT_BUCKETS,
     WALL_CLOCK_BUCKETS_S,
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     MetricRegistry,
@@ -98,6 +99,7 @@ from repro.obs.waits import (
 
 __all__ = [
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "MetricRegistry",

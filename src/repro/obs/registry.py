@@ -49,6 +49,7 @@ import math
 import threading
 from bisect import bisect_left
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -96,6 +97,15 @@ def parse_labeled_name(full: str) -> Tuple[str, LabelPairs]:
     return base, tuple(sorted(pairs))
 
 
+def _identity(
+    name: str, labels: Optional[Mapping[str, str]]
+) -> Tuple[str, str, LabelPairs]:
+    """An instrument's ``(name, base_name, labels)``."""
+    if labels:
+        return labeled_name(name, labels), name, _normalize_labels(labels)
+    return (name, *parse_labeled_name(name))
+
+
 class Counter:
     """A named monotonically increasing total."""
 
@@ -104,13 +114,7 @@ class Counter:
     def __init__(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> None:
-        if labels:
-            self.name = labeled_name(name, labels)
-            self.base_name = name
-            self.labels = _normalize_labels(labels)
-        else:
-            self.name = name
-            self.base_name, self.labels = parse_labeled_name(name)
+        self.name, self.base_name, self.labels = _identity(name, labels)
         self.value = 0.0
         self._lock = threading.Lock()
 
@@ -124,6 +128,39 @@ class Counter:
         return f"Counter({self.name!r}, {self.value})"
 
 
+class CounterView(Counter):
+    """A counter whose total is a count the program already keeps.
+
+    ``value`` sums its readers (one per object that registered under
+    the name) at the moment it is read, so a hot path bumps only its own
+    plain int and the counter can never disagree with it.  Everything
+    that reads counters -- :meth:`MetricRegistry.counters`,
+    :meth:`MetricRegistry.snapshot`, the Prometheus render, telemetry
+    export -- sees an ordinary :class:`Counter`.
+    """
+
+    __slots__ = ("_reads",)
+
+    def __init__(
+        self, name: str, labels: Optional[Mapping[str, str]] = None
+    ) -> None:
+        self.name, self.base_name, self.labels = _identity(name, labels)
+        self._reads: List[Callable[[], float]] = []
+
+    @property
+    def value(self) -> float:  # type: ignore[override]
+        return float(sum(read() for read in self._reads))
+
+    def inc(self, amount: float = 1.0) -> None:
+        raise TypeError(
+            f"counter {self.name!r} reads a count kept elsewhere; "
+            "bump that count instead"
+        )
+
+    def __repr__(self) -> str:
+        return f"CounterView({self.name!r}, {self.value})"
+
+
 class Gauge:
     """A named last-value-wins scalar."""
 
@@ -132,13 +169,7 @@ class Gauge:
     def __init__(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> None:
-        if labels:
-            self.name = labeled_name(name, labels)
-            self.base_name = name
-            self.labels = _normalize_labels(labels)
-        else:
-            self.name = name
-            self.base_name, self.labels = parse_labeled_name(name)
+        self.name, self.base_name, self.labels = _identity(name, labels)
         self.value = 0.0
         self._lock = threading.Lock()
 
@@ -210,13 +241,7 @@ class Histogram:
         bounds: Optional[Sequence[float]] = None,
         labels: Optional[Mapping[str, str]] = None,
     ) -> None:
-        if labels:
-            self.name = labeled_name(name, labels)
-            self.base_name = name
-            self.labels = _normalize_labels(labels)
-        else:
-            self.name = name
-            self.base_name, self.labels = parse_labeled_name(name)
+        self.name, self.base_name, self.labels = _identity(name, labels)
         self._lock = threading.Lock()
         chosen = tuple(
             float(b) for b in (LATENCY_BUCKETS_S if bounds is None else bounds)
@@ -388,6 +413,19 @@ class MetricRegistry:
     ) -> Counter:
         key = labeled_name(name, labels)
         return self._get_or_create(key, Counter, lambda: Counter(name, labels))
+
+    def counter_view(
+        self,
+        name: str,
+        read: Callable[[], float],
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> CounterView:
+        """Get-or-create the :class:`CounterView` ``name`` and add
+        ``read`` to the counts it sums."""
+        key = labeled_name(name, labels)
+        view = self._get_or_create(key, CounterView, lambda: CounterView(name, labels))
+        view._reads.append(read)  # type: ignore[union-attr]
+        return view  # type: ignore[return-value]
 
     def gauge(
         self, name: str, labels: Optional[Mapping[str, str]] = None

@@ -157,18 +157,19 @@ class LockService:
         if metrics is not None:
             from repro.obs.registry import WALL_CLOCK_BUCKETS_S
 
-            self._m_requests = metrics.counter(
-                "service.requests", labels=metric_labels
-            )
-            self._m_timeouts = metrics.counter(
-                "service.timeouts", labels=metric_labels
-            )
-            self._m_cancels = metrics.counter(
-                "service.cancellations", labels=metric_labels
-            )
-            self._m_frozen = metrics.counter(
-                "service.tuning_frozen", labels=metric_labels
-            )
+            # The service.* counters read the stats the request paths
+            # keep anyway: no second, locked increment per request.
+            stats = self.stats
+            for name, read in (
+                ("service.requests", lambda: stats.requests),
+                ("service.timeouts", lambda: stats.timeouts),
+                ("service.cancellations", lambda: stats.cancellations),
+                (
+                    "service.tuning_frozen",
+                    lambda: int(self.frozen_reason is not None),
+                ),
+            ):
+                metrics.counter_view(name, read, labels=metric_labels)
             self._m_latency = metrics.histogram(
                 "service.request_latency_s",
                 WALL_CLOCK_BUCKETS_S,
@@ -299,7 +300,6 @@ class LockService:
                 self.stats.requests += 1
                 self.stats.granted += 1
                 if self._metrics is not None:
-                    self._m_requests.inc()
                     self._m_latency.observe(perf_counter() - started)
                 if self.tracer is not None:
                     self._trace(started, app_id, table_id, row_id, mode)
@@ -337,7 +337,6 @@ class LockService:
                 self.stats.requests += 1
                 self.stats.granted += 1
                 if self._metrics is not None:
-                    self._m_requests.inc()
                     self._m_latency.observe(perf_counter() - started)
                 # Probe only the granted case: a False return falls back
                 # to lock_row, which runs its own probe -- every request
@@ -393,8 +392,6 @@ class LockService:
             )
             if cancelled:
                 self.stats.cancellations += 1
-                if self._metrics is not None:
-                    self._m_cancels.inc()
             return cancelled
 
     # -- tuning degradation ------------------------------------------------
@@ -414,8 +411,6 @@ class LockService:
             self.frozen_reason = reason
             self.manager.growth_provider = None
             self.manager.maxlocks_provider = None
-            if self._metrics is not None:
-                self._m_frozen.inc()
 
     # -- shutdown ----------------------------------------------------------
 
@@ -470,8 +465,6 @@ class LockService:
                 )
             self._active_requests.add(app_id)
             self.stats.requests += 1
-            if self._metrics is not None:
-                self._m_requests.inc()
             deadline = (
                 None if timeout_s is None else self.clock.now() + timeout_s  # type: ignore[operator]
             )
@@ -483,8 +476,6 @@ class LockService:
                 outcome = type(exc).__name__
                 if isinstance(exc, LockTimeoutError):
                     self.stats.timeouts += 1
-                    if self._metrics is not None:
-                        self._m_timeouts.inc()
                 elif not isinstance(
                     exc, (RequestCancelledError, ServiceClosedError)
                 ):

@@ -90,42 +90,78 @@ class TestFrameDecoder:
             wire.encode_frame(b"\x00" * (wire.MAX_FRAME_BYTES + 1))
 
 
+def chunked(chunks):
+    """A socket's ``recv_into`` that delivers ``chunks``, then end of
+    stream -- no more of one chunk per call than the buffer takes."""
+    pending = [bytes(chunk) for chunk in chunks if chunk]
+
+    def recv_into(buf, nbytes=0):
+        if not pending:
+            return 0
+        room = nbytes or len(buf)
+        chunk, pending[0] = pending[0][:room], pending[0][room:]
+        if not pending[0]:
+            pending.pop(0)
+        buf[: len(chunk)] = chunk
+        return len(chunk)
+
+    return recv_into
+
+
+def payload_of(frame) -> bytes:
+    """A received frame as its payload bytes (fixed shapes re-packed)."""
+    if isinstance(frame, bytes):
+        return frame
+    return wire._FIXED[frame[0] << 8 | frame[1]].pack(*frame)
+
+
+def receive_all(reader, recv_into):
+    """Every frame ``reader`` receives until the stream ends."""
+    out = []
+    while True:
+        frames = reader.receive(recv_into)
+        if frames is None:
+            return out
+        out.extend(frames)
+
+
 class TestSplitFrames:
+    """The socket path: ``receive`` splits whatever each ``recv_into``
+    returned into frames, exactly as ``feed`` does."""
+
     def test_matches_decoder_feed_on_random_chunkings(self):
         payloads = [wire.encode_ping(i) for i in range(20)]
         stream = frames_of(*payloads)
         # Deterministic pseudo-random chunk sizes.
-        sizes, x = [], 123456789
+        chunks, x = [], 123456789
         pos = 0
         while pos < len(stream):
             x = (1103515245 * x + 12345) % (1 << 31)
             size = 1 + x % 37
-            sizes.append(size)
+            chunks.append(stream[pos : pos + size])
             pos += size
-        fast_decoder = wire.FrameDecoder()
         slow_decoder = wire.FrameDecoder()
-        fast, slow = [], []
-        pos = 0
-        for size in sizes:
-            chunk = stream[pos : pos + size]
-            pos += size
-            fast.extend(wire.split_frames(chunk, fast_decoder))
-            slow.extend(slow_decoder.feed(chunk))
-        assert fast == slow == payloads
+        slow = [p for chunk in chunks for p in slow_decoder.feed(chunk)]
+        received = receive_all(wire.FrameDecoder(), chunked(chunks))
+        assert [payload_of(f) for f in received] == slow == payloads
+        # A PING is a fixed shape: unpacked in place, never copied out.
+        assert all(isinstance(frame, tuple) for frame in received)
 
     def test_trailing_partial_goes_through_decoder(self):
         whole = wire.encode_frame(b"complete")
-        partial = wire.encode_frame(b"partial!")[:5]
-        decoder = wire.FrameDecoder()
-        assert wire.split_frames(whole + partial, decoder) == [b"complete"]
-        assert decoder.pending_bytes > 0
-        rest = wire.encode_frame(b"partial!")[5:]
-        assert wire.split_frames(rest, decoder) == [b"partial!"]
+        partial = wire.encode_frame(b"partial!")
+        reader = wire.FrameDecoder()
+        recv_into = chunked([whole + partial[:5], partial[5:]])
+        assert reader.receive(recv_into) == [b"complete"]
+        assert reader.pending_bytes == 5
+        assert reader.receive(recv_into) == [b"partial!"]
+        assert reader.pending_bytes == 0
+        assert reader.receive(recv_into) is None
 
     def test_oversized_rejected_on_fast_path(self):
         bad = struct.pack("!I", wire.MAX_FRAME_BYTES + 1) + b"x"
         with pytest.raises(wire.FrameTooLargeError):
-            wire.split_frames(bad, wire.FrameDecoder())
+            wire.FrameDecoder().receive(chunked([bad]))
 
     def test_iter_frames_rejects_trailing_garbage(self):
         data = frames_of(b"ok") + b"\x00\x00"
@@ -565,3 +601,99 @@ class TestRouterHelpers:
         # are the first thing to touch it and must just decline.
         assert wire.try_parse_lock_row(payload) is None
         assert wire.try_parse_ok(payload) is None
+
+
+# ---------------------------------------------------------------------------
+# The connection reader under arbitrary receive boundaries and bytes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def responses(draw):
+    """An OK, an OK carrying data, or an error reply, as a payload."""
+    rid = draw(U64)
+    kind = draw(st.sampled_from(["ok", "data", "error"]))
+    if kind == "ok":
+        return wire.encode_ok(rid, draw(I64))
+    if kind == "data":
+        return wire.encode_ok(rid, draw(I64), draw(st.binary(min_size=1, max_size=40)))
+    return wire.encode_error(rid, DeadlockError(draw(st.text(max_size=20))))
+
+
+def cut(stream: bytes, sizes) -> list:
+    """``stream`` in consecutive chunks of ``sizes`` (cycled)."""
+    chunks, pos, i = [], 0, 0
+    while pos < len(stream):
+        chunks.append(stream[pos : pos + sizes[i % len(sizes)]])
+        pos += sizes[i % len(sizes)]
+        i += 1
+    return chunks
+
+
+CHUNK_SIZES = st.lists(st.integers(1, 80), min_size=1, max_size=12)
+
+
+class TestReaderProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(requests().map(lambda drawn: encode(*drawn)), responses()),
+            max_size=12,
+        ),
+        CHUNK_SIZES,
+    )
+    def test_any_chunking_yields_the_same_payloads_in_order(
+        self, payloads, sizes
+    ):
+        stream = frames_of(*payloads)
+        reader = wire.FrameDecoder()
+        received = receive_all(reader, chunked(cut(stream, sizes)))
+        assert [payload_of(frame) for frame in received] == payloads
+        assert reader.pending_bytes == 0
+        for frame, payload in zip(received, payloads):
+            if isinstance(frame, tuple) and frame[0] < wire.RESP_OK:
+                # Parsed in place exactly as the codec parses it.
+                assert frame == wire.request_fields(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(requests().map(lambda drawn: encode(*drawn)), max_size=4),
+        st.integers(wire.MAX_FRAME_BYTES + 1, 2**32 - 1),
+        CHUNK_SIZES,
+    )
+    def test_oversize_is_refused_within_one_receive(
+        self, payloads, announced, sizes
+    ):
+        good = frames_of(*payloads)
+        stream = good + struct.pack("!I", announced) + b"\x00" * 200
+        chunks = cut(stream, sizes)
+        reader = wire.FrameDecoder()
+        recv_into = chunked(chunks)
+        delivered = 0
+        with pytest.raises(wire.FrameTooLargeError):
+            for chunk in chunks:
+                reader.receive(recv_into)
+                delivered += len(chunk)
+        # Raised on the very receive that completed the length prefix:
+        # whatever of the body is buffered came in with that one receive.
+        assert delivered < len(good) + 4 <= delivered + len(chunk)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=300), CHUNK_SIZES)
+    def test_arbitrary_bytes_yield_frames_or_protocol_errors(
+        self, junk, sizes
+    ):
+        reader = wire.FrameDecoder()
+        recv_into = chunked(cut(junk, sizes))
+        try:
+            frames = receive_all(reader, recv_into)
+        except wire.ProtocolError:
+            return
+        for frame in frames:
+            assert isinstance(frame, (tuple, bytes))
+            payload = payload_of(frame)
+            for parse in (wire.request_fields, wire.decode_response):
+                try:
+                    parse(payload)
+                except wire.ProtocolError:
+                    pass

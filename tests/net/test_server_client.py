@@ -26,6 +26,7 @@ from repro.net.client import (
     RoutedClientStack,
     RoutedLockClient,
 )
+from repro.net import server as server_module
 from repro.net.server import serve_service
 from repro.service.sharded import ShardedServiceConfig
 from repro.service.stack import ServiceConfig, ServiceStack
@@ -248,6 +249,88 @@ class TestFraming:
             lock_client.lock_row(other, 1, 1, LockMode.X, timeout_s=0.5)
 
 
+class TestFramesThatCannotBePacked:
+    """A request whose frame cannot be built is refused before the
+    connection registers it, as a :class:`ProtocolError` -- a
+    ``ServiceError``, so ``except ServiceError`` callers keep working."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # One sub-batch over MAX_BATCH_ACCESSES.
+            lambda c, app: c.lock_rows(
+                app, [(1, row, LockMode.S) for row in range(5000)]
+            ),
+            # A row id past the i64 wire field.
+            lambda c, app: c.lock_row(app, 1, 2**70, LockMode.S),
+            # A table id past the i64 wire field, on a control op.
+            lambda c, app: c.lock_table(app, 2**70, LockMode.IS),
+        ],
+        ids=["oversized-batch", "row-out-of-range", "table-out-of-range"],
+    )
+    def test_refused_without_a_pending_entry(self, server, call):
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
+            app = lock_client.open_session()
+            (conn,) = lock_client._rec(app).conns.values()
+            with pytest.raises(wire.ServiceError) as info:
+                call(lock_client, app)
+            assert not isinstance(info.value, ConnectionLostError)
+            assert conn._pending == {}
+            # Nothing leaked, so the next request reads its own reply.
+            lock_client.lock_row(app, 1, 2, LockMode.S)
+            assert conn._pending == {}
+            lock_client.close_session(app)
+
+    def test_out_of_range_fields_are_protocol_errors(self):
+        X = wire.wire_mode(LockMode.X)
+        for pack in (
+            lambda: wire.pack_lock_row_frame(1, 2, 3, 2**70, X),
+            lambda: wire.pack_lock_row_frame(1, -1, 3, 4, X, timeout_s=1.0),
+            lambda: wire.pack_lock_row_frame(1, 2, 3, 4, 256),
+            lambda: wire.encode_close_session(1, 2**64),
+            lambda: wire.encode_lock_row(1, 2, 3, 4, X, trace=(2**64, 0, True)),
+        ):
+            with pytest.raises(wire.ProtocolError):
+                pack()
+
+
+class TestStopServesWhatWasSent:
+    def test_a_release_sent_before_stop_is_run(
+        self, stack, tmp_path, monkeypatch
+    ):
+        # Hold the reader inside a PING while a fire-and-forget release
+        # queues behind it on a Unix socket, then stop the server: stop
+        # must let the reader run the release, not close the socket
+        # under it (the locks would stay held by a session no one owns).
+        server = serve_service(stack.service, path=str(tmp_path / "s.sock"))
+        entered, gate = threading.Event(), threading.Event()
+        dispatch = server_module._ThreadedConnection._dispatch
+
+        def held(self, frame):
+            if frame[0] == wire.OP_PING:
+                entered.set()
+                gate.wait(5.0)
+            dispatch(self, frame)
+
+        monkeypatch.setattr(server_module._ThreadedConnection, "_dispatch", held)
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            assert raw.exchange(wire.pack_lock_row_frame(2, app, 3, 7, X)).ok
+            assert stack.chain.used_slots == 2
+            raw.send(wire.encode_frame(wire.encode_ping(3)))
+            assert entered.wait(5.0)
+            raw.send(
+                wire.encode_frame(wire.encode_release_all(0, app, no_reply=True))
+            )
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(0.5)  # a stop that does not wait returns by now
+            gate.set()
+            stopper.join(10.0)
+            assert not stopper.is_alive()
+        assert stack.chain.used_slots == 0
+
+
 class TestUnixDomain:
     def test_uds_roundtrip(self, stack, tmp_path):
         sock_path = str(tmp_path / "svc.sock")
@@ -266,7 +349,13 @@ class RawConnection:
     """A bare socket speaking hand-built frames to the server."""
 
     def __init__(self, address):
-        self.sock = socket.create_connection(address, timeout=5.0)
+        host, port = address
+        if host.startswith("unix:"):
+            self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self.sock.settimeout(5.0)
+            self.sock.connect(host[len("unix:"):])
+        else:
+            self.sock = socket.create_connection(address, timeout=5.0)
         self._decoder = wire.FrameDecoder()
         self._replies = []
 
@@ -275,9 +364,7 @@ class RawConnection:
 
     def reply(self) -> wire.Response:
         while not self._replies:
-            self._replies = wire.split_frames(
-                self.sock.recv(4096), self._decoder
-            )
+            self._replies = self._decoder.feed(self.sock.recv(4096))
         return wire.decode_response(self._replies.pop(0))
 
     def exchange(self, frame: bytes) -> wire.Response:

@@ -7,15 +7,21 @@ entry points during identical contended runs with telemetry disabled
 (all counts must stay zero) and enabled (they must not).
 """
 
+import time
+
 import pytest
 
 from repro.lockmgr.modes import LockMode
 from repro.lockmgr.tracing import LockTrace
 from repro.net.client import RoutedLockClient
-from repro.net.server import ServiceBackend, ThreadedLockServer
+from repro.net.server import ServiceBackend, ThreadedLockServer, serve_service
+from repro.obs.events import RunTelemetry
+from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import Counter, Histogram
 from repro.obs.tracing import RequestTracer
 from repro.service.stack import ServiceConfig, ServiceStack
+from repro.service.telemetry import service_telemetry
+from repro.service.workers import WorkerPoolConfig, WorkerPoolStack
 
 from tests.conftest import make_database
 
@@ -186,3 +192,97 @@ class TestTracingOverheadContract:
         self.request_run(tmp_path / "w0.sock", tracer=RequestTracer(2))
         assert tracing_calls["maybe_trace"] == 8
         assert tracing_calls["finish"] == 4  # every 2nd request
+
+
+def wait_until(predicate, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestNoDuplicateRequestCounters:
+    """An untraced plain LOCK_ROW bumps no counter, in process or over
+    the wire.  ``service.requests`` and ``net.responses`` read the counts
+    the request paths keep anyway (``ServiceStats.requests``, the
+    server's responses written), and read them identically wherever a
+    registry is read: ``counters()``, ``snapshot()``, the Prometheus
+    render, the worker ``metrics`` pull and a telemetry JSONL round
+    trip."""
+
+    CONFIG = dict(
+        total_memory_pages=8192,
+        initial_locklist_pages=128,
+        tuner_interval_s=30.0,  # no tuning pass (and its counter) mid-test
+    )
+
+    def test_in_process_lock_row_bumps_no_counter(self, instrument_calls):
+        with ServiceStack(ServiceConfig(**self.CONFIG)) as stack:
+            service = stack.service
+            with service.session() as app:
+                instrument_calls["inc"] = 0
+                for row in range(8):
+                    service.lock_row(app, 0, row, LockMode.X)
+                assert instrument_calls["inc"] == 0
+            counters = {c.name: c.value for c in stack.metrics.counters()}
+            assert counters["service.requests"] == service.stats.requests == 8
+
+    def test_wire_lock_row_bumps_no_counter_and_views_read_through(
+        self, tmp_path, instrument_calls
+    ):
+        with ServiceStack(ServiceConfig(**self.CONFIG)) as stack:
+            registry = stack.metrics
+            server = serve_service(
+                stack.service, path=str(tmp_path / "s.sock"), metrics=registry
+            )
+            client = RoutedLockClient([server.address], metrics=registry)
+            try:
+                app = client.open_session()
+                instrument_calls["inc"] = 0
+                for row in range(8):
+                    client.lock_row(app, 0, row, LockMode.X, timeout_s=1.0)
+                assert instrument_calls["inc"] == 0
+                client.close_session(app)
+                # open + 8 grants + close; the count is bumped after the
+                # reply's sendall returns, so the client can be faster.
+                assert wait_until(lambda: server.responses_written == 10)
+            finally:
+                client.close()
+                server.stop()
+            requests = stack.service.stats.requests
+            assert requests == 8
+            counters = {c.name: c.value for c in registry.counters()}
+            assert counters["service.requests"] == requests
+            assert counters["net.responses"] == server.responses_written
+            snapshot = registry.snapshot()["counters"]
+            assert snapshot["service.requests"] == requests
+            assert snapshot["net.responses"] == 10
+            text = render_prometheus(registry).splitlines()
+            assert f"service_requests_total {requests}" in text
+            assert "net_responses_total 10" in text
+            path = tmp_path / "run.jsonl"
+            service_telemetry(stack, label="views").write_jsonl(str(path))
+            loaded = RunTelemetry.from_jsonl(str(path)).registry
+            assert loaded.counter("service.requests").value == requests
+            assert loaded.counter("net.responses").value == 10
+
+    def test_worker_metrics_pull_reads_through(self):
+        config = WorkerPoolConfig(workers=1, **self.CONFIG)
+        with WorkerPoolStack(config) as pool:
+            with pool.client_stack() as net:
+                with net.service.session() as app:
+                    for row in range(4):
+                        net.service.lock_row(app, 0, row, LockMode.S)
+                (stats,) = net.service.stats()
+            (part,) = pool.partitions
+            # open + 4 grants + stats (the scope's release is no-reply)
+            assert wait_until(lambda: part.occupancy()["responses"] == 6)
+            pulled = part.call("metrics")["counters"]
+            assert pulled["service.requests"] == stats["service"]["requests"] == 4
+            assert pulled["net.responses"] == 6
+            pool.publish_ops_metrics()
+            merged = pool.metrics
+            assert merged.counter('service.requests{worker="0"}').value == 4
+            assert merged.counter('net.responses{worker="0"}').value == 6
