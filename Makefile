@@ -2,7 +2,7 @@
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke footprint bench-service figures examples telemetry-demo service-demo service-smoke ops-smoke analyze-smoke broker-smoke matrix-smoke trace-smoke clean
+.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke footprint bench-service figures examples telemetry-demo service-demo service-smoke matrix-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -72,37 +72,6 @@ service-smoke:
 		$(PYTHONPATH_SRC) python -m repro.service.cli stress \
 			--threads 8 --requests 2000 $$topology || exit 1; \
 	done
-
-# Live ops plane scraped from outside the process (the CI ops-smoke
-# job): sharded stress with --ops-port, /metrics + /healthz + /stmm
-# asserted over HTTP, then clean shutdown.
-ops-smoke:
-	$(PYTHONPATH_SRC) python scripts/ops_smoke.py
-
-# Whole-memory broker stress under a deliberately undersized budget
-# (the CI broker-smoke job): trade-benefit + pressure-throttle audit
-# records asserted, byte-exact page accounting at shutdown.
-broker-smoke:
-	$(PYTHONPATH_SRC) python scripts/broker_smoke.py
-
-# Record a wait-profiled, 1-in-16 traced stress run, then run the
-# offline analysis plane over its telemetry (the CI analyze-smoke job).
-analyze-smoke:
-	$(PYTHONPATH_SRC) python -m repro.service.cli stress \
-		--threads 4 --requests 500 --shards 2 \
-		--wait-profile --trace-sample 16 --telemetry /tmp/analyze-smoke.jsonl
-	$(PYTHONPATH_SRC) python -m repro.service.cli analyze /tmp/analyze-smoke.jsonl \
-		> /tmp/analyze-smoke.txt
-	cat /tmp/analyze-smoke.txt
-	grep -q "request traces:" /tmp/analyze-smoke.txt
-	$(PYTHONPATH_SRC) python -m repro.service.cli analyze /tmp/analyze-smoke.jsonl --json > /dev/null
-
-# End-to-end distributed tracing over the 2-worker pool (the CI
-# trace-smoke job): --net stress with 1-in-8 request tracing, /traces
-# polled over HTTP until a complete multi-hop trace appears, hop names
-# asserted against the closed vocabulary -- no timing gates.
-trace-smoke:
-	$(PYTHONPATH_SRC) python scripts/trace_smoke.py
 
 # The 6-scenario mini grid through the scenario matrix engine (the CI
 # matrix-smoke job): regimes, a sharded run, a DSS tenant, a demand

@@ -33,7 +33,6 @@ Quickstart::
 """
 
 from repro.core.controller import LockMemoryController
-from repro.core.learning import LearningQueryOptimizer
 from repro.core.maxlocks import AdaptiveMaxlocks, lock_percent_per_application
 from repro.core.optimizer import QueryOptimizer
 from repro.core.params import TuningParameters
@@ -54,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "LockMemoryController",
-    "LearningQueryOptimizer",
     "AdaptiveMaxlocks",
     "lock_percent_per_application",
     "QueryOptimizer",

@@ -10,15 +10,12 @@
   recorded time series so benchmark output *looks like* the figures,
 * :mod:`repro.analysis.report` -- tabular formatting helpers and the
   per-run :class:`RunReport` telemetry summary,
-* :mod:`repro.analysis.contention` -- contention aggregates over lock
-  traces,
 * :mod:`repro.analysis.waitprofile` -- the offline wait-profile /
   forensics report over a recorded telemetry stream
   (``repro-service analyze``).
 """
 
 from repro.analysis.ascii_chart import render_series, render_two_series
-from repro.analysis.contention import ContentionReport, resource_timeline
 from repro.analysis.experiment import ExperimentResult
 from repro.analysis.report import RunReport, format_findings, format_table
 from repro.analysis.waitprofile import (
@@ -33,8 +30,6 @@ __all__ = [
     "analyze_run",
     "render_series",
     "render_two_series",
-    "ContentionReport",
-    "resource_timeline",
     "ExperimentResult",
     "RunReport",
     "format_findings",

@@ -214,35 +214,6 @@ class DatabaseMemoryRegistry:
             remaining -= self.shrink_heap(donor.name, min(remaining, donor.shrinkable_pages()))
         return pages - remaining
 
-    def resize_total(self, new_total_pages: int, partial: bool = False) -> int:
-        """Change ``databaseMemory`` itself (STMM's outermost knob).
-
-        Growth simply enlarges the overflow area.  Shrink releases
-        overflow pages back to the operating system: only pages not
-        assigned to any heap can leave, so the achieved reduction is
-        limited by the current overflow (with ``partial``) or the
-        request raises.  Returns the new total.
-        """
-        if new_total_pages <= 0:
-            raise ConfigurationError(
-                f"databaseMemory must stay positive, got {new_total_pages}"
-            )
-        delta = new_total_pages - self._total_pages
-        if delta >= 0:
-            self._total_pages = new_total_pages
-            return self._total_pages
-        shrink = -delta
-        available = self.overflow_pages
-        if shrink > available:
-            if not partial:
-                raise MemoryAccountingError(
-                    f"cannot shrink databaseMemory by {fmt_pages(shrink)}: "
-                    f"only {fmt_pages(available)} of overflow is releasable"
-                )
-            shrink = available
-        self._total_pages -= shrink
-        return self._total_pages
-
     def snapshot(self) -> Dict[str, int]:
         """Current sizes of every heap plus overflow, in pages."""
         out = {name: heap.size_pages for name, heap in self._heaps.items()}

@@ -134,7 +134,6 @@ class Stmm:
         self.registry = registry
         self.config = config or StmmConfig()
         self._tuners: List[DeterministicTuner] = []
-        self._global_tuners: List = []
         self._current_interval_s = self.config.interval_s
         #: One report per completed tuning interval.
         self.reports: List[IntervalReport] = []
@@ -156,23 +155,11 @@ class Stmm:
             )
         self._tuners.append(tuner)
 
-    def register_global_tuner(self, tune: "callable") -> None:
-        """Attach a whole-database tuner run first at each interval.
-
-        Used for DATABASE_MEMORY self-tuning
-        (:class:`repro.memory.os_model.DatabaseMemoryTuner`): the total
-        budget is adjusted before heaps are redistributed within it.
-        The callable receives the current simulation time.
-        """
-        self._global_tuners.append(tune)
-
     # -- one tuning pass ----------------------------------------------------
 
     def tune(self, now: float = 0.0) -> IntervalReport:
         """Run a single tuning interval at simulation time ``now``."""
         report = IntervalReport(time=now)
-        for global_tuner in self._global_tuners:
-            global_tuner(now)
         deterministic_heaps = [t.heap_name for t in self._tuners]
 
         for tuner in self._tuners:

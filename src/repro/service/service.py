@@ -285,27 +285,8 @@ class LockService:
             timeout_s = self.default_timeout_s
         if timeout_s is not None and timeout_s < 0:  # type: ignore[operator]
             raise ServiceError(f"timeout_s must be non-negative, got {timeout_s}")
-        started = perf_counter()
-        # Latch-aware acquisition of the service mutex (the profiler's
-        # "latch" wait class); disabled it is the plain ``with self._cond``
-        # acquisition behind one None check.
-        self.env.latch_acquire()
-        try:
-            self._ensure_open()
-            if app_id not in self._sessions:
-                raise ServiceError(f"session {app_id} is not open")
-            if app_id not in self._active_requests and self.manager.lock_row_fast(
-                app_id, table_id, row_id, mode
-            ):
-                self.stats.requests += 1
-                self.stats.granted += 1
-                if self._metrics is not None:
-                    self._m_latency.observe(perf_counter() - started)
-                if self.tracer is not None:
-                    self._trace(started, app_id, table_id, row_id, mode)
-                return
-        finally:
-            self.env.latch_release()
+        if self.try_lock_row(app_id, table_id, row_id, mode):
+            return
         self._request(
             app_id,
             self.manager.lock_row(app_id, table_id, row_id, mode),
@@ -367,10 +348,20 @@ class LockService:
         :class:`LockTimeoutError` or :class:`RequestCancelledError`
         when the client wants to retry on the same session.  Returns the
         number of lock structures freed.
+
+        A request still parked for the session (the wire runs a
+        rollback inline while the same session's lock request waits on
+        the executor) is withdrawn first, exactly as :meth:`cancel`
+        does: its thread sees :class:`RequestCancelledError` instead of
+        sleeping on a wait ``release_all`` would drop without waking.
         """
         with self._mutex:
             if app_id not in self._sessions:
                 raise ServiceError(f"session {app_id} is not open")
+            if self.manager.cancel_wait(
+                app_id, RequestCancelledError("session rolled back"), reason="cancel"
+            ):
+                self.stats.cancellations += 1
             return self.manager.release_all(app_id)
 
     def release_read_lock(self, app_id: int, table_id: int, row_id: int) -> bool:

@@ -29,8 +29,6 @@ from repro.workloads.dss import ReportingQuery
 from repro.workloads.oltp import OltpWorkload
 from repro.workloads.replay import LockDemandReplay
 from repro.workloads.schedule import ClientSchedule
-from repro.workloads.tpcc import TpccMix, TpccWorkload
-from repro.workloads.tpch import TpchQueryStream
 
 __all__ = [
     "BatchUpdateJob",
@@ -47,7 +45,4 @@ __all__ = [
     "OltpWorkload",
     "LockDemandReplay",
     "ClientSchedule",
-    "TpccMix",
-    "TpccWorkload",
-    "TpchQueryStream",
 ]

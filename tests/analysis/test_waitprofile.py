@@ -234,6 +234,36 @@ class TestCli:
         assert reports[0]["label"] == "cli-run"
         assert reports[0]["top_blockers"][0]["app"] == 9
 
+    def test_recorded_stress_run_analyzes(self, tmp_path, capsys):
+        """A live wait-profiled, traced stress run through the offline
+        report: histogram-sourced breakdown and every section, in both
+        output modes.  Waits may or may not occur; only shape is asserted."""
+        path = str(tmp_path / "stress.jsonl")
+        assert cli_main(
+            [
+                "stress", "--threads", "2", "--requests", "50",
+                "--shards", "2", "--ops-port", "0", "--wait-profile",
+                "--trace-sample", "16", "--telemetry", path,
+            ]
+        ) == 0
+        assert "ops plane: http://" in capsys.readouterr().out
+
+        assert cli_main(["analyze", path]) == 0
+        text = capsys.readouterr().out
+        for section in (
+            "wait-time breakdown (source: histograms)",
+            "top blockers",
+            "tuner convergence",
+            "request traces:",
+        ):
+            assert section in text
+
+        assert cli_main(["analyze", path, "--json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["breakdown_source"] == "histograms"
+        assert set(report["wait_breakdown"]) == set(WAIT_CLASSES)
+        assert "incident_counts" in report and "converged_at" in report
+
     def test_analyze_missing_file_errors(self, tmp_path, capsys):
         assert cli_main(["analyze", str(tmp_path / "nope.jsonl")]) == 1
         assert "analyze:" in capsys.readouterr().err

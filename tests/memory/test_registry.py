@@ -218,15 +218,6 @@ class TestShortfallPaths:
         with pytest.raises(MemoryAccountingError):
             registry.grow_heap("b", 10)
 
-    def test_resize_total_shrink_shortfall(self):
-        registry = make_registry(total=1_000)
-        registry.register(MemoryHeap("a", HeapCategory.PMC, 900))
-        with pytest.raises(MemoryAccountingError, match="databaseMemory"):
-            registry.resize_total(500)
-        # partial releases only the unassigned overflow
-        assert registry.resize_total(500, partial=True) == 900
-        assert registry.overflow_pages == 0
-
     def test_oversubscription_detected_by_overflow_property(self):
         registry = make_registry(total=100, goal=10)
         heap = registry.register(MemoryHeap("a", HeapCategory.PMC, 100))

@@ -1,8 +1,9 @@
 """Trace-context propagation across the awkward client lifecycles.
 
-The happy path (one sampled request, one worker, one connection) is
-covered by the pool smoke; these tests pin the two lifecycles where a
-trace could plausibly be double-counted or silently dropped:
+The happy path (sampled requests through a one- and a two-worker
+pool) is covered by ``tests/obs/test_tracing.py``; these tests pin the
+two lifecycles where a trace could plausibly be double-counted or
+silently dropped:
 
 * **reconnect after a server restart** -- the in-flight traced request
   fails with the socket, the next one rides a fresh connection; every

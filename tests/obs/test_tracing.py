@@ -1,9 +1,9 @@
 """Unit contract for :mod:`repro.obs.tracing`.
 
-The live smokes (``scripts/trace_smoke.py`` and the propagation tests
-in ``tests/net``) exercise the wire; these tests pin the pure-Python
-surface -- sampling arithmetic, ring bounds, the hop aggregations --
-the schema-v5 JSONL round trip plus the analyzer fields that
+The propagation tests in ``tests/net`` exercise the awkward wire
+lifecycles; these tests pin the pure-Python surface -- sampling
+arithmetic, ring bounds, the hop aggregations -- the schema-v5 JSONL
+round trip plus the analyzer fields that
 downstream tooling (``analyze``, ``top``, ``matrix``) reads, and the
 one knob (``trace_sample_every``) landing the same record on every
 topology ``build_stack`` can build.
@@ -280,8 +280,8 @@ class TestOneKnobEveryTopology:
 
     @pytest.mark.parametrize(
         "topology",
-        [{}, {"shards": 2}, {"workers": 1}],
-        ids=["unsharded", "sharded", "pool"],
+        [{}, {"shards": 2}, {"workers": 1}, {"workers": 2}],
+        ids=["unsharded", "sharded", "pool", "pool2"],
     )
     def test_sampled_requests_reach_traces_and_telemetry(
         self, topology, tmp_path
@@ -295,16 +295,25 @@ class TestOneKnobEveryTopology:
             service.close_session(app)
             payload = json.loads(scrape_traces(stack))
 
+        assert set(payload) == set(empty_traces_payload())
         assert payload["enabled"] is True
         assert payload["sample_every"] == 4
+        traces = payload["traces"]
         if "workers" in topology:
+            workers = topology["workers"]
             assert payload["total"] >= 1
-            assert set(payload["server_spans"]) == {"0"}
+            spans = payload["server_spans"]
+            assert set(spans) == {str(w) for w in range(workers)}
+            assert sum(s["summary"]["recorded"] for s in spans.values()) >= 1
+            # At least one request crossed the whole wire path.
+            assert any(set(t["hops"]) == set(HOP_NAMES) for t in traces)
+            assert payload["summary"]["hops"]
+            assert 0.0 <= payload["summary"]["wire_tax"]["fraction"] <= 1.0
         else:
             assert payload["total"] == self.REQUESTS // 4
             assert payload["server_spans"] == {}
+            assert set(payload["summary"]["hops"]) == {"server.lock_wait"}
             assert payload["summary"]["wire_tax"]["fraction"] == 0.0
-        traces = payload["traces"]
         assert len(traces) == payload["total"]
         for trace in traces:
             assert set(trace["hops"]) <= set(HOP_NAMES)

@@ -466,6 +466,47 @@ class TestServiceStackIntegration:
         assert stack.broker.pressure.posture == "normal"
         assert stack.admission.max_in_flight == stack.config.max_in_flight
 
+    def test_undersized_budget_throttles_under_load(self):
+        """A DATABASE_MEMORY below the stock profile's demand throttles
+        the admission door while real threads run, and trading still
+        conserves every page through shutdown."""
+        import threading
+
+        from repro.service.cli import _check_shutdown_accounting
+        from repro.service.driver import LoadDriver
+
+        stack = self.make_stack(total_memory_pages=2_048, max_in_flight=8)
+        pressure = stack.broker.pressure
+        assert stack.broker.pressure_score() > pressure.config.throttle_enter
+        with stack:
+            driver = LoadDriver(
+                stack, threads=4, requests_per_thread=100, seed=0,
+                admission_timeout_s=60.0,
+            )
+            reports = []
+            load = threading.Thread(
+                target=lambda: reports.append(driver.run()), daemon=True
+            )
+            load.start()
+            # The posture climbs one rung per interval whatever the load
+            # is doing, so the dip is deterministic; sampling it on every
+            # pass catches it before calm intervals could release it.
+            min_in_flight = 8
+            for _ in range(4):
+                stack.tuner.tune_now()
+                min_in_flight = min(min_in_flight, stack.admission.max_in_flight)
+            load.join(60.0)
+            assert not load.is_alive()
+            assert reports[0].worker_errors == []
+            for _ in range(6):
+                stack.tuner.tune_now()
+            assert not stack.tuner.frozen
+            reasons = set(stack.broker.audit.reasons())
+            assert {"trade-benefit", "pressure-throttle"} <= reasons
+            assert min_in_flight < 8
+            assert sum(stack.registry.snapshot().values()) == 2_048
+        assert _check_shutdown_accounting(stack) == []
+
     def test_ops_stmm_carries_the_broker_block(self):
         stack = self.make_stack()
         with stack:

@@ -90,3 +90,39 @@ class TestOneControlPlane:
                 assert shared <= set(stack.ops_health())
                 assert stack.ops_health()["ok"] is True
         assert stmm_keys[0] == stmm_keys[1] == stmm_keys[2]
+
+
+class TestPackageSurface:
+    def test_packages_import_with_exactly_their_exports(self):
+        """The top-level packages import, and export only what a runner
+        reaches: a deleted module cannot linger as a re-export."""
+        import repro
+        import repro.analysis
+        import repro.memory
+        import repro.workloads
+
+        assert set(repro.__all__) == {
+            "AdaptiveLockMemoryPolicy", "AdaptiveMaxlocks", "Database",
+            "DatabaseConfig", "DatabaseMemoryRegistry", "Environment",
+            "Histogram", "IsolationLevel", "LockDemandReplay", "LockManager",
+            "LockMemoryController", "LockMode", "LockTrace", "MetricRegistry",
+            "MetricsRecorder", "QueryOptimizer", "RunTelemetry", "Stmm",
+            "StmmConfig", "TimeSeries", "TuningParameters", "TuningPolicy",
+            "__version__", "lock_percent_per_application",
+        }
+        assert set(repro.analysis.__all__) == {
+            "BlockerEntry", "ExperimentResult", "RunReport",
+            "WaitProfileReport", "analyze_run", "format_findings",
+            "format_table", "render_series", "render_two_series",
+        }
+        assert set(repro.memory.__all__) == {
+            "BufferpoolModel", "DatabaseMemoryRegistry", "HeapCategory",
+            "MemoryHeap", "Stmm", "StmmConfig",
+        }
+        assert set(repro.workloads.__all__) == {
+            "BatchUpdateJob", "ClientSchedule", "LockDemandReplay",
+            "OltpWorkload", "REGIMES", "ReportingQuery", "TRACES",
+            "ThrashingDetector", "build_regime", "build_trace",
+            "diurnal_trace", "flash_crowd_trace", "max_wait_depth",
+            "wait_depth",
+        }

@@ -236,6 +236,41 @@ class TestDeadlinesAndCancellation:
             assert service.cancel(app) is False
         assert service.stats.cancellations == 0
 
+    def test_rollback_withdraws_a_parked_request(self):
+        """A rollback from another thread (the wire's inline OP_ROLLBACK)
+        wakes the session's parked request instead of stranding it."""
+        service = make_service()
+        holder = service.open_session()
+        service.lock_row(holder, 1, 1, LockMode.X)
+        app = service.open_session()
+        result = {}
+
+        def waiter():
+            try:
+                service.lock_row(app, 1, 1, LockMode.X, timeout_s=None)
+                result["outcome"] = "granted"
+            except RequestCancelledError:
+                result["outcome"] = "cancelled"
+
+        thread = spawn(waiter)
+        wait_until(
+            lambda: app in service.waiting_sessions(),
+            what="waiter parked before rollback",
+        )
+        service.rollback(app)
+        thread.join(5.0)
+        assert not thread.is_alive(), "rollback stranded the parked request"
+        assert result["outcome"] == "cancelled"
+        assert service.manager.waiting_apps() == set()
+        service.check_invariants()
+        # The session survives the rollback and can lock again.
+        service.lock_row(app, 1, 2, LockMode.X)
+        service.close_session(holder)
+        service.lock_row(app, 1, 1, LockMode.X)
+        assert service.close_session(app) == 3  # two rows + one intent
+        assert service.chain.used_slots == 0
+        service.check_invariants()
+
     def test_manager_lock_timeout_applies_on_wall_clock(self):
         """The manager's own LOCKTIMEOUT (any_of(grant, timeout)) fires
         through the lazy-timeout protocol."""

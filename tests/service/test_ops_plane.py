@@ -328,6 +328,7 @@ class TestIncidentsEndpoint:
             assert status == 200
             assert ctype.startswith("application/json")
             payload = json.loads(body)
+            assert set(payload) == {"total", "counts", "incidents"}
             assert payload["total"] == 1
             assert payload["counts"]["deadlock"] == 1
             (incident,) = payload["incidents"]
@@ -346,6 +347,12 @@ class TestIncidentsEndpoint:
             assert params["interval_s"] == 30.0
             assert stmm["incident_total"] == 1
             assert stmm["wait_classes"]["lock.granted"]["count"] >= 1
+
+            # The finished contended wait is a non-zero wait-class
+            # histogram on /metrics too, not only the pre-created zeros.
+            _, _, body = _get(stack.ops.url + "/metrics")
+            waits = parse_prometheus(body.decode())["service_wait_seconds_count"]
+            assert waits[(("class", "lock.granted"),)] >= 1.0
 
             service.close_session(a)
             service.close_session(b)

@@ -14,8 +14,6 @@ EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 
 FAST_EXAMPLES = [
     "worked_example_walkthrough.py",
-    "learned_optimizer.py",
-    "contention_analysis.py",
     "telemetry_export.py",
     "live_lock_service.py",
 ]
@@ -52,11 +50,6 @@ class TestExamples:
         out = capsys.readouterr().out
         for step in ("T0", "T1", "T2", "T3", "T4", "T5", "T6"):
             assert step in out
-
-    def test_learned_optimizer_reports_benefit(self, capsys):
-        run_example("learned_optimizer.py")
-        out = capsys.readouterr().out
-        assert "estimation error removed by learning" in out
 
     def test_telemetry_export_round_trips(self, capsys):
         run_example("telemetry_export.py")
