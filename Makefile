@@ -2,7 +2,7 @@
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke footprint bench-service figures examples telemetry-demo service-demo service-smoke matrix-smoke clean
+.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke ladder-record des-identical footprint bench-service figures examples telemetry-demo service-demo service-smoke matrix-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -32,6 +32,18 @@ bench-perf-smoke:
 ladder-smoke:
 	python3 benchmarks/ladder/run.py --smoke
 	$(PYTHONPATH_SRC) pytest benchmarks/ladder -q
+
+# The committed perf record: the ladder suite (`run.py --out`) run from a
+# clean export of REV (default HEAD; the tree must be clean), written to
+# BENCH_LADDER.json with the rev and interpreter on top.  Compare two
+# records with `python3 benchmarks/ladder/run.py --compare OLD NEW`.
+ladder-record:
+	python3 scripts/ladder_record.py $(or $(REV),HEAD)
+
+# The simulation byte for byte against REV (default HEAD): the 14
+# `runner all` reports and their stdout, REV exported clean from git.
+des-identical:
+	python3 scripts/des_identical.py $(or $(REV),HEAD)
 
 # What one held lock costs the interpreter (docs/PERFORMANCE.md, "What
 # one held lock costs"): heap bytes and collector-tracked objects per

@@ -64,6 +64,7 @@ from repro.obs.registry import (
     CounterView,
     Gauge,
     Histogram,
+    HistogramView,
     MetricRegistry,
     exponential_bounds,
     labeled_name,
@@ -102,6 +103,7 @@ __all__ = [
     "CounterView",
     "Gauge",
     "Histogram",
+    "HistogramView",
     "MetricRegistry",
     "LockManagerInstruments",
     "RunTelemetry",

@@ -38,9 +38,10 @@ Thread safety
 The live service mutates instruments from many worker threads plus the
 tuner daemon, and the ops endpoint snapshots them from HTTP handler
 threads.  Every instrument therefore guards its mutators and snapshots
-with its own lock (``+=`` on an attribute is not atomic in CPython),
-and the registry guards get-or-create, so concurrent writers lose no
-updates and a concurrent snapshot never sees a torn histogram.
+with a lock (``+=`` on an attribute is not atomic in CPython) -- its
+own, or for a :class:`HistogramView` the one lock its writer already
+holds -- and the registry guards get-or-create, so concurrent writers
+lose no updates and a concurrent snapshot never sees a torn histogram.
 """
 
 from __future__ import annotations
@@ -377,6 +378,42 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count})"
 
 
+class HistogramView(Histogram):
+    """A histogram its one writer fills under a lock it already holds.
+
+    The live ``LockService`` times every request while it holds its
+    service mutex anyway, so the view is built over that mutex and the
+    service records through :meth:`observe_held`: no second lock per
+    request.  Every read -- :meth:`snapshot`, hence the Prometheus
+    render, the worker ``metrics`` pull and telemetry export -- takes
+    the same mutex, so a scrape racing a request still sees ``count ==
+    sum(counts)``.  Like :class:`CounterView`, readers see an ordinary
+    histogram.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        name: str,
+        bounds: Optional[Sequence[float]],
+        lock,
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        super().__init__(name, bounds, labels)
+        self._lock = lock
+
+    def observe_held(self, value: float) -> None:
+        """:meth:`observe` for the writer, which holds the lock."""
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+
+
 Instrument = Union[Counter, Gauge, Histogram]
 
 
@@ -443,6 +480,23 @@ class MetricRegistry:
         return self._get_or_create(
             key, Histogram, lambda: Histogram(name, bounds, labels)
         )
+
+    def histogram_view(
+        self,
+        name: str,
+        bounds: Optional[Sequence[float]],
+        lock,
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> HistogramView:
+        """Create the :class:`HistogramView` ``name``, written under
+        ``lock``; a second writer under another lock is refused."""
+        key = labeled_name(name, labels)
+        view = self._get_or_create(
+            key, HistogramView, lambda: HistogramView(name, bounds, lock, labels)
+        )
+        if view._lock is not lock:
+            raise ValueError(f"histogram {key!r} already has a writer")
+        return view  # type: ignore[return-value]
 
     def get(self, name: str) -> Optional[Instrument]:
         """The instrument called ``name``, or None."""

@@ -1,6 +1,11 @@
 """Tests for lock escalation mechanics and bookkeeping."""
 
+import collections
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.des import Environment
 from repro.lockmgr.blocks import LockBlockChain
@@ -153,6 +158,79 @@ class TestEscalationBlocking:
         assert outcomes and outcomes[0].reason == "memory"
         assert outcomes[0].app_id == 2
         manager.check_invariants()
+
+
+VICTIM_APPS = (1, 2, 3)
+_victim_apps = st.sampled_from(VICTIM_APPS)
+_victim_tables = st.sampled_from((0, 1))
+_victim_rows = st.integers(0, 3)
+VICTIM_OPS = st.one_of(
+    st.tuples(
+        st.just("lock"), _victim_apps, _victim_tables, _victim_rows,
+        st.sampled_from((LockMode.S, LockMode.X)),
+    ),
+    st.tuples(st.just("unlock"), _victim_apps, _victim_tables, _victim_rows),
+    st.tuples(st.just("escalate"), _victim_apps),
+    st.tuples(st.just("release"), _victim_apps),
+)
+
+
+def finish(gen):
+    """Drive a manager generator that must not block; its return value."""
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("a request on an application's own table blocked")
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(VICTIM_OPS, min_size=1, max_size=60))
+def test_memory_escalation_victim_matches_brute_force(ops):
+    """The victim scan against a reference built from the lock table.
+
+    Each application locks rows of its own two tables (so nothing
+    blocks and nothing escalates on its own: a roomy chain, MAXLOCKS
+    off), and row counts also fall through cursor-stability releases and
+    escalations, so the largest count can drop.  After every step, for every
+    requester: itself when it holds a row lock, else the application
+    holding the most row locks (counted in the lock table), ties to the
+    one whose first row lock -- since its last release_all -- came first.
+    """
+    manager = make_manager(
+        Environment(), blocks=8, capacity=16, maxlocks_fraction=1.0
+    )
+    first_row = {}  # app -> order of its first row lock since release_all
+    stamps = itertools.count(1)
+    for op in ops:
+        kind, app = op[0], op[1]
+        table = app * 10 + op[2] if len(op) > 2 else None
+        if kind == "lock":
+            finish(manager.lock_row(app, table, op[3], op[4]))
+        elif kind == "unlock":
+            manager.release_read_lock(app, table, op[3])
+        elif kind == "escalate":
+            finish(manager._escalate(app, "memory", blocking=False))
+        else:
+            manager.release_all(app)
+            first_row.pop(app, None)
+        rows = collections.Counter(
+            held.app_id
+            for res, obj in manager._objects.items()
+            if res.is_row
+            for held in obj.holders()
+        )
+        for holder in rows:
+            first_row.setdefault(holder, next(stamps))
+        manager.check_invariants()
+        for requester in VICTIM_APPS + (99,):
+            if rows.get(requester):
+                expected = requester
+            elif rows:
+                expected = min(rows, key=lambda a: (-rows[a], first_row[a]))
+            else:
+                expected = None
+            assert manager._memory_escalation_victim(requester) == expected, op
 
 
 class TestEscalationStats:
