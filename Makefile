@@ -2,7 +2,7 @@
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-perf bench-perf-smoke ladder-smoke ladder-record des-identical footprint bench-service figures examples telemetry-demo service-demo service-smoke matrix-smoke clean
+.PHONY: install test test-fast bench ladder-smoke ladder-record des-identical footprint figures examples telemetry-demo service-demo service-smoke matrix-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -15,15 +15,6 @@ test-fast:
 
 bench:
 	$(PYTHONPATH_SRC) pytest benchmarks/ --benchmark-only
-
-# Core-hot-path microbenchmarks; writes BENCH_CORE.json at the repo
-# root (the tracked perf trajectory -- see docs/PERFORMANCE.md).
-bench-perf:
-	$(PYTHONPATH_SRC) python -m benchmarks.perf.run --out BENCH_CORE.json
-
-# CI-sized sanity run: every bench code path in seconds, no timing gates.
-bench-perf-smoke:
-	$(PYTHONPATH_SRC) python -m benchmarks.perf.run --scale smoke --repeats 1 --out /tmp/bench-smoke.json
 
 # The repo's benchmark (BENCHMARK.json -> benchmarks/ladder) at smoke
 # scale, then its own tests (the CI ladder-smoke job): every workload
@@ -92,24 +83,6 @@ service-smoke:
 matrix-smoke:
 	$(PYTHONPATH_SRC) python -m repro.service.cli matrix run \
 		--grid mini --out-dir /tmp/matrix-smoke
-
-# Service throughput-vs-threads curves, unsharded and sharded; writes
-# BENCH_SERVICE.json at the repo root (tracked alongside BENCH_CORE.json).
-# Both families are measured in one run so the sharded-vs-unsharded
-# ratio is apples-to-apples on the same machine state.
-bench-service:
-	$(PYTHONPATH_SRC) python -m benchmarks.perf.run \
-		--bench service_churn_t1 --bench service_churn_t2 \
-		--bench service_churn_t4 --bench service_churn_t8 \
-		--bench service_churn_t8_ops --bench service_churn_t8_waits \
-		--bench service_churn_t8_broker \
-		--bench service_churn_sharded_t1 --bench service_churn_sharded_t2 \
-		--bench service_churn_sharded_t4 --bench service_churn_sharded_t8 \
-		--bench service_churn_net_w1 --bench service_churn_net_w2 \
-		--bench service_churn_net_w2_traced \
-		--bench service_churn_net_w4 \
-		--bench scenario_matrix_mini \
-		--out BENCH_SERVICE.json
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis

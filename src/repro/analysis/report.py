@@ -78,34 +78,10 @@ class RunReport:
 
     def __init__(self, telemetry: "RunTelemetry") -> None:
         self.telemetry = telemetry
-        self.microbench: Dict[str, Any] = {}
 
     @classmethod
     def from_telemetry(cls, telemetry: "RunTelemetry") -> "RunReport":
         return cls(telemetry)
-
-    def attach_microbench(self, bench_data: Dict[str, Any]) -> "RunReport":
-        """Attach a ``benchmarks/perf`` result file (BENCH_CORE.json).
-
-        Accepts the dict produced by ``python -m benchmarks.perf.run``
-        and puts a per-bench wall-clock summary alongside the simulated-
-        time metrics, so one report answers both "what did the run do"
-        and "what does this build cost in real time".  Returns ``self``
-        for chaining.
-        """
-        benches = bench_data.get("benches", bench_data)
-        summary = {}
-        for name in sorted(benches):
-            bench = benches[name]
-            summary[name] = {
-                "unit": bench.get("unit", "ops"),
-                "ops": bench.get("ops", 0),
-                "ops_per_s_median": bench.get("ops_per_s", {}).get("median"),
-                "wall_s_p50": bench.get("wall_s", {}).get("p50"),
-                "wall_s_p95": bench.get("wall_s", {}).get("p95"),
-            }
-        self.microbench = summary
-        return self
 
     # -- accessors ------------------------------------------------------------
 
@@ -178,7 +154,6 @@ class RunReport:
             "latencies": self.latency_summaries(),
             "trace_event_counts": tel.event_counts(),
             "decisions": [asdict(d) for d in tel.decisions],
-            "microbench": self.microbench,
         }
 
     def render(self) -> str:
@@ -220,23 +195,6 @@ class RunReport:
             )
         if data["trace_event_counts"]:
             section("trace events", data["trace_event_counts"])
-        if data["microbench"]:
-            lines.append("\nmicrobench (wall-clock, this build):")
-            lines.append(
-                format_table(
-                    ["bench", "unit", "ops/s p50", "wall p50 ms", "wall p95 ms"],
-                    [
-                        [
-                            name,
-                            bench["unit"],
-                            round(bench["ops_per_s_median"] or 0, 1),
-                            round((bench["wall_s_p50"] or 0) * 1e3, 1),
-                            round((bench["wall_s_p95"] or 0) * 1e3, 1),
-                        ]
-                        for name, bench in data["microbench"].items()
-                    ],
-                )
-            )
         decisions = data["decisions"]
         lines.append(f"\ncontroller decisions: {len(decisions)}")
         if decisions:

@@ -89,7 +89,6 @@ def run_one(
     do_validate: bool = False,
     telemetry_path: Optional[str] = None,
     do_report: bool = False,
-    microbench_path: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one experiment by id, print its report, optionally dump CSV.
 
@@ -97,11 +96,7 @@ def run_one(
     fully observed (lock trace + latency histograms) and the combined
     JSONL stream -- one run per database, readable back with
     :func:`repro.obs.load_runs` -- lands at that path.  ``do_report``
-    prints a :class:`~repro.analysis.report.RunReport` per run;
-    ``microbench_path`` names a ``benchmarks/perf`` result file
-    (BENCH_CORE.json) whose wall-clock summary is appended to each
-    report, putting this build's real-time cost next to the simulated-
-    time metrics.
+    prints a :class:`~repro.analysis.report.RunReport` per run.
     """
     if name not in EXPERIMENTS:
         raise SystemExit(
@@ -144,18 +139,9 @@ def run_one(
                 f"({len(telemetries)} run(s), {total} records)]"
             )
         if do_report:
-            bench_data = None
-            if microbench_path:
-                import json
-
-                with open(microbench_path) as handle:
-                    bench_data = json.load(handle)
             for telemetry in telemetries:
-                report_obj = RunReport.from_telemetry(telemetry)
-                if bench_data is not None:
-                    report_obj.attach_microbench(bench_data)
                 print()
-                print(report_obj.render())
+                print(RunReport.from_telemetry(telemetry).render())
     return result
 
 
@@ -180,7 +166,11 @@ def main(argv=None) -> int:
         "experiment",
         help="experiment id, 'list' to enumerate, or 'all'",
     )
-    parser.add_argument("--csv", help="write the metric series to this CSV file")
+    parser.add_argument(
+        "--csv",
+        help="write the metric series to this CSV file "
+        "(single experiments only)",
+    )
     parser.add_argument(
         "--out-dir",
         help="with 'all': write one <experiment>.txt report per experiment here",
@@ -188,7 +178,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="also evaluate the paper's expected-shape checks",
+        help="also evaluate the paper's expected-shape checks "
+        "(single experiments only)",
     )
     parser.add_argument(
         "--telemetry",
@@ -203,12 +194,6 @@ def main(argv=None) -> int:
         "escalations, controller decisions)",
     )
     parser.add_argument(
-        "--microbench",
-        metavar="PATH",
-        help="with --report: include the wall-clock summary from this "
-        "benchmarks/perf result file (e.g. BENCH_CORE.json)",
-    )
-    parser.add_argument(
         "--parallel",
         type=int,
         default=1,
@@ -218,10 +203,17 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if (args.telemetry or args.report) and args.experiment in ("all", "list"):
-        parser.error("--telemetry/--report need a single experiment id")
-    if args.microbench and not args.report:
-        parser.error("--microbench requires --report")
+    if args.experiment in ("all", "list"):
+        for flag, value in (
+            ("--csv", args.csv),
+            ("--validate", args.validate),
+            ("--telemetry", args.telemetry),
+            ("--report", args.report),
+        ):
+            if value:
+                parser.error(f"{flag} needs a single experiment id")
+    if args.out_dir and args.experiment != "all":
+        parser.error("--out-dir only applies to 'all'")
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
     if args.parallel > 1 and args.experiment != "all":
@@ -272,7 +264,6 @@ def main(argv=None) -> int:
         do_validate=args.validate,
         telemetry_path=args.telemetry,
         do_report=args.report,
-        microbench_path=args.microbench,
     )
     return 0
 

@@ -41,9 +41,6 @@ Subcommands:
     a verdict table (``pass`` / ``expected-degraded`` / ``fail``);
     exit 0 iff every scenario passed or degraded as documented.  See
     ``docs/SCENARIOS.md``.
-``bench``
-    Benchmark lanes; ``bench --matrix GRID`` runs the scenario matrix
-    as a bench lane (same engine as ``matrix run``).
 
 Every load subcommand accepts ``--ops-port`` (serve ``/metrics`` /
 ``/healthz`` / ``/stmm`` / ``/traces`` while running), ``--telemetry
@@ -675,34 +672,13 @@ def _analyze_remote(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _matrix_run(args: argparse.Namespace) -> int:
-    """Expand a named grid, run every scenario, print the verdicts."""
-    from repro.scenarios import build_grid, run_matrix
-
-    baseline = None
-    if getattr(args, "baseline", None):
-        from repro.scenarios import load_matrix
-
-        baseline = load_matrix(args.baseline)
-    grid = build_grid(args.grid)
-    echo = None if args.json else (lambda line: print(line, flush=True))
-    report = run_matrix(
-        grid, out_dir=args.out_dir, baseline=baseline, echo=echo
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print()
-        print(report.render_table())
-    return 0 if report.ok else 1
-
-
 def cmd_matrix(args: argparse.Namespace) -> int:
     from repro.scenarios import (
         build_grid,
         grid_names,
         load_matrix,
         render_verdict_table,
+        run_matrix,
     )
 
     if args.action == "list":
@@ -725,16 +701,19 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         else:
             print(render_verdict_table(matrix))
         return 0 if matrix.get("ok") else 1
-    return _matrix_run(args)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``bench --matrix GRID``: the matrix lane under its bench alias."""
-    if not args.matrix:
-        print("bench: --matrix GRID is required", file=sys.stderr)
-        return 2
-    args.grid = args.matrix
-    return _matrix_run(args)
+    # run: expand the named grid, run every scenario, print the verdicts.
+    baseline = load_matrix(args.baseline) if args.baseline else None
+    echo = None if args.json else (lambda line: print(line, flush=True))
+    report = run_matrix(
+        build_grid(args.grid), out_dir=args.out_dir, baseline=baseline,
+        echo=echo,
+    )
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        print()
+        print(report.render_table())
+    return 0 if report.ok else 1
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -912,31 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_list.set_defaults(func=cmd_matrix)
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark lanes; --matrix GRID runs the scenario matrix",
-    )
-    bench.add_argument(
-        "--matrix",
-        default=None,
-        metavar="GRID",
-        help="run the named scenario grid as a bench lane",
-    )
-    bench.add_argument(
-        "--out-dir",
-        default="matrix_results",
-        help="per-scenario result folders (default matrix_results)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="MATRIX.JSON",
-        help="prior matrix.json throughput envelope",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -7,8 +7,8 @@ commit (release everything), repeat.  Deadlocks, lock timeouts and
 lock-list-full errors roll the transaction back, exactly like the DES
 client processes; admission sheds back off exponentially.
 
-The driver is the measurement half of the ``service_churn`` benchmark
-and the muscle behind the stress tests: it produces real contention --
+The driver is the load behind ``repro-service stress``, the scenario
+matrix and the stress tests: it produces real contention --
 many threads colliding on the hot set while the tuner daemon resizes
 lock memory underneath them.
 """

@@ -1,9 +1,10 @@
 """Sharded lock service: per-shard lock tables, one global tuning loop.
 
 The unsharded :class:`~repro.service.service.LockService` serializes
-every request on a single mutex, so its throughput *falls* as threads
-are added (BENCH_SERVICE.json: the hot latch).  This module partitions
-the resource space across N independent lock managers:
+every request on a single mutex, so its throughput *fell* as threads
+were added (the hot latch: 47.8 k -> 25.2 k req/s from 1 to 8 threads,
+measured at f4fdd33).  This module partitions the resource space
+across N independent lock managers:
 
 * **Routing**: a request for table ``t`` (or any row of ``t``) goes to
   shard ``t % N``.  Row locks take their covering intent lock on the

@@ -102,6 +102,31 @@ class TestParallel:
             )
 
 
+class TestIgnoredOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--out-dir", "reports"],
+            ["all", "--csv", "all.csv"],
+            ["all", "--validate"],
+        ],
+    )
+    def test_rejected_instead_of_ignored(
+        self, argv, monkeypatch, tmp_path, capsys
+    ):
+        # An option the chosen mode would not read is a usage error
+        # (exit 2), before anything runs or is written.
+        monkeypatch.setattr(
+            runner, "EXPERIMENTS", {"fig3": (run_tiny_fig3, None)}
+        )
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            runner.main(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 def run_tiny_experiment() -> ExperimentResult:
     """A seconds-long experiment that builds one observable Database."""
     db = scenarios._new_db(
@@ -168,74 +193,3 @@ class TestTelemetryFlags:
         assert runner.main(["tiny"]) == 0
         out = capsys.readouterr().out
         assert "telemetry" not in out
-
-
-BENCH_FILE = {
-    "meta": {"schema": 1},
-    "benches": {
-        "lock_churn": {
-            "ops": 1000,
-            "unit": "row_lock_requests",
-            "ops_per_s": {"median": 50_000.0, "best": 52_000.0},
-            "wall_s": {"p50": 0.02, "p95": 0.025, "min": 0.019, "mean": 0.021},
-        },
-    },
-}
-
-
-class TestMicrobenchWiring:
-    @pytest.fixture
-    def tiny(self, monkeypatch):
-        monkeypatch.setitem(runner.EXPERIMENTS, "tiny",
-                            (run_tiny_experiment, None))
-
-    @pytest.fixture
-    def bench_path(self, tmp_path):
-        import json
-
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(BENCH_FILE))
-        return str(path)
-
-    def test_report_includes_microbench_section(
-        self, tiny, bench_path, capsys
-    ):
-        assert runner.main(
-            ["tiny", "--report", "--microbench", bench_path]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "microbench (wall-clock, this build):" in out
-        assert "lock_churn" in out
-        assert "50,000.00" in out  # ops/s p50
-        assert "20.00" in out  # wall p50 in ms
-
-    def test_microbench_requires_report(self, bench_path):
-        with pytest.raises(SystemExit):
-            runner.main(["fig3", "--microbench", bench_path])
-
-    def test_report_without_microbench_unchanged(self, tiny, capsys):
-        assert runner.main(["tiny", "--report"]) == 0
-        assert "microbench" not in capsys.readouterr().out
-
-    def test_attach_microbench_in_json(self, tiny, bench_path, capsys):
-        from repro.analysis.report import RunReport
-
-        report = RunReport.from_telemetry(_tiny_telemetry())
-        report.attach_microbench(BENCH_FILE)
-        data = report.as_json()
-        assert data["microbench"]["lock_churn"]["ops_per_s_median"] == 50_000.0
-        assert data["microbench"]["lock_churn"]["wall_s_p95"] == 0.025
-
-
-def _tiny_telemetry():
-    """Telemetry of one observed tiny run (for direct RunReport tests)."""
-    observed = []
-
-    def observer(label, db):
-        db.enable_telemetry()
-        observed.append((label, db))
-
-    with scenarios.observe_databases(observer):
-        run_tiny_experiment()
-    label, db = observed[0]
-    return db.telemetry(label=label)

@@ -149,26 +149,44 @@ class TestLiveToSimulationRoundTrip:
                 tuner_interval_s=0.05,
             )
         )
-        recorder = DemandTraceRecorder(
-            stack.chain, clock=stack.clock, period_s=0.01
-        )
-        with stack, recorder:
-            LoadDriver(
-                stack, threads=4, requests_per_thread=1_500, seed=11
-            ).run()
-        trace = recorder.to_trace()
-        assert len(trace) >= 2
-        assert max(target for _, target in trace) > 0  # demand was captured
+        # Samples are taken at explicit points on a manual clock: a
+        # background sampler would have to catch a transaction in
+        # flight, and the load can finish before its first tick.
+        clock = ManualClock()
+        recorder = DemandTraceRecorder(stack.chain, clock=clock)
 
-        # thin dense wall-clock captures before simulating
-        trace = downsample(trace, 50)
+        def sample() -> None:
+            clock.advance(1.0)
+            assert recorder.sample_now()
+
+        held_rows = 200
+        with stack:
+            service = stack.service
+            # One session holds rows of a table outside the driver's
+            # mix (tables 0-9) across the load.
+            with service.session() as app_id:
+                for row in range(held_rows):
+                    service.lock_row(app_id, 10, row, LockMode.X)
+                sample()
+                report = LoadDriver(
+                    stack, threads=4, requests_per_thread=1_500, seed=11
+                ).run()
+                assert not report.worker_errors
+                sample()
+            sample()
+        trace = recorder.to_trace()
+        # held rows + their one intent lock, while no transaction ran
+        assert trace[0] == (1.0, held_rows + 1)
+        assert trace[1][1] > 0  # still held after the load
+        assert trace[-1] == (3.0, 0)  # all released
+
         db = make_database(seed=5)
         replay = LockDemandReplay(db, trace, batch_size=128)
         replay.start()
-        db.run(until=trace[-1][0] + 1.0)
-        # the replay tracked the captured demand to batch granularity
-        final_target = trace[-1][1]
-        assert abs(replay.held_locks - final_target) <= 128
+        # the replay tracks each captured point to batch granularity
+        for time_s, target in trace:
+            db.run(until=time_s + 0.5)
+            assert abs(replay.held_locks - target) <= 128
         db.check_invariants()
 
     def test_capture_inside_a_simulation_via_virtual_clock(self):
