@@ -6,10 +6,11 @@ its own footprint is tracked like a timing (docs/PERFORMANCE.md, "What
 one held lock costs").  Two measurements, shape only -- no gate:
 
 * **bare manager**: one application takes ``--locks`` S row locks on a
-  bare ``LockManager``; ``tracemalloc`` and ``gc.get_objects()`` price
-  one held lock in traced bytes and newly collector-tracked objects,
-  by the source line that allocated them, and ``release_all`` shows
-  what is left behind;
+  bare ``LockManager``, once through the DES's ``lock_row`` generator
+  and once through ``lock_row_fast``, the live service's grant path;
+  ``tracemalloc`` and ``gc.get_objects()`` price one held lock in
+  traced bytes and newly collector-tracked objects, by the source line
+  that allocated them, and ``release_all`` shows what is left behind;
 * **service cycle**: the Fig. 10/11 surge shape through a
   ``ServiceStack`` (8 sessions round-robin with scripted tuning passes,
   then close), counting the cyclic collector's passes and seconds per
@@ -85,8 +86,10 @@ def _program_allocations(
     return lines
 
 
-def held_lock_cost(locks: int) -> HeldCost:
-    """Price ``locks`` S row locks of one application on a bare manager."""
+def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
+    """Price ``locks`` S row locks of one application on a bare manager,
+    taken through the ``lock_row`` generator or, ``fast``, through
+    ``lock_row_fast``."""
     manager = LockManager(
         Environment(), LockBlockChain(initial_blocks=locks // LOCKS_PER_BLOCK + 2)
     )
@@ -99,8 +102,12 @@ def held_lock_cost(locks: int) -> HeldCost:
         known = {id(obj) for obj in gc.get_objects()}
         before = tracemalloc.take_snapshot()
         for row in range(locks):
-            for _ in manager.lock_row(1, 0, row, LockMode.S):
-                raise RuntimeError("an uncontended request waited")
+            if fast:
+                if not manager.lock_row_fast(1, 0, row, LockMode.S):
+                    raise RuntimeError("an uncontended request left the fast path")
+            else:
+                for _ in manager.lock_row(1, 0, row, LockMode.S):
+                    raise RuntimeError("an uncontended request waited")
         held = _program_allocations(before, known)
         manager.release_all(1)
         manager.check_invariants()
@@ -177,20 +184,24 @@ def main() -> int:
     parser.add_argument("--locks", type=int, default=LOCKS)
     args = parser.parse_args()
 
-    cost = held_lock_cost(args.locks)
-    print(f"bare LockManager, {args.locks} S row locks of one application")
-    print(f"  {'bytes/lock':>10}  {'tracked/lock':>12}  allocated at")
-    for site in cost.sites:
-        if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01:
-            print(
-                f"  {site.bytes_per_lock:10.1f}  {site.tracked_per_lock:12.2f}  "
-                f"{site.where}"
-            )
-    print(f"  {cost.bytes_per_lock:10.1f}  {cost.tracked_per_lock:12.2f}  total")
-    print(
-        f"  after release_all: {cost.residue_bytes} bytes and "
-        f"{cost.residue_tracked} tracked objects remain"
-    )
+    for path, fast in (("lock_row", False), ("lock_row_fast", True)):
+        cost = held_lock_cost(args.locks, fast)
+        print(
+            f"bare LockManager, {args.locks} S row locks of one application "
+            f"through {path}"
+        )
+        print(f"  {'bytes/lock':>10}  {'tracked/lock':>12}  allocated at")
+        for site in cost.sites:
+            if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01:
+                print(
+                    f"  {site.bytes_per_lock:10.1f}  {site.tracked_per_lock:12.2f}  "
+                    f"{site.where}"
+                )
+        print(f"  {cost.bytes_per_lock:10.1f}  {cost.tracked_per_lock:12.2f}  total")
+        print(
+            f"  after release_all: {cost.residue_bytes} bytes and "
+            f"{cost.residue_tracked} tracked objects remain"
+        )
 
     cycle = service_cycle(args.locks)
     print(

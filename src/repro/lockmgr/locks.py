@@ -26,10 +26,11 @@ from repro.lockmgr.resources import ResourceId
 
 
 class HeldLock:
-    """One application's grant on a resource (one lock structure).
+    """A second or later concurrent holder's grant (one lock structure).
 
-    A slotted plain class, not a dataclass: tens of thousands are
-    created per simulated second, so instance dicts are worth avoiding.
+    The first holder's grant is its :class:`LockObject`, which carries
+    the same four fields; readers take either through ``held_by``.
+    Slotted, not a dataclass: no instance dict on the grant path.
     """
 
     __slots__ = ("app_id", "mode", "count", "block")
@@ -52,6 +53,10 @@ class HeldLock:
         )
 
 
+#: One application's grant as ``LockObject.held_by`` returns it.
+Grant = Union[HeldLock, "LockObject"]
+
+
 class AppLocks:
     """Everything the manager tracks about one application.
 
@@ -70,11 +75,11 @@ class AppLocks:
         #: drains it, that is the release and pump order.  A dict (grant
         #: order) would reorder DES events.
         self.held: Set[ResourceId] = set()
-        #: table id -> {row resource -> its HeldLock}.  Storing the
-        #: grant itself (not just the resource) lets escalation read row
-        #: modes without a lock-object lookup per row; the HeldLock's
-        #: mode field tracks in-place upgrades automatically.
-        self.rows: Dict[int, Dict[ResourceId, HeldLock]] = {}
+        #: table id -> {row resource -> its grant, as ``held_by``
+        #: returns it}.  Storing the grant itself (not just the resource)
+        #: lets escalation read row modes without a lock-object lookup
+        #: per row; the grant's mode field tracks in-place upgrades.
+        self.rows: Dict[int, Dict[ResourceId, Grant]] = {}
         #: Row locks held across all tables (the sum of ``rows`` sizes).
         self.row_count = 0
         #: Stamp of the first row lock (0 = none yet): the order in
@@ -115,15 +120,18 @@ class Waiter:
 
 
 class LockObject:
-    """Lock state for one resource.
+    """Lock state for one resource, and its first holder's grant.
 
     Almost every lock object lives and dies with one holder and no
-    queue, so that case allocates nothing beside the grant itself:
+    queue, so that holder's grant *is* the object -- one allocation:
 
-    * the first holder's :class:`HeldLock` is stored inline in ``sole``;
-      ``shared`` (app id -> grant, in grant order) is created when a
-      second application joins and then serves for the rest of the
-      object's life, so holders always iterate in grant order;
+    * ``app_id`` / ``mode`` / ``count`` / ``block`` are the inline
+      holder's grant, read like a :class:`HeldLock`'s: ``held_by``
+      returns the object itself.  ``app_id`` None is a vacancy, which
+      ``held_by`` never returns; nobody else holding, a grant refills it;
+    * ``shared`` (app id -> grant, in grant order) is created when a
+      second application joins: the object itself first while its
+      inline holder stays, a :class:`HeldLock` for every later holder;
     * ``counts`` packs one holder count per lock mode into a single int
       (``COUNT_FIELD_BITS`` each, see ``modes.py``), so compatibility
       checks cost one AND, not O(#holders) -- popular share-locked rows
@@ -135,36 +143,40 @@ class LockObject:
     go through the methods here so the counts stay consistent.
     """
 
-    __slots__ = ("resource", "sole", "shared", "waiters", "counts")
+    __slots__ = ("resource", "app_id", "mode", "count", "block", "shared", "waiters", "counts")
 
-    def __init__(self, resource: ResourceId, sole: Optional[HeldLock] = None) -> None:
-        """An object with no holder, or created by ``sole``'s fresh grant
-        (the manager's uncontended path: nothing to check or dispatch)."""
+    def __init__(
+        self, resource: ResourceId, app_id: Optional[int] = None, mode=None, block=None
+    ) -> None:
+        """An object with no holder, or created by ``app_id``'s fresh
+        grant (the manager's uncontended path: nothing to check)."""
         self.resource = resource
-        self.sole = sole
-        self.shared: Optional[Dict[int, HeldLock]] = None
+        self.app_id = app_id
+        self.mode = mode
+        self.count = 1
+        self.block = block
+        self.shared: Optional[Dict[int, Grant]] = None
         self.waiters: Union[Deque[Waiter], Tuple[()]] = ()
         # A first holder shares the mode's baked unit: no int allocated.
-        self.counts = 0 if sole is None else sole.mode._unit  # type: ignore[attr-defined]
+        self.counts = 0 if app_id is None else mode._unit
 
     @property
     def is_idle(self) -> bool:
         """True when nobody holds or waits for this resource."""
-        return self.sole is None and not self.shared and not self.waiters
+        return self.app_id is None and not self.shared and not self.waiters
 
-    def held_by(self, app_id: int) -> Optional[HeldLock]:
+    def held_by(self, app_id: int) -> Optional[Grant]:
         """``app_id``'s grant on this resource, or None."""
-        sole = self.sole
-        if sole is not None:
-            return sole if sole.app_id == app_id else None
+        if self.app_id == app_id:
+            return self
         shared = self.shared
         return shared.get(app_id) if shared is not None else None
 
-    def holders(self) -> Iterable[HeldLock]:
+    def holders(self) -> Iterable[Grant]:
         """Every grant on this resource, in grant order."""
-        if self.sole is not None:
-            return (self.sole,)
-        return self.shared.values() if self.shared is not None else ()
+        if self.shared is not None:
+            return self.shared.values()
+        return (self,) if self.app_id is not None else ()
 
     def holder_mode(self, app_id: int) -> Optional[LockMode]:
         """Mode ``app_id`` currently holds, or None."""
@@ -183,26 +195,28 @@ class LockObject:
 
     # -- counted mutations ------------------------------------------------
 
-    def add_grant(self, app_id: int, mode: LockMode, block=None) -> HeldLock:
+    def add_grant(self, app_id: int, mode: LockMode, block=None) -> Grant:
         """Record a fresh grant (caller verified compatibility)."""
         if self.held_by(app_id) is not None:
             raise LockManagerError(f"app {app_id} already holds {self.resource}")
-        held = HeldLock(app_id, mode, 1, block)
-        sole = self.sole
-        if self.shared is not None:
-            self.shared[app_id] = held
-        elif sole is None:
-            self.sole = held
+        shared = self.shared
+        held: Grant = self
+        if self.app_id is None and not shared:  # nobody holds: fill the vacancy
+            self.app_id, self.mode, self.count, self.block = app_id, mode, 1, block
+            self.shared = None
         else:
-            self.shared = {sole.app_id: sole, app_id: held}
-            self.sole = None
+            held = HeldLock(app_id, mode, 1, block)
+            if shared is None:
+                self.shared = {self.app_id: self, app_id: held}
+            else:
+                shared[app_id] = held
         # A first holder shares the mode's baked unit: no int allocated.
         counts = self.counts
         unit = mode._unit  # type: ignore[attr-defined]
         self.counts = counts + unit if counts else unit
         return held
 
-    def upgrade_grant(self, app_id: int, mode: LockMode) -> HeldLock:
+    def upgrade_grant(self, app_id: int, mode: LockMode) -> Grant:
         """Strengthen an existing grant to sup(held, requested)."""
         held = self.held_by(app_id)
         if held is None:
@@ -216,15 +230,16 @@ class LockObject:
         held.count += 1
         return held
 
-    def remove_grant(self, app_id: int) -> HeldLock:
-        """Drop a holder entirely (release path)."""
+    def remove_grant(self, app_id: int) -> Grant:
+        """Drop a holder entirely (release path).  The inline holder gets
+        the object back: read its ``block`` before a pump refills it."""
         held = self.held_by(app_id)
         if held is None:
             raise LockManagerError(f"app {app_id} does not hold {self.resource}")
-        if held is self.sole:
-            self.sole = None
-        else:
+        if self.shared is not None:
             del self.shared[app_id]
+        if held is self:
+            self.app_id = None
         self.counts -= held.mode._unit  # type: ignore[attr-defined]
         return held
 
@@ -296,9 +311,15 @@ class LockObject:
         return blockers
 
     def check_invariants(self) -> None:
-        """Verify the packed counts and the queue representation (tests)."""
-        if self.sole is not None and self.shared is not None:
-            raise LockManagerError(f"sole and shared holders on {self.resource}")
+        """Verify the holder layout, the packed counts and the queue
+        representation (``LockManager.check_invariants`` runs it)."""
+        shared = self.shared
+        if shared is not None:
+            # (a vacancy listed as a holder fails this: its app_id is None)
+            if any(held.app_id != app_id for app_id, held in shared.items()):
+                raise LockManagerError(f"shared misfiles a grant on {self.resource}")
+            if self.app_id is not None and next(iter(shared.values()), None) is not self:
+                raise LockManagerError(f"inline holder not first on {self.resource}")
         expected = sum(held.mode._unit for held in self.holders())  # type: ignore[attr-defined]
         if expected != self.counts:
             raise LockManagerError(

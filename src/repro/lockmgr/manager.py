@@ -57,7 +57,7 @@ from repro.engine.des import Environment
 from repro.errors import DeadlockError, LockManagerError
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.escalation import EscalationOutcome, EscalationStats
-from repro.lockmgr.locks import AppLocks, HeldLock, LockObject, Waiter
+from repro.lockmgr.locks import AppLocks, Grant, LockObject, Waiter
 from repro.lockmgr.modes import LockMode, covers, intent_mode_for_row, supremum
 from repro.lockmgr.resources import (
     ROW_CODE,
@@ -459,13 +459,11 @@ class LockManager:
         else:
             self._tick_refresh()
             self._tick_refresh()
-        # A fresh object is created around its grant: add_grant's
-        # duplicate check and holder-shape dispatch have nothing to decide.
+        # A fresh object is its first grant: add_grant's duplicate check
+        # and holder-shape dispatch have nothing to decide.
         if theld is None:
             if tobj is None:
-                objects[table_res] = LockObject(
-                    table_res, HeldLock(app_id, intent, 1, chain.allocate_slot())
-                )
+                objects[table_res] = LockObject(table_res, app_id, intent, chain.allocate_slot())
             else:
                 tobj.add_grant(app_id, intent, chain.allocate_slot())
             rec.slots += 1
@@ -481,8 +479,7 @@ class LockManager:
                 held.count += 1
             return True
         if obj is None:
-            held = HeldLock(app_id, mode, 1, chain.allocate_slot())
-            objects[res] = LockObject(res, held)
+            held = objects[res] = LockObject(res, app_id, mode, chain.allocate_slot())
         else:
             held = obj.add_grant(app_id, mode, chain.allocate_slot())
         rec.slots += 1
@@ -502,18 +499,11 @@ class LockManager:
         # Cancel queued waits first (rollback while enqueued elsewhere).
         entry = self._waiting_on.pop(app_id, None)
         if entry is not None:
-            obj, _waiter = entry
-            for waiter in obj.remove_waiter(app_id):
-                if waiter.block is not None:
-                    self.chain.free_slot(waiter.block)
-                    self._uncharge_slot(app_id)
-                    freed += 1
             if self.wait_profiler is not None:
                 # The app was parked when its session unwound; close the
                 # open wait so quiesce leaves no dangling lock wait.
                 self.wait_profiler.end_lock_wait(app_id, "cancelled")
-            self._pump(obj)
-            self._gc_object(obj)
+            freed = self._withdraw(app_id, entry[0])
         # Bulk path: the application's record is discarded wholesale,
         # so the per-resource surgery of _release_one/_forget_held
         # (held-set discard, row-table pruning, per-slot uncharge) would
@@ -530,12 +520,11 @@ class LockManager:
             obj = objects.get(resource)
             if obj is None:
                 raise LockManagerError(f"app {app_id} does not hold {resource}")
-            held = obj.sole
-            if held is not None and held.app_id == app_id and not obj.waiters:
-                # The usual case: the object dies with its only grant, so
-                # it is dropped as it is instead of being emptied first.
+            if obj.app_id == app_id and obj.shared is None and not obj.waiters:
+                # The usual case: the object is its only grant and dies
+                # with it, so it is dropped as it is, not emptied first.
                 del objects[resource]
-                obj = None
+                held, obj = obj, None
             else:
                 held = obj.remove_grant(app_id)
             if held.block is not None:
@@ -546,7 +535,7 @@ class LockManager:
             if obj is not None:
                 if obj.waiters:
                     self._pump(obj)
-                if obj.sole is None and not obj.shared and not obj.waiters:
+                if obj.app_id is None and not obj.shared and not obj.waiters:
                     del objects[resource]
         freed += held_frees
         if rec.row_count != rows_released:
@@ -607,23 +596,24 @@ class LockManager:
         if obj is None:
             # Only now that a structure is secured: a refused request
             # must not leave an idle object behind.
-            obj = self._objects[resource] = LockObject(resource)
-        if not obj.waiters and obj.others_compatible(app_id, mode):
+            held = self._objects[resource] = LockObject(resource, app_id, mode, block)
+        elif not obj.waiters and obj.others_compatible(app_id, mode):
             held = obj.add_grant(app_id, mode, block)
-            self._note_held(rec, resource, held)
-            self.stats.immediate_grants += 1
-            if self.tracer is not None:
-                self._trace("grant", app_id, f"{mode.name} {resource}", str(resource))
+        else:
+            waiter = Waiter(
+                app_id, mode, self.env.event(), block=block,
+                converting=False, enqueued_at=self.env.now,
+            )
+            obj.enqueue(waiter)
+            self._contended[resource] = obj
+            # No _note_held here: a waited grant is recorded by _pump,
+            # the only place the wait event can succeed.
+            yield from self._wait(app_id, obj, waiter)
             return
-        waiter = Waiter(
-            app_id, mode, self.env.event(), block=block,
-            converting=False, enqueued_at=self.env.now,
-        )
-        obj.enqueue(waiter)
-        self._contended[resource] = obj
-        # No _note_held here: a waited grant is recorded by _pump, the
-        # only place the wait event can succeed.
-        yield from self._wait(app_id, obj, waiter)
+        self._note_held(rec, resource, held)
+        self.stats.immediate_grants += 1
+        if self.tracer is not None:
+            self._trace("grant", app_id, f"{mode.name} {resource}", str(resource))
 
     def _convert(self, app_id: int, obj: LockObject, mode: LockMode):
         """Strengthen an already-held lock (no new structure needed)."""
@@ -661,12 +651,7 @@ class LockManager:
         if entry is None:
             return False
         obj, waiter = entry
-        obj.remove_waiter(app_id)
-        if waiter.block is not None:
-            self.chain.free_slot(waiter.block)
-            self._uncharge_slot(app_id)
-        self._pump(obj)
-        self._gc_object(obj)
+        self._withdraw(app_id, obj)
         if reason == "timeout":
             self.stats.lock_timeouts += 1
             self._record_wait(self.env.now - waiter.enqueued_at)
@@ -675,10 +660,7 @@ class LockManager:
             self._record_wait(self.env.now - waiter.enqueued_at)
         if self.wait_profiler is not None:
             self.wait_profiler.end_lock_wait(
-                app_id,
-                "timeout" if reason == "timeout"
-                else "deadlock" if reason == "deadlock"
-                else "cancelled",
+                app_id, reason if reason in ("timeout", "deadlock") else "cancelled"
             )
         if self.tracer is not None:
             self._trace(
@@ -705,12 +687,7 @@ class LockManager:
                 else []
             )
             del self._waiting_on[app_id]
-            obj.remove_waiter(app_id)
-            if waiter.block is not None:
-                self.chain.free_slot(waiter.block)
-                self._uncharge_slot(app_id)
-            self._pump(obj)
-            self._gc_object(obj)
+            self._withdraw(app_id, obj)
             self.stats.deadlocks += 1
             if self.incidents is not None:
                 self.incidents.record_deadlock(
@@ -740,49 +717,36 @@ class LockManager:
         if self.tracer is not None:
             self._trace("wait-begin", app_id, f"{waiter.mode.name} {obj.resource}", str(obj.resource))
         started = self.env.now
-        if self.lock_timeout_s is None:
-            try:
-                yield waiter.event
-            except DeadlockError:
-                # asynchronous victimization by the periodic detector;
-                # cancel_wait already cleaned up the queue state (and
-                # closed the wait event; this end is its no-op backstop)
-                self._record_wait(self.env.now - started)
-                if self.wait_profiler is not None:
-                    self.wait_profiler.end_lock_wait(app_id, "deadlock")
-                raise
-        else:
-            timeout = self.env.timeout(self.lock_timeout_s)
-            try:
-                yield self.env.any_of([waiter.event, timeout])
-            except DeadlockError:
-                self._record_wait(self.env.now - started)
-                if self.wait_profiler is not None:
-                    self.wait_profiler.end_lock_wait(app_id, "deadlock")
-                raise
-            if not waiter.event.triggered:
-                # LOCKTIMEOUT expired first: withdraw the request.
-                self._waiting_on.pop(app_id, None)
-                obj.remove_waiter(app_id)
-                if waiter.block is not None:
-                    self.chain.free_slot(waiter.block)
-                    self._uncharge_slot(app_id)
-                self._pump(obj)
-                self._gc_object(obj)
-                self.stats.lock_timeouts += 1
-                self._record_wait(self.env.now - started)
-                if self.wait_profiler is not None:
-                    self.wait_profiler.end_lock_wait(app_id, "timeout")
-                if self.tracer is not None:
-                    self._trace(
-                        "timeout", app_id,
-                        f"{waiter.mode.name} {obj.resource}",
-                        str(obj.resource), self.env.now - started,
-                    )
-                raise LockTimeoutError(
-                    f"app {app_id} waited {self.lock_timeout_s}s for "
-                    f"{waiter.mode.name} on {obj.resource}"
+        timeout = self.lock_timeout_s
+        try:
+            yield waiter.event if timeout is None else self.env.any_of(
+                [waiter.event, self.env.timeout(timeout)]
+            )
+        except DeadlockError:
+            # asynchronous victimization by the periodic detector;
+            # cancel_wait already cleaned up the queue state (and
+            # closed the wait event; this end is its no-op backstop)
+            self._record_wait(self.env.now - started)
+            if self.wait_profiler is not None:
+                self.wait_profiler.end_lock_wait(app_id, "deadlock")
+            raise
+        if timeout is not None and not waiter.event.triggered:
+            # LOCKTIMEOUT expired first: withdraw the request.
+            self._waiting_on.pop(app_id, None)
+            self._withdraw(app_id, obj)
+            self.stats.lock_timeouts += 1
+            self._record_wait(self.env.now - started)
+            if self.wait_profiler is not None:
+                self.wait_profiler.end_lock_wait(app_id, "timeout")
+            if self.tracer is not None:
+                self._trace(
+                    "timeout", app_id,
+                    f"{waiter.mode.name} {obj.resource}",
+                    str(obj.resource), self.env.now - started,
                 )
+            raise LockTimeoutError(
+                f"app {app_id} waited {timeout}s for {waiter.mode.name} on {obj.resource}"
+            )
         self._record_wait(self.env.now - started)
         if self.wait_profiler is not None:
             self.wait_profiler.end_lock_wait(app_id, "granted")
@@ -817,6 +781,20 @@ class LockManager:
             waiter.event.succeed()
         if not obj.waiters:
             self._contended.pop(obj.resource, None)
+
+    def _withdraw(self, app_id: int, obj: LockObject) -> int:
+        """Take ``app_id``'s queued request off ``obj`` (its caller has
+        dropped the ``_waiting_on`` entry): free the request's structure,
+        pump the queue behind it, drop the object if that left it idle."""
+        freed = 0
+        for waiter in obj.remove_waiter(app_id):
+            if waiter.block is not None:
+                self.chain.free_slot(waiter.block)
+                self._uncharge_slot(app_id)
+                freed += 1
+        self._pump(obj)
+        self._gc_object(obj)
+        return freed
 
     def _release_one(self, app_id: int, resource: ResourceId) -> int:
         obj = self._objects.get(resource)
@@ -853,7 +831,7 @@ class LockManager:
             raise LockManagerError(f"slot accounting underflow for app {app_id}")
         rec.slots -= 1
 
-    def _note_held(self, rec: AppLocks, resource: ResourceId, held: HeldLock) -> None:
+    def _note_held(self, rec: AppLocks, resource: ResourceId, held: Grant) -> None:
         """Index a fresh grant: the held set and, for a row, its table's
         row map, the row count and the first-row stamp."""
         rec.held.add(resource)
@@ -1283,6 +1261,7 @@ class LockManager:
         for res, obj in self._objects.items():
             if obj.is_idle:
                 raise LockManagerError(f"idle lock object kept for {res}")
+            obj.check_invariants()
             if obj.waiters:
                 expected_contended.add(res)
         if expected_contended != set(self._contended):

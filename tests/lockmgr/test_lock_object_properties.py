@@ -1,9 +1,11 @@
 """Property tests for LockObject's thin representation.
 
-The object stores a sole holder inline, moves to a dict when a second
-application joins, and keeps one packed int of per-mode holder counts.
-None of that may show: after every step of a random request / release
-/ pump sequence the object must agree with a plain ordered dict of
+The object is its first holder's grant (inline fields, ``held_by``
+returns the object itself), lists itself first in a grant-order dict
+when a second application joins, leaves a vacancy when its inline
+holder goes, and keeps one packed int of per-mode holder counts.  None
+of that may show: after every step of a random request / release /
+pump sequence the object must agree with a plain ordered dict of
 holders and the brute-force compatibility check over it.
 """
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.engine.des import Environment
 from repro.errors import LockManagerError
-from repro.lockmgr.locks import LockObject, Waiter
+from repro.lockmgr.locks import HeldLock, LockObject, Waiter
 from repro.lockmgr.modes import COUNT_FIELD_MAX, LockMode, compatible, supremum
 from repro.lockmgr.resources import table_resource
 
@@ -48,11 +50,18 @@ class Driver:
         self.model = {}
         #: Representations and events seen, for the coverage test.
         self.seen = set()
+        #: The inline holder has left at least once.
+        self.vacated = False
+
+    def queued(self, kind):
+        behind = " behind the inline holder" if self.obj.app_id is not None else ""
+        self.seen.add(f"{kind} queued{behind}")
 
     def step(self, op):
         kind, app = op[0], op[1]
         obj, model = self.obj, self.model
         queued = any(w.app_id == app for w in obj.waiters)
+        was_vacant = obj.app_id is None
         if kind == "request" and not queued:
             mode = op[2]
             if app in model:
@@ -60,21 +69,27 @@ class Driver:
                     assert obj.upgrade_grant(app, mode) is obj.held_by(app)
                     model[app] = supremum(model[app], mode)
                 else:
+                    self.queued("conversion")
                     obj.enqueue(Waiter(app, mode, self.env.event(), converting=True))
-                    self.seen.add("conversion queued")
             elif not obj.waiters and others_compatible(model, app, mode):
                 assert obj.add_grant(app, mode) is obj.held_by(app)
                 model[app] = mode
             else:
+                self.queued("request")
                 obj.enqueue(Waiter(app, mode, self.env.event()))
-                self.seen.add("request queued")
         elif kind == "release":
             obj.remove_waiter(app)
             if app in model:
-                assert obj.remove_grant(app).mode is model.pop(app)
+                inline = obj.app_id == app
+                assert (obj.remove_grant(app) is obj) == inline
+                assert obj.held_by(app) is None
+                self.vacated |= inline
+                model.pop(app)
             self.pump()
         elif kind == "pump":
             self.pump()
+        if was_vacant and self.vacated and obj.app_id is not None:
+            self.seen.add("vacancy granted again")
         self.check()
 
     def pump(self):
@@ -96,18 +111,19 @@ class Driver:
         for app in APPS + (99,):
             held = obj.held_by(app)
             assert (held.mode if held is not None else None) is model.get(app)
+            # The object is exactly its inline holder's grant, no one else's.
+            assert (held is obj) == (app == obj.app_id)
+            assert held is None or held is obj or type(held) is HeldLock
             assert obj.holder_mode(app) is model.get(app)
             for mode in MODES:
                 assert obj.others_compatible(app, mode) == others_compatible(
                     model, app, mode
                 ), (app, mode, model)
         assert obj.is_idle == (not model and not obj.waiters)
-        if obj.sole is not None:
-            self.seen.add("sole")
-        elif not obj.shared:
-            self.seen.add("nobody")
+        if obj.app_id is not None:
+            self.seen.add("inline alone" if obj.shared is None else "inline first in shared")
         else:
-            self.seen.add("shared" if len(obj.shared) > 1 else "last survivor")
+            self.seen.add("vacancy, others hold" if obj.shared else "nobody holds")
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,8 +136,10 @@ def test_object_agrees_with_the_model_after_every_step(ops):
 
 def test_the_sequences_reach_every_representation():
     """The generated regime is not vacuous: a long fixed walk through
-    the same driver sees the sole holder, the shared dict, its last
-    survivor, an emptied dict, and both kinds of queued request."""
+    the same driver sees the inline holder alone and first in the shared
+    dict, a vacancy while others hold and with nobody, the vacancy
+    granted again, and both kinds of queued request, behind the inline
+    holder and behind shared holders only."""
     rng = random.Random(24)
     driver = Driver()
     for _ in range(2_000):
@@ -129,8 +147,10 @@ def test_the_sequences_reach_every_representation():
         op = (kind, rng.choice(APPS))
         driver.step(op + (rng.choice(MODES),) if kind == "request" else op)
     assert driver.seen == {
-        "sole", "shared", "last survivor", "nobody",
-        "request queued", "conversion queued",
+        "inline alone", "inline first in shared", "vacancy, others hold",
+        "nobody holds", "vacancy granted again",
+        "request queued", "request queued behind the inline holder",
+        "conversion queued", "conversion queued behind the inline holder",
     }
 
 

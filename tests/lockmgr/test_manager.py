@@ -342,6 +342,24 @@ class TestMemoryPressure:
         with pytest.raises(LockManagerError, match="idle lock object"):
             manager.check_invariants()
 
+    def test_check_invariants_checks_every_lock_object(self, env):
+        """The manager's check runs each object's own: packed counts that
+        disagree with the holders, or a holder layout out of order."""
+        manager = make_manager(env)
+        run_process(env, grab_row(manager, 1, 0, 5, LockMode.S))
+        run_process(env, grab_row(manager, 2, 0, 5, LockMode.S))
+        manager.check_invariants()
+        obj = manager._objects[row_resource(0, 5)]
+        obj.counts += LockMode.X._unit
+        with pytest.raises(LockManagerError, match="mode counts"):
+            manager.check_invariants()
+        obj.counts -= LockMode.X._unit
+        manager.check_invariants()
+        assert obj.held_by(1) is obj and next(iter(obj.shared)) == 1
+        obj.shared = dict(reversed(obj.shared.items()))
+        with pytest.raises(LockManagerError, match="inline holder not first"):
+            manager.check_invariants()
+
     def test_escalation_prefers_biggest_table(self, env):
         manager = make_manager(env, blocks=1, capacity=16, maxlocks_fraction=0.98)
 
