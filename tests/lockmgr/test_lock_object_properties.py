@@ -81,10 +81,10 @@ class Driver:
             obj.remove_waiter(app)
             if app in model:
                 inline = obj.app_id == app
-                assert (obj.remove_grant(app) is obj) == inline
+                held = obj.remove_grant(app)
+                assert (held is obj) == inline and held.mode is model.pop(app)
                 assert obj.held_by(app) is None
                 self.vacated |= inline
-                model.pop(app)
             self.pump()
         elif kind == "pump":
             self.pump()
