@@ -35,7 +35,8 @@ from repro.obs.incidents import INCIDENT_KINDS
 from repro.obs.tracing import HOP_NAMES, hop_percentiles, wire_tax_summary
 from repro.obs.waits import WAIT_CLASSES, WAIT_SECONDS_METRIC
 
-#: The per-worker wire-latency histogram the routed client records.
+#: The per-worker wire-latency histogram the routed client records,
+#: one observation per sampled request (untraced ones are not timed).
 WIRE_LATENCY_METRIC = "net.client.request_latency_s"
 
 
@@ -90,7 +91,7 @@ class WaitProfileReport:
     #: ``{net_s, lock_s, fraction}`` -- the aggregate wire tax.
     trace_wire_tax: Dict[str, float] = field(default_factory=dict)
     #: ``{worker: {count, p50, p99, total_s}}`` from the routed
-    #: client's per-worker wire-latency histograms.
+    #: client's per-worker wire-latency histograms (sampled requests).
     wire_latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
@@ -207,7 +208,7 @@ class WaitProfileReport:
                 )
         if self.wire_latency:
             lines.append("")
-            lines.append("wire latency (per worker):")
+            lines.append("wire latency (sampled requests, per worker):")
             lines.append(
                 format_table(
                     ["worker", "count", "p50 s", "p99 s", "total s"],
@@ -353,7 +354,8 @@ def _broker_summary(telemetry: RunTelemetry):
 
 
 def _wire_latency(telemetry: RunTelemetry) -> Dict[str, Dict[str, float]]:
-    """Per-worker wire-latency percentiles from the client histograms."""
+    """Per-worker wire-latency percentiles from the client histograms,
+    which the routed client feeds from its sampled requests only."""
     report: Dict[str, Dict[str, float]] = {}
     for hist in telemetry.registry.histograms():
         if hist.base_name != WIRE_LATENCY_METRIC or hist.count == 0:

@@ -18,7 +18,8 @@ Three layers, innermost first:
   simply ``RoutedLockClient([address])`` -- one route; a worker pool is
   one route per worker, tables placed ``table_id % workers``.  Every
   ``lock_row`` is the same request -- one packed frame out, one reply
-  in -- whether or not it is sampled for tracing.
+  in -- whether or not it is sampled for tracing, and opening a
+  session sends nothing: its first frame opens it (``FLAG_OPEN``).
 * :class:`RoutedClientStack` -- the shim that makes the remote side
   look like a :class:`~repro.service.stack.ServiceStack` to
   :class:`~repro.service.driver.LoadDriver`: ``.service`` is the
@@ -37,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import select
 import socket
 import threading
 import time
@@ -51,6 +53,9 @@ from repro.service.service import _USE_DEFAULT
 #: Wire encoding of an *explicitly unbounded* wait (``timeout_s=None``
 #: passed by the caller, distinct from "use the server default").
 _UNBOUNDED = -1.0
+#: ``poll`` events of a socket whose peer has closed (HUP and ERR are
+#: reported whether registered or not).
+_HUNG_UP = select.POLLHUP | getattr(select, "POLLRDHUP", 0)
 
 
 def _value(response: "int | wire.Response") -> int:
@@ -134,10 +139,49 @@ class ClientConnection:
         #: The receive side; used only by the thread holding the reader lock.
         self._reader = wire.FrameDecoder()
         self._reader_lock = threading.Lock()
+        #: The rest of the app-id block the server reserved to this
+        #: connection (``next`` on it is atomic under the GIL).
+        self._ids: Iterator[int] = iter(())
+        self._reserve_lock = threading.Lock()
+        self._hangup = select.poll()
+        self._hangup.register(self._sock, _HUNG_UP)
 
     @property
     def alive(self) -> bool:
-        return self._dead is None
+        """Not failed, and not hung up by the server.
+
+        The hang-up test is one ``poll(0)``, no I/O: a session opened
+        here sends no frame of its own, so without it a connection the
+        server already closed would be handed to a new session and fail
+        its first request.  With requests in flight the reader finds out
+        instead, after it has read the replies still buffered.
+        """
+        if self._dead is not None:
+            return False
+        if self._pending:
+            return True
+        try:
+            if not self._hangup.poll(0):
+                return True
+        except RuntimeError:  # another thread is polling: it will know
+            return True
+        self._fail(ConnectionLostError("server closed the connection"))
+        return False
+
+    def next_app_id(self) -> int:
+        """An app id reserved to this connection and not yet open: the
+        first frame naming it here opens it (``FLAG_OPEN``).  A spent
+        block costs one ``OP_RESERVE_IDS`` round trip for the next."""
+        app_id = next(self._ids, None)
+        if app_id is not None:
+            return app_id
+        with self._reserve_lock:
+            app_id = next(self._ids, None)  # reserved meanwhile?
+            if app_id is None:
+                reply = self.request(wire.OP_RESERVE_IDS)
+                self._ids = iter(wire.parse_id_block(reply.data))  # type: ignore[union-attr]
+                app_id = next(self._ids)
+        return app_id
 
     # -- request/response --
 
@@ -205,15 +249,15 @@ class ClientConnection:
         response.raise_if_error()
         return response
 
-    def send_only(self, payload: bytes) -> None:
-        """Send a fire-and-forget request (no pending entry, no wait).
+    def send_only(self, frame: bytes) -> None:
+        """Send a fire-and-forget request frame (no pending entry, no wait).
 
-        Only for payloads carrying ``FLAG_NO_REPLY``: the server sends
+        Only for frames carrying ``FLAG_NO_REPLY``: the server sends
         nothing back, so registering a pending entry would leak it.
         The stream still orders the op before any later request on this
         connection.
         """
-        self._send(wire.encode_frame(payload))
+        self._send(frame)
 
     def _send(self, frame: bytes) -> None:
         if self._dead is not None:
@@ -280,14 +324,40 @@ class _RoutedSession:
     session is registered on there (opened on the home worker, adopted
     lazily elsewhere).  Validity is the conjunction of those
     connections being alive: a server force-closes its registration
-    when the connection drops.
+    when the connection drops.  ``unopened`` is the home connection
+    until the session's first frame there is packed (it carries
+    ``FLAG_OPEN``), None after.
     """
 
-    __slots__ = ("app_id", "conns")
+    __slots__ = ("app_id", "conns", "unopened")
 
-    def __init__(self, app_id: int, conns: Dict[int, ClientConnection]) -> None:
+    def __init__(self, app_id: int, home: int, conn: ClientConnection) -> None:
         self.app_id = app_id
-        self.conns = conns
+        self.conns: Dict[int, ClientConnection] = {home: conn}
+        self.unopened: Optional[ClientConnection] = conn
+
+
+def _pack(
+    rec: _RoutedSession,
+    conn: ClientConnection,
+    op: int,
+    request_id: int,
+    body: tuple,
+    timeout_s: Optional[float] = None,
+    trace: Optional[Tuple[int, int, bool]] = None,
+    flags: int = 0,
+) -> bytes:
+    """``op``'s frame for ``rec``'s session over ``conn``; the session's
+    first frame to its home connection opens it.  Only a frame that
+    packed counts as that first one: a request the packer refuses
+    leaves the open to the next."""
+    if conn is not rec.unopened:
+        return wire.pack_request(op, request_id, body, timeout_s, trace, flags)
+    frame = wire.pack_request(
+        op, request_id, body, timeout_s, trace, flags | wire.FLAG_OPEN
+    )
+    rec.unopened = None
+    return frame
 
 
 class RoutedLockClient:
@@ -302,12 +372,14 @@ class RoutedLockClient:
     placement :func:`repro.service.sharded.shard_of` uses -- so every
     lock request goes straight to the server that owns the table (with
     one endpoint, the only server).  Sessions open on a round-robin
-    *home* worker and are lazily **adopted** (``OP_ADOPT_SESSION``) by
-    other workers on first touch; worker-allocated app ids come from
-    disjoint arithmetic progressions, so adoption never collides.  A
-    session stays on the connections it was registered on, because a
-    server binds session cleanup to the connection that opened (or
-    adopted) it.
+    *home* worker without a round trip of their own: the id comes from
+    the block the home worker reserved to the connection, and the
+    session's first frame there opens it (``FLAG_OPEN``).  Other workers
+    lazily **adopt** it (``OP_ADOPT_SESSION``) on first touch;
+    worker-allocated app ids come from disjoint arithmetic progressions,
+    so adoption never collides.  A session stays on the connections it
+    was registered on, because a server binds session cleanup to the
+    connection that opened (or adopted) it.
 
     Sessions are *recycled*: ``session()`` scope exit fans one
     fire-and-forget ``release_all`` (the strict-2PL transaction
@@ -351,8 +423,9 @@ class RoutedLockClient:
         #: calls carry the trace tail; without a tracer a call pays
         #: exactly one None check (the disabled-overhead contract).
         self._tracer = tracer
-        #: Optional per-worker wire-latency histograms (one observation
-        #: per lock_row round trip, labeled by worker).
+        #: Optional per-worker wire-latency histograms, labeled by
+        #: worker: one observation per *sampled* lock_row that succeeds
+        #: (an untraced one reads no clock).
         self._lat = None
         if metrics is not None:
             from repro.obs.registry import WALL_CLOCK_BUCKETS_S
@@ -400,15 +473,14 @@ class RoutedLockClient:
 
     def _route(
         self, app_id: int, table_id: int
-    ) -> Tuple[int, ClientConnection]:
-        """``table_id``'s worker and the session's connection to it
+    ) -> Tuple[_RoutedSession, ClientConnection]:
+        """The session and its connection to ``table_id``'s worker
         (adopting the session there on first touch)."""
         rec = self._recs.get(app_id) or self._rec(app_id)
-        worker = table_id % self._n
-        conn = rec.conns.get(worker)
+        conn = rec.conns.get(table_id % self._n)
         if conn is None:
-            conn = self._adopt(rec, worker)
-        return worker, conn
+            conn = self._adopt(rec, table_id % self._n)
+        return rec, conn
 
     def _adopt(self, rec: _RoutedSession, worker: int) -> ClientConnection:
         conn = self._conn(worker)
@@ -416,14 +488,37 @@ class RoutedLockClient:
         rec.conns[worker] = conn
         return conn
 
+    @staticmethod
+    def _request(
+        rec: _RoutedSession,
+        conn: ClientConnection,
+        op: int,
+        *body: Any,
+        timeout_s: Optional[float] = None,
+    ) -> "int | wire.Response":
+        """One round trip of ``op`` on the session over ``conn``."""
+        request_id = conn.next_id()
+        return conn.exchange(
+            request_id, _pack(rec, conn, op, request_id, body, timeout_s)
+        )
+
+    @staticmethod
+    def _tell(rec: _RoutedSession, conn: ClientConnection, op: int) -> None:
+        """``op`` on the session over ``conn``, fire-and-forget."""
+        conn.send_only(
+            _pack(rec, conn, op, 0, (rec.app_id,), flags=wire.FLAG_NO_REPLY)
+        )
+
     # -- session lifecycle --
 
     def open_session(self) -> int:
+        """A new session on a round-robin home worker.  No frame is
+        sent: the id is the next of the home connection's reserved
+        block, and the session's first frame there opens it."""
         home = next(self._rr) % self._n
         conn = self._conn(home)
-        app_id = _value(conn.request(wire.OP_OPEN_SESSION))
-        rec = _RoutedSession(app_id, {home: conn})
-        self._recs[app_id] = rec
+        app_id = conn.next_app_id()
+        self._recs[app_id] = _RoutedSession(app_id, home, conn)
         return app_id
 
     def close_session(self, app_id: int, *, wait: bool = True) -> int:
@@ -449,7 +544,7 @@ class RoutedLockClient:
         """``op`` on the session to every worker it touched, one round
         trip each; the workers' integer results."""
         return [
-            _value(conn.request(op, rec.app_id))
+            _value(self._request(rec, conn, op, rec.app_id))
             for conn in rec.conns.values()
             if conn.alive or not alive_only
         ]
@@ -460,11 +555,7 @@ class RoutedLockClient:
         for conn in rec.conns.values():
             if conn.alive:
                 with contextlib.suppress(ConnectionLostError):
-                    conn.send_only(
-                        wire.encode_close_session(
-                            0, rec.app_id, no_reply=True
-                        )
-                    )
+                    self._tell(rec, conn, wire.OP_CLOSE_SESSION)
 
     @contextlib.contextmanager
     def session(self) -> Iterator[int]:
@@ -491,11 +582,7 @@ class RoutedLockClient:
                     recycled = False
                     continue
                 try:
-                    conn.send_only(
-                        wire.encode_release_all(
-                            0, rec.app_id, no_reply=True
-                        )
-                    )
+                    self._tell(rec, conn, wire.OP_RELEASE_ALL)
                 except ConnectionLostError:
                     recycled = False
             if recycled and not self._closed:
@@ -515,44 +602,31 @@ class RoutedLockClient:
     ) -> None:
         """One LOCK_ROW round trip: one packed frame out, one reply in.
 
-        The fields are packed as they are (no per-request closure) and
-        the latency window, when a histogram is configured, holds the
-        exchange alone; with neither tracer nor histogram the clock is
-        never read.  Session adoption (if any) comes first, outside any
-        latency or trace window.
+        The fields are packed as they are (no per-request closure), and
+        an untraced request reads no clock: only a sampled one times
+        itself, and it alone feeds the latency histogram.  Session
+        adoption (if any) comes first, outside any trace window.
         """
-        worker, conn = self._route(app_id, table_id)
+        rec, conn = self._route(app_id, table_id)
+        body = (app_id, table_id, row_id, wire.wire_mode(mode))
         timeout = _wire_timeout(timeout_s)
-        mode_byte = wire.wire_mode(mode)
         if self._tracer is not None:
             ctx = self._tracer.maybe_trace()
             if ctx is not None:
-                self._traced_lock_row(
-                    ctx, worker, conn, app_id, table_id, row_id, mode_byte,
-                    timeout,
-                )
+                self._traced_lock_row(ctx, rec, conn, body, timeout)
                 return
         request_id = conn.next_id()
-        frame = wire.pack_request(
-            wire.OP_LOCK_ROW, request_id, (app_id, table_id, row_id, mode_byte),
-            timeout,
+        conn.exchange(
+            request_id,
+            _pack(rec, conn, wire.OP_LOCK_ROW, request_id, body, timeout),
         )
-        if self._lat is None:
-            conn.exchange(request_id, frame)
-            return
-        started = time.perf_counter()
-        conn.exchange(request_id, frame)
-        self._lat[worker].observe(time.perf_counter() - started)
 
     def _traced_lock_row(
         self,
         ctx: Any,
-        worker: int,
+        rec: _RoutedSession,
         conn: ClientConnection,
-        app_id: int,
-        table_id: int,
-        row_id: int,
-        mode_byte: int,
+        body: Tuple[int, int, int, int],
         timeout: Optional[float],
     ) -> None:
         """A sampled lock_row: the same request plus the trace tail,
@@ -561,17 +635,18 @@ class RoutedLockClient:
         observed wall wait is the disjoint ``client.net_wait`` hop, so
         the hops sum to the end-to-end latency.  A failed request (or an
         old peer that ignored the tail) reports none: the wait is net.
+        A request that succeeds is one observation of the worker's
+        latency histogram.
         """
+        app_id, table_id, row_id, mode_byte = body
+        worker = table_id % self._n
         started = time.perf_counter()
         packed = 0.0
         result: "int | wire.Response | BaseException"
         try:
             request_id = conn.next_id()
-            frame = wire.pack_request(
-                wire.OP_LOCK_ROW,
-                request_id,
-                (app_id, table_id, row_id, mode_byte),
-                timeout,
+            frame = _pack(
+                rec, conn, wire.OP_LOCK_ROW, request_id, body, timeout,
                 (ctx.trace_id, ctx.span_id, True),
             )
             packed = time.perf_counter()  # client.encode ends here
@@ -620,10 +695,10 @@ class RoutedLockClient:
         mode: Any,
         timeout_s: object = _USE_DEFAULT,
     ) -> None:
-        _worker, conn = self._route(app_id, table_id)
-        conn.request(
-            wire.OP_LOCK_TABLE, app_id, table_id, wire.wire_mode(mode),
-            timeout_s=_wire_timeout(timeout_s),
+        rec, conn = self._route(app_id, table_id)
+        self._request(
+            rec, conn, wire.OP_LOCK_TABLE, app_id, table_id,
+            wire.wire_mode(mode), timeout_s=_wire_timeout(timeout_s),
         )
 
     def lock_rows(
@@ -650,9 +725,9 @@ class RoutedLockClient:
         for worker, flat in by_worker.items():  # first-touch order
             conn = rec.conns.get(worker) or self._adopt(rec, worker)
             granted += _value(
-                conn.request(
-                    wire.OP_BATCH_LOCK, app_id, len(flat) // 3, *flat,
-                    timeout_s=timeout,
+                self._request(
+                    rec, conn, wire.OP_BATCH_LOCK, app_id, len(flat) // 3,
+                    *flat, timeout_s=timeout,
                 )
             )
         return granted
@@ -660,8 +735,10 @@ class RoutedLockClient:
     def release_read_lock(
         self, app_id: int, table_id: int, row_id: int
     ) -> bool:
-        _worker, conn = self._route(app_id, table_id)
-        response = conn.request(wire.OP_UNLOCK_READ, app_id, table_id, row_id)
+        rec, conn = self._route(app_id, table_id)
+        response = self._request(
+            rec, conn, wire.OP_UNLOCK_READ, app_id, table_id, row_id
+        )
         return bool(_value(response))
 
     def rollback(self, app_id: int) -> int:

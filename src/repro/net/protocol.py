@@ -116,6 +116,7 @@ OP_ADOPT_SESSION = 0x08  # router -> worker: register an external app id
 OP_CANCEL = 0x09  # withdraw a pending wait (best-effort)
 OP_STATS = 0x0A
 OP_PING = 0x0B
+OP_RESERVE_IDS = 0x0C  # a block of app ids for FLAG_OPEN first frames
 
 RESP_OK = 0x80
 RESP_ERR = 0x81
@@ -135,6 +136,13 @@ FLAG_NO_REPLY = 0x02
 #: instead of misparsing them, a client attaches the tail only when
 #: configured with a tracer, and untraced frames stay byte-identical.
 FLAG_TRACE = 0x04
+#: flags bit 3: the session this frame names opens with it.  The id
+#: must come from an OP_RESERVE_IDS block of the same connection and
+#: may open once; the server opens it, counted like OP_OPEN_SESSION,
+#: before it runs the op.  Legal on every op that names a session and
+#: adds no tail, so a session's first frame is otherwise the frame any
+#: later one is.
+FLAG_OPEN = 0x08
 
 # -- the closed error-code vocabulary ---------------------------------------
 
@@ -317,6 +325,8 @@ _BODY: Dict[int, Tuple[str, str, Tuple[str, ...]]] = {
     OP_CANCEL: ("cancel", "Q", ("app_id",)),
     OP_STATS: ("stats", "", ()),
     OP_PING: ("ping", "", ()),
+    # OK data: the block, as _ID_BLOCK below.
+    OP_RESERVE_IDS: ("reserve_ids", "", ()),
     # ... + data bytes (OK) / UTF-8 message (error) to the frame's end.
     RESP_OK: ("ok", "q", ("value",)),
     RESP_ERR: ("error", "H", ("error_code",)),
@@ -325,6 +335,9 @@ _BODY: Dict[int, Tuple[str, str, Tuple[str, ...]]] = {
 #: timeout tail (the trace tail is legal on every request); any other
 #: op only ever takes the service mutex for microseconds.
 WAITING_OPS = frozenset({OP_LOCK_ROW, OP_LOCK_TABLE, OP_BATCH_LOCK})
+#: The ops whose body does not start with a session's app id (hence
+#: the ones that may not carry FLAG_OPEN).
+SESSIONLESS_OPS = frozenset({OP_OPEN_SESSION, OP_STATS, OP_PING, OP_RESERVE_IDS})
 
 #: Batches larger than this are rejected before execution; combined
 #: with MAX_FRAME_BYTES it bounds per-request server work.
@@ -372,14 +385,16 @@ def _tails_of(op: int, flags: int) -> int:
 
 #: (op << 8 | flags) -> payload layout of every fixed-size shape, the
 #: ones :class:`FrameDecoder` unpacks in place: each request op but
-#: BATCH_LOCK in every tail and FLAG_NO_REPLY combination, and plain OK.
+#: BATCH_LOCK in every tail, FLAG_NO_REPLY and (on an op naming a
+#: session) FLAG_OPEN combination, and plain OK.
 _FIXED: Dict[int, struct.Struct] = {
-    op << 8 | tails | no_reply: _layout(op, tails)[1]
+    op << 8 | tails | bare: _layout(op, tails)[1]
     for op in _BODY
     if op < RESP_OK and op != OP_BATCH_LOCK
     for tails in (0, FLAG_HAS_TIMEOUT, FLAG_TRACE, FLAG_HAS_TIMEOUT | FLAG_TRACE)
     if tails == _tails_of(op, tails)
-    for no_reply in (0, FLAG_NO_REPLY)
+    for bare in (0, FLAG_NO_REPLY, FLAG_OPEN, FLAG_NO_REPLY | FLAG_OPEN)
+    if not (bare & FLAG_OPEN and op in SESSIONLESS_OPS)
 }
 _FIXED[RESP_OK << 8] = _layout(RESP_OK)[1]
 
@@ -405,6 +420,8 @@ class Request:
     timeout_s: Optional[float] = None
     has_timeout: bool = False
     no_reply: bool = False
+    #: FLAG_OPEN: the frame opens the session it names.
+    opens: bool = False
     #: BATCH_LOCK only: (table_id, row_id, mode) triples, in order.
     accesses: List[Tuple[int, int, int]] = field(default_factory=list)
     #: FLAG_TRACE extension: propagated trace context (0 = untraced).
@@ -425,19 +442,20 @@ _PLAIN_BYTES, _TIMED_BYTES = _PLAIN.size - _LEN.size, _TIMED.size - _LEN.size
 def pack_request(
     op: int, request_id: int, body: tuple = (),
     timeout_s: Optional[float] = None,
-    trace: Optional[Tuple[int, int, bool]] = None, *, no_reply: bool = False,
+    trace: Optional[Tuple[int, int, bool]] = None, flags: int = 0,
 ) -> bytes:
     """One request frame, length prefix included, packed by its layout.
 
     ``body`` holds the op's fields in :data:`_BODY` order (BATCH_LOCK:
-    app id, access count, then the flattened triples).  This is the one
-    place a request meets ``struct``: a value that does not fit its
-    wire slot raises :class:`ProtocolError`, as an oversized batch does,
-    never a bare ``struct.error``.  The two plain LOCK_ROW shapes --
-    nearly every frame on the wire -- take one explicit pack.
+    app id, access count, then the flattened triples); ``flags`` the
+    bits that add no tail (``FLAG_NO_REPLY``, ``FLAG_OPEN``).  This is
+    the one place a request meets ``struct``: a value that does not fit
+    its wire slot raises :class:`ProtocolError`, as an oversized batch
+    does, never a bare ``struct.error``.  The two plain LOCK_ROW shapes
+    -- nearly every frame on the wire -- take one explicit pack.
     """
     try:
-        if op == OP_LOCK_ROW and trace is None and not no_reply:
+        if op == OP_LOCK_ROW and trace is None and not flags:
             app_id, table_id, row_id, mode = body
             if timeout_s is None:
                 return _PLAIN.pack(
@@ -460,8 +478,7 @@ def pack_request(
             tails |= FLAG_TRACE
             tail += (trace[0], trace[1], 1 if trace[2] else 0)
         frame, payload, _ = _layout(op, tails, count)
-        flags = tails | FLAG_NO_REPLY if no_reply else tails
-        return frame.pack(payload.size, op, flags, request_id, *body, *tail)
+        return frame.pack(payload.size, op, tails | flags, request_id, *body, *tail)
     except struct.error as exc:
         raise ProtocolError(
             f"{_BODY[op][0]} request does not fit its wire layout: {exc}"
@@ -480,7 +497,8 @@ def encode_open_session(request_id: int) -> bytes:
 def encode_close_session(
     request_id: int, app_id: int, *, no_reply: bool = False
 ) -> bytes:
-    return _encode(OP_CLOSE_SESSION, request_id, (app_id,), no_reply=no_reply)
+    flags = FLAG_NO_REPLY if no_reply else 0
+    return _encode(OP_CLOSE_SESSION, request_id, (app_id,), flags=flags)
 
 
 def encode_adopt_session(request_id: int, app_id: int) -> bytes:
@@ -490,7 +508,8 @@ def encode_adopt_session(request_id: int, app_id: int) -> bytes:
 def encode_release_all(
     request_id: int, app_id: int, *, no_reply: bool = False
 ) -> bytes:
-    return _encode(OP_RELEASE_ALL, request_id, (app_id,), no_reply=no_reply)
+    flags = FLAG_NO_REPLY if no_reply else 0
+    return _encode(OP_RELEASE_ALL, request_id, (app_id,), flags=flags)
 
 
 def encode_cancel(request_id: int, app_id: int) -> bytes:
@@ -549,6 +568,10 @@ def encode_ping(request_id: int) -> bytes:
     return _encode(OP_PING, request_id)
 
 
+def encode_reserve_ids(request_id: int) -> bytes:
+    return _encode(OP_RESERVE_IDS, request_id)
+
+
 def request_fields(payload: bytes) -> tuple:
     """Validate one request payload and unpack it in wire order.
 
@@ -590,7 +613,10 @@ def decode_request(payload: bytes) -> Request:
     values = request_fields(payload)
     op, flags = values[0], values[1]
     tails = _tails_of(op, flags)
-    req = Request(op, values[2], no_reply=bool(flags & FLAG_NO_REPLY))
+    req = Request(
+        op, values[2], no_reply=bool(flags & FLAG_NO_REPLY),
+        opens=bool(flags & FLAG_OPEN),
+    )
     for attr, value in zip(_BODY[op][2], values[3:]):
         setattr(req, attr, value)
     end = len(values)
@@ -739,6 +765,29 @@ def parse_hop_report(
     return _HOP_REPORT.unpack(data)
 
 
+# -- reserved id block ------------------------------------------------------
+#
+# OP_RESERVE_IDS's OK reply carries the block of app ids reserved to the
+# connection as the arithmetic progression it is: first id, step, count.
+
+_ID_BLOCK = struct.Struct("!QQI")
+
+
+def pack_id_block(ids: range) -> bytes:
+    """Pack a reserved block of app ids for an OK reply."""
+    return _ID_BLOCK.pack(ids.start, ids.step, len(ids))
+
+
+def parse_id_block(data: bytes) -> range:
+    """Inverse of :func:`pack_id_block` (raises :class:`ProtocolError`)."""
+    if len(data) != _ID_BLOCK.size:
+        raise ProtocolError(
+            f"id block of {len(data)} bytes, expected {_ID_BLOCK.size}"
+        )
+    start, step, count = _ID_BLOCK.unpack(data)
+    return range(start, start + step * count, step)
+
+
 # -- stream helpers ---------------------------------------------------------
 
 
@@ -786,20 +835,24 @@ __all__ = [
     "encode_open_session",
     "encode_ping",
     "encode_release_all",
+    "encode_reserve_ids",
     "encode_stats",
     "encode_unlock_read",
     "iter_frames",
     "lock_mode",
     "pack_hop_report",
+    "pack_id_block",
     "pack_lock_row_frame",
     "pack_ok_frame",
     "pack_request",
     "parse_hop_report",
+    "parse_id_block",
     "peek_request_id",
     "request_fields",
     "try_parse_lock_row",
     "try_parse_ok",
     "wire_mode",
+    "SESSIONLESS_OPS",
     "TRACE_CTX_BYTES",
     "WAITING_OPS",
 ]

@@ -30,7 +30,13 @@ than an uncontended lock request's entire service time.
 
 Session lifecycle is connection-bound: sessions opened (or adopted)
 over a connection are force-closed when that connection drops, so a
-killed client never leaks lock-list slots on the server.
+killed client never leaks lock-list slots on the server.  A session
+costs no round trip of its own to open: ``OP_RESERVE_IDS`` hands the
+connection a block of :data:`APP_ID_BLOCK` app ids, and the first frame
+naming one of them carries ``FLAG_OPEN`` and opens it.  An id opens
+once, only on the connection it was reserved to, and only from one of
+that connection's eight newest blocks; anything else fails its request
+with ``ServiceError`` and registers nothing.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ import os
 import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net import protocol as wire
 from repro.obs.tracing import SERVER_HOPS
@@ -119,13 +126,20 @@ class ServiceBackend:
             )
 
 
-#: The ops whose body does not start with a session's app id.
-_SESSIONLESS = frozenset({wire.OP_OPEN_SESSION, wire.OP_STATS, wire.OP_PING})
+#: App ids one OP_RESERVE_IDS hands a connection: one round trip per
+#: this many sessions opened over it.
+APP_ID_BLOCK = 1024
+#: A connection's newest blocks whose unopened ids may still open;
+#: reserving another forgets the oldest, which bounds the state (a
+#: block is its range and one byte per id).
+_OPENABLE_BLOCKS = 8
+#: The flag bits that send a frame off the untraced path.
+_OPEN_OR_TRACE = wire.FLAG_OPEN | wire.FLAG_TRACE
 
 
 def _app_id(f: tuple) -> int:
     """The session a request's fields name (0 for an op that names none)."""
-    return 0 if f[0] in _SESSIONLESS else f[3]
+    return 0 if f[0] in wire.SESSIONLESS_OPS else f[3]
 
 
 def _timeout(f: tuple) -> object:
@@ -165,6 +179,11 @@ class _ThreadedConnection:
         self._sock = sock
         self._send_lock = threading.Lock()
         self._sessions: Set[int] = set()
+        #: Per reserved block: its ids, and which have opened (reader
+        #: thread only).
+        self._blocks: Deque[Tuple[range, bytearray]] = deque(
+            maxlen=_OPENABLE_BLOCKS
+        )
         self._closed = False
         self._thread = threading.Thread(
             target=self._read_loop,
@@ -200,17 +219,22 @@ class _ThreadedConnection:
         service's own ``try_lock_row``, no adapter in between; one not
         granted is parked, and the service's blocking ``lock_row`` makes
         the only other attempt it will get.  Ops that cannot park run
-        here.  ``clock`` is a sampled request's hop clock, stamps
+        here.  A session's first frame (``FLAG_OPEN``) opens it first,
+        here on the reader, so a later frame never overtakes the open.
+        ``clock`` is a sampled request's hop clock, stamps
         ``[arrived, parked, started]`` (``parked`` stays 0.0 unless the
-        executor takes over); an untraced frame pays one flags test.
+        executor takes over); any other frame pays one flags test.
         """
         clock: Optional[List[float]] = None
         try:
             if f.__class__ is bytes:
                 f = wire.request_fields(f)  # a cold shape, or no request
-            if f[1] & wire.FLAG_TRACE and self._tracer is not None and f[-1]:
-                now = time.perf_counter()
-                clock = [now, 0.0, now]
+            if f[1] & _OPEN_OR_TRACE:
+                if f[1] & wire.FLAG_TRACE and self._tracer is not None and f[-1]:
+                    now = time.perf_counter()
+                    clock = [now, 0.0, now]
+                if f[1] & wire.FLAG_OPEN:
+                    self._open(_app_id(f))
             op = f[0]
             if op == wire.OP_LOCK_ROW:
                 mode = wire.WIRE_TO_MODE.get(f[6])
@@ -313,12 +337,34 @@ class _ThreadedConnection:
         else:
             self._send(wire.pack_ok_frame(f[2], value))
 
+    def _open(self, app_id: int) -> None:
+        """Open ``app_id`` for its first frame: an id of one of this
+        connection's blocks, and only once (raises ServiceError)."""
+        for ids, opened in self._blocks:
+            if app_id in ids:
+                i = ids.index(app_id)
+                if not opened[i]:
+                    opened[i] = 1
+                    self._service.open_reserved(app_id)
+                    self._sessions.add(app_id)
+                    return
+                break
+        raise wire.ServiceError(
+            f"session {app_id} is not an unopened id reserved on this "
+            "connection"
+        )
+
     # -- the op table: a request's fields in, its OK value out --
 
     def _open_session(self, f: tuple) -> int:
         app_id = self._service.open_session()
         self._sessions.add(app_id)
         return app_id
+
+    def _reserve_ids(self, f: tuple) -> bytes:
+        ids = self._service.reserve_app_ids(APP_ID_BLOCK)
+        self._blocks.append((ids, bytearray(len(ids))))
+        return wire.pack_id_block(ids)
 
     def _close_session(self, f: tuple) -> int:
         freed = self._service.close_session(f[3])
@@ -385,6 +431,7 @@ class _ThreadedConnection:
         wire.OP_BATCH_LOCK: _batch_lock,
         wire.OP_STATS: _stats,
         wire.OP_PING: _ping,
+        wire.OP_RESERVE_IDS: _reserve_ids,
     }
 
     def _send(self, frame: bytes) -> None:

@@ -65,6 +65,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _USE_DEFAULT = object()
 
 
+def take_id_block(ids: Iterator[int], count: int) -> range:
+    """The next ``count`` (at least two) ids of the arithmetic
+    progression ``ids`` -- an ``itertools.count`` -- as a range."""
+    block = list(itertools.islice(ids, count))
+    return range(block[0], block[-1] + 1, block[1] - block[0])
+
+
 @dataclass
 class ServiceStats:
     """Service-level counters (the manager keeps the locking counters)."""
@@ -219,6 +226,30 @@ class LockService:
             if len(self._sessions) > self.stats.peak_sessions:
                 self.stats.peak_sessions = len(self._sessions)
             return app_id
+
+    def reserve_app_ids(self, count: int) -> range:
+        """Hand out the next ``count`` ids of :meth:`open_session`'s
+        progression, none of them open yet: the wire server reserves
+        them to one connection, whose first frame naming an id opens it
+        (:meth:`open_reserved`)."""
+        with self._mutex:
+            self._ensure_open()
+            return take_id_block(self._app_ids, count)
+
+    def open_reserved(self, app_id: int) -> None:
+        """Open a reserved id, counted exactly as :meth:`open_session`.
+
+        The caller (the wire server) vouches that the id is one it
+        reserved and has not opened before.
+        """
+        with self._mutex:
+            self._ensure_open()
+            if app_id in self._sessions:
+                raise ServiceError(f"session {app_id} is already registered")
+            self._sessions.add(app_id)
+            self.stats.sessions_opened += 1
+            if len(self._sessions) > self.stats.peak_sessions:
+                self.stats.peak_sessions = len(self._sessions)
 
     def adopt_session(self, app_id: int) -> None:
         """Register an externally allocated application id.

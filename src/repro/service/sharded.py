@@ -47,7 +47,12 @@ from repro.errors import ServiceClosedError, ServiceError
 from repro.lockmgr.manager import LockManagerStats
 from repro.lockmgr.modes import LockMode
 from repro.service.clock import Clock, MonotonicClock
-from repro.service.service import LockService, ServiceStats, _USE_DEFAULT
+from repro.service.service import (
+    LockService,
+    ServiceStats,
+    _USE_DEFAULT,
+    take_id_block,
+)
 from repro.service.control import check_partitioned
 from repro.service.stack import ServiceConfig, ServiceStack
 
@@ -229,6 +234,25 @@ class ShardedLockService:
             if len(self._sessions) > self.stats.peak_sessions:
                 self.stats.peak_sessions = len(self._sessions)
             return app_id
+
+    def reserve_app_ids(self, count: int) -> range:
+        """See :meth:`LockService.reserve_app_ids`."""
+        with self._slock:
+            if self._closed:
+                raise ServiceClosedError("lock service is closed")
+            return take_id_block(self._app_ids, count)
+
+    def open_reserved(self, app_id: int) -> None:
+        """See :meth:`LockService.open_reserved`."""
+        with self._slock:
+            if self._closed:
+                raise ServiceClosedError("lock service is closed")
+            if app_id in self._sessions:
+                raise ServiceError(f"session {app_id} is already registered")
+            self._sessions[app_id] = _Session()
+            self.stats.sessions_opened += 1
+            if len(self._sessions) > self.stats.peak_sessions:
+                self.stats.peak_sessions = len(self._sessions)
 
     def close_session(self, app_id: int) -> int:
         """Release the session's locks in every adopted shard."""

@@ -12,8 +12,9 @@ and redraws one console frame per poll:
   [minFree, maxFree] band, MAXLOCKS, and the incident count;
 * the tail of the STMM audit log -- the last few intervals' chosen
   actions in the machine-readable reason vocabulary;
-* when the routed client publishes per-worker wire-latency histograms,
-  a per-worker latency panel; and when request tracing is sampled, the
+* when the routed client publishes per-worker wire-latency histograms
+  (fed by its sampled requests only), a per-worker latency panel of
+  those requests; and when request tracing is sampled, the
   slowest end-to-end traces from ``/traces`` with their dominant hop
   and wire-tax fraction;
 * when the whole-memory broker is enabled, the per-heap table (size,
@@ -219,8 +220,10 @@ def _wait_seconds(dump: MetricsDump, shard: Optional[str]) -> Optional[float]:
 def worker_wire_latency(metrics: MetricsDump) -> Dict[str, dict]:
     """Per-worker wire-latency rows from the routed client's histograms.
 
-    Empty when the run had no routed client with telemetry (the series
-    simply is not published), so callers can skip the panel.
+    They hold the client's sampled requests only (an untraced request
+    reads no clock).  Empty when the run had no routed client with
+    telemetry and tracing (the series is not published or never
+    observed), so callers can skip the panel.
     """
     series = metrics.get("net_client_request_latency_s_bucket", {})
     by_worker: Dict[str, List[Tuple[float, float]]] = {}
@@ -345,7 +348,7 @@ def render_frame(
     wire = worker_wire_latency(metrics)
     if wire:
         lines.append("")
-        lines.append("wire latency (routed client, per worker):")
+        lines.append("wire latency (routed client, sampled requests, per worker):")
         lines.append(f"{'worker':>6} {'requests':>9} {'p50':>6} {'p99':>6}")
         for worker, row in wire.items():
             lines.append(

@@ -367,6 +367,7 @@ BARE_OPS = {
     wire.OP_OPEN_SESSION: wire.encode_open_session,
     wire.OP_STATS: wire.encode_stats,
     wire.OP_PING: wire.encode_ping,
+    wire.OP_RESERVE_IDS: wire.encode_reserve_ids,
 }
 
 
@@ -377,6 +378,7 @@ def requests(draw):
     req = wire.Request(op, draw(U64), no_reply=draw(st.booleans()))
     if op not in BARE_OPS:
         req.app_id = draw(U64)
+        req.opens = draw(st.booleans())
     if op in (wire.OP_LOCK_ROW, wire.OP_LOCK_TABLE, wire.OP_UNLOCK_READ):
         req.table_id = draw(I64)
     if op in (wire.OP_LOCK_ROW, wire.OP_UNLOCK_READ):
@@ -398,8 +400,8 @@ def encode(req: wire.Request, trace) -> bytes:
     """``req`` through its op's public encoder.
 
     What an encoder has no argument for -- FLAG_NO_REPLY on most ops,
-    the trace tail on all but LOCK_ROW -- is spliced in by hand: the
-    flags byte is payload[1], tails are appended, trace last.
+    FLAG_OPEN, the trace tail on all but LOCK_ROW -- is spliced in by
+    hand: the flags byte is payload[1], tails are appended, trace last.
     """
     rid, app = req.request_id, req.app_id
     if req.op in BARE_OPS:
@@ -420,6 +422,7 @@ def encode(req: wire.Request, trace) -> bytes:
     else:
         payload = wire.encode_unlock_read(rid, app, req.table_id, req.row_id)
     flags = payload[1] | (wire.FLAG_NO_REPLY if req.no_reply else 0)
+    flags |= wire.FLAG_OPEN if req.opens else 0
     tail = b""
     if trace is not None:
         flags |= wire.FLAG_TRACE
@@ -436,7 +439,7 @@ class TestFastPaths:
         assert wire.decode_request(payload) == req
         # The no_reply flag of the two ops whose encoder takes it.
         if req.op in (wire.OP_CLOSE_SESSION, wire.OP_RELEASE_ALL):
-            if trace is None:
+            if trace is None and not req.opens:
                 assert payload == SESSION_OPS[req.op](
                     req.request_id, req.app_id, no_reply=req.no_reply
                 )
@@ -444,14 +447,26 @@ class TestFastPaths:
             req.request_id, req.app_id, req.table_id, req.row_id, req.mode,
             req.timeout_s,
         )
-        if req.op == wire.OP_LOCK_ROW and not req.no_reply:
+        if req.op == wire.OP_LOCK_ROW and not (req.no_reply or req.opens):
             assert wire.encode_frame(payload) == wire.pack_lock_row_frame(
                 *lock_row, trace
             )
+        # Every shape, flags and all, is the one packer's frame.
+        body = tuple(
+            getattr(req, name) for name in wire._BODY[req.op][2]
+        ) + ((len(req.accesses),) if req.op == wire.OP_BATCH_LOCK else ())
+        body += tuple(v for access in req.accesses for v in access)
+        extra = wire.FLAG_NO_REPLY if req.no_reply else 0
+        extra |= wire.FLAG_OPEN if req.opens else 0
+        assert wire.pack_request(
+            req.op, req.request_id, body, req.timeout_s, trace, extra
+        ) == wire.encode_frame(payload)
         # The fast parse takes exactly the plain LOCK_ROW shapes, and
         # reads them as the dataclass codec does.
         plain = (
-            req.op == wire.OP_LOCK_ROW and trace is None and not req.no_reply
+            req.op == wire.OP_LOCK_ROW
+            and trace is None
+            and not (req.no_reply or req.opens)
         )
         assert wire.try_parse_lock_row(payload) == (lock_row if plain else None)
 

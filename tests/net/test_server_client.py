@@ -13,11 +13,16 @@ attempt per layer.
 
 import socket
 import struct
+import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockManager, LockTimeoutError
 from repro.lockmgr.modes import LockMode
 from repro.net import protocol as wire
@@ -27,7 +32,9 @@ from repro.net.client import (
     RoutedLockClient,
 )
 from repro.net import server as server_module
-from repro.net.server import serve_service
+from repro.net.server import ServiceBackend, ThreadedLockServer, serve_service
+from repro.obs.tracing import ServerTracer
+from repro.service.service import LockService
 from repro.service.sharded import ShardedServiceConfig
 from repro.service.stack import ServiceConfig, ServiceStack
 
@@ -244,7 +251,9 @@ class TestFraming:
             app = lock_client.open_session()
             lock_client.lock_row(app, 1, 1, LockMode.X)
             (conn,) = lock_client._rec(app).conns.values()
-            conn.send_only(wire.encode_release_all(0, app, no_reply=True))
+            conn.send_only(
+                wire.encode_frame(wire.encode_release_all(0, app, no_reply=True))
+            )
             other = lock_client.open_session()
             lock_client.lock_row(other, 1, 1, LockMode.X, timeout_s=0.5)
 
@@ -375,6 +384,12 @@ class RawConnection:
         return self.exchange(
             wire.encode_frame(wire.encode_open_session(1))
         ).value
+
+    def reserve(self) -> range:
+        """An id block reserved to this connection (OP_RESERVE_IDS)."""
+        resp = self.exchange(wire.encode_frame(wire.encode_reserve_ids(1)))
+        assert resp.ok, resp.error_message
+        return wire.parse_id_block(resp.data)
 
     def __enter__(self):
         return self
@@ -556,3 +571,366 @@ class TestImmediateGrantAttempts:
             thread.join(timeout=5.0)
             assert not thread.is_alive()
             service.close_session(waiter)
+
+
+IX = wire.MODE_TO_WIRE[LockMode.IX]
+
+#: A frame of each op that names a session, as it would open one: the
+#: op and its body after the app id (rows are the app's own, so no two
+#: sessions ever wait for each other).
+FIRST_FRAMES = {
+    "lock_row": (wire.OP_LOCK_ROW, lambda app: (3, app, X)),
+    "lock_table": (wire.OP_LOCK_TABLE, lambda app: (5, IX)),
+    "batch_lock": (wire.OP_BATCH_LOCK, lambda app: (2, 3, app, X, 4, app, X)),
+    "unlock_read": (wire.OP_UNLOCK_READ, lambda app: (3, app)),
+    "release_all": (wire.OP_RELEASE_ALL, lambda app: ()),
+    "cancel": (wire.OP_CANCEL, lambda app: ()),
+    "close_session": (wire.OP_CLOSE_SESSION, lambda app: ()),
+}
+
+
+def first_frame(name, app, rid=5, *, trace=None, flags=wire.FLAG_OPEN):
+    op, rest = FIRST_FRAMES[name]
+    return wire.pack_request(op, rid, (app, *rest(app)), None, trace, flags)
+
+
+def opened(service):
+    """(open sessions, sessions ever opened, peak) of a service."""
+    stats = service.stats
+    return service.session_count(), stats.sessions_opened, stats.peak_sessions
+
+
+class TestOpenOnFirstFrame:
+    """A session opens with the first frame naming it (FLAG_OPEN), from
+    an id block reserved to the connection -- once, and nowhere else."""
+
+    @pytest.fixture()
+    def traced(self, stack, tmp_path):
+        srv = ThreadedLockServer(
+            ServiceBackend(stack.service, tracer=ServerTracer()),
+            path=str(tmp_path / "traced.sock"),
+        )
+        srv.start()
+        yield srv
+        srv.stop()
+
+    @pytest.mark.parametrize("traced_frame", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize("name", sorted(FIRST_FRAMES))
+    def test_any_op_opens_its_session(self, traced, stack, name, traced_frame):
+        service = stack.service
+        trace = (0xABCD, 1, True) if traced_frame else None
+        with RawConnection(traced.address) as raw:
+            block = raw.reserve()
+            assert len(block) == server_module.APP_ID_BLOCK
+            assert opened(service) == (0, 0, 0)  # a reservation opens nothing
+            app = block[0]
+            resp = raw.exchange(first_frame(name, app, trace=trace))
+            assert resp.ok, resp.error_message
+            # Counted exactly like OP_OPEN_SESSION (CLOSE opens and closes).
+            closes = name == "close_session"
+            assert opened(service) == (0 if closes else 1, 1, 1)
+            assert service.stats.sessions_closed == int(closes)
+            if traced_frame:
+                (span,) = traced.backend.tracer.to_dicts()
+                assert span["app"] == app and span["outcome"] == "ok"
+            # The session is the connection's: it goes when it drops.
+        assert wait_until(lambda: service.session_count() == 0)
+        assert stack.chain.used_slots == 0
+
+    def test_only_the_first_frame_differs_and_only_in_its_flags(self, server, stack):
+        with RawConnection(server.address) as raw:
+            app = raw.reserve()[0]
+            first = first_frame("lock_row", app, rid=2)
+            later = wire.pack_lock_row_frame(2, app, 3, app, X)
+            assert first == later[:5] + bytes([wire.FLAG_OPEN]) + later[6:]
+            assert raw.exchange(first).ok
+            assert raw.exchange(wire.pack_lock_row_frame(3, app, 3, 8, X)).ok
+            assert stack.service.manager.app_slots(app) == 3  # intent + 2 rows
+
+    REFUSED = "is not an unopened id reserved on this connection"
+
+    def assert_refused(self, raw, frame, service, before):
+        resp = raw.exchange(frame)
+        assert not resp.ok
+        assert wire.ERROR_CODES[resp.error_code] is wire.ServiceError
+        assert self.REFUSED in resp.error_message
+        assert opened(service) == before
+
+    def test_an_id_outside_the_block_is_refused(self, server, stack):
+        service = stack.service
+        with RawConnection(server.address) as raw:
+            block = raw.reserve()
+            for app in (block[-1] + block.step, 424242, 0):
+                self.assert_refused(
+                    raw, first_frame("lock_row", app), service, (0, 0, 0)
+                )
+        assert stack.chain.used_slots == 0
+
+    def test_an_id_reserved_on_the_other_connection_is_refused(self, server, stack):
+        service = stack.service
+        with RawConnection(server.address) as mine, RawConnection(
+            server.address
+        ) as theirs:
+            app = mine.reserve()[0]
+            theirs.reserve()
+            self.assert_refused(
+                theirs, first_frame("lock_row", app), service, (0, 0, 0)
+            )
+            # ... and it is still the owner's to open.
+            assert mine.exchange(first_frame("lock_row", app)).ok
+            assert opened(service) == (1, 1, 1)
+
+    def test_a_second_open_is_refused(self, server, stack):
+        service = stack.service
+        with RawConnection(server.address) as raw:
+            app = raw.reserve()[0]
+            assert raw.exchange(first_frame("lock_row", app)).ok
+            self.assert_refused(
+                raw, first_frame("release_all", app), service, (1, 1, 1)
+            )
+            assert service.manager.app_slots(app) == 2  # the refusal ran nothing
+
+    def test_an_open_after_close_is_refused(self, server, stack):
+        service = stack.service
+        with RawConnection(server.address) as raw:
+            app = raw.reserve()[0]
+            assert raw.exchange(first_frame("close_session", app)).ok
+            self.assert_refused(
+                raw, first_frame("lock_row", app), service, (0, 1, 1)
+            )
+        assert stack.chain.used_slots == 0
+
+    def test_a_no_reply_refusal_answers_nothing_and_registers_nothing(
+        self, server, stack
+    ):
+        with RawConnection(server.address) as raw:
+            raw.reserve()
+            raw.send(
+                first_frame(
+                    "release_all", 424242,
+                    flags=wire.FLAG_OPEN | wire.FLAG_NO_REPLY,
+                )
+            )
+            assert raw.exchange(wire.encode_frame(wire.encode_ping(3))).request_id == 3
+            assert opened(stack.service) == (0, 0, 0)
+
+    def test_reservation_state_is_bounded(self, server, stack, monkeypatch):
+        monkeypatch.setattr(server_module, "APP_ID_BLOCK", 4)
+        kept = server_module._OPENABLE_BLOCKS
+        with RawConnection(server.address) as raw:
+            blocks = [raw.reserve() for _ in range(kept + 1)]
+            (conn,) = server._connections
+            assert len(conn._blocks) == kept
+            # The oldest block was forgotten, the newest ones still open.
+            self.assert_refused(
+                raw, first_frame("lock_row", blocks[0][0]), stack.service, (0, 0, 0)
+            )
+            for block in blocks[1:]:
+                assert raw.exchange(first_frame("release_all", block[-1])).ok
+            assert [sum(opened) for _, opened in conn._blocks] == [1] * kept
+
+    def test_the_sharded_service_opens_reserved_ids(self, tmp_path):
+        with ServiceStack(ShardedServiceConfig(shards=2, **SMALL)) as sharded:
+            service = sharded.service
+            srv = serve_service(service, path=str(tmp_path / "s.sock"))
+            try:
+                with RawConnection(srv.address) as raw:
+                    app = raw.reserve()[0]
+                    assert raw.exchange(first_frame("lock_row", app)).ok
+                    assert raw.exchange(wire.pack_lock_row_frame(6, app, 4, 1, X)).ok
+                    assert opened(service) == (1, 1, 1)
+                    sharded.check_invariants()
+                    self.assert_refused(
+                        raw, first_frame("cancel", app), service, (1, 1, 1)
+                    )
+                assert wait_until(lambda: service.session_count() == 0)
+            finally:
+                srv.stop()
+
+
+class TestUnusedSessions:
+    """A session opened and never used costs no frame -- and can still
+    be closed, rolled back or cancelled, counted once."""
+
+    @pytest.mark.parametrize("end", ["close", "rollback", "cancel", "scope"])
+    def test_an_unused_session_ends_cleanly(self, server, stack, end):
+        service = stack.service
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
+            lock_client.ping()
+            # A reply is counted once its sendall returned: wait for it.
+            assert wait_until(lambda: server.responses_written == 1)
+            app = lock_client.open_session()
+            assert wait_until(lambda: server.responses_written == 2)  # reserved
+            assert opened(service) == (0, 0, 0)
+            if end == "close":
+                assert lock_client.close_session(app) == 0
+                assert opened(service) == (0, 1, 1)
+            elif end == "rollback":
+                assert lock_client.rollback(app) == 0
+                assert lock_client.cancel(app) is False  # not a second open
+                assert opened(service) == (1, 1, 1)
+            elif end == "cancel":
+                assert lock_client.cancel(app) is False
+                assert opened(service) == (1, 1, 1)
+            else:
+                with lock_client.session() as scoped:
+                    pass  # the scope's release opens it, then recycles it
+                assert scoped != app
+                assert wait_until(lambda: opened(service) == (1, 1, 1))
+                lock_client.close_session(app)
+                assert opened(service) == (1, 2, 2)
+            # Whatever happened, the next session's first frame opens it.
+            fresh = lock_client.open_session()
+            lock_client.lock_row(fresh, 1, 1, LockMode.X)
+            lock_client.close_session(fresh)
+        assert wait_until(lambda: service.session_count() == 0)
+        assert service.stats.sessions_opened == (3 if end == "scope" else 2)
+
+    def test_a_frame_that_cannot_be_packed_does_not_open(self, server, stack):
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
+            app = lock_client.open_session()
+            with pytest.raises(wire.ProtocolError):
+                lock_client.lock_row(app, 1, 2**70, LockMode.S)
+            assert opened(stack.service) == (0, 0, 0)
+            lock_client.lock_row(app, 1, 2, LockMode.S)  # this one opens it
+            assert opened(stack.service) == (1, 1, 1)
+            lock_client.close_session(app)
+
+    def test_one_reservation_per_block(self, server, stack, monkeypatch):
+        monkeypatch.setattr(server_module, "APP_ID_BLOCK", 4)
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
+            lock_client.ping()
+            assert wait_until(lambda: server.responses_written == 1)
+            apps = []
+            for _ in range(9):
+                apps.append(lock_client.open_session())
+                lock_client.lock_row(apps[-1], 1, 1, LockMode.X)
+                lock_client.close_session(apps[-1])
+            assert len(set(apps)) == 9
+            # Three blocks of four: three round trips for nine sessions,
+            # beside each session's lock and close.
+            assert wait_until(lambda: server.responses_written == 1 + 3 + 2 * 9)
+        assert stack.service.stats.sessions_opened == 9
+
+    def test_threads_share_a_connections_blocks(self, server, stack, monkeypatch):
+        # Eight threads open sessions over one connection while blocks
+        # run out every 16 ids: every id is handed out once, and every
+        # first frame opens its session -- none refused, none twice.
+        monkeypatch.setattr(server_module, "APP_ID_BLOCK", 16)
+        apps, errors = [], []
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
+
+            def worker(i: int) -> None:
+                try:
+                    for j in range(40):
+                        app = lock_client.open_session()
+                        apps.append(app)
+                        lock_client.lock_row(app, i, j, LockMode.X, timeout_s=5.0)
+                        lock_client.close_session(app)
+                except Exception as exc:  # noqa: BLE001 - collected
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(i,)) for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(apps) == len(set(apps)) == 8 * 40
+        stats = stack.service.stats
+        assert stats.sessions_opened == stats.sessions_closed == 8 * 40
+        assert stack.service.session_count() == 0
+
+
+# -- the open rules under generated interleavings -----------------------------
+
+#: (kind, connection, pick): reserve a block on connection c; send c a
+#: FLAG_OPEN frame naming an id picked from every id reserved so far
+#: (one pick in seven names a never-reserved id); close an id over c.
+ACTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["reserve", "open", "close"]),
+        st.integers(0, 1),
+        st.integers(0, 20),  # few values, so picks name one id again
+    ),
+    max_size=30,
+)
+
+
+class TestOpenRuleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ACTIONS, st.sampled_from(sorted(FIRST_FRAMES)))
+    # The four refusals, pinned (random runs reach them only sometimes):
+    # reopen after close, a second open, another connection's id, and an
+    # id of a forgotten block (three blocks reserved, two kept).
+    @example(
+        [("reserve", 0, 0), ("open", 0, 1), ("close", 0, 1), ("open", 0, 1)],
+        "lock_row",
+    )
+    @example([("reserve", 0, 0), ("open", 0, 1), ("open", 0, 1)], "release_all")
+    @example([("reserve", 0, 0), ("reserve", 1, 0), ("open", 1, 1)], "cancel")
+    @example([("reserve", 0, 0)] * 3 + [("open", 0, 1), ("open", 0, 9)], "batch_lock")
+    def test_a_session_opens_once_on_its_connection(
+        self, tmp_path_factory, actions, name
+    ):
+        # Small blocks and a two-block window, so that generated runs
+        # reach the forgotten blocks too.
+        with mock.patch.object(server_module, "APP_ID_BLOCK", 4), mock.patch.object(
+            server_module, "_OPENABLE_BLOCKS", 2
+        ):
+            self.check_against_the_model(tmp_path_factory, actions, name)
+
+    @staticmethod
+    def check_against_the_model(tmp_path_factory, actions, name):
+        service = LockService(LockBlockChain(initial_blocks=2))
+        srv = serve_service(
+            service, path=str(tmp_path_factory.mktemp("p") / "s.sock")
+        )
+        openable = [[], []]  # per connection: its newest blocks' unopened ids
+        reserved = []  # every id handed out, in order
+        open_now = set()
+        ever = peak = 0
+        try:
+            with RawConnection(srv.address) as c0, RawConnection(srv.address) as c1:
+                conns = (c0, c1)
+                for kind, c, pick in actions:
+                    raw = conns[c]
+                    if kind == "reserve":
+                        ids = raw.reserve()
+                        openable[c] = (openable[c] + [set(ids)])[-2:]
+                        reserved.extend(ids)
+                        continue
+                    app = 10**9 + pick
+                    if reserved and pick % 7:
+                        app = reserved[pick % len(reserved)]
+                    if kind == "open":
+                        resp = raw.exchange(first_frame(name, app))
+                        owner = next((b for b in openable[c] if app in b), None)
+                        assert resp.ok == (owner is not None), (app, resp.error_message)
+                        if owner is not None:
+                            owner.discard(app)
+                            ever += 1
+                            peak = max(peak, len(open_now) + 1)
+                            if name != "close_session":
+                                open_now.add(app)
+                    else:
+                        resp = raw.exchange(
+                            wire.encode_frame(wire.encode_close_session(6, app))
+                        )
+                        assert resp.ok == (app in open_now)
+                        open_now.discard(app)
+                    assert opened(service) == (len(open_now), ever, peak)
+                    service.check_invariants()
+            # Closing the connections closed what they opened.
+            assert wait_until(lambda: service.session_count() == 0)
+            assert service.chain.used_slots == 0
+        finally:
+            srv.stop()

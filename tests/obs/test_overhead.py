@@ -267,11 +267,14 @@ class TestNoDuplicateRequestCounters:
                 for row in range(8):
                     client.lock_row(app, 0, row, LockMode.X, timeout_s=1.0)
                 assert instrument_calls["inc"] == 0
-                # The client's own per-call histogram is all that observes.
-                assert set(observed) == {"net.client.request_latency_s"}
+                # An untraced lock_row reads no clock: the client's
+                # latency histogram is fed by sampled requests only.
+                assert observed == []
                 client.close_session(app)
-                # open + 8 grants + close; the count is bumped after the
-                # reply's sendall returns, so the client can be faster.
+                # The id-block reservation (open_session's only round
+                # trip, once per block) + 8 grants + close; the count is
+                # bumped after the reply's sendall returns, so the client
+                # can be faster.
                 assert wait_until(lambda: server.responses_written == 10)
             finally:
                 client.close()
@@ -294,6 +297,32 @@ class TestNoDuplicateRequestCounters:
             assert loaded.counter("service.requests").value == requests
             assert loaded.counter("net.responses").value == 10
 
+    def test_a_sampled_wire_lock_row_observes_once(
+        self, tmp_path, instrument_calls, observed
+    ):
+        with ServiceStack(ServiceConfig(**self.CONFIG)) as stack:
+            registry = stack.metrics
+            server = serve_service(stack.service, path=str(tmp_path / "s.sock"))
+            client = RoutedLockClient(
+                [server.address], metrics=registry, tracer=RequestTracer(2)
+            )
+            try:
+                app = client.open_session()
+                observed.clear()
+                for row in range(8):
+                    client.lock_row(app, 0, row, LockMode.X, timeout_s=1.0)
+                client.close_session(app)
+            finally:
+                client.close()
+                server.stop()
+        # Every second request is sampled, and each observes once.
+        assert observed == ["net.client.request_latency_s"] * 4
+        (latency,) = [
+            h for h in registry.histograms()
+            if h.base_name == "net.client.request_latency_s"
+        ]
+        assert latency.count == 4
+
     def test_worker_metrics_pull_reads_through(self):
         config = WorkerPoolConfig(workers=1, **self.CONFIG)
         with WorkerPoolStack(config) as pool:
@@ -303,7 +332,8 @@ class TestNoDuplicateRequestCounters:
                         net.service.lock_row(app, 0, row, LockMode.S)
                 (stats,) = net.service.stats()
             (part,) = pool.partitions
-            # open + 4 grants + stats (the scope's release is no-reply)
+            # id-block reservation + 4 grants (the first one opens the
+            # session) + stats; the scope's release is no-reply
             assert wait_until(lambda: part.occupancy()["responses"] == 6)
             pulled = part.call("metrics")
             counters = pulled["counters"]
