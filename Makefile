@@ -32,7 +32,8 @@ ladder-record:
 	python3 scripts/ladder_record.py $(or $(REV),HEAD)
 
 # The simulation byte for byte against REV (default HEAD): the 14
-# `runner all` reports and their stdout, REV exported clean from git.
+# `runner all` reports and their stdout, and the `fig11 --telemetry`
+# JSONL but for its one wall-clock histogram, REV exported clean from git.
 des-identical:
 	python3 scripts/des_identical.py $(or $(REV),HEAD)
 

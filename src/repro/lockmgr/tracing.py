@@ -20,9 +20,9 @@ Example::
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,10 @@ class LockTrace:
     )
 
     def __init__(self, capacity: Optional[int] = 10_000) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        # Imported here: repro.obs imports this module.
+        from repro.obs.ring import BoundedRing
+
+        self._events: "BoundedRing[TraceEvent]" = BoundedRing(capacity)
         self._counts: Counter = Counter()
 
     def emit(
@@ -95,7 +96,7 @@ class LockTrace:
         return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return iter(self._events.snapshot())
 
     def count(self, kind: str) -> int:
         """Total events of ``kind`` ever emitted (eviction-proof)."""
@@ -111,7 +112,7 @@ class LockTrace:
     ) -> Iterator[TraceEvent]:
         """Retained events filtered by kind, application, time window
         and resource (repr form, e.g. ``"T0.R7"``)."""
-        for event in self._events:
+        for event in self._events.snapshot():
             if kind is not None and event.kind != kind:
                 continue
             if app_id is not None and event.app_id != app_id:
@@ -132,8 +133,7 @@ class LockTrace:
 
     def tail(self, n: int = 20) -> str:
         """The last ``n`` retained events, formatted one per line."""
-        events = list(self._events)[-n:]
-        return "\n".join(str(e) for e in events)
+        return "\n".join(str(e) for e in self._events.snapshot(n))
 
     def summary(self) -> str:
         """Counts per kind, one line."""
@@ -147,7 +147,7 @@ class LockTrace:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["time", "kind", "app_id", "resource", "detail", "value"])
-            for event in self._events:
+            for event in self._events.snapshot():
                 writer.writerow(
                     [event.time, event.kind, event.app_id,
                      event.resource, event.detail, event.value]

@@ -539,14 +539,16 @@ class RoutedLockClient:
             self._recs.pop(app_id, None)
 
     def _fan_out(
-        self, rec: _RoutedSession, op: int, *, alive_only: bool = False
+        self, rec: _RoutedSession, op: int, *,
+        alive_only: bool = False, opened_only: bool = False,
     ) -> List[int]:
         """``op`` on the session to every worker it touched, one round
         trip each; the workers' integer results."""
         return [
             _value(self._request(rec, conn, op, rec.app_id))
-            for conn in rec.conns.values()
-            if conn.alive or not alive_only
+            for conn in list(rec.conns.values())
+            if (conn.alive or not alive_only)
+            and not (opened_only and conn is rec.unopened)
         ]
 
     def _discard(self, rec: _RoutedSession) -> None:
@@ -745,7 +747,11 @@ class RoutedLockClient:
         return sum(self._fan_out(self._rec(app_id), wire.OP_RELEASE_ALL))
 
     def cancel(self, app_id: int, message: str = "cancelled") -> bool:
-        return any(self._fan_out(self._rec(app_id), wire.OP_CANCEL))
+        """Withdraw the session's pending wait.  Nothing goes where the
+        session has not opened yet: the open stays with its first frame."""
+        return any(
+            self._fan_out(self._rec(app_id), wire.OP_CANCEL, opened_only=True)
+        )
 
     # -- wire-only extras --
 

@@ -22,6 +22,8 @@ meets:
 * :mod:`repro.obs.incidents` -- incident forensics
   (:class:`IncidentLog`): structured deadlock / escalation /
   tuner-freeze records with posture, blockers and audit tail,
+* :mod:`repro.obs.ring` -- :class:`BoundedRing`, the one bounded ring
+  (exact lifetime ``total``) every retained record above goes through,
 * :mod:`repro.obs.tracing` -- the one sampled-request record
   (:class:`RequestTracer` / :class:`ServerTracer`): 1-in-N sampled
   requests decomposed into the closed ``HOP_NAMES`` vocabulary with
@@ -49,13 +51,13 @@ from repro.obs.audit import (
 )
 from repro.obs.events import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     WAIT_LATENCY_METRIC,
     RunTelemetry,
     load_runs,
 )
 from repro.obs.instruments import LockManagerInstruments
 from repro.obs.prometheus import render_prometheus, sanitize_metric_name
+from repro.obs.ring import BoundedRing
 from repro.obs.registry import (
     LATENCY_BUCKETS_S,
     SLOT_COUNT_BUCKETS,
@@ -99,6 +101,7 @@ from repro.obs.waits import (
 )
 
 __all__ = [
+    "BoundedRing",
     "Counter",
     "CounterView",
     "Gauge",
@@ -123,7 +126,6 @@ __all__ = [
     "WALL_CLOCK_BUCKETS_S",
     "SLOT_COUNT_BUCKETS",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "WAIT_LATENCY_METRIC",
     "WAIT_CLASSES",
     "WAIT_SECONDS_METRIC",

@@ -32,10 +32,10 @@ stream as ``audit`` records.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Deque, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
+
+from repro.obs.ring import BoundedRing
 
 #: The closed reason vocabulary, in paper-rule order.
 AUDIT_REASONS = (
@@ -187,16 +187,15 @@ class TuningAuditLog:
     KEYED_ON = ("audit", "reason")
 
     def __init__(self, capacity: int = 256, reasons=AUDIT_REASONS) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
         if not reasons:
             raise ValueError("reasons vocabulary must be non-empty")
-        self.capacity = capacity
+        self._ring: BoundedRing[Any] = BoundedRing(capacity)
         self.allowed_reasons = tuple(reasons)
-        self._records: Deque[Any] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        #: Total records ever appended (survives ring eviction).
-        self.total_recorded = 0
+
+    @property
+    def total_recorded(self) -> int:
+        """Total records ever appended (survives ring eviction)."""
+        return self._ring.total
 
     def append(self, record) -> None:
         what, attr = self.KEYED_ON
@@ -206,21 +205,15 @@ class TuningAuditLog:
                 f"unknown {what} {attr} {key!r}; "
                 f"expected one of {self.allowed_reasons}"
             )
-        with self._lock:
-            self._records.append(record)
-            self.total_recorded += 1
+        self._ring.append(record)
 
     def records(self) -> List[Any]:
         """A snapshot copy of the ring, oldest first."""
-        with self._lock:
-            return list(self._records)
+        return self._ring.snapshot()
 
     def tail(self, n: int) -> List[Any]:
         """The most recent ``n`` records, oldest first."""
-        if n <= 0:
-            return []
-        with self._lock:
-            return list(self._records)[-n:]
+        return self._ring.snapshot(n)
 
     def reasons(self) -> List[str]:
         """The reason sequence currently in the ring, oldest first."""
@@ -230,18 +223,13 @@ class TuningAuditLog:
         return [record.to_dict() for record in self.records()]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._ring)
 
     def __iter__(self):
         return iter(self.records())
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"{type(self).__name__}({len(self._records)}/{self.capacity} "
-                f"held, {self.total_recorded} total)"
-            )
+        return f"{type(self).__name__}({self._ring!r})"
 
 
 __all__ = [

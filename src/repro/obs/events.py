@@ -1,49 +1,42 @@
 """One time-ordered telemetry stream per run, exported as JSONL.
 
-Before this module, a run's observability was split across three silos:
-:class:`~repro.lockmgr.tracing.LockTrace` events (ring buffer),
-:class:`~repro.core.controller.ControllerDecision` records (plain list
-on the controller) and :class:`~repro.engine.metrics.MetricsRecorder`
-time series.  :class:`RunTelemetry` unifies them: one object holds all
-three plus the run's :class:`~repro.obs.registry.MetricRegistry`, and
-serializes them as a single time-ordered JSONL stream that
-:meth:`RunTelemetry.from_jsonl` reads back losslessly -- event counts,
-controller decisions and histogram percentiles all survive the round
-trip exactly, so a run can be audited entirely offline.
+:class:`RunTelemetry` holds every record a run emitted plus its
+:class:`~repro.obs.registry.MetricRegistry`, and serializes them as one
+time-ordered JSONL stream that :meth:`RunTelemetry.from_jsonl` reads
+back losslessly, so a run can be audited entirely offline.
 
-Record kinds (schema version 5, one JSON object per line):
+Every record is one JSON object on one line in one envelope: ``kind``
+first, then the record's fields.  The kinds (schema version 5):
 
 =============  ==============================================================
-``meta``       run header: ``label``, ``version`` (first line of every run)
+``meta``       run header: ``version``, ``label`` (first line of every run)
 ``trace``      one lock manager event: ``t``, ``event``, ``app``,
                ``detail``, ``resource``, ``value``
 ``decision``   one controller tuning decision (all ControllerDecision fields)
-``audit``      one STMM tuning audit entry (all TuningAuditRecord fields;
-               added in schema version 2, emitted by the live service)
+``audit``      one STMM tuning audit entry (all TuningAuditRecord fields)
 ``wait``       one completed wait event from the wait-event profiler
                (``t``, ``class``, ``app``, ``duration_s``, blocker
-               attribution; added in schema version 3)
-``incident``   one incident forensics record (all IncidentRecord fields;
-               added in schema version 3)
+               attribution)
+``incident``   one incident forensics record (all IncidentRecord fields,
+               its ``kind`` as ``incident_kind``)
 ``broker``     one whole-memory broker audit entry (all BrokerAuditRecord
-               fields; added in schema version 4, emitted by the live
-               service when the MemoryBroker is enabled)
+               fields)
 ``reqtrace``   one completed end-to-end request trace (all RequestTrace
-               fields: trace/span ids, hop durations, wire tax; added
-               in schema version 5, emitted by the networked service
-               when request tracing is sampled -- distinct from the
-               lock manager's ``trace`` event records)
+               fields: trace/span ids, hop durations, wire tax) --
+               distinct from the lock manager's ``trace`` event records
 ``sample``     one metric sample: ``t``, ``series``, ``value``
 ``counter``    final counter value: ``name``, ``value``
 ``gauge``      final gauge value: ``name``, ``value``
 ``histogram``  full histogram snapshot (bounds, bucket counts, sum, min/max)
 =============  ==============================================================
 
-``trace``/``decision``/``audit``/``wait``/``incident``/``broker``/
-``reqtrace``/``sample`` records are merged in ``t`` order; registry
-records follow at the end (they are end-of-run snapshots).  The reader
-accepts schema versions 1 through 5 (earlier versions simply contain
-none of the newer kinds).
+One table, :data:`_KINDS`, holds per kind where a run keeps its
+records, how a record becomes its fields and back, and which fields
+travel renamed (a record's ``time`` is the stream's leading ``t``).
+The one writer, :meth:`RunTelemetry.records`, merges the timed kinds
+in ``t`` order (ties in table order) and closes with the registry
+snapshots; the one reader, :func:`load_runs`, walks the same table and
+accepts :data:`SCHEMA_VERSION` only.
 """
 
 from __future__ import annotations
@@ -51,8 +44,11 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter as TallyCounter
-from dataclasses import asdict
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List,
+    NamedTuple, Optional,
+)
 
 from repro.core.controller import ControllerDecision
 from repro.engine.metrics import MetricsRecorder
@@ -64,13 +60,8 @@ from repro.obs.registry import Histogram, MetricRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
 
-#: Bumped when the JSONL record schema changes incompatibly.
+#: The one schema version this module writes and reads.
 SCHEMA_VERSION = 5
-
-#: Versions :func:`load_runs` understands (v1 lacks ``audit`` records,
-#: v2 lacks ``wait`` and ``incident`` records, v3 lacks ``broker``
-#: records, v4 lacks ``reqtrace`` records).
-SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2, 3, 4, 5})
 
 #: The histogram the lock manager observes wait durations into.
 WAIT_LATENCY_METRIC = "lock.wait.latency_s"
@@ -180,115 +171,32 @@ class RunTelemetry:
         return len(self.decisions)
 
     def end_time(self) -> float:
-        """Latest timestamp across all streams (0.0 when empty)."""
-        candidates = [0.0]
-        if self.trace_events:
-            candidates.append(self.trace_events[-1].time)
-        if self.decisions:
-            candidates.append(self.decisions[-1].time)
-        if self.audit:
-            candidates.append(self.audit[-1].time)
-        if self.broker:
-            candidates.append(self.broker[-1].time)
-        for name in self.metrics.names():
-            series = self.metrics[name]
-            if len(series):
-                candidates.append(series.times[-1])
-        return max(candidates)
+        """Latest ``t`` of any timed record (0.0 when there is none)."""
+        return max(
+            (
+                record["t"]
+                for kind in _KINDS.values() if kind.timed
+                for record in kind.fields(self)
+            ),
+            default=0.0,
+        )
 
     # -- serialization -------------------------------------------------------
 
     def records(self) -> Iterator[Dict[str, Any]]:
         """The full record stream: meta, time-ordered events, snapshots."""
         yield {"kind": "meta", "version": SCHEMA_VERSION, "label": self.label}
-
-        def trace_records():
-            for e in self.trace_events:
-                yield {
-                    "kind": "trace", "t": e.time, "event": e.kind,
-                    "app": e.app_id, "detail": e.detail,
-                    "resource": e.resource, "value": e.value,
-                }
-
-        def decision_records():
-            for d in self.decisions:
-                record = {"kind": "decision", "t": d.time}
-                record.update(
-                    {k: v for k, v in asdict(d).items() if k != "time"}
-                )
-                yield record
-
-        def audit_records():
-            for a in self.audit:
-                record = {"kind": "audit", "t": a.time}
-                record.update(
-                    {k: v for k, v in a.to_dict().items() if k != "time"}
-                )
-                yield record
-
-        def wait_records():
-            # The profiler ring is ordered by wait END time while the
-            # exported ``t`` is the wait START; heapq.merge requires
-            # each input sorted by the merge key, so sort explicitly.
-            for w in sorted(self.waits, key=lambda w: w["t"]):
-                record = {"kind": "wait"}
-                record.update(w)
-                yield record
-
-        def incident_records():
-            # The record's own ``kind`` field (deadlock / escalation /
-            # tuner-freeze) is exported as ``incident_kind`` so it
-            # cannot collide with the stream's record-kind dispatch.
-            for i in sorted(self.incidents, key=lambda i: i.time):
-                record = {"kind": "incident", "t": i.time}
-                record.update(
-                    {
-                        ("incident_kind" if k == "kind" else k): v
-                        for k, v in i.to_dict().items()
-                        if k != "time"
-                    }
-                )
-                yield record
-
-        def broker_records():
-            for b in sorted(self.broker, key=lambda b: b.time):
-                record = {"kind": "broker", "t": b.time}
-                record.update(
-                    {k: v for k, v in b.to_dict().items() if k != "time"}
-                )
-                yield record
-
-        def reqtrace_records():
-            # The ring is ordered by completion; ``t`` is the trace
-            # start -- sort for heapq.merge like the wait records.
-            for tr in sorted(self.traces, key=lambda tr: tr["t"]):
-                record = {"kind": "reqtrace"}
-                record.update(tr)
-                yield record
-
-        def sample_records():
-            for t, row in self.metrics.to_rows():
-                for series in sorted(row):
-                    yield {
-                        "kind": "sample", "t": t,
-                        "series": series, "value": row[series],
-                    }
-
+        by_time = itemgetter("t")
         yield from heapq.merge(
-            trace_records(), decision_records(), audit_records(),
-            wait_records(), incident_records(), broker_records(),
-            reqtrace_records(), sample_records(),
-            key=lambda record: record["t"],
+            *(
+                _tagged(name, sorted(kind.fields(self), key=by_time))
+                for name, kind in _KINDS.items() if kind.timed
+            ),
+            key=by_time,
         )
-        snapshot = self.registry.snapshot()
-        for name, value in snapshot["counters"].items():
-            yield {"kind": "counter", "name": name, "value": value}
-        for name, value in snapshot["gauges"].items():
-            yield {"kind": "gauge", "name": name, "value": value}
-        for hist_snapshot in snapshot["histograms"].values():
-            record = {"kind": "histogram"}
-            record.update(hist_snapshot)
-            yield record
+        for name, kind in _KINDS.items():
+            if not kind.timed:
+                yield from _tagged(name, kind.fields(self))
 
     def write_jsonl(self, path: str, append: bool = False) -> int:
         """Write the stream to ``path``; returns the record count."""
@@ -331,100 +239,143 @@ def load_runs(path: str) -> List[RunTelemetry]:
     ``meta`` (a hand-built file) fall into an implicit ``"run"``.
     """
     runs: List[RunTelemetry] = []
-    current: Optional[RunTelemetry] = None
     with open(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_number}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: bad JSON: {exc}") from exc
-            kind = record.get("kind")
-            if kind == "meta":
+                raise ValueError(f"{where}: bad JSON: {exc}") from exc
+            name = record.pop("kind", None)
+            if name == "meta":
                 version = record.get("version")
-                if version not in SUPPORTED_SCHEMA_VERSIONS:
+                if version != SCHEMA_VERSION:
                     raise ValueError(
-                        f"{path}:{line_number}: schema version {version}, "
-                        f"this reader handles "
-                        f"{sorted(SUPPORTED_SCHEMA_VERSIONS)}"
+                        f"{where}: schema version {version}, this reader "
+                        f"handles {SCHEMA_VERSION}"
                     )
-                current = RunTelemetry(label=record.get("label", "run"))
-                runs.append(current)
+                runs.append(RunTelemetry(label=record.get("label", "run")))
                 continue
-            if current is None:
-                current = RunTelemetry()
-                runs.append(current)
-            _apply_record(current, record, path, line_number)
+            kind = _KINDS.get(name)
+            if kind is None:
+                raise ValueError(f"{where}: unknown record kind {name!r}")
+            if not runs:
+                runs.append(RunTelemetry())
+            kind.add(runs[-1], record)
     return runs
 
 
-def _apply_record(
-    telemetry: RunTelemetry, record: Dict[str, Any], path: str, line_number: int
-) -> None:
-    kind = record.get("kind")
-    if kind == "trace":
-        telemetry.trace_events.append(
-            TraceEvent(
-                time=record["t"], kind=record["event"], app_id=record["app"],
-                detail=record.get("detail", ""),
-                resource=record.get("resource", ""),
-                value=record.get("value", 0.0),
-            )
+class _Kind(NamedTuple):
+    """How one record kind travels between a run and the stream."""
+
+    #: The run's records of this kind, each as its stream fields.
+    fields: Callable[[RunTelemetry], Iterable[Dict[str, Any]]]
+    #: Put one record, given its stream fields, back into the run.
+    add: Callable[[RunTelemetry, Dict[str, Any]], None]
+    #: Carries ``t`` and merges in time order (else an end-of-run
+    #: registry snapshot, written after every timed record).
+    timed: bool = True
+
+
+def _listed(attr: str, encode: Callable, decode: Callable, **renames: str) -> _Kind:
+    """A kind the run keeps as the list ``attr``: ``encode`` turns a
+    record into its fields and ``decode`` turns them back; ``renames``
+    maps a field to its stream key.  The field renamed to ``t`` leads."""
+    back = {key: field for field, key in renames.items()}
+
+    def fields(run: RunTelemetry) -> Iterator[Dict[str, Any]]:
+        for item in getattr(run, attr):
+            raw = encode(item)
+            record = {"t": raw.pop(back["t"])} if "t" in back else {}
+            record.update((renames.get(k, k), v) for k, v in raw.items())
+            yield record
+
+    def add(run: RunTelemetry, record: Dict[str, Any]) -> None:
+        getattr(run, attr).append(
+            decode({back.get(k, k): v for k, v in record.items()})
         )
-    elif kind == "decision":
-        telemetry.decisions.append(
-            ControllerDecision(
-                time=record["t"], reason=record["reason"],
-                current_pages=record["current_pages"],
-                used_pages=record["used_pages"],
-                free_fraction=record["free_fraction"],
-                target_pages=record["target_pages"],
-                min_pages=record["min_pages"], max_pages=record["max_pages"],
-                escalations_in_interval=record["escalations_in_interval"],
-            )
-        )
-    elif kind == "audit":
-        fields = dict(record)
-        fields["time"] = fields.pop("t")
-        fields.pop("kind")
-        telemetry.audit.append(TuningAuditRecord.from_dict(fields))
-    elif kind == "wait":
-        fields = dict(record)
-        fields.pop("kind")
-        telemetry.waits.append(fields)
-    elif kind == "incident":
-        fields = dict(record)
-        fields["time"] = fields.pop("t")
-        fields.pop("kind")
-        fields["kind"] = fields.pop("incident_kind")
-        telemetry.incidents.append(IncidentRecord.from_dict(fields))
-    elif kind == "broker":
-        fields = dict(record)
-        fields["time"] = fields.pop("t")
-        fields.pop("kind")
-        telemetry.broker.append(BrokerAuditRecord.from_dict(fields))
-    elif kind == "reqtrace":
-        fields = dict(record)
-        fields.pop("kind")
-        telemetry.traces.append(fields)
-    elif kind == "sample":
-        telemetry.metrics.record(record["series"], record["t"], record["value"])
-    elif kind == "counter":
-        telemetry.registry.counter(record["name"]).value = float(record["value"])
-    elif kind == "gauge":
-        telemetry.registry.gauge(record["name"]).set(record["value"])
-    elif kind == "histogram":
-        telemetry.registry.install(Histogram.from_snapshot(record))
-    else:
-        raise ValueError(f"{path}:{line_number}: unknown record kind {kind!r}")
+
+    return _Kind(fields, add)
+
+
+def _copy_vars(record: Any) -> Dict[str, Any]:
+    """A flat dataclass's fields, in declaration order (no deep copy)."""
+    return dict(vars(record))
+
+
+def _samples(run: RunTelemetry) -> Iterator[Dict[str, Any]]:
+    for t, row in run.metrics.to_rows():
+        for series in sorted(row):
+            yield {"t": t, "series": series, "value": row[series]}
+
+
+def _add_counter(run: RunTelemetry, record: Dict[str, Any]) -> None:
+    run.registry.counter(record["name"]).value = float(record["value"])
+
+
+def _values(group: str) -> Callable[[RunTelemetry], Iterator[Dict[str, Any]]]:
+    """A registry snapshot group as ``{name, value}`` records."""
+    def fields(run: RunTelemetry) -> Iterator[Dict[str, Any]]:
+        for name, value in run.registry.snapshot()[group].items():
+            yield {"name": name, "value": value}
+
+    return fields
+
+
+def _tagged(name: str, records: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
+    return ({"kind": name, **record} for record in records)
+
+
+#: Every record kind after ``meta``, in stream order (ties in ``t`` go
+#: to the kind listed first).
+_KINDS: Dict[str, _Kind] = {
+    "trace": _listed(
+        "trace_events", _copy_vars, lambda f: TraceEvent(**f),
+        time="t", kind="event", app_id="app",
+    ),
+    "decision": _listed(
+        "decisions", _copy_vars, lambda f: ControllerDecision(**f), time="t"
+    ),
+    "audit": _listed(
+        "audit", TuningAuditRecord.to_dict, TuningAuditRecord.from_dict,
+        time="t",
+    ),
+    "wait": _listed("waits", dict, dict),
+    # The incident's own kind travels as ``incident_kind``: ``kind``
+    # is the stream's.
+    "incident": _listed(
+        "incidents", IncidentRecord.to_dict, IncidentRecord.from_dict,
+        time="t", kind="incident_kind",
+    ),
+    "broker": _listed(
+        "broker", BrokerAuditRecord.to_dict, BrokerAuditRecord.from_dict,
+        time="t",
+    ),
+    "reqtrace": _listed("traces", dict, dict),
+    "sample": _Kind(
+        _samples,
+        lambda run, r: run.metrics.record(r["series"], r["t"], r["value"]),
+    ),
+    "counter": _Kind(_values("counters"), _add_counter, timed=False),
+    "gauge": _Kind(
+        _values("gauges"),
+        lambda run, r: run.registry.gauge(r["name"]).set(r["value"]),
+        timed=False,
+    ),
+    "histogram": _Kind(
+        lambda run: run.registry.snapshot()["histograms"].values(),
+        lambda run, r: run.registry.install(Histogram.from_snapshot(r)),
+        timed=False,
+    ),
+}
 
 
 __all__ = [
     "RunTelemetry",
     "load_runs",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "WAIT_LATENCY_METRIC",
 ]

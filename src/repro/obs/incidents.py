@@ -22,7 +22,7 @@ tail of the STMM audit ring -- the context a DBA would pull from DB2's
 ``db2pd -locks`` plus the event monitor after the fact.  Records live
 in a bounded ring (:class:`IncidentLog`, the audit ring keyed on kind),
 are served on the ``/incidents`` ops endpoint, and ride the telemetry
-JSONL as schema-v3 ``incident`` records.
+JSONL as ``incident`` records.
 
 Capture cost is paid only when an incident fires -- deadlocks,
 escalations and freezes are rare by construction -- so incident
@@ -88,6 +88,10 @@ class IncidentRecord:
         )
 
 
+#: Incidents the shared ring holds; older ones are evicted, counted.
+INCIDENT_CAPACITY = 128
+
+
 class IncidentLog(TuningAuditLog):
     """The audit ring keyed on :attr:`IncidentRecord.kind`.
 
@@ -98,7 +102,7 @@ class IncidentLog(TuningAuditLog):
 
     KEYED_ON = ("incident", "kind")
 
-    def __init__(self, capacity: int = 128) -> None:
+    def __init__(self, capacity: int = INCIDENT_CAPACITY) -> None:
         super().__init__(capacity, INCIDENT_KINDS)
 
     def kinds(self) -> List[str]:

@@ -57,9 +57,10 @@ holds ``None`` and pays exactly one ``is None`` check per request; with
 a tracer, the off-sample cost is one increment and one modulo, and only
 the sampled 1/N requests allocate a record.
 
-Thread safety: ``deque.append`` and the integer bumps are GIL-atomic;
-tracers are mutated by request threads and read by ops handler threads,
-which copy the ring via ``list()``.
+Thread safety: the sampling counters are plain integer bumps (a
+monitoring count may be one update stale); completed traces land in a
+:class:`~repro.obs.ring.BoundedRing`, whose count is exact and whose
+snapshot is the copy ops handler threads read.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
+
+from repro.obs.ring import BoundedRing
 
 #: The closed hop vocabulary, in request-lifecycle order.
 HOP_NAMES = (
@@ -231,8 +233,7 @@ class RequestTracer:
     ) -> None:
         if every <= 0:
             raise ValueError(f"sampling period must be positive, got {every}")
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        self._ring: BoundedRing[RequestTrace] = BoundedRing(capacity)
         self.every = every
         self.clock = clock if clock is not None else time.time
         self.capacity = capacity
@@ -240,17 +241,16 @@ class RequestTracer:
             origin = (os.getpid() & 0xFFFF) << 48
         self._origin = origin
         self._ids = itertools.count(1)
-        self._seen = 0
+        #: Requests counted (traced or not), and traces started.
+        self.seen = 0
         self.started = 0
-        self.finished = 0
-        self._ring: Deque[RequestTrace] = deque(maxlen=capacity)
 
     # -- probe sites (request threads) ---------------------------------
 
     def maybe_trace(self) -> Optional[TraceContext]:
         """Count one request; return a live context for the sampled 1/N."""
-        self._seen += 1
-        if self._seen % self.every:
+        self.seen += 1
+        if self.seen % self.every:
             return None
         self.started += 1
         trace_id = self._origin | next(self._ids)
@@ -284,15 +284,14 @@ class RequestTracer:
             outcome=outcome,
         )
         self._ring.append(trace)
-        self.finished += 1
         return trace
 
     # -- read side -----------------------------------------------------
 
     @property
-    def seen(self) -> int:
-        """Requests counted (traced or not)."""
-        return self._seen
+    def finished(self) -> int:
+        """Traces completed (evicted ones included)."""
+        return self._ring.total
 
     @property
     def truncated(self) -> int:
@@ -301,16 +300,13 @@ class RequestTracer:
 
     def to_dicts(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Completed traces as dicts, oldest first (most recent ``limit``)."""
-        traces = list(self._ring)
-        if limit is not None:
-            traces = traces[-limit:]
-        return [trace.to_dict() for trace in traces]
+        return [trace.to_dict() for trace in self._ring.snapshot(limit)]
 
     def summary(self) -> Dict[str, Any]:
         """The ring summary scenario results and ``/traces`` report."""
         return {
             "sampled_every": self.every,
-            "seen": self._seen,
+            "seen": self.seen,
             "started": self.started,
             "finished": self.finished,
             "truncated": self.truncated,
@@ -318,7 +314,7 @@ class RequestTracer:
 
     def __repr__(self) -> str:
         return (
-            f"RequestTracer(1/{self.every}, seen={self._seen}, "
+            f"RequestTracer(1/{self.every}, seen={self.seen}, "
             f"finished={self.finished}, truncated={self.truncated})"
         )
 
@@ -334,11 +330,12 @@ class ServerTracer:
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.recorded = 0
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        self._ring: BoundedRing[Dict[str, Any]] = BoundedRing(capacity)
+
+    @property
+    def recorded(self) -> int:
+        """Spans recorded (evicted ones included)."""
+        return self._ring.total
 
     def record(
         self,
@@ -358,22 +355,18 @@ class ServerTracer:
                 "hops": dict(hops),
             }
         )
-        self.recorded += 1
 
     def to_dicts(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        spans = list(self._ring)
-        if limit is not None:
-            spans = spans[-limit:]
-        return [dict(span) for span in spans]
+        return [dict(span) for span in self._ring.snapshot(limit)]
 
     def summary(self) -> Dict[str, Any]:
-        return {"recorded": self.recorded, "held": len(self._ring)}
+        return {"recorded": self._ring.total, "held": len(self._ring)}
 
     def __len__(self) -> int:
         return len(self._ring)
 
     def __repr__(self) -> str:
-        return f"ServerTracer({len(self._ring)}/{self.capacity} held)"
+        return f"ServerTracer({self._ring!r})"
 
 
 def hop_percentiles(

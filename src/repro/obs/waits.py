@@ -31,7 +31,7 @@ service keeps the same shape for its latch and admission probes).
 Thread-safety model: each wait class is mutated under exactly one lock
 domain (the manager classes under the service mutex, ``admission``
 under the admission condition, ``latch`` partly *outside* the mutex --
-see below), histograms lock internally, ``deque.append`` is atomic, and
+see below), histograms and the event ring lock internally, and
 the per-class totals dict is pre-created for every class at init so
 readers never race dict growth.  Latch counters are plain ints bumped
 only *after* the mutex is held, so they are serialized by the latch
@@ -40,10 +40,10 @@ itself.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.registry import WALL_CLOCK_BUCKETS_S, MetricRegistry
+from repro.obs.ring import BoundedRing
 
 #: Closed vocabulary of wait classes.  ``lock.*`` carries the terminal
 #: outcome of the lock wait; the rest are single-shot stall classes.
@@ -62,6 +62,10 @@ WAIT_SECONDS_METRIC = "service.wait.seconds"
 
 #: Bounded try-acquire retries before a contended latch get sleeps.
 LATCH_SPINS = 4
+
+#: Raw wait events each profiler holds; older ones are evicted (the
+#: per-class totals and histograms keep counting).
+WAIT_RING_CAPACITY = 512
 
 
 class WaitEvent:
@@ -192,14 +196,12 @@ class WaitEventProfiler:
         *,
         registry: Optional[MetricRegistry] = None,
         labels: Optional[Dict[str, str]] = None,
-        capacity: int = 512,
+        capacity: int = WAIT_RING_CAPACITY,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
         self.clock = clock
         self.labels = dict(labels) if labels else None
         self.latch = LatchStats()
-        self._ring: Deque[WaitEvent] = deque(maxlen=capacity)
+        self._ring: BoundedRing[WaitEvent] = BoundedRing(capacity)
         self._open: Dict[int, _OpenWait] = {}
         # Pre-created for every class so the dict never grows and
         # lock-free readers never race a rehash.  [count, seconds].
@@ -327,12 +329,11 @@ class WaitEventProfiler:
 
     def recent(self, limit: int = 50) -> List[WaitEvent]:
         """Most recent ``limit`` raw wait events, oldest first."""
-        events = list(self._ring)
-        return events[-limit:]
+        return self._ring.snapshot(limit)
 
     def to_dicts(self) -> List[dict]:
         """The raw ring as dicts (telemetry export)."""
-        return [event.to_dict() for event in self._ring]
+        return [event.to_dict() for event in self._ring.snapshot()]
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -364,6 +365,7 @@ def merged_class_totals(
 __all__ = [
     "LATCH_SPINS",
     "WAIT_CLASSES",
+    "WAIT_RING_CAPACITY",
     "WAIT_SECONDS_METRIC",
     "LatchStats",
     "WaitEvent",

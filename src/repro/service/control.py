@@ -93,10 +93,6 @@ class ServiceConfig:
     #: attribution, latch gets/misses, admission waits, sync-growth
     #: stalls).  Off keeps every hot path at one ``is None`` check.
     wait_profile: bool = False
-    #: Ring-buffer bound of raw wait events per profiler (per shard).
-    wait_ring_capacity: int = 512
-    #: Ring-buffer bound of the incident forensics log.
-    incident_capacity: int = 128
     #: Enable the whole-memory broker: sort/hashjoin/pkgcache heaps join
     #: the registry, benefit-driven block trading runs each tuning pass,
     #: and memory pressure drives the admission posture state machine.
@@ -157,16 +153,6 @@ class ServiceConfig:
         if self.audit_capacity <= 0:
             raise ConfigurationError(
                 f"audit_capacity must be positive, got {self.audit_capacity}"
-            )
-        if self.wait_ring_capacity <= 0:
-            raise ConfigurationError(
-                f"wait_ring_capacity must be positive, "
-                f"got {self.wait_ring_capacity}"
-            )
-        if self.incident_capacity <= 0:
-            raise ConfigurationError(
-                f"incident_capacity must be positive, "
-                f"got {self.incident_capacity}"
             )
 
 
@@ -332,7 +318,7 @@ class ControlPlane:
         )
         # Incident forensics is always on (capture only runs when a
         # deadlock / escalation / freeze actually fires).
-        self.incidents = IncidentLog(capacity=cfg.incident_capacity)
+        self.incidents = IncidentLog()
         self.tuner.incidents = IncidentRecorder(
             self.incidents, shard=0, audit=self.tuner.audit
         )

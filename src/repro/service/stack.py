@@ -189,10 +189,7 @@ class ServiceStack(ControlPlane):
 
     def _wait_profiler(self, labels) -> WaitEventProfiler:
         profiler = WaitEventProfiler(
-            self.clock,
-            registry=self.metrics,
-            labels=labels,
-            capacity=self.config.wait_ring_capacity,
+            self.clock, registry=self.metrics, labels=labels
         )
         self.wait_profilers.append(profiler)
         return profiler

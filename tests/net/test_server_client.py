@@ -27,6 +27,7 @@ from repro.lockmgr.manager import LockManager, LockTimeoutError
 from repro.lockmgr.modes import LockMode
 from repro.net import protocol as wire
 from repro.net.client import (
+    ClientConnection,
     ConnectionLostError,
     RoutedClientStack,
     RoutedLockClient,
@@ -770,8 +771,9 @@ class TestUnusedSessions:
                 assert lock_client.cancel(app) is False  # not a second open
                 assert opened(service) == (1, 1, 1)
             elif end == "cancel":
+                # Nothing to cancel before the first frame: nothing sent.
                 assert lock_client.cancel(app) is False
-                assert opened(service) == (1, 1, 1)
+                assert opened(service) == (0, 0, 0)
             else:
                 with lock_client.session() as scoped:
                     pass  # the scope's release opens it, then recycles it
@@ -784,7 +786,48 @@ class TestUnusedSessions:
             lock_client.lock_row(fresh, 1, 1, LockMode.X)
             lock_client.close_session(fresh)
         assert wait_until(lambda: service.session_count() == 0)
-        assert service.stats.sessions_opened == (3 if end == "scope" else 2)
+        assert service.stats.sessions_opened == {"scope": 3, "cancel": 1}.get(
+            end, 2
+        )
+
+    def test_a_cancel_cannot_take_the_first_lock_rows_open(
+        self, server, stack, monkeypatch
+    ):
+        """A cancel from another thread, its frame held between pack and
+        send while the session's first lock_row goes out: the lock_row
+        still opens the session and is granted."""
+        held, release = threading.Event(), threading.Event()
+        exchange = ClientConnection.exchange
+
+        def holding_exchange(conn, request_id, frame):
+            (payload,) = wire.iter_frames(frame)
+            if payload[0] == wire.OP_CANCEL:
+                held.set()
+                release.wait(5.0)
+            return exchange(conn, request_id, frame)
+
+        monkeypatch.setattr(ClientConnection, "exchange", holding_exchange)
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
+            app = lock_client.open_session()
+            cancelled = []
+            canceller = threading.Thread(
+                target=lambda: cancelled.append(lock_client.cancel(app))
+            )
+            canceller.start()
+            # The cancel's frame is held -- or it had none to send.
+            assert wait_until(
+                lambda: held.is_set() or not canceller.is_alive()
+            )
+            try:
+                lock_client.lock_row(app, 1, 1, LockMode.X)
+            finally:
+                release.set()
+                canceller.join(5.0)
+            assert not canceller.is_alive()
+            assert cancelled == [False]
+            assert opened(stack.service) == (1, 1, 1)
+            lock_client.close_session(app)
+        assert wait_until(lambda: stack.service.session_count() == 0)
 
     def test_a_frame_that_cannot_be_packed_does_not_open(self, server, stack):
         with RoutedLockClient([server.address], pool_size=1) as lock_client:

@@ -1,6 +1,7 @@
 """Round-trip tests for the JSONL telemetry stream."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,138 @@ def synthetic_telemetry(label="synthetic") -> RunTelemetry:
         metrics=metrics,
         registry=registry,
     )
+
+
+def every_kind_telemetry() -> RunTelemetry:
+    """A run that emits each of the eleven record kinds at least once
+    (the source of ``data/every_kind.jsonl``)."""
+    from repro.obs.audit import BrokerAuditRecord, TuningAuditRecord
+    from repro.obs.incidents import IncidentRecord
+
+    telemetry = synthetic_telemetry("every-kind")
+    telemetry.registry.histogram("empty.latency_s")
+    telemetry.registry.counter("net.frames", labels={"worker": "0"}).inc(3)
+    telemetry.audit = [
+        TuningAuditRecord(
+            interval=1, time=0.75, reason="grow-async", delta_pages=32,
+            current_pages=96, target_pages=128, used_pages=80,
+            free_fraction=0.17, overflow_pages=0,
+            escalations_in_interval=0, lmo_headroom_pages=40,
+        ),
+        TuningAuditRecord(
+            interval=0, time=6.0, reason="freeze", delta_pages=0,
+            current_pages=128, target_pages=128, used_pages=90,
+            free_fraction=0.3, overflow_pages=8,
+            escalations_in_interval=1, lmo_headroom_pages=0,
+            detail="RuntimeError: tuner died",
+        ),
+    ]
+    telemetry.waits = [
+        {
+            "class": "lock.granted", "app": 2, "t": 2.0,
+            "duration_s": 3.0, "resource": "T0.R7", "mode": "X",
+            "blocker": 1, "blocker_mode": "X", "depth": 1, "note": "",
+        },
+        {
+            "class": "admission", "app": 4, "t": 0.5,
+            "duration_s": 0.1, "resource": "", "mode": "",
+            "blocker": None, "blocker_mode": "", "depth": 0,
+            "note": "admitted",
+        },
+    ]
+    telemetry.incidents = [
+        IncidentRecord(
+            kind="deadlock", time=5.0, app_id=2, shard=1,
+            detail="victim by footprint", cycle=[2, 1],
+            posture={"used_slots": 4, "free_fraction": 0.5},
+            blockers=[{"app": 1, "waiters_blocked": 1, "slots_held": 3}],
+            audit_tail=[{"interval": 1, "reason": "grow-async"}],
+            data={"resource": "T0.R7", "trace_id": 7},
+        ),
+        IncidentRecord(
+            kind="tuner-freeze", time=6.0, app_id=-1, shard=0,
+            detail="RuntimeError: tuner died",
+        ),
+    ]
+    telemetry.broker = [
+        BrokerAuditRecord(
+            interval=1, time=1.5, reason="trade-benefit",
+            heap_from="sortheap", heap_to="bufferpool", pages=64,
+            benefit_from=0.01, benefit_to=0.25, pressure=0.91,
+            posture="normal", detail="sortheap -> bufferpool: 64 pages",
+        ),
+    ]
+    telemetry.traces = [
+        {
+            "trace_id": 2**48 + 1, "span_id": 1, "t": 4.5,
+            "total_s": 2.5e-05, "worker": 0, "app": 2, "table": 0,
+            "row": 7, "mode": "X", "outcome": "ok",
+            "hops": {"client.encode": 1e-06, "server.lock_wait": 2.4e-05},
+            "wire_tax": 0.04,
+        },
+    ]
+    return telemetry
+
+
+#: Written by ``every_kind_telemetry().write_jsonl(...)`` at schema
+#: version 5; the writer must reproduce it and the reader must load it
+#: back into a run that rewrites it, byte for byte.
+GOLDEN = Path(__file__).parent / "data" / "every_kind.jsonl"
+
+#: The record kinds after the ``meta`` header, in stream order.
+RECORD_KINDS = (
+    "trace", "decision", "audit", "wait", "incident", "broker",
+    "reqtrace", "sample", "counter", "gauge", "histogram",
+)
+
+
+class TestGoldenFixture:
+    def test_fixture_holds_every_kind(self):
+        lines = GOLDEN.read_text().splitlines()
+        kinds = {json.loads(line)["kind"] for line in lines}
+        assert kinds == {"meta", *RECORD_KINDS}
+
+    def test_writer_reproduces_the_fixture(self, tmp_path):
+        path = tmp_path / "every_kind.jsonl"
+        every_kind_telemetry().write_jsonl(str(path))
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_fixture_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "rewritten.jsonl"
+        RunTelemetry.from_jsonl(str(GOLDEN)).write_jsonl(str(path))
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+
+class TestEndTime:
+    """The latest ``t`` of any timed record kind, 0.0 for none."""
+
+    def test_empty_run_ends_at_zero(self):
+        assert RunTelemetry().end_time() == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, latest",
+        [("trace", 5.0), ("decision", 30.0), ("audit", 6.0), ("wait", 2.0),
+         ("incident", 6.0), ("broker", 1.5), ("reqtrace", 4.5),
+         ("sample", 10.0)],
+    )
+    def test_each_timed_kind_counts(self, tmp_path, kind, latest):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("".join(
+            line + "\n" for line in GOLDEN.read_text().splitlines()
+            if json.loads(line)["kind"] in ("meta", kind)
+        ))
+        assert RunTelemetry.from_jsonl(str(path)).end_time() == latest
+
+    def test_a_run_of_waits_has_a_duration(self):
+        from repro.analysis.report import RunReport
+
+        telemetry = RunTelemetry(
+            waits=[{"class": "latch", "app": 1, "t": 5.0, "duration_s": 0.5}]
+        )
+        telemetry.registry.gauge("run.commits").set(10.0)
+        report = RunReport.from_telemetry(telemetry)
+        assert report.duration_s == 5.0
+        assert report.throughput_tps == 2.0
 
 
 class TestRecordStream:
@@ -127,7 +260,9 @@ class TestRoundTrip:
 
     def test_bad_json_names_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind":"meta","version":1,"label":"x"}\nnot json\n')
+        path.write_text(
+            f'{{"kind":"meta","version":{SCHEMA_VERSION},"label":"x"}}\nnot json\n'
+        )
         with pytest.raises(ValueError, match=":2"):
             load_runs(str(path))
 
@@ -314,14 +449,12 @@ class TestSchemaV4Broker:
         assert reloaded.broker == []
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
-    def test_all_supported_header_versions_load(self, tmp_path, version):
+    def test_older_header_versions_rejected(self, tmp_path, version):
         path = tmp_path / f"v{version}.jsonl"
         path.write_text(
             json.dumps({"kind": "meta", "version": version, "label": "old"})
             + "\n"
             + '{"kind":"trace","t":1.0,"event":"grant","app":1}\n'
         )
-        runs = load_runs(str(path))
-        assert len(runs) == 1
-        assert runs[0].trace_events[0].kind == "grant"
-        assert runs[0].broker == []
+        with pytest.raises(ValueError, match=f"schema version {version}"):
+            load_runs(str(path))
