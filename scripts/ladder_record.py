@@ -14,6 +14,13 @@ own -- and writes its output with two keys added on top: ``rev`` (the
 full commit id) and ``python`` (the interpreter that ran it).
 ``run.py --compare OLD NEW`` reads only ``workloads``, so two records
 compare directly.
+
+Refuses, too, to write a record taken on a slow host: when any
+workload's host speed (``host_speed`` median, the ratio of the host's
+speed during the run to the reference the ladder scales to) is below
+``MIN_HOST_SPEED``, it names the workload and exits 3 without touching
+``--out``.  The scaling corrects a slow host only in part, so such a
+record would misstate the code; run it again later.
 """
 
 from __future__ import annotations
@@ -29,12 +36,24 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Below this host speed on any workload, no record is written.
+MIN_HOST_SPEED = 0.8
 
 
 def git(*args: str) -> bytes:
     return subprocess.run(
         ["git", "-C", ROOT, *args], check=True, stdout=subprocess.PIPE
     ).stdout
+
+
+def slow_workloads(record: dict) -> list:
+    """``(workload, host speed median)`` for every workload of a suite
+    output that ran below ``MIN_HOST_SPEED``."""
+    return [
+        (name, detail["host_speed"]["median"])
+        for name, detail in record["workloads"].items()
+        if detail["host_speed"]["median"] < MIN_HOST_SPEED
+    ]
 
 
 def main(argv=None) -> int:
@@ -74,6 +93,15 @@ def main(argv=None) -> int:
             record = {"rev": rev, "python": sys.version.split()[0], **json.load(handle)}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    slow = slow_workloads(record)
+    if slow:
+        for name, speed in slow:
+            print(
+                f"ladder-record: refusing: {name} ran at host speed {speed:.2f} "
+                f"(< {MIN_HOST_SPEED}); try again later",
+                file=sys.stderr,
+            )
+        return 3
     with open(args.out, "w") as handle:
         json.dump(record, handle, indent=1)
         handle.write("\n")

@@ -10,11 +10,14 @@ one held lock costs").  Two measurements, shape only -- no gate:
   and once through ``lock_row_fast``, the live service's grant path;
   ``tracemalloc`` and ``gc.get_objects()`` price one held lock in
   traced bytes and newly collector-tracked objects, by the source line
-  that allocated them, and ``release_all`` shows what is left behind;
+  that allocated them; one ``gc.collect()`` then shows which of those
+  objects stay tracked (what every full collection walks: CPython
+  untracks an exact tuple of ints at its first pass), and
+  ``release_all`` shows what is left behind;
 * **service cycle**: the Fig. 10/11 surge shape through a
   ``ServiceStack`` (8 sessions round-robin with scripted tuning passes,
   then close), counting the cyclic collector's passes and seconds per
-  generation.
+  generation, and its share of the cycle's wall time.
 
 Usage (from the repository root)::
 
@@ -58,17 +61,37 @@ class Site(NamedTuple):
     where: str
     bytes_per_lock: float
     tracked_per_lock: float
+    #: Of those, still tracked after one ``gc.collect()``.
+    surviving_per_lock: float
 
 
 class HeldCost(NamedTuple):
     bytes_per_lock: float
     tracked_per_lock: float
+    surviving_per_lock: float
     sites: List[Site]
-    #: Still there after ``release_all``, in total (not per lock).  The
-    #: lock table's own hash table is left out: CPython returns a
-    #: dict's slots on a later insert, never on a delete.
+    #: Still there after ``release_all`` and a full collection, in
+    #: total (not per lock).  The collection empties the interpreter's
+    #: free lists: the tuple free list alone keeps 2 000 of the freed
+    #: row keys, 144 KB that the program no longer holds.  The lock
+    #: table's own hash table is left out: CPython returns a dict's
+    #: slots on a later insert, never on a delete.
     residue_bytes: int
     residue_tracked: int
+
+
+def _program_tracked(known: Set[int]) -> Dict[Line, int]:
+    """line -> collector-tracked objects the program allocated there,
+    beyond the object ids in ``known``."""
+    lines: Dict[Line, int] = {}
+    for obj in gc.get_objects():
+        if id(obj) in known:
+            continue
+        trace = tracemalloc.get_object_traceback(obj)
+        if trace is not None and PROGRAM in trace[0].filename:
+            line = (trace[0].filename, trace[0].lineno)
+            lines[line] = lines.get(line, 0) + 1
+    return lines
 
 
 def _program_allocations(
@@ -81,13 +104,8 @@ def _program_allocations(
         frame = stat.traceback[0]
         if PROGRAM in frame.filename:
             lines[(frame.filename, frame.lineno)] = [stat.size_diff, 0]
-    for obj in gc.get_objects():
-        if id(obj) in known:
-            continue
-        trace = tracemalloc.get_object_traceback(obj)
-        if trace is not None and PROGRAM in trace[0].filename:
-            line = (trace[0].filename, trace[0].lineno)
-            lines.setdefault(line, [0, 0])[1] += 1
+    for line, tracked in _program_tracked(known).items():
+        lines.setdefault(line, [0, 0])[1] = tracked
     return lines
 
 
@@ -120,7 +138,10 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
         before = tracemalloc.take_snapshot()
         take(1, locks)
         held = _program_allocations(before, known)
+        gc.collect()
+        surviving = _program_tracked(known)
         manager.release_all(1)
+        gc.collect()
         left = _program_allocations(before, known)
         manager.check_invariants()  # after the count: its own first run is no residue
         table_growth = sys.getsizeof(manager._objects) - table_before
@@ -134,6 +155,7 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
             f"{linecache.getline(filename, lineno).strip()}",
             size / locks,
             tracked / locks,
+            surviving.get((filename, lineno), 0) / locks,
         )
         for (filename, lineno), (size, tracked) in held.items()
     ]
@@ -141,6 +163,7 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
     return HeldCost(
         sum(site.bytes_per_lock for site in sites),
         sum(site.tracked_per_lock for site in sites),
+        sum(site.surviving_per_lock for site in sites),
         sites,
         sum(size for size, _ in left.values()) - table_growth,
         sum(tracked for _, tracked in left.values()),
@@ -154,6 +177,11 @@ class CycleCost(NamedTuple):
     #: Per collector generation: passes run, seconds spent in them.
     gc_passes: List[int]
     gc_seconds: List[float]
+
+    @property
+    def gc_share(self) -> float:
+        """The collector's share of the cycle's wall time."""
+        return sum(self.gc_seconds) / (self.acquire_s + self.close_s)
 
 
 def service_cycle(locks: int) -> CycleCost:
@@ -201,16 +229,22 @@ def main() -> int:
             f"bare LockManager, {args.locks} S row locks of one application "
             f"through {path}"
         )
-        print(f"  {'bytes/lock':>10}  {'tracked/lock':>12}  allocated at")
+        print(
+            f"  {'bytes/lock':>10}  {'tracked/lock':>12}  {'after gc':>8}  "
+            "allocated at"
+        )
         for site in cost.sites:
             if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01:
                 print(
                     f"  {site.bytes_per_lock:10.1f}  {site.tracked_per_lock:12.2f}  "
-                    f"{site.where}"
+                    f"{site.surviving_per_lock:8.2f}  {site.where}"
                 )
-        print(f"  {cost.bytes_per_lock:10.1f}  {cost.tracked_per_lock:12.2f}  total")
         print(
-            f"  after release_all: {cost.residue_bytes} bytes and "
+            f"  {cost.bytes_per_lock:10.1f}  {cost.tracked_per_lock:12.2f}  "
+            f"{cost.surviving_per_lock:8.2f}  total"
+        )
+        print(
+            f"  after release_all and gc: {cost.residue_bytes} bytes and "
             f"{cost.residue_tracked} tracked objects remain"
         )
 
@@ -224,6 +258,7 @@ def main() -> int:
         zip(cycle.gc_passes, cycle.gc_seconds)
     ):
         print(f"  gen-{generation} collections: {count:5d}  {spent:7.3f} s")
+    print(f"  collector share of the cycle: {cycle.gc_share:.1%}")
     return 0
 
 

@@ -22,7 +22,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 from repro.errors import LockManagerError
 from repro.lockmgr.blocks import LockBlock
 from repro.lockmgr.modes import COUNT_FIELD_MAX, LockMode, compatible, supremum
-from repro.lockmgr.resources import ResourceId
+from repro.lockmgr.resources import LockKey, ResourceId, resource_of
 
 
 class HeldLock:
@@ -69,17 +69,18 @@ class AppLocks:
     __slots__ = ("held", "rows", "row_count", "row_seq", "slots")
 
     def __init__(self) -> None:
-        #: Resources with a grant.  A set: it iterates in an order fixed
-        #: by its ids' value-pure (all-int) hashes -- the same in every
-        #: process -- not in grant order, and since ``release_all``
-        #: drains it, that is the release and pump order.  A dict (grant
-        #: order) would reorder DES events.
-        self.held: Set[ResourceId] = set()
-        #: table id -> {row resource -> its grant, as ``held_by``
-        #: returns it}.  Storing the grant itself (not just the resource)
-        #: lets escalation read row modes without a lock-object lookup
-        #: per row; the grant's mode field tracks in-place upgrades.
-        self.rows: Dict[int, Dict[ResourceId, Grant]] = {}
+        #: Table (and page) keys with a grant; a row lock is indexed in
+        #: ``rows`` only, once.  A set, iterated in an order fixed by
+        #: its keys' value-pure (all-int) hashes -- the same in every
+        #: process.  ``release_all`` drains ``rows`` (grant order) and
+        #: then this set; the DES output does not depend on that order
+        #: (``make des-identical`` checks it byte for byte).
+        self.held: Set[LockKey] = set()
+        #: table id -> {row key -> its grant, as ``held_by`` returns
+        #: it}.  Storing the grant itself (not just the key) lets
+        #: escalation read row modes without a lock-object lookup per
+        #: row; the grant's mode field tracks in-place upgrades.
+        self.rows: Dict[int, Dict[LockKey, Grant]] = {}
         #: Row locks held across all tables (the sum of ``rows`` sizes).
         self.row_count = 0
         #: Stamp of the first row lock (0 = none yet): the order in
@@ -143,14 +144,16 @@ class LockObject:
     go through the methods here so the counts stay consistent.
     """
 
-    __slots__ = ("resource", "app_id", "mode", "count", "block", "shared", "waiters", "counts")
+    __slots__ = ("key", "app_id", "mode", "count", "block", "shared", "waiters", "counts")
 
     def __init__(
-        self, resource: ResourceId, app_id: Optional[int] = None, mode=None, block=None
+        self, key: LockKey, app_id: Optional[int] = None, mode=None, block=None
     ) -> None:
         """An object with no holder, or created by ``app_id``'s fresh
         grant (the manager's uncontended path: nothing to check)."""
-        self.resource = resource
+        #: Its lock-table key: a ``ResourceId`` or the plain tuple equal
+        #: to one (``row_key``); ``resource`` is the printable id.
+        self.key = key
         self.app_id = app_id
         self.mode = mode
         self.count = 1
@@ -159,6 +162,12 @@ class LockObject:
         self.waiters: Union[Deque[Waiter], Tuple[()]] = ()
         # A first holder shares the mode's baked unit: no int allocated.
         self.counts = 0 if app_id is None else mode._unit
+
+    @property
+    def resource(self) -> ResourceId:
+        """The resource id this object locks, built on demand from
+        ``key`` (only traces, reports and errors read it)."""
+        return resource_of(self.key)
 
     @property
     def is_idle(self) -> bool:

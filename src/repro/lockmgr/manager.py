@@ -48,6 +48,7 @@ callbacks that acquire locks).
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -61,8 +62,10 @@ from repro.lockmgr.locks import AppLocks, Grant, LockObject, Waiter
 from repro.lockmgr.modes import LockMode, covers, intent_mode_for_row, supremum
 from repro.lockmgr.resources import (
     ROW_CODE,
+    LockKey,
     ResourceId,
-    row_resource,
+    resource_of,
+    row_key,
     table_resource,
 )
 from repro.units import LOCK_SIZE_BYTES
@@ -215,7 +218,11 @@ class LockManager:
         #: victim (DB2's DLCHKTIME model).
         self.deadlock_detection = "immediate"
         self.stats = LockManagerStats()
-        self._objects: Dict[ResourceId, LockObject] = {}
+        #: key -> its lock object.  Row keys are plain tuples
+        #: (``row_key``), table keys ``ResourceId``s; each is equal to,
+        #: and hashes as, its resource's ``ResourceId``, so a lookup by
+        #: resource id finds it (``holder_mode``, ``lock_status``).
+        self._objects: Dict[LockKey, LockObject] = {}
         #: app -> its one record: held set, rows by table, row count,
         #: first-row stamp and slot charge (see :class:`AppLocks`).
         self._apps: Dict[int, AppLocks] = {}
@@ -229,7 +236,8 @@ class LockManager:
         #: Objects with a non-empty waiter queue, maintained on enqueue
         #: (here) and dequeue (in ``_pump``): the deadlock detector and
         #: snapshot reports read it instead of scanning every object.
-        self._contended: Dict[ResourceId, LockObject] = {}
+        #: Keyed like ``_objects``.
+        self._contended: Dict[LockKey, LockObject] = {}
         self._requests_since_refresh = 0
 
     # -- introspection -----------------------------------------------------
@@ -268,8 +276,10 @@ class LockManager:
         a ``len`` of the wait map, no iteration)."""
         return len(self._waiting_on) > 0
 
-    def contended_objects(self) -> Dict[ResourceId, LockObject]:
-        """Live view of the objects with queued waiters (do not mutate)."""
+    def contended_objects(self) -> Dict[LockKey, LockObject]:
+        """Live view of the objects with queued waiters (do not mutate),
+        keyed like the lock table: plain tuples equal to ``ResourceId``s
+        (read ``obj.resource`` for the printable id)."""
         return self._contended
 
     @property
@@ -354,7 +364,7 @@ class LockManager:
             table_mode = self.holder_mode(app_id, table_res)
         if table_mode is not None and covers(table_mode, mode):
             return
-        yield from self._acquire(app_id, row_resource(table_id, row_id), mode)
+        yield from self._acquire(app_id, row_key(table_id, row_id), mode)
 
     def lock_row_fast(self, app_id: int, table_id: int, row_id: int, mode: LockMode) -> bool:
         """Non-blocking attempt at :meth:`lock_row`'s immediate-grant path.
@@ -413,7 +423,7 @@ class LockManager:
                 return False  # an IS/IX "row" request ends at the intent
             need = 1
         # -- plan the row step --
-        res = row_resource(table_id, row_id)
+        res = row_key(table_id, row_id)
         obj = objects.get(res)
         held = obj.held_by(app_id) if obj is not None else None
         r_convert = False
@@ -516,27 +526,30 @@ class LockManager:
         held_frees = 0
         objects = self._objects
         free_slot = self.chain.free_slot
-        for resource in rec.held:
-            obj = objects.get(resource)
+        # Every row (grant order per table), then the table locks.
+        for key in itertools.chain(*rec.rows.values(), rec.held):
+            obj = objects.get(key)
             if obj is None:
-                raise LockManagerError(f"app {app_id} does not hold {resource}")
+                raise LockManagerError(
+                    f"app {app_id} does not hold {resource_of(key)}"
+                )
             if obj.app_id == app_id and obj.shared is None and not obj.waiters:
                 # The usual case: the object is its only grant and dies
                 # with it, so it is dropped as it is, not emptied first.
-                del objects[resource]
+                del objects[key]
                 held, obj = obj, None
             else:
                 held = obj.remove_grant(app_id)
             if held.block is not None:
                 free_slot(held.block)
                 held_frees += 1
-            if resource[0] == ROW_CODE:
+            if key[0] == ROW_CODE:
                 rows_released += 1
             if obj is not None:
                 if obj.waiters:
                     self._pump(obj)
                 if obj.app_id is None and not obj.shared and not obj.waiters:
-                    del objects[resource]
+                    del objects[key]
         freed += held_frees
         if rec.row_count != rows_released:
             raise LockManagerError(
@@ -555,10 +568,10 @@ class LockManager:
 
     # -- core acquisition ---------------------------------------------------------
 
-    def _acquire(self, app_id: int, resource: ResourceId, mode: LockMode):
+    def _acquire(self, app_id: int, key: LockKey, mode: LockMode):
         self.stats.requests += 1
         self._tick_refresh()
-        obj = self._objects.get(resource)
+        obj = self._objects.get(key)
         held = obj.held_by(app_id) if obj is not None else None
         if held is not None:
             if covers(held.mode, mode):
@@ -571,16 +584,16 @@ class LockManager:
             self.chain.free_slots == 0
             or self.app_slots(app_id) + 1 > self.maxlocks_limit_slots()
         ):
-            yield from self._ensure_slot_available(app_id, resource)
+            yield from self._ensure_slot_available(app_id)
             # Escalation inside _ensure_slot_available may have granted
             # this application a covering table lock; re-check before
             # allocating a structure.
-            if resource[0] == ROW_CODE:
-                table_mode = self.holder_mode(app_id, resource.table())
+            if key[0] == ROW_CODE:
+                table_mode = self.holder_mode(app_id, table_resource(key[1]))
                 if table_mode is not None and covers(table_mode, mode):
                     self.stats.immediate_grants += 1
                     return
-            obj = self._objects.get(resource)  # may have come or gone meanwhile
+            obj = self._objects.get(key)  # may have come or gone meanwhile
             held = obj.held_by(app_id) if obj is not None else None
             if held is not None:  # appeared while we escalated or waited
                 if covers(held.mode, mode):
@@ -596,7 +609,7 @@ class LockManager:
         if obj is None:
             # Only now that a structure is secured: a refused request
             # must not leave an idle object behind.
-            held = self._objects[resource] = LockObject(resource, app_id, mode, block)
+            held = self._objects[key] = LockObject(key, app_id, mode, block)
         elif not obj.waiters and obj.others_compatible(app_id, mode):
             held = obj.add_grant(app_id, mode, block)
         else:
@@ -605,14 +618,15 @@ class LockManager:
                 converting=False, enqueued_at=self.env.now,
             )
             obj.enqueue(waiter)
-            self._contended[resource] = obj
+            self._contended[key] = obj
             # No _note_held here: a waited grant is recorded by _pump,
             # the only place the wait event can succeed.
             yield from self._wait(app_id, obj, waiter)
             return
-        self._note_held(rec, resource, held)
+        self._note_held(rec, key, held)
         self.stats.immediate_grants += 1
         if self.tracer is not None:
+            resource = resource_of(key)
             self._trace("grant", app_id, f"{mode.name} {resource}", str(resource))
 
     def _convert(self, app_id: int, obj: LockObject, mode: LockMode):
@@ -628,7 +642,7 @@ class LockManager:
             converting=True, enqueued_at=self.env.now,
         )
         obj.enqueue(waiter)
-        self._contended[obj.resource] = obj
+        self._contended[obj.key] = obj
         yield from self._wait(app_id, obj, waiter)
 
     def cancel_wait(
@@ -763,7 +777,7 @@ class LockManager:
 
     def _pump(self, obj: LockObject) -> None:
         if not obj.waiters:
-            self._contended.pop(obj.resource, None)
+            self._contended.pop(obj.key, None)
             return
         for waiter in obj.pump():
             # The wait ends here, not when the granted thread resumes:
@@ -775,12 +789,10 @@ class LockManager:
                 # The queued request's structure was charged on
                 # enqueue, so the application's record exists.
                 app_id = waiter.app_id
-                self._note_held(
-                    self._apps[app_id], obj.resource, obj.held_by(app_id)
-                )
+                self._note_held(self._apps[app_id], obj.key, obj.held_by(app_id))
             waiter.event.succeed()
         if not obj.waiters:
-            self._contended.pop(obj.resource, None)
+            self._contended.pop(obj.key, None)
 
     def _withdraw(self, app_id: int, obj: LockObject) -> int:
         """Take ``app_id``'s queued request off ``obj`` (its caller has
@@ -796,24 +808,24 @@ class LockManager:
         self._gc_object(obj)
         return freed
 
-    def _release_one(self, app_id: int, resource: ResourceId) -> int:
-        obj = self._objects.get(resource)
+    def _release_one(self, app_id: int, key: LockKey) -> int:
+        obj = self._objects.get(key)
         if obj is None:
-            raise LockManagerError(f"app {app_id} does not hold {resource}")
+            raise LockManagerError(f"app {app_id} does not hold {resource_of(key)}")
         held = obj.remove_grant(app_id)
         freed = 0
         if held.block is not None:
             self.chain.free_slot(held.block)
             self._uncharge_slot(app_id)
             freed = 1
-        self._forget_held(app_id, resource)
+        self._forget_held(app_id, key)
         self._pump(obj)
         self._gc_object(obj)
         return freed
 
     def _gc_object(self, obj: LockObject) -> None:
         if obj.is_idle:
-            self._objects.pop(obj.resource, None)
+            self._objects.pop(obj.key, None)
 
     # -- accounting helpers ---------------------------------------------------------
 
@@ -831,31 +843,34 @@ class LockManager:
             raise LockManagerError(f"slot accounting underflow for app {app_id}")
         rec.slots -= 1
 
-    def _note_held(self, rec: AppLocks, resource: ResourceId, held: Grant) -> None:
-        """Index a fresh grant: the held set and, for a row, its table's
-        row map, the row count and the first-row stamp."""
-        rec.held.add(resource)
-        if resource[0] == ROW_CODE:
-            if not rec.row_seq:
-                self._row_seq_counter += 1
-                rec.row_seq = self._row_seq_counter
-            rows = rec.rows.get(resource[1])
-            if rows is None:
-                rows = rec.rows[resource[1]] = {}
-            rows[resource] = held
-            rec.row_count += 1
+    def _note_held(self, rec: AppLocks, key: LockKey, held: Grant) -> None:
+        """Index a fresh grant, once: a row in its table's row map (with
+        the row count and the first-row stamp), anything else in the
+        held set."""
+        if key[0] != ROW_CODE:
+            rec.held.add(key)
+            return
+        if not rec.row_seq:
+            self._row_seq_counter += 1
+            rec.row_seq = self._row_seq_counter
+        rows = rec.rows.get(key[1])
+        if rows is None:
+            rows = rec.rows[key[1]] = {}
+        rows[key] = held
+        rec.row_count += 1
 
-    def _forget_held(self, app_id: int, resource: ResourceId) -> None:
+    def _forget_held(self, app_id: int, key: LockKey) -> None:
         rec = self._apps.get(app_id)
         if rec is None:
             return
-        rec.held.discard(resource)
-        if resource[0] == ROW_CODE:
-            rows = rec.rows.get(resource[1])
-            if rows is not None and rows.pop(resource, None) is not None:
-                if not rows:
-                    del rec.rows[resource[1]]
-                rec.row_count -= 1
+        if key[0] != ROW_CODE:
+            rec.held.discard(key)
+            return
+        rows = rec.rows.get(key[1])
+        if rows is not None and rows.pop(key, None) is not None:
+            if not rows:
+                del rec.rows[key[1]]
+            rec.row_count -= 1
 
     # -- deadlock detection ------------------------------------------------------------
 
@@ -934,7 +949,7 @@ class LockManager:
 
     # -- memory pressure: growth then escalation ------------------------------------------
 
-    def _ensure_slot_available(self, app_id: int, resource: ResourceId):
+    def _ensure_slot_available(self, app_id: int):
         """Make room for one new lock structure for ``app_id``.
 
         Order of remedies follows the paper: the adaptive MAXLOCKS limit
@@ -1175,8 +1190,8 @@ class LockManager:
         structure of its own to release.  Returns True when a lock was
         released (or its re-entrancy count decremented).
         """
-        resource = row_resource(table_id, row_id)
-        obj = self._objects.get(resource)
+        key = row_key(table_id, row_id)
+        obj = self._objects.get(key)
         held = obj.held_by(app_id) if obj is not None else None
         if held is None:
             return False
@@ -1185,8 +1200,9 @@ class LockManager:
         if held.count > 1:
             held.count -= 1
             return True
-        self._release_one(app_id, resource)
+        self._release_one(app_id, key)
         if self.tracer is not None:
+            resource = resource_of(key)
             self._trace("release", app_id, f"CS early release {resource}",
                         str(resource), 1.0)
         return True
@@ -1237,20 +1253,24 @@ class LockManager:
                 f"app slot total {slot_total} != chain used {self.chain.used_slots}"
             )
         for app_id, rec in self._apps.items():
-            for resource in rec.held:
-                obj = self._objects.get(resource)
-                if obj is None or obj.held_by(app_id) is None:
+            for key in rec.held:
+                obj = self._objects.get(key)
+                if key[0] == ROW_CODE or obj is None or obj.held_by(app_id) is None:
                     raise LockManagerError(
-                        f"app {app_id} claims {resource} but grant is missing"
+                        f"app {app_id} claims {resource_of(key)} but grant is "
+                        "missing or is a row's (rows are indexed in rows only)"
                     )
             total = 0
             for table_id, rows in rec.rows.items():
                 total += len(rows)
-                for resource, held in rows.items():
-                    obj = self._objects.get(resource)
-                    if obj is None or obj.held_by(app_id) is not held:
+                for key, held in rows.items():
+                    obj = self._objects.get(key)
+                    if (
+                        key[0] != ROW_CODE or key[1] != table_id
+                        or obj is None or obj.held_by(app_id) is not held
+                    ):
                         raise LockManagerError(
-                            f"row index stale: app {app_id} {resource}"
+                            f"row index stale: app {app_id} {resource_of(key)}"
                         )
             if total != rec.row_count:
                 raise LockManagerError(
@@ -1258,12 +1278,14 @@ class LockManager:
                     f"for app {app_id}"
                 )
         expected_contended = set()
-        for res, obj in self._objects.items():
+        for key, obj in self._objects.items():
             if obj.is_idle:
-                raise LockManagerError(f"idle lock object kept for {res}")
+                raise LockManagerError(f"idle lock object kept for {obj.resource}")
+            if obj.key != key:
+                raise LockManagerError(f"{obj.resource} filed under {resource_of(key)}")
             obj.check_invariants()
             if obj.waiters:
-                expected_contended.add(res)
+                expected_contended.add(key)
         if expected_contended != set(self._contended):
             raise LockManagerError(
                 f"contended set {sorted(map(str, self._contended))} != "

@@ -1,10 +1,12 @@
 """Lockable resource identifiers.
 
 Resources form a two-level hierarchy: tables contain rows.  A resource
-id is an immutable value object used as the lock table's dictionary
-key.  Page-level resources are included for completeness (some vendors
-escalate row to page before table; DB2 escalates straight to table
-locks, which is what the manager does by default).
+id is an immutable value object.  The lock table is keyed by the plain
+tuple each one is (``LockKey``), so a row's key is built by
+:func:`row_key` without a ``ResourceId`` instance.  Page-level
+resources are included for completeness (some vendors escalate row to
+page before table; DB2 escalates straight to table locks, which is what
+the manager does by default).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, Tuple
 
 
 class ResourceKind(enum.Enum):
@@ -34,6 +36,11 @@ _KINDS = tuple(_KIND_CODE)
 _TABLE, _PAGE, ROW_CODE = _KIND_CODE.values()
 
 _new = tuple.__new__
+
+#: A lock-table key: ``(kind_code, table_id, page_id | -1, row_id | -1)``.
+#: A :class:`ResourceId` is one; so is the plain tuple :func:`row_key`
+#: returns, which is equal to the row's ``ResourceId`` and hashes the same.
+LockKey = Tuple[int, int, int, int]
 
 
 class ResourceId(tuple):
@@ -131,13 +138,29 @@ def table_resource(table_id: int) -> ResourceId:
     return ResourceId(ResourceKind.TABLE, table_id)
 
 
-def row_resource(table_id: int, row_id: int) -> ResourceId:
-    """Resource id for one row of a table."""
+def row_key(table_id: int, row_id: int) -> LockKey:
+    """The lock table's key for one row: the plain tuple that
+    ``row_resource(table_id, row_id)`` is, equal to it and with the same
+    hash.  An exact tuple of ints comes from CPython's tuple free list
+    and is untracked by the cyclic collector at its first pass, where a
+    ``ResourceId`` is a second allocation that stays tracked until it is
+    freed -- so a held row lock costs the collector one object, not two.
+    """
     if table_id < 0:
         raise ValueError(f"table_id must be non-negative, got {table_id}")
     if row_id < 0:
         raise ValueError(f"row_id must be non-negative, got {row_id}")
-    return _new(ResourceId, (ROW_CODE, table_id, -1, row_id))
+    return (ROW_CODE, table_id, -1, row_id)
+
+
+def row_resource(table_id: int, row_id: int) -> ResourceId:
+    """Resource id for one row of a table."""
+    return _new(ResourceId, row_key(table_id, row_id))
+
+
+def resource_of(key: LockKey) -> ResourceId:
+    """The resource id a lock-table key stands for (prints ``T0.R7``)."""
+    return key if type(key) is ResourceId else _new(ResourceId, key)
 
 
 def page_resource(table_id: int, page_id: int) -> ResourceId:

@@ -216,8 +216,8 @@ def test_memory_escalation_victim_matches_brute_force(ops):
             first_row.pop(app, None)
         rows = collections.Counter(
             held.app_id
-            for res, obj in manager._objects.items()
-            if res.is_row
+            for obj in manager._objects.values()
+            if obj.resource.is_row
             for held in obj.holders()
         )
         for holder in rows:

@@ -1,0 +1,136 @@
+"""The lock table's keys against the public resource ids.
+
+Rows are keyed by the plain tuple ``row_key`` returns; everything a
+caller sees -- ``holder_mode`` lookups, ``LockObject.resource``, status
+lines, trace events, errors -- still speaks ``ResourceId``.
+"""
+
+import gc
+
+import pytest
+
+from repro.engine.des import Environment
+from repro.errors import LockManagerError
+from repro.lockmgr.blocks import LockBlockChain
+from repro.lockmgr.manager import LockManager
+from repro.lockmgr.modes import LockMode
+from repro.lockmgr.resources import ResourceId, row_key, row_resource
+from repro.lockmgr.tracing import LockTrace
+from tests.conftest import run_process
+
+
+def take(manager, app_id, table_id, row_id, mode, fast):
+    if fast:
+        assert manager.lock_row_fast(app_id, table_id, row_id, mode)
+    else:
+        run_process(manager.env, manager.lock_row(app_id, table_id, row_id, mode))
+
+
+class TestRowKey:
+    @pytest.mark.parametrize("table_id, row_id", [(0, 0), (0, 7), (3, 50_000), (12, 1)])
+    def test_equals_the_row_resource_and_hashes_the_same(self, table_id, row_id):
+        key = row_key(table_id, row_id)
+        resource = row_resource(table_id, row_id)
+        assert type(key) is tuple
+        assert key == resource and resource == key
+        assert hash(key) == hash(resource)
+        assert {resource: 1}[key] == 1 and {key: 1}[resource] == 1
+
+    @pytest.mark.parametrize("table_id, row_id", [(-1, 0), (0, -1), (-2, -3)])
+    def test_refuses_negative_ids_as_row_resource_does(self, table_id, row_id):
+        with pytest.raises(ValueError) as key_error:
+            row_key(table_id, row_id)
+        with pytest.raises(ValueError) as resource_error:
+            row_resource(table_id, row_id)
+        assert str(key_error.value) == str(resource_error.value)
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["lock_row", "lock_row_fast"])
+class TestTheLockTableSpeaksResourceIds:
+    def manager(self):
+        return LockManager(Environment(), LockBlockChain(initial_blocks=2))
+
+    def test_holder_mode_finds_the_row_by_resource_id(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        assert manager.holder_mode(1, row_resource(0, 7)) is LockMode.S
+        assert manager.holder_mode(2, row_resource(0, 7)) is None
+        assert manager.holder_mode(1, row_resource(0, 8)) is None
+        manager.check_invariants()
+
+    def test_a_row_is_keyed_by_a_plain_tuple_the_collector_forgets(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        obj = manager._objects[row_resource(0, 7)]
+        assert type(obj.key) is tuple
+        gc.collect()
+        assert not gc.is_tracked(obj.key)
+
+    def test_lock_object_resource_is_a_resource_id(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.X, fast)
+        obj = manager._objects[row_key(0, 7)]
+        assert type(obj.resource) is ResourceId
+        assert obj.resource == row_resource(0, 7)
+        assert repr(obj.resource) == str(obj.resource) == "T0.R7"
+        assert repr(obj) == "LockObject(T0.R7, granted=[1:X], queue=[])"
+        with pytest.raises(LockManagerError, match=r"app 1 already holds T0\.R7$"):
+            obj.add_grant(1, LockMode.S)
+
+    def test_lock_status_is_unchanged(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        take(manager, 2, 0, 7, LockMode.S, fast)
+        assert manager.lock_status(row_resource(0, 7)) == "T0.R7: granted[1:S, 2:S] queue[]"
+        manager.release_all(1)
+        manager.release_all(2)
+        assert manager.lock_status(row_resource(0, 7)) == "T0.R7: unlocked"
+        manager.check_invariants()
+
+    def test_each_held_row_is_indexed_once(self, fast):
+        manager = self.manager()
+        for row in (7, 3, 9):
+            take(manager, 1, 0, row, LockMode.S, fast)
+        rec = manager._apps[1]
+        assert rec.held == {row_resource(0, 0).table()}
+        assert list(rec.rows[0]) == [row_key(0, 7), row_key(0, 3), row_key(0, 9)]
+        assert rec.row_count == 3
+        assert manager.release_all(1) == 4
+        assert not manager._objects
+        manager.check_invariants()
+
+
+class TestTraceText:
+    def test_trace_events_and_the_contended_view_print_resource_ids(self, env):
+        manager = LockManager(env, LockBlockChain(initial_blocks=2))
+        manager.tracer = LockTrace()
+        contended = []
+
+        def holder():
+            yield from manager.lock_row(1, 0, 7, LockMode.S)
+            yield env.timeout(5)
+            manager.release_read_lock(1, 0, 7)
+
+        def waiter():
+            yield env.timeout(1)
+            yield from manager.lock_row(2, 0, 7, LockMode.X)
+
+        def probe():
+            yield env.timeout(2)
+            contended.extend(manager.contended_objects().items())
+
+        for process in (holder(), waiter(), probe()):
+            env.process(process)
+        env.run()
+        assert [(e.time, e.kind, e.app_id, e.detail, e.resource) for e in manager.tracer] == [
+            (0.0, "grant", 1, "IS T0", "T0"),
+            (0.0, "grant", 1, "S T0.R7", "T0.R7"),
+            (1.0, "grant", 2, "IX T0", "T0"),
+            (1.0, "wait-begin", 2, "X T0.R7", "T0.R7"),
+            (5.0, "release", 1, "CS early release T0.R7", "T0.R7"),
+            (5.0, "wait-end", 2, "X T0.R7 after 4.000s", "T0.R7"),
+        ]
+        [(key, obj)] = contended
+        assert key == row_resource(0, 7) and str(obj.resource) == "T0.R7"
+        assert not manager.contended_objects()
+        manager.check_invariants()
