@@ -13,7 +13,9 @@ one held lock costs").  Two measurements, shape only -- no gate:
   that allocated them; one ``gc.collect()`` then shows which of those
   objects stay tracked (what every full collection walks: CPython
   untracks an exact tuple of ints at its first pass), and
-  ``release_all`` shows what is left behind;
+  ``release_all`` shows what is left behind; whatever either
+  collection finds unreachable -- a reference cycle the grant or
+  release path made -- is counted, not forgiven;
 * **service cycle**: the Fig. 10/11 surge shape through a
   ``ServiceStack`` (8 sessions round-robin with scripted tuning passes,
   then close), counting the cyclic collector's passes and seconds per
@@ -78,6 +80,10 @@ class HeldCost(NamedTuple):
     #: slots on a later insert, never on a delete.
     residue_bytes: int
     residue_tracked: int
+    #: Objects the two full collections (after the grants, after
+    #: ``release_all``) found unreachable: reference cycles the program
+    #: made, which a collection frees before the counts above see them.
+    cycles: int
 
 
 def _program_tracked(known: Set[int]) -> Dict[Line, int]:
@@ -138,10 +144,10 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
         before = tracemalloc.take_snapshot()
         take(1, locks)
         held = _program_allocations(before, known)
-        gc.collect()
+        cycles = gc.collect()
         surviving = _program_tracked(known)
         manager.release_all(1)
-        gc.collect()
+        cycles += gc.collect()
         left = _program_allocations(before, known)
         manager.check_invariants()  # after the count: its own first run is no residue
         table_growth = sys.getsizeof(manager._objects) - table_before
@@ -167,6 +173,7 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
         sites,
         sum(size for size, _ in left.values()) - table_growth,
         sum(tracked for _, tracked in left.values()),
+        cycles,
     )
 
 
@@ -245,7 +252,8 @@ def main() -> int:
         )
         print(
             f"  after release_all and gc: {cost.residue_bytes} bytes and "
-            f"{cost.residue_tracked} tracked objects remain"
+            f"{cost.residue_tracked} tracked objects remain; the collections "
+            f"found {cost.cycles} unreachable"
         )
 
     cycle = service_cycle(args.locks)

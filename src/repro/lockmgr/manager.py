@@ -1287,7 +1287,8 @@ class LockManager:
             if obj.waiters:
                 expected_contended.add(key)
         if expected_contended != set(self._contended):
+            filed = sorted(str(resource_of(k)) for k in self._contended)
+            waited = sorted(str(resource_of(k)) for k in expected_contended)
             raise LockManagerError(
-                f"contended set {sorted(map(str, self._contended))} != "
-                f"objects with waiters {sorted(map(str, expected_contended))}"
+                f"contended set {filed} != objects with waiters {waited}"
             )

@@ -160,7 +160,7 @@ def row_resource(table_id: int, row_id: int) -> ResourceId:
 
 def resource_of(key: LockKey) -> ResourceId:
     """The resource id a lock-table key stands for (prints ``T0.R7``)."""
-    return key if type(key) is ResourceId else _new(ResourceId, key)
+    return _new(ResourceId, key)
 
 
 def page_resource(table_id: int, page_id: int) -> ResourceId:

@@ -26,9 +26,12 @@ def test_a_held_row_lock_stays_thin_and_leaves_nothing_behind():
     for fast in (False, True):
         cost = footprint["held_lock_cost"](LOCKS, fast)
         assert cost.bytes_per_lock <= 295, (fast, cost.sites)
+        assert cost.tracked_per_lock <= 2.5, (fast, cost.sites)
         # What every full collection walks: the lock object, not its key.
         assert cost.surviving_per_lock <= 1.2, (fast, cost.sites)
         # What outlives release_all is a constant (interned resources,
         # the lock table's spare slots), never a share of the locks taken.
         assert cost.residue_bytes <= 16_384
         assert cost.residue_tracked <= 16
+        # The collections that empty the free lists free no cycle either.
+        assert cost.cycles == 0
