@@ -10,9 +10,13 @@ one held lock costs").  Two measurements, shape only -- no gate:
   and once through ``lock_row_fast``, the live service's grant path;
   ``tracemalloc`` and ``gc.get_objects()`` price one held lock in
   traced bytes and newly collector-tracked objects, by the source line
-  that allocated them; one ``gc.collect()`` then shows which of those
-  objects stay tracked (what every full collection walks: CPython
-  untracks an exact tuple of ints at its first pass), and
+  that allocated them.  The line marked ``<- grant word`` is the one
+  that built the lock table's entry for a held row: the grant word
+  ``(app_id, mode code, count, block id)`` an uncontended lock is
+  (a ``LockObject`` would show there instead).  One ``gc.collect()``
+  then shows which of those objects stay tracked (what every full
+  collection walks: CPython untracks an exact tuple of ints at its
+  first pass), and
   ``release_all`` shows what is left behind; whatever either
   collection finds unreachable -- a reference cycle the grant or
   release path made -- is counted, not forgiven;
@@ -72,6 +76,9 @@ class HeldCost(NamedTuple):
     tracked_per_lock: float
     surviving_per_lock: float
     sites: List[Site]
+    #: ``Site.where`` of the line that built the last row's lock-table
+    #: entry (its grant word).
+    word_site: str
     #: Still there after ``release_all`` and a full collection, in
     #: total (not per lock).  The collection empties the interpreter's
     #: free lists: the tuple free list alone keeps 2 000 of the freed
@@ -143,6 +150,8 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
         known = {id(obj) for obj in gc.get_objects()}
         before = tracemalloc.take_snapshot()
         take(1, locks)
+        entry = next(reversed(manager._objects.values()))  # the last row's
+        word_frame = tracemalloc.get_object_traceback(entry)[0]
         held = _program_allocations(before, known)
         cycles = gc.collect()
         surviving = _program_tracked(known)
@@ -155,10 +164,15 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
         tracemalloc.stop()
         if was_enabled:
             gc.enable()
+    def where(filename: str, lineno: int) -> str:
+        return (
+            f"{filename.split(PROGRAM)[-1]}:{lineno}  "
+            f"{linecache.getline(filename, lineno).split('  # ')[0].strip()}"
+        )
+
     sites = [
         Site(
-            f"{filename.split(PROGRAM)[-1]}:{lineno}  "
-            f"{linecache.getline(filename, lineno).strip()}",
+            where(filename, lineno),
             size / locks,
             tracked / locks,
             surviving.get((filename, lineno), 0) / locks,
@@ -171,6 +185,7 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
         sum(site.tracked_per_lock for site in sites),
         sum(site.surviving_per_lock for site in sites),
         sites,
+        where(word_frame.filename, word_frame.lineno),
         sum(size for size, _ in left.values()) - table_growth,
         sum(tracked for _, tracked in left.values()),
         cycles,
@@ -242,9 +257,10 @@ def main() -> int:
         )
         for site in cost.sites:
             if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01:
+                mark = "  <- grant word" if site.where == cost.word_site else ""
                 print(
                     f"  {site.bytes_per_lock:10.1f}  {site.tracked_per_lock:12.2f}  "
-                    f"{site.surviving_per_lock:8.2f}  {site.where}"
+                    f"{site.surviving_per_lock:8.2f}  {site.where}{mark}"
                 )
         print(
             f"  {cost.bytes_per_lock:10.1f}  {cost.tracked_per_lock:12.2f}  "

@@ -127,7 +127,7 @@ def run_fig3_lock_queuing() -> ExperimentResult:
     env.run(until=4.0)
     queue_modes = [
         w.mode.name
-        for obj in manager._objects.values()
+        for obj in manager.contended_objects().values()
         if obj.resource.is_row
         for w in obj.waiters
     ]

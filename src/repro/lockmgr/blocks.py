@@ -16,14 +16,15 @@ free slots form a list with these exact semantics from the paper:
 
 The chain is pure slot accounting -- it knows nothing about lock modes
 or applications.  The lock manager stores, with each lock structure it
-hands out, the :class:`LockBlock` the slot came from, and returns the
-slot to that block on release.
+hands out, the :class:`LockBlock` the slot came from -- or, in a grant
+word, that block's ``block_id`` -- and returns the slot to that block on
+release.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import MemoryAccountingError
 from repro.units import LOCKS_PER_BLOCK, PAGES_PER_BLOCK
@@ -73,8 +74,9 @@ class LockBlockChain:
 
     * the *availability list* -- a doubly linked list of blocks with at
       least one free slot, allocated from the head (section 2.2), and
-    * the set of all allocated blocks, full or not, for capacity
-      accounting.
+    * every allocated block, full or not, by ``block_id``, for capacity
+      accounting and for the lock manager's grant words, which name
+      their block by id.
     """
 
     def __init__(self, initial_blocks: int = 0, capacity_per_block: int = LOCKS_PER_BLOCK) -> None:
@@ -83,13 +85,14 @@ class LockBlockChain:
         self._capacity_per_block = capacity_per_block
         self._head: Optional[LockBlock] = None
         self._tail: Optional[LockBlock] = None
-        self._all_blocks: set = set()
+        #: block id -> block, every allocated block in allocation order.
+        self._blocks: Dict[int, LockBlock] = {}
         #: Outstanding lock structures.  Plain attributes, not
         #: properties, because the lock manager reads both on every
         #: grant; only the chain writes them.
         self.used_slots = 0
         #: Total lock structures the chain can currently store (the
-        #: cached sum of capacities over ``_all_blocks``).
+        #: cached sum of capacities over ``_blocks``).
         self.capacity_slots = 0
         self.add_blocks(initial_blocks)
 
@@ -98,7 +101,7 @@ class LockBlockChain:
     @property
     def block_count(self) -> int:
         """All allocated 128 KB blocks (in the list or exhausted)."""
-        return len(self._all_blocks)
+        return len(self._blocks)
 
     @property
     def free_slots(self) -> int:
@@ -122,7 +125,7 @@ class LockBlockChain:
 
     def entirely_free_blocks(self) -> int:
         """Blocks with zero outstanding structures (shrink candidates)."""
-        return sum(1 for b in self._all_blocks if b.is_empty)
+        return sum(1 for b in self._blocks.values() if b.is_empty)
 
     # -- linked-list plumbing ----------------------------------------------
 
@@ -186,7 +189,7 @@ class LockBlockChain:
             raise ValueError(f"block count must be non-negative, got {count}")
         for _ in range(count):
             block = LockBlock(self._capacity_per_block)
-            self._all_blocks.add(block)
+            self._blocks[block.block_id] = block
             self.capacity_slots += block.capacity
             self._push_tail(block)
         return count
@@ -210,15 +213,29 @@ class LockBlockChain:
             self._unlink(block)
         return block
 
+    def block(self, block_id: int) -> LockBlock:
+        """The allocated block with ``block_id``."""
+        block = self._blocks.get(block_id)
+        if block is None:
+            raise MemoryAccountingError(f"no block #{block_id} in this chain")
+        return block
+
     def free_slot(self, block: LockBlock) -> None:
-        """Return one lock structure to ``block``.
+        """Return one lock structure to ``block``."""
+        if self._blocks.get(block.block_id) is not block:
+            raise MemoryAccountingError(f"{block!r} does not belong to this chain")
+        self.free_slot_id(block.block_id)
+
+    def free_slot_id(self, block_id: int) -> None:
+        """Return one lock structure to the block with ``block_id``.
 
         A block that was exhausted re-enters the list **at the head**, so
         it is the next block new requests are satisfied from (paper
         section 2.2).
         """
-        if block not in self._all_blocks:
-            raise MemoryAccountingError(f"{block!r} does not belong to this chain")
+        block = self._blocks.get(block_id)
+        if block is None:
+            raise MemoryAccountingError(f"no block #{block_id} in this chain")
         used = block.used
         if used == 0:
             raise MemoryAccountingError(f"{block!r} has no outstanding structures")
@@ -256,7 +273,7 @@ class LockBlockChain:
             return 0  # reintegrate: we never unlinked, so nothing to undo
         for block in set_aside:
             self._unlink(block)
-            self._all_blocks.remove(block)
+            del self._blocks[block.block_id]
             self.capacity_slots -= block.capacity
         return len(set_aside)
 
@@ -269,19 +286,19 @@ class LockBlockChain:
         for block in listed:
             if block.is_full:
                 raise MemoryAccountingError(f"full block {block!r} is in the list")
-            if block not in self._all_blocks:
+            if self._blocks.get(block.block_id) is not block:
                 raise MemoryAccountingError(f"listed block {block!r} not in block set")
-        for block in self._all_blocks:
+        for block in self._blocks.values():
             if not block.is_full and block not in listed_set:
                 raise MemoryAccountingError(f"non-full block {block!r} missing from list")
             if not 0 <= block.used <= block.capacity:
                 raise MemoryAccountingError(f"block {block!r} has invalid used count")
-        total_used = sum(b.used for b in self._all_blocks)
+        total_used = sum(b.used for b in self._blocks.values())
         if total_used != self.used_slots:
             raise MemoryAccountingError(
                 f"used-slot counter {self.used_slots} != per-block sum {total_used}"
             )
-        total_capacity = sum(b.capacity for b in self._all_blocks)
+        total_capacity = sum(b.capacity for b in self._blocks.values())
         if total_capacity != self.capacity_slots:
             raise MemoryAccountingError(
                 f"capacity counter {self.capacity_slots} != per-block sum "

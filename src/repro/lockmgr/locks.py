@@ -1,7 +1,10 @@
 """Lock objects: granted holders plus a FIFO convoy of waiters.
 
-One :class:`LockObject` exists per actively locked resource.  Its state
-mirrors Figure 3 of the paper: compatible applications share the grant
+One :class:`LockObject` exists per *contended* resource -- one that has
+had a second holder or a waiter since it was last idle; the lock
+manager files a lock with one holder and no queue as a grant word
+instead (``repro.lockmgr.manager.GrantWord``).  Its state mirrors
+Figure 3 of the paper: compatible applications share the grant
 (e.g. two share-mode readers), while incompatible requests form a chain
 serviced strictly in request order -- "the previously described memory
 chaining method uses a post method so that requesters are serviced in
@@ -30,6 +33,8 @@ class HeldLock:
 
     The first holder's grant is its :class:`LockObject`, which carries
     the same four fields; readers take either through ``held_by``.
+    (A lone holder's grant is the lock manager's grant word, and has
+    no object at all.)
     Slotted, not a dataclass: no instance dict on the grant path.
     """
 
@@ -76,11 +81,11 @@ class AppLocks:
         #: then this set; the DES output does not depend on that order
         #: (``make des-identical`` checks it byte for byte).
         self.held: Set[LockKey] = set()
-        #: table id -> {row key -> its grant, as ``held_by`` returns
-        #: it}.  Storing the grant itself (not just the key) lets
-        #: escalation read row modes without a lock-object lookup per
-        #: row; the grant's mode field tracks in-place upgrades.
-        self.rows: Dict[int, Dict[LockKey, Grant]] = {}
+        #: table id -> {row key: None}, the row keys in grant order.
+        #: Keys only, not grants: a grant word is replaced, not updated,
+        #: on every re-grant, conversion or inflation, so a stored grant
+        #: would go stale.  Escalation reads row modes from the lock table.
+        self.rows: Dict[int, Dict[LockKey, None]] = {}
         #: Row locks held across all tables (the sum of ``rows`` sizes).
         self.row_count = 0
         #: Stamp of the first row lock (0 = none yet): the order in
@@ -121,10 +126,14 @@ class Waiter:
 
 
 class LockObject:
-    """Lock state for one resource, and its first holder's grant.
+    """Lock state for one contended resource, and its first holder's grant.
 
-    Almost every lock object lives and dies with one holder and no
-    queue, so that holder's grant *is* the object -- one allocation:
+    An uncontended lock has no object: the lock manager files it as a
+    grant word, and the first request that would add a second holder
+    or a waiter inflates that word into an object, the word's holder
+    inline and its count carried over.  The object then lives until the
+    resource is idle.  Its first holder's grant *is* the object -- one
+    allocation:
 
     * ``app_id`` / ``mode`` / ``count`` / ``block`` are the inline
       holder's grant, read like a :class:`HeldLock`'s: ``held_by``

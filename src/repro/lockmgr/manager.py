@@ -52,14 +52,20 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.engine.des import Environment
-from repro.errors import DeadlockError, LockManagerError
+from repro.errors import DeadlockError, LockManagerError, MemoryAccountingError
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.escalation import EscalationOutcome, EscalationStats
-from repro.lockmgr.locks import AppLocks, Grant, LockObject, Waiter
-from repro.lockmgr.modes import LockMode, covers, intent_mode_for_row, supremum
+from repro.lockmgr.locks import AppLocks, LockObject, Waiter
+from repro.lockmgr.modes import (
+    MODE_BY_CODE,
+    LockMode,
+    covers,
+    intent_mode_for_row,
+    supremum,
+)
 from repro.lockmgr.resources import (
     ROW_CODE,
     LockKey,
@@ -75,6 +81,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Paper Table 1: lockPercentPerApplication refresh period, 0x80 requests.
 REFRESH_PERIOD_FOR_APP_PERCENT = 0x80
+
+#: A lock with one holder and no queue, as the lock table files it:
+#: ``(app_id, mode code, count, block id)`` -- the holder, its mode's
+#: code (``MODE_BY_CODE``), its re-entrant count and the id of the
+#: block its structure came from.  An exact tuple of ints, which the
+#: cyclic collector untracks at its first pass; the first request that
+#: would add a second holder or a waiter inflates it into a
+#: :class:`LockObject` (see ``LockManager._inflate``).
+GrantWord = Tuple[int, int, int, int]
+_S_CODE = LockMode.S._idx  # type: ignore[attr-defined]
 
 
 class LockListFullError(LockManagerError):
@@ -218,11 +234,16 @@ class LockManager:
         #: victim (DB2's DLCHKTIME model).
         self.deadlock_detection = "immediate"
         self.stats = LockManagerStats()
-        #: key -> its lock object.  Row keys are plain tuples
-        #: (``row_key``), table keys ``ResourceId``s; each is equal to,
-        #: and hashes as, its resource's ``ResourceId``, so a lookup by
-        #: resource id finds it (``holder_mode``, ``lock_status``).
-        self._objects: Dict[LockKey, LockObject] = {}
+        #: key -> its grant word, or its lock object while the resource
+        #: has (or has had, since it was last idle) a second holder or a
+        #: waiter.  One rule for every key: the representation follows
+        #: contention, not the kind.  Only the grant and release paths
+        #: read words; everything that queues sees lock objects.  Row
+        #: keys are plain tuples (``row_key``), table keys
+        #: ``ResourceId``s; each is equal to, and hashes as, its
+        #: resource's ``ResourceId``, so a lookup by resource id finds it
+        #: (``holder_mode``, ``lock_status``).
+        self._objects: Dict[LockKey, Union[GrantWord, LockObject]] = {}
         #: app -> its one record: held set, rows by table, row count,
         #: first-row stamp and slot charge (see :class:`AppLocks`).
         self._apps: Dict[int, AppLocks] = {}
@@ -265,8 +286,10 @@ class LockManager:
         return rec.row_count if rec is not None else 0
 
     def holder_mode(self, app_id: int, resource: ResourceId) -> Optional[LockMode]:
-        obj = self._objects.get(resource)
-        return obj.holder_mode(app_id) if obj else None
+        entry = self._objects.get(resource)
+        if entry.__class__ is tuple:
+            return MODE_BY_CODE[entry[1]] if entry[0] == app_id else None
+        return entry.holder_mode(app_id) if entry is not None else None
 
     def waiting_apps(self) -> Set[int]:
         return set(self._waiting_on)
@@ -351,14 +374,22 @@ class LockManager:
         table_res = table_resource(table_id)
         intent = intent_mode_for_row(mode)
         # Fast path: the covering intent lock is usually already held.
-        tobj = self._objects.get(table_res)
-        theld = tobj.held_by(app_id) if tobj is not None else None
-        if theld is not None and covers(theld.mode, intent):
-            theld.count += 1
+        objects = self._objects
+        tent = objects.get(table_res)
+        if tent.__class__ is tuple:
+            theld = None
+            table_mode = MODE_BY_CODE[tent[1]] if tent[0] == app_id else None
+        else:
+            theld = tent.held_by(app_id) if tent is not None else None
+            table_mode = theld.mode if theld is not None else None
+        if table_mode is not None and covers(table_mode, intent):
+            if theld is None:
+                objects[table_res] = (app_id, tent[1], tent[2] + 1, tent[3])
+            else:
+                theld.count += 1
             self.stats.requests += 1
             self.stats.immediate_grants += 1
             self._tick_refresh()
-            table_mode = theld.mode
         else:
             yield from self._acquire(app_id, table_res, intent)
             table_mode = self.holder_mode(app_id, table_res)
@@ -389,15 +420,23 @@ class LockManager:
             return False  # slow path keeps the trace stream canonical
         objects = self._objects
         table_res = table_resource(table_id)
-        tobj = objects.get(table_res)
-        theld = tobj.held_by(app_id) if tobj is not None else None
+        tent = objects.get(table_res)
         intent = mode._intent  # type: ignore[attr-defined]
+        # A grant word is the grant of its one holder and has no queue,
+        # so a conversion on it never waits; another app's word needs
+        # only its mode's compatibility, and a new grant inflates it.
+        tword = tent.__class__ is tuple
+        if tword:
+            theld = tent if tent[0] == app_id else None
+            table_mode = MODE_BY_CODE[tent[1]]
+        else:
+            theld = tent.held_by(app_id) if tent is not None else None
+            table_mode = theld.mode if theld is not None else None
         # -- plan the table step --
         t_convert = False
         if theld is not None:
-            table_mode = theld.mode
             if not table_mode._covers_mask & intent._bit:  # type: ignore[attr-defined]
-                if not tobj.others_compatible(app_id, intent):
+                if not tword and not tent.others_compatible(app_id, intent):
                     return False  # the conversion would wait
                 # conversion: queue-jumps like _convert, needs no slot
                 t_convert = True
@@ -408,15 +447,20 @@ class LockManager:
                 self.stats.requests += 1
                 self.stats.immediate_grants += 1
                 self._tick_refresh()
-                if t_convert:
-                    tobj.upgrade_grant(app_id, intent)  # bumps theld.count
+                if tword:
+                    objects[table_res] = (app_id, table_mode._idx, tent[2] + 1, tent[3])  # type: ignore[attr-defined]
+                elif t_convert:
+                    tent.upgrade_grant(app_id, intent)  # bumps theld.count
                 else:
                     theld.count += 1
                 return True
             need = 0
         else:
-            if tobj is not None and (
-                tobj.waiters or not tobj.others_compatible(app_id, intent)
+            if tword:
+                if not table_mode._compat_mask & intent._bit:  # type: ignore[attr-defined]
+                    return False  # the intent grant itself would wait
+            elif tent is not None and (
+                tent.waiters or not tent.others_compatible(app_id, intent)
             ):
                 return False  # the intent grant itself would wait
             if intent._covers_mask & mode._bit:  # type: ignore[attr-defined]
@@ -425,17 +469,26 @@ class LockManager:
         # -- plan the row step --
         res = row_key(table_id, row_id)
         obj = objects.get(res)
-        held = obj.held_by(app_id) if obj is not None else None
+        rword = obj.__class__ is tuple
+        if rword:
+            held = obj if obj[0] == app_id else None
+            row_mode = MODE_BY_CODE[obj[1]]
+        else:
+            held = obj.held_by(app_id) if obj is not None else None
+            row_mode = held.mode if held is not None else None
         r_convert = False
         if held is not None:
             if theld is None:
                 return False  # row held without intent: slow path
-            if not held.mode._covers_mask & mode._bit:  # type: ignore[attr-defined]
-                if not obj.others_compatible(app_id, mode):
+            if not row_mode._covers_mask & mode._bit:  # type: ignore[attr-defined]
+                if not rword and not obj.others_compatible(app_id, mode):
                     return False  # the conversion would wait
                 r_convert = True
         else:
-            if obj is not None and (
+            if rword:
+                if not row_mode._compat_mask & mode._bit:  # type: ignore[attr-defined]
+                    return False  # the row grant would wait
+            elif obj is not None and (
                 obj.waiters or not obj.others_compatible(app_id, mode)
             ):
                 return False  # the row grant would wait
@@ -469,33 +522,41 @@ class LockManager:
         else:
             self._tick_refresh()
             self._tick_refresh()
-        # A fresh object is its first grant: add_grant's duplicate check
-        # and holder-shape dispatch have nothing to decide.
         if theld is None:
-            if tobj is None:
-                objects[table_res] = LockObject(table_res, app_id, intent, chain.allocate_slot())
+            block = chain.allocate_slot()
+            if tent is None:
+                objects[table_res] = (app_id, intent._idx, 1, block.block_id)  # type: ignore[attr-defined]
             else:
-                tobj.add_grant(app_id, intent, chain.allocate_slot())
+                (self._inflate(table_res, tent) if tword else tent).add_grant(
+                    app_id, intent, block
+                )
             rec.slots += 1
             rec.held.add(table_res)
+        elif tword:
+            objects[table_res] = (app_id, table_mode._idx, tent[2] + 1, tent[3])  # type: ignore[attr-defined]
         elif t_convert:
-            tobj.upgrade_grant(app_id, intent)  # bumps theld.count
+            tent.upgrade_grant(app_id, intent)  # bumps theld.count
         else:
             theld.count += 1
         if held is not None:
-            if r_convert:
+            if rword:
+                if r_convert:
+                    row_mode = supremum(row_mode, mode)
+                objects[res] = (app_id, row_mode._idx, obj[2] + 1, obj[3])  # type: ignore[attr-defined]
+            elif r_convert:
                 obj.upgrade_grant(app_id, mode)  # bumps held.count
             else:
                 held.count += 1
             return True
+        block = chain.allocate_slot()
         if obj is None:
-            held = objects[res] = LockObject(res, app_id, mode, chain.allocate_slot())
+            objects[res] = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
         else:
-            held = obj.add_grant(app_id, mode, chain.allocate_slot())
+            (self._inflate(res, obj) if rword else obj).add_grant(app_id, mode, block)
         rec.slots += 1
         if chain.used_slots > stats.peak_used_slots:
             stats.peak_used_slots = chain.used_slots
-        self._note_held(rec, res, held)
+        self._note_held(rec, res)
         return True
 
     def release_all(self, app_id: int) -> int:
@@ -525,26 +586,32 @@ class LockManager:
         rows_released = 0
         held_frees = 0
         objects = self._objects
-        free_slot = self.chain.free_slot
+        free_slot_id = self.chain.free_slot_id
         # Every row (grant order per table), then the table locks.
         for key in itertools.chain(*rec.rows.values(), rec.held):
             obj = objects.get(key)
-            if obj is None:
+            if key[0] == ROW_CODE:
+                rows_released += 1
+            if obj.__class__ is tuple and obj[0] == app_id:
+                # The usual case: the app's grant word, dropped with it.
+                del objects[key]
+                free_slot_id(obj[3])
+                held_frees += 1
+                continue
+            if obj is None or obj.__class__ is tuple:
                 raise LockManagerError(
                     f"app {app_id} does not hold {resource_of(key)}"
                 )
             if obj.app_id == app_id and obj.shared is None and not obj.waiters:
-                # The usual case: the object is its only grant and dies
-                # with it, so it is dropped as it is, not emptied first.
+                # Contention has passed: the object is its only grant and
+                # dies with it, so it is dropped as it is, not emptied first.
                 del objects[key]
                 held, obj = obj, None
             else:
                 held = obj.remove_grant(app_id)
             if held.block is not None:
-                free_slot(held.block)
+                free_slot_id(held.block.block_id)
                 held_frees += 1
-            if key[0] == ROW_CODE:
-                rows_released += 1
             if obj is not None:
                 if obj.waiters:
                     self._pump(obj)
@@ -571,14 +638,9 @@ class LockManager:
     def _acquire(self, app_id: int, key: LockKey, mode: LockMode):
         self.stats.requests += 1
         self._tick_refresh()
-        obj = self._objects.get(key)
-        held = obj.held_by(app_id) if obj is not None else None
-        if held is not None:
-            if covers(held.mode, mode):
-                held.count += 1
-                self.stats.immediate_grants += 1
-                return
-            yield from self._convert(app_id, obj, mode)
+        entry = self._objects.get(key)
+        if entry is not None and self._holds(entry, app_id):
+            yield from self._regrant(app_id, key, entry, mode)
             return
         if (
             self.chain.free_slots == 0
@@ -593,41 +655,81 @@ class LockManager:
                 if table_mode is not None and covers(table_mode, mode):
                     self.stats.immediate_grants += 1
                     return
-            obj = self._objects.get(key)  # may have come or gone meanwhile
-            held = obj.held_by(app_id) if obj is not None else None
-            if held is not None:  # appeared while we escalated or waited
-                if covers(held.mode, mode):
-                    held.count += 1
-                    self.stats.immediate_grants += 1
-                    return
-                yield from self._convert(app_id, obj, mode)
+            entry = self._objects.get(key)  # may have come or gone meanwhile
+            if entry is not None and self._holds(entry, app_id):
+                # appeared while we escalated or waited
+                yield from self._regrant(app_id, key, entry, mode)
                 return
         block = self.chain.allocate_slot()
         rec = self._charge_slot(app_id)
         if self.chain.used_slots > self.stats.peak_used_slots:
             self.stats.peak_used_slots = self.chain.used_slots
-        if obj is None:
+        if entry is None:
             # Only now that a structure is secured: a refused request
-            # must not leave an idle object behind.
-            held = self._objects[key] = LockObject(key, app_id, mode, block)
-        elif not obj.waiters and obj.others_compatible(app_id, mode):
-            held = obj.add_grant(app_id, mode, block)
+            # must not leave a grant behind.
+            self._objects[key] = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
         else:
-            waiter = Waiter(
-                app_id, mode, self.env.event(), block=block,
-                converting=False, enqueued_at=self.env.now,
-            )
-            obj.enqueue(waiter)
-            self._contended[key] = obj
-            # No _note_held here: a waited grant is recorded by _pump,
-            # the only place the wait event can succeed.
-            yield from self._wait(app_id, obj, waiter)
-            return
-        self._note_held(rec, key, held)
+            # A second holder or a waiter: inflate a word first.
+            obj = self._inflate(key, entry) if entry.__class__ is tuple else entry
+            if not obj.waiters and obj.others_compatible(app_id, mode):
+                obj.add_grant(app_id, mode, block)
+            else:
+                waiter = Waiter(
+                    app_id, mode, self.env.event(), block=block,
+                    converting=False, enqueued_at=self.env.now,
+                )
+                obj.enqueue(waiter)
+                self._contended[key] = obj
+                # No _note_held here: a waited grant is recorded by _pump,
+                # the only place the wait event can succeed.
+                yield from self._wait(app_id, obj, waiter)
+                return
+        self._note_held(rec, key)
         self.stats.immediate_grants += 1
         if self.tracer is not None:
             resource = resource_of(key)
             self._trace("grant", app_id, f"{mode.name} {resource}", str(resource))
+
+    @staticmethod
+    def _holds(entry: Union[GrantWord, LockObject], app_id: int) -> bool:
+        """True when ``app_id`` has a grant in this lock-table entry."""
+        if entry.__class__ is tuple:
+            return entry[0] == app_id
+        return entry.held_by(app_id) is not None
+
+    def _regrant(
+        self, app_id: int, key: LockKey, entry: Union[GrantWord, LockObject], mode: LockMode
+    ):
+        """Generator: a holder's request -- a re-grant of a covered mode,
+        else a conversion.  A word has no other holder, so its
+        conversion is immediate and is the word rewritten."""
+        if entry.__class__ is not tuple:
+            held = entry.held_by(app_id)
+            if covers(held.mode, mode):
+                held.count += 1
+                self.stats.immediate_grants += 1
+                return
+            yield from self._convert(app_id, entry, mode)
+            return
+        held_mode = MODE_BY_CODE[entry[1]]
+        new_mode = supremum(held_mode, mode)
+        self._objects[key] = (app_id, new_mode._idx, entry[2] + 1, entry[3])  # type: ignore[attr-defined]
+        self.stats.immediate_grants += 1
+        if new_mode is not held_mode and self.tracer is not None:
+            resource = resource_of(key)
+            self._trace("convert", app_id, f"-> {mode.name} {resource}", str(resource))
+
+    def _inflate(self, key: LockKey, word: GrantWord) -> LockObject:
+        """Replace ``key``'s grant word by the lock object a second
+        holder or a waiter needs: the word's holder inline, its count
+        carried over.  The row index holds keys, not grants, so nothing
+        else changes."""
+        app_id, code, count, block_id = word
+        obj = self._objects[key] = LockObject(
+            key, app_id, MODE_BY_CODE[code], self.chain.block(block_id)
+        )
+        obj.count = count
+        return obj
 
     def _convert(self, app_id: int, obj: LockObject, mode: LockMode):
         """Strengthen an already-held lock (no new structure needed)."""
@@ -788,8 +890,7 @@ class LockManager:
             if not waiter.converting:
                 # The queued request's structure was charged on
                 # enqueue, so the application's record exists.
-                app_id = waiter.app_id
-                self._note_held(self._apps[app_id], obj.key, obj.held_by(app_id))
+                self._note_held(self._apps[waiter.app_id], obj.key)
             waiter.event.succeed()
         if not obj.waiters:
             self._contended.pop(obj.key, None)
@@ -810,7 +911,13 @@ class LockManager:
 
     def _release_one(self, app_id: int, key: LockKey) -> int:
         obj = self._objects.get(key)
-        if obj is None:
+        if obj.__class__ is tuple and obj[0] == app_id:
+            del self._objects[key]
+            self.chain.free_slot_id(obj[3])
+            self._uncharge_slot(app_id)
+            self._forget_held(app_id, key)
+            return 1
+        if obj is None or obj.__class__ is tuple:
             raise LockManagerError(f"app {app_id} does not hold {resource_of(key)}")
         held = obj.remove_grant(app_id)
         freed = 0
@@ -843,10 +950,10 @@ class LockManager:
             raise LockManagerError(f"slot accounting underflow for app {app_id}")
         rec.slots -= 1
 
-    def _note_held(self, rec: AppLocks, key: LockKey, held: Grant) -> None:
-        """Index a fresh grant, once: a row in its table's row map (with
-        the row count and the first-row stamp), anything else in the
-        held set."""
+    def _note_held(self, rec: AppLocks, key: LockKey) -> None:
+        """Index a fresh grant's key, once: a row in its table's row map
+        (with the row count and the first-row stamp), anything else in
+        the held set."""
         if key[0] != ROW_CODE:
             rec.held.add(key)
             return
@@ -856,7 +963,7 @@ class LockManager:
         rows = rec.rows.get(key[1])
         if rows is None:
             rows = rec.rows[key[1]] = {}
-        rows[key] = held
+        rows[key] = None
         rec.row_count += 1
 
     def _forget_held(self, app_id: int, key: LockKey) -> None:
@@ -867,7 +974,8 @@ class LockManager:
             rec.held.discard(key)
             return
         rows = rec.rows.get(key[1])
-        if rows is not None and rows.pop(key, None) is not None:
+        if rows is not None and key in rows:
+            del rows[key]
             if not rows:
                 del rec.rows[key[1]]
             rec.row_count -= 1
@@ -1108,23 +1216,27 @@ class LockManager:
             if not rows:
                 continue
             scanned += len(rows)
-            # Inline escalation_target_mode with an early break: the row
-            # grants are at hand, so the first write mode settles it.
+            # Inline escalation_target_mode with an early break: the
+            # first write mode settles it.
             target = LockMode.S
-            for held_row in rows.values():
-                if held_row.mode.is_write:
+            for key in rows:
+                if self.holder_mode(app_id, key).is_write:
                     target = LockMode.X
                     break
             table_res = table_resource(table_id)
             obj = self._objects.get(table_res)
-            held = obj.held_by(app_id) if obj is not None else None
-            if held is None:
+            held_mode = self.holder_mode(app_id, table_res)
+            if held_mode is None:
                 raise LockManagerError(
                     f"app {app_id} holds rows of table {table_id} without intent lock"
                 )
             waited = False
-            if covers(held.mode, target):
+            if covers(held_mode, target):
                 pass  # already covered (e.g. SIX -> S)
+            elif obj.__class__ is tuple:  # its own word: nobody to wait for
+                self._objects[table_res] = (
+                    app_id, supremum(held_mode, target)._idx, obj[2] + 1, obj[3]  # type: ignore[attr-defined]
+                )
             elif obj.others_compatible(app_id, target):
                 obj.upgrade_grant(app_id, target)
             elif blocking:
@@ -1191,15 +1303,22 @@ class LockManager:
         released (or its re-entrancy count decremented).
         """
         key = row_key(table_id, row_id)
-        obj = self._objects.get(key)
-        held = obj.held_by(app_id) if obj is not None else None
-        if held is None:
-            return False
-        if held.mode is not LockMode.S:
-            return False  # upgraded to U/X: held to commit
-        if held.count > 1:
-            held.count -= 1
-            return True
+        entry = self._objects.get(key)
+        if entry.__class__ is tuple:
+            if entry[0] != app_id or entry[1] != _S_CODE:
+                return False  # not held, or upgraded to U/X: held to commit
+            if entry[2] > 1:
+                self._objects[key] = (app_id, _S_CODE, entry[2] - 1, entry[3])
+                return True
+        else:
+            held = entry.held_by(app_id) if entry is not None else None
+            if held is None:
+                return False
+            if held.mode is not LockMode.S:
+                return False  # upgraded to U/X: held to commit
+            if held.count > 1:
+                held.count -= 1
+                return True
         self._release_one(app_id, key)
         if self.tracer is not None:
             resource = resource_of(key)
@@ -1214,6 +1333,10 @@ class LockManager:
         ``T0.R7: granted[1:S, 2:S] queue[3:X, 4:S]``.
         """
         obj = self._objects.get(resource)
+        if obj.__class__ is tuple:
+            return (
+                f"{resource}: granted[{obj[0]}:{MODE_BY_CODE[obj[1]].name}] queue[]"
+            )
         if obj is None or obj.is_idle:
             return f"{resource}: unlocked"
         holders = ", ".join(
@@ -1252,10 +1375,11 @@ class LockManager:
             raise LockManagerError(
                 f"app slot total {slot_total} != chain used {self.chain.used_slots}"
             )
+        objects = self._objects
         for app_id, rec in self._apps.items():
             for key in rec.held:
-                obj = self._objects.get(key)
-                if key[0] == ROW_CODE or obj is None or obj.held_by(app_id) is None:
+                entry = objects.get(key)
+                if key[0] == ROW_CODE or entry is None or not self._holds(entry, app_id):
                     raise LockManagerError(
                         f"app {app_id} claims {resource_of(key)} but grant is "
                         "missing or is a row's (rows are indexed in rows only)"
@@ -1263,11 +1387,11 @@ class LockManager:
             total = 0
             for table_id, rows in rec.rows.items():
                 total += len(rows)
-                for key, held in rows.items():
-                    obj = self._objects.get(key)
+                for key in rows:
+                    entry = objects.get(key)
                     if (
                         key[0] != ROW_CODE or key[1] != table_id
-                        or obj is None or obj.held_by(app_id) is not held
+                        or entry is None or not self._holds(entry, app_id)
                     ):
                         raise LockManagerError(
                             f"row index stale: app {app_id} {resource_of(key)}"
@@ -1278,7 +1402,10 @@ class LockManager:
                     f"for app {app_id}"
                 )
         expected_contended = set()
-        for key, obj in self._objects.items():
+        for key, obj in objects.items():
+            if obj.__class__ is tuple:
+                self._check_word(key, obj)
+                continue
             if obj.is_idle:
                 raise LockManagerError(f"idle lock object kept for {obj.resource}")
             if obj.key != key:
@@ -1291,4 +1418,30 @@ class LockManager:
             waited = sorted(str(resource_of(k)) for k in expected_contended)
             raise LockManagerError(
                 f"contended set {filed} != objects with waiters {waited}"
+            )
+
+    def _check_word(self, key: LockKey, word: GrantWord) -> None:
+        """A grant word is four ints naming a mode, a count of at least
+        one and a block of this chain, and its key is indexed for its
+        holder (a row in its table's row map, a table in the held set)."""
+        resource = resource_of(key)
+        if len(word) != 4 or any(type(field) is not int for field in word):
+            raise LockManagerError(f"malformed grant word {word!r} on {resource}")
+        app_id, code, count, block_id = word
+        if not 0 <= code < len(MODE_BY_CODE) or count < 1:
+            raise LockManagerError(f"grant word {word} on {resource}: bad mode or count")
+        try:
+            self.chain.block(block_id)
+        except MemoryAccountingError:
+            raise LockManagerError(
+                f"grant word on {resource} names block #{block_id}, not in the chain"
+            ) from None
+        rec = self._apps.get(app_id)
+        if key[0] == ROW_CODE:
+            indexed = rec is not None and key in rec.rows.get(key[1], ())
+        else:
+            indexed = rec is not None and key in rec.held
+        if not indexed:
+            raise LockManagerError(
+                f"grant word on {resource} is not indexed for app {app_id}"
             )

@@ -159,7 +159,8 @@ N_MODES = len(LockMode)
 
 # Index-table variant of supremum for the hot path, plus the
 # per-member attributes the manager's grant path reads directly:
-# ``_idx`` (row/column in that table), ``_covers_mask`` (bits of the
+# ``_idx`` (row/column in that table, and the mode's code in a grant
+# word: see ``MODE_BY_CODE``), ``_covers_mask`` (bits of the
 # modes this one already grants the rights of) and ``_intent`` (the
 # table intent mode a row lock of this mode needs).  Attribute reads on
 # the member avoid both a function call and the enum metaclass.
@@ -187,6 +188,11 @@ def _bake_tables() -> None:
 
 _SUP_TABLE: list = []
 _bake_tables()
+
+#: Every mode by its code, ``mode._idx``: the small int the lock
+#: manager's grant words store instead of the member
+#: (``MODE_BY_CODE[mode._idx] is mode``).
+MODE_BY_CODE: Tuple[LockMode, ...] = tuple(LockMode)
 
 
 def supremum(a: LockMode, b: LockMode) -> LockMode:

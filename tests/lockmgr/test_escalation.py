@@ -12,7 +12,7 @@ from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.escalation import EscalationOutcome, EscalationStats
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.modes import LockMode
-from repro.lockmgr.resources import table_resource
+from repro.lockmgr.resources import resource_of, table_resource
 from tests.conftest import run_process
 
 
@@ -215,10 +215,11 @@ def test_memory_escalation_victim_matches_brute_force(ops):
             manager.release_all(app)
             first_row.pop(app, None)
         rows = collections.Counter(
-            held.app_id
-            for obj in manager._objects.values()
-            if obj.resource.is_row
-            for held in obj.holders()
+            holder
+            for key in manager._objects
+            if resource_of(key).is_row
+            for holder in VICTIM_APPS
+            if manager.holder_mode(holder, key) is not None
         )
         for holder in rows:
             first_row.setdefault(holder, next(stamps))

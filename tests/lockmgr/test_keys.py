@@ -61,6 +61,7 @@ class TestTheLockTableSpeaksResourceIds:
     def test_a_row_is_keyed_by_a_plain_tuple_the_collector_forgets(self, fast):
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
+        take(manager, 2, 0, 7, LockMode.S, fast)  # a second holder: an object
         obj = manager._objects[row_resource(0, 7)]
         assert type(obj.key) is tuple
         gc.collect()
@@ -68,12 +69,13 @@ class TestTheLockTableSpeaksResourceIds:
 
     def test_lock_object_resource_is_a_resource_id(self, fast):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.X, fast)
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        take(manager, 2, 0, 7, LockMode.S, fast)  # a second holder: an object
         obj = manager._objects[row_key(0, 7)]
         assert type(obj.resource) is ResourceId
         assert obj.resource == row_resource(0, 7)
         assert repr(obj.resource) == str(obj.resource) == "T0.R7"
-        assert repr(obj) == "LockObject(T0.R7, granted=[1:X], queue=[])"
+        assert repr(obj) == "LockObject(T0.R7, granted=[1:S, 2:S], queue=[])"
         with pytest.raises(LockManagerError, match=r"app 1 already holds T0\.R7$"):
             obj.add_grant(1, LockMode.S)
 
