@@ -29,12 +29,10 @@ from repro.lockmgr.resources import LockKey, ResourceId, resource_of
 
 
 class HeldLock:
-    """A second or later concurrent holder's grant (one lock structure).
+    """One holder's grant on a contended resource (one lock structure).
 
-    The first holder's grant is its :class:`LockObject`, which carries
-    the same four fields; readers take either through ``held_by``.
-    (A lone holder's grant is the lock manager's grant word, and has
-    no object at all.)
+    A lone holder's grant is the lock manager's grant word and has no
+    object at all; a :class:`LockObject` keeps one of these per holder.
     Slotted, not a dataclass: no instance dict on the grant path.
     """
 
@@ -56,10 +54,6 @@ class HeldLock:
             f"HeldLock(app={self.app_id}, mode={self.mode.name}, "
             f"count={self.count})"
         )
-
-
-#: One application's grant as ``LockObject.held_by`` returns it.
-Grant = Union[HeldLock, "LockObject"]
 
 
 class AppLocks:
@@ -126,22 +120,16 @@ class Waiter:
 
 
 class LockObject:
-    """Lock state for one contended resource, and its first holder's grant.
+    """Lock state for one contended resource.
 
     An uncontended lock has no object: the lock manager files it as a
     grant word, and the first request that would add a second holder
     or a waiter inflates that word into an object, the word's holder
-    inline and its count carried over.  The object then lives until the
-    resource is idle.  Its first holder's grant *is* the object -- one
-    allocation:
+    first and its count carried over.  The object then lives until the
+    resource is idle:
 
-    * ``app_id`` / ``mode`` / ``count`` / ``block`` are the inline
-      holder's grant, read like a :class:`HeldLock`'s: ``held_by``
-      returns the object itself.  ``app_id`` None is a vacancy, which
-      ``held_by`` never returns; nobody else holding, a grant refills it;
-    * ``shared`` (app id -> grant, in grant order) is created when a
-      second application joins: the object itself first while its
-      inline holder stays, a :class:`HeldLock` for every later holder;
+    * ``grants`` (app id -> :class:`HeldLock`) lists the holders in
+      grant order;
     * ``counts`` packs one holder count per lock mode into a single int
       (``COUNT_FIELD_BITS`` each, see ``modes.py``), so compatibility
       checks cost one AND, not O(#holders) -- popular share-locked rows
@@ -153,21 +141,19 @@ class LockObject:
     go through the methods here so the counts stay consistent.
     """
 
-    __slots__ = ("key", "app_id", "mode", "count", "block", "shared", "waiters", "counts")
+    __slots__ = ("key", "grants", "waiters", "counts")
 
     def __init__(
         self, key: LockKey, app_id: Optional[int] = None, mode=None, block=None
     ) -> None:
-        """An object with no holder, or created by ``app_id``'s fresh
-        grant (the manager's uncontended path: nothing to check)."""
+        """An object with no holder, or with ``app_id``'s fresh grant
+        (nothing to check)."""
         #: Its lock-table key: a ``ResourceId`` or the plain tuple equal
         #: to one (``row_key``); ``resource`` is the printable id.
         self.key = key
-        self.app_id = app_id
-        self.mode = mode
-        self.count = 1
-        self.block = block
-        self.shared: Optional[Dict[int, Grant]] = None
+        self.grants: Dict[int, HeldLock] = (
+            {} if app_id is None else {app_id: HeldLock(app_id, mode, 1, block)}
+        )
         self.waiters: Union[Deque[Waiter], Tuple[()]] = ()
         # A first holder shares the mode's baked unit: no int allocated.
         self.counts = 0 if app_id is None else mode._unit
@@ -181,20 +167,15 @@ class LockObject:
     @property
     def is_idle(self) -> bool:
         """True when nobody holds or waits for this resource."""
-        return self.app_id is None and not self.shared and not self.waiters
+        return not self.grants and not self.waiters
 
-    def held_by(self, app_id: int) -> Optional[Grant]:
+    def held_by(self, app_id: int) -> Optional[HeldLock]:
         """``app_id``'s grant on this resource, or None."""
-        if self.app_id == app_id:
-            return self
-        shared = self.shared
-        return shared.get(app_id) if shared is not None else None
+        return self.grants.get(app_id)
 
-    def holders(self) -> Iterable[Grant]:
+    def holders(self) -> Iterable[HeldLock]:
         """Every grant on this resource, in grant order."""
-        if self.shared is not None:
-            return self.shared.values()
-        return (self,) if self.app_id is not None else ()
+        return self.grants.values()
 
     def holder_mode(self, app_id: int) -> Optional[LockMode]:
         """Mode ``app_id`` currently holds, or None."""
@@ -213,30 +194,21 @@ class LockObject:
 
     # -- counted mutations ------------------------------------------------
 
-    def add_grant(self, app_id: int, mode: LockMode, block=None) -> Grant:
+    def add_grant(self, app_id: int, mode: LockMode, block=None) -> HeldLock:
         """Record a fresh grant (caller verified compatibility)."""
-        if self.held_by(app_id) is not None:
+        grants = self.grants
+        if app_id in grants:
             raise LockManagerError(f"app {app_id} already holds {self.resource}")
-        shared = self.shared
-        held: Grant = self
-        if self.app_id is None and not shared:  # nobody holds: fill the vacancy
-            self.app_id, self.mode, self.count, self.block = app_id, mode, 1, block
-            self.shared = None
-        else:
-            held = HeldLock(app_id, mode, 1, block)
-            if shared is None:
-                self.shared = {self.app_id: self, app_id: held}
-            else:
-                shared[app_id] = held
+        held = grants[app_id] = HeldLock(app_id, mode, 1, block)
         # A first holder shares the mode's baked unit: no int allocated.
         counts = self.counts
         unit = mode._unit  # type: ignore[attr-defined]
         self.counts = counts + unit if counts else unit
         return held
 
-    def upgrade_grant(self, app_id: int, mode: LockMode) -> Grant:
+    def upgrade_grant(self, app_id: int, mode: LockMode) -> HeldLock:
         """Strengthen an existing grant to sup(held, requested)."""
-        held = self.held_by(app_id)
+        held = self.grants.get(app_id)
         if held is None:
             raise LockManagerError(
                 f"app {app_id} holds nothing on {self.resource} to upgrade"
@@ -248,16 +220,11 @@ class LockObject:
         held.count += 1
         return held
 
-    def remove_grant(self, app_id: int) -> Grant:
-        """Drop a holder entirely (release path).  The inline holder gets
-        the object back: read its ``block`` before a pump refills it."""
-        held = self.held_by(app_id)
+    def remove_grant(self, app_id: int) -> HeldLock:
+        """Drop a holder entirely (release path)."""
+        held = self.grants.pop(app_id, None)
         if held is None:
             raise LockManagerError(f"app {app_id} does not hold {self.resource}")
-        if self.shared is not None:
-            del self.shared[app_id]
-        if held is self:
-            self.app_id = None
         self.counts -= held.mode._unit  # type: ignore[attr-defined]
         return held
 
@@ -329,15 +296,10 @@ class LockObject:
         return blockers
 
     def check_invariants(self) -> None:
-        """Verify the holder layout, the packed counts and the queue
+        """Verify the holder map, the packed counts and the queue
         representation (``LockManager.check_invariants`` runs it)."""
-        shared = self.shared
-        if shared is not None:
-            # (a vacancy listed as a holder fails this: its app_id is None)
-            if any(held.app_id != app_id for app_id, held in shared.items()):
-                raise LockManagerError(f"shared misfiles a grant on {self.resource}")
-            if self.app_id is not None and next(iter(shared.values()), None) is not self:
-                raise LockManagerError(f"inline holder not first on {self.resource}")
+        if any(held.app_id != app_id for app_id, held in self.grants.items()):
+            raise LockManagerError(f"grants misfile a holder on {self.resource}")
         expected = sum(held.mode._unit for held in self.holders())  # type: ignore[attr-defined]
         if expected != self.counts:
             raise LockManagerError(

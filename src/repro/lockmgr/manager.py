@@ -602,21 +602,14 @@ class LockManager:
                 raise LockManagerError(
                     f"app {app_id} does not hold {resource_of(key)}"
                 )
-            if obj.app_id == app_id and obj.shared is None and not obj.waiters:
-                # Contention has passed: the object is its only grant and
-                # dies with it, so it is dropped as it is, not emptied first.
-                del objects[key]
-                held, obj = obj, None
-            else:
-                held = obj.remove_grant(app_id)
+            held = obj.remove_grant(app_id)
             if held.block is not None:
                 free_slot_id(held.block.block_id)
                 held_frees += 1
-            if obj is not None:
-                if obj.waiters:
-                    self._pump(obj)
-                if obj.app_id is None and not obj.shared and not obj.waiters:
-                    del objects[key]
+            if obj.waiters:
+                self._pump(obj)
+            if obj.is_idle:
+                del objects[key]
         freed += held_frees
         if rec.row_count != rows_released:
             raise LockManagerError(
@@ -721,14 +714,14 @@ class LockManager:
 
     def _inflate(self, key: LockKey, word: GrantWord) -> LockObject:
         """Replace ``key``'s grant word by the lock object a second
-        holder or a waiter needs: the word's holder inline, its count
+        holder or a waiter needs: the word's holder first, its count
         carried over.  The row index holds keys, not grants, so nothing
         else changes."""
         app_id, code, count, block_id = word
         obj = self._objects[key] = LockObject(
             key, app_id, MODE_BY_CODE[code], self.chain.block(block_id)
         )
-        obj.count = count
+        obj.grants[app_id].count = count
         return obj
 
     def _convert(self, app_id: int, obj: LockObject, mode: LockMode):

@@ -344,7 +344,7 @@ class TestMemoryPressure:
 
     def test_check_invariants_checks_every_lock_object(self, env):
         """The manager's check runs each object's own: packed counts that
-        disagree with the holders, or a holder layout out of order."""
+        disagree with the holders, or a grant filed under another app."""
         manager = make_manager(env)
         run_process(env, grab_row(manager, 1, 0, 5, LockMode.S))
         run_process(env, grab_row(manager, 2, 0, 5, LockMode.S))
@@ -355,9 +355,9 @@ class TestMemoryPressure:
             manager.check_invariants()
         obj.counts -= LockMode.X._unit
         manager.check_invariants()
-        assert obj.held_by(1) is obj and next(iter(obj.shared)) == 1
-        obj.shared = dict(reversed(obj.shared.items()))
-        with pytest.raises(LockManagerError, match="inline holder not first"):
+        assert list(obj.grants) == [1, 2]
+        obj.grants[1].app_id = 3
+        with pytest.raises(LockManagerError, match="misfile a holder"):
             manager.check_invariants()
 
     def test_escalation_prefers_biggest_table(self, env):
