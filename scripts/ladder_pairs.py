@@ -2,28 +2,35 @@
 """Alternating before/after pairs of one benchmark workload, with a verdict.
 
     python scripts/ladder_pairs.py BASE CHANGE --workload W [--pairs 10]
-        [--seconds 20] [--seed 3201]
+        [--seed 3201]
 
 Exports the two git revs (``git archive``: clean trees of the tracked
 files) into two directories whose paths have the same length -- the
 length of the export path alone has moved a timing by 14 % -- and runs
 the benchmark's own ``benchmarks/ladder/run.py --workload W --trace 0``
-from each, unchanged.  Pair ``i`` runs both sides with seed
-``--seed + i``, the base first in even pairs and the change first in
-odd ones, so a drift of the host over the session falls on both sides.
+from each, unchanged, for the benchmark's ``run_seconds``.  Pair ``i``
+runs both sides with seed ``--seed + i``, the base first in even pairs
+and the change first in odd ones, so a drift of the host over the
+session falls on both sides.
 ``BASE`` and ``CHANGE`` may name the same rev: that is the control pair
 that shows what the host alone does.
 
 Prints every pair's end-to-end metrics, then for each metric (its
 direction and bound from ``BENCHMARK.json``) the medians and quartiles
-of both sides, the pairs the change won, and a verdict:
+of both sides, the pairs the change won, and the first verdict that
+holds:
 
+* ``more failures`` -- the change's runs failed more operations in
+  total than the base's (no gain counts then);
+* ``unresolved`` -- the base's runs spread too widely to tell: the
+  distance between its quartiles is more than the metric's bound times
+  its median, and not every change run beats every base run;
 * ``gain`` -- the change won at least 9 of every 10 pairs (and there
   were at least 10) and its median is better than the base's by more
   than the distance between the base's quartiles;
 * ``worse beyond bound`` -- its median is worse than the base's by more
   than the metric's relative bound;
-* ``no claim`` -- neither.
+* ``no claim`` -- none of these.
 
 Exit 0 when every run produced its result, 1 when one did not.  The
 exports are made under ``$TMPDIR`` and removed afterwards.
@@ -41,7 +48,7 @@ import sys
 import tarfile
 import tempfile
 from statistics import median, quantiles
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: A gain must win this share of the pairs (9 of 10) ...
@@ -72,11 +79,18 @@ def quartiles(values: List[float]) -> Tuple[float, float]:
 
 
 def verdict(
-    base: List[float], change: List[float], better: str, bound: float
+    base: List[float],
+    change: List[float],
+    better: str,
+    bound: float,
+    base_failed: Sequence[int] = (),
+    change_failed: Sequence[int] = (),
 ) -> Verdict:
     """Judge paired runs of one metric: ``base[i]`` and ``change[i]``
     ran in the same pair; ``better`` is ``"higher"`` or ``"lower"``;
-    ``bound`` is the relative worsening the metric is allowed."""
+    ``bound`` is the relative worsening the metric is allowed;
+    ``base_failed`` / ``change_failed`` are each run's failed
+    operations (none when left empty)."""
     if len(base) != len(change) or not base:
         raise ValueError("need the same, non-zero number of runs on each side")
     sign = 1.0 if better == "higher" else -1.0
@@ -86,7 +100,12 @@ def verdict(
     improvement = sign * (c_median - b_median)
     gain = improvement / abs(b_median) if b_median else 0.0
     pairs = len(base)
-    if (
+    beats_every_base_run = min(sign * c for c in change) > max(sign * b for b in base)
+    if sum(change_failed) > sum(base_failed):
+        outcome = "more failures"
+    elif b_q3 - b_q1 > bound * abs(b_median) and not beats_every_base_run:
+        outcome = "unresolved"
+    elif (
         pairs >= MIN_PAIRS
         and wins >= MIN_WIN_SHARE * pairs
         and improvement > b_q3 - b_q1
@@ -142,17 +161,17 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--seed", type=int, default=3201)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     workdir = tempfile.mkdtemp(prefix="ladder-pairs-")
     # Same parent, same-length names: the two paths differ in one letter.
     trees = {"base": os.path.join(workdir, "a"), "change": os.path.join(workdir, "b")}
     values: Dict[str, Dict[str, List[float]]] = {side: {} for side in trees}
+    failed: Dict[str, List[int]] = {side: [] for side in trees}
     ok = True
     try:
         export(args.base, trees["base"])
@@ -179,8 +198,9 @@ def main(argv=None) -> int:
                     value = result["metrics"][metric["name"]]["value"]
                     values[side].setdefault(metric["name"], []).append(value)
                     cells.append(f"{metric['name']}={value:.4g}")
-                failed = f"  failed {result['failed']}/{result['attempted']}"
-                print(f"  {side:6s}  " + "  ".join(cells) + failed, flush=True)
+                failed[side].append(result["failed"])
+                cells.append(f"failed {result['failed']}/{result['attempted']}")
+                print(f"  {side:6s}  " + "  ".join(cells), flush=True)
                 ok = ok and result["correct"]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -193,7 +213,10 @@ def main(argv=None) -> int:
         base, change = values["base"].get(name), values["change"].get(name)
         if not base or not change:
             continue
-        v = verdict(base, change, metric["better"], metric["bound"])
+        v = verdict(
+            base, change, metric["better"], metric["bound"],
+            failed["base"], failed["change"],
+        )
         sides = [
             f"{middle:.6g} [{q1:.6g}, {q3:.6g}]"
             for middle, (q1, q3) in (

@@ -1,6 +1,7 @@
 """``scripts/ladder_pairs.py``'s verdict: 9 of 10 pairs and beyond the
 base's quartile spread make a gain; a median worse than the bound is
-named."""
+named; more failed operations or a base spread wider than the bound
+rule a gain out."""
 
 import importlib.util
 import pathlib
@@ -65,6 +66,37 @@ def test_a_median_worse_than_the_bound_is_named():
     rss = [80.0] * 10
     assert pairs.verdict(rss, [89.0] * 10, "lower", 0.1).verdict == "worse beyond bound"
     assert pairs.verdict(rss, [87.0] * 10, "lower", 0.1).verdict == "no claim"
+
+
+def test_more_failed_operations_refuse_a_gain():
+    change = [b + 5.0 for b in BASE]
+    none, one = [0] * 10, [0] * 9 + [1]
+    assert pairs.verdict(BASE, change, "higher", 0.25, none, none).verdict == "gain"
+    assert pairs.verdict(BASE, change, "higher", 0.25, one, one).verdict == "gain"
+    v = pairs.verdict(BASE, change, "higher", 0.25, none, one)
+    assert (v.wins, v.verdict) == (10, "more failures")
+    # Fewer failures than the base are no obstacle.
+    assert pairs.verdict(BASE, change, "higher", 0.25, one, none).verdict == "gain"
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    wide = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]
+    q1, q3 = pairs.quartiles(wide)
+    assert q3 - q1 > 0.25 * 100.0
+    # A change that wins every pair but overlaps the base's runs ...
+    change = [b + 50.0 for b in wide]
+    assert pairs.verdict(wide, change, "higher", 0.25).verdict == "unresolved"
+    # ... and one no better, whose median is worse beyond the bound.
+    assert pairs.verdict(wide, [b * 0.7 for b in wide], "higher", 0.25).verdict == (
+        "unresolved"
+    )
+    # Every change run beats every base run: the spread cannot hide that.
+    above = [b + 100.0 for b in wide]
+    assert pairs.verdict(wide, above, "higher", 0.25).verdict == "gain"
+    below = [b - 100.0 for b in wide]
+    assert pairs.verdict(wide, below, "lower", 0.25).verdict == "gain"
+    # The same runs under a looser bound are resolved.
+    assert pairs.verdict(wide, change, "higher", 0.5).verdict == "gain"
 
 
 def test_the_sides_must_pair_up():
