@@ -15,8 +15,8 @@ over as its field tuple, unpacked in place; an op -> method table
 (``_ThreadedConnection._OPS``) runs it.  A LOCK_ROW gets exactly one
 immediate-grant attempt on the reader (``LockService.try_lock_row``:
 one mutex acquire, no handoff), ops that cannot park run there too, and
-only a request that may genuinely park a thread (a contended lock, a
-table lock, a batch) is pushed to the thread pool, which finishes it
+only a request that may genuinely park a thread (a contended lock or a
+table lock) is pushed to the thread pool, which finishes it
 through the same two methods the reader uses.  Mode-byte validation,
 ``FLAG_NO_REPLY`` and the mapping of exceptions onto error frames each
 live in one place, and a sampled request is the same request, plus its
@@ -82,7 +82,7 @@ class ServiceBackend:
         self.name = name
         #: Optional :class:`repro.obs.tracing.ServerTracer` -- when set,
         #: requests carrying a sampled trace context run with the hop
-        #: clock on and their OK replies carry a hop report.
+        #: clock on and their OK replies carry the hop durations.
         self.tracer = tracer
         manager = getattr(service, "manager", None)
         incidents = getattr(manager, "incidents", None)
@@ -299,12 +299,11 @@ class _ThreadedConnection:
         hand-over for a parked request, whose wait for a thread is
         ``server.executor_park``), ``server.lock_wait`` is the service
         call, ``server.reply_encode`` service completion to reply
-        assembly; the byte pack lands in ``client.net_wait``.  A failed
-        request records its dispatch time only and ships no report.
+        assembly; the byte pack lands in ``client.net_wait``.  The four
+        ride back as the traced OK's tail.  A failed request records its
+        dispatch time only, and an OK carrying data ships no hops.
         """
-        data = b""
-        if value.__class__ is bytes:
-            data, value = value, 0
+        report = None
         if clock is not None:
             ended = time.perf_counter()
             arrived, parked, started = clock
@@ -318,7 +317,6 @@ class _ThreadedConnection:
                     time.perf_counter() - ended,
                 )
                 hops = dict(zip(SERVER_HOPS, report))
-                data = wire.pack_hop_report(*report)
             # Recorded before the reply goes out: whoever has seen the
             # reply finds the span in the ring.
             self._tracer.record(
@@ -332,10 +330,10 @@ class _ThreadedConnection:
             return
         if exc is not None:
             self._send(wire.encode_frame(wire.encode_error(f[2], exc)))
-        elif data:
-            self._send(wire.encode_frame(wire.encode_ok(f[2], value, data)))
+        elif value.__class__ is bytes:
+            self._send(wire.encode_frame(wire.encode_ok(f[2], 0, value)))
         else:
-            self._send(wire.pack_ok_frame(f[2], value))
+            self._send(wire.pack_ok_frame(f[2], value, report))
 
     def _open(self, app_id: int) -> None:
         """Open ``app_id`` for its first frame: an id of one of this
@@ -355,11 +353,6 @@ class _ThreadedConnection:
         )
 
     # -- the op table: a request's fields in, its OK value out --
-
-    def _open_session(self, f: tuple) -> int:
-        app_id = self._service.open_session()
-        self._sessions.add(app_id)
-        return app_id
 
     def _reserve_ids(self, f: tuple) -> bytes:
         ids = self._service.reserve_app_ids(APP_ID_BLOCK)
@@ -402,16 +395,6 @@ class _ThreadedConnection:
         )
         return 1
 
-    def _batch_lock(self, f: tuple) -> int:
-        timeout = _timeout(f)
-        count = f[4]
-        for i in range(5, 5 + 3 * count, 3):  # past app id and count
-            self._service.lock_row(
-                f[3], f[i], f[i + 1], wire.lock_mode(f[i + 2]),
-                timeout_s=timeout,
-            )
-        return count
-
     def _stats(self, f: tuple) -> bytes:
         payload = self._backend.stats_payload()
         return json.dumps(payload, default=_json_safe).encode("utf-8")
@@ -420,7 +403,6 @@ class _ThreadedConnection:
         return 0
 
     _OPS = {
-        wire.OP_OPEN_SESSION: _open_session,
         wire.OP_CLOSE_SESSION: _close_session,
         wire.OP_ADOPT_SESSION: _adopt_session,
         wire.OP_RELEASE_ALL: _release_all,
@@ -428,7 +410,6 @@ class _ThreadedConnection:
         wire.OP_UNLOCK_READ: _unlock_read,
         wire.OP_LOCK_ROW: _lock_row,
         wire.OP_LOCK_TABLE: _lock_table,
-        wire.OP_BATCH_LOCK: _batch_lock,
         wire.OP_STATS: _stats,
         wire.OP_PING: _ping,
         wire.OP_RESERVE_IDS: _reserve_ids,

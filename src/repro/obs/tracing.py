@@ -35,10 +35,11 @@ A sampled request is decomposed into the **closed hop vocabulary**
     Waiting for an executor thread after dispatch chose the parking
     path (0 for inline grants).
 ``server.reply_encode``
-    Building the reply on the server (hop-report assembly and framing
+    Building the reply on the server (the hop durations and framing
     setup; the final byte pack is small and lands in ``client.net_wait``).
 ``client.decode``
-    Parsing the reply's hop report back on the client.
+    Turning the traced OK's hop tail into the trace on the client (the
+    reader unpacks the reply in place, inside ``client.net_wait``).
 
 The hops are *disjoint by construction* -- ``client.net_wait``
 subtracts the server-reported time from the client's wall wait, clamped
@@ -89,8 +90,8 @@ NET_HOPS = frozenset(h for h in HOP_NAMES if h != "server.lock_wait")
 #: Hops that are genuine lock-manager time.
 LOCK_HOPS = frozenset({"server.lock_wait"})
 
-#: Hops measured on the server and shipped back in the reply's hop
-#: report, in wire order (see ``repro.net.protocol.pack_hop_report``).
+#: Hops measured on the server and shipped back as the traced OK's
+#: tail, in wire order (see ``repro.net.protocol.pack_ok_frame``).
 SERVER_HOPS = (
     "server.dispatch",
     "server.lock_wait",

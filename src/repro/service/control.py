@@ -42,13 +42,22 @@ from repro.obs.incidents import IncidentLog, IncidentRecorder
 from repro.obs.registry import MetricRegistry
 from repro.obs.tracing import hop_percentiles, wire_tax_summary
 from repro.obs.waits import merged_class_totals
-from repro.service.broker import BrokerConfig, WorkloadProfile
 from repro.service.clock import Clock, MonotonicClock
 from repro.service.ledger import AggregateLockChain, MemoryLedger
 from repro.service.ops import OpsServer
 from repro.service.sweep import DeadlockSweep
 from repro.service.tuner import TunerDaemon
 from repro.units import PAGES_PER_BLOCK, round_pages_to_blocks
+
+
+#: The brokered PMC heaps beside the bufferpool (the fourth), with the
+#: share of databaseMemory each starts with when ``broker`` is on.
+BROKER_HEAPS = (("sortheap", 0.06), ("hashjoin", 0.04), ("pkgcache", 0.05))
+
+
+def _broker_heap_pages(fraction: float, total_pages: int) -> int:
+    """A brokered heap's starting size, floored at one 128 KB block."""
+    return max(PAGES_PER_BLOCK, int(fraction * total_pages))
 
 
 @dataclass
@@ -94,21 +103,10 @@ class ServiceConfig:
     #: stalls).  Off keeps every hot path at one ``is None`` check.
     wait_profile: bool = False
     #: Enable the whole-memory broker: sort/hashjoin/pkgcache heaps join
-    #: the registry, benefit-driven block trading runs each tuning pass,
-    #: and memory pressure drives the admission posture state machine.
+    #: the registry (:data:`BROKER_HEAPS`), benefit-driven block trading
+    #: runs each tuning pass, and memory pressure drives the admission
+    #: posture state machine.
     broker: bool = False
-    #: Starting shares of databaseMemory for the brokered PMC heaps
-    #: (only used when ``broker`` is on; bufferpool_fraction above is
-    #: the fourth).  Each is floored at one 128 KB block.
-    sortheap_fraction: float = 0.06
-    hashjoin_fraction: float = 0.04
-    pkgcache_fraction: float = 0.05
-    #: Broker knobs (None = BrokerConfig defaults).
-    broker_config: Optional[BrokerConfig] = None
-    #: The modelled workload rates the estimators assume (None =
-    #: WorkloadProfile defaults; fields accept callables for scripted
-    #: demand sequences).
-    broker_profile: Optional[WorkloadProfile] = None
 
     def __post_init__(self) -> None:
         if self.initial_locklist_pages < PAGES_PER_BLOCK:
@@ -120,19 +118,10 @@ class ServiceConfig:
         bufferpool = int(self.bufferpool_fraction * self.total_memory_pages)
         initial = locklist + bufferpool
         if self.broker:
-            for fraction in (
-                self.sortheap_fraction,
-                self.hashjoin_fraction,
-                self.pkgcache_fraction,
-            ):
-                if fraction < 0:
-                    raise ConfigurationError(
-                        f"broker heap fractions must be non-negative, "
-                        f"got {fraction}"
-                    )
-                initial += max(
-                    PAGES_PER_BLOCK, int(fraction * self.total_memory_pages)
-                )
+            initial += sum(
+                _broker_heap_pages(fraction, self.total_memory_pages)
+                for _, fraction in BROKER_HEAPS
+            )
         if initial >= self.total_memory_pages:
             raise ConfigurationError(
                 "initial heaps oversubscribe database memory"
@@ -212,17 +201,13 @@ def build_memory_registry(cfg: ServiceConfig) -> DatabaseMemoryRegistry:
         # The remaining PMC consumers the paper's section 2.1 names;
         # each keeps at least one block so it can always re-enter the
         # trading ranking as a receiver.
-        for name, fraction in (
-            ("sortheap", cfg.sortheap_fraction),
-            ("hashjoin", cfg.hashjoin_fraction),
-            ("pkgcache", cfg.pkgcache_fraction),
-        ):
+        for name, fraction in BROKER_HEAPS:
             registry.register(
                 MemoryHeap(
                     name,
                     HeapCategory.PMC,
-                    size_pages=max(
-                        PAGES_PER_BLOCK, int(fraction * cfg.total_memory_pages)
+                    size_pages=_broker_heap_pages(
+                        fraction, cfg.total_memory_pages
                     ),
                     min_pages=PAGES_PER_BLOCK,
                 )

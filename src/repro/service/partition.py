@@ -114,6 +114,11 @@ class LocalPartition:
             return self.chain.release_blocks(count, partial=True)
 
     def set_maxlocks(self, fraction: float) -> bool:
+        # Checked before it is stored: a worker's manager re-reads the
+        # stored fraction at every refresh, so one bad push would fail
+        # every later lock request there.
+        if not 0.0 < fraction <= 1.0:
+            raise ServiceError(f"MAXLOCKS fraction {fraction!r} not in (0, 1]")
         self.maxlocks_fraction = fraction
         with self.service._cond:  # noqa: SLF001
             self.service.manager.refresh_maxlocks()

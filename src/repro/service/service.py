@@ -218,14 +218,7 @@ class LockService:
 
     def open_session(self) -> int:
         """Allocate an application id and register the session."""
-        with self._mutex:
-            self._ensure_open()
-            app_id = next(self._app_ids)
-            self._sessions.add(app_id)
-            self.stats.sessions_opened += 1
-            if len(self._sessions) > self.stats.peak_sessions:
-                self.stats.peak_sessions = len(self._sessions)
-            return app_id
+        return self._open()
 
     def reserve_app_ids(self, count: int) -> range:
         """Hand out the next ``count`` ids of :meth:`open_session`'s
@@ -242,14 +235,21 @@ class LockService:
         The caller (the wire server) vouches that the id is one it
         reserved and has not opened before.
         """
+        self._open(app_id)
+
+    def _open(self, app_id: Optional[int] = None) -> int:
+        """Register ``app_id`` (default: the next id) as an open session."""
         with self._mutex:
             self._ensure_open()
-            if app_id in self._sessions:
+            if app_id is None:
+                app_id = next(self._app_ids)
+            elif app_id in self._sessions:
                 raise ServiceError(f"session {app_id} is already registered")
             self._sessions.add(app_id)
             self.stats.sessions_opened += 1
             if len(self._sessions) > self.stats.peak_sessions:
                 self.stats.peak_sessions = len(self._sessions)
+            return app_id
 
     def adopt_session(self, app_id: int) -> None:
         """Register an externally allocated application id.

@@ -225,15 +225,7 @@ class ShardedLockService:
     # -- session lifecycle -------------------------------------------------
 
     def open_session(self) -> int:
-        with self._slock:
-            if self._closed:
-                raise ServiceClosedError("lock service is closed")
-            app_id = next(self._app_ids)
-            self._sessions[app_id] = _Session()
-            self.stats.sessions_opened += 1
-            if len(self._sessions) > self.stats.peak_sessions:
-                self.stats.peak_sessions = len(self._sessions)
-            return app_id
+        return self._open()
 
     def reserve_app_ids(self, count: int) -> range:
         """See :meth:`LockService.reserve_app_ids`."""
@@ -244,15 +236,22 @@ class ShardedLockService:
 
     def open_reserved(self, app_id: int) -> None:
         """See :meth:`LockService.open_reserved`."""
+        self._open(app_id)
+
+    def _open(self, app_id: Optional[int] = None) -> int:
+        """Register ``app_id`` (default: the next id) as an open session."""
         with self._slock:
             if self._closed:
                 raise ServiceClosedError("lock service is closed")
-            if app_id in self._sessions:
+            if app_id is None:
+                app_id = next(self._app_ids)
+            elif app_id in self._sessions:
                 raise ServiceError(f"session {app_id} is already registered")
             self._sessions[app_id] = _Session()
             self.stats.sessions_opened += 1
             if len(self._sessions) > self.stats.peak_sessions:
                 self.stats.peak_sessions = len(self._sessions)
+            return app_id
 
     def close_session(self, app_id: int) -> int:
         """Release the session's locks in every adopted shard."""

@@ -137,7 +137,7 @@ class ServiceStack(ControlPlane):
             # and the escalation count as a rate).
             estimators = default_estimators(
                 self.registry,
-                cfg.broker_profile or WorkloadProfile(),
+                WorkloadProfile(),
                 locklist_used_pages=self.controller.used_pages,
                 locklist_escalation_rate=RateMeter(self.escalation_count),
                 locklist_min_free_fraction=cfg.params.min_free_fraction,
@@ -146,7 +146,6 @@ class ServiceStack(ControlPlane):
                 self.registry,
                 estimators,
                 admission=self.admission,
-                config=cfg.broker_config,
                 metrics=self.metrics,
             )
             self.tuner.broker = self.broker

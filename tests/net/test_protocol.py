@@ -30,6 +30,11 @@ def frames_of(*payloads: bytes) -> bytes:
     return b"".join(wire.encode_frame(p) for p in payloads)
 
 
+def request(op: int, request_id: int, *body, **kwargs) -> bytes:
+    """One request payload, packed by the protocol's one request packer."""
+    return wire.pack_request(op, request_id, body, **kwargs)[4:]
+
+
 # ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
@@ -42,7 +47,7 @@ class TestFrameDecoder:
         assert decoder.pending_bytes == 0
 
     def test_byte_by_byte_partial_reads(self):
-        payload = wire.encode_ping(12345)
+        payload = request(wire.OP_PING, 12345)
         stream = wire.encode_frame(payload)
         decoder = wire.FrameDecoder()
         out = []
@@ -130,7 +135,7 @@ class TestSplitFrames:
     returned into frames, exactly as ``feed`` does."""
 
     def test_matches_decoder_feed_on_random_chunkings(self):
-        payloads = [wire.encode_ping(i) for i in range(20)]
+        payloads = [request(wire.OP_PING, i) for i in range(20)]
         stream = frames_of(*payloads)
         # Deterministic pseudo-random chunk sizes.
         chunks, x = [], 123456789
@@ -175,13 +180,16 @@ class TestSplitFrames:
 
 
 class TestRequestCodec:
-    def test_open_session_roundtrip(self):
-        req = wire.decode_request(wire.encode_open_session(7))
-        assert (req.op, req.request_id) == (wire.OP_OPEN_SESSION, 7)
+    @pytest.mark.parametrize("op", [0x01, 0x05])
+    def test_retired_ops_are_unknown(self, op):
+        # A bare session open (0x01) and a batch of row locks (0x05).
+        with pytest.raises(wire.ProtocolError, match=f"unknown request op 0x0{op}"):
+            wire.decode_request(struct.pack("!BBQ", op, 0, 7))
 
     @pytest.mark.parametrize("no_reply", [False, True])
     def test_close_session_roundtrip(self, no_reply):
-        payload = wire.encode_close_session(9, 42, no_reply=no_reply)
+        flags = wire.FLAG_NO_REPLY if no_reply else 0
+        payload = request(wire.OP_CLOSE_SESSION, 9, 42, flags=flags)
         req = wire.decode_request(payload)
         assert req.op == wire.OP_CLOSE_SESSION
         assert req.app_id == 42
@@ -189,16 +197,17 @@ class TestRequestCodec:
 
     @pytest.mark.parametrize("no_reply", [False, True])
     def test_release_all_roundtrip(self, no_reply):
+        flags = wire.FLAG_NO_REPLY if no_reply else 0
         req = wire.decode_request(
-            wire.encode_release_all(3, 17, no_reply=no_reply)
+            request(wire.OP_RELEASE_ALL, 3, 17, flags=flags)
         )
         assert req.op == wire.OP_RELEASE_ALL
         assert (req.app_id, req.no_reply) == (17, no_reply)
 
     def test_adopt_and_cancel_roundtrip(self):
-        adopt = wire.decode_request(wire.encode_adopt_session(1, 23))
+        adopt = wire.decode_request(request(wire.OP_ADOPT_SESSION, 1, 23))
         assert (adopt.op, adopt.app_id) == (wire.OP_ADOPT_SESSION, 23)
-        cancel = wire.decode_request(wire.encode_cancel(2, 23))
+        cancel = wire.decode_request(request(wire.OP_CANCEL, 2, 23))
         assert (cancel.op, cancel.app_id) == (wire.OP_CANCEL, 23)
 
     def test_lock_row_roundtrip_without_timeout(self):
@@ -218,39 +227,19 @@ class TestRequestCodec:
         assert req.has_timeout and req.timeout_s == 2.5
 
     def test_lock_table_roundtrip(self):
-        payload = wire.encode_lock_table(
-            4, 8, 15, wire.wire_mode(LockMode.IX), timeout_s=-1.0
+        payload = request(
+            wire.OP_LOCK_TABLE, 4, 8, 15, wire.wire_mode(LockMode.IX),
+            timeout_s=-1.0,
         )
         req = wire.decode_request(payload)
         assert (req.app_id, req.table_id) == (8, 15)
         assert req.timeout_s == -1.0
 
-    def test_batch_lock_roundtrip(self):
-        accesses = [(1, 2, 0), (3, 4, 1), (-5, 6, 2)]
-        req = wire.decode_request(wire.encode_batch_lock(6, 77, accesses))
-        assert req.app_id == 77
-        assert req.accesses == accesses
-
-    def test_batch_over_limit_rejected_at_encode(self):
-        too_many = [(0, i, 0) for i in range(wire.MAX_BATCH_ACCESSES + 1)]
-        with pytest.raises(wire.ProtocolError):
-            wire.encode_batch_lock(1, 1, too_many)
-
-    def test_batch_over_limit_rejected_at_decode(self):
-        # Hand-craft a header announcing an absurd count: must be
-        # rejected on the count alone, before touching the accesses.
-        payload = (
-            struct.pack("!BBQ", wire.OP_BATCH_LOCK, 0, 1)
-            + struct.pack("!QI", 1, wire.MAX_BATCH_ACCESSES + 1)
-        )
-        with pytest.raises(wire.ProtocolError):
-            wire.decode_request(payload)
-
     def test_unlock_read_stats_ping_roundtrip(self):
-        unlock = wire.decode_request(wire.encode_unlock_read(1, 2, 3, 4))
+        unlock = wire.decode_request(request(wire.OP_UNLOCK_READ, 1, 2, 3, 4))
         assert (unlock.app_id, unlock.table_id, unlock.row_id) == (2, 3, 4)
-        assert wire.decode_request(wire.encode_stats(5)).op == wire.OP_STATS
-        assert wire.decode_request(wire.encode_ping(6)).op == wire.OP_PING
+        assert wire.decode_request(request(wire.OP_STATS, 5)).op == wire.OP_STATS
+        assert wire.decode_request(request(wire.OP_PING, 6)).op == wire.OP_PING
 
     def test_truncated_header_rejected(self):
         with pytest.raises(wire.ProtocolError):
@@ -261,7 +250,7 @@ class TestRequestCodec:
             wire.decode_request(struct.pack("!BBQ", 0x7F, 0, 1))
 
     def test_wrong_body_size_rejected(self):
-        payload = wire.encode_close_session(1, 2) + b"\x00"
+        payload = request(wire.OP_CLOSE_SESSION, 1, 2) + b"\x00"
         with pytest.raises(wire.ProtocolError):
             wire.decode_request(payload)
 
@@ -357,37 +346,38 @@ I64 = st.integers(-(2**63), 2**63 - 1)
 U8 = st.integers(0, 255)
 TIMEOUT = st.none() | st.floats(allow_nan=False)
 TRACE = st.none() | st.tuples(U64, U64, st.booleans())
-SESSION_OPS = {
-    wire.OP_CLOSE_SESSION: wire.encode_close_session,
-    wire.OP_RELEASE_ALL: wire.encode_release_all,
-    wire.OP_ADOPT_SESSION: wire.encode_adopt_session,
-    wire.OP_CANCEL: wire.encode_cancel,
-}
-BARE_OPS = {
-    wire.OP_OPEN_SESSION: wire.encode_open_session,
-    wire.OP_STATS: wire.encode_stats,
-    wire.OP_PING: wire.encode_ping,
-    wire.OP_RESERVE_IDS: wire.encode_reserve_ids,
+HOPS = st.tuples(*[st.floats(allow_nan=False)] * 4)
+#: Each request op's body, spelled out here apart from the codec's
+#: layout table: the format after the header, and the Request fields
+#: it fills.
+BODIES = {
+    wire.OP_CLOSE_SESSION: ("Q", ("app_id",)),
+    wire.OP_LOCK_ROW: ("QqqB", ("app_id", "table_id", "row_id", "mode")),
+    wire.OP_LOCK_TABLE: ("QqB", ("app_id", "table_id", "mode")),
+    wire.OP_UNLOCK_READ: ("Qqq", ("app_id", "table_id", "row_id")),
+    wire.OP_RELEASE_ALL: ("Q", ("app_id",)),
+    wire.OP_ADOPT_SESSION: ("Q", ("app_id",)),
+    wire.OP_CANCEL: ("Q", ("app_id",)),
+    wire.OP_STATS: ("", ()),
+    wire.OP_PING: ("", ()),
+    wire.OP_RESERVE_IDS: ("", ()),
 }
 
 
 @st.composite
 def requests(draw):
     """(the Request a frame should decode to, its trace context)."""
-    op = draw(st.sampled_from(sorted(wire._BODY)).filter(lambda o: o < 0x80))
+    op = draw(st.sampled_from(sorted(BODIES)))
     req = wire.Request(op, draw(U64), no_reply=draw(st.booleans()))
-    if op not in BARE_OPS:
+    if op not in wire.SESSIONLESS_OPS:
         req.app_id = draw(U64)
         req.opens = draw(st.booleans())
     if op in (wire.OP_LOCK_ROW, wire.OP_LOCK_TABLE, wire.OP_UNLOCK_READ):
         req.table_id = draw(I64)
     if op in (wire.OP_LOCK_ROW, wire.OP_UNLOCK_READ):
         req.row_id = draw(I64)
-    if op in (wire.OP_LOCK_ROW, wire.OP_LOCK_TABLE):
+    if op in wire.WAITING_OPS:
         req.mode = draw(U8)
-    if op == wire.OP_BATCH_LOCK:
-        req.accesses = draw(st.lists(st.tuples(I64, I64, U8), max_size=5))
-    if op in (wire.OP_LOCK_ROW, wire.OP_LOCK_TABLE, wire.OP_BATCH_LOCK):
         req.timeout_s = draw(TIMEOUT)
         req.has_timeout = req.timeout_s is not None
     trace = draw(TRACE)
@@ -397,37 +387,21 @@ def requests(draw):
 
 
 def encode(req: wire.Request, trace) -> bytes:
-    """``req`` through its op's public encoder.
-
-    What an encoder has no argument for -- FLAG_NO_REPLY on most ops,
-    FLAG_OPEN, the trace tail on all but LOCK_ROW -- is spliced in by
-    hand: the flags byte is payload[1], tails are appended, trace last.
-    """
-    rid, app = req.request_id, req.app_id
-    if req.op in BARE_OPS:
-        payload = BARE_OPS[req.op](rid)
-    elif req.op in SESSION_OPS:
-        payload = SESSION_OPS[req.op](rid, app)
-    elif req.op == wire.OP_LOCK_ROW:
-        payload = wire.encode_lock_row(
-            rid, app, req.table_id, req.row_id, req.mode, req.timeout_s, trace
-        )
-        trace = None  # already in
-    elif req.op == wire.OP_LOCK_TABLE:
-        payload = wire.encode_lock_table(
-            rid, app, req.table_id, req.mode, req.timeout_s
-        )
-    elif req.op == wire.OP_BATCH_LOCK:
-        payload = wire.encode_batch_lock(rid, app, req.accesses, req.timeout_s)
-    else:
-        payload = wire.encode_unlock_read(rid, app, req.table_id, req.row_id)
-    flags = payload[1] | (wire.FLAG_NO_REPLY if req.no_reply else 0)
+    """``req``'s payload, packed by hand from :data:`BODIES`: header,
+    body, then the timeout tail and the trace tail its flags announce."""
+    fmt, names = BODIES[req.op]
+    flags = wire.FLAG_NO_REPLY if req.no_reply else 0
     flags |= wire.FLAG_OPEN if req.opens else 0
-    tail = b""
+    values = [getattr(req, name) for name in names]
+    if req.has_timeout:
+        fmt += "d"
+        flags |= wire.FLAG_HAS_TIMEOUT
+        values.append(req.timeout_s)
     if trace is not None:
+        fmt += "QQB"
         flags |= wire.FLAG_TRACE
-        tail = struct.pack("!QQB", *trace)
-    return payload[:1] + bytes([flags]) + payload[2:] + tail
+        values.extend(trace)
+    return struct.pack("!BBQ" + fmt, req.op, flags, req.request_id, *values)
 
 
 class TestFastPaths:
@@ -437,12 +411,6 @@ class TestFastPaths:
         req, trace = drawn
         payload = encode(req, trace)
         assert wire.decode_request(payload) == req
-        # The no_reply flag of the two ops whose encoder takes it.
-        if req.op in (wire.OP_CLOSE_SESSION, wire.OP_RELEASE_ALL):
-            if trace is None and not req.opens:
-                assert payload == SESSION_OPS[req.op](
-                    req.request_id, req.app_id, no_reply=req.no_reply
-                )
         lock_row = (
             req.request_id, req.app_id, req.table_id, req.row_id, req.mode,
             req.timeout_s,
@@ -451,16 +419,19 @@ class TestFastPaths:
             assert wire.encode_frame(payload) == wire.pack_lock_row_frame(
                 *lock_row, trace
             )
-        # Every shape, flags and all, is the one packer's frame.
-        body = tuple(
-            getattr(req, name) for name in wire._BODY[req.op][2]
-        ) + ((len(req.accesses),) if req.op == wire.OP_BATCH_LOCK else ())
-        body += tuple(v for access in req.accesses for v in access)
+            assert payload == wire.encode_lock_row(*lock_row, trace)
+        # Every shape, flags and all, is the one packer's frame ...
+        body = tuple(getattr(req, name) for name in BODIES[req.op][1])
         extra = wire.FLAG_NO_REPLY if req.no_reply else 0
         extra |= wire.FLAG_OPEN if req.opens else 0
-        assert wire.pack_request(
+        frame = wire.pack_request(
             req.op, req.request_id, body, req.timeout_s, trace, extra
-        ) == wire.encode_frame(payload)
+        )
+        assert frame == wire.encode_frame(payload)
+        # ... and a fixed shape the reader unpacks in place.
+        assert wire.FrameDecoder().receive(chunked([frame])) == [
+            wire.request_fields(payload)
+        ]
         # The fast parse takes exactly the plain LOCK_ROW shapes, and
         # reads them as the dataclass codec does.
         plain = (
@@ -470,11 +441,58 @@ class TestFastPaths:
         )
         assert wire.try_parse_lock_row(payload) == (lock_row if plain else None)
 
+    def test_every_request_shape_and_both_oks_are_fixed(self):
+        flag_bits = (
+            wire.FLAG_HAS_TIMEOUT, wire.FLAG_NO_REPLY, wire.FLAG_TRACE,
+            wire.FLAG_OPEN,
+        )
+        frames = []
+        for op, (fmt, _) in BODIES.items():
+            for flags in range(1 << len(flag_bits)):
+                flags = sum(b for i, b in enumerate(flag_bits) if flags >> i & 1)
+                if flags & wire.FLAG_HAS_TIMEOUT and op not in wire.WAITING_OPS:
+                    continue  # a timeout only on an op that may wait
+                if flags & wire.FLAG_OPEN and op in wire.SESSIONLESS_OPS:
+                    continue  # an open only on an op naming a session
+                frames.append(
+                    wire.pack_request(
+                        op, 7, (0,) * len(fmt),
+                        1.5 if flags & wire.FLAG_HAS_TIMEOUT else None,
+                        (1, 2, True) if flags & wire.FLAG_TRACE else None,
+                        flags & (wire.FLAG_NO_REPLY | wire.FLAG_OPEN),
+                    )
+                )
+        assert {f[4] << 8 | f[5] for f in frames} | {
+            wire.RESP_OK << 8, wire.RESP_OK << 8 | wire.FLAG_TRACE
+        } == set(wire._FIXED)
+        frames += [wire.pack_ok_frame(7, 1), wire.pack_ok_frame(7, 1, (1.0,) * 4)]
+        for frame in frames:
+            (received,) = wire.FrameDecoder().receive(chunked([frame]))
+            assert isinstance(received, tuple)
+            assert payload_of(received) == frame[4:]
+
     @settings(max_examples=100, deadline=None)
-    @given(U64, I64, st.binary(max_size=40))
+    @given(U64, I64, st.binary(max_size=40), st.none() | HOPS)
     def test_every_ok_response_round_trips_through_both_codecs(
-        self, rid, value, data
+        self, rid, value, data, hops
     ):
+        if hops is not None:
+            # The traced OK: the plain one flagged, the hop tail appended.
+            plain = wire.encode_ok(rid, value)
+            payload = wire.pack_ok_frame(rid, value, hops)[4:]
+            assert payload == (
+                plain[:1] + bytes([wire.FLAG_TRACE]) + plain[2:]
+                + struct.pack("!4d", *hops)
+            )
+            assert wire.decode_response(payload) == wire.Response(
+                rid, True, value=value, hops=hops
+            )
+            assert wire.try_parse_ok(payload) is None
+            (frame,) = wire.FrameDecoder().receive(
+                chunked([wire.encode_frame(payload)])
+            )
+            assert frame == (wire.RESP_OK, wire.FLAG_TRACE, rid, value, *hops)
+            return
         payload = wire.encode_ok(rid, value, data)
         assert wire.decode_response(payload) == wire.Response(
             rid, True, value=value, data=data
@@ -492,7 +510,7 @@ class TestFastPaths:
         assert wire.try_parse_lock_row(timed) == (9, 1, 2, 3, 4, 0.25)
 
     def test_try_parse_lock_row_falls_back_on_other_ops(self):
-        assert wire.try_parse_lock_row(wire.encode_ping(1)) is None
+        assert wire.try_parse_lock_row(request(wire.OP_PING, 1)) is None
 
     def test_try_parse_ok_roundtrip_and_fallback(self):
         payload = wire.encode_ok(5, 17)
@@ -582,16 +600,6 @@ class TestTraceExtension:
         )
         assert wire.try_parse_lock_row(timed) is None
 
-    def test_hop_report_roundtrip(self):
-        packed = wire.pack_hop_report(0.001, 0.25, 0.0, 0.0005)
-        assert len(packed) == wire.HOP_REPORT_BYTES
-        assert wire.parse_hop_report(packed) == (0.001, 0.25, 0.0, 0.0005)
-
-    def test_hop_report_rejects_wrong_size(self):
-        assert wire.parse_hop_report(b"") is None
-        assert wire.parse_hop_report(b"\x00" * 31) is None
-        assert wire.parse_hop_report(b"\x00" * 33) is None
-
 
 # ---------------------------------------------------------------------------
 # Stream helpers
@@ -625,11 +633,14 @@ class TestRouterHelpers:
 
 @st.composite
 def responses(draw):
-    """An OK, an OK carrying data, or an error reply, as a payload."""
+    """An OK (plain, traced or carrying data) or an error reply, as a
+    payload."""
     rid = draw(U64)
-    kind = draw(st.sampled_from(["ok", "data", "error"]))
+    kind = draw(st.sampled_from(["ok", "traced", "data", "error"]))
     if kind == "ok":
         return wire.encode_ok(rid, draw(I64))
+    if kind == "traced":
+        return wire.pack_ok_frame(rid, draw(I64), draw(HOPS))[4:]
     if kind == "data":
         return wire.encode_ok(rid, draw(I64), draw(st.binary(min_size=1, max_size=40)))
     return wire.encode_error(rid, DeadlockError(draw(st.text(max_size=20))))

@@ -92,11 +92,9 @@ class TestRoundTrips:
         app = client.open_session()
         client.lock_row(app, 1, 1, LockMode.X)
         client.lock_row(app, 1, 2, LockMode.S, timeout_s=1.0)
-        granted = client.lock_rows(
-            app, [(2, 1, LockMode.X), (2, 2, LockMode.X)]
-        )
-        assert granted == 2
-        assert client.rollback(app) > 0
+        for row in (1, 2):
+            client.lock_row(app, 2, row, LockMode.X)
+        assert client.rollback(app) == 6  # two intents, four rows
         assert client.close_session(app) == 0
 
     def test_unlock_read_over_the_wire(self, client):
@@ -253,7 +251,9 @@ class TestFraming:
             lock_client.lock_row(app, 1, 1, LockMode.X)
             (conn,) = lock_client._rec(app).conns.values()
             conn.send_only(
-                wire.encode_frame(wire.encode_release_all(0, app, no_reply=True))
+                wire.pack_request(
+                    wire.OP_RELEASE_ALL, 0, (app,), flags=wire.FLAG_NO_REPLY
+                )
             )
             other = lock_client.open_session()
             lock_client.lock_row(other, 1, 1, LockMode.X, timeout_s=0.5)
@@ -267,16 +267,12 @@ class TestFramesThatCannotBePacked:
     @pytest.mark.parametrize(
         "call",
         [
-            # One sub-batch over MAX_BATCH_ACCESSES.
-            lambda c, app: c.lock_rows(
-                app, [(1, row, LockMode.S) for row in range(5000)]
-            ),
             # A row id past the i64 wire field.
             lambda c, app: c.lock_row(app, 1, 2**70, LockMode.S),
             # A table id past the i64 wire field, on a control op.
             lambda c, app: c.lock_table(app, 2**70, LockMode.IS),
         ],
-        ids=["oversized-batch", "row-out-of-range", "table-out-of-range"],
+        ids=["row-out-of-range", "table-out-of-range"],
     )
     def test_refused_without_a_pending_entry(self, server, call):
         with RoutedLockClient([server.address], pool_size=1) as lock_client:
@@ -297,7 +293,7 @@ class TestFramesThatCannotBePacked:
             lambda: wire.pack_lock_row_frame(1, 2, 3, 2**70, X),
             lambda: wire.pack_lock_row_frame(1, -1, 3, 4, X, timeout_s=1.0),
             lambda: wire.pack_lock_row_frame(1, 2, 3, 4, 256),
-            lambda: wire.encode_close_session(1, 2**64),
+            lambda: wire.pack_request(wire.OP_CLOSE_SESSION, 1, (2**64,)),
             lambda: wire.encode_lock_row(1, 2, 3, 4, X, trace=(2**64, 0, True)),
         ):
             with pytest.raises(wire.ProtocolError):
@@ -327,10 +323,12 @@ class TestStopServesWhatWasSent:
             app = raw.open_session()
             assert raw.exchange(wire.pack_lock_row_frame(2, app, 3, 7, X)).ok
             assert stack.chain.used_slots == 2
-            raw.send(wire.encode_frame(wire.encode_ping(3)))
+            raw.send(wire.pack_request(wire.OP_PING, 3))
             assert entered.wait(5.0)
             raw.send(
-                wire.encode_frame(wire.encode_release_all(0, app, no_reply=True))
+                wire.pack_request(
+                    wire.OP_RELEASE_ALL, 0, (app,), flags=wire.FLAG_NO_REPLY
+                )
             )
             stopper = threading.Thread(target=server.stop)
             stopper.start()
@@ -368,6 +366,7 @@ class RawConnection:
             self.sock = socket.create_connection(address, timeout=5.0)
         self._decoder = wire.FrameDecoder()
         self._replies = []
+        self._ids = iter(())
 
     def send(self, frame: bytes) -> None:
         self.sock.sendall(frame)
@@ -382,13 +381,23 @@ class RawConnection:
         return self.reply()
 
     def open_session(self) -> int:
-        return self.exchange(
-            wire.encode_frame(wire.encode_open_session(1))
-        ).value
+        """A session opened as the client opens one: a reserved id, and
+        a first frame (here a RELEASE_ALL) flagged FLAG_OPEN."""
+        app = next(self._ids, None)
+        if app is None:
+            self._ids = iter(self.reserve())
+            app = next(self._ids)
+        resp = self.exchange(
+            wire.pack_request(
+                wire.OP_RELEASE_ALL, 1, (app,), flags=wire.FLAG_OPEN
+            )
+        )
+        assert resp.ok, resp.error_message
+        return app
 
     def reserve(self) -> range:
         """An id block reserved to this connection (OP_RESERVE_IDS)."""
-        resp = self.exchange(wire.encode_frame(wire.encode_reserve_ids(1)))
+        resp = self.exchange(wire.pack_request(wire.OP_RESERVE_IDS, 1))
         assert resp.ok, resp.error_message
         return wire.parse_id_block(resp.data)
 
@@ -485,13 +494,27 @@ class TestOneDispatchPath:
             assert resp.error_message == "unknown lock mode byte 200"
             assert stack.service.manager.app_slots(app) == 0
 
-    def test_unknown_mode_byte_inside_a_batch(self, server):
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            struct.pack("!BBQ", 0x01, 0, 4),  # a bare session open
+            struct.pack("!BBQQIqqB", 0x05, 0, 4, 1, 1, 3, 7, X),  # a batch
+        ],
+        ids=["open_session", "batch_lock"],
+    )
+    def test_a_retired_op_is_answered_and_the_connection_serves_on(
+        self, server, stack, retired
+    ):
         with RawConnection(server.address) as raw:
             app = raw.open_session()
-            resp = raw.exchange(
-                wire.encode_frame(wire.encode_batch_lock(9, app, [(3, 7, 200)]))
-            )
+            resp = raw.exchange(wire.encode_frame(retired))
+            assert not resp.ok and resp.request_id == 4
             assert wire.ERROR_CODES[resp.error_code] is wire.ProtocolError
+            assert resp.error_message == f"unknown request op 0x0{retired[0]}"
+            assert stack.service.stats.sessions_opened == 1
+            resp = raw.exchange(wire.pack_lock_row_frame(5, app, 3, 7, X))
+            assert resp.ok and resp.request_id == 5
+            assert stack.service.manager.app_slots(app) == 2
 
     def test_no_reply_lock_row_granted_on_the_spot_writes_no_frame(
         self, server, stack
@@ -501,7 +524,7 @@ class TestOneDispatchPath:
             frame = bytearray(wire.pack_lock_row_frame(2, app, 3, 7, X))
             frame[5] |= wire.FLAG_NO_REPLY  # flags: past length + op
             raw.send(bytes(frame))
-            ping = raw.exchange(wire.encode_frame(wire.encode_ping(3)))
+            ping = raw.exchange(wire.pack_request(wire.OP_PING, 3))
             # The only frame on the stream is the PING's answer ...
             assert ping.ok and ping.request_id == 3
             raw.sock.settimeout(0.2)
@@ -514,7 +537,7 @@ class TestOneDispatchPath:
         with RawConnection(server.address) as raw:
             resp = raw.exchange(wire.encode_frame(b""))
             assert wire.ERROR_CODES[resp.error_code] is wire.ProtocolError
-            assert raw.exchange(wire.encode_frame(wire.encode_ping(3))).ok
+            assert raw.exchange(wire.pack_request(wire.OP_PING, 3)).ok
 
 
 class TestImmediateGrantAttempts:
@@ -582,7 +605,6 @@ IX = wire.MODE_TO_WIRE[LockMode.IX]
 FIRST_FRAMES = {
     "lock_row": (wire.OP_LOCK_ROW, lambda app: (3, app, X)),
     "lock_table": (wire.OP_LOCK_TABLE, lambda app: (5, IX)),
-    "batch_lock": (wire.OP_BATCH_LOCK, lambda app: (2, 3, app, X, 4, app, X)),
     "unlock_read": (wire.OP_UNLOCK_READ, lambda app: (3, app)),
     "release_all": (wire.OP_RELEASE_ALL, lambda app: ()),
     "cancel": (wire.OP_CANCEL, lambda app: ()),
@@ -627,7 +649,7 @@ class TestOpenOnFirstFrame:
             app = block[0]
             resp = raw.exchange(first_frame(name, app, trace=trace))
             assert resp.ok, resp.error_message
-            # Counted exactly like OP_OPEN_SESSION (CLOSE opens and closes).
+            # Counted exactly like open_session (CLOSE opens and closes).
             closes = name == "close_session"
             assert opened(service) == (0 if closes else 1, 1, 1)
             assert service.stats.sessions_closed == int(closes)
@@ -712,7 +734,7 @@ class TestOpenOnFirstFrame:
                     flags=wire.FLAG_OPEN | wire.FLAG_NO_REPLY,
                 )
             )
-            assert raw.exchange(wire.encode_frame(wire.encode_ping(3))).request_id == 3
+            assert raw.exchange(wire.pack_request(wire.OP_PING, 3)).request_id == 3
             assert opened(stack.service) == (0, 0, 0)
 
     def test_reservation_state_is_bounded(self, server, stack, monkeypatch):
@@ -920,7 +942,7 @@ class TestOpenRuleProperties:
     )
     @example([("reserve", 0, 0), ("open", 0, 1), ("open", 0, 1)], "release_all")
     @example([("reserve", 0, 0), ("reserve", 1, 0), ("open", 1, 1)], "cancel")
-    @example([("reserve", 0, 0)] * 3 + [("open", 0, 1), ("open", 0, 9)], "batch_lock")
+    @example([("reserve", 0, 0)] * 3 + [("open", 0, 1), ("open", 0, 9)], "lock_table")
     def test_a_session_opens_once_on_its_connection(
         self, tmp_path_factory, actions, name
     ):
@@ -966,7 +988,7 @@ class TestOpenRuleProperties:
                                 open_now.add(app)
                     else:
                         resp = raw.exchange(
-                            wire.encode_frame(wire.encode_close_session(6, app))
+                            wire.pack_request(wire.OP_CLOSE_SESSION, 6, (app,))
                         )
                         assert resp.ok == (app in open_now)
                         open_now.discard(app)

@@ -166,13 +166,8 @@ class TestSyncGrowthBorrow:
                 # growth path.
                 per_session = (LOCKS_PER_BLOCK // 4) + 150
                 for offset, app in enumerate(apps):
-                    client.lock_rows(
-                        app,
-                        [
-                            (2 * offset, row, LockMode.X)
-                            for row in range(per_session)
-                        ],
-                    )
+                    for row in range(per_session):
+                        client.lock_row(app, 2 * offset, row, LockMode.X)
                 assert pool.ledger.borrowed_blocks(0) >= 1
                 assert pool.ledger.total_borrowed_blocks() >= 1
                 # The grant landed in the parent's authoritative mirror.
