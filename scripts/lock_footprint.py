@@ -11,9 +11,10 @@ one held lock costs").  Two measurements, shape only -- no gate:
   ``tracemalloc`` and ``gc.get_objects()`` price one held lock in
   traced bytes and newly collector-tracked objects, by the source line
   that allocated them.  The line marked ``<- grant word`` is the one
-  that built the lock table's entry for a held row: the grant word
-  ``(app_id, mode code, count, block id)`` an uncontended lock is
-  (a ``LockObject`` would show there instead).  One ``gc.collect()``
+  that built the lock table's entry for a held row, filed in its
+  table's row map: the grant word ``(app_id, mode code, count, block
+  id)`` an uncontended lock is (a ``LockObject`` would show there
+  instead).  One ``gc.collect()``
   then shows which of those objects stay tracked (what every full
   collection walks: CPython untracks an exact tuple of ints at its
   first pass), and
@@ -82,9 +83,10 @@ class HeldCost(NamedTuple):
     #: Still there after ``release_all`` and a full collection, in
     #: total (not per lock).  The collection empties the interpreter's
     #: free lists: the tuple free list alone keeps 2 000 of the freed
-    #: row keys, 144 KB that the program no longer holds.  The lock
-    #: table's own hash table is left out: CPython returns a dict's
-    #: slots on a later insert, never on a delete.
+    #: grant words, 144 KB that the program no longer holds.  The lock
+    #: table's own hash tables (the table map and the map of row maps)
+    #: are left out: CPython returns a dict's slots on a later insert,
+    #: never on a delete.
     residue_bytes: int
     residue_tracked: int
     #: Objects the two full collections (after the grants, after
@@ -122,6 +124,12 @@ def _program_allocations(
     return lines
 
 
+def _lock_table_size(manager: LockManager) -> int:
+    """Bytes of the lock table's two outer hash tables: table entries,
+    and the per-table row maps (a map itself goes when it empties)."""
+    return sys.getsizeof(manager._objects) + sys.getsizeof(manager._rows)
+
+
 def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
     """Price ``locks`` S row locks of one application on a bare manager,
     taken through the ``lock_row`` generator or, ``fast``, through
@@ -146,11 +154,11 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
     gc.disable()  # so that every tracked object is counted where it stands
     tracemalloc.start(1)
     try:
-        table_before = sys.getsizeof(manager._objects)
+        table_before = _lock_table_size(manager)
         known = {id(obj) for obj in gc.get_objects()}
         before = tracemalloc.take_snapshot()
         take(1, locks)
-        entry = next(reversed(manager._objects.values()))  # the last row's
+        entry = next(reversed(manager._rows[0].values()))  # the last row's
         word_frame = tracemalloc.get_object_traceback(entry)[0]
         held = _program_allocations(before, known)
         cycles = gc.collect()
@@ -159,7 +167,7 @@ def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
         cycles += gc.collect()
         left = _program_allocations(before, known)
         manager.check_invariants()  # after the count: its own first run is no residue
-        table_growth = sys.getsizeof(manager._objects) - table_before
+        table_growth = _lock_table_size(manager) - table_before
     finally:
         tracemalloc.stop()
         if was_enabled:

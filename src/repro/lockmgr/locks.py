@@ -68,18 +68,18 @@ class AppLocks:
     __slots__ = ("held", "rows", "row_count", "row_seq", "slots")
 
     def __init__(self) -> None:
-        #: Table (and page) keys with a grant; a row lock is indexed in
-        #: ``rows`` only, once.  A set, iterated in an order fixed by
+        #: Table keys with a grant; a row lock is indexed in ``rows``
+        #: only, once.  A set, iterated in an order fixed by
         #: its keys' value-pure (all-int) hashes -- the same in every
         #: process.  ``release_all`` drains ``rows`` (grant order) and
         #: then this set; the DES output does not depend on that order
         #: (``make des-identical`` checks it byte for byte).
         self.held: Set[LockKey] = set()
-        #: table id -> {row key: None}, the row keys in grant order.
-        #: Keys only, not grants: a grant word is replaced, not updated,
-        #: on every re-grant, conversion or inflation, so a stored grant
+        #: table id -> {row id: None}, the row ids in grant order.  Ids
+        #: only, not grants: a grant word is replaced, not updated, on
+        #: every re-grant, conversion or inflation, so a stored grant
         #: would go stale.  Escalation reads row modes from the lock table.
-        self.rows: Dict[int, Dict[LockKey, None]] = {}
+        self.rows: Dict[int, Dict[int, None]] = {}
         #: Row locks held across all tables (the sum of ``rows`` sizes).
         self.row_count = 0
         #: Stamp of the first row lock (0 = none yet): the order in
@@ -148,7 +148,7 @@ class LockObject:
     ) -> None:
         """An object with no holder, or with ``app_id``'s fresh grant
         (nothing to check)."""
-        #: Its lock-table key: a ``ResourceId`` or the plain tuple equal
+        #: Its key: a table's ``ResourceId`` or a row's plain tuple equal
         #: to one (``row_key``); ``resource`` is the printable id.
         self.key = key
         self.grants: Dict[int, HeldLock] = (

@@ -49,10 +49,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union,
+)
 
 from repro.engine.des import Environment
 from repro.errors import DeadlockError, LockManagerError, MemoryAccountingError
@@ -72,6 +75,7 @@ from repro.lockmgr.resources import (
     ResourceId,
     resource_of,
     row_key,
+    row_resource,
     table_resource,
 )
 from repro.units import LOCK_SIZE_BYTES
@@ -90,7 +94,15 @@ REFRESH_PERIOD_FOR_APP_PERCENT = 0x80
 #: would add a second holder or a waiter inflates it into a
 #: :class:`LockObject` (see ``LockManager._inflate``).
 GrantWord = Tuple[int, int, int, int]
+Entry = Union[GrantWord, LockObject]
 _S_CODE = LockMode.S._idx  # type: ignore[attr-defined]
+
+
+def _key_at(key: LockKey, row_id: int) -> LockKey:
+    """The lock-table key of the entry at ``(key, row_id)`` (see
+    ``LockManager._entry``), built only for a new lock object or a
+    printed resource."""
+    return key if row_id < 0 else row_key(key[1], row_id)
 
 
 class LockListFullError(LockManagerError):
@@ -192,7 +204,7 @@ class LockManager:
             )
         if refresh_period <= 0:
             raise ValueError(f"refresh_period must be positive, got {refresh_period}")
-        if lock_timeout_s is not None and lock_timeout_s <= 0:
+        if lock_timeout_s is not None and not lock_timeout_s > 0:  # NaN too
             raise ValueError(
                 f"lock_timeout_s must be positive or None, got {lock_timeout_s}"
             )
@@ -209,8 +221,8 @@ class LockManager:
         self.refresh_period = refresh_period
         #: LOCKTIMEOUT: maximum lock-wait time before the request fails
         #: with :class:`LockTimeoutError` (None = wait forever, DB2's
-        #: default of -1).
-        self.lock_timeout_s = lock_timeout_s
+        #: default of -1; +inf is taken as None).
+        self.lock_timeout_s = None if lock_timeout_s == math.inf else lock_timeout_s
         #: Applications that prefer escalation over lock-memory growth
         #: (the paper's section 6.1 future-work extension; see
         #: :meth:`set_escalation_preference`).
@@ -234,16 +246,19 @@ class LockManager:
         #: victim (DB2's DLCHKTIME model).
         self.deadlock_detection = "immediate"
         self.stats = LockManagerStats()
-        #: key -> its grant word, or its lock object while the resource
-        #: has (or has had, since it was last idle) a second holder or a
-        #: waiter.  One rule for every key: the representation follows
-        #: contention, not the kind.  Only the grant and release paths
-        #: read words; everything that queues sees lock objects.  Row
-        #: keys are plain tuples (``row_key``), table keys
-        #: ``ResourceId``s; each is equal to, and hashes as, its
-        #: resource's ``ResourceId``, so a lookup by resource id finds it
-        #: (``holder_mode``, ``lock_status``).
-        self._objects: Dict[LockKey, Union[GrantWord, LockObject]] = {}
+        #: table key -> its grant word, or its lock object while the
+        #: table has (or has had, since it was last idle) a second holder
+        #: or a waiter.  One rule for every entry, rows included: the
+        #: representation follows contention, not the kind.  Only the
+        #: grant and release paths read words; everything that queues
+        #: sees lock objects.
+        self._objects: Dict[ResourceId, Entry] = {}
+        #: table id -> {row id: entry}: the rows' entries, keyed by the
+        #: caller's ints, so a row grant builds no key object and hashes
+        #: one int per probe.  A map goes when it empties.  A row's lock
+        #: object still carries its ``row_key`` tuple (``_contended``,
+        #: the detector, printing).  ``_entry`` reads both maps.
+        self._rows: Dict[int, Dict[int, Entry]] = {}
         #: app -> its one record: held set, rows by table, row count,
         #: first-row stamp and slot charge (see :class:`AppLocks`).
         self._apps: Dict[int, AppLocks] = {}
@@ -286,7 +301,31 @@ class LockManager:
         return rec.row_count if rec is not None else 0
 
     def holder_mode(self, app_id: int, resource: ResourceId) -> Optional[LockMode]:
-        entry = self._objects.get(resource)
+        return self._held_mode(self._entry(resource, resource[3]), app_id)
+
+    def _entry(self, key: LockKey, row_id: int = -1) -> Optional[Entry]:
+        """The lock-table entry at ``(key, row_id)``: with a negative
+        ``row_id`` the one filed under ``key`` (a table's; a page has
+        none), else row ``row_id``'s of the table ``key`` names.  Any
+        key's own entry is at ``(key, key[3])``."""
+        if row_id < 0:
+            return self._objects.get(key)
+        rows = self._rows.get(key[1])
+        return rows.get(row_id) if rows is not None else None
+
+    def _file(self, key: LockKey, row_id: int, entry: Entry) -> None:
+        """Store ``entry`` at ``(key, row_id)`` (see ``_entry``)."""
+        if row_id < 0:
+            self._objects[key] = entry
+            return
+        rows = self._rows.get(key[1])
+        if rows is None:
+            rows = self._rows[key[1]] = {}
+        rows[row_id] = entry
+
+    @staticmethod
+    def _held_mode(entry: Optional[Entry], app_id: int) -> Optional[LockMode]:
+        """The mode ``app_id`` holds in a lock-table entry, or None."""
         if entry.__class__ is tuple:
             return MODE_BY_CODE[entry[1]] if entry[0] == app_id else None
         return entry.holder_mode(app_id) if entry is not None else None
@@ -301,8 +340,9 @@ class LockManager:
 
     def contended_objects(self) -> Dict[LockKey, LockObject]:
         """Live view of the objects with queued waiters (do not mutate),
-        keyed like the lock table: plain tuples equal to ``ResourceId``s
-        (read ``obj.resource`` for the printable id)."""
+        keyed by each object's key: a table's ``ResourceId``, a row's
+        plain tuple equal to one (read ``obj.resource`` for the printable
+        id)."""
         return self._contended
 
     @property
@@ -372,6 +412,8 @@ class LockManager:
         mode (e.g. after an escalation) no row structure is allocated.
         """
         table_res = table_resource(table_id)
+        if row_id < 0:
+            raise ValueError(f"row_id must be non-negative, got {row_id}")
         intent = intent_mode_for_row(mode)
         # Fast path: the covering intent lock is usually already held.
         objects = self._objects
@@ -395,7 +437,7 @@ class LockManager:
             table_mode = self.holder_mode(app_id, table_res)
         if table_mode is not None and covers(table_mode, mode):
             return
-        yield from self._acquire(app_id, row_key(table_id, row_id), mode)
+        yield from self._acquire(app_id, table_res, mode, row_id)
 
     def lock_row_fast(self, app_id: int, table_id: int, row_id: int, mode: LockMode) -> bool:
         """Non-blocking attempt at :meth:`lock_row`'s immediate-grant path.
@@ -420,6 +462,8 @@ class LockManager:
             return False  # slow path keeps the trace stream canonical
         objects = self._objects
         table_res = table_resource(table_id)
+        if row_id < 0:
+            raise ValueError(f"row_id must be non-negative, got {row_id}")
         tent = objects.get(table_res)
         intent = mode._intent  # type: ignore[attr-defined]
         # A grant word is the grant of its one holder and has no queue,
@@ -467,8 +511,8 @@ class LockManager:
                 return False  # an IS/IX "row" request ends at the intent
             need = 1
         # -- plan the row step --
-        res = row_key(table_id, row_id)
-        obj = objects.get(res)
+        rows = self._rows.get(table_id)
+        obj = rows.get(row_id) if rows is not None else None
         rword = obj.__class__ is tuple
         if rword:
             held = obj if obj[0] == app_id else None
@@ -527,7 +571,7 @@ class LockManager:
             if tent is None:
                 objects[table_res] = (app_id, intent._idx, 1, block.block_id)  # type: ignore[attr-defined]
             else:
-                (self._inflate(table_res, tent) if tword else tent).add_grant(
+                (self._inflate(table_res, -1, tent) if tword else tent).add_grant(
                     app_id, intent, block
                 )
             rec.slots += 1
@@ -542,7 +586,7 @@ class LockManager:
             if rword:
                 if r_convert:
                     row_mode = supremum(row_mode, mode)
-                objects[res] = (app_id, row_mode._idx, obj[2] + 1, obj[3])  # type: ignore[attr-defined]
+                rows[row_id] = (app_id, row_mode._idx, obj[2] + 1, obj[3])  # type: ignore[attr-defined]
             elif r_convert:
                 obj.upgrade_grant(app_id, mode)  # bumps held.count
             else:
@@ -550,13 +594,17 @@ class LockManager:
             return True
         block = chain.allocate_slot()
         if obj is None:
-            objects[res] = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
+            if rows is None:
+                rows = self._rows[table_id] = {}
+            rows[row_id] = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
         else:
-            (self._inflate(res, obj) if rword else obj).add_grant(app_id, mode, block)
+            (self._inflate(table_res, row_id, obj) if rword else obj).add_grant(
+                app_id, mode, block
+            )
         rec.slots += 1
         if chain.used_slots > stats.peak_used_slots:
             stats.peak_used_slots = chain.used_slots
-        self._note_held(rec, res)
+        self._note_held(rec, table_res, row_id)
         return True
 
     def release_all(self, app_id: int) -> int:
@@ -576,42 +624,19 @@ class LockManager:
                 self.wait_profiler.end_lock_wait(app_id, "cancelled")
             freed = self._withdraw(app_id, entry[0])
         # Bulk path: the application's record is discarded wholesale,
-        # so the per-resource surgery of _release_one/_forget_held
-        # (held-set discard, row-table pruning, per-slot uncharge) would
-        # be pure churn.  The same invariants are checked against the
-        # same end state.
+        # so per-resource unindexing (held-set discard, row-index
+        # pruning, per-slot uncharge) would be pure churn.  The same
+        # invariants are checked against the same end state.
         rec = self._apps.pop(app_id, None)
         if rec is None:
             return freed  # nothing charged: nothing held
-        rows_released = 0
-        held_frees = 0
-        objects = self._objects
-        free_slot_id = self.chain.free_slot_id
         # Every row (grant order per table), then the table locks.
-        for key in itertools.chain(*rec.rows.values(), rec.held):
-            obj = objects.get(key)
-            if key[0] == ROW_CODE:
-                rows_released += 1
-            if obj.__class__ is tuple and obj[0] == app_id:
-                # The usual case: the app's grant word, dropped with it.
-                del objects[key]
-                free_slot_id(obj[3])
-                held_frees += 1
-                continue
-            if obj is None or obj.__class__ is tuple:
-                raise LockManagerError(
-                    f"app {app_id} does not hold {resource_of(key)}"
-                )
-            held = obj.remove_grant(app_id)
-            if held.block is not None:
-                free_slot_id(held.block.block_id)
-                held_frees += 1
-            if obj.waiters:
-                self._pump(obj)
-            if obj.is_idle:
-                del objects[key]
+        held_frees = 0
+        for table_id, row_ids in rec.rows.items():
+            held_frees += self._release_grants(app_id, table_id, row_ids)
+        held_frees += self._release_grants(app_id, None, rec.held)
         freed += held_frees
-        if rec.row_count != rows_released:
+        if rec.row_count != sum(map(len, rec.rows.values())):
             raise LockManagerError(
                 f"app {app_id} row-lock accounting nonzero after release_all"
             )
@@ -626,14 +651,50 @@ class LockManager:
             self._trace("release", app_id, f"{freed} structures", value=float(freed))
         return freed
 
+    def _release_grants(self, app_id: int, table_id: Optional[int], keys: Iterable) -> int:
+        """Drop ``app_id``'s grant on each of ``keys`` -- row ids of
+        table ``table_id``, or table keys when it is None.  A grant word
+        goes with its grant; a lock object loses it, pumps its queue and
+        goes once idle; a row map goes once empty.  Returns the
+        structures freed: the caller uncharges them and unindexes the
+        keys (``release_all`` drops the app's whole record).
+        """
+        entries = self._objects if table_id is None else self._rows.get(table_id, {})
+        freed = 0
+        free_slot_id = self.chain.free_slot_id
+        for key in keys:
+            obj = entries.get(key)
+            if obj.__class__ is tuple and obj[0] == app_id:
+                # The usual case: the app's grant word, dropped with it.
+                del entries[key]
+                free_slot_id(obj[3])
+                freed += 1
+                continue
+            if obj is None or obj.__class__ is tuple:
+                where = key if table_id is None else row_resource(table_id, key)
+                raise LockManagerError(f"app {app_id} does not hold {where}")
+            held = obj.remove_grant(app_id)
+            if held.block is not None:
+                free_slot_id(held.block.block_id)
+                freed += 1
+            if obj.waiters:
+                self._pump(obj)
+            if obj.is_idle:
+                del entries[key]
+        if not entries and table_id is not None:
+            self._rows.pop(table_id, None)
+        return freed
+
     # -- core acquisition ---------------------------------------------------------
 
-    def _acquire(self, app_id: int, key: LockKey, mode: LockMode):
+    def _acquire(self, app_id: int, key: LockKey, mode: LockMode, row_id: int = -1):
+        """Generator: ``mode`` on table ``key`` or, with a ``row_id``,
+        on that row of it (see ``_entry``)."""
         self.stats.requests += 1
         self._tick_refresh()
-        entry = self._objects.get(key)
-        if entry is not None and self._holds(entry, app_id):
-            yield from self._regrant(app_id, key, entry, mode)
+        entry = self._entry(key, row_id)
+        if entry is not None and self._held_mode(entry, app_id) is not None:
+            yield from self._regrant(app_id, key, row_id, entry, mode)
             return
         if (
             self.chain.free_slots == 0
@@ -643,15 +704,15 @@ class LockManager:
             # Escalation inside _ensure_slot_available may have granted
             # this application a covering table lock; re-check before
             # allocating a structure.
-            if key[0] == ROW_CODE:
-                table_mode = self.holder_mode(app_id, table_resource(key[1]))
+            if row_id >= 0:
+                table_mode = self.holder_mode(app_id, key)
                 if table_mode is not None and covers(table_mode, mode):
                     self.stats.immediate_grants += 1
                     return
-            entry = self._objects.get(key)  # may have come or gone meanwhile
-            if entry is not None and self._holds(entry, app_id):
+            entry = self._entry(key, row_id)  # may have come or gone meanwhile
+            if entry is not None and self._held_mode(entry, app_id) is not None:
                 # appeared while we escalated or waited
-                yield from self._regrant(app_id, key, entry, mode)
+                yield from self._regrant(app_id, key, row_id, entry, mode)
                 return
         block = self.chain.allocate_slot()
         rec = self._charge_slot(app_id)
@@ -660,10 +721,10 @@ class LockManager:
         if entry is None:
             # Only now that a structure is secured: a refused request
             # must not leave a grant behind.
-            self._objects[key] = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
+            self._file(key, row_id, (app_id, mode._idx, 1, block.block_id))  # type: ignore[attr-defined]
         else:
             # A second holder or a waiter: inflate a word first.
-            obj = self._inflate(key, entry) if entry.__class__ is tuple else entry
+            obj = self._inflate(key, row_id, entry) if entry.__class__ is tuple else entry
             if not obj.waiters and obj.others_compatible(app_id, mode):
                 obj.add_grant(app_id, mode, block)
             else:
@@ -672,27 +733,18 @@ class LockManager:
                     converting=False, enqueued_at=self.env.now,
                 )
                 obj.enqueue(waiter)
-                self._contended[key] = obj
+                self._contended[obj.key] = obj
                 # No _note_held here: a waited grant is recorded by _pump,
                 # the only place the wait event can succeed.
                 yield from self._wait(app_id, obj, waiter)
                 return
-        self._note_held(rec, key)
+        self._note_held(rec, key, row_id)
         self.stats.immediate_grants += 1
         if self.tracer is not None:
-            resource = resource_of(key)
+            resource = resource_of(_key_at(key, row_id))
             self._trace("grant", app_id, f"{mode.name} {resource}", str(resource))
 
-    @staticmethod
-    def _holds(entry: Union[GrantWord, LockObject], app_id: int) -> bool:
-        """True when ``app_id`` has a grant in this lock-table entry."""
-        if entry.__class__ is tuple:
-            return entry[0] == app_id
-        return entry.held_by(app_id) is not None
-
-    def _regrant(
-        self, app_id: int, key: LockKey, entry: Union[GrantWord, LockObject], mode: LockMode
-    ):
+    def _regrant(self, app_id: int, key: LockKey, row_id: int, entry: Entry, mode: LockMode):
         """Generator: a holder's request -- a re-grant of a covered mode,
         else a conversion.  A word has no other holder, so its
         conversion is immediate and is the word rewritten."""
@@ -706,22 +758,23 @@ class LockManager:
             return
         held_mode = MODE_BY_CODE[entry[1]]
         new_mode = supremum(held_mode, mode)
-        self._objects[key] = (app_id, new_mode._idx, entry[2] + 1, entry[3])  # type: ignore[attr-defined]
+        self._file(key, row_id, (app_id, new_mode._idx, entry[2] + 1, entry[3]))  # type: ignore[attr-defined]
         self.stats.immediate_grants += 1
         if new_mode is not held_mode and self.tracer is not None:
-            resource = resource_of(key)
+            resource = resource_of(_key_at(key, row_id))
             self._trace("convert", app_id, f"-> {mode.name} {resource}", str(resource))
 
-    def _inflate(self, key: LockKey, word: GrantWord) -> LockObject:
-        """Replace ``key``'s grant word by the lock object a second
-        holder or a waiter needs: the word's holder first, its count
-        carried over.  The row index holds keys, not grants, so nothing
-        else changes."""
+    def _inflate(self, key: LockKey, row_id: int, word: GrantWord) -> LockObject:
+        """Replace the grant word at ``(key, row_id)`` by the lock object
+        a second holder or a waiter needs: the word's holder first, its
+        count carried over.  The row index holds ids, not grants, so
+        nothing else changes."""
         app_id, code, count, block_id = word
-        obj = self._objects[key] = LockObject(
-            key, app_id, MODE_BY_CODE[code], self.chain.block(block_id)
+        obj = LockObject(
+            _key_at(key, row_id), app_id, MODE_BY_CODE[code], self.chain.block(block_id)
         )
         obj.grants[app_id].count = count
+        self._file(key, row_id, obj)
         return obj
 
     def _convert(self, app_id: int, obj: LockObject, mode: LockMode):
@@ -883,7 +936,7 @@ class LockManager:
             if not waiter.converting:
                 # The queued request's structure was charged on
                 # enqueue, so the application's record exists.
-                self._note_held(self._apps[waiter.app_id], obj.key)
+                self._note_held(self._apps[waiter.app_id], obj.key, obj.key[3])
             waiter.event.succeed()
         if not obj.waiters:
             self._contended.pop(obj.key, None)
@@ -902,30 +955,19 @@ class LockManager:
         self._gc_object(obj)
         return freed
 
-    def _release_one(self, app_id: int, key: LockKey) -> int:
-        obj = self._objects.get(key)
-        if obj.__class__ is tuple and obj[0] == app_id:
-            del self._objects[key]
-            self.chain.free_slot_id(obj[3])
-            self._uncharge_slot(app_id)
-            self._forget_held(app_id, key)
-            return 1
-        if obj is None or obj.__class__ is tuple:
-            raise LockManagerError(f"app {app_id} does not hold {resource_of(key)}")
-        held = obj.remove_grant(app_id)
-        freed = 0
-        if held.block is not None:
-            self.chain.free_slot(held.block)
-            self._uncharge_slot(app_id)
-            freed = 1
-        self._forget_held(app_id, key)
-        self._pump(obj)
-        self._gc_object(obj)
-        return freed
-
     def _gc_object(self, obj: LockObject) -> None:
-        if obj.is_idle:
-            self._objects.pop(obj.key, None)
+        """Drop an idle object, and the row map it leaves empty."""
+        if not obj.is_idle:
+            return
+        key = obj.key
+        if key[0] != ROW_CODE:
+            self._objects.pop(key, None)
+            return
+        rows = self._rows.get(key[1])
+        if rows is not None:
+            rows.pop(key[3], None)
+            if not rows:
+                del self._rows[key[1]]
 
     # -- accounting helpers ---------------------------------------------------------
 
@@ -943,11 +985,11 @@ class LockManager:
             raise LockManagerError(f"slot accounting underflow for app {app_id}")
         rec.slots -= 1
 
-    def _note_held(self, rec: AppLocks, key: LockKey) -> None:
-        """Index a fresh grant's key, once: a row in its table's row map
-        (with the row count and the first-row stamp), anything else in
-        the held set."""
-        if key[0] != ROW_CODE:
+    def _note_held(self, rec: AppLocks, key: LockKey, row_id: int) -> None:
+        """Index a fresh grant at ``(key, row_id)`` (see ``_entry``),
+        once: a row's id in its table's row index (with the row count
+        and the first-row stamp), a table's key in the held set."""
+        if row_id < 0:
             rec.held.add(key)
             return
         if not rec.row_seq:
@@ -956,22 +998,8 @@ class LockManager:
         rows = rec.rows.get(key[1])
         if rows is None:
             rows = rec.rows[key[1]] = {}
-        rows[key] = None
+        rows[row_id] = None
         rec.row_count += 1
-
-    def _forget_held(self, app_id: int, key: LockKey) -> None:
-        rec = self._apps.get(app_id)
-        if rec is None:
-            return
-        if key[0] != ROW_CODE:
-            rec.held.discard(key)
-            return
-        rows = rec.rows.get(key[1])
-        if rows is not None and key in rows:
-            del rows[key]
-            if not rows:
-                del rec.rows[key[1]]
-            rec.row_count -= 1
 
     # -- deadlock detection ------------------------------------------------------------
 
@@ -1212,8 +1240,9 @@ class LockManager:
             # Inline escalation_target_mode with an early break: the
             # first write mode settles it.
             target = LockMode.S
-            for key in rows:
-                if self.holder_mode(app_id, key).is_write:
+            entries = self._rows[table_id]
+            for row_id in rows:
+                if self._held_mode(entries[row_id], app_id).is_write:
                     target = LockMode.X
                     break
             table_res = table_resource(table_id)
@@ -1277,12 +1306,12 @@ class LockManager:
 
     def _release_table_rows(self, app_id: int, table_id: int) -> int:
         rec = self._apps.get(app_id)
-        rows = rec.rows.get(table_id) if rec is not None else None
-        if not rows:
+        row_ids = rec.rows.pop(table_id, None) if rec is not None else None
+        if not row_ids:
             return 0
-        freed = 0
-        for row in list(rows):
-            freed += self._release_one(app_id, row)
+        freed = self._release_grants(app_id, table_id, row_ids)
+        rec.row_count -= len(row_ids)
+        rec.slots -= freed
         return freed
 
     def release_read_lock(self, app_id: int, table_id: int, row_id: int) -> bool:
@@ -1295,13 +1324,13 @@ class LockManager:
         structure of its own to release.  Returns True when a lock was
         released (or its re-entrancy count decremented).
         """
-        key = row_key(table_id, row_id)
-        entry = self._objects.get(key)
+        rows = self._rows.get(table_id)
+        entry = rows.get(row_id) if rows is not None else None
         if entry.__class__ is tuple:
             if entry[0] != app_id or entry[1] != _S_CODE:
                 return False  # not held, or upgraded to U/X: held to commit
             if entry[2] > 1:
-                self._objects[key] = (app_id, _S_CODE, entry[2] - 1, entry[3])
+                rows[row_id] = (app_id, _S_CODE, entry[2] - 1, entry[3])
                 return True
         else:
             held = entry.held_by(app_id) if entry is not None else None
@@ -1312,9 +1341,15 @@ class LockManager:
             if held.count > 1:
                 held.count -= 1
                 return True
-        self._release_one(app_id, key)
+        rec = self._apps[app_id]
+        index = rec.rows[table_id]
+        del index[row_id]
+        if not index:
+            del rec.rows[table_id]
+        rec.row_count -= 1
+        rec.slots -= self._release_grants(app_id, table_id, (row_id,))
         if self.tracer is not None:
-            resource = resource_of(key)
+            resource = row_resource(table_id, row_id)
             self._trace("release", app_id, f"CS early release {resource}",
                         str(resource), 1.0)
         return True
@@ -1325,7 +1360,7 @@ class LockManager:
         The Figure 3 situation renders as
         ``T0.R7: granted[1:S, 2:S] queue[3:X, 4:S]``.
         """
-        obj = self._objects.get(resource)
+        obj = self._entry(resource, resource[3])
         if obj.__class__ is tuple:
             return (
                 f"{resource}: granted[{obj[0]}:{MODE_BY_CODE[obj[1]].name}] queue[]"
@@ -1371,23 +1406,19 @@ class LockManager:
         objects = self._objects
         for app_id, rec in self._apps.items():
             for key in rec.held:
-                entry = objects.get(key)
-                if key[0] == ROW_CODE or entry is None or not self._holds(entry, app_id):
+                if key[0] == ROW_CODE or self._held_mode(objects.get(key), app_id) is None:
                     raise LockManagerError(
                         f"app {app_id} claims {resource_of(key)} but grant is "
                         "missing or is a row's (rows are indexed in rows only)"
                     )
             total = 0
-            for table_id, rows in rec.rows.items():
-                total += len(rows)
-                for key in rows:
-                    entry = objects.get(key)
-                    if (
-                        key[0] != ROW_CODE or key[1] != table_id
-                        or entry is None or not self._holds(entry, app_id)
-                    ):
+            for table_id, row_ids in rec.rows.items():
+                total += len(row_ids)
+                entries = self._rows.get(table_id, {})
+                for row_id in row_ids:
+                    if self._held_mode(entries.get(row_id), app_id) is None:
                         raise LockManagerError(
-                            f"row index stale: app {app_id} {resource_of(key)}"
+                            f"row index stale: app {app_id} {row_resource(table_id, row_id)}"
                         )
             if total != rec.row_count:
                 raise LockManagerError(
@@ -1395,7 +1426,13 @@ class LockManager:
                     f"for app {app_id}"
                 )
         expected_contended = set()
-        for key, obj in objects.items():
+        if not all(self._rows.values()):
+            raise LockManagerError("an emptied row map is kept")
+        filed = itertools.chain(objects.items(), (
+            (row_key(table_id, row_id), entry)
+            for table_id, rows in self._rows.items() for row_id, entry in rows.items()
+        ))
+        for key, obj in filed:
             if obj.__class__ is tuple:
                 self._check_word(key, obj)
                 continue
@@ -1431,7 +1468,7 @@ class LockManager:
             ) from None
         rec = self._apps.get(app_id)
         if key[0] == ROW_CODE:
-            indexed = rec is not None and key in rec.rows.get(key[1], ())
+            indexed = rec is not None and key[3] in rec.rows.get(key[1], ())
         else:
             indexed = rec is not None and key in rec.held
         if not indexed:

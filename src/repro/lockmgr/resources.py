@@ -1,7 +1,7 @@
 """Lockable resource identifiers.
 
 Resources form a two-level hierarchy: tables contain rows.  A resource
-id is an immutable value object.  The lock table is keyed by the plain
+id is an immutable value object.  A lock object is keyed by the plain
 tuple each one is (``LockKey``), so a row's key is built by
 :func:`row_key` without a ``ResourceId`` instance.  Page-level
 resources are included for completeness (some vendors escalate row to
@@ -37,7 +37,7 @@ _TABLE, _PAGE, ROW_CODE = _KIND_CODE.values()
 
 _new = tuple.__new__
 
-#: A lock-table key: ``(kind_code, table_id, page_id | -1, row_id | -1)``.
+#: A lock key: ``(kind_code, table_id, page_id | -1, row_id | -1)``.
 #: A :class:`ResourceId` is one; so is the plain tuple :func:`row_key`
 #: returns, which is equal to the row's ``ResourceId`` and hashes the same.
 LockKey = Tuple[int, int, int, int]
@@ -139,12 +139,12 @@ def table_resource(table_id: int) -> ResourceId:
 
 
 def row_key(table_id: int, row_id: int) -> LockKey:
-    """The lock table's key for one row: the plain tuple that
-    ``row_resource(table_id, row_id)`` is, equal to it and with the same
-    hash.  An exact tuple of ints comes from CPython's tuple free list
-    and is untracked by the cyclic collector at its first pass, where a
-    ``ResourceId`` is a second allocation that stays tracked until it is
-    freed -- so a held row lock costs the collector one object, not two.
+    """A row's lock key (a contended row's ``LockObject.key``): the
+    plain tuple that ``row_resource(table_id, row_id)`` is, equal to it
+    and with the same hash.  An exact tuple of ints is untracked by the
+    cyclic collector at its first pass, where a ``ResourceId`` is a
+    second allocation that stays tracked until it is freed.  The lock
+    table itself files a row by its table id and row id, with no key.
     """
     if table_id < 0:
         raise ValueError(f"table_id must be non-negative, got {table_id}")

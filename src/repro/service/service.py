@@ -38,6 +38,7 @@ lock -- strict two-phase locking, identical to the DES clients.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -63,6 +64,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Sentinel distinguishing "no timeout given" from "explicitly None".
 _USE_DEFAULT = object()
+
+
+def _checked_timeout(timeout_s: object, name: str = "timeout_s") -> Optional[float]:
+    """A timeout as the service keeps it: None (no deadline) for None or
+    +inf, else the number of seconds; a negative or NaN one is refused."""
+    if timeout_s is None or timeout_s == math.inf:
+        return None
+    if not timeout_s >= 0:  # type: ignore[operator]
+        raise ServiceError(f"{name} must be non-negative, got {timeout_s}")
+    return timeout_s  # type: ignore[return-value]
 
 
 def take_id_block(ids: Iterator[int], count: int) -> range:
@@ -98,7 +109,8 @@ class LockService:
         inject a :class:`~repro.service.clock.ManualClock`.
     default_timeout_s:
         Deadline applied to requests that do not pass their own
-        ``timeout_s`` (None = wait forever).
+        ``timeout_s`` (None or +inf = wait forever; a negative or NaN
+        timeout, here or per request, is refused with ServiceError).
     metrics:
         Optional :class:`~repro.obs.registry.MetricRegistry`; when given
         the service maintains ``service.*`` instruments (and callers may
@@ -122,10 +134,7 @@ class LockService:
         maxlocks_fraction: float = 0.98,
         lock_timeout_s: Optional[float] = None,
     ) -> None:
-        if default_timeout_s is not None and default_timeout_s < 0:
-            raise ServiceError(
-                f"default_timeout_s must be non-negative, got {default_timeout_s}"
-            )
+        default_timeout_s = _checked_timeout(default_timeout_s, "default_timeout_s")
         self.clock = clock or MonotonicClock()
         # RLock: event firing re-enters via WallClockEnvironment.notify_all
         # while the manager code already holds the mutex.
@@ -313,10 +322,9 @@ class LockService:
         after any of these the session must roll back via
         :meth:`close_session` (strict 2PL, as in the DES).
         """
-        if timeout_s is _USE_DEFAULT:
-            timeout_s = self.default_timeout_s
-        if timeout_s is not None and timeout_s < 0:  # type: ignore[operator]
-            raise ServiceError(f"timeout_s must be non-negative, got {timeout_s}")
+        timeout_s = (
+            self.default_timeout_s if timeout_s is _USE_DEFAULT else _checked_timeout(timeout_s)
+        )
         # Uncontended requests (the overwhelming majority under churn)
         # grant without building a generator: one mutex hold, no
         # event-loop machinery.  ``lock_row_fast`` either completes with
@@ -381,6 +389,9 @@ class LockService:
         timeout_s: object = _USE_DEFAULT,
     ) -> None:
         """Acquire a table lock, blocking (see :meth:`lock_row`)."""
+        timeout_s = (
+            self.default_timeout_s if timeout_s is _USE_DEFAULT else _checked_timeout(timeout_s)
+        )
         self._request(
             app_id, self.manager.lock_table(app_id, table_id, mode), timeout_s
         )
@@ -481,13 +492,10 @@ class LockService:
         if self._closed:
             raise ServiceClosedError("lock service is closed")
 
-    def _request(self, app_id: int, gen, timeout_s: object, row=None) -> None:
-        """Drive ``gen`` for ``app_id``; ``row`` is the ``(table, row,
-        mode)`` of a row request (the only kind the tracer samples)."""
-        if timeout_s is _USE_DEFAULT:
-            timeout_s = self.default_timeout_s
-        if timeout_s is not None and timeout_s < 0:  # type: ignore[operator]
-            raise ServiceError(f"timeout_s must be non-negative, got {timeout_s}")
+    def _request(self, app_id: int, gen, timeout_s: Optional[float], row=None) -> None:
+        """Drive ``gen`` for ``app_id`` with ``timeout_s`` (checked; None
+        is no deadline); ``row`` is the ``(table, row, mode)`` of a row
+        request (the only kind the tracer samples)."""
         started = perf_counter()
         self.env.latch_acquire()
         try:
@@ -501,7 +509,7 @@ class LockService:
             self._active_requests.add(app_id)
             self.stats.requests += 1
             deadline = (
-                None if timeout_s is None else self.clock.now() + timeout_s  # type: ignore[operator]
+                None if timeout_s is None else self.clock.now() + timeout_s
             )
             outcome = "ok"
             try:

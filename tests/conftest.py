@@ -42,6 +42,13 @@ def make_database(
     return Database(seed=seed, config=config, policy=policy)
 
 
+def lock_table_entry(manager: LockManager, key):
+    """``manager``'s lock-table entry for a resource key -- its grant
+    word or lock object -- or None, read through the manager's one
+    lookup helper."""
+    return manager._entry(key, key[3])
+
+
 def run_process(env: Environment, generator, until=None):
     """Run one generator as a process to completion; return its value.
 

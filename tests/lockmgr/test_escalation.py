@@ -12,7 +12,7 @@ from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.escalation import EscalationOutcome, EscalationStats
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.modes import LockMode
-from repro.lockmgr.resources import resource_of, table_resource
+from repro.lockmgr.resources import row_resource, table_resource
 from tests.conftest import run_process
 
 
@@ -164,6 +164,11 @@ VICTIM_APPS = (1, 2, 3)
 _victim_apps = st.sampled_from(VICTIM_APPS)
 _victim_tables = st.sampled_from((0, 1))
 _victim_rows = st.integers(0, 3)
+#: Every row the operations below can lock.
+VICTIM_ROWS = [
+    row_resource(app * 10 + table, row)
+    for app in VICTIM_APPS for table in (0, 1) for row in range(4)
+]
 VICTIM_OPS = st.one_of(
     st.tuples(
         st.just("lock"), _victim_apps, _victim_tables, _victim_rows,
@@ -216,10 +221,9 @@ def test_memory_escalation_victim_matches_brute_force(ops):
             first_row.pop(app, None)
         rows = collections.Counter(
             holder
-            for key in manager._objects
-            if resource_of(key).is_row
+            for resource in VICTIM_ROWS
             for holder in VICTIM_APPS
-            if manager.holder_mode(holder, key) is not None
+            if manager.holder_mode(holder, resource) is not None
         )
         for holder in rows:
             first_row.setdefault(holder, next(stamps))

@@ -27,6 +27,7 @@ from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockListFullError, LockManager
 from repro.lockmgr.modes import LockMode
 from repro.lockmgr.resources import row_resource, table_resource
+from tests.conftest import lock_table_entry
 
 APPS = (1, 2, 3)
 TABLES = (0, 1)
@@ -70,8 +71,13 @@ def snapshot(manager: LockManager):
         },
         manager._requests_since_refresh,
         sorted(manager.waiting_apps()),
-        # Each key's representation: a grant word or a lock object.
-        {key: type(entry).__name__ for key, entry in manager._objects.items()},
+        # Each entry's representation, a grant word or a lock object
+        # (every resource these operations can lock), and how many
+        # entries each map files: nothing filed elsewhere, no row map
+        # kept once empty.
+        {res: type(lock_table_entry(manager, res)).__name__ for res in RESOURCES},
+        len(manager._objects),
+        {table: len(rows) for table, rows in manager._rows.items()},
     )
 
 

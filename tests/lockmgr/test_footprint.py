@@ -8,14 +8,18 @@ paths -- the DES's ``lock_row`` generator and the live service's
 before the thin lock objects, 369 and 3.0 with them, about 329 and 2.0
 since a lock object is its first holder's grant, about 277 bytes with
 1.0 object still tracked after a collection since a row is keyed by a
-plain tuple and indexed once.  Those figures are for 96 000 locks
-(``make footprint``).  At this test's 20 000 locks a held lock cost
-227 bytes with 1.0 object still tracked before an uncontended lock
-became a grant word, not a lock object, and 203 bytes with none since
-(203.0 on CPython 3.11 and 3.12, 203.3 on 3.10).  The bytes threshold
-is that figure plus 5 %: no room for a lock object per lock (+1 still
-tracked), a key the collector keeps tracking (+1), or another dict or
-list per lock.
+plain tuple and indexed once, 253 bytes and 2.0 tracked at allocation
+since an uncontended lock is a grant word, and 181 bytes and 1.0 (the
+word) since a row's entry is filed by its table id and row id, with no
+key object.  Those figures are for 96 000 locks (``make footprint``).
+At this test's 20 000 locks a held lock cost 227 bytes with 1.0 object
+still tracked before an uncontended lock became a grant word, not a
+lock object, 203 bytes with none after that, and 131 bytes since rows
+are keyed by their ids (131.0-131.3 on CPython 3.10, 3.11 and 3.12).
+The bytes threshold is that figure plus 5 %, and the tracked one
+leaves room for the word alone: no room for a key object per lock
+(+72 bytes, +1 tracked), a lock object per lock (+1 still tracked), or
+another dict or list per lock.
 """
 
 import pathlib
@@ -29,8 +33,8 @@ def test_a_held_row_lock_stays_thin_and_leaves_nothing_behind():
     footprint = runpy.run_path(str(SCRIPT), run_name="footprint_under_test")
     for fast in (False, True):
         cost = footprint["held_lock_cost"](LOCKS, fast)
-        assert cost.bytes_per_lock <= 213, (fast, cost.sites)
-        assert cost.tracked_per_lock <= 2.5, (fast, cost.sites)
+        assert cost.bytes_per_lock <= 138, (fast, cost.sites)
+        assert cost.tracked_per_lock <= 1.5, (fast, cost.sites)
         # What every full collection walks: neither the grant word nor
         # its key.
         assert cost.surviving_per_lock <= 0.2, (fast, cost.sites)

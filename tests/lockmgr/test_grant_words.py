@@ -18,7 +18,7 @@ from repro.lockmgr.locks import LockObject
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.modes import MODE_BY_CODE, LockMode
 from repro.lockmgr.resources import row_key, row_resource, table_resource
-from tests.conftest import run_process
+from tests.conftest import lock_table_entry as entry, run_process
 
 KEY = row_key(0, 7)
 
@@ -45,7 +45,7 @@ class TestWordsAndObjects:
     def test_a_lone_grant_is_a_word_the_collector_forgets(self, fast):
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
-        row, table = manager._objects[KEY], manager._objects[table_resource(0)]
+        row, table = entry(manager, KEY), entry(manager, table_resource(0))
         assert is_word(row) and is_word(table)
         app_id, code, count, block_id = row
         assert (app_id, MODE_BY_CODE[code], count) == (1, LockMode.S, 1)
@@ -59,9 +59,9 @@ class TestWordsAndObjects:
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
         take(manager, 1, 0, 7, LockMode.S, fast)  # re-grant: count 2
-        block_id = manager._objects[KEY][3]
+        block_id = entry(manager, KEY)[3]
         take(manager, 2, 0, 7, LockMode.S, fast)
-        obj = manager._objects[KEY]
+        obj = entry(manager, KEY)
         assert type(obj) is LockObject
         assert [held.app_id for held in obj.holders()] == [1, 2]
         first = obj.held_by(1)
@@ -69,26 +69,26 @@ class TestWordsAndObjects:
         assert first.block is manager.chain.block(block_id)
         assert obj.held_by(2).count == 1
         # The table's word was inflated too: both apps hold IS on it.
-        assert type(manager._objects[table_resource(0)]) is LockObject
+        assert type(entry(manager, table_resource(0))) is LockObject
         manager.check_invariants()
         # No deflation: the object lives until the resource is idle.
         manager.release_all(2)
-        assert manager._objects[KEY] is obj
+        assert entry(manager, KEY) is obj
         manager.release_all(1)
-        assert not manager._objects
+        assert not manager._objects and not manager._rows
         manager.check_invariants()
 
     def test_an_incompatible_request_inflates_and_queues(self, fast):
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
-        word = manager._objects[KEY]
+        word = entry(manager, KEY)
         if fast:
             # The fast path refuses the request and mutates nothing.
             assert not manager.lock_row_fast(2, 0, 7, LockMode.X)
-            assert manager._objects[KEY] is word
+            assert entry(manager, KEY) is word
         request = manager.lock_row(2, 0, 7, LockMode.X)
         next(request)  # parks on the wait event
-        obj = manager._objects[KEY]
+        obj = entry(manager, KEY)
         assert type(obj) is LockObject
         assert [(held.app_id, held.count) for held in obj.holders()] == [(1, 1)]
         assert [(w.app_id, w.mode) for w in obj.waiters] == [(2, LockMode.X)]
@@ -99,19 +99,19 @@ class TestWordsAndObjects:
         assert not manager.contended_objects()
         request.close()
         manager.release_all(2)
-        assert not manager._objects
+        assert not manager._objects and not manager._rows
         manager.check_invariants()
 
     def test_re_grant_then_read_release_moves_the_count(self, fast):
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
         take(manager, 1, 0, 7, LockMode.S, fast)
-        assert manager._objects[KEY][2] == 2
+        assert entry(manager, KEY)[2] == 2
         assert manager.release_read_lock(1, 0, 7)
-        assert is_word(manager._objects[KEY]) and manager._objects[KEY][2] == 1
+        assert is_word(entry(manager, KEY)) and entry(manager, KEY)[2] == 1
         assert manager.app_row_lock_count(1) == 1
         assert manager.release_read_lock(1, 0, 7)
-        assert KEY not in manager._objects
+        assert entry(manager, KEY) is None and not manager._rows
         assert manager.app_row_lock_count(1) == 0 and manager.app_slots(1) == 1
         assert not manager.release_read_lock(1, 0, 7)
         manager.check_invariants()
@@ -119,11 +119,11 @@ class TestWordsAndObjects:
     def test_a_conversion_on_a_word_stays_a_word(self, fast):
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
-        block_id = manager._objects[KEY][3]
+        block_id = entry(manager, KEY)[3]
         slots = manager.app_slots(1)
         take(manager, 1, 0, 7, LockMode.X, fast)
-        assert manager._objects[KEY] == (1, LockMode.X._idx, 2, block_id)
-        assert MODE_BY_CODE[manager._objects[table_resource(0)][1]] is LockMode.IX
+        assert entry(manager, KEY) == (1, LockMode.X._idx, 2, block_id)
+        assert MODE_BY_CODE[entry(manager, table_resource(0))[1]] is LockMode.IX
         assert manager.app_slots(1) == slots
         assert not manager.release_read_lock(1, 0, 7)  # held to commit
         manager.check_invariants()
@@ -141,9 +141,9 @@ class TestWordsAndObjects:
             assert not manager.lock_row_fast(1, 0, 7, LockMode.S)  # would escalate
         run_process(manager.env, manager.lock_row(1, 0, 7, LockMode.S))
         assert manager.stats.escalations.count == 1
-        table = manager._objects[table_resource(0)]
+        table = entry(manager, table_resource(0))
         assert is_word(table) and MODE_BY_CODE[table[1]] is LockMode.X
-        assert list(manager._objects) == [table_resource(0)]
+        assert list(manager._objects) == [table_resource(0)] and not manager._rows
         assert manager.app_row_lock_count(1) == 0 and manager.app_slots(1) == 1
         manager.check_invariants()
         assert manager.release_all(1) == 1
@@ -161,8 +161,8 @@ class TestWordsAndObjects:
         take(as_object, 2, 0, 7, LockMode.S, fast)
         for manager in (as_word, as_object):
             manager.release_all(2)
-        assert is_word(as_word._objects[KEY])
-        assert type(as_object._objects[KEY]) is LockObject
+        assert is_word(entry(as_word, KEY))
+        assert type(entry(as_object, KEY)) is LockObject
         resource = row_resource(0, 7)
         for manager in (as_word, as_object):
             assert manager.lock_status(resource) == "T0.R7: granted[1:S] queue[]"
@@ -175,9 +175,9 @@ class TestWordsAndObjects:
     def test_check_invariants_rejects_a_word_off_the_chain(self, fast):
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
-        app_id, code, count, block_id = manager._objects[KEY]
+        app_id, code, count, block_id = entry(manager, KEY)
         missing = max(block.block_id for block in manager.chain.iter_list()) + 1
-        manager._objects[KEY] = (app_id, code, count, missing)
+        manager._file(KEY, KEY[3], (app_id, code, count, missing))
         with pytest.raises(LockManagerError, match=rf"names block #{missing}, not in the chain"):
             manager.check_invariants()
 
@@ -186,7 +186,7 @@ class TestWordsAndObjects:
         take(manager, 1, 0, 7, LockMode.S, fast)
         take(manager, 1, 0, 8, LockMode.S, fast)
         rec = manager._apps[1]
-        del rec.rows[0][KEY]
+        del rec.rows[0][7]
         rec.row_count -= 1  # so that only the word's own check can fail
         with pytest.raises(LockManagerError, match=r"grant word on T0\.R7 is not indexed for app 1"):
             manager.check_invariants()

@@ -1,8 +1,10 @@
 """The lock table's keys against the public resource ids.
 
-Rows are keyed by the plain tuple ``row_key`` returns; everything a
-caller sees -- ``holder_mode`` lookups, ``LockObject.resource``, status
-lines, trace events, errors -- still speaks ``ResourceId``.
+A row's entry is filed under its table id and row id, and its lock
+object (if contention made one) carries the plain tuple ``row_key``
+returns; everything a caller sees -- ``holder_mode`` lookups,
+``LockObject.resource``, status lines, trace events, errors -- still
+speaks ``ResourceId``.
 """
 
 import gc
@@ -14,9 +16,15 @@ from repro.errors import LockManagerError
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.modes import LockMode
-from repro.lockmgr.resources import ResourceId, row_key, row_resource
+from repro.lockmgr.resources import (
+    ResourceId,
+    page_resource,
+    row_key,
+    row_resource,
+    table_resource,
+)
 from repro.lockmgr.tracing import LockTrace
-from tests.conftest import run_process
+from tests.conftest import lock_table_entry, run_process
 
 
 def take(manager, app_id, table_id, row_id, mode, fast):
@@ -62,8 +70,8 @@ class TestTheLockTableSpeaksResourceIds:
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
         take(manager, 2, 0, 7, LockMode.S, fast)  # a second holder: an object
-        obj = manager._objects[row_resource(0, 7)]
-        assert type(obj.key) is tuple
+        obj = lock_table_entry(manager, row_resource(0, 7))
+        assert type(obj.key) is tuple and obj.key == row_key(0, 7)
         gc.collect()
         assert not gc.is_tracked(obj.key)
 
@@ -71,7 +79,7 @@ class TestTheLockTableSpeaksResourceIds:
         manager = self.manager()
         take(manager, 1, 0, 7, LockMode.S, fast)
         take(manager, 2, 0, 7, LockMode.S, fast)  # a second holder: an object
-        obj = manager._objects[row_key(0, 7)]
+        obj = lock_table_entry(manager, row_key(0, 7))
         assert type(obj.resource) is ResourceId
         assert obj.resource == row_resource(0, 7)
         assert repr(obj.resource) == str(obj.resource) == "T0.R7"
@@ -95,10 +103,92 @@ class TestTheLockTableSpeaksResourceIds:
             take(manager, 1, 0, row, LockMode.S, fast)
         rec = manager._apps[1]
         assert rec.held == {row_resource(0, 0).table()}
-        assert list(rec.rows[0]) == [row_key(0, 7), row_key(0, 3), row_key(0, 9)]
+        assert list(rec.rows[0]) == [7, 3, 9]
         assert rec.row_count == 3
         assert manager.release_all(1) == 4
-        assert not manager._objects
+        assert not manager._objects and not manager._rows
+        manager.check_invariants()
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["lock_row", "lock_row_fast"])
+class TestRowMaps:
+    """A table's rows are filed in one row map, which goes when it
+    empties -- whichever path empties it."""
+
+    def manager(self, **kwargs):
+        chain = kwargs.pop("chain", None) or LockBlockChain(initial_blocks=2)
+        return LockManager(Environment(), chain, **kwargs)
+
+    def escalating_manager(self):
+        # 16 structures, MAXLOCKS 50 %: app 1's ninth structure escalates.
+        return self.manager(
+            chain=LockBlockChain(initial_blocks=1, capacity_per_block=16),
+            maxlocks_fraction=0.5,
+        )
+
+    def test_release_all_drops_the_maps_it_empties(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        take(manager, 1, 1, 7, LockMode.S, fast)
+        take(manager, 2, 1, 8, LockMode.S, fast)
+        assert sorted(manager._rows) == [0, 1]
+        manager.release_all(1)
+        assert list(manager._rows) == [1] and list(manager._rows[1]) == [8]
+        manager.check_invariants()
+        manager.release_all(2)
+        assert not manager._rows and not manager._objects
+        manager.check_invariants()
+
+    def test_an_escalation_drops_the_map_it_empties(self, fast):
+        manager = self.escalating_manager()
+        take(manager, 2, 1, 0, LockMode.S, fast)
+        for row in range(7):
+            take(manager, 1, 0, row, LockMode.S, fast)
+        run_process(manager.env, manager.lock_row(1, 0, 7, LockMode.S))
+        assert manager.stats.escalations.count == 1
+        assert list(manager._rows) == [1]
+        manager.check_invariants()
+
+    def test_an_escalation_keeps_a_shared_row_a_cs_release_drops_it(self, fast):
+        manager = self.escalating_manager()
+        for row in range(7):
+            take(manager, 1, 0, row, LockMode.S, fast)
+        take(manager, 2, 0, 3, LockMode.S, fast)  # a second holder: an object
+        run_process(manager.env, manager.lock_row(1, 0, 7, LockMode.S))
+        assert manager.stats.escalations.count == 1
+        assert list(manager._rows[0]) == [3]
+        assert manager.holder_mode(2, row_resource(0, 3)) is LockMode.S
+        manager.check_invariants()
+        assert manager.release_read_lock(2, 0, 3)
+        assert not manager._rows
+        manager.check_invariants()
+
+    def test_a_cs_early_release_drops_the_map_it_empties(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        assert manager.release_read_lock(1, 0, 7)
+        assert not manager._rows and list(manager._objects) == [table_resource(0)]
+        manager.check_invariants()
+
+    def test_a_page_reads_unlocked_while_its_table_and_a_row_are_held(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        take(manager, 2, 0, 7, LockMode.S, fast)  # objects, not words, too
+        for page in (page_resource(0, 7), page_resource(0, 0)):
+            assert manager.holder_mode(1, page) is None
+            assert manager.lock_status(page) == f"{page}: unlocked"
+        assert manager.holder_mode(1, table_resource(0)) is LockMode.IS
+        assert manager.holder_mode(1, row_resource(0, 7)) is LockMode.S
+
+    @pytest.mark.parametrize("table_id, row_id", [(-1, 0), (0, -1), (-1, -1)])
+    def test_a_negative_id_raises_before_anything_changes(self, fast, table_id, row_id):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.X, fast)  # the table's IX covers no row
+        used, requests = manager.chain.used_slots, manager.stats.requests
+        with pytest.raises(ValueError, match="must be non-negative"):
+            take(manager, 1, table_id, row_id, LockMode.S, fast)
+        assert manager.chain.used_slots == used
+        assert manager.stats.requests == requests
         manager.check_invariants()
 
 

@@ -11,7 +11,7 @@ from repro.lockmgr.locks import LockObject
 from repro.lockmgr.manager import LockListFullError, LockManager
 from repro.lockmgr.modes import LockMode
 from repro.lockmgr.resources import row_resource, table_resource
-from tests.conftest import run_process
+from tests.conftest import lock_table_entry, run_process
 
 
 def make_manager(env, blocks=4, capacity=None, **kwargs):
@@ -323,12 +323,12 @@ class TestMemoryPressure:
                 yield from manager.lock_table(1 + table % 2, table, LockMode.S)
 
         run_process(env, filler())
-        assert len(manager._objects) == 64
+        assert len(manager._objects) == 64 and not manager._rows
         for table in range(1_000, 2_000):
             with pytest.raises(LockListFullError):
                 run_process(env, grab_table(manager, 3, table, LockMode.S))
         assert manager.stats.lock_list_full_errors == 1_000
-        assert len(manager._objects) == 64
+        assert len(manager._objects) == 64 and not manager._rows
         manager.check_invariants()
         for app in (1, 2, 3):
             manager.release_all(app)
@@ -338,7 +338,7 @@ class TestMemoryPressure:
     def test_check_invariants_rejects_an_idle_lock_object(self, env):
         manager = make_manager(env)
         run_process(env, grab_row(manager, 1, 0, 5, LockMode.S))
-        manager._objects[row_resource(0, 6)] = LockObject(row_resource(0, 6))
+        manager._file(row_resource(0, 6), 6, LockObject(row_resource(0, 6)))
         with pytest.raises(LockManagerError, match="idle lock object"):
             manager.check_invariants()
 
@@ -349,7 +349,7 @@ class TestMemoryPressure:
         run_process(env, grab_row(manager, 1, 0, 5, LockMode.S))
         run_process(env, grab_row(manager, 2, 0, 5, LockMode.S))
         manager.check_invariants()
-        obj = manager._objects[row_resource(0, 5)]
+        obj = lock_table_entry(manager, row_resource(0, 5))
         obj.counts += LockMode.X._unit
         with pytest.raises(LockManagerError, match="mode counts"):
             manager.check_invariants()

@@ -11,6 +11,7 @@ error mapping, and a request that must wait costs one immediate-grant
 attempt per layer.
 """
 
+import math
 import socket
 import struct
 import sys
@@ -515,6 +516,29 @@ class TestOneDispatchPath:
             resp = raw.exchange(wire.pack_lock_row_frame(5, app, 3, 7, X))
             assert resp.ok and resp.request_id == 5
             assert stack.service.manager.app_slots(app) == 2
+
+    @pytest.mark.parametrize("contended", [False, True], ids=["free", "held"])
+    def test_a_nan_timeout_is_refused_and_the_connection_serves_on(
+        self, server, stack, contended
+    ):
+        service = stack.service
+        holder = service.open_session()
+        if contended:
+            service.lock_row(holder, 3, 7, LockMode.X)
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            resp = raw.exchange(
+                wire.pack_lock_row_frame(4, app, 3, 7, X, timeout_s=math.nan)
+            )
+            assert not resp.ok and resp.request_id == 4
+            assert wire.ERROR_CODES[resp.error_code] is wire.ServiceError
+            assert resp.error_message == "timeout_s must be non-negative, got nan"
+            assert service.waiting_sessions() == set()
+            assert service.manager.app_slots(app) == 0
+            service.close_session(holder)
+            resp = raw.exchange(wire.pack_lock_row_frame(5, app, 3, 7, X))
+            assert resp.ok and resp.request_id == 5
+            assert service.manager.app_slots(app) == 2
 
     def test_no_reply_lock_row_granted_on_the_spot_writes_no_frame(
         self, server, stack

@@ -1,5 +1,6 @@
 """Tests for the thread-safe LockService facade."""
 
+import math
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.errors import (
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockTimeoutError
 from repro.lockmgr.modes import LockMode
+from repro.lockmgr.resources import row_resource
 from repro.service.service import LockService
 
 
@@ -27,6 +29,23 @@ def spawn(fn, *args):
     thread = threading.Thread(target=fn, args=args, daemon=True)
     thread.start()
     return thread
+
+
+def outcome_of(call, *args, **kwargs):
+    """What ``call`` returned or raised, run on a daemon thread given
+    5 s: a request that never returns fails the test instead of hanging
+    it."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call(*args, **kwargs))
+        except Exception as exc:  # the caller reads it
+            outcome.append(exc)
+
+    spawn(run).join(timeout=5.0)
+    assert outcome, f"{call.__name__}{args} did not return"
+    return outcome[0]
 
 
 class TestBasics:
@@ -200,6 +219,59 @@ class TestDeadlinesAndCancellation:
         with service.session() as app:
             with pytest.raises(ServiceError):
                 service.lock_row(app, 0, 1, LockMode.S, timeout_s=-1.0)
+
+    @pytest.mark.parametrize("timeout_s", [math.nan, -1.0])
+    def test_a_nan_or_negative_timeout_is_refused_with_nothing_queued(self, timeout_s):
+        service = make_service()
+        holder = service.open_session()
+        service.lock_row(holder, 0, 1, LockMode.X)
+        with service.session() as app:
+            used, requests = service.chain.used_slots, service.stats.requests
+            for request in (
+                (service.lock_row, app, 0, 1, LockMode.X),  # contended
+                (service.lock_row, app, 0, 2, LockMode.X),  # free
+                (service.lock_table, app, 0, LockMode.X),  # contended
+            ):
+                exc = outcome_of(*request, timeout_s=timeout_s)
+                assert isinstance(exc, ServiceError)
+                assert str(exc) == f"timeout_s must be non-negative, got {timeout_s}"
+            assert service.waiting_sessions() == set()
+            assert service.chain.used_slots == used
+            assert service.stats.requests == requests
+        service.close_session(holder)
+        service.check_invariants()
+
+    def test_nan_default_timeouts_are_refused_and_inf_means_none(self):
+        with pytest.raises(ServiceError, match="default_timeout_s must be non-negative"):
+            make_service(default_timeout_s=math.nan)
+        with pytest.raises(ValueError, match="lock_timeout_s must be positive"):
+            make_service(lock_timeout_s=math.nan)
+        service = make_service(default_timeout_s=math.inf, lock_timeout_s=math.inf)
+        assert service.default_timeout_s is None
+        assert service.manager.lock_timeout_s is None
+
+    def test_an_infinite_timeout_parks_and_is_granted_on_release(self):
+        service = make_service()
+        holder = service.open_session()
+        service.lock_row(holder, 0, 1, LockMode.X)
+        app = service.open_session()
+        outcome = []
+
+        def request():
+            try:
+                service.lock_row(app, 0, 1, LockMode.X, timeout_s=math.inf)
+                outcome.append("granted")
+            except Exception as exc:  # the test reads it below
+                outcome.append(exc)
+
+        thread = spawn(request)
+        wait_until(lambda: service.waiting_sessions() == {app})
+        service.close_session(holder)
+        thread.join(timeout=5.0)
+        assert outcome == ["granted"]  # not an OverflowError
+        assert service.manager.holder_mode(app, row_resource(0, 1)) is LockMode.X
+        service.close_session(app)
+        service.check_invariants()
 
     def test_cancel_releases_waiter(self):
         service = make_service()
