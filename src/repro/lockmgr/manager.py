@@ -631,10 +631,9 @@ class LockManager:
         if rec is None:
             return freed  # nothing charged: nothing held
         # Every row (grant order per table), then the table locks.
-        held_frees = 0
-        for table_id, row_ids in rec.rows.items():
-            held_frees += self._release_grants(app_id, table_id, row_ids)
-        held_frees += self._release_grants(app_id, None, rec.held)
+        held_frees = self._release_grants(
+            app_id, itertools.chain(rec.rows.items(), ((None, rec.held),))
+        )
         freed += held_frees
         if rec.row_count != sum(map(len, rec.rows.values())):
             raise LockManagerError(
@@ -651,38 +650,41 @@ class LockManager:
             self._trace("release", app_id, f"{freed} structures", value=float(freed))
         return freed
 
-    def _release_grants(self, app_id: int, table_id: Optional[int], keys: Iterable) -> int:
-        """Drop ``app_id``'s grant on each of ``keys`` -- row ids of
-        table ``table_id``, or table keys when it is None.  A grant word
-        goes with its grant; a lock object loses it, pumps its queue and
-        goes once idle; a row map goes once empty.  Returns the
-        structures freed: the caller uncharges them and unindexes the
-        keys (``release_all`` drops the app's whole record).
+    def _release_grants(self, app_id: int, groups: Iterable) -> int:
+        """Drop ``app_id``'s grant on every key of ``groups``, pairs
+        ``(table_id, keys)``: row ids of that table, or table keys when
+        the table id is None.  A grant word goes with its grant; a lock
+        object loses it, pumps its queue and goes once idle; a row map
+        goes once empty.  Returns the structures freed: the caller
+        uncharges them and unindexes the keys (``release_all`` drops the
+        app's whole record).
         """
-        entries = self._objects if table_id is None else self._rows.get(table_id, {})
         freed = 0
+        objects, row_maps = self._objects, self._rows
         free_slot_id = self.chain.free_slot_id
-        for key in keys:
-            obj = entries.get(key)
-            if obj.__class__ is tuple and obj[0] == app_id:
-                # The usual case: the app's grant word, dropped with it.
-                del entries[key]
-                free_slot_id(obj[3])
-                freed += 1
-                continue
-            if obj is None or obj.__class__ is tuple:
-                where = key if table_id is None else row_resource(table_id, key)
-                raise LockManagerError(f"app {app_id} does not hold {where}")
-            held = obj.remove_grant(app_id)
-            if held.block is not None:
-                free_slot_id(held.block.block_id)
-                freed += 1
-            if obj.waiters:
-                self._pump(obj)
-            if obj.is_idle:
-                del entries[key]
-        if not entries and table_id is not None:
-            self._rows.pop(table_id, None)
+        for table_id, keys in groups:
+            entries = objects if table_id is None else row_maps.get(table_id) or {}
+            for key in keys:
+                obj = entries.get(key)
+                if obj.__class__ is tuple and obj[0] == app_id:
+                    # The usual case: the app's grant word, dropped with it.
+                    del entries[key]
+                    free_slot_id(obj[3])
+                    freed += 1
+                    continue
+                if obj is None or obj.__class__ is tuple:
+                    where = key if table_id is None else row_resource(table_id, key)
+                    raise LockManagerError(f"app {app_id} does not hold {where}")
+                held = obj.remove_grant(app_id)
+                if held.block is not None:
+                    free_slot_id(held.block.block_id)
+                    freed += 1
+                if obj.waiters:
+                    self._pump(obj)
+                if obj.is_idle:
+                    del entries[key]
+            if not entries and table_id is not None:
+                del row_maps[table_id]
         return freed
 
     # -- core acquisition ---------------------------------------------------------
@@ -1309,7 +1311,7 @@ class LockManager:
         row_ids = rec.rows.pop(table_id, None) if rec is not None else None
         if not row_ids:
             return 0
-        freed = self._release_grants(app_id, table_id, row_ids)
+        freed = self._release_grants(app_id, ((table_id, row_ids),))
         rec.row_count -= len(row_ids)
         rec.slots -= freed
         return freed
@@ -1347,7 +1349,7 @@ class LockManager:
         if not index:
             del rec.rows[table_id]
         rec.row_count -= 1
-        rec.slots -= self._release_grants(app_id, table_id, (row_id,))
+        rec.slots -= self._release_grants(app_id, ((table_id, (row_id,)),))
         if self.tracer is not None:
             resource = row_resource(table_id, row_id)
             self._trace("release", app_id, f"CS early release {resource}",

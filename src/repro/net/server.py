@@ -55,7 +55,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net import protocol as wire
 from repro.obs.tracing import SERVER_HOPS
-from repro.service.service import _USE_DEFAULT, _checked_timeout
+from repro.service.service import _INF, _USE_DEFAULT, _checked_timeout
 
 logger = logging.getLogger(__name__)
 
@@ -149,7 +149,9 @@ def _timeout(f: tuple) -> object:
     if not flags & wire.FLAG_HAS_TIMEOUT:
         return _USE_DEFAULT
     timeout = f[-4] if flags & wire.FLAG_TRACE else f[-1]
-    return None if timeout < 0 else _checked_timeout(timeout)
+    if timeout < 0:
+        return None
+    return timeout if timeout < _INF else _checked_timeout(timeout)  # NaN, +inf
 
 
 class _ThreadedConnection:

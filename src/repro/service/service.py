@@ -64,12 +64,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Sentinel distinguishing "no timeout given" from "explicitly None".
 _USE_DEFAULT = object()
+_INF = math.inf
 
 
 def _checked_timeout(timeout_s: object, name: str = "timeout_s") -> Optional[float]:
     """A timeout as the service keeps it: None (no deadline) for None or
     +inf, else the number of seconds; a negative or NaN one is refused."""
-    if timeout_s is None or timeout_s == math.inf:
+    if timeout_s is None or timeout_s == _INF:
         return None
     if not timeout_s >= 0:  # type: ignore[operator]
         raise ServiceError(f"{name} must be non-negative, got {timeout_s}")
@@ -322,9 +323,10 @@ class LockService:
         after any of these the session must roll back via
         :meth:`close_session` (strict 2PL, as in the DES).
         """
-        timeout_s = (
-            self.default_timeout_s if timeout_s is _USE_DEFAULT else _checked_timeout(timeout_s)
-        )
+        if timeout_s is _USE_DEFAULT:
+            timeout_s = self.default_timeout_s
+        elif timeout_s is not None and not 0.0 <= timeout_s < _INF:  # type: ignore[operator]
+            timeout_s = _checked_timeout(timeout_s)  # the usual finite one skips the call
         # Uncontended requests (the overwhelming majority under churn)
         # grant without building a generator: one mutex hold, no
         # event-loop machinery.  ``lock_row_fast`` either completes with
