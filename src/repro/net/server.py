@@ -55,7 +55,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net import protocol as wire
 from repro.obs.tracing import SERVER_HOPS
-from repro.service.service import _INF, _USE_DEFAULT, _checked_timeout
+from repro.service.service import _USE_DEFAULT
 
 logger = logging.getLogger(__name__)
 
@@ -143,15 +143,12 @@ def _app_id(f: tuple) -> int:
 
 
 def _timeout(f: tuple) -> object:
-    """A waiting op's wire timeout as the service takes it (<0: none);
-    a NaN is refused with ``ServiceError``, as the service refuses it."""
+    """A waiting op's wire timeout as the service takes it (<0: none)."""
     flags = f[1]
     if not flags & wire.FLAG_HAS_TIMEOUT:
         return _USE_DEFAULT
     timeout = f[-4] if flags & wire.FLAG_TRACE else f[-1]
-    if timeout < 0:
-        return None
-    return timeout if timeout < _INF else _checked_timeout(timeout)  # NaN, +inf
+    return None if timeout < 0 else timeout
 
 
 class _ThreadedConnection:
@@ -244,8 +241,6 @@ class _ThreadedConnection:
                 if mode is None:
                     wire.lock_mode(f[6])  # raises the ProtocolError
                 if self._try_lock_row is not None:
-                    if f[1] & wire.FLAG_HAS_TIMEOUT:
-                        _timeout(f)  # refused before a grant, as in lock_row
                     if clock is not None:
                         clock[2] = time.perf_counter()
                     if self._try_lock_row(f[3], f[4], f[5], mode):

@@ -517,14 +517,11 @@ class TestOneDispatchPath:
             assert resp.ok and resp.request_id == 5
             assert stack.service.manager.app_slots(app) == 2
 
-    @pytest.mark.parametrize("contended", [False, True], ids=["free", "held"])
-    def test_a_nan_timeout_is_refused_and_the_connection_serves_on(
-        self, server, stack, contended
-    ):
+    def test_a_nan_timeout_is_refused_and_the_connection_serves_on(self, server, stack):
+        # A request that would wait: an immediate grant reads no timeout.
         service = stack.service
         holder = service.open_session()
-        if contended:
-            service.lock_row(holder, 3, 7, LockMode.X)
+        service.lock_row(holder, 3, 7, LockMode.X)
         with RawConnection(server.address) as raw:
             app = raw.open_session()
             resp = raw.exchange(
