@@ -2,7 +2,7 @@
 """Alternating before/after pairs of one benchmark workload, with a verdict.
 
     python scripts/ladder_pairs.py BASE CHANGE --workload W [--pairs 10]
-        [--seed 3201]
+        [--seed 3201] [--out BENCH_PAIRS.json]
 
 Exports the two git revs (``git archive``: clean trees of the tracked
 files) into two directories whose paths have the same length -- the
@@ -32,6 +32,14 @@ holds:
   than the metric's relative bound;
 * ``no claim`` -- none of these.
 
+With ``--out FILE`` the session is also appended to the ledger
+``FILE`` (the committed one is ``BENCH_PAIRS.json``): a JSON list with
+one object per session, one line each, holding the two revs (as given
+and resolved), the workload, the seeds, which side ran first, each
+pair's value per metric, the failed operations, each run's host speed
+and each metric's verdict.  Entries are only ever appended; a claim
+cites its entry by its index in the list.
+
 Exit 0 when every run produced its result, 1 when one did not.  The
 exports are made under ``$TMPDIR`` and removed afterwards.
 """
@@ -47,6 +55,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from statistics import median, quantiles
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -132,9 +141,19 @@ def export(rev: str, dest: str) -> None:
         tar.extractall(dest)
 
 
+def resolve(rev: str) -> str:
+    """The commit id ``rev`` names."""
+    return subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout.strip()
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Optional[dict]:
-    """One ``run.py`` run from ``tree``: its closing JSON line, or None
-    when it exited non-zero (a failed output check included)."""
+    """One ``run.py`` run from ``tree``: its closing JSON line plus the
+    run's ``host_speed`` (from its ``--out`` detail), or None when it
+    exited non-zero (a failed output check included)."""
+    detail_path = os.path.join(tree, "pairs-detail.json")
     proc = subprocess.run(
         [
             sys.executable,
@@ -143,6 +162,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> Optional[di
             "--seed", str(seed),
             "--seconds", str(seconds),
             "--trace", "0",
+            "--out", detail_path,
         ],
         cwd=tree,
         stdout=subprocess.PIPE,
@@ -152,7 +172,31 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> Optional[di
     if proc.returncode or not lines:
         print(f"  run from {tree} exited {proc.returncode}", file=sys.stderr)
         return None
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    with open(detail_path) as handle:
+        result["host_speed"] = json.load(handle)["host_speed"]
+    os.remove(detail_path)
+    return result
+
+
+def read_ledger(path: str) -> List[dict]:
+    """The entries of the ledger at ``path`` (none when it is absent)."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def append_to_ledger(path: str, entry: dict) -> int:
+    """Append ``entry`` to the ledger at ``path``, one entry a line, so
+    that the earlier lines stay byte for byte; returns its index."""
+    entries = read_ledger(path) + [entry]
+    with open(path + ".tmp", "w") as handle:
+        handle.write(
+            "[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in entries) + "\n]\n"
+        )
+    os.replace(path + ".tmp", path)
+    return len(entries) - 1
 
 
 def main(argv=None) -> int:
@@ -162,6 +206,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, default=3201)
+    parser.add_argument("--out", help="append the session to this ledger (JSON)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
@@ -172,10 +217,14 @@ def main(argv=None) -> int:
     trees = {"base": os.path.join(workdir, "a"), "change": os.path.join(workdir, "b")}
     values: Dict[str, Dict[str, List[float]]] = {side: {} for side in trees}
     failed: Dict[str, List[int]] = {side: [] for side in trees}
+    speeds: Dict[str, List[float]] = {side: [] for side in trees}
+    seeds: List[int] = []
+    firsts: List[str] = []
     ok = True
     try:
-        export(args.base, trees["base"])
-        export(args.change, trees["change"])
+        revs = {"base": resolve(args.base), "change": resolve(args.change)}
+        export(revs["base"], trees["base"])
+        export(revs["change"], trees["change"])
         print(
             f"# {args.workload}: {args.base} (base) vs {args.change} (change), "
             f"{args.pairs} pairs of {seconds:g} s"
@@ -191,6 +240,8 @@ def main(argv=None) -> int:
             if any(result is None for result in results.values()):
                 ok = False
                 continue
+            seeds.append(seed)
+            firsts.append(order[0])
             for side in trees:
                 result = results[side]
                 cells = []
@@ -199,11 +250,13 @@ def main(argv=None) -> int:
                     values[side].setdefault(metric["name"], []).append(value)
                     cells.append(f"{metric['name']}={value:.4g}")
                 failed[side].append(result["failed"])
+                speeds[side].append(result["host_speed"]["median"])
                 cells.append(f"failed {result['failed']}/{result['attempted']}")
                 print(f"  {side:6s}  " + "  ".join(cells), flush=True)
                 ok = ok and result["correct"]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    verdicts: Dict[str, dict] = {}
     print(
         f"{'metric':20s} {'better':6s}  {'base median [q1, q3]':32s}  "
         f"{'change median [q1, q3]':32s}  {'wins':6s}  {'change':>7s}  verdict"
@@ -228,6 +281,26 @@ def main(argv=None) -> int:
             f"{name:20s} {v.better:6s}  {sides[0]:32s}  {sides[1]:32s}  "
             f"{f'{v.wins}/{v.pairs}':6s}  {v.gain:+7.1%}  {v.verdict}"
         )
+        verdicts[name] = v._asdict()
+    if args.out:
+        index = append_to_ledger(args.out, {
+            "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "python": sys.version.split()[0],
+            "base": args.base,
+            "base_rev": revs["base"],
+            "change": args.change,
+            "change_rev": revs["change"],
+            "workload": args.workload,
+            "run_seconds": seconds,
+            "seeds": seeds,
+            "first": firsts,
+            "values": values,
+            "failed": failed,
+            "host_speed": speeds,
+            "verdicts": verdicts,
+            "complete": ok,
+        })
+        print(f"appended as entry {index} of {args.out}")
     return 0 if ok else 1
 
 

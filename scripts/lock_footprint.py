@@ -11,10 +11,12 @@ one held lock costs").  Two measurements, shape only -- no gate:
   ``tracemalloc`` and ``gc.get_objects()`` price one held lock in
   traced bytes and newly collector-tracked objects, by the source line
   that allocated them.  The line marked ``<- grant word`` is the one
-  that built the lock table's entry for a held row, filed in its
-  table's row map: the grant word ``(app_id, mode code, count, block
-  id)`` an uncontended lock is (a ``LockObject`` would show there
-  instead).  One ``gc.collect()``
+  that built the last held row's lock-table entry: the grant word
+  ``(app_id, mode code, count, block id)`` an uncontended lock is (a
+  ``LockObject`` would show there instead).  A fresh grant shares its
+  app's last word of its mode and block, so there is one word per
+  app, mode and block, not one per lock, and the line is printed
+  however few bytes a lock it costs.  One ``gc.collect()``
   then shows which of those objects stay tracked (what every full
   collection walks: CPython untracks an exact tuple of ints at its
   first pass), and
@@ -78,12 +80,13 @@ class HeldCost(NamedTuple):
     surviving_per_lock: float
     sites: List[Site]
     #: ``Site.where`` of the line that built the last row's lock-table
-    #: entry (its grant word).
+    #: entry (its grant word, shared by the app's rows of one block).
     word_site: str
     #: Still there after ``release_all`` and a full collection, in
     #: total (not per lock).  The collection empties the interpreter's
-    #: free lists: the tuple free list alone keeps 2 000 of the freed
-    #: grant words, 144 KB that the program no longer holds.  The lock
+    #: free lists, which can keep up to 2 000 freed tuples (144 KB of
+    #: grant words when each lock had its own) that the program no
+    #: longer holds.  The lock
     #: table's own hash tables (the table map and the map of row maps)
     #: are left out: CPython returns a dict's slots on a later insert,
     #: never on a delete.
@@ -264,8 +267,9 @@ def main() -> int:
             "allocated at"
         )
         for site in cost.sites:
-            if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01:
-                mark = "  <- grant word" if site.where == cost.word_site else ""
+            word = site.where == cost.word_site
+            if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01 or word:
+                mark = "  <- grant word, one per app, mode and block" if word else ""
                 print(
                     f"  {site.bytes_per_lock:10.1f}  {site.tracked_per_lock:12.2f}  "
                     f"{site.surviving_per_lock:8.2f}  {site.where}{mark}"

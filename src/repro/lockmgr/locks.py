@@ -65,7 +65,7 @@ class AppLocks:
     a dictionary per field cost one probe each.
     """
 
-    __slots__ = ("held", "rows", "row_count", "row_seq", "slots")
+    __slots__ = ("held", "rows", "row_count", "row_seq", "slots", "word")
 
     def __init__(self) -> None:
         #: Table keys with a grant; a row lock is indexed in ``rows``
@@ -75,11 +75,11 @@ class AppLocks:
         #: then this set; the DES output does not depend on that order
         #: (``make des-identical`` checks it byte for byte).
         self.held: Set[LockKey] = set()
-        #: table id -> {row id: None}, the row ids in grant order.  Ids
-        #: only, not grants: a grant word is replaced, not updated, on
-        #: every re-grant, conversion or inflation, so a stored grant
-        #: would go stale.  Escalation reads row modes from the lock table.
-        self.rows: Dict[int, Dict[int, None]] = {}
+        #: table id -> [row id, ...]: each held row once, in grant order.
+        #: Ids, not grants: a grant word is replaced, not updated, on every
+        #: re-grant, conversion or inflation.  Escalation reads row modes
+        #: from the lock table; a CS early release scans from the tail.
+        self.rows: Dict[int, List[int]] = {}
         #: Row locks held across all tables (the sum of ``rows`` sizes).
         self.row_count = 0
         #: Stamp of the first row lock (0 = none yet): the order in
@@ -88,6 +88,17 @@ class AppLocks:
         self.row_seq = 0
         #: Lock structures charged: grants plus a queued request's.
         self.slots = 0
+        #: The last fresh grant word; no mode code is -1.
+        self.word = (0, -1, 0, 0)
+
+    def fresh_word(self, app_id: int, code: int, block_id: int) -> tuple:
+        """A fresh grant's word ``(app_id, code, 1, block_id)``: the last
+        one built, when its mode and block match (block ids are never
+        reused), so one word serves an app's rows from one block."""
+        word = self.word
+        if word[3] != block_id or word[1] != code:
+            word = self.word = (app_id, code, 1, block_id)
+        return word
 
 
 class Waiter:

@@ -92,7 +92,8 @@ REFRESH_PERIOD_FOR_APP_PERCENT = 0x80
 #: block its structure came from.  An exact tuple of ints, which the
 #: cyclic collector untracks at its first pass; the first request that
 #: would add a second holder or a waiter inflates it into a
-#: :class:`LockObject` (see ``LockManager._inflate``).
+#: :class:`LockObject` (see ``LockManager._inflate``).  Fresh grants
+#: share words (``AppLocks.fresh_word``): read one by value, not by id.
 GrantWord = Tuple[int, int, int, int]
 Entry = Union[GrantWord, LockObject]
 _S_CODE = LockMode.S._idx  # type: ignore[attr-defined]
@@ -569,7 +570,7 @@ class LockManager:
         if theld is None:
             block = chain.allocate_slot()
             if tent is None:
-                objects[table_res] = (app_id, intent._idx, 1, block.block_id)  # type: ignore[attr-defined]
+                objects[table_res] = rec.fresh_word(app_id, intent._idx, block.block_id)  # type: ignore[attr-defined]
             else:
                 (self._inflate(table_res, -1, tent) if tword else tent).add_grant(
                     app_id, intent, block
@@ -596,7 +597,7 @@ class LockManager:
         if obj is None:
             if rows is None:
                 rows = self._rows[table_id] = {}
-            rows[row_id] = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
+            rows[row_id] = rec.fresh_word(app_id, mode._idx, block.block_id)  # type: ignore[attr-defined]
         else:
             (self._inflate(table_res, row_id, obj) if rword else obj).add_grant(
                 app_id, mode, block
@@ -723,7 +724,7 @@ class LockManager:
         if entry is None:
             # Only now that a structure is secured: a refused request
             # must not leave a grant behind.
-            self._file(key, row_id, (app_id, mode._idx, 1, block.block_id))  # type: ignore[attr-defined]
+            self._file(key, row_id, rec.fresh_word(app_id, mode._idx, block.block_id))  # type: ignore[attr-defined]
         else:
             # A second holder or a waiter: inflate a word first.
             obj = self._inflate(key, row_id, entry) if entry.__class__ is tuple else entry
@@ -999,8 +1000,8 @@ class LockManager:
             rec.row_seq = self._row_seq_counter
         rows = rec.rows.get(key[1])
         if rows is None:
-            rows = rec.rows[key[1]] = {}
-        rows[row_id] = None
+            rows = rec.rows[key[1]] = []
+        rows.append(row_id)
         rec.row_count += 1
 
     # -- deadlock detection ------------------------------------------------------------
@@ -1321,10 +1322,11 @@ class LockManager:
 
         Under DB2's CS isolation a share lock is released as soon as the
         cursor moves off the row.  Only plain S row locks are eligible:
-        write locks (and S locks later upgraded for an update) are held
-        to commit, and a row covered by an escalated table lock has no
-        structure of its own to release.  Returns True when a lock was
-        released (or its re-entrancy count decremented).
+        write locks (and S locks upgraded for an update, or with the
+        app's conversion queued on them) are held to commit, and a row
+        covered by an escalated table lock has no structure of its own
+        to release.  Returns True when a lock was released (or its
+        re-entrancy count decremented).
         """
         rows = self._rows.get(table_id)
         entry = rows.get(row_id) if rows is not None else None
@@ -1338,14 +1340,17 @@ class LockManager:
             held = entry.held_by(app_id) if entry is not None else None
             if held is None:
                 return False
-            if held.mode is not LockMode.S:
-                return False  # upgraded to U/X: held to commit
+            if held.mode is not LockMode.S or self._waiting_on.get(app_id, (None,))[0] is entry:
+                return False  # upgraded to U/X, or converting: held to commit
             if held.count > 1:
                 held.count -= 1
                 return True
         rec = self._apps[app_id]
         index = rec.rows[table_id]
-        del index[row_id]
+        at = len(index) - 1
+        while index[at] != row_id:  # from the tail: the cursor's last row
+            at -= 1
+        del index[at]
         if not index:
             del rec.rows[table_id]
         rec.row_count -= 1
@@ -1406,6 +1411,7 @@ class LockManager:
                 f"app slot total {slot_total} != chain used {self.chain.used_slots}"
             )
         objects = self._objects
+        indexed: Dict[Tuple[int, int], Set[int]] = {}  # (app, table) -> row ids
         for app_id, rec in self._apps.items():
             for key in rec.held:
                 if key[0] == ROW_CODE or self._held_mode(objects.get(key), app_id) is None:
@@ -1416,6 +1422,9 @@ class LockManager:
             total = 0
             for table_id, row_ids in rec.rows.items():
                 total += len(row_ids)
+                indexed[app_id, table_id] = ids = set(row_ids)
+                if len(ids) != len(row_ids):
+                    raise LockManagerError(f"app {app_id} indexes a row of T{table_id} twice")
                 entries = self._rows.get(table_id, {})
                 for row_id in row_ids:
                     if self._held_mode(entries.get(row_id), app_id) is None:
@@ -1436,7 +1445,7 @@ class LockManager:
         ))
         for key, obj in filed:
             if obj.__class__ is tuple:
-                self._check_word(key, obj)
+                self._check_word(key, obj, indexed)
                 continue
             if obj.is_idle:
                 raise LockManagerError(f"idle lock object kept for {obj.resource}")
@@ -1452,10 +1461,11 @@ class LockManager:
                 f"contended set {filed} != objects with waiters {waited}"
             )
 
-    def _check_word(self, key: LockKey, word: GrantWord) -> None:
+    def _check_word(self, key: LockKey, word: GrantWord, indexed: dict) -> None:
         """A grant word is four ints naming a mode, a count of at least
         one and a block of this chain, and its key is indexed for its
-        holder (a row in its table's row map, a table in the held set)."""
+        holder (a row in its table's row index, here ``indexed``; a table
+        in the held set)."""
         resource = resource_of(key)
         if len(word) != 4 or any(type(field) is not int for field in word):
             raise LockManagerError(f"malformed grant word {word!r} on {resource}")
@@ -1468,12 +1478,11 @@ class LockManager:
             raise LockManagerError(
                 f"grant word on {resource} names block #{block_id}, not in the chain"
             ) from None
-        rec = self._apps.get(app_id)
         if key[0] == ROW_CODE:
-            indexed = rec is not None and key[3] in rec.rows.get(key[1], ())
+            found = key[3] in indexed.get((app_id, key[1]), ())
         else:
-            indexed = rec is not None and key in rec.held
-        if not indexed:
+            found = app_id in self._apps and key in self._apps[app_id].held
+        if not found:
             raise LockManagerError(
                 f"grant word on {resource} is not indexed for app {app_id}"
             )

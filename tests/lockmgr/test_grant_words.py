@@ -3,8 +3,10 @@
 A lock with one holder and no queue is a grant word in the lock table,
 ``(app_id, mode code, count, block id)``; the first request that would
 add a second holder or a waiter inflates it into a ``LockObject``.
-Each transition is checked on both grant paths -- the DES's
-``lock_row`` generator and the live service's ``lock_row_fast``.
+Fresh grants of one app in one mode from one block share one word, and
+an app indexes its rows in one list per table.  Each transition is
+checked on both grant paths -- the DES's ``lock_row`` generator and the
+live service's ``lock_row_fast``.
 """
 
 import gc
@@ -186,7 +188,127 @@ class TestWordsAndObjects:
         take(manager, 1, 0, 7, LockMode.S, fast)
         take(manager, 1, 0, 8, LockMode.S, fast)
         rec = manager._apps[1]
-        del rec.rows[0][7]
+        rec.rows[0].remove(7)
         rec.row_count -= 1  # so that only the word's own check can fail
         with pytest.raises(LockManagerError, match=r"grant word on T0\.R7 is not indexed for app 1"):
             manager.check_invariants()
+
+    def test_check_invariants_rejects_a_row_indexed_twice(self, fast):
+        manager = self.manager()
+        take(manager, 1, 0, 7, LockMode.S, fast)
+        rec = manager._apps[1]
+        rec.rows[0].append(7)
+        rec.row_count += 1  # so that only the duplicate can fail
+        with pytest.raises(LockManagerError, match=r"app 1 indexes a row of T0 twice"):
+            manager.check_invariants()
+
+
+def row_entry(manager, table_id, row_id):
+    return manager._entry(table_resource(table_id), row_id)
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["lock_row", "lock_row_fast"])
+class TestSharedWords:
+    """One word object serves every fresh grant of one app in one mode
+    from one block; a change to one row replaces that row's word only."""
+
+    def manager(self, capacity=None):
+        chain = (
+            LockBlockChain(initial_blocks=2, capacity_per_block=capacity)
+            if capacity
+            else LockBlockChain(initial_blocks=2)
+        )
+        return LockManager(Environment(), chain)
+
+    def test_fresh_rows_of_one_app_mode_and_block_share_one_word(self, fast):
+        manager = self.manager()
+        for row in (7, 8, 9):
+            take(manager, 1, 0, row, LockMode.S, fast)
+        word = row_entry(manager, 0, 7)
+        assert row_entry(manager, 0, 8) is word and row_entry(manager, 0, 9) is word
+        assert word[:3] == (1, LockMode.S._idx, 1)
+        # The app keeps its last fresh word: table 1's IS grant comes
+        # between, so that table's first row builds a new S word, which
+        # its next row shares.
+        take(manager, 1, 1, 7, LockMode.S, fast)
+        take(manager, 1, 1, 8, LockMode.S, fast)
+        assert row_entry(manager, 1, 7) == word and row_entry(manager, 1, 7) is not word
+        assert row_entry(manager, 1, 8) is row_entry(manager, 1, 7)
+        manager.check_invariants()
+        assert manager.release_all(1) == 7
+        assert manager.chain.used_slots == 0
+
+    def test_words_differ_across_apps_modes_and_blocks(self, fast):
+        manager = self.manager(capacity=8)
+        take(manager, 1, 0, 0, LockMode.S, fast)  # slots 1-2: T0 IS, row 0
+        word = row_entry(manager, 0, 0)
+        block_a = word[3]
+        take(manager, 2, 0, 1, LockMode.S, fast)  # slots 3-4: app 2's
+        assert row_entry(manager, 0, 1) == (2, LockMode.S._idx, 1, block_a)
+        take(manager, 1, 1, 0, LockMode.X, fast)  # slots 5-6: T1 IX, row X
+        assert row_entry(manager, 1, 0) == (1, LockMode.X._idx, 1, block_a)
+        take(manager, 1, 0, 2, LockMode.S, fast)  # slot 7
+        take(manager, 1, 0, 3, LockMode.S, fast)  # slot 8: block A is full
+        assert manager.chain.block(block_a).used == 8
+        take(manager, 1, 0, 4, LockMode.S, fast)  # block B's first slot
+        take(manager, 1, 0, 5, LockMode.S, fast)
+        other_block = row_entry(manager, 0, 4)
+        assert other_block[:3] == word[:3] and other_block[3] != block_a
+        assert row_entry(manager, 0, 5) is other_block
+        # The X grant came between: rows 2-3 share a word equal to row 0's.
+        assert row_entry(manager, 0, 2) == word
+        assert row_entry(manager, 0, 3) is row_entry(manager, 0, 2)
+        manager.check_invariants()
+
+    @pytest.mark.parametrize(
+        "change", ["re-grant", "conversion", "cs-decrement", "inflation"]
+    )
+    def test_changing_one_shared_row_leaves_its_neighbours(self, fast, change):
+        manager = self.manager()
+        for row in range(4):
+            take(manager, 1, 0, row, LockMode.S, fast)
+        word = row_entry(manager, 0, 0)
+        before = tuple(word)
+        if change == "re-grant":
+            take(manager, 1, 0, 1, LockMode.S, fast)
+            assert row_entry(manager, 0, 1) == before[:2] + (2, before[3])
+        elif change == "conversion":
+            take(manager, 1, 0, 1, LockMode.X, fast)
+            assert row_entry(manager, 0, 1) == (1, LockMode.X._idx, 2, before[3])
+        elif change == "cs-decrement":
+            take(manager, 1, 0, 1, LockMode.S, fast)
+            assert manager.release_read_lock(1, 0, 1)
+            assert row_entry(manager, 0, 1) == before
+            assert row_entry(manager, 0, 1) is not word
+        else:
+            take(manager, 2, 0, 1, LockMode.S, fast)
+            assert type(row_entry(manager, 0, 1)) is LockObject
+        assert word == before
+        for row in (0, 2, 3):
+            assert row_entry(manager, 0, row) is word
+        manager.check_invariants()
+        # A fresh grant after the change still shares the word.
+        take(manager, 1, 0, 4, LockMode.S, fast)
+        assert row_entry(manager, 0, 4) is word
+        manager.release_all(2)
+        assert manager.release_all(1) == 6
+        assert manager.chain.used_slots == 0
+        manager.check_invariants()
+
+    def test_a_cs_release_off_the_tail_keeps_the_order(self, fast):
+        manager = self.manager()
+        for row in (7, 3, 9):
+            take(manager, 1, 0, row, LockMode.S, fast)
+        rec = manager._apps[1]
+        assert manager.release_read_lock(1, 0, 3)
+        assert rec.rows[0] == [7, 9] and rec.row_count == 2
+        manager.check_invariants()
+        take(manager, 1, 0, 3, LockMode.S, fast)  # re-locked: appended once
+        assert rec.rows[0] == [7, 9, 3] and rec.row_count == 3
+        manager.check_invariants()
+        assert manager.release_read_lock(1, 0, 9)
+        assert manager.release_read_lock(1, 0, 7)
+        assert rec.rows[0] == [3]
+        manager.check_invariants()
+        assert manager.release_all(1) == 2
+        assert manager.chain.used_slots == 0

@@ -141,6 +141,27 @@ class TestRelease:
         assert manager.stats.waits == 1
         assert manager.stats.wait_time_total == pytest.approx(9.0)
 
+    def test_cs_release_under_a_queued_conversion_is_held_to_commit(self, env):
+        manager = make_manager(env)
+        run_process(env, grab_row(manager, 1, 0, 7, LockMode.S))
+        run_process(env, grab_row(manager, 2, 0, 7, LockMode.S))
+        upgrade = manager.lock_row(1, 0, 7, LockMode.X)
+        next(upgrade)  # parks: app 2's S blocks the conversion
+        resource = row_resource(0, 7)
+        assert manager.lock_status(resource) == "T0.R7: granted[1:S, 2:S] queue[1:X]"
+        # The grant under the conversion stays: dropping it would leave
+        # the queued conversion nothing to upgrade.
+        assert manager.release_read_lock(1, 0, 7) is False
+        assert manager.lock_status(resource) == "T0.R7: granted[1:S, 2:S] queue[1:X]"
+        manager.check_invariants()
+        manager.release_all(2)  # grants the conversion
+        assert manager.lock_status(resource) == "T0.R7: granted[1:X] queue[]"
+        manager.check_invariants()
+        upgrade.close()
+        assert manager.release_all(1) == 2
+        assert manager.chain.used_slots == 0
+        manager.check_invariants()
+
 
 class TestFifoConvoy:
     def test_figure3_queue_order(self, env):

@@ -105,6 +105,27 @@ class TestRoundTrips:
         assert client.release_read_lock(app, 3, 9) is False
         client.close_session(app)
 
+    def test_unlock_read_under_the_sessions_parked_conversion(self, client, stack):
+        # UNLOCK_READ runs on the reader thread while the same session's
+        # LOCK_ROW (an S -> X conversion) is parked on the executor: the
+        # S grant under the conversion is held to commit.
+        upgrader, reader = client.open_session(), client.open_session()
+        for app in (upgrader, reader):
+            client.lock_row(app, 3, 9, LockMode.S)
+        thread = threading.Thread(
+            target=client.lock_row, args=(upgrader, 3, 9, LockMode.X),
+            kwargs={"timeout_s": 5.0},
+        )
+        thread.start()
+        assert wait_until(lambda: stack.service.waiting_sessions() == {upgrader})
+        assert client.release_read_lock(upgrader, 3, 9) is False
+        assert client.close_session(reader) == 2  # grants the conversion
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert client.close_session(upgrader) == 2
+        assert stack.chain.used_slots == 0
+        stack.check_invariants()
+
     def test_lock_table(self, client):
         app = client.open_session()
         client.lock_table(app, 5, LockMode.IX)

@@ -1,9 +1,12 @@
 """``scripts/ladder_pairs.py``'s verdict: 9 of 10 pairs and beyond the
 base's quartile spread make a gain; a median worse than the bound is
 named; more failed operations or a base spread wider than the bound
-rule a gain out."""
+rule a gain out.  Its ``--out`` ledger gains one entry a session and
+keeps the earlier ones byte for byte."""
 
 import importlib.util
+import json
+import os
 import pathlib
 
 import pytest
@@ -104,3 +107,64 @@ def test_the_sides_must_pair_up():
         pairs.verdict(BASE, BASE[:5], "higher", 0.25)
     with pytest.raises(ValueError):
         pairs.verdict([], [], "higher", 0.25)
+
+
+SPEC = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+
+
+def fake_session(monkeypatch, change_delta):
+    """Stand in for git and the benchmark: each run reports every
+    end-to-end metric as ``100 + seed % 10``, plus ``change_delta`` on
+    the change's side, at host speed 0.9 with no failed operation."""
+    monkeypatch.setattr(pairs, "resolve", lambda rev: f"{rev:0<40}")
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: os.makedirs(dest))
+
+    def run_once(tree, workload, seed, seconds):
+        value = 100.0 + seed % 10 + (change_delta if tree.endswith("b") else 0.0)
+        metrics = {m["name"]: {"value": value} for m in SPEC["end_to_end"]}
+        return {
+            "correct": True, "attempted": 40, "failed": 0,
+            "host_speed": {"median": 0.9}, "metrics": metrics,
+        }
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+
+
+def test_out_appends_one_entry_a_session(tmp_path, monkeypatch, capsys):
+    ledger = str(tmp_path / "BENCH_PAIRS.json")
+    fake_session(monkeypatch, change_delta=20.0)
+    argv = ["aaa", "bbb", "--workload", "surge_inproc", "--out", ledger]
+    assert pairs.main(argv) == 0
+    assert "appended as entry 0 of" in capsys.readouterr().out
+    (entry,) = pairs.read_ledger(ledger)
+    assert (entry["base"], entry["change"]) == ("aaa", "bbb")
+    assert entry["base_rev"] == "aaa".ljust(40, "0")
+    assert entry["workload"] == "surge_inproc" and entry["complete"]
+    assert entry["run_seconds"] == SPEC["run_seconds"]
+    assert entry["seeds"] == list(range(3201, 3211))
+    assert entry["first"] == ["base", "change"] * 5
+    assert entry["values"]["base"]["lock_rps"] == [100.0 + s % 10 for s in entry["seeds"]]
+    assert entry["failed"] == {"base": [0] * 10, "change": [0] * 10}
+    assert entry["host_speed"] == {"base": [0.9] * 10, "change": [0.9] * 10}
+    assert set(entry["verdicts"]) == {m["name"] for m in SPEC["end_to_end"]}
+    rps = entry["verdicts"]["lock_rps"]
+    assert (rps["verdict"], rps["wins"], rps["pairs"]) == ("gain", 10, 10)
+    assert entry["verdicts"]["peak_rss_mib"]["verdict"] == "worse beyond bound"
+    first = open(ledger).read()
+
+    # A second session is appended; the first entry's line stays as it was.
+    fake_session(monkeypatch, change_delta=0.0)
+    argv = ["ccc", "ddd", "--workload", "churn_inproc", "--pairs", "4", "--out", ledger]
+    assert pairs.main(argv) == 0
+    entries = pairs.read_ledger(ledger)
+    assert [e["workload"] for e in entries] == ["surge_inproc", "churn_inproc"]
+    assert entries[0] == entry
+    assert entries[1]["verdicts"]["lock_rps"]["verdict"] == "no claim"
+    assert open(ledger).read().startswith(first[: -len("\n]\n")] + ",\n")
+
+
+def test_without_out_nothing_is_written(tmp_path, monkeypatch):
+    fake_session(monkeypatch, change_delta=1.0)
+    monkeypatch.chdir(tmp_path)
+    assert pairs.main(["aaa", "bbb", "--workload", "churn_inproc", "--pairs", "2"]) == 0
+    assert os.listdir(tmp_path) == []
