@@ -78,7 +78,7 @@ class AppLocks:
         #: table id -> [row id, ...]: each held row once, in grant order.
         #: Ids, not grants: a grant word is replaced, not updated, on every
         #: re-grant, conversion or inflation.  Escalation reads row modes
-        #: from the lock table; a CS early release scans from the tail.
+        #: from the lock table.
         self.rows: Dict[int, List[int]] = {}
         #: Row locks held across all tables (the sum of ``rows`` sizes).
         self.row_count = 0
@@ -92,9 +92,8 @@ class AppLocks:
         self.word = (0, -1, 0, 0)
 
     def fresh_word(self, app_id: int, code: int, block_id: int) -> tuple:
-        """A fresh grant's word ``(app_id, code, 1, block_id)``: the last
-        one built, when its mode and block match (block ids are never
-        reused), so one word serves an app's rows from one block."""
+        """A fresh grant's word ``(app_id, code, 1, block_id)``: the last one
+        built if its mode and block match (block ids are never reused)."""
         word = self.word
         if word[3] != block_id or word[1] != code:
             word = self.word = (app_id, code, 1, block_id)

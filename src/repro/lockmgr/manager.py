@@ -597,7 +597,10 @@ class LockManager:
         if obj is None:
             if rows is None:
                 rows = self._rows[table_id] = {}
-            rows[row_id] = rec.fresh_word(app_id, mode._idx, block.block_id)  # type: ignore[attr-defined]
+            word = rec.word  # AppLocks.fresh_word, written out: the hot path
+            if word[3] != block.block_id or word[1] != mode._idx:  # type: ignore[attr-defined]
+                word = rec.word = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
+            rows[row_id] = word
         else:
             (self._inflate(table_res, row_id, obj) if rword else obj).add_grant(
                 app_id, mode, block
@@ -1347,10 +1350,8 @@ class LockManager:
                 return True
         rec = self._apps[app_id]
         index = rec.rows[table_id]
-        at = len(index) - 1
-        while index[at] != row_id:  # from the tail: the cursor's last row
-            at -= 1
-        del index[at]
+        # The row a CS cursor just read is its table's last one.
+        index.pop() if index[-1] == row_id else index.remove(row_id)
         if not index:
             del rec.rows[table_id]
         rec.row_count -= 1
