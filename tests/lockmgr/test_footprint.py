@@ -11,17 +11,18 @@ since a lock object is its first holder's grant, about 277 bytes with
 plain tuple and indexed once, 253 bytes and 2.0 tracked at allocation
 since an uncontended lock is a grant word, 181 bytes and 1.0 (the
 word) since a row's entry is filed by its table id and row id, with no
-key object, and 63 bytes and 0.0 since an app's fresh grants share
-one word per mode and block and its row index is a list of ids.  Those
-figures are for 96 000 locks (``make footprint``).  At this test's
-20 000 locks a held lock cost 227 bytes with 1.0 object still tracked
-before an uncontended lock became a grant word, not a lock object, 203
-bytes with none after that, 131 bytes since rows are keyed by their
-ids (131.0-131.3 on CPython 3.10, 3.11 and 3.12), and 38.2 bytes with
-0.0008 tracked since words are shared (CPython 3.11).  The bytes
-threshold is that figure plus 5 %, and the tracked one leaves no room
-for a word per lock (+72 bytes, +1 tracked), a key object per lock, a
-lock object per lock, or another dict entry per lock (+55 bytes).
+key object, and 63 bytes and 0.0 since an app's fresh grants in one
+mode from one block share one word and its row index is a list of
+ids.  Those figures are for 96 000 locks (``make footprint``).  At
+this test's 20 000 locks a held lock cost 227 bytes with 1.0 object
+still tracked before an uncontended lock became a grant word, not a
+lock object, 203 bytes with none after that, 131 bytes since rows are
+keyed by their ids (131.0-131.3 on CPython 3.10, 3.11 and 3.12), and
+38.2 bytes with 0.0008 tracked since words are shared (CPython 3.11).
+The bytes threshold is that figure plus 5 %, and the tracked one
+leaves no room for a word per lock (+72 bytes, +1 tracked), a key
+object per lock, a lock object per lock, or another dict entry per
+lock (+55 bytes).
 """
 
 import pathlib
