@@ -224,23 +224,28 @@ class LockBlockChain:
         """Return one lock structure to ``block``."""
         if self._blocks.get(block.block_id) is not block:
             raise MemoryAccountingError(f"{block!r} does not belong to this chain")
-        self.free_slot_id(block.block_id)
+        self.free_slots_id(block.block_id, 1)
 
-    def free_slot_id(self, block_id: int) -> None:
-        """Return one lock structure to the block with ``block_id``.
+    def free_slots_id(self, block_id: int, count: int) -> None:
+        """Return ``count`` lock structures to the block with ``block_id``.
 
         A block that was exhausted re-enters the list **at the head**, so
         it is the next block new requests are satisfied from (paper
-        section 2.2).
+        section 2.2).  It does so once for the whole count, exactly as
+        the first of ``count`` single frees would put it there: the lock
+        manager returns a commit's structures one run of a block at a
+        time, and the list reads as if they went back one by one.
         """
         block = self._blocks.get(block_id)
         if block is None:
             raise MemoryAccountingError(f"no block #{block_id} in this chain")
         used = block.used
-        if used == 0:
-            raise MemoryAccountingError(f"{block!r} has no outstanding structures")
-        block.used = used - 1
-        self.used_slots -= 1
+        if not 0 < count <= used:
+            raise MemoryAccountingError(
+                f"{block!r} has {used} outstanding structures, cannot free {count}"
+            )
+        block.used = used - count
+        self.used_slots -= count
         if used == block.capacity:  # was full: back into the list
             self._push_head(block)
 

@@ -662,10 +662,18 @@ class LockManager:
         goes once empty.  Returns the structures freed: the caller
         uncharges them and unindexes the keys (``release_all`` drops the
         app's whole record).
+
+        Consecutive grant words from one block go back to the chain in
+        one counted call.  The pending run is returned before anything
+        else touches the chain or could read it -- a lock object's free,
+        a pump, the "does not hold" error -- so the chain reads at each
+        of those points, and at the end, as if every structure had gone
+        back on its own.
         """
         freed = 0
         objects, row_maps = self._objects, self._rows
-        free_slot_id = self.chain.free_slot_id
+        free_slots_id = self.chain.free_slots_id
+        run_block, run = 0, 0  # the pending run: block id, structures
         for table_id, keys in groups:
             entries = objects if table_id is None else row_maps.get(table_id) or {}
             for key in keys:
@@ -673,15 +681,24 @@ class LockManager:
                 if obj.__class__ is tuple and obj[0] == app_id:
                     # The usual case: the app's grant word, dropped with it.
                     del entries[key]
-                    free_slot_id(obj[3])
-                    freed += 1
+                    if obj[3] == run_block:
+                        run += 1
+                    else:
+                        if run:
+                            free_slots_id(run_block, run)
+                            freed += run
+                        run_block, run = obj[3], 1
                     continue
+                if run:
+                    free_slots_id(run_block, run)
+                    freed += run
+                    run = 0
                 if obj is None or obj.__class__ is tuple:
                     where = key if table_id is None else row_resource(table_id, key)
                     raise LockManagerError(f"app {app_id} does not hold {where}")
                 held = obj.remove_grant(app_id)
                 if held.block is not None:
-                    free_slot_id(held.block.block_id)
+                    free_slots_id(held.block.block_id, 1)
                     freed += 1
                 if obj.waiters:
                     self._pump(obj)
@@ -689,6 +706,9 @@ class LockManager:
                     del entries[key]
             if not entries and table_id is not None:
                 del row_maps[table_id]
+        if run:
+            free_slots_id(run_block, run)
+            freed += run
         return freed
 
     # -- core acquisition ---------------------------------------------------------

@@ -46,8 +46,10 @@ lose no updates and a concurrent snapshot never sees a torn histogram.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+from array import array
 from bisect import bisect_left
 from typing import (
     Callable,
@@ -378,20 +380,45 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count})"
 
 
+#: Raw observations a :class:`HistogramView` holds before it folds them
+#: into its buckets: 4 096 doubles, 32 KiB.
+PENDING_LIMIT = 4096
+
+
+def _folding(read):
+    """``read`` for a :class:`HistogramView`: fold its pending values
+    under its lock first (re-entrant: a read may call another)."""
+
+    @functools.wraps(read)
+    def folded(self, *args):
+        with self._lock:
+            self._fold()
+            return read(self, *args)
+
+    return folded
+
+
 class HistogramView(Histogram):
     """A histogram its one writer fills under a lock it already holds.
 
     The live ``LockService`` times every request while it holds its
     service mutex anyway, so the view is built over that mutex and the
     service records through :meth:`observe_held`: no second lock per
-    request.  Every read -- :meth:`snapshot`, hence the Prometheus
-    render, the worker ``metrics`` pull and telemetry export -- takes
-    the same mutex, so a scrape racing a request still sees ``count ==
-    sum(counts)``.  Like :class:`CounterView`, readers see an ordinary
-    histogram.
+    request.  That call only appends the raw value to a pending buffer
+    of at most :data:`PENDING_LIMIT` doubles; the values are folded into
+    the buckets, count, sum, min and max in arrival order -- the same
+    float additions :meth:`observe` makes, so ``sum`` is bit-identical
+    -- when the buffer fills and on every read.  Every read --
+    :meth:`snapshot`, hence the Prometheus render, the worker
+    ``metrics`` pull and telemetry export, and :meth:`percentile`,
+    :meth:`summary`, ``mean``, ``min`` and ``max`` -- folds under the
+    same mutex first (a re-entrant one: the service's is an ``RLock``),
+    so a scrape racing a request still sees ``count == sum(counts)`` and
+    every read is exact.  Like :class:`CounterView`, readers see an
+    ordinary histogram.
     """
 
-    __slots__ = ()
+    __slots__ = ("_pending",)
 
     def __init__(
         self,
@@ -402,16 +429,44 @@ class HistogramView(Histogram):
     ) -> None:
         super().__init__(name, bounds, labels)
         self._lock = lock
+        self._pending = array("d")
 
     def observe_held(self, value: float) -> None:
         """:meth:`observe` for the writer, which holds the lock."""
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) == PENDING_LIMIT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Bucket the pending values (the caller holds the lock)."""
+        pending = self._pending
+        if not pending:
+            return
+        counts, bounds = self.counts, self.bounds
+        total = self.sum
+        for value in pending:
+            counts[bisect_left(bounds, value)] += 1
+            total += value
+        self.sum = total
+        self.count += len(pending)
+        low, high = min(pending), max(pending)
+        if low < self._min:
+            self._min = low
+        if high > self._max:
+            self._max = high
+        del pending[:]
+
+    def observe(self, value: float) -> None:
+        with self._lock:
+            self.observe_held(float(value))
+
+    snapshot = _folding(Histogram.snapshot)
+    percentile = _folding(Histogram.percentile)
+    summary = _folding(Histogram.summary)
+    mean = property(_folding(Histogram.mean.fget))  # type: ignore[attr-defined]
+    min = property(_folding(Histogram.min.fget))  # type: ignore[attr-defined]
+    max = property(_folding(Histogram.max.fget))  # type: ignore[attr-defined]
 
 
 Instrument = Union[Counter, Gauge, Histogram]

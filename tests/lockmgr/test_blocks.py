@@ -73,6 +73,36 @@ class TestAllocation:
             chain.free_slot(block)
 
 
+class TestCountedFree:
+    """``free_slots_id`` returns a run of structures to one block."""
+
+    def test_a_full_block_returns_to_the_head_once(self):
+        chain = LockBlockChain(initial_blocks=3, capacity_per_block=3)
+        first, second, third = chain.iter_list()
+        for _ in range(6):
+            chain.allocate_slot()  # first and second full, off the list
+        chain.free_slots_id(first.block_id, 2)
+        chain.free_slots_id(second.block_id, 3)
+        assert chain.iter_list() == [second, first, third]
+        assert (first.used, second.used, chain.used_slots) == (1, 0, 1)
+        chain.check_invariants()
+
+    def test_a_run_larger_than_the_block_holds_is_rejected(self):
+        chain = LockBlockChain(initial_blocks=1, capacity_per_block=4)
+        block = chain.allocate_slot()
+        chain.allocate_slot()
+        with pytest.raises(MemoryAccountingError):
+            chain.free_slots_id(block.block_id, 3)
+        with pytest.raises(MemoryAccountingError):
+            chain.free_slots_id(block.block_id, 0)
+        assert block.used == chain.used_slots == 2
+
+    def test_an_unknown_block_is_rejected(self):
+        chain = LockBlockChain(initial_blocks=1)
+        with pytest.raises(MemoryAccountingError):
+            chain.free_slots_id(10**9, 1)
+
+
 class TestTailFreeProperty:
     def test_half_demand_leaves_tail_entirely_free(self):
         """Paper section 2.2: with only half the memory needed, blocks

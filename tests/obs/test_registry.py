@@ -1,6 +1,7 @@
 """Unit and property tests for counters, gauges and histograms."""
 
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from repro.obs.registry import (
     WALL_CLOCK_BUCKETS_S,
     Counter,
     Gauge,
+    PENDING_LIMIT,
     Histogram,
+    HistogramView,
     MetricRegistry,
     exponential_bounds,
 )
@@ -173,6 +176,77 @@ class TestHistogramProperties:
                 assert restored.percentile(q) == h.percentile(q)
         assert restored.counts == h.counts
         assert restored.sum == h.sum
+
+
+def exact_state(hist):
+    """Everything a histogram reports, floats by their bits."""
+    snap = hist.snapshot()
+    state = {key: snap[key] for key in ("counts", "count")}
+    for key in ("sum", "min", "max"):
+        state[key] = None if snap[key] is None else float(snap[key]).hex()
+    if hist.count:
+        state["percentiles"] = [
+            hist.percentile(q).hex() for q in (0.1, 1, 25, 50, 75, 95, 99, 100)
+        ]
+        state["mean"] = hist.mean.hex()
+    return state
+
+
+class TestHistogramViewFolds:
+    """A :class:`HistogramView` buffers raw observations and folds them
+    at reads and at ``PENDING_LIMIT``; whenever it is read it must equal
+    an eager :class:`Histogram` fed the same values in the same order --
+    bucket counts, count, the bits of ``sum``, min, max, every
+    percentile."""
+
+    VALUES = st.one_of(
+        st.floats(min_value=0.0, max_value=10.0),
+        st.sampled_from(WALL_CLOCK_BUCKETS_S),  # on a bound: bisect_left's edge
+        st.just(0.0),
+    )
+
+    @given(
+        cycle=st.lists(VALUES, min_size=1, max_size=40),
+        length=st.one_of(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=PENDING_LIMIT - 5, max_value=3 * PENDING_LIMIT),
+        ),
+        reads=st.lists(
+            st.integers(min_value=0, max_value=3 * PENDING_LIMIT), max_size=20
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_view_reads_as_an_eager_histogram(self, cycle, length, reads):
+        eager = Histogram("h", WALL_CLOCK_BUCKETS_S)
+        view = HistogramView("h", WALL_CLOCK_BUCKETS_S, threading.RLock())
+        read_at = set(reads)
+        for i in range(length):
+            if i in read_at:
+                assert exact_state(view) == exact_state(eager), i
+            value = cycle[i % len(cycle)]
+            eager.observe(value)
+            view.observe_held(value)
+            assert len(view._pending) < PENDING_LIMIT
+        assert exact_state(view) == exact_state(eager)
+        assert view.summary() == eager.summary()
+
+    def test_the_limit_folds_without_a_read(self):
+        view = HistogramView("h", WALL_CLOCK_BUCKETS_S, threading.RLock())
+        for _ in range(PENDING_LIMIT - 1):
+            view.observe_held(3e-6)
+        assert view.count == 0 and len(view._pending) == PENDING_LIMIT - 1
+        view.observe_held(3e-6)
+        assert view.count == PENDING_LIMIT and not view._pending
+
+    def test_observe_keeps_the_arrival_order(self):
+        """The locked entry point appends too: a fold adds the values in
+        the order they came, whichever way each came in."""
+        eager = Histogram("h", WALL_CLOCK_BUCKETS_S)
+        view = HistogramView("h", WALL_CLOCK_BUCKETS_S, threading.RLock())
+        for i, value in enumerate((0.1, 1e-17, 3.0, 1e-17, 7)):
+            eager.observe(value)
+            (view.observe if i % 2 else view.observe_held)(float(value))
+        assert exact_state(view) == exact_state(eager)
 
 
 class TestMetricRegistry:

@@ -1,4 +1,5 @@
-"""``scripts/ladder_record.py`` writes no record taken on a slow host."""
+"""``scripts/ladder_record.py`` writes no record taken on a slow host;
+it runs again only the workloads that ran slow."""
 
 import importlib.util
 import io
@@ -25,27 +26,49 @@ def suite(**speeds):
     }
 
 
-def empty_tar() -> bytes:
+def export_of(names) -> bytes:
+    """A ``git archive`` of a tree whose BENCHMARK.json lists ``names``."""
+    spec = json.dumps({"workloads": [{"name": name} for name in names]}).encode()
     buffer = io.BytesIO()
-    tarfile.open(fileobj=buffer, mode="w").close()
+    with tarfile.open(fileobj=buffer, mode="w") as tar:
+        info = tarfile.TarInfo("BENCHMARK.json")
+        info.size = len(spec)
+        tar.addfile(info, io.BytesIO(spec))
     return buffer.getvalue()
 
 
-def record_with(monkeypatch, tmp_path, output):
-    """Run ``main`` with git and the suite faked; the suite prints
-    ``output``.  Returns (exit status, the --out path)."""
+def record_with(monkeypatch, tmp_path, **speeds):
+    """Run ``main`` with git and the benchmark faked.  ``speeds`` gives
+    each workload's host speed, or a list of them for its successive
+    ``--trace 0`` runs.  Returns (exit status, the --out path, the runs
+    as ``(workload, trace)``)."""
     recorder = load()
-    answers = {"status": b"", "rev-parse": b"0123abcd\n", "archive": empty_tar()}
+    answers = {
+        "status": b"",
+        "rev-parse": b"0123abcd\n",
+        "archive": export_of(speeds),
+    }
     monkeypatch.setattr(recorder, "git", lambda *args: answers[args[0]])
+    runs = []
 
-    def run_suite(command, cwd):
+    def run_workload(command, cwd):
+        workload = command[command.index("--workload") + 1]
+        trace = int(command[command.index("--trace") + 1])
+        if trace:
+            detail = {"per_layer": {}}
+        else:
+            speed = speeds[workload]
+            if isinstance(speed, list):
+                speed = speed[sum(run == (workload, 0) for run in runs)]
+            detail = {"host_speed": {"median": speed}}
+        runs.append((workload, trace))
         with open(command[command.index("--out") + 1], "w") as handle:
-            json.dump(output, handle)
+            json.dump(detail, handle)
         return SimpleNamespace(returncode=0)
 
-    monkeypatch.setattr(recorder.subprocess, "run", run_suite)
+    monkeypatch.setattr(recorder.subprocess, "run", run_workload)
     out = tmp_path / "record.json"
-    return recorder.main(["--out", str(out)]), out
+    return recorder.main(["--out", str(out)]), out, runs
 
 
 def test_slow_workloads_names_every_workload_below_the_floor():
@@ -55,8 +78,8 @@ def test_slow_workloads_names_every_workload_below_the_floor():
 
 
 def test_a_slow_host_writes_no_record(monkeypatch, tmp_path, capsys):
-    status, out = record_with(
-        monkeypatch, tmp_path, suite(churn_inproc=0.91, surge_inproc=0.62)
+    status, out, _runs = record_with(
+        monkeypatch, tmp_path, churn_inproc=0.91, surge_inproc=0.62
     )
     assert status != 0
     assert not out.exists()
@@ -64,10 +87,33 @@ def test_a_slow_host_writes_no_record(monkeypatch, tmp_path, capsys):
 
 
 def test_a_host_at_speed_writes_the_record(monkeypatch, tmp_path):
-    status, out = record_with(
-        monkeypatch, tmp_path, suite(churn_inproc=0.91, surge_inproc=0.8)
+    status, out, _runs = record_with(
+        monkeypatch, tmp_path, churn_inproc=0.91, surge_inproc=0.8
     )
     assert status == 0
     record = json.loads(out.read_text())
     assert record["rev"] == "0123abcd"
     assert record["workloads"]["surge_inproc"]["host_speed"]["median"] == 0.8
+
+
+def test_a_slow_workload_is_run_again_alone(monkeypatch, tmp_path, capsys):
+    status, out, runs = record_with(
+        monkeypatch, tmp_path, churn_inproc=0.91, surge_inproc=[0.62, 0.85]
+    )
+    assert status == 0
+    assert runs == [
+        ("churn_inproc", 0), ("churn_inproc", 1),
+        ("surge_inproc", 0), ("surge_inproc", 0), ("surge_inproc", 1),
+    ]
+    record = json.loads(out.read_text())
+    assert record["workloads"]["surge_inproc"]["host_speed"]["median"] == 0.85
+    assert record["workloads"]["surge_inproc"]["per_layer"] == {}
+    assert "surge_inproc ran at host speed 0.62" in capsys.readouterr().err
+
+
+def test_a_workload_slow_on_every_attempt_refuses(monkeypatch, tmp_path):
+    recorder = load()
+    status, out, runs = record_with(monkeypatch, tmp_path, churn_wire=0.5)
+    assert status == 3
+    assert not out.exists()
+    assert runs.count(("churn_wire", 0)) == recorder.MAX_ATTEMPTS
