@@ -61,22 +61,18 @@ def slow_workloads(record: dict) -> list:
     ]
 
 
-class WorkloadFailed(Exception):
-    """A workload's run exited non-zero: (message, exit status)."""
-
-
 def run_workload(tree: str, workload: str, trace: int, out: str) -> dict:
-    """The benchmark's one-workload command in ``tree``; its ``--out``."""
-    status = subprocess.run(
+    """The benchmark's one-workload command in ``tree``; its ``--out``.
+    Raises ``CalledProcessError`` when the run exits non-zero."""
+    subprocess.run(
         [
             sys.executable,
             os.path.join(tree, "benchmarks", "ladder", "run.py"),
             "--workload", workload, "--trace", str(trace), "--out", out,
         ],
         cwd=tree,
-    ).returncode
-    if status:
-        raise WorkloadFailed(f"{workload} --trace {trace} exited {status}", status)
+        check=True,
+    )
     with open(out) as handle:
         return json.load(handle)
 
@@ -120,9 +116,10 @@ def main(argv=None) -> int:
                 )
             entry.update(run_workload(tree, name, 1, part))
             record["workloads"][name] = entry
-    except WorkloadFailed as exc:
-        print(f"ladder-record: {exc.args[0]}", file=sys.stderr)
-        return exc.args[1]
+    except subprocess.CalledProcessError as exc:
+        run = " ".join(exc.cmd[2:])
+        print(f"ladder-record: {run} exited {exc.returncode}", file=sys.stderr)
+        return exc.returncode
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     slow = slow_workloads(record)

@@ -51,7 +51,7 @@ def record_with(monkeypatch, tmp_path, **speeds):
     monkeypatch.setattr(recorder, "git", lambda *args: answers[args[0]])
     runs = []
 
-    def run_workload(command, cwd):
+    def run_workload(command, cwd, check):
         workload = command[command.index("--workload") + 1]
         trace = int(command[command.index("--trace") + 1])
         if trace:
@@ -117,3 +117,22 @@ def test_a_workload_slow_on_every_attempt_refuses(monkeypatch, tmp_path):
     assert status == 3
     assert not out.exists()
     assert runs.count(("churn_wire", 0)) == recorder.MAX_ATTEMPTS
+
+
+def test_a_failed_run_writes_no_record(monkeypatch, tmp_path, capsys):
+    recorder = load()
+    answers = {
+        "status": b"",
+        "rev-parse": b"0123abcd\n",
+        "archive": export_of(["convoy_inproc"]),
+    }
+    monkeypatch.setattr(recorder, "git", lambda *args: answers[args[0]])
+
+    def run_fails(command, cwd, check):
+        raise recorder.subprocess.CalledProcessError(3, command)
+
+    monkeypatch.setattr(recorder.subprocess, "run", run_fails)
+    out = tmp_path / "record.json"
+    assert recorder.main(["--out", str(out)]) == 3
+    assert not out.exists()
+    assert "--workload convoy_inproc --trace 0 --out" in capsys.readouterr().err
