@@ -70,7 +70,7 @@ class OneAtATime(Recording):
         )
 
 
-class Driver:
+class Harness:
     """One manager and its parked (blocked) requests."""
 
     def __init__(self, manager: LockManager) -> None:
@@ -135,37 +135,37 @@ OPS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(OPS, min_size=1, max_size=80))
 def test_runs_leave_the_chain_as_single_frees_do(ops):
-    runs, single = Driver(Recording()), Driver(OneAtATime())
+    runs, single = Harness(Recording()), Harness(OneAtATime())
     for op in ops:
         assert runs.step(op) == single.step(op), op
         assert chain_state(runs.manager.chain) == chain_state(single.manager.chain), op
         assert runs.manager.pumped == single.manager.pumped, op
         assert sorted(runs.parked) == sorted(single.parked)
-    for driver in (runs, single):
-        driver.manager.check_invariants()
+    for harness in (runs, single):
+        harness.manager.check_invariants()
 
 
-def hold_rows(driver: Driver, app: int, rows, mode=LockMode.X) -> None:
+def hold_rows(harness: Harness, app: int, rows, mode=LockMode.X) -> None:
     for row in rows:
-        assert driver.step(("row", app, 0, row, mode)) == "granted"
+        assert harness.step(("row", app, 0, row, mode)) == "granted"
 
 
 def test_a_waiter_pumped_mid_release_sees_the_frees_before_it():
     """App 1 holds nine rows over four blocks; app 2 queues on row 4.
     Releasing app 1 pumps row 4's queue halfway: by then the rows
     before it are back in their blocks, exactly as one by one."""
-    drivers = [Driver(Recording()), Driver(OneAtATime())]
-    for driver in drivers:
-        hold_rows(driver, 1, range(9))
-        assert driver.step(("row", 2, 0, 4, LockMode.X)) == "parked"
-        used = driver.manager.chain.used_slots
-        assert driver.step(("release", 1)) == 10  # nine rows and the table's IX
-        assert 2 not in driver.parked  # granted by the pump
-        assert driver.manager.holder_mode(2, row_resource(0, 4)) is LockMode.X
-        assert len(driver.manager.pumped) == 1
+    harnesses = [Harness(Recording()), Harness(OneAtATime())]
+    for harness in harnesses:
+        hold_rows(harness, 1, range(9))
+        assert harness.step(("row", 2, 0, 4, LockMode.X)) == "parked"
+        used = harness.manager.chain.used_slots
+        assert harness.step(("release", 1)) == 10  # nine rows and the table's IX
+        assert 2 not in harness.parked  # granted by the pump
+        assert harness.manager.holder_mode(2, row_resource(0, 4)) is LockMode.X
+        assert len(harness.manager.pumped) == 1
         # Rows 0-4 went back before the pump, the rest after it.
-        assert driver.manager.pumped[0][0] == used - 5
-    runs, single = drivers
+        assert harness.manager.pumped[0][0] == used - 5
+    runs, single = harnesses
     assert runs.manager.pumped == single.manager.pumped
     assert chain_state(runs.manager.chain) == chain_state(single.manager.chain)
 
@@ -174,12 +174,12 @@ def test_does_not_hold_returns_the_run_before_raising():
     """A key the app does not hold raises only after the structures of
     the keys before it are back in the chain."""
     states = []
-    for driver in (Driver(Recording()), Driver(OneAtATime())):
-        hold_rows(driver, 1, range(5))
-        hold_rows(driver, 2, range(5, 7))
-        used = driver.manager.chain.used_slots
+    for harness in (Harness(Recording()), Harness(OneAtATime())):
+        hold_rows(harness, 1, range(5))
+        hold_rows(harness, 2, range(5, 7))
+        used = harness.manager.chain.used_slots
         with pytest.raises(LockManagerError, match="does not hold"):
-            driver.manager._release_grants(1, ((0, (0, 1, 2, 5, 3)),))
-        assert driver.manager.chain.used_slots == used - 3
-        states.append(chain_state(driver.manager.chain))
+            harness.manager._release_grants(1, ((0, (0, 1, 2, 5, 3)),))
+        assert harness.manager.chain.used_slots == used - 3
+        states.append(chain_state(harness.manager.chain))
     assert states[0] == states[1]
