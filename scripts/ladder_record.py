@@ -23,6 +23,13 @@ times in all; the workloads that passed are kept.  When one still runs
 slow, it names the workload and exits 3 without touching ``--out``.
 The scaling corrects a slow host only in part, so such a record would
 misstate the code; run it again later.
+
+Once the record is written, prints it against the oldest of the last
+three committed records (``git log -- BENCH_LADDER.json``, read with
+``git show``), through ``benchmarks/ladder/run.py --compare`` with the
+bounds of ``BENCHMARK.json``: drift over three records shows there,
+where one record against the last hides it.  Fewer committed records:
+against the oldest there is; none: nothing to compare.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ MIN_HOST_SPEED = 0.8
 #: Runs of one workload, the first included, before a slow host refuses
 #: the record.
 MAX_ATTEMPTS = 4
+#: Committed records a new one is compared across: it is printed
+#: against the oldest of this many.
+DRIFT_RECORDS = 3
 
 
 def git(*args: str) -> bytes:
@@ -75,6 +85,34 @@ def run_workload(tree: str, workload: str, trace: int, out: str) -> dict:
     )
     with open(out) as handle:
         return json.load(handle)
+
+
+def compare_with_history(new: str) -> None:
+    """Print the record at ``new`` against the oldest of the last
+    ``DRIFT_RECORDS`` committed ones; a worse metric is printed, not
+    refused."""
+    revs = git(
+        "log", f"-n{DRIFT_RECORDS}", "--format=%H", "--", "BENCH_LADDER.json"
+    ).decode().split()
+    if not revs:
+        print("ladder-record: no committed record to compare with")
+        return
+    oldest = revs[-1]
+    print(
+        f"ladder-record: against {oldest[:12]}, the oldest of the last "
+        f"{len(revs)} committed record(s):"
+    )
+    with tempfile.NamedTemporaryFile("wb", suffix=".json") as base:
+        base.write(git("show", f"{oldest}:BENCH_LADDER.json"))
+        base.flush()
+        subprocess.run(
+            [
+                sys.executable,
+                os.path.join(ROOT, "benchmarks", "ladder", "run.py"),
+                "--compare", base.name, new,
+            ],
+            cwd=ROOT,
+        )
 
 
 def main(argv=None) -> int:
@@ -135,6 +173,7 @@ def main(argv=None) -> int:
         json.dump(record, handle, indent=1)
         handle.write("\n")
     print(f"ladder-record: {rev[:12]} -> {args.out}")
+    compare_with_history(args.out)
     return 0
 
 

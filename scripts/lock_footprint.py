@@ -6,8 +6,9 @@ its own footprint is tracked like a timing (docs/PERFORMANCE.md, "What
 one held lock costs").  Two measurements, shape only -- no gate:
 
 * **bare manager**: one application takes ``--locks`` S row locks on a
-  bare ``LockManager``, once through the DES's ``lock_row`` generator
-  and once through ``lock_row_fast``, the live service's grant path;
+  bare ``LockManager`` through ``begin_lock_row``, the one grant path
+  (the DES's ``lock_row`` generator and the live service both start
+  there, and an uncontended request ends there);
   ``tracemalloc`` and ``gc.get_objects()`` price one held lock in
   traced bytes and newly collector-tracked objects, by the source line
   that allocated them.  The line marked ``<- grant word`` is the one
@@ -53,9 +54,9 @@ LOCKS = 96_000
 SESSIONS = 8
 TUNE_EVERY = 16_384
 #: Locks taken and released through the measured path before the
-#: baseline, so that what the interpreter allocates on a path's first
-#: calls (on CPython 3.10, ~8 KB for the generator path) is not billed
-#: as residue.
+#: baseline, so that what the interpreter allocates on its first calls
+#: (on CPython 3.10, ~8 KB for a generator path) is not billed as
+#: residue.
 WARM_UP = 8
 #: Only allocations made by the program are billed, not this script's
 #: snapshots and id sets.
@@ -133,22 +134,17 @@ def _lock_table_size(manager: LockManager) -> int:
     return sys.getsizeof(manager._objects) + sys.getsizeof(manager._rows)
 
 
-def held_lock_cost(locks: int, fast: bool = False) -> HeldCost:
+def held_lock_cost(locks: int) -> HeldCost:
     """Price ``locks`` S row locks of one application on a bare manager,
-    taken through the ``lock_row`` generator or, ``fast``, through
-    ``lock_row_fast``."""
+    taken through ``begin_lock_row``."""
     manager = LockManager(
         Environment(), LockBlockChain(initial_blocks=locks // LOCKS_PER_BLOCK + 2)
     )
 
     def take(app: int, rows: int) -> None:
         for row in range(rows):
-            if fast:
-                if not manager.lock_row_fast(app, 0, row, LockMode.S):
-                    raise RuntimeError("an uncontended request left the fast path")
-            else:
-                for _ in manager.lock_row(app, 0, row, LockMode.S):
-                    raise RuntimeError("an uncontended request waited")
+            if manager.begin_lock_row(app, 0, row, LockMode.S) is not None:
+                raise RuntimeError("an uncontended request did not end at once")
 
     take(2, WARM_UP)
     manager.release_all(2)
@@ -256,33 +252,32 @@ def main() -> int:
     parser.add_argument("--locks", type=int, default=LOCKS)
     args = parser.parse_args()
 
-    for path, fast in (("lock_row", False), ("lock_row_fast", True)):
-        cost = held_lock_cost(args.locks, fast)
-        print(
-            f"bare LockManager, {args.locks} S row locks of one application "
-            f"through {path}"
-        )
-        print(
-            f"  {'bytes/lock':>10}  {'tracked/lock':>12}  {'after gc':>8}  "
-            "allocated at"
-        )
-        for site in cost.sites:
-            word = site.where == cost.word_site
-            if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01 or word:
-                mark = "  <- grant word, one per app, mode and block" if word else ""
-                print(
-                    f"  {site.bytes_per_lock:10.1f}  {site.tracked_per_lock:12.2f}  "
-                    f"{site.surviving_per_lock:8.2f}  {site.where}{mark}"
-                )
-        print(
-            f"  {cost.bytes_per_lock:10.1f}  {cost.tracked_per_lock:12.2f}  "
-            f"{cost.surviving_per_lock:8.2f}  total"
-        )
-        print(
-            f"  after release_all and gc: {cost.residue_bytes} bytes and "
-            f"{cost.residue_tracked} tracked objects remain; the collections "
-            f"found {cost.cycles} unreachable"
-        )
+    cost = held_lock_cost(args.locks)
+    print(
+        f"bare LockManager, {args.locks} S row locks of one application "
+        "through begin_lock_row"
+    )
+    print(
+        f"  {'bytes/lock':>10}  {'tracked/lock':>12}  {'after gc':>8}  "
+        "allocated at"
+    )
+    for site in cost.sites:
+        word = site.where == cost.word_site
+        if site.bytes_per_lock >= 0.5 or site.tracked_per_lock >= 0.01 or word:
+            mark = "  <- grant word, one per app, mode and block" if word else ""
+            print(
+                f"  {site.bytes_per_lock:10.1f}  {site.tracked_per_lock:12.2f}  "
+                f"{site.surviving_per_lock:8.2f}  {site.where}{mark}"
+            )
+    print(
+        f"  {cost.bytes_per_lock:10.1f}  {cost.tracked_per_lock:12.2f}  "
+        f"{cost.surviving_per_lock:8.2f}  total"
+    )
+    print(
+        f"  after release_all and gc: {cost.residue_bytes} bytes and "
+        f"{cost.residue_tracked} tracked objects remain; the collections "
+        f"found {cost.cycles} unreachable"
+    )
 
     cycle = service_cycle(args.locks)
     print(

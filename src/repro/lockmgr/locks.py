@@ -88,16 +88,10 @@ class AppLocks:
         self.row_seq = 0
         #: Lock structures charged: grants plus a queued request's.
         self.slots = 0
-        #: The last fresh grant word; no mode code is -1.
+        #: The last fresh grant word ``(app_id, code, 1, block_id)``, which
+        #: the manager's next fresh grant reuses if its mode and block
+        #: match (block ids are never reused); no mode code is -1.
         self.word = (0, -1, 0, 0)
-
-    def fresh_word(self, app_id: int, code: int, block_id: int) -> tuple:
-        """A fresh grant's word ``(app_id, code, 1, block_id)``: the last one
-        built if its mode and block match (block ids are never reused)."""
-        word = self.word
-        if word[3] != block_id or word[1] != code:
-            word = self.word = (app_id, code, 1, block_id)
-        return word
 
 
 class Waiter:

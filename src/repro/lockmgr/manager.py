@@ -17,7 +17,11 @@ This is the substrate the self-tuning controller acts on.  It combines:
 
 Locking entry points are *generators*: client processes drive them with
 ``yield from`` so multi-step waits (intent lock, then row lock, possibly
-an escalation wait in between) compose naturally in the DES.
+an escalation wait in between) compose naturally in the DES.  Each is
+``begin_lock_row`` / ``begin_lock_table``, which never yields, and then
+the generator it returns, if any, which goes on from where it stopped;
+the live service calls the ``begin_*`` methods too, so there is one
+grant path.
 
 Deadlocks are detected at wait time via a wait-for graph; the requester
 is chosen as victim and sees :class:`repro.errors.DeadlockError`, which
@@ -66,7 +70,6 @@ from repro.lockmgr.modes import (
     MODE_BY_CODE,
     LockMode,
     covers,
-    intent_mode_for_row,
     supremum,
 )
 from repro.lockmgr.resources import (
@@ -93,7 +96,7 @@ REFRESH_PERIOD_FOR_APP_PERCENT = 0x80
 #: cyclic collector untracks at its first pass; the first request that
 #: would add a second holder or a waiter inflates it into a
 #: :class:`LockObject` (see ``LockManager._inflate``).  Fresh grants
-#: share words (``AppLocks.fresh_word``): read one by value, not by id.
+#: share words (``AppLocks.word``): read one by value, not by id.
 GrantWord = Tuple[int, int, int, int]
 Entry = Union[GrantWord, LockObject]
 _S_CODE = LockMode.S._idx  # type: ignore[attr-defined]
@@ -404,19 +407,36 @@ class LockManager:
 
     def lock_table(self, app_id: int, table_id: int, mode: LockMode):
         """Generator: acquire a table lock (drive with ``yield from``)."""
-        yield from self._acquire(app_id, table_resource(table_id), mode)
+        rest = self.begin_lock_table(app_id, table_id, mode)
+        if rest is not None:
+            yield from rest
 
     def lock_row(self, app_id: int, table_id: int, row_id: int, mode: LockMode):
-        """Generator: acquire a row lock plus the covering intent lock.
+        """Generator: acquire a row lock plus the covering intent lock
+        (see :meth:`begin_lock_row`)."""
+        rest = self.begin_lock_row(app_id, table_id, row_id, mode)
+        if rest is not None:
+            yield from rest
 
-        If the application's table lock already covers the requested row
-        mode (e.g. after an escalation) no row structure is allocated.
+    def begin_lock_table(self, app_id: int, table_id: int, mode: LockMode):
+        """A table lock's part that never waits (see :meth:`begin_lock_row`)."""
+        return self._begin(app_id, table_resource(table_id), mode)
+
+    def begin_lock_row(self, app_id: int, table_id: int, row_id: int, mode: LockMode):
+        """A row lock, plus the covering intent lock, as far as it goes
+        without waiting: None once both are granted (a re-grant, a fresh
+        or compatible added grant, a conversion that jumps the queue),
+        else the generator that goes on into a slot shortage (growth,
+        then escalation) or a queue.  Drive that generator at once: until
+        its first ``yield`` a queued request is not in the wait map.  A
+        table lock that already covers the row mode (e.g. after an
+        escalation) takes no row structure.
         """
         table_res = table_resource(table_id)
         if row_id < 0:
             raise ValueError(f"row_id must be non-negative, got {row_id}")
-        intent = intent_mode_for_row(mode)
-        # Fast path: the covering intent lock is usually already held.
+        intent = mode._intent  # type: ignore[attr-defined]
+        # The covering intent lock is usually already held.
         objects = self._objects
         tent = objects.get(table_res)
         if tent.__class__ is tuple:
@@ -425,191 +445,44 @@ class LockManager:
         else:
             theld = tent.held_by(app_id) if tent is not None else None
             table_mode = theld.mode if theld is not None else None
-        if table_mode is not None and covers(table_mode, intent):
+        if table_mode is not None and table_mode._covers_mask & intent._bit:  # type: ignore[attr-defined]
+            # _begin's re-grant, written out: the usual row request's table step.
             if theld is None:
                 objects[table_res] = (app_id, tent[1], tent[2] + 1, tent[3])
             else:
                 theld.count += 1
-            self.stats.requests += 1
-            self.stats.immediate_grants += 1
+            stats = self.stats
+            stats.requests += 1
+            stats.immediate_grants += 1
             self._tick_refresh()
         else:
-            yield from self._acquire(app_id, table_res, intent)
-            table_mode = self.holder_mode(app_id, table_res)
-        if table_mode is not None and covers(table_mode, mode):
-            return
-        yield from self._acquire(app_id, table_res, mode, row_id)
+            rest = self._begin(app_id, table_res, intent)
+            if rest is not None:
+                return self._lock_row_after(rest, app_id, table_res, row_id, mode)
+            # Granted: fresh, or converted from the mode it held.
+            table_mode = intent if table_mode is None else supremum(table_mode, intent)
+        if table_mode is not None and table_mode._covers_mask & mode._bit:  # type: ignore[attr-defined]
+            return None
+        return self._begin(app_id, table_res, mode, row_id)
 
     def lock_row_fast(self, app_id: int, table_id: int, row_id: int, mode: LockMode) -> bool:
-        """Non-blocking attempt at :meth:`lock_row`'s immediate-grant path.
+        """Always False.  Kept only for the bare-manager rung of the
+        benchmark ladder (``benchmarks/ladder/workloads.py``,
+        ``BareManager``), which calls it before ``lock_row``: False is
+        its old contract, "nothing mutated, use :meth:`lock_row`".
+        ROADMAP item 1(a) removes that call, and this method with it."""
+        return False
 
-        Returns True when the row lock (and covering intent lock) was
-        granted with accounting **byte-identical** to driving the
-        :meth:`lock_row` generator to completion: same counter bumps,
-        same refresh ticks, same structures charged.  This covers fresh
-        grants, re-grants of covered locks, and immediate *conversions*
-        (e.g. S->X on a held row with no incompatible co-holders --
-        conversions jump the waiter queue exactly as :meth:`_convert`
-        does).  Returns False -- having mutated *nothing* -- whenever
-        the request could wait, escalate, grow or trace, so the caller
-        falls back to the generator.  The two-phase shape (plan both
-        the table and row steps, then commit) is what keeps the
-        mutate-nothing contract: no step is applied until both are
-        known to complete immediately.  The live service calls this
-        under its mutex to skip generator construction on the
-        (dominant) immediate path; the DES always drives the generator.
-        """
-        if self.tracer is not None:
-            return False  # slow path keeps the trace stream canonical
-        objects = self._objects
-        table_res = table_resource(table_id)
-        if row_id < 0:
-            raise ValueError(f"row_id must be non-negative, got {row_id}")
-        tent = objects.get(table_res)
-        intent = mode._intent  # type: ignore[attr-defined]
-        # A grant word is the grant of its one holder and has no queue,
-        # so a conversion on it never waits; another app's word needs
-        # only its mode's compatibility, and a new grant inflates it.
-        tword = tent.__class__ is tuple
-        if tword:
-            theld = tent if tent[0] == app_id else None
-            table_mode = MODE_BY_CODE[tent[1]]
-        else:
-            theld = tent.held_by(app_id) if tent is not None else None
-            table_mode = theld.mode if theld is not None else None
-        # -- plan the table step --
-        t_convert = False
-        if theld is not None:
-            if not table_mode._covers_mask & intent._bit:  # type: ignore[attr-defined]
-                if not tword and not tent.others_compatible(app_id, intent):
-                    return False  # the conversion would wait
-                # conversion: queue-jumps like _convert, needs no slot
-                t_convert = True
-                table_mode = supremum(table_mode, intent)
-            if table_mode._covers_mask & mode._bit:  # type: ignore[attr-defined]
-                # The table lock (already or once strengthened) covers
-                # the row access: the generator stops after the table step.
-                self.stats.requests += 1
-                self.stats.immediate_grants += 1
-                self._tick_refresh()
-                if tword:
-                    objects[table_res] = (app_id, table_mode._idx, tent[2] + 1, tent[3])  # type: ignore[attr-defined]
-                elif t_convert:
-                    tent.upgrade_grant(app_id, intent)  # bumps theld.count
-                else:
-                    theld.count += 1
-                return True
-            need = 0
-        else:
-            if tword:
-                if not table_mode._compat_mask & intent._bit:  # type: ignore[attr-defined]
-                    return False  # the intent grant itself would wait
-            elif tent is not None and (
-                tent.waiters or not tent.others_compatible(app_id, intent)
-            ):
-                return False  # the intent grant itself would wait
-            if intent._covers_mask & mode._bit:  # type: ignore[attr-defined]
-                return False  # an IS/IX "row" request ends at the intent
-            need = 1
-        # -- plan the row step --
-        rows = self._rows.get(table_id)
-        obj = rows.get(row_id) if rows is not None else None
-        rword = obj.__class__ is tuple
-        if rword:
-            held = obj if obj[0] == app_id else None
-            row_mode = MODE_BY_CODE[obj[1]]
-        else:
-            held = obj.held_by(app_id) if obj is not None else None
-            row_mode = held.mode if held is not None else None
-        r_convert = False
-        if held is not None:
-            if theld is None:
-                return False  # row held without intent: slow path
-            if not row_mode._covers_mask & mode._bit:  # type: ignore[attr-defined]
-                if not rword and not obj.others_compatible(app_id, mode):
-                    return False  # the conversion would wait
-                r_convert = True
-        else:
-            if rword:
-                if not row_mode._compat_mask & mode._bit:  # type: ignore[attr-defined]
-                    return False  # the row grant would wait
-            elif obj is not None and (
-                obj.waiters or not obj.others_compatible(app_id, mode)
-            ):
-                return False  # the row grant would wait
-            need += 1
-        chain = self.chain
-        rec = self._apps.get(app_id)
-        if need:
-            if chain.capacity_slots - chain.used_slots < need:
-                return False  # sync growth / escalation: slow path
-            limit = (
-                self._limit_slots
-                if chain.capacity_slots == self._limit_capacity
-                else self.maxlocks_limit_slots()
-            )
-            if rec is None:
-                if need > limit:
-                    return False  # would escalate: slow path
-                # The last planning step: nothing below can refuse.
-                rec = self._apps[app_id] = AppLocks()
-            elif rec.slots + need > limit:
-                return False  # would escalate: slow path
-        # Commit: from here the outcome is the generator's, verbatim --
-        # _acquire's ticks, _charge_slot and the table's _note_held (one
-        # set add), written out; the row goes through _note_held.
-        stats = self.stats
-        stats.requests += 2
-        stats.immediate_grants += 2
-        ticks = self._requests_since_refresh + 2
-        if ticks < self.refresh_period:
-            self._requests_since_refresh = ticks
-        else:
-            self._tick_refresh()
-            self._tick_refresh()
-        if theld is None:
-            block = chain.allocate_slot()
-            if tent is None:
-                objects[table_res] = rec.fresh_word(app_id, intent._idx, block.block_id)  # type: ignore[attr-defined]
-            else:
-                (self._inflate(table_res, -1, tent) if tword else tent).add_grant(
-                    app_id, intent, block
-                )
-            rec.slots += 1
-            rec.held.add(table_res)
-        elif tword:
-            objects[table_res] = (app_id, table_mode._idx, tent[2] + 1, tent[3])  # type: ignore[attr-defined]
-        elif t_convert:
-            tent.upgrade_grant(app_id, intent)  # bumps theld.count
-        else:
-            theld.count += 1
-        if held is not None:
-            if rword:
-                if r_convert:
-                    row_mode = supremum(row_mode, mode)
-                rows[row_id] = (app_id, row_mode._idx, obj[2] + 1, obj[3])  # type: ignore[attr-defined]
-            elif r_convert:
-                obj.upgrade_grant(app_id, mode)  # bumps held.count
-            else:
-                held.count += 1
-            return True
-        block = chain.allocate_slot()
-        if obj is None:
-            if rows is None:
-                rows = self._rows[table_id] = {}
-            word = rec.word  # AppLocks.fresh_word, written out: the hot path
-            if word[3] != block.block_id or word[1] != mode._idx:  # type: ignore[attr-defined]
-                word = rec.word = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
-            rows[row_id] = word
-        else:
-            (self._inflate(table_res, row_id, obj) if rword else obj).add_grant(
-                app_id, mode, block
-            )
-        rec.slots += 1
-        if chain.used_slots > stats.peak_used_slots:
-            stats.peak_used_slots = chain.used_slots
-        self._note_held(rec, table_res, row_id)
-        return True
+    def _lock_row_after(self, rest, app_id: int, table_res: ResourceId, row_id: int, mode: LockMode):
+        """Generator: the intent lock's continuation ``rest``, then the
+        row step."""
+        yield from rest
+        table_mode = self.holder_mode(app_id, table_res)
+        if table_mode is not None and covers(table_mode, mode):
+            return
+        rest = self._begin(app_id, table_res, mode, row_id)
+        if rest is not None:
+            yield from rest
 
     def release_all(self, app_id: int) -> int:
         """Release every lock held or awaited by ``app_id`` (strict 2PL).
@@ -713,82 +586,110 @@ class LockManager:
 
     # -- core acquisition ---------------------------------------------------------
 
-    def _acquire(self, app_id: int, key: LockKey, mode: LockMode, row_id: int = -1):
-        """Generator: ``mode`` on table ``key`` or, with a ``row_id``,
-        on that row of it (see ``_entry``)."""
-        self.stats.requests += 1
-        self._tick_refresh()
-        entry = self._entry(key, row_id)
+    def _begin(
+        self, app_id: int, key: LockKey, mode: LockMode, row_id: int = -1,
+        room: bool = False,
+    ):
+        """``mode`` on table ``key`` or, with a ``row_id``, on that row
+        of it (see ``_entry``), as far as it goes without waiting: None
+        when granted, else the generator that finishes it.  With
+        ``room``, ``_make_room`` goes on after freeing a slot: the
+        request is counted already and its slot is there."""
+        # The hot path: _entry, maxlocks_limit_slots' memo and _file,
+        # written out.
+        if not room:
+            self.stats.requests += 1
+            self._tick_refresh()
+        if row_id < 0:
+            entry = self._objects.get(key)
+        else:
+            rows = self._rows.get(key[1])
+            entry = rows.get(row_id) if rows is not None else None
         if entry is not None and self._held_mode(entry, app_id) is not None:
-            yield from self._regrant(app_id, key, row_id, entry, mode)
-            return
-        if (
-            self.chain.free_slots == 0
-            or self.app_slots(app_id) + 1 > self.maxlocks_limit_slots()
+            return self._regrant(app_id, key, row_id, entry, mode)
+        chain, stats = self.chain, self.stats
+        capacity = chain.capacity_slots
+        rec = self._apps.get(app_id)
+        if not room and (
+            chain.used_slots == capacity or rec is not None and rec.slots >= (
+                self._limit_slots if capacity == self._limit_capacity
+                else self.maxlocks_limit_slots()
+            )
         ):
-            yield from self._ensure_slot_available(app_id)
-            # Escalation inside _ensure_slot_available may have granted
-            # this application a covering table lock; re-check before
-            # allocating a structure.
-            if row_id >= 0:
-                table_mode = self.holder_mode(app_id, key)
-                if table_mode is not None and covers(table_mode, mode):
-                    self.stats.immediate_grants += 1
-                    return
-            entry = self._entry(key, row_id)  # may have come or gone meanwhile
-            if entry is not None and self._held_mode(entry, app_id) is not None:
-                # appeared while we escalated or waited
-                yield from self._regrant(app_id, key, row_id, entry, mode)
-                return
-        block = self.chain.allocate_slot()
-        rec = self._charge_slot(app_id)
-        if self.chain.used_slots > self.stats.peak_used_slots:
-            self.stats.peak_used_slots = self.chain.used_slots
+            return self._make_room(app_id, key, mode, row_id)
+        block = chain.allocate_slot()
+        if rec is None:
+            rec = self._apps[app_id] = AppLocks()
+        rec.slots += 1
+        if chain.used_slots > stats.peak_used_slots:
+            stats.peak_used_slots = chain.used_slots
         if entry is None:
             # Only now that a structure is secured: a refused request
             # must not leave a grant behind.
-            self._file(key, row_id, rec.fresh_word(app_id, mode._idx, block.block_id))  # type: ignore[attr-defined]
+            word = rec.word
+            if word[3] != block.block_id or word[1] != mode._idx:  # type: ignore[attr-defined]
+                word = rec.word = (app_id, mode._idx, 1, block.block_id)  # type: ignore[attr-defined]
+            if row_id < 0:
+                self._objects[key] = word
+            elif rows is not None:
+                rows[row_id] = word
+            else:
+                self._rows[key[1]] = {row_id: word}
         else:
             # A second holder or a waiter: inflate a word first.
             obj = self._inflate(key, row_id, entry) if entry.__class__ is tuple else entry
-            if not obj.waiters and obj.others_compatible(app_id, mode):
-                obj.add_grant(app_id, mode, block)
-            else:
-                waiter = Waiter(
-                    app_id, mode, self.env.event(), block=block,
-                    converting=False, enqueued_at=self.env.now,
-                )
-                obj.enqueue(waiter)
-                self._contended[obj.key] = obj
+            if obj.waiters or not obj.others_compatible(app_id, mode):
                 # No _note_held here: a waited grant is recorded by _pump,
                 # the only place the wait event can succeed.
-                yield from self._wait(app_id, obj, waiter)
-                return
+                return self._queue(app_id, obj, mode, block)
+            obj.add_grant(app_id, mode, block)
         self._note_held(rec, key, row_id)
-        self.stats.immediate_grants += 1
+        stats.immediate_grants += 1
         if self.tracer is not None:
             resource = resource_of(_key_at(key, row_id))
             self._trace("grant", app_id, f"{mode.name} {resource}", str(resource))
+        return None
 
-    def _regrant(self, app_id: int, key: LockKey, row_id: int, entry: Entry, mode: LockMode):
-        """Generator: a holder's request -- a re-grant of a covered mode,
-        else a conversion.  A word has no other holder, so its
-        conversion is immediate and is the word rewritten."""
-        if entry.__class__ is not tuple:
-            held = entry.held_by(app_id)
-            if covers(held.mode, mode):
-                held.count += 1
+    def _make_room(self, app_id: int, key: LockKey, mode: LockMode, row_id: int):
+        """Generator: free a slot (growth, then escalation), then go on
+        as ``_begin``."""
+        yield from self._ensure_slot_available(app_id)
+        # Escalation may have granted this application a covering table
+        # lock; re-check before allocating a structure.
+        if row_id >= 0:
+            table_mode = self.holder_mode(app_id, key)
+            if table_mode is not None and covers(table_mode, mode):
                 self.stats.immediate_grants += 1
                 return
-            yield from self._convert(app_id, entry, mode)
-            return
-        held_mode = MODE_BY_CODE[entry[1]]
-        new_mode = supremum(held_mode, mode)
-        self._file(key, row_id, (app_id, new_mode._idx, entry[2] + 1, entry[3]))  # type: ignore[attr-defined]
+        rest = self._begin(app_id, key, mode, row_id, room=True)
+        if rest is not None:
+            yield from rest
+
+    def _regrant(self, app_id: int, key: LockKey, row_id: int, entry: Entry, mode: LockMode):
+        """A holder's request: a re-grant of a covered mode, else a
+        conversion, which needs no structure and jumps the queue -- None
+        when granted, else the wait.  A word has no other holder, so its
+        conversion is immediate and is the word rewritten."""
+        if entry.__class__ is tuple:
+            held_mode = MODE_BY_CODE[entry[1]]
+            new_mode = supremum(held_mode, mode)
+            self._file(key, row_id, (app_id, new_mode._idx, entry[2] + 1, entry[3]))  # type: ignore[attr-defined]
+            self.stats.immediate_grants += 1
+            if new_mode is not held_mode and self.tracer is not None:
+                resource = resource_of(_key_at(key, row_id))
+                self._trace("convert", app_id, f"-> {mode.name} {resource}", str(resource))
+            return None
+        held = entry.held_by(app_id)
+        if covers(held.mode, mode):
+            held.count += 1
+        elif entry.others_compatible(app_id, mode):
+            entry.upgrade_grant(app_id, mode)
+            if self.tracer is not None:
+                self._trace("convert", app_id, f"-> {mode.name} {entry.resource}", str(entry.resource))
+        else:
+            return self._queue(app_id, entry, mode)
         self.stats.immediate_grants += 1
-        if new_mode is not held_mode and self.tracer is not None:
-            resource = resource_of(_key_at(key, row_id))
-            self._trace("convert", app_id, f"-> {mode.name} {resource}", str(resource))
+        return None
 
     def _inflate(self, key: LockKey, row_id: int, word: GrantWord) -> LockObject:
         """Replace the grant word at ``(key, row_id)`` by the lock object
@@ -803,21 +704,16 @@ class LockManager:
         self._file(key, row_id, obj)
         return obj
 
-    def _convert(self, app_id: int, obj: LockObject, mode: LockMode):
-        """Strengthen an already-held lock (no new structure needed)."""
-        if obj.others_compatible(app_id, mode):
-            obj.upgrade_grant(app_id, mode)
-            self.stats.immediate_grants += 1
-            if self.tracer is not None:
-                self._trace("convert", app_id, f"-> {mode.name} {obj.resource}", str(obj.resource))
-            return
+    def _queue(self, app_id: int, obj: LockObject, mode: LockMode, block=None):
+        """Queue ``app_id``'s request on ``obj`` -- a conversion when it
+        brings no ``block`` -- and return its wait (a generator)."""
         waiter = Waiter(
-            app_id, mode, self.env.event(), block=None,
-            converting=True, enqueued_at=self.env.now,
+            app_id, mode, self.env.event(), block=block,
+            converting=block is None, enqueued_at=self.env.now,
         )
         obj.enqueue(waiter)
         self._contended[obj.key] = obj
-        yield from self._wait(app_id, obj, waiter)
+        return self._wait(app_id, obj, waiter)
 
     def cancel_wait(
         self, app_id: int, exc: BaseException, reason: str = "deadlock"
@@ -996,14 +892,6 @@ class LockManager:
                 del self._rows[key[1]]
 
     # -- accounting helpers ---------------------------------------------------------
-
-    def _charge_slot(self, app_id: int) -> AppLocks:
-        """Charge one structure to ``app_id``; returns its record."""
-        rec = self._apps.get(app_id)
-        if rec is None:
-            rec = self._apps[app_id] = AppLocks()
-        rec.slots += 1
-        return rec
 
     def _uncharge_slot(self, app_id: int) -> None:
         rec = self._apps.get(app_id)
@@ -1288,13 +1176,7 @@ class LockManager:
             elif obj.others_compatible(app_id, target):
                 obj.upgrade_grant(app_id, target)
             elif blocking:
-                waiter = Waiter(
-                    app_id, target, self.env.event(), block=None,
-                    converting=True, enqueued_at=self.env.now,
-                )
-                obj.enqueue(waiter)
-                self._contended[table_res] = obj
-                yield from self._wait(app_id, obj, waiter)
+                yield from self._queue(app_id, obj, target)
                 waited = True
             else:
                 continue  # table lock not grantable; try the next table
@@ -1458,6 +1340,7 @@ class LockManager:
                     f"for app {app_id}"
                 )
         expected_contended = set()
+        queued = 0
         if not all(self._rows.values()):
             raise LockManagerError("an emptied row map is kept")
         filed = itertools.chain(objects.items(), (
@@ -1475,6 +1358,12 @@ class LockManager:
             obj.check_invariants()
             if obj.waiters:
                 expected_contended.add(key)
+            for waiter in obj.waiters:  # compared by identity
+                if self._waiting_on.get(waiter.app_id) != (obj, waiter):
+                    raise LockManagerError(f"app {waiter.app_id} queued on {obj.resource}, not waiting")
+            queued += len(obj.waiters)
+        if queued != len(self._waiting_on):
+            raise LockManagerError(f"{len(self._waiting_on)} apps waiting, {queued} queued")
         if expected_contended != set(self._contended):
             filed = sorted(str(resource_of(k)) for k in self._contended)
             waited = sorted(str(resource_of(k)) for k in expected_contended)

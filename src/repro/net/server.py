@@ -12,12 +12,13 @@ its connection's reader thread, traced or not.  The reader
 (:class:`~repro.net.protocol.FrameDecoder`) fills one reusable buffer
 per connection with ``recv_into`` and hands every fixed-size request
 over as its field tuple, unpacked in place; an op -> method table
-(``_ThreadedConnection._OPS``) runs it.  A LOCK_ROW gets exactly one
-immediate-grant attempt on the reader (``LockService.try_lock_row``:
-one mutex acquire, no handoff), ops that cannot park run there too, and
-only a request that may genuinely park a thread (a contended lock or a
-table lock) is pushed to the thread pool, which finishes it
-through the same two methods the reader uses.  Mode-byte validation,
+(``_ThreadedConnection._OPS``) runs it.  A LOCK_ROW begins on the reader
+(``LockService.begin_lock_row``: one mutex acquire, no handoff) and,
+granted there, is answered there; ops that cannot park run there too.
+Only a request that may genuinely park a thread goes to the thread
+pool: a LOCK_ROW that began and now waits, which an executor thread
+finishes from where the reader left it (``finish_request``: no second
+attempt), or a table lock.  Mode-byte validation,
 ``FLAG_NO_REPLY`` and the mapping of exceptions onto error frames each
 live in one place, and a sampled request is the same request, plus its
 trace tail, with a clock running.  The split is the load-bearing
@@ -173,9 +174,9 @@ class _ThreadedConnection:
         self._backend = server.backend
         self._service = server.backend.service
         self._tracer = server.backend.tracer
-        # The *checked* immediate-grant attempt: frames carry whatever
+        # The service's own checked request body: frames carry whatever
         # session id the peer wrote, so the service must validate it.
-        self._try_lock_row = getattr(self._service, "try_lock_row", None)
+        self._begin_lock_row = getattr(self._service, "begin_lock_row", None)
         self._sock = sock
         self._send_lock = threading.Lock()
         self._sessions: Set[int] = set()
@@ -215,17 +216,19 @@ class _ThreadedConnection:
     def _dispatch(self, f: wire.Frame) -> None:
         """The one request path: grant, run or park.
 
-        A LOCK_ROW gets one immediate-grant attempt here -- the
-        service's own ``try_lock_row``, no adapter in between; one not
-        granted is parked, and the service's blocking ``lock_row`` makes
-        the only other attempt it will get.  Ops that cannot park run
-        here.  A session's first frame (``FLAG_OPEN``) opens it first,
-        here on the reader, so a later frame never overtakes the open.
-        ``clock`` is a sampled request's hop clock, stamps
-        ``[arrived, parked, started]`` (``parked`` stays 0.0 unless the
-        executor takes over); any other frame pays one flags test.
+        A LOCK_ROW begins here -- the service's own ``begin_lock_row``,
+        no adapter in between, which marks the session in flight before
+        it returns a request that waits; that request is parked with
+        the wait it stopped at, and an executor thread finishes it.
+        Ops that cannot park run here.  A session's first frame
+        (``FLAG_OPEN``) opens it first, here on the reader, so a later
+        frame never overtakes the open.  ``clock`` is a sampled
+        request's hop clock, stamps ``[arrived, parked, started]``
+        (``parked`` stays 0.0 unless the executor takes over); any
+        other frame pays one flags test.
         """
         clock: Optional[List[float]] = None
+        request = None
         try:
             if f.__class__ is bytes:
                 f = wire.request_fields(f)  # a cold shape, or no request
@@ -233,6 +236,11 @@ class _ThreadedConnection:
                 if f[1] & wire.FLAG_TRACE and self._tracer is not None and f[-1]:
                     now = time.perf_counter()
                     clock = [now, 0.0, now]
+                    trace_ids = self._backend.trace_ids
+                    if trace_ids is not None:
+                        # Until _finish: an incident the request raises,
+                        # on the reader or an executor, names its trace.
+                        trace_ids[_app_id(f)] = f[-3]
                 if f[1] & wire.FLAG_OPEN:
                     self._open(_app_id(f))
             op = f[0]
@@ -240,10 +248,13 @@ class _ThreadedConnection:
                 mode = wire.WIRE_TO_MODE.get(f[6])
                 if mode is None:
                     wire.lock_mode(f[6])  # raises the ProtocolError
-                if self._try_lock_row is not None:
+                if self._begin_lock_row is not None:
                     if clock is not None:
                         clock[2] = time.perf_counter()
-                    if self._try_lock_row(f[3], f[4], f[5], mode):
+                    request = self._begin_lock_row(
+                        f[3], f[4], f[5], mode, _timeout(f)
+                    )
+                    if request is None:
                         self._finish(f, clock, 1)
                         return
             elif op not in wire.WAITING_OPS:
@@ -259,28 +270,28 @@ class _ThreadedConnection:
             return
         if clock is not None:
             clock[1] = time.perf_counter()
-        self._server.executor.submit(self._run, f, clock)
+        self._server.executor.submit(self._run, f, clock, request)
 
-    def _run(self, f: tuple, clock: Optional[List[float]]) -> None:
+    def _run(
+        self, f: tuple, clock: Optional[List[float]], request: Optional[tuple] = None
+    ) -> None:
         """Execute a request to completion and answer it: on the reader
-        for ops that cannot park, on an executor thread for the rest."""
-        trace_ids = None
+        for ops that cannot park, on an executor thread for the rest --
+        there from the wait a ``request`` the reader began stopped at."""
         if clock is not None:
             clock[2] = time.perf_counter()
-            trace_ids = self._backend.trace_ids
-            if trace_ids is not None:
-                trace_ids[_app_id(f)] = f[-3]
         try:
-            run = self._OPS.get(f[0])
-            if run is None:  # e.g. a reply sent as a request
-                raise wire.ProtocolError(f"unknown request op 0x{f[0]:02x}")
-            value = run(self, f)
+            if request is not None:
+                self._service.finish_request(request)
+                value = 1
+            else:
+                run = self._OPS.get(f[0])
+                if run is None:  # e.g. a reply sent as a request
+                    raise wire.ProtocolError(f"unknown request op 0x{f[0]:02x}")
+                value = run(self, f)
         except Exception as exc:
             self._finish(f, clock, exc=exc)
             return
-        finally:
-            if trace_ids is not None:
-                trace_ids.pop(_app_id(f), None)
         self._finish(f, clock, value)
 
     def _finish(
@@ -306,6 +317,8 @@ class _ThreadedConnection:
         report = None
         if clock is not None:
             ended = time.perf_counter()
+            if self._backend.trace_ids is not None:
+                self._backend.trace_ids.pop(_app_id(f), None)
             arrived, parked, started = clock
             if exc is not None:
                 hops = {"server.dispatch": ended - arrived}

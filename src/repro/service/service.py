@@ -6,10 +6,11 @@ here under real thread concurrency, with no changes to its locking
 logic:
 
 * One **mutex** guards every manager mutation, so the manager keeps its
-  single-flow-of-control invariant.  Requests are generators exactly as
-  in the DES; the service drives each request's generator itself, and
-  when the generator yields a pending event the requesting thread parks
-  on a **condition variable** derived from the same mutex.
+  single-flow-of-control invariant.  A request is the manager's
+  ``begin_lock_row`` / ``begin_lock_table``, as in the DES; when that
+  hands back a generator the service drives it itself, and when the
+  generator yields a pending event the requesting thread parks on a
+  **condition variable** derived from the same mutex.
 * **Grant hand-off is decided by the lock manager, not by thread
   scheduling**: ``LockObject.pump`` grants in strict FIFO order under
   the mutex and fires each granted waiter's event; ``notify_all`` then
@@ -323,65 +324,44 @@ class LockService:
         after any of these the session must roll back via
         :meth:`close_session` (strict 2PL, as in the DES).
         """
-        if timeout_s is _USE_DEFAULT:
-            timeout_s = self.default_timeout_s
-        elif timeout_s is not None and not 0.0 <= timeout_s < _INF:  # type: ignore[operator]
-            timeout_s = _checked_timeout(timeout_s)  # the usual finite one skips the call
-        # Uncontended requests (the overwhelming majority under churn)
-        # grant without building a generator: one mutex hold, no
-        # event-loop machinery.  ``lock_row_fast`` either completes with
-        # accounting identical to the generator path or mutates nothing.
-        if self.try_lock_row(app_id, table_id, row_id, mode):
-            return
-        self._request(
-            app_id,
-            self.manager.lock_row(app_id, table_id, row_id, mode),
-            timeout_s,
-            row=(table_id, row_id, mode),
+        self._request(perf_counter(), app_id, table_id, row_id, mode, timeout_s, True)
+
+    def begin_lock_row(
+        self,
+        app_id: int,
+        table_id: int,
+        row_id: int,
+        mode: LockMode,
+        timeout_s: object = _USE_DEFAULT,
+    ) -> Optional[tuple]:
+        """:meth:`lock_row` up to where it could park, in one mutex hold.
+
+        None means granted (and counted).  Otherwise the request is in
+        flight for the session, parked at its first wait, and returned:
+        hand it to :meth:`finish_request` on a thread that may park.
+        The wire server calls this on a connection's reader with
+        whatever a frame carried, so it makes every check
+        :meth:`lock_row` makes and raises what that raises.
+        """
+        return self._request(
+            perf_counter(), app_id, table_id, row_id, mode, timeout_s, False
         )
 
-    def try_lock_row(
-        self, app_id: int, table_id: int, row_id: int, mode: LockMode
-    ) -> bool:
-        """The non-blocking :meth:`lock_row` attempt, same checks first.
-
-        The wire server calls this with whatever a frame carried: an id
-        that is not an open session raises :meth:`lock_row`'s
-        :class:`ServiceError` instead of being granted locks no
-        ``close_session`` would ever release.  False means "not granted
-        on the spot, nothing mutated, nothing counted -- use
-        :meth:`lock_row`" (which also reports a request in flight).
-        """
-        started = perf_counter()
-        env = self.env
-        # _ensure_open and env.latch_acquire, written out: this is the
-        # whole of an uncontended request's service work.
-        if env.latch_profiler is None:
-            self._mutex.acquire()
-        else:
-            env.latch_acquire()
+    def finish_request(self, request: tuple) -> None:
+        """Drive a request :meth:`begin_lock_row` returned to its end,
+        parking this thread while it waits; raises as :meth:`lock_row`."""
+        started, app_id, table_id, row_id, mode, rest, target, deadline = request
+        self.env.latch_acquire()
         try:
-            if self._closed:
-                raise ServiceClosedError("lock service is closed")
-            if app_id not in self._sessions:
-                raise ServiceError(f"session {app_id} is not open")
-            if app_id in self._active_requests or not self.manager.lock_row_fast(
-                app_id, table_id, row_id, mode
-            ):
-                return False
-            stats = self.stats
-            stats.requests += 1
-            stats.granted += 1
-            if self._latency is not None:
-                self._latency.observe_held(perf_counter() - started)
-            # Probe only the granted case: a False return falls back to
-            # lock_row, which runs its own probe -- every request is
-            # counted by the tracer exactly once.
-            if self.tracer is not None:
-                self._trace(started, app_id, table_id, row_id, mode)
-            return True
+            try:
+                if target is not None:  # None: it is done
+                    self._drive(app_id, rest, target, deadline)
+            except BaseException as exc:
+                self._settle(started, app_id, table_id, row_id, mode, exc)
+                raise
+            self._settle(started, app_id, table_id, row_id, mode)
         finally:
-            self._mutex.release()
+            self.env.latch_release()
 
     def lock_table(
         self,
@@ -391,12 +371,7 @@ class LockService:
         timeout_s: object = _USE_DEFAULT,
     ) -> None:
         """Acquire a table lock, blocking (see :meth:`lock_row`)."""
-        timeout_s = (
-            self.default_timeout_s if timeout_s is _USE_DEFAULT else _checked_timeout(timeout_s)
-        )
-        self._request(
-            app_id, self.manager.lock_table(app_id, table_id, mode), timeout_s
-        )
+        self._request(perf_counter(), app_id, table_id, None, mode, timeout_s, True)
 
     def rollback(self, app_id: int) -> int:
         """Release every lock of ``app_id`` without closing the session.
@@ -494,46 +469,85 @@ class LockService:
         if self._closed:
             raise ServiceClosedError("lock service is closed")
 
-    def _request(self, app_id: int, gen, timeout_s: Optional[float], row=None) -> None:
-        """Drive ``gen`` for ``app_id`` with ``timeout_s`` (checked; None
-        is no deadline); ``row`` is the ``(table, row, mode)`` of a row
-        request (the only kind the tracer samples)."""
-        started = perf_counter()
-        self.env.latch_acquire()
+    def _request(self, started, app_id, table_id, row_id, mode, timeout_s, finish):
+        """The one request body: a row request, or with ``row_id`` None
+        a table request.  In one mutex hold: the closed, session and
+        in-flight checks, then the manager's part that never waits.
+        Granted there, the request is counted and None returned.
+        Otherwise the session is marked in flight and the continuation
+        runs to its first wait; with ``finish`` it is then driven to the
+        end under the same hold, else it is returned as it stands (see
+        :meth:`begin_lock_row`)."""
+        if timeout_s is _USE_DEFAULT:
+            timeout_s = self.default_timeout_s
+        elif timeout_s is not None and not 0.0 <= timeout_s < _INF:  # type: ignore[operator]
+            timeout_s = _checked_timeout(timeout_s)  # the usual finite one skips the call
+        env = self.env
+        # env.latch_acquire, written out: this is the whole of an
+        # uncontended request's service work.
+        if env.latch_profiler is None:
+            self._mutex.acquire()
+        else:
+            env.latch_acquire()
         try:
-            self._ensure_open()
+            if self._closed:
+                raise ServiceClosedError("lock service is closed")
             if app_id not in self._sessions:
                 raise ServiceError(f"session {app_id} is not open")
             if app_id in self._active_requests:
                 raise ServiceError(
                     f"session {app_id} already has a request in flight"
                 )
-            self._active_requests.add(app_id)
-            self.stats.requests += 1
-            deadline = (
-                None if timeout_s is None else self.clock.now() + timeout_s
-            )
-            outcome = "ok"
+            stats = self.stats
+            stats.requests += 1
             try:
-                self._drive(app_id, gen, deadline)
-                self.stats.granted += 1
+                rest = (
+                    self.manager.begin_lock_row(app_id, table_id, row_id, mode)
+                    if row_id is not None
+                    else self.manager.begin_lock_table(app_id, table_id, mode)
+                )
+                if rest is None:
+                    # _settle, written out: the usual request ends here.
+                    stats.granted += 1
+                    if self._latency is not None:
+                        self._latency.observe_held(perf_counter() - started)
+                    if self.tracer is not None and row_id is not None:
+                        self._trace(started, app_id, table_id, row_id, mode)
+                    return None
+                self._active_requests.add(app_id)
+                target = next(rest, None)  # its first wait, or done
             except BaseException as exc:
-                outcome = type(exc).__name__
-                if isinstance(exc, LockTimeoutError):
-                    self.stats.timeouts += 1
-                elif not isinstance(
-                    exc, (RequestCancelledError, ServiceClosedError)
-                ):
-                    self.stats.failures += 1
+                self._settle(started, app_id, table_id, row_id, mode, exc)
                 raise
-            finally:
-                self._active_requests.discard(app_id)
-                if self._latency is not None:
-                    self._latency.observe_held(perf_counter() - started)
-                if self.tracer is not None and row is not None:
-                    self._trace(started, app_id, *row, outcome)
+            request = (
+                started, app_id, table_id, row_id, mode, rest, target,
+                None if timeout_s is None else self.clock.now() + timeout_s,
+            )
+            if finish or target is None:
+                self.finish_request(request)  # the mutex is re-entrant
+                return None
+            return request
         finally:
-            self.env.latch_release()
+            self._mutex.release()
+
+    def _settle(self, started, app_id, table_id, row_id, mode, exc=None) -> None:
+        """Count a request that ended -- granted, or failed with ``exc``
+        -- and take its session out of flight (under the mutex)."""
+        self._active_requests.discard(app_id)
+        stats = self.stats
+        if exc is None:
+            stats.granted += 1
+        elif isinstance(exc, LockTimeoutError):
+            stats.timeouts += 1
+        elif not isinstance(exc, (RequestCancelledError, ServiceClosedError)):
+            stats.failures += 1
+        if self._latency is not None:
+            self._latency.observe_held(perf_counter() - started)
+        if self.tracer is not None and row_id is not None:
+            self._trace(
+                started, app_id, table_id, row_id, mode,
+                "ok" if exc is None else type(exc).__name__,
+            )
 
     def _trace(self, started, app_id, table_id, row_id, mode, outcome="ok") -> None:
         """Count one row request on the tracer; land the sampled 1/N.
@@ -559,8 +573,11 @@ class LockService:
                 outcome=outcome,
             )
 
-    def _drive(self, app_id: int, gen, deadline: Optional[float]) -> None:
-        """Run one locking generator to completion under the mutex.
+    def _drive(
+        self, app_id: int, gen, target: WallEvent, deadline: Optional[float]
+    ) -> None:
+        """Run a locking generator, parked at ``target``, to completion
+        under the mutex.
 
         The generator's yields are :class:`WallEvent`s.  A triggered
         event resumes the generator immediately (send/throw mirrors the
@@ -568,10 +585,6 @@ class LockService:
         condition variable until the event fires, an internal timeout
         comes due, or the request deadline expires.
         """
-        try:
-            target: WallEvent = next(gen)
-        except StopIteration:
-            return
         cond = self._cond
         while True:
             while not target.triggered:

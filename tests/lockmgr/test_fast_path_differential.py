@@ -1,12 +1,14 @@
-"""Differential test of ``LockManager.lock_row_fast``'s contract.
+"""Differential test of the one grant path, with and without a tracer.
 
-``lock_row_fast`` promises accounting *byte-identical* to driving the
-``lock_row`` generator, or -- when it returns False -- to have mutated
-nothing.  Two managers receive the same hypothesis-generated operation
-sequence: manager A tries the fast path first and falls back to the
-generator, manager B only ever drives the generator.  After every step
-their observable state must be equal, so a counter bump, refresh tick
-or structure charge dropped from either path fails the test.
+Every request takes one path: ``begin_lock_row`` / ``begin_lock_table``
+do what needs no wait and hand back a generator only for the rest (a
+slot shortage or a queue).  A tracer used to send requests down a
+path of their own; now it only records.  Two managers receive the same
+hypothesis-generated operation sequence, one with a ``LockTrace``
+attached, and after every step their observable state must be equal,
+so a counter bump, refresh tick or structure charge that tracing moved
+fails the test.  A third run checks that every request ticks the
+MAXLOCKS refresh exactly once, whichever way it is granted.
 
 The chains are tiny (8-slot blocks, a growth provider that runs dry,
 MAXLOCKS at 50 %) so synchronous growth, both kinds of escalation and
@@ -27,6 +29,7 @@ from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockListFullError, LockManager
 from repro.lockmgr.modes import LockMode
 from repro.lockmgr.resources import row_resource, table_resource
+from repro.lockmgr.tracing import LockTrace
 from tests.conftest import lock_table_entry
 
 APPS = (1, 2, 3)
@@ -84,9 +87,8 @@ def snapshot(manager: LockManager):
 class Driver:
     """One manager plus the parked (blocked) requests of its apps."""
 
-    def __init__(self, use_fast: bool) -> None:
-        self.use_fast = use_fast
-        budget = [GROWTH_BLOCKS]  # blocks the growth provider still has to give
+    def __init__(self, traced: bool, growth_blocks: int = GROWTH_BLOCKS, refresh_period: int = 5) -> None:
+        budget = [growth_blocks]  # blocks the growth provider still has to give
 
         def grow(wanted: int) -> int:
             granted = min(wanted, budget[0])
@@ -96,12 +98,15 @@ class Driver:
         self.manager = LockManager(
             Environment(),
             LockBlockChain(initial_blocks=1, capacity_per_block=8),
-            growth_provider=grow,
+            growth_provider=grow if growth_blocks else None,
             maxlocks_fraction=0.5,
-            refresh_period=5,
+            refresh_period=refresh_period,
         )
+        if traced:
+            self.manager.tracer = LockTrace(None)
         self.parked = {}  # app -> (generator, the event it waits on)
-        self.fast_grants = 0
+        #: Requests ``begin_*`` granted, and those it handed a generator.
+        self.immediate = self.continued = 0
 
     def step(self, op) -> None:
         manager = self.manager
@@ -114,20 +119,16 @@ class Driver:
             manager.release_all(app)
         elif kind == "unlock":
             manager.release_read_lock(app, op[2], op[3])
-        elif kind == "table":
-            self._drive(app, manager.lock_table(app, op[2], op[3]))
         else:
-            _kind, _app, table, row, mode = op
-            if self.use_fast:
-                before = snapshot(manager)
-                if manager.lock_row_fast(app, table, row, mode):
-                    self.fast_grants += 1
-                    self._resume_granted()
-                    return
-                # False must mean: nothing happened.
-                manager.check_invariants()
-                assert snapshot(manager) == before
-            self._drive(app, manager.lock_row(app, table, row, mode))
+            if kind == "table":
+                rest = manager.begin_lock_table(app, op[2], op[3])
+            else:
+                rest = manager.begin_lock_row(app, *op[2:])
+            if rest is None:
+                self.immediate += 1
+            else:
+                self.continued += 1
+                self._drive(app, rest)
         self._resume_granted()
 
     def _drive(self, app, gen, value=None) -> None:
@@ -155,22 +156,38 @@ class Driver:
 
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(OPS, min_size=1, max_size=80))
-def test_fast_path_matches_generator_path_step_by_step(ops):
-    fast, slow = Driver(use_fast=True), Driver(use_fast=False)
+def test_a_tracer_changes_no_step(ops):
+    traced, untraced = Driver(traced=True), Driver(traced=False)
     for op in ops:
-        fast.step(op)
-        slow.step(op)
-        assert snapshot(fast.manager) == snapshot(slow.manager), op
-        assert sorted(fast.parked) == sorted(slow.parked)
-    for driver in (fast, slow):
+        traced.step(op)
+        untraced.step(op)
+        assert snapshot(traced.manager) == snapshot(untraced.manager), op
+        assert sorted(traced.parked) == sorted(untraced.parked)
+        assert (traced.immediate, traced.continued) == (
+            untraced.immediate, untraced.continued
+        )
+    for driver in (traced, untraced):
         driver.manager.check_invariants()  # every object's and word's own too
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(OPS, min_size=1, max_size=80))
+def test_every_request_ticks_the_refresh_once(ops):
+    # No growth and no refresh come due, so nothing resets the count.
+    driver = Driver(traced=False, growth_blocks=0, refresh_period=1 << 30)
+    manager = driver.manager
+    for op in ops:
+        driver.step(op)
+        assert manager._requests_since_refresh == manager.stats.requests, op
+    manager.check_invariants()
 
 
 def test_the_sequences_reach_the_fallbacks():
     """The generated regime is not vacuous: a long fixed walk through
-    the same driver grows, escalates both ways and takes the fast path."""
+    the same driver grows, escalates both ways, grants at once and
+    hands back continuations."""
     rng = random.Random(7)
-    driver = Driver(use_fast=True)
+    driver = Driver(traced=False)
     for _ in range(3000):
         app, table = rng.choice(APPS), rng.choice(TABLES)
         if rng.random() < 0.07:
@@ -179,7 +196,7 @@ def test_the_sequences_reach_the_fallbacks():
             op = ("row", app, table, rng.choice(ROWS), rng.choice(list(LockMode)))
         driver.step(op)
     stats = driver.manager.stats
-    assert driver.fast_grants > 100
+    assert driver.immediate > 100 and driver.continued > 100
     assert stats.sync_growth_blocks == GROWTH_BLOCKS
     assert stats.waits > 0
     assert stats.escalations.by_reason("maxlocks") > 0

@@ -2,9 +2,9 @@
 
 Lock memory is the resource the system tunes; the bookkeeping for one
 64-byte lock structure must not grow back to ten times that unnoticed.
-Measured by ``scripts/lock_footprint.py`` (which see), on both grant
-paths -- the DES's ``lock_row`` generator and the live service's
-``lock_row_fast``: 665 bytes and 5.2 collector-tracked objects per lock
+Measured by ``scripts/lock_footprint.py`` (which see), through
+``begin_lock_row``, the one grant path (two paths were measured until
+it replaced the live service's own): 665 bytes and 5.2 collector-tracked objects per lock
 before the thin lock objects, 369 and 3.0 with them, about 329 and 2.0
 since a lock object is its first holder's grant, about 277 bytes with
 1.0 object still tracked after a collection since a row is keyed by a
@@ -34,16 +34,15 @@ LOCKS = 20_000
 
 def test_a_held_row_lock_stays_thin_and_leaves_nothing_behind():
     footprint = runpy.run_path(str(SCRIPT), run_name="footprint_under_test")
-    for fast in (False, True):
-        cost = footprint["held_lock_cost"](LOCKS, fast)
-        assert cost.bytes_per_lock <= 40.2, (fast, cost.sites)
-        assert cost.tracked_per_lock <= 0.05, (fast, cost.sites)
-        # What every full collection walks: neither the grant word nor
-        # its key.
-        assert cost.surviving_per_lock <= 0.2, (fast, cost.sites)
-        # What outlives release_all is a constant (interned resources,
-        # the lock table's spare slots), never a share of the locks taken.
-        assert cost.residue_bytes <= 16_384
-        assert cost.residue_tracked <= 16
-        # The collections that empty the free lists free no cycle either.
-        assert cost.cycles == 0
+    cost = footprint["held_lock_cost"](LOCKS)
+    assert cost.bytes_per_lock <= 40.2, cost.sites
+    assert cost.tracked_per_lock <= 0.05, cost.sites
+    # What every full collection walks: neither the grant word nor
+    # its key.
+    assert cost.surviving_per_lock <= 0.2, cost.sites
+    # What outlives release_all is a constant (interned resources,
+    # the lock table's spare slots), never a share of the locks taken.
+    assert cost.residue_bytes <= 16_384
+    assert cost.residue_tracked <= 16
+    # The collections that empty the free lists free no cycle either.
+    assert cost.cycles == 0

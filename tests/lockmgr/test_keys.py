@@ -27,11 +27,13 @@ from repro.lockmgr.tracing import LockTrace
 from tests.conftest import lock_table_entry, run_process
 
 
-def take(manager, app_id, table_id, row_id, mode, fast):
-    if fast:
-        assert manager.lock_row_fast(app_id, table_id, row_id, mode)
-    else:
-        run_process(manager.env, manager.lock_row(app_id, table_id, row_id, mode))
+def take(manager, app_id, table_id, row_id, mode, traced):
+    """A lock_row request that does not wait, with a tracer attached to
+    ``manager`` when ``traced`` (a tracer takes no path of its own)."""
+    if traced and manager.tracer is None:
+        manager.tracer = LockTrace(None)
+    for _ in manager.lock_row(app_id, table_id, row_id, mode):
+        raise AssertionError("the request waited")
 
 
 class TestRowKey:
@@ -53,32 +55,32 @@ class TestRowKey:
         assert str(key_error.value) == str(resource_error.value)
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["lock_row", "lock_row_fast"])
+@pytest.mark.parametrize("traced", [False, True], ids=["lock_row", "lock_row_traced"])
 class TestTheLockTableSpeaksResourceIds:
     def manager(self):
         return LockManager(Environment(), LockBlockChain(initial_blocks=2))
 
-    def test_holder_mode_finds_the_row_by_resource_id(self, fast):
+    def test_holder_mode_finds_the_row_by_resource_id(self, traced):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.S, fast)
+        take(manager, 1, 0, 7, LockMode.S, traced)
         assert manager.holder_mode(1, row_resource(0, 7)) is LockMode.S
         assert manager.holder_mode(2, row_resource(0, 7)) is None
         assert manager.holder_mode(1, row_resource(0, 8)) is None
         manager.check_invariants()
 
-    def test_a_row_is_keyed_by_a_plain_tuple_the_collector_forgets(self, fast):
+    def test_a_row_is_keyed_by_a_plain_tuple_the_collector_forgets(self, traced):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.S, fast)
-        take(manager, 2, 0, 7, LockMode.S, fast)  # a second holder: an object
+        take(manager, 1, 0, 7, LockMode.S, traced)
+        take(manager, 2, 0, 7, LockMode.S, traced)  # a second holder: an object
         obj = lock_table_entry(manager, row_resource(0, 7))
         assert type(obj.key) is tuple and obj.key == row_key(0, 7)
         gc.collect()
         assert not gc.is_tracked(obj.key)
 
-    def test_lock_object_resource_is_a_resource_id(self, fast):
+    def test_lock_object_resource_is_a_resource_id(self, traced):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.S, fast)
-        take(manager, 2, 0, 7, LockMode.S, fast)  # a second holder: an object
+        take(manager, 1, 0, 7, LockMode.S, traced)
+        take(manager, 2, 0, 7, LockMode.S, traced)  # a second holder: an object
         obj = lock_table_entry(manager, row_key(0, 7))
         assert type(obj.resource) is ResourceId
         assert obj.resource == row_resource(0, 7)
@@ -87,20 +89,20 @@ class TestTheLockTableSpeaksResourceIds:
         with pytest.raises(LockManagerError, match=r"app 1 already holds T0\.R7$"):
             obj.add_grant(1, LockMode.S)
 
-    def test_lock_status_is_unchanged(self, fast):
+    def test_lock_status_is_unchanged(self, traced):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.S, fast)
-        take(manager, 2, 0, 7, LockMode.S, fast)
+        take(manager, 1, 0, 7, LockMode.S, traced)
+        take(manager, 2, 0, 7, LockMode.S, traced)
         assert manager.lock_status(row_resource(0, 7)) == "T0.R7: granted[1:S, 2:S] queue[]"
         manager.release_all(1)
         manager.release_all(2)
         assert manager.lock_status(row_resource(0, 7)) == "T0.R7: unlocked"
         manager.check_invariants()
 
-    def test_each_held_row_is_indexed_once(self, fast):
+    def test_each_held_row_is_indexed_once(self, traced):
         manager = self.manager()
         for row in (7, 3, 9):
-            take(manager, 1, 0, row, LockMode.S, fast)
+            take(manager, 1, 0, row, LockMode.S, traced)
         rec = manager._apps[1]
         assert rec.held == {row_resource(0, 0).table()}
         assert list(rec.rows[0]) == [7, 3, 9]
@@ -110,7 +112,7 @@ class TestTheLockTableSpeaksResourceIds:
         manager.check_invariants()
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["lock_row", "lock_row_fast"])
+@pytest.mark.parametrize("traced", [False, True], ids=["lock_row", "lock_row_traced"])
 class TestRowMaps:
     """A table's rows are filed in one row map, which goes when it
     empties -- whichever path empties it."""
@@ -126,11 +128,11 @@ class TestRowMaps:
             maxlocks_fraction=0.5,
         )
 
-    def test_release_all_drops_the_maps_it_empties(self, fast):
+    def test_release_all_drops_the_maps_it_empties(self, traced):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.S, fast)
-        take(manager, 1, 1, 7, LockMode.S, fast)
-        take(manager, 2, 1, 8, LockMode.S, fast)
+        take(manager, 1, 0, 7, LockMode.S, traced)
+        take(manager, 1, 1, 7, LockMode.S, traced)
+        take(manager, 2, 1, 8, LockMode.S, traced)
         assert sorted(manager._rows) == [0, 1]
         manager.release_all(1)
         assert list(manager._rows) == [1] and list(manager._rows[1]) == [8]
@@ -139,21 +141,21 @@ class TestRowMaps:
         assert not manager._rows and not manager._objects
         manager.check_invariants()
 
-    def test_an_escalation_drops_the_map_it_empties(self, fast):
+    def test_an_escalation_drops_the_map_it_empties(self, traced):
         manager = self.escalating_manager()
-        take(manager, 2, 1, 0, LockMode.S, fast)
+        take(manager, 2, 1, 0, LockMode.S, traced)
         for row in range(7):
-            take(manager, 1, 0, row, LockMode.S, fast)
+            take(manager, 1, 0, row, LockMode.S, traced)
         run_process(manager.env, manager.lock_row(1, 0, 7, LockMode.S))
         assert manager.stats.escalations.count == 1
         assert list(manager._rows) == [1]
         manager.check_invariants()
 
-    def test_an_escalation_keeps_a_shared_row_a_cs_release_drops_it(self, fast):
+    def test_an_escalation_keeps_a_shared_row_a_cs_release_drops_it(self, traced):
         manager = self.escalating_manager()
         for row in range(7):
-            take(manager, 1, 0, row, LockMode.S, fast)
-        take(manager, 2, 0, 3, LockMode.S, fast)  # a second holder: an object
+            take(manager, 1, 0, row, LockMode.S, traced)
+        take(manager, 2, 0, 3, LockMode.S, traced)  # a second holder: an object
         run_process(manager.env, manager.lock_row(1, 0, 7, LockMode.S))
         assert manager.stats.escalations.count == 1
         assert list(manager._rows[0]) == [3]
@@ -163,17 +165,17 @@ class TestRowMaps:
         assert not manager._rows
         manager.check_invariants()
 
-    def test_a_cs_early_release_drops_the_map_it_empties(self, fast):
+    def test_a_cs_early_release_drops_the_map_it_empties(self, traced):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.S, fast)
+        take(manager, 1, 0, 7, LockMode.S, traced)
         assert manager.release_read_lock(1, 0, 7)
         assert not manager._rows and list(manager._objects) == [table_resource(0)]
         manager.check_invariants()
 
-    def test_a_page_reads_unlocked_while_its_table_and_a_row_are_held(self, fast):
+    def test_a_page_reads_unlocked_while_its_table_and_a_row_are_held(self, traced):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.S, fast)
-        take(manager, 2, 0, 7, LockMode.S, fast)  # objects, not words, too
+        take(manager, 1, 0, 7, LockMode.S, traced)
+        take(manager, 2, 0, 7, LockMode.S, traced)  # objects, not words, too
         for page in (page_resource(0, 7), page_resource(0, 0)):
             assert manager.holder_mode(1, page) is None
             assert manager.lock_status(page) == f"{page}: unlocked"
@@ -181,12 +183,12 @@ class TestRowMaps:
         assert manager.holder_mode(1, row_resource(0, 7)) is LockMode.S
 
     @pytest.mark.parametrize("table_id, row_id", [(-1, 0), (0, -1), (-1, -1)])
-    def test_a_negative_id_raises_before_anything_changes(self, fast, table_id, row_id):
+    def test_a_negative_id_raises_before_anything_changes(self, traced, table_id, row_id):
         manager = self.manager()
-        take(manager, 1, 0, 7, LockMode.X, fast)  # the table's IX covers no row
+        take(manager, 1, 0, 7, LockMode.X, traced)  # the table's IX covers no row
         used, requests = manager.chain.used_slots, manager.stats.requests
         with pytest.raises(ValueError, match="must be non-negative"):
-            take(manager, 1, table_id, row_id, LockMode.S, fast)
+            take(manager, 1, table_id, row_id, LockMode.S, traced)
         assert manager.chain.used_slots == used
         assert manager.stats.requests == requests
         manager.check_invariants()

@@ -7,8 +7,8 @@ requests, error classes crossing the wire, disconnect cleanup,
 reconnect after a server restart, and the oversized-frame teardown.
 Then hand-built frames against the server's one dispatch path: every
 LOCK_ROW shape gets the same mode-byte validation, FLAG_NO_REPLY and
-error mapping, and a request that must wait costs one immediate-grant
-attempt per layer.
+error mapping, and a request that must wait begins once, is in flight
+for its session from then on, and is finished from where it stopped.
 """
 
 import math
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockManager, LockTimeoutError
 from repro.lockmgr.modes import LockMode
+from repro.lockmgr.resources import row_resource
 from repro.net import protocol as wire
 from repro.net.client import (
     ClientConnection,
@@ -459,17 +460,17 @@ class TestInlineFastPathValidatesTheSession:
         assert wait_until(lambda: stack.chain.used_slots == 0)
 
 
-class TestTryLockRow:
+class TestBeginLockRow:
     def test_refuses_an_unopened_id(self, stack):
-        # try_lock_row is the one non-blocking entry and it always
+        # begin_lock_row is the one non-blocking entry and it always
         # validates: there is no pre-validated twin to reach around it.
         service = stack.service
         with pytest.raises(wire.ServiceError, match="77 is not open"):
-            service.try_lock_row(77, 1, 1, LockMode.X)
+            service.begin_lock_row(77, 1, 1, LockMode.X)
         assert stack.chain.used_slots == 0
-        assert not hasattr(service, "lock_row_uncontended")
+        assert not hasattr(service, "try_lock_row")
 
-    def test_defers_to_lock_row_while_a_request_is_in_flight(self, stack):
+    def test_refuses_a_session_with_a_request_in_flight(self, stack):
         service = stack.service
         holder = service.open_session()
         waiter = service.open_session()
@@ -481,14 +482,39 @@ class TestTryLockRow:
         )
         thread.start()
         assert wait_until(lambda: service.waiting_sessions() == {waiter})
-        used = stack.chain.used_slots
-        # A free row, but the session is mid-request: not granted here,
-        # nothing touched; lock_row is what reports the double request.
-        assert service.try_lock_row(waiter, 8, 8, LockMode.X) is False
+        used, requests = stack.chain.used_slots, service.stats.requests
+        # A free row, but the session is mid-request: refused, nothing
+        # touched, nothing counted.
+        with pytest.raises(wire.ServiceError, match="already has a request in flight"):
+            service.begin_lock_row(waiter, 8, 8, LockMode.X)
         assert stack.chain.used_slots == used
+        assert service.stats.requests == requests
         service.close_session(holder)
         thread.join(timeout=5.0)
         assert not thread.is_alive()
+        service.close_session(waiter)
+
+    def test_a_request_that_waits_is_handed_back_in_flight(self, stack):
+        service = stack.service
+        holder = service.open_session()
+        waiter = service.open_session()
+        service.lock_row(holder, 7, 7, LockMode.X)
+        request = service.begin_lock_row(waiter, 7, 7, LockMode.X, timeout_s=5.0)
+        assert request is not None
+        # Parked at its first wait: queued and in the wait map, and the
+        # session is in flight until the request is finished.
+        assert service.waiting_sessions() == {waiter}
+        service.check_invariants()
+        with pytest.raises(wire.ServiceError, match="in flight"):
+            service.close_session(waiter)
+        thread = threading.Thread(target=service.finish_request, args=(request,))
+        thread.start()
+        service.close_session(holder)  # grants the waiter
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        stats = service.stats
+        assert (stats.requests, stats.granted) == (2, 2)
+        assert service.manager.app_slots(waiter) == 2
         service.close_session(waiter)
 
 
@@ -583,24 +609,23 @@ class TestOneDispatchPath:
 
 
 class TestImmediateGrantAttempts:
-    """A request that has to wait tries the immediate grant once per
-    layer it crosses -- not once per copy of the dispatch code."""
+    """A request that has to wait begins once, wherever it crosses in
+    -- the wire's reader or an in-process call -- and is finished from
+    the wait it stopped at: there is no second attempt."""
 
     @pytest.fixture()
     def attempts(self, monkeypatch):
         calls = []
-        original = LockManager.lock_row_fast
+        original = LockManager.begin_lock_row
 
         def counting(self, app_id, *args):
             calls.append(app_id)
             return original(self, app_id, *args)
 
-        monkeypatch.setattr(LockManager, "lock_row_fast", counting)
+        monkeypatch.setattr(LockManager, "begin_lock_row", counting)
         return calls
 
-    def test_wire_waiter_tries_on_the_reader_and_in_the_service(
-        self, client, stack, attempts
-    ):
+    def test_wire_waiter_tries_once_on_the_reader(self, client, stack, attempts):
         holder = client.open_session()
         waiter = client.open_session()
         client.lock_row(holder, 7, 7, LockMode.X)
@@ -611,12 +636,11 @@ class TestImmediateGrantAttempts:
         )
         thread.start()
         assert wait_until(lambda: stack.service.waiting_sessions() == {waiter})
-        # One on the connection's reader, one inside LockService.lock_row.
-        assert attempts.count(waiter) == 2
+        assert attempts.count(waiter) == 1
         client.close_session(holder)
         thread.join(timeout=5.0)
         assert not thread.is_alive()
-        assert attempts.count(waiter) == 2
+        assert attempts.count(waiter) == 1
         client.close_session(waiter)
 
     def test_sharded_waiter_tries_once(self, attempts):
@@ -637,6 +661,54 @@ class TestImmediateGrantAttempts:
             thread.join(timeout=5.0)
             assert not thread.is_alive()
             service.close_session(waiter)
+
+
+class TestTheReaderMarksTheSessionInFlight:
+    """A LOCK_ROW the reader began and could not grant is in flight for
+    its session before the reader reads the next frame, so a pipelined
+    second request of that session is refused, never granted ahead of
+    the first."""
+
+    def test_a_pipelined_second_lock_row_meets_the_first_in_flight(
+        self, server, stack, monkeypatch
+    ):
+        service = stack.service
+        holder = service.open_session()
+        service.lock_row(holder, 3, 7, LockMode.X)
+        executor = server.executor
+        submit = executor.submit
+        handed, broken = [], []
+
+        def handoff(fn, *args):
+            # The reader -> executor handoff, the mutex free: no request
+            # is half-done (a waiter is in the wait map iff it is queued).
+            try:
+                service.check_invariants()
+            except Exception as exc:  # reported below, not on the reader
+                broken.append(exc)
+            handed.append((fn, args))  # held until both frames are read
+
+        monkeypatch.setattr(executor, "submit", handoff)
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            raw.send(
+                wire.pack_lock_row_frame(2, app, 3, 7, X)  # waits for holder
+                + wire.pack_lock_row_frame(3, app, 3, 8, X)  # a free row
+            )
+            second = raw.reply()
+            assert second.request_id == 3 and not second.ok
+            assert wire.ERROR_CODES[second.error_code] is wire.ServiceError
+            assert "already has a request in flight" in second.error_message
+            assert service.manager.holder_mode(app, row_resource(3, 8)) is None
+            assert not broken
+            [(fn, args)] = handed
+            assert service.waiting_sessions() == {app}
+            submit(fn, *args)
+            service.close_session(holder)  # grants the first frame
+            first = raw.reply()
+            assert first.request_id == 2 and first.ok
+            assert service.manager.holder_mode(app, row_resource(3, 7)) is LockMode.X
+        assert wait_until(lambda: stack.chain.used_slots == 0)
 
 
 IX = wire.MODE_TO_WIRE[LockMode.IX]

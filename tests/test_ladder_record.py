@@ -1,5 +1,6 @@
 """``scripts/ladder_record.py`` writes no record taken on a slow host;
-it runs again only the workloads that ran slow."""
+it runs again only the workloads that ran slow, and prints a written
+record against the oldest of the last three committed ones."""
 
 import importlib.util
 import io
@@ -37,21 +38,38 @@ def export_of(names) -> bytes:
     return buffer.getvalue()
 
 
-def record_with(monkeypatch, tmp_path, **speeds):
+def record_with(monkeypatch, tmp_path, history=(), **speeds):
     """Run ``main`` with git and the benchmark faked.  ``speeds`` gives
     each workload's host speed, or a list of them for its successive
-    ``--trace 0`` runs.  Returns (exit status, the --out path, the runs
-    as ``(workload, trace)``)."""
+    ``--trace 0`` runs; ``history`` the revs, newest first, that
+    ``git log -- BENCH_LADDER.json`` lists (each one's record names its
+    rev).  Returns (exit status, the --out path, the runs as
+    ``(workload, trace)``, or ``("compare", base rev, new path)``)."""
     recorder = load()
     answers = {
         "status": b"",
         "rev-parse": b"0123abcd\n",
         "archive": export_of(speeds),
     }
-    monkeypatch.setattr(recorder, "git", lambda *args: answers[args[0]])
+    def git(*args):
+        if args[0] == "log":
+            assert args[1] == f"-n{recorder.DRIFT_RECORDS}"
+            return "".join(f"{rev}\n" for rev in history).encode()
+        if args[0] == "show":
+            rev, path = args[1].split(":")
+            assert path == "BENCH_LADDER.json"
+            return json.dumps({"rev": rev, "workloads": {}}).encode()
+        return answers[args[0]]
+
+    monkeypatch.setattr(recorder, "git", git)
     runs = []
 
-    def run_workload(command, cwd, check):
+    def run_workload(command, cwd, check=False):
+        if "--compare" in command:
+            base, new = command[command.index("--compare") + 1:]
+            with open(base) as handle:
+                runs.append(("compare", json.load(handle)["rev"], new))
+            return SimpleNamespace(returncode=1)  # a worse metric is no failure
         workload = command[command.index("--workload") + 1]
         trace = int(command[command.index("--trace") + 1])
         if trace:
@@ -136,3 +154,29 @@ def test_a_failed_run_writes_no_record(monkeypatch, tmp_path, capsys):
     assert recorder.main(["--out", str(out)]) == 3
     assert not out.exists()
     assert "--workload convoy_inproc --trace 0 --out" in capsys.readouterr().err
+
+
+def test_the_record_is_printed_against_the_oldest_of_the_last_three(
+    monkeypatch, tmp_path, capsys
+):
+    status, out, runs = record_with(
+        monkeypatch, tmp_path, history=["cc03", "bb02", "aa01"], churn_inproc=0.9
+    )
+    assert status == 0
+    assert runs[-1] == ("compare", "aa01", str(out))
+    assert "against aa01, the oldest of the last 3" in capsys.readouterr().out
+
+
+def test_a_short_history_is_compared_with_what_there_is(
+    monkeypatch, tmp_path, capsys
+):
+    status, out, runs = record_with(
+        monkeypatch, tmp_path, history=["bb02", "aa01"], churn_inproc=0.9
+    )
+    assert status == 0
+    assert runs[-1] == ("compare", "aa01", str(out))
+    assert "the oldest of the last 2" in capsys.readouterr().out
+    status, out, runs = record_with(monkeypatch, tmp_path, churn_inproc=0.9)
+    assert status == 0 and out.exists()
+    assert [run for run in runs if run[0] == "compare"] == []
+    assert "no committed record to compare with" in capsys.readouterr().out
