@@ -2,7 +2,7 @@
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench ladder-smoke ladder-record des-identical footprint figures examples telemetry-demo service-demo service-smoke matrix-smoke clean
+.PHONY: install test test-fast ladder-smoke ladder-record des-identical footprint figures examples telemetry-demo service-demo service-smoke matrix-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -12,9 +12,6 @@ test:
 
 test-fast:
 	$(PYTHONPATH_SRC) pytest tests/ -x -q --ignore=tests/analysis/test_scenarios_small.py
-
-bench:
-	$(PYTHONPATH_SRC) pytest benchmarks/ --benchmark-only
 
 # The repo's benchmark (BENCHMARK.json -> benchmarks/ladder) at smoke
 # scale, then its own tests (the CI ladder-smoke job): every workload
@@ -44,9 +41,11 @@ des-identical:
 footprint:
 	$(PYTHONPATH_SRC) python scripts/lock_footprint.py
 
-# Regenerate every paper figure report into results/ via the CLI runner.
+# Regenerate the 14 committed experiment reports (benchmarks/results/
+# <id>.txt) via the CLI runner.  `runner all --validate` checks their
+# paper shapes (the CI paper-shape job).
 figures:
-	$(PYTHONPATH_SRC) python -m repro.analysis.runner all --out-dir results/
+	$(PYTHONPATH_SRC) python -m repro.analysis.runner all --out-dir benchmarks/results/
 
 examples:
 	for script in examples/*.py; do \

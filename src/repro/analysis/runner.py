@@ -6,6 +6,7 @@ Run any paper experiment from the shell::
     python -m repro.analysis.runner fig9
     python -m repro.analysis.runner fig12 --csv out.csv
     python -m repro.analysis.runner all --out-dir results/
+    python -m repro.analysis.runner all --validate --parallel 2
     python -m repro.analysis.runner fig9 --telemetry out.jsonl --report
 
 Each run prints the experiment's findings (and an ASCII chart where the
@@ -15,11 +16,17 @@ observability (lock trace + histograms) on every database the
 experiment builds and writes one JSONL stream per run to PATH;
 ``--report`` prints the per-run summary (wait-latency percentiles,
 escalations, controller decision log).  See ``docs/OBSERVABILITY.md``.
+``--validate`` adds each experiment's paper-shape scorecard
+(:mod:`repro.analysis.validation`); the runner then exits 1 when any
+check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import multiprocessing
 import os
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
@@ -28,6 +35,7 @@ from repro.analysis import scenarios
 from repro.analysis.ascii_chart import render_series, render_two_series
 from repro.analysis.experiment import ExperimentResult
 from repro.analysis.report import RunReport, format_findings
+from repro.analysis.validation import render_outcomes, validate
 
 def _run_fig7_static_only():
     """The Figure 7 view: the static run without the adaptive twin."""
@@ -83,14 +91,22 @@ def render_result(result: ExperimentResult, chart_spec) -> str:
     return "\n\n".join(parts)
 
 
+def scorecard(name: str, result: ExperimentResult) -> Tuple[str, bool]:
+    """The paper-shape scorecard of ``result``, and whether it all passed."""
+    outcomes = validate(name, result)
+    text = "\npaper-shape validation:\n" + render_outcomes(outcomes)
+    return text, all(o.passed for o in outcomes)
+
+
 def run_one(
     name: str,
     csv_path: Optional[str] = None,
     do_validate: bool = False,
     telemetry_path: Optional[str] = None,
     do_report: bool = False,
-) -> ExperimentResult:
-    """Run one experiment by id, print its report, optionally dump CSV.
+) -> int:
+    """Run one experiment by id, print its report, optionally dump CSV;
+    return the exit status (1 when a ``do_validate`` check failed).
 
     With ``telemetry_path`` every database the experiment builds runs
     fully observed (lock trace + latency histograms) and the combined
@@ -116,11 +132,10 @@ def run_one(
     else:
         result = runner()
     print(render_result(result, chart_spec))
+    passed = True
     if do_validate:
-        from repro.analysis.validation import render_outcomes, validate
-
-        print("\npaper-shape validation:")
-        print(render_outcomes(validate(name, result)))
+        text, passed = scorecard(name, result)
+        print(text)
     if csv_path:
         result.metrics.write_csv(csv_path)
         print(f"\n[metrics csv: {csv_path}]")
@@ -142,11 +157,13 @@ def run_one(
             for telemetry in telemetries:
                 print()
                 print(RunReport.from_telemetry(telemetry).render())
-    return result
+    return 0 if passed else 1
 
 
-def _run_for_parallel(name: str) -> Tuple[str, str]:
-    """Worker for ``all --parallel``: run one experiment, return its report.
+def _run_for_all(
+    name: str, do_validate: bool = False
+) -> Tuple[str, str, Optional[Tuple[str, bool]]]:
+    """One experiment of ``all``: its report, and with ``do_validate`` its scorecard.
 
     Module-level so it pickles; experiments are independent simulations
     (each builds its own Environment and seeds its own RNG), so farming
@@ -154,7 +171,8 @@ def _run_for_parallel(name: str) -> Tuple[str, str]:
     """
     runner, chart_spec = EXPERIMENTS[name]
     result = runner()
-    return name, render_result(result, chart_spec)
+    card = scorecard(name, result) if do_validate else None
+    return name, render_result(result, chart_spec), card
 
 
 def main(argv=None) -> int:
@@ -178,8 +196,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="also evaluate the paper's expected-shape checks "
-        "(single experiments only)",
+        help="also evaluate the paper's expected-shape checks; "
+        "exit 1 if any fails",
     )
     parser.add_argument(
         "--telemetry",
@@ -206,12 +224,13 @@ def main(argv=None) -> int:
     if args.experiment in ("all", "list"):
         for flag, value in (
             ("--csv", args.csv),
-            ("--validate", args.validate),
             ("--telemetry", args.telemetry),
             ("--report", args.report),
         ):
             if value:
                 parser.error(f"{flag} needs a single experiment id")
+    if args.validate and args.experiment == "list":
+        parser.error("--validate needs an experiment id or 'all'")
     if args.out_dir and args.experiment != "all":
         parser.error("--out-dir only applies to 'all'")
     if args.parallel < 1:
@@ -231,41 +250,33 @@ def main(argv=None) -> int:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
         names = sorted(EXPERIMENTS)
-        if args.parallel > 1:
-            import multiprocessing
+        run = functools.partial(_run_for_all, do_validate=args.validate)
+        status = 0
+        parallel = args.parallel > 1
+        pool = multiprocessing.Pool(min(args.parallel, len(names))) if parallel else None
+        with pool or contextlib.nullcontext():
+            # imap (not imap_unordered) keeps name order, so output is
+            # byte-identical to the sequential path.
+            reports = pool.imap(run, names) if parallel else map(run, names)
+            for name, report, card in reports:
+                print(f"=== {name} ===")
+                print(report)
+                if card is not None:
+                    print(card[0])
+                    status |= not card[1]
+                print()
+                if out_dir:
+                    with open(os.path.join(out_dir, f"{name}.txt"), "w") as handle:
+                        handle.write(report)
+        return status
 
-            workers = min(args.parallel, len(names))
-            with multiprocessing.Pool(processes=workers) as pool:
-                # imap (not imap_unordered) keeps name order, so output
-                # is byte-identical to the sequential path.
-                reports = pool.imap(_run_for_parallel, names)
-                for name, report in reports:
-                    print(f"=== {name} ===")
-                    print(report)
-                    print()
-                    if out_dir:
-                        path = os.path.join(out_dir, f"{name}.txt")
-                        with open(path, "w") as handle:
-                            handle.write(report)
-            return 0
-        for name in names:
-            print(f"=== {name} ===")
-            _name, report = _run_for_parallel(name)
-            print(report)
-            print()
-            if out_dir:
-                with open(os.path.join(out_dir, f"{name}.txt"), "w") as handle:
-                    handle.write(report)
-        return 0
-
-    run_one(
+    return run_one(
         args.experiment,
         csv_path=args.csv,
         do_validate=args.validate,
         telemetry_path=args.telemetry,
         do_report=args.report,
     )
-    return 0
 
 
 if __name__ == "__main__":

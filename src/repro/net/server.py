@@ -270,7 +270,7 @@ class _ThreadedConnection:
             return
         if clock is not None:
             clock[1] = time.perf_counter()
-        self._server.executor.submit(self._run, f, clock, request)
+        self._server.executor.submit(self._run_parked, f, clock, request)
 
     def _run(
         self, f: tuple, clock: Optional[List[float]], request: Optional[tuple] = None
@@ -293,6 +293,15 @@ class _ThreadedConnection:
             self._finish(f, clock, exc=exc)
             return
         self._finish(f, clock, value)
+
+    def _run_parked(self, f: tuple, clock: Optional[List[float]], request) -> None:
+        """:meth:`_run` on an executor thread.  A connection that dropped
+        meanwhile could not close this session (its request was still in
+        flight): close it now.  The request settles before ``_closed`` is
+        read here, so this or ``_shutdown``'s close finds it settled."""
+        self._run(f, clock, request)
+        if self._closed and not self._server._stopping and f[3] in self._sessions:
+            self._backend.cleanup_session(f[3])
 
     def _finish(
         self,
@@ -443,10 +452,9 @@ class _ThreadedConnection:
         self._server._connections.discard(self)
         with contextlib.suppress(OSError):
             self._sock.close()
-        if self._sessions and not self._server._stopping:
-            orphans = list(self._sessions)
-            self._sessions.clear()
-            for app_id in orphans:
+        if not self._server._stopping:
+            # ``_sessions`` stays as it is: _run_parked reads it later.
+            for app_id in self._sessions:
                 self._backend.cleanup_session(app_id)
 
     def close(self) -> None:

@@ -619,18 +619,10 @@ class LockService:
                 return
 
 
-def build_chain(initial_blocks: int) -> LockBlockChain:
-    """Convenience: a block chain sized in 128 KB blocks."""
-    if initial_blocks <= 0:
-        raise ServiceError(f"initial_blocks must be positive, got {initial_blocks}")
-    return LockBlockChain(initial_blocks=initial_blocks)
-
-
 # Re-exported for callers that catch manager errors through the service.
 __all__ = [
     "LockService",
     "ServiceStats",
-    "build_chain",
     "LockManagerError",
     "LockTimeoutError",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import runner, scenarios
+from repro.analysis import runner, scenarios, validation
 from repro.analysis.experiment import ExperimentResult
 from repro.engine.database import DatabaseConfig
 from repro.lockmgr.modes import LockMode
@@ -108,7 +108,7 @@ class TestIgnoredOptions:
         [
             ["fig3", "--out-dir", "reports"],
             ["all", "--csv", "all.csv"],
-            ["all", "--validate"],
+            ["list", "--validate"],
         ],
     )
     def test_rejected_instead_of_ignored(
@@ -125,6 +125,50 @@ class TestIgnoredOptions:
         assert exc.value.code == 2
         assert argv[1] in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestValidateExitStatus:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--validate"],
+            ["all", "--validate"],
+            ["all", "--validate", "--parallel", "2"],
+        ],
+    )
+    def test_a_failed_check_exits_one(self, argv, monkeypatch, capsys):
+        # A tiny registry; forked workers inherit both patches.
+        monkeypatch.setattr(
+            runner,
+            "EXPERIMENTS",
+            {"fig3": (run_tiny_fig3, None), "fig4": (run_tiny_fig4, None)},
+        )
+        assert runner.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "4/4 paper-shape checks passed" in out
+        monkeypatch.setitem(
+            validation.PAPER_EXPECTATIONS,
+            "fig3",
+            [validation.Expectation("fifo_respected", "==", False)],
+        )
+        assert runner.main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] fifo_respected == False" in out
+        assert "0/1 paper-shape checks passed" in out
+        if argv[0] == "all":  # every experiment still runs and reports
+            assert "=== fig4 ===" in out
+
+    def test_all_without_validate_prints_no_scorecard(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            runner, "EXPERIMENTS", {"fig3": (run_tiny_fig3, None)}
+        )
+        monkeypatch.setitem(
+            validation.PAPER_EXPECTATIONS,
+            "fig3",
+            [validation.Expectation("fifo_respected", "==", False)],
+        )
+        assert runner.main(["all"]) == 0
+        assert "paper-shape" not in capsys.readouterr().out
 
 
 def run_tiny_experiment() -> ExperimentResult:

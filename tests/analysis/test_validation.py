@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.analysis import runner
 from repro.analysis.experiment import ExperimentResult
 from repro.analysis.validation import (
     PAPER_EXPECTATIONS,
     Expectation,
+    Finding,
     render_outcomes,
     validate,
 )
@@ -46,6 +48,34 @@ class TestExpectation:
         with pytest.raises(ValueError):
             Expectation("v", "≈", 1).evaluate(result_with(v=1))
 
+    def test_finding_reference_is_scaled(self):
+        result = result_with(late=1.5, peak=4.0)
+        check = Expectation("late", "<", Finding("peak", 0.375))
+        assert not check.evaluate(result).passed  # 1.5 < 1.5 is false
+        outcome = Expectation("late", "<", Finding("peak", 0.4)).evaluate(result)
+        assert outcome.passed and outcome.reference == pytest.approx(1.6)
+        assert "late < 0.4*peak" in str(outcome) and "vs 1.6" in str(outcome)
+        assert Expectation("late", "~=", Finding("peak", 0.4),
+                           tolerance=0.1).evaluate(result).passed
+
+    def test_finding_reference_defaults_to_scale_one(self):
+        result = result_with(final=13_184, peak=13_184.0)
+        outcome = Expectation("final", "==", Finding("peak")).evaluate(result)
+        assert outcome.passed
+        assert "final == peak " in str(outcome)
+
+    def test_missing_reference_fails_gracefully(self):
+        outcome = Expectation("v", ">", Finding("absent")).evaluate(
+            result_with(v=1)
+        )
+        assert not outcome.passed
+        assert "absent" in outcome.error
+
+    def test_incomparable_values_fail_instead_of_raising(self):
+        outcome = Expectation("delay", "<=", 60).evaluate(result_with(delay=None))
+        assert not outcome.passed
+        assert outcome.error == "not comparable"
+
     def test_outcome_str(self):
         outcome = Expectation(
             "growth", "~=", 10.5, tolerance=0.25,
@@ -57,10 +87,8 @@ class TestExpectation:
 
 class TestRegistry:
     def test_every_figure_has_expectations(self):
-        for figure in ("fig3", "fig4", "fig6", "fig7", "fig8",
-                       "fig9", "fig10", "fig11", "fig12"):
-            assert figure in PAPER_EXPECTATIONS
-            assert PAPER_EXPECTATIONS[figure]
+        assert sorted(PAPER_EXPECTATIONS) == sorted(runner.EXPERIMENTS)
+        assert all(PAPER_EXPECTATIONS.values())
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
@@ -68,26 +96,16 @@ class TestRegistry:
 
 
 class TestValidateOnRealRuns:
-    def test_fig3_passes_its_checks(self):
-        from repro.analysis.scenarios import run_fig3_lock_queuing
+    """The experiments that run in seconds, at full scale; the rest are
+    checked by ``runner all --validate`` (the CI paper-shape job)."""
 
-        outcomes = validate("fig3", run_fig3_lock_queuing())
-        assert all(o.passed for o in outcomes)
-
-    def test_fig4_passes_its_checks(self):
-        from repro.analysis.scenarios import run_fig4_oracle_itl
-
-        outcomes = validate("fig4", run_fig4_oracle_itl())
-        assert all(o.passed for o in outcomes)
-
-    def test_fig6_passes_its_checks(self):
-        from repro.analysis.scenarios import run_fig6_worked_example
-
-        outcomes = validate("fig6", run_fig6_worked_example())
-        assert all(o.passed for o in outcomes)
+    @pytest.mark.parametrize("experiment", ["fig3", "fig4", "fig6"])
+    def test_every_expectation_passes(self, experiment):
+        outcomes = validate(experiment, runner.EXPERIMENTS[experiment][0]())
+        assert not [str(o) for o in outcomes if not o.passed]
 
     def test_render_scorecard(self):
         from repro.analysis.scenarios import run_fig3_lock_queuing
 
         text = render_outcomes(validate("fig3", run_fig3_lock_queuing()))
-        assert "2/2 paper-shape checks passed" in text
+        assert "4/4 paper-shape checks passed" in text

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.params import TuningParameters
 from repro.errors import ConfigurationError
-from repro.units import MB, PAGES_PER_BLOCK
+from repro.units import MB, PAGES_PER_BLOCK, pages_to_bytes
 
 
 class TestDefaultsMatchTable1:
@@ -84,6 +84,11 @@ class TestMinLockMemory:
         with pytest.raises(ValueError):
             TuningParameters().min_lock_memory_pages(-1)
 
+    def test_table1_values_in_bytes(self):
+        params = TuningParameters()
+        assert pages_to_bytes(params.min_lock_memory_pages(0)) == 2 * MB
+        assert pages_to_bytes(params.min_lock_memory_pages(130)) >= 500 * 64 * 130
+
 
 class TestMaxLockMemory:
     def test_20_percent_of_database_memory(self):
@@ -94,6 +99,9 @@ class TestMaxLockMemory:
     def test_rounded_to_blocks(self):
         params = TuningParameters()
         assert params.max_lock_memory_pages(99_999) % PAGES_PER_BLOCK == 0
+
+    def test_rounding_never_goes_below_20_percent(self):
+        assert TuningParameters().max_lock_memory_pages(131_072) >= 0.20 * 131_072
 
     def test_zero_database_memory_rejected(self):
         with pytest.raises(ValueError):
@@ -112,6 +120,7 @@ class TestLmoMax:
         assert params.lmo_max_pages(overflow_pages=1_000, lmo_pages=0) == 650
         # lock memory already took 400 from overflow: the base is restored
         assert params.lmo_max_pages(overflow_pages=600, lmo_pages=400) == 650
+        assert params.lmo_max_pages(10_000, 0) == 6_500
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

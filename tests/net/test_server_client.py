@@ -179,6 +179,36 @@ class TestSessionLifecycle:
         assert wait_until(lambda: stack.service.session_count() == 0)
         assert wait_until(lambda: stack.chain.used_slots == 0)
 
+    def test_disconnect_while_a_request_waits_frees_the_session(
+        self, server, stack
+    ):
+        # The drop cancels the wait, but a session cannot close while its
+        # request is in flight: it must close once the executor thread
+        # has settled that request, not stay registered for good.  Eight
+        # connections drop at once, with a short switch interval, so the
+        # reader's close and the executor's settle race.
+        service = stack.service
+        holder = service.open_session()
+        service.lock_row(holder, 3, 7, LockMode.X)
+        raws = [RawConnection(server.address) for _ in range(8)]
+        apps = [raw.open_session() for raw in raws]
+        for raw, app in zip(raws, apps):
+            assert raw.exchange(wire.pack_lock_row_frame(2, app, 3, 8 + app, X)).ok
+            raw.send(wire.pack_lock_row_frame(3, app, 3, 7, X))
+        assert wait_until(lambda: service.waiting_sessions() == set(apps))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for raw in raws:
+                raw.sock.close()
+            assert wait_until(lambda: service.session_count() == 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(service.manager.app_slots(app) == 0 for app in apps)
+        assert stack.chain.used_slots == 2  # the holder's intent and row
+        service.close_session(holder)
+        assert stack.chain.used_slots == 0
+
 
 class TestPipelining:
     def test_concurrent_threads_on_a_small_pool(self, server):

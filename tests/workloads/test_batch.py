@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.database import Database, DatabaseConfig
 from repro.workloads.batch import BatchUpdateJob
 from tests.conftest import make_database
 
@@ -60,3 +61,48 @@ class TestExecution:
         job.start()
         db.run(until=30)
         assert job.result.escalated
+
+
+class TestSelectiveEscalation:
+    """Section 6.1's future work: a batch application flagged
+    escalation-preferred takes a table X lock instead of growing lock
+    memory, so the pages stay with the bufferpool."""
+
+    @staticmethod
+    def run_job(preferred: bool) -> dict:
+        db = Database(
+            seed=23,
+            config=DatabaseConfig(total_memory_pages=65_536,
+                                  initial_locklist_pages=128),
+        )
+        job = BatchUpdateJob(db, start_time_s=10, row_count=120_000, duration_s=15)
+        if preferred:
+            # flag the job's application as soon as it connects
+            register = db.register_application
+
+            def register_and_flag(app_id):
+                register(app_id)
+                db.lock_manager.set_escalation_preference(app_id, True)
+
+            db.register_application = register_and_flag
+        job.start()
+        db.run(until=200)
+        return {
+            "completed": job.result.completed,
+            "escalated": job.result.escalated,
+            "peak_lock_pages": db.metrics["lock_pages"].max(),
+            "sync_growth_blocks": db.lock_manager.stats.sync_growth_blocks,
+            "min_bufferpool_pages": db.metrics["bufferpool_pages"].min(),
+        }
+
+    def test_preferred_job_escalates_instead_of_growing(self):
+        normal, preferred = self.run_job(False), self.run_job(True)
+        assert normal["completed"] and preferred["completed"]
+        # the normal run grows lock memory; the preferring run escalates
+        assert not normal["escalated"]
+        assert preferred["escalated"]
+        # the memory saving the paper predicts...
+        assert preferred["peak_lock_pages"] < normal["peak_lock_pages"]
+        assert preferred["sync_growth_blocks"] == 0
+        # ...stays with the cache
+        assert preferred["min_bufferpool_pages"] >= normal["min_bufferpool_pages"]
