@@ -3,19 +3,59 @@
 These use reduced client counts / durations so the whole module runs in
 well under a minute, while still asserting the *shape* each figure
 conveys.  The full-scale shapes are ``analysis.validation``'s
-``PAPER_EXPECTATIONS``, checked by ``runner all --validate``; fig3, fig4
-and fig6 run at full scale in ``test_validation.py``.
+``PAPER_EXPECTATIONS``, checked by ``runner all --validate``.  Fig. 3, 4
+and 6 are small already and run here at full scale.
 """
 
 import pytest
 
 from repro.analysis.scenarios import (
+    run_fig3_lock_queuing,
+    run_fig4_oracle_itl,
+    run_fig6_worked_example,
     run_fig7_fig8_static_escalation,
     run_fig9_rampup,
     run_fig10_surge,
     run_fig11_dss_injection,
     run_fig12_reduction,
 )
+
+
+class TestFig3:
+    def test_convoy_shape(self):
+        result = run_fig3_lock_queuing()
+        assert result.finding("shared_S_grant")
+        assert result.finding("fifo_respected")
+        assert result.finding("queue_while_held") == "X->S"
+
+
+class TestFig4:
+    def test_itl_blocks_free_rows(self):
+        result = run_fig4_oracle_itl()
+        assert result.finding("blocked_on_free_rows") > 0
+        assert result.finding("row_conflicts") == 0
+        assert result.finding("tunable_memory_pages") == 0
+
+    def test_overhead_permanent(self):
+        result = run_fig4_oracle_itl()
+        assert result.finding("disk_overhead_bytes") == result.finding(
+            "disk_overhead_after_commit_bytes"
+        )
+
+
+class TestFig6:
+    def test_worked_example_timeline(self):
+        result = run_fig6_worked_example()
+        assert result.finding("t1_absorbed_without_sync_growth")
+        assert result.finding("t3_used_sync_growth")
+        assert result.finding("t4_overflow_restored_pct") == pytest.approx(
+            10.0, abs=0.5
+        )
+        assert result.finding("per_interval_shrink_fraction") == pytest.approx(
+            0.05, abs=0.02
+        )
+        # relaxation ends at the maxFree-free goal: alloc ~ used / 0.4
+        assert result.finding("final_alloc_pct") == pytest.approx(5.0, abs=0.3)
 
 
 class TestFig7Fig8:
