@@ -37,8 +37,9 @@ With ``--out FILE`` the session is also appended to the ledger
 one object per session, one line each, holding the two revs (as given
 and resolved), the workload, the seeds, which side ran first, each
 pair's value per metric, the failed operations, each run's host speed
-and each metric's verdict.  Entries are only ever appended; a claim
-cites its entry by its index in the list.
+and each metric's verdict.  Entries are only ever appended, and an
+append changes no byte before the closing ``]``; a claim cites its
+entry by its index in the list.
 
 Exit 0 when every run produced its result, 1 when one did not.  The
 exports are made under ``$TMPDIR`` and removed afterwards.
@@ -188,15 +189,25 @@ def read_ledger(path: str) -> List[dict]:
 
 
 def append_to_ledger(path: str, entry: dict) -> int:
-    """Append ``entry`` to the ledger at ``path``, one entry a line, so
-    that the earlier lines stay byte for byte; returns its index."""
-    entries = read_ledger(path) + [entry]
+    """Append ``entry`` to the ledger at ``path``; returns its index.
+
+    One entry a line.  An entry after the first opens its line with the
+    separating comma, so an append rewrites only the closing ``]`` line
+    and every earlier byte stays as it was.
+    """
+    text = "[\n]\n"  # an absent ledger reads as an empty one
+    if os.path.exists(path):
+        with open(path) as handle:
+            text = handle.read()
+    index = len(json.loads(text))
+    if not text.endswith("\n]\n"):
+        raise ValueError(f"{path} does not end in a closing ']' line")
+    text = text[: -len("]\n")] + ("," if index else "")
+    text += json.dumps(entry, sort_keys=True) + "\n]\n"
     with open(path + ".tmp", "w") as handle:
-        handle.write(
-            "[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in entries) + "\n]\n"
-        )
+        handle.write(text)
     os.replace(path + ".tmp", path)
-    return len(entries) - 1
+    return index
 
 
 def main(argv=None) -> int:

@@ -83,13 +83,13 @@ class LockBlockChain:
         if initial_blocks < 0:
             raise ValueError(f"initial_blocks must be non-negative, got {initial_blocks}")
         self._capacity_per_block = capacity_per_block
-        self._head: Optional[LockBlock] = None
         self._tail: Optional[LockBlock] = None
         #: block id -> block, every allocated block in allocation order.
         self._blocks: Dict[int, LockBlock] = {}
-        #: Outstanding lock structures.  Plain attributes, not
-        #: properties, because the lock manager reads both on every
-        #: grant; only the chain writes them.
+        #: The list's head and the outstanding lock structures: plain
+        #: attributes, because the lock manager's grant path writes
+        #: :meth:`allocate_slot` out, their one writer besides the chain.
+        self.head: Optional[LockBlock] = None
         self.used_slots = 0
         #: Total lock structures the chain can currently store (the
         #: cached sum of capacities over ``_blocks``).
@@ -133,10 +133,10 @@ class LockBlockChain:
         if block._in_list:
             raise MemoryAccountingError(f"{block!r} is already in the list")
         block._prev = None
-        block._next = self._head
-        if self._head is not None:
-            self._head._prev = block
-        self._head = block
+        block._next = self.head
+        if self.head is not None:
+            self.head._prev = block
+        self.head = block
         if self._tail is None:
             self._tail = block
         block._in_list = True
@@ -149,17 +149,17 @@ class LockBlockChain:
         if self._tail is not None:
             self._tail._next = block
         self._tail = block
-        if self._head is None:
-            self._head = block
+        if self.head is None:
+            self.head = block
         block._in_list = True
 
-    def _unlink(self, block: LockBlock) -> None:
+    def unlink(self, block: LockBlock) -> None:
         if not block._in_list:
             raise MemoryAccountingError(f"{block!r} is not in the list")
         if block._prev is not None:
             block._prev._next = block._next
         else:
-            self._head = block._next
+            self.head = block._next
         if block._next is not None:
             block._next._prev = block._prev
         else:
@@ -170,7 +170,7 @@ class LockBlockChain:
     def iter_list(self) -> List[LockBlock]:
         """The availability list, head to tail (for tests/inspection)."""
         out: List[LockBlock] = []
-        node = self._head
+        node = self.head
         while node is not None:
             out.append(node)
             node = node._next
@@ -202,15 +202,16 @@ class LockBlockChain:
         Returns the block the slot came from; the caller must hand the
         same block back to :meth:`free_slot` when the lock is released.
         Raises :class:`MemoryAccountingError` when no free slot exists
-        (callers must check :attr:`free_slots`, or grow, first).
+        (callers must check :attr:`free_slots`, or grow, first).  The
+        lock manager's grant path writes this out; this is the reference.
         """
-        block = self._head
+        block = self.head
         if block is None:
             raise MemoryAccountingError("lock memory exhausted: no block with free slots")
         used = block.used = block.used + 1
         self.used_slots += 1
         if used == block.capacity:
-            self._unlink(block)
+            self.unlink(block)
         return block
 
     def block(self, block_id: int) -> LockBlock:
@@ -277,7 +278,7 @@ class LockBlockChain:
         if len(set_aside) < count and not partial:
             return 0  # reintegrate: we never unlinked, so nothing to undo
         for block in set_aside:
-            self._unlink(block)
+            self.unlink(block)
             del self._blocks[block.block_id]
             self.capacity_slots -= block.capacity
         return len(set_aside)

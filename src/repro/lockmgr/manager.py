@@ -380,11 +380,6 @@ class LockManager:
             self.maxlocks_fraction = fraction
         self._requests_since_refresh = 0
 
-    def _tick_refresh(self) -> None:
-        self._requests_since_refresh += 1
-        if self._requests_since_refresh >= self.refresh_period:
-            self.refresh_maxlocks()
-
     def _trace(
         self,
         kind: str,
@@ -454,7 +449,9 @@ class LockManager:
             stats = self.stats
             stats.requests += 1
             stats.immediate_grants += 1
-            self._tick_refresh()
+            ticks = self._requests_since_refresh = self._requests_since_refresh + 1
+            if ticks >= self.refresh_period:
+                self.refresh_maxlocks()
         else:
             rest = self._begin(app_id, table_res, intent)
             if rest is not None:
@@ -595,11 +592,15 @@ class LockManager:
         when granted, else the generator that finishes it.  With
         ``room``, ``_make_room`` goes on after freeing a slot: the
         request is counted already and its slot is there."""
-        # The hot path: _entry, maxlocks_limit_slots' memo and _file,
-        # written out.
+        # The hot path: the refresh tick, _entry, maxlocks_limit_slots'
+        # memo, chain.allocate_slot, _file and _note_held, written out;
+        # the helpers stay the reference.
+        chain, stats = self.chain, self.stats
         if not room:
-            self.stats.requests += 1
-            self._tick_refresh()
+            stats.requests += 1
+            ticks = self._requests_since_refresh = self._requests_since_refresh + 1
+            if ticks >= self.refresh_period:
+                self.refresh_maxlocks()
         if row_id < 0:
             entry = self._objects.get(key)
         else:
@@ -607,7 +608,6 @@ class LockManager:
             entry = rows.get(row_id) if rows is not None else None
         if entry is not None and self._held_mode(entry, app_id) is not None:
             return self._regrant(app_id, key, row_id, entry, mode)
-        chain, stats = self.chain, self.stats
         capacity = chain.capacity_slots
         rec = self._apps.get(app_id)
         if not room and (
@@ -617,7 +617,13 @@ class LockManager:
             )
         ):
             return self._make_room(app_id, key, mode, row_id)
-        block = chain.allocate_slot()
+        block = chain.head
+        if block is None:
+            raise MemoryAccountingError("lock memory exhausted: no block with free slots")
+        used = block.used = block.used + 1
+        chain.used_slots += 1
+        if used == block.capacity:
+            chain.unlink(block)
         if rec is None:
             rec = self._apps[app_id] = AppLocks()
         rec.slots += 1
@@ -643,7 +649,18 @@ class LockManager:
                 # the only place the wait event can succeed.
                 return self._queue(app_id, obj, mode, block)
             obj.add_grant(app_id, mode, block)
-        self._note_held(rec, key, row_id)
+        if row_id < 0:
+            rec.held.add(key)
+        else:
+            if not rec.row_seq:
+                self._row_seq_counter += 1
+                rec.row_seq = self._row_seq_counter
+            held_rows = rec.rows.get(key[1])
+            if held_rows is None:
+                rec.rows[key[1]] = [row_id]
+            else:
+                held_rows.append(row_id)
+            rec.row_count += 1
         stats.immediate_grants += 1
         if self.tracer is not None:
             resource = resource_of(_key_at(key, row_id))

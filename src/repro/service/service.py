@@ -56,6 +56,7 @@ from repro.errors import (
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockManager, LockTimeoutError
 from repro.lockmgr.modes import LockMode
+from repro.obs.registry import PENDING_LIMIT, WALL_CLOCK_BUCKETS_S
 from repro.service.clock import Clock, MonotonicClock
 from repro.service.wallenv import WallClockEnvironment, WallEvent
 
@@ -175,8 +176,6 @@ class LockService:
         self.tracer: Optional["RequestTracer"] = None
         self.trace_worker = 0
         if metrics is not None:
-            from repro.obs.registry import WALL_CLOCK_BUCKETS_S
-
             # The service.* counters read the stats the request paths
             # keep anyway: no second, locked increment per request.
             stats = self.stats
@@ -227,9 +226,19 @@ class LockService:
 
     # -- session lifecycle -------------------------------------------------
 
-    def open_session(self) -> int:
-        """Allocate an application id and register the session."""
-        return self._open()
+    def open_session(self, *, reserved: Optional[int] = None) -> int:
+        """Allocate an application id and register the session; or
+        register the ``reserved`` one (see :meth:`open_reserved`)."""
+        with self._mutex:
+            self._ensure_open()
+            app_id = next(self._app_ids) if reserved is None else reserved
+            if app_id in self._sessions:
+                raise ServiceError(f"session {app_id} is already registered")
+            self._sessions.add(app_id)
+            self.stats.sessions_opened += 1
+            if len(self._sessions) > self.stats.peak_sessions:
+                self.stats.peak_sessions = len(self._sessions)
+            return app_id
 
     def reserve_app_ids(self, count: int) -> range:
         """Hand out the next ``count`` ids of :meth:`open_session`'s
@@ -246,21 +255,7 @@ class LockService:
         The caller (the wire server) vouches that the id is one it
         reserved and has not opened before.
         """
-        self._open(app_id)
-
-    def _open(self, app_id: Optional[int] = None) -> int:
-        """Register ``app_id`` (default: the next id) as an open session."""
-        with self._mutex:
-            self._ensure_open()
-            if app_id is None:
-                app_id = next(self._app_ids)
-            elif app_id in self._sessions:
-                raise ServiceError(f"session {app_id} is already registered")
-            self._sessions.add(app_id)
-            self.stats.sessions_opened += 1
-            if len(self._sessions) > self.stats.peak_sessions:
-                self.stats.peak_sessions = len(self._sessions)
-            return app_id
+        self.open_session(reserved=app_id)
 
     def adopt_session(self, app_id: int) -> None:
         """Register an externally allocated application id.
@@ -312,10 +307,12 @@ class LockService:
         self,
         app_id: int,
         table_id: int,
-        row_id: int,
+        row_id: Optional[int],
         mode: LockMode,
         timeout_s: object = _USE_DEFAULT,
-    ) -> None:
+        *,
+        finish: bool = True,
+    ) -> Optional[tuple]:
         """Acquire a row lock (plus covering intent lock), blocking.
 
         Raises :class:`DeadlockError`, :class:`LockTimeoutError` (the
@@ -323,8 +320,73 @@ class LockService:
         :class:`LockListFullError` or :class:`RequestCancelledError`;
         after any of these the session must roll back via
         :meth:`close_session` (strict 2PL, as in the DES).
+
+        The one request body: :meth:`lock_table` passes ``row_id`` None,
+        :meth:`begin_lock_row` ``finish`` False.  In one mutex hold: the
+        closed, session and in-flight checks, then the manager's part
+        that never waits.  Granted there, the request is counted and
+        None returned.  Otherwise the session is marked in flight and
+        the continuation runs to its first wait; with ``finish`` it is
+        then driven to the end under the same hold, else it is returned
+        as it stands.
         """
-        self._request(perf_counter(), app_id, table_id, row_id, mode, timeout_s, True)
+        started = perf_counter()
+        if timeout_s is _USE_DEFAULT:
+            timeout_s = self.default_timeout_s
+        elif timeout_s is not None and not 0.0 <= timeout_s < _INF:  # type: ignore[operator]
+            timeout_s = _checked_timeout(timeout_s)  # the usual finite one skips the call
+        env = self.env
+        # env.latch_acquire, written out: this is the whole of an
+        # uncontended request's service work.
+        if env.latch_profiler is None:
+            self._mutex.acquire()
+        else:
+            env.latch_acquire()
+        try:
+            if self._closed:
+                raise ServiceClosedError("lock service is closed")
+            if app_id not in self._sessions:
+                raise ServiceError(f"session {app_id} is not open")
+            if app_id in self._active_requests:
+                raise ServiceError(
+                    f"session {app_id} already has a request in flight"
+                )
+            stats = self.stats
+            stats.requests += 1
+            try:
+                rest = (
+                    self.manager.begin_lock_row(app_id, table_id, row_id, mode)
+                    if row_id is not None
+                    else self.manager.begin_lock_table(app_id, table_id, mode)
+                )
+                if rest is None:
+                    # _settle and HistogramView.observe_held, written
+                    # out: the usual request ends here.
+                    stats.granted += 1
+                    latency = self._latency
+                    if latency is not None:
+                        pending = latency._pending
+                        pending.append(perf_counter() - started)
+                        if len(pending) == PENDING_LIMIT:
+                            latency._fold()
+                    if self.tracer is not None and row_id is not None:
+                        self._trace(started, app_id, table_id, row_id, mode)
+                    return None
+                self._active_requests.add(app_id)
+                target = next(rest, None)  # its first wait, or done
+            except BaseException as exc:
+                self._settle(started, app_id, table_id, row_id, mode, exc)
+                raise
+            request = (
+                started, app_id, table_id, row_id, mode, rest, target,
+                None if timeout_s is None else self.clock.now() + timeout_s,
+            )
+            if finish or target is None:
+                self.finish_request(request)  # the mutex is re-entrant
+                return None
+            return request
+        finally:
+            self._mutex.release()
 
     def begin_lock_row(
         self,
@@ -343,9 +405,7 @@ class LockService:
         whatever a frame carried, so it makes every check
         :meth:`lock_row` makes and raises what that raises.
         """
-        return self._request(
-            perf_counter(), app_id, table_id, row_id, mode, timeout_s, False
-        )
+        return self.lock_row(app_id, table_id, row_id, mode, timeout_s, finish=False)
 
     def finish_request(self, request: tuple) -> None:
         """Drive a request :meth:`begin_lock_row` returned to its end,
@@ -371,7 +431,7 @@ class LockService:
         timeout_s: object = _USE_DEFAULT,
     ) -> None:
         """Acquire a table lock, blocking (see :meth:`lock_row`)."""
-        self._request(perf_counter(), app_id, table_id, None, mode, timeout_s, True)
+        self.lock_row(app_id, table_id, None, mode, timeout_s)
 
     def rollback(self, app_id: int) -> int:
         """Release every lock of ``app_id`` without closing the session.
@@ -468,67 +528,6 @@ class LockService:
     def _ensure_open(self) -> None:
         if self._closed:
             raise ServiceClosedError("lock service is closed")
-
-    def _request(self, started, app_id, table_id, row_id, mode, timeout_s, finish):
-        """The one request body: a row request, or with ``row_id`` None
-        a table request.  In one mutex hold: the closed, session and
-        in-flight checks, then the manager's part that never waits.
-        Granted there, the request is counted and None returned.
-        Otherwise the session is marked in flight and the continuation
-        runs to its first wait; with ``finish`` it is then driven to the
-        end under the same hold, else it is returned as it stands (see
-        :meth:`begin_lock_row`)."""
-        if timeout_s is _USE_DEFAULT:
-            timeout_s = self.default_timeout_s
-        elif timeout_s is not None and not 0.0 <= timeout_s < _INF:  # type: ignore[operator]
-            timeout_s = _checked_timeout(timeout_s)  # the usual finite one skips the call
-        env = self.env
-        # env.latch_acquire, written out: this is the whole of an
-        # uncontended request's service work.
-        if env.latch_profiler is None:
-            self._mutex.acquire()
-        else:
-            env.latch_acquire()
-        try:
-            if self._closed:
-                raise ServiceClosedError("lock service is closed")
-            if app_id not in self._sessions:
-                raise ServiceError(f"session {app_id} is not open")
-            if app_id in self._active_requests:
-                raise ServiceError(
-                    f"session {app_id} already has a request in flight"
-                )
-            stats = self.stats
-            stats.requests += 1
-            try:
-                rest = (
-                    self.manager.begin_lock_row(app_id, table_id, row_id, mode)
-                    if row_id is not None
-                    else self.manager.begin_lock_table(app_id, table_id, mode)
-                )
-                if rest is None:
-                    # _settle, written out: the usual request ends here.
-                    stats.granted += 1
-                    if self._latency is not None:
-                        self._latency.observe_held(perf_counter() - started)
-                    if self.tracer is not None and row_id is not None:
-                        self._trace(started, app_id, table_id, row_id, mode)
-                    return None
-                self._active_requests.add(app_id)
-                target = next(rest, None)  # its first wait, or done
-            except BaseException as exc:
-                self._settle(started, app_id, table_id, row_id, mode, exc)
-                raise
-            request = (
-                started, app_id, table_id, row_id, mode, rest, target,
-                None if timeout_s is None else self.clock.now() + timeout_s,
-            )
-            if finish or target is None:
-                self.finish_request(request)  # the mutex is re-entrant
-                return None
-            return request
-        finally:
-            self._mutex.release()
 
     def _settle(self, started, app_id, table_id, row_id, mode, exc=None) -> None:
         """Count a request that ended -- granted, or failed with ``exc``

@@ -2,7 +2,7 @@
 base's quartile spread make a gain; a median worse than the bound is
 named; more failed operations or a base spread wider than the bound
 rule a gain out.  Its ``--out`` ledger gains one entry a session and
-keeps the earlier ones byte for byte."""
+keeps every earlier byte but the closing ``]`` line."""
 
 import importlib.util
 import json
@@ -160,7 +160,28 @@ def test_out_appends_one_entry_a_session(tmp_path, monkeypatch, capsys):
     assert [e["workload"] for e in entries] == ["surge_inproc", "churn_inproc"]
     assert entries[0] == entry
     assert entries[1]["verdicts"]["lock_rps"]["verdict"] == "no claim"
-    assert open(ledger).read().startswith(first[: -len("\n]\n")] + ",\n")
+    assert open(ledger).read().startswith(first[: -len("]\n")] + ",")
+
+
+def test_an_append_changes_no_earlier_byte(tmp_path):
+    ledger = str(tmp_path / "BENCH_PAIRS.json")
+    # The layout the ledger had before entries opened with the comma.
+    with open(ledger, "w") as handle:
+        handle.write('[\n{"n": 0},\n{"n": 1}\n]\n')
+    before = open(ledger).read()
+    assert pairs.append_to_ledger(ledger, {"n": 2}) == 2
+    after_one = open(ledger).read()
+    assert pairs.append_to_ledger(ledger, {"n": 3}) == 3
+    after_two = open(ledger).read()
+    # Only the closing "]" line is rewritten, each time.
+    assert after_one.startswith(before[: -len("]\n")])
+    assert after_two.startswith(after_one[: -len("]\n")])
+    assert after_two.endswith('{"n": 1}\n,{"n": 2}\n,{"n": 3}\n]\n')
+    assert pairs.read_ledger(ledger) == [{"n": n} for n in range(4)]
+    # A fresh ledger's first entry has no comma.
+    fresh = str(tmp_path / "fresh.json")
+    assert pairs.append_to_ledger(fresh, {"n": 0}) == 0
+    assert open(fresh).read() == '[\n{"n": 0}\n]\n'
 
 
 def test_without_out_nothing_is_written(tmp_path, monkeypatch):
