@@ -67,12 +67,13 @@ service-demo:
 # in-process shards + deadlock sweep, a 2-worker pool over the wire,
 # and one socket server in front of the bare table (--net alone: the
 # same client with one route), untraced and with 1-in-8 sampling (the
-# traced wire path).  Same load line, same asserts (the CLI exits
-# non-zero on any leak, mismatch or failed reconciliation), no timing
-# gates.
+# traced wire path), then the bare table again with the wait-event
+# profiler on (the profiled latch acquire of LockService.lock_row).
+# Same load line, same asserts (the CLI exits non-zero on any leak,
+# mismatch or failed reconciliation), no timing gates.
 service-smoke:
 	for topology in "" "--shards 4" "--net --workers 2" "--net" \
-			"--net --trace-sample 8"; do \
+			"--net --trace-sample 8" "--wait-profile"; do \
 		echo "=== stress $$topology ==="; \
 		$(PYTHONPATH_SRC) python -m repro.service.cli stress \
 			--threads 8 --requests 2000 $$topology || exit 1; \
