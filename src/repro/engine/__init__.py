@@ -14,8 +14,6 @@ self-tuning lock memory controller against a workload:
 """
 
 from repro.engine.des import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -26,8 +24,6 @@ from repro.engine.metrics import MetricsRecorder, TimeSeries
 from repro.engine.rng import RngStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",

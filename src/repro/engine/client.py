@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, List
 from repro.engine.transactions import TransactionMix
 from repro.errors import DeadlockError
 from repro.lockmgr.isolation import IsolationLevel
-from repro.lockmgr.manager import LockListFullError, LockTimeoutError
+from repro.lockmgr.manager import LockListFullError
 from repro.lockmgr.modes import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,7 +35,6 @@ class ClientStats:
     commits: int = 0
     rollbacks: int = 0
     deadlocks: int = 0
-    lock_timeouts: int = 0
     lock_list_full: int = 0
 
 
@@ -124,12 +123,6 @@ class Client:
             lock_manager.release_all(self.app_id)
             self.stats.rollbacks += 1
             self.stats.deadlocks += 1
-            self.database.note_rollback()
-            yield env.timeout(self.ROLLBACK_BACKOFF_S)
-        except LockTimeoutError:
-            lock_manager.release_all(self.app_id)
-            self.stats.rollbacks += 1
-            self.stats.lock_timeouts += 1
             self.database.note_rollback()
             yield env.timeout(self.ROLLBACK_BACKOFF_S)
         except LockListFullError:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import SimulationError
 
@@ -283,68 +283,6 @@ class Process(Event):
         return f"<Process {name} {state} at {id(self):#x}>"
 
 
-class Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        events: Iterable[Event],
-        evaluate: Callable[[List[Event], int], bool],
-    ) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-        if not self._events:
-            self.succeed(self._collect())
-            return
-        for event in self._events:
-            event.add_callback(self._check)
-
-    def _collect(self) -> dict:
-        # Only *processed* events contribute: a Timeout carries its value
-        # from birth, so "triggered" would wrongly include pending ones.
-        return {
-            event: event._value
-            for event in self._events
-            if event.callbacks is None and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires when every constituent event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, events, lambda events, count: count == len(events))
-
-
-class AnyOf(Condition):
-    """Fires when at least one constituent event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, events, lambda events, count: count >= 1)
-
-
 class Environment:
     """Holds the simulation clock and executes the event queue."""
 
@@ -377,12 +315,6 @@ class Environment:
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new process driven by ``generator``."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling and execution ----------------------------------------
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -117,7 +116,7 @@ class LockListFullError(LockManagerError):
 
 
 class LockTimeoutError(LockManagerError):
-    """A lock wait exceeded the configured LOCKTIMEOUT.
+    """A lock wait outlived its request's deadline (``timeout_s``).
 
     The analogue of DB2's SQL0911N reason code 68; transactions
     receiving it roll back.
@@ -200,7 +199,6 @@ class LockManager:
         maxlocks_provider: Optional[Callable[[], float]] = None,
         maxlocks_fraction: float = 0.98,
         refresh_period: int = REFRESH_PERIOD_FOR_APP_PERCENT,
-        lock_timeout_s: Optional[float] = None,
     ) -> None:
         if not 0.0 < maxlocks_fraction <= 1.0:
             raise ValueError(
@@ -208,10 +206,6 @@ class LockManager:
             )
         if refresh_period <= 0:
             raise ValueError(f"refresh_period must be positive, got {refresh_period}")
-        if lock_timeout_s is not None and not lock_timeout_s > 0:  # NaN too
-            raise ValueError(
-                f"lock_timeout_s must be positive or None, got {lock_timeout_s}"
-            )
         self.env = env
         self.chain = chain
         self.growth_provider = growth_provider
@@ -223,10 +217,6 @@ class LockManager:
         self._limit_capacity = -1
         self.maxlocks_fraction = maxlocks_fraction
         self.refresh_period = refresh_period
-        #: LOCKTIMEOUT: maximum lock-wait time before the request fails
-        #: with :class:`LockTimeoutError` (None = wait forever, DB2's
-        #: default of -1; +inf is taken as None).
-        self.lock_timeout_s = None if lock_timeout_s == math.inf else lock_timeout_s
         #: Applications that prefer escalation over lock-memory growth
         #: (the paper's section 6.1 future-work extension; see
         #: :meth:`set_escalation_preference`).
@@ -737,10 +727,12 @@ class LockManager:
     ) -> bool:
         """Withdraw ``app_id``'s pending request and fail it with ``exc``.
 
-        Used by the periodic deadlock detector to roll back a victim and
-        by the live service layer for per-request deadlines and client
-        cancellation (``reason`` of ``"timeout"`` or ``"cancel"``, which
-        is also the trace-event kind and selects the stats counter).
+        Every early end of a wait comes through here: a deadlock victim
+        of the periodic detector or the cross-partition sweep, and, from
+        the live service, a per-request deadline or a cancellation
+        (``reason`` of ``"timeout"`` or ``"cancel"``, which is also the
+        trace-event kind and selects the stats counter).  The wait's
+        time is recorded here, once, for every reason.
         Returns False when the application is not currently waiting --
         including when its request was *granted but not yet resumed*
         (the grant event already fired but the waiting process/thread
@@ -753,12 +745,12 @@ class LockManager:
             return False
         obj, waiter = entry
         self._withdraw(app_id, obj)
+        waited = self.env.now - waiter.enqueued_at
         if reason == "timeout":
             self.stats.lock_timeouts += 1
-            self._record_wait(self.env.now - waiter.enqueued_at)
         elif reason != "deadlock":
             self.stats.cancelled_waits += 1
-            self._record_wait(self.env.now - waiter.enqueued_at)
+        self._record_wait(waited)
         if self.wait_profiler is not None:
             self.wait_profiler.end_lock_wait(
                 app_id, reason if reason in ("timeout", "deadlock") else "cancelled"
@@ -768,40 +760,37 @@ class LockManager:
                 reason, app_id,
                 f"victim on {obj.resource}" if reason == "deadlock"
                 else f"{waiter.mode.name} {obj.resource} withdrawn",
-                str(obj.resource), self.env.now - waiter.enqueued_at,
+                str(obj.resource), waited,
             )
         waiter.event.fail(exc)
         return True
 
     def _wait(self, app_id: int, obj: LockObject, waiter: Waiter):
         """Suspend until ``waiter`` is granted; detects deadlock first
-        (in immediate mode)."""
+        (in immediate mode).  A wait that ends otherwise was withdrawn by
+        :meth:`cancel_wait`, which did its accounting and fails the event
+        this generator yields."""
         self._waiting_on[app_id] = (obj, waiter)
-        if self.deadlock_detection == "immediate" and self._creates_deadlock(
-            app_id, obj, waiter
-        ):
+        if self.deadlock_detection == "immediate":
             # Walk the cycle while the waiter is still enqueued (the
             # wait-for edge disappears with the cleanup below).
-            cycle = (
-                self._find_cycle(app_id, obj, waiter)
-                if self.incidents is not None
-                else []
-            )
-            del self._waiting_on[app_id]
-            self._withdraw(app_id, obj)
-            self.stats.deadlocks += 1
-            if self.incidents is not None:
-                self.incidents.record_deadlock(
-                    self, app_id, obj.resource, cycle,
-                    f"immediate check: {waiter.mode.name} request on "
-                    f"{obj.resource} closes a wait-for cycle",
+            cycle = self._find_cycle(app_id, obj, waiter)
+            if cycle is not None:
+                del self._waiting_on[app_id]
+                self._withdraw(app_id, obj)
+                self.stats.deadlocks += 1
+                if self.incidents is not None:
+                    self.incidents.record_deadlock(
+                        self, app_id, obj.resource, cycle,
+                        f"immediate check: {waiter.mode.name} request on "
+                        f"{obj.resource} closes a wait-for cycle",
+                    )
+                if self.tracer is not None:
+                    self._trace("deadlock", app_id, f"{waiter.mode.name} {obj.resource}", str(obj.resource))
+                raise DeadlockError(
+                    f"app {app_id} requesting {waiter.mode.name} on {obj.resource} "
+                    "would close a wait-for cycle"
                 )
-            if self.tracer is not None:
-                self._trace("deadlock", app_id, f"{waiter.mode.name} {obj.resource}", str(obj.resource))
-            raise DeadlockError(
-                f"app {app_id} requesting {waiter.mode.name} on {obj.resource} "
-                "would close a wait-for cycle"
-            )
         self.stats.waits += 1
         if self.wait_profiler is not None:
             blockers = obj.blockers_of(waiter)
@@ -817,47 +806,17 @@ class LockManager:
             )
         if self.tracer is not None:
             self._trace("wait-begin", app_id, f"{waiter.mode.name} {obj.resource}", str(obj.resource))
-        started = self.env.now
-        timeout = self.lock_timeout_s
-        try:
-            yield waiter.event if timeout is None else self.env.any_of(
-                [waiter.event, self.env.timeout(timeout)]
-            )
-        except DeadlockError:
-            # asynchronous victimization by the periodic detector;
-            # cancel_wait already cleaned up the queue state (and
-            # closed the wait event; this end is its no-op backstop)
-            self._record_wait(self.env.now - started)
-            if self.wait_profiler is not None:
-                self.wait_profiler.end_lock_wait(app_id, "deadlock")
-            raise
-        if timeout is not None and not waiter.event.triggered:
-            # LOCKTIMEOUT expired first: withdraw the request.
-            self._waiting_on.pop(app_id, None)
-            self._withdraw(app_id, obj)
-            self.stats.lock_timeouts += 1
-            self._record_wait(self.env.now - started)
-            if self.wait_profiler is not None:
-                self.wait_profiler.end_lock_wait(app_id, "timeout")
-            if self.tracer is not None:
-                self._trace(
-                    "timeout", app_id,
-                    f"{waiter.mode.name} {obj.resource}",
-                    str(obj.resource), self.env.now - started,
-                )
-            raise LockTimeoutError(
-                f"app {app_id} waited {timeout}s for {waiter.mode.name} on {obj.resource}"
-            )
-        self._record_wait(self.env.now - started)
+        yield waiter.event
+        waited = self.env.now - waiter.enqueued_at
+        self._record_wait(waited)
         if self.wait_profiler is not None:
             self.wait_profiler.end_lock_wait(app_id, "granted")
         if self.tracer is not None:
             self._trace(
                 "wait-end", app_id,
-                f"{waiter.mode.name} {obj.resource} after "
-                f"{self.env.now - started:.3f}s",
+                f"{waiter.mode.name} {obj.resource} after {waited:.3f}s",
                 str(obj.resource),
-                self.env.now - started,
+                waited,
             )
 
     # -- grant pumping and release ----------------------------------------------
@@ -934,22 +893,6 @@ class LockManager:
 
     # -- deadlock detection ------------------------------------------------------------
 
-    def _creates_deadlock(self, app_id: int, obj: LockObject, waiter: Waiter) -> bool:
-        stack = list(obj.blockers_of(waiter))
-        seen: Set[int] = set()
-        while stack:
-            blocker = stack.pop()
-            if blocker == app_id:
-                return True
-            if blocker in seen:
-                continue
-            seen.add(blocker)
-            entry = self._waiting_on.get(blocker)
-            if entry is not None:
-                blocked_obj, blocked_waiter = entry
-                stack.extend(blocked_obj.blockers_of(blocked_waiter))
-        return False
-
     def _wait_depth(self, app_id: Optional[int], cap: int = 16) -> int:
         """Length of the wait-for chain starting at ``app_id``.
 
@@ -974,12 +917,13 @@ class LockManager:
 
     def _find_cycle(
         self, app_id: int, obj: LockObject, waiter: Waiter
-    ) -> List[int]:
-        """Reconstruct the wait-for cycle ``_creates_deadlock`` found.
+    ) -> Optional[List[int]]:
+        """The wait-for cycle ``waiter`` would close, or None.
 
-        BFS over the same edges, keeping parent pointers; returns the
-        cycle as app ids starting from the requester.  Only called on
-        the (rare) deadlock path when incident capture is enabled.
+        BFS over the wait-for edges from ``waiter``'s blockers, keeping
+        parent pointers; a cycle comes back as app ids starting from the
+        requester (the shortest one through it).  Runs on every wait in
+        immediate mode.
         """
         parents: Dict[int, int] = {}
         queue: Deque[int] = deque()
@@ -1005,7 +949,7 @@ class LockManager:
                 if blocker not in parents:
                     parents[blocker] = node
                     queue.append(blocker)
-        return [app_id]
+        return None
 
     # -- memory pressure: growth then escalation ------------------------------------------
 

@@ -48,11 +48,7 @@ from repro.net import protocol as wire
 from repro.net.protocol import ConnectionLostError
 from repro.obs.tracing import SERVER_HOPS
 from repro.service.admission import AdmissionController
-from repro.service.service import _USE_DEFAULT
 
-#: Wire encoding of an *explicitly unbounded* wait (``timeout_s=None``
-#: passed by the caller, distinct from "use the server default").
-_UNBOUNDED = -1.0
 #: ``poll`` events of a socket whose peer has closed (HUP and ERR are
 #: reported whether registered or not).
 _HUNG_UP = select.POLLHUP | getattr(select, "POLLRDHUP", 0)
@@ -62,15 +58,6 @@ def _value(response: "int | wire.Response") -> int:
     """The integer result of an untraced request (hot path returns it
     bare)."""
     return response if response.__class__ is int else response.value
-
-
-def _wire_timeout(timeout_s: object) -> Optional[float]:
-    """Map the service-facade timeout convention onto the wire."""
-    if timeout_s is _USE_DEFAULT:
-        return None  # no flag: server applies its default
-    if timeout_s is None:
-        return _UNBOUNDED
-    return float(timeout_s)
 
 
 class _Pending:
@@ -600,7 +587,7 @@ class RoutedLockClient:
         table_id: int,
         row_id: int,
         mode: Any,
-        timeout_s: object = _USE_DEFAULT,
+        timeout_s: Optional[float] = None,
     ) -> None:
         """One LOCK_ROW round trip: one packed frame out, one reply in.
 
@@ -617,20 +604,19 @@ class RoutedLockClient:
         """
         rec, conn = self._route(app_id, table_id)
         body = (app_id, table_id, row_id, wire.wire_mode(mode))
-        timeout = _wire_timeout(timeout_s)
         ctx = None if self._tracer is None else self._tracer.maybe_trace()
         request_id = conn.next_id()
         if ctx is None:
             conn.exchange(
                 request_id,
-                _pack(rec, conn, wire.OP_LOCK_ROW, request_id, body, timeout),
+                _pack(rec, conn, wire.OP_LOCK_ROW, request_id, body, timeout_s),
             )
             return
         started = packed = time.perf_counter()
         outcome, result = "ok", None
         try:
             frame = _pack(
-                rec, conn, wire.OP_LOCK_ROW, request_id, body, timeout,
+                rec, conn, wire.OP_LOCK_ROW, request_id, body, timeout_s,
                 (ctx.trace_id, ctx.span_id, True),
             )
             packed = time.perf_counter()  # client.encode ends here
@@ -667,12 +653,12 @@ class RoutedLockClient:
         app_id: int,
         table_id: int,
         mode: Any,
-        timeout_s: object = _USE_DEFAULT,
+        timeout_s: Optional[float] = None,
     ) -> None:
         rec, conn = self._route(app_id, table_id)
         self._request(
             rec, conn, wire.OP_LOCK_TABLE, app_id, table_id,
-            wire.wire_mode(mode), timeout_s=_wire_timeout(timeout_s),
+            wire.wire_mode(mode), timeout_s=timeout_s,
         )
 
     def release_read_lock(

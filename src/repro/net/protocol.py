@@ -122,8 +122,8 @@ OP_RESERVE_IDS = 0x0C  # a block of app ids for FLAG_OPEN first frames
 RESP_OK = 0x80
 RESP_ERR = 0x81
 
-#: flags bit 0: the request carries an explicit timeout (f64 seconds
-#: follows the fixed body); unset means "use the server default".
+#: flags bit 0: the request carries a timeout (f64 seconds follows the
+#: fixed body; a negative one is no deadline); unset means no deadline.
 FLAG_HAS_TIMEOUT = 0x01
 #: flags bit 1: fire-and-forget -- the server executes the request but
 #: sends no response frame (success or failure).  For ops whose result

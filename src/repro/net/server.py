@@ -56,7 +56,6 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net import protocol as wire
 from repro.obs.tracing import SERVER_HOPS
-from repro.service.service import _USE_DEFAULT
 
 logger = logging.getLogger(__name__)
 
@@ -143,11 +142,12 @@ def _app_id(f: tuple) -> int:
     return 0 if f[0] in wire.SESSIONLESS_OPS else f[3]
 
 
-def _timeout(f: tuple) -> object:
-    """A waiting op's wire timeout as the service takes it (<0: none)."""
+def _timeout(f: tuple) -> Optional[float]:
+    """A waiting op's deadline in seconds, as the service takes it: None
+    (no deadline) without a timeout tail or with a negative one."""
     flags = f[1]
     if not flags & wire.FLAG_HAS_TIMEOUT:
-        return _USE_DEFAULT
+        return None
     timeout = f[-4] if flags & wire.FLAG_TRACE else f[-1]
     return None if timeout < 0 else timeout
 

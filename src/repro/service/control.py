@@ -82,12 +82,6 @@ class ServiceConfig:
     #: Concurrency bound and wait-queue depth at the front door.
     max_in_flight: int = 64
     admission_queue_depth: int = 128
-    #: Default per-request deadline (None = wait forever).
-    default_timeout_s: Optional[float] = None
-    #: Manager-level LOCKTIMEOUT (DB2's -1 default = wait forever).
-    lock_timeout_s: Optional[float] = None
-    #: Record service.* / tuner.* metrics into a registry.
-    telemetry: bool = True
     #: TCP port of the live ops plane (/metrics, /healthz, /stmm).
     #: None = no HTTP server; 0 = ephemeral port (tests/CI).
     ops_port: Optional[int] = None
@@ -125,10 +119,6 @@ class ServiceConfig:
         if initial >= self.total_memory_pages:
             raise ConfigurationError(
                 "initial heaps oversubscribe database memory"
-            )
-        if self.ops_port is not None and not self.telemetry:
-            raise ConfigurationError(
-                "ops_port requires telemetry: /metrics serves the registry"
             )
         if self.ops_port is not None and self.ops_port < 0:
             raise ConfigurationError(
@@ -233,9 +223,8 @@ class ControlPlane:
     def __init__(self, cfg: ServiceConfig, clock: Optional[Clock]) -> None:
         self.config = cfg
         self.clock = clock or MonotonicClock()
-        self.metrics: Optional[MetricRegistry] = (
-            MetricRegistry() if cfg.telemetry else None
-        )
+        #: The service.* / tuner.* registry every topology records into.
+        self.metrics = MetricRegistry()
         self.registry = build_memory_registry(cfg)
         self._started = False
 
@@ -315,7 +304,6 @@ class ControlPlane:
         self.request_tracers: List[Any] = []
         self.ops: Optional[OpsServer] = None
         if cfg.ops_port is not None:
-            assert self.metrics is not None  # enforced by the config
             self.ops = OpsServer(
                 self.metrics,
                 health=self.ops_health,
@@ -397,8 +385,6 @@ class ControlPlane:
         (sizes, fractions, queue depths) that would otherwise lag one
         tuning interval behind.
         """
-        if self.metrics is None:
-            return
         reg = self.metrics
         self._refresh_for_scrape()
         for occ in self.ledger.occupancy():

@@ -19,8 +19,9 @@ logic:
   the classic monitor pattern: no lost wakeups (the triggered flag is
   only touched with the mutex held) and no double grants (an event can
   fire exactly once, and only ``pump`` fires grant events).
-* **Per-request deadlines** bound each wait in wall time.  A deadline
-  that expires withdraws the request via
+* **Per-request deadlines** bound each wait in wall time, and are the
+  only bound a wait has (no manager-wide LOCKTIMEOUT: DB2's default of
+  -1 waits forever).  A deadline that expires withdraws the request via
   :meth:`LockManager.cancel_wait`, which frees the waiter's structure
   and fails its event; if the grant raced the deadline, the grant wins
   (``cancel_wait`` refuses to cancel a fired event) -- the request
@@ -64,19 +65,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import HistogramView, MetricRegistry
     from repro.obs.tracing import RequestTracer
 
-#: Sentinel distinguishing "no timeout given" from "explicitly None".
-_USE_DEFAULT = object()
 _INF = math.inf
 
 
-def _checked_timeout(timeout_s: object, name: str = "timeout_s") -> Optional[float]:
-    """A timeout as the service keeps it: None (no deadline) for None or
-    +inf, else the number of seconds; a negative or NaN one is refused."""
-    if timeout_s is None or timeout_s == _INF:
+def _checked_timeout(timeout_s: float) -> Optional[float]:
+    """A timeout as the service keeps it: None (no deadline) for +inf,
+    else the number of seconds; a negative or NaN one is refused."""
+    if timeout_s == _INF:
         return None
-    if not timeout_s >= 0:  # type: ignore[operator]
-        raise ServiceError(f"{name} must be non-negative, got {timeout_s}")
-    return timeout_s  # type: ignore[return-value]
+    if not timeout_s >= 0:
+        raise ServiceError(f"timeout_s must be non-negative, got {timeout_s}")
+    return timeout_s
 
 
 def take_id_block(ids: Iterator[int], count: int) -> range:
@@ -110,10 +109,6 @@ class LockService:
     clock:
         Time source (default: a fresh :class:`MonotonicClock`).  Tests
         inject a :class:`~repro.service.clock.ManualClock`.
-    default_timeout_s:
-        Deadline applied to requests that do not pass their own
-        ``timeout_s`` (None or +inf = wait forever; a negative or NaN
-        timeout, here or per request, is refused with ServiceError).
     metrics:
         Optional :class:`~repro.obs.registry.MetricRegistry`; when given
         the service maintains ``service.*`` instruments (and callers may
@@ -122,8 +117,11 @@ class LockService:
         Optional label set attached to every ``service.*`` instrument
         (the sharded facade passes ``{"shard": str(i)}`` so each
         shard's counters are distinct series in the shared registry).
-    maxlocks_fraction / lock_timeout_s:
+    maxlocks_fraction:
         Forwarded to the :class:`LockManager`.
+
+    A request's ``timeout_s`` is its deadline: None or +inf waits
+    forever, a negative or NaN one is refused with ServiceError.
     """
 
     def __init__(
@@ -131,26 +129,17 @@ class LockService:
         chain: LockBlockChain,
         *,
         clock: Optional[Clock] = None,
-        default_timeout_s: Optional[float] = None,
         metrics: Optional["MetricRegistry"] = None,
         metric_labels: Optional[Dict[str, str]] = None,
         maxlocks_fraction: float = 0.98,
-        lock_timeout_s: Optional[float] = None,
     ) -> None:
-        default_timeout_s = _checked_timeout(default_timeout_s, "default_timeout_s")
         self.clock = clock or MonotonicClock()
         # RLock: event firing re-enters via WallClockEnvironment.notify_all
         # while the manager code already holds the mutex.
         self._mutex = threading.RLock()
         self._cond = threading.Condition(self._mutex)
         self.env = WallClockEnvironment(self.clock, self._cond)
-        self.manager = LockManager(
-            self.env,
-            chain,
-            maxlocks_fraction=maxlocks_fraction,
-            lock_timeout_s=lock_timeout_s,
-        )
-        self.default_timeout_s = default_timeout_s
+        self.manager = LockManager(self.env, chain, maxlocks_fraction=maxlocks_fraction)
         self.stats = ServiceStats()
         self._closed = False
         self._sessions: Set[int] = set()
@@ -309,14 +298,14 @@ class LockService:
         table_id: int,
         row_id: Optional[int],
         mode: LockMode,
-        timeout_s: object = _USE_DEFAULT,
+        timeout_s: Optional[float] = None,
         *,
         finish: bool = True,
     ) -> Optional[tuple]:
         """Acquire a row lock (plus covering intent lock), blocking.
 
         Raises :class:`DeadlockError`, :class:`LockTimeoutError` (the
-        per-request deadline or the manager's LOCKTIMEOUT),
+        request's ``timeout_s`` deadline passed),
         :class:`LockListFullError` or :class:`RequestCancelledError`;
         after any of these the session must roll back via
         :meth:`close_session` (strict 2PL, as in the DES).
@@ -331,9 +320,7 @@ class LockService:
         as it stands.
         """
         started = perf_counter()
-        if timeout_s is _USE_DEFAULT:
-            timeout_s = self.default_timeout_s
-        elif timeout_s is not None and not 0.0 <= timeout_s < _INF:  # type: ignore[operator]
+        if timeout_s is not None and not 0.0 <= timeout_s < _INF:
             timeout_s = _checked_timeout(timeout_s)  # the usual finite one skips the call
         env = self.env
         # env.latch_acquire, written out: this is the whole of an
@@ -394,7 +381,7 @@ class LockService:
         table_id: int,
         row_id: int,
         mode: LockMode,
-        timeout_s: object = _USE_DEFAULT,
+        timeout_s: Optional[float] = None,
     ) -> Optional[tuple]:
         """:meth:`lock_row` up to where it could park, in one mutex hold.
 
@@ -428,7 +415,7 @@ class LockService:
         app_id: int,
         table_id: int,
         mode: LockMode,
-        timeout_s: object = _USE_DEFAULT,
+        timeout_s: Optional[float] = None,
     ) -> None:
         """Acquire a table lock, blocking (see :meth:`lock_row`)."""
         self.lock_row(app_id, table_id, None, mode, timeout_s)
@@ -581,34 +568,30 @@ class LockService:
         The generator's yields are :class:`WallEvent`s.  A triggered
         event resumes the generator immediately (send/throw mirrors the
         DES process loop); a pending one parks this thread on the
-        condition variable until the event fires, an internal timeout
-        comes due, or the request deadline expires.
+        condition variable until the event fires or ``deadline`` passes.
+        A passed deadline withdraws the wait through
+        :meth:`LockManager.cancel_wait`, which fails the event; if the
+        grant raced the deadline and won, ``cancel_wait`` refuses and
+        the grant stands.
         """
         cond = self._cond
         while True:
             while not target.triggered:
+                if deadline is None:
+                    cond.wait()
+                    continue
                 now = self.clock.now()
-                # Fire any due manager-level LOCKTIMEOUT (lazy timeouts).
-                target.fire_due(now)
-                if target.triggered:
-                    break
-                if deadline is not None and now >= deadline:
-                    # Withdraw the wait; if the grant raced us and won,
-                    # cancel_wait refuses and the loop sees the grant.
-                    if not self.manager.cancel_wait(
-                        app_id,
-                        LockTimeoutError(
-                            f"session {app_id} missed its request deadline "
-                            f"after {now - (deadline or now):+.3f}s"
-                        ),
-                        reason="timeout",
-                    ):
-                        continue
-                    break
-                wake_at = target.next_deadline()
-                if deadline is not None and (wake_at is None or deadline < wake_at):
-                    wake_at = deadline
-                cond.wait(None if wake_at is None else max(0.0, wake_at - now))
+                if now < deadline:
+                    cond.wait(deadline - now)
+                    continue
+                self.manager.cancel_wait(
+                    app_id,
+                    LockTimeoutError(
+                        f"session {app_id} missed its request deadline "
+                        f"by {now - deadline:.3f}s"
+                    ),
+                    reason="timeout",
+                )
             try:
                 if target.ok:
                     target = gen.send(target.value)

@@ -47,12 +47,7 @@ from repro.errors import ServiceClosedError, ServiceError
 from repro.lockmgr.manager import LockManagerStats
 from repro.lockmgr.modes import LockMode
 from repro.service.clock import Clock, MonotonicClock
-from repro.service.service import (
-    LockService,
-    ServiceStats,
-    _USE_DEFAULT,
-    take_id_block,
-)
+from repro.service.service import LockService, ServiceStats, take_id_block
 from repro.service.control import check_partitioned
 from repro.service.stack import ServiceConfig, ServiceStack
 
@@ -309,7 +304,7 @@ class ShardedLockService:
         table_id: int,
         row_id: int,
         mode: LockMode,
-        timeout_s: object = _USE_DEFAULT,
+        timeout_s: Optional[float] = None,
     ) -> None:
         """Route to the owning shard; semantics of
         :meth:`LockService.lock_row`."""
@@ -324,7 +319,7 @@ class ShardedLockService:
         app_id: int,
         table_id: int,
         mode: LockMode,
-        timeout_s: object = _USE_DEFAULT,
+        timeout_s: Optional[float] = None,
     ) -> None:
         entry, shard = self._route(app_id, table_id)
         try:

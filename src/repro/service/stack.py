@@ -96,12 +96,8 @@ class ServiceStack(ControlPlane):
             LockService(
                 LockBlockChain(initial_blocks=share),
                 clock=self.clock,
-                default_timeout_s=cfg.default_timeout_s,
-                lock_timeout_s=cfg.lock_timeout_s,
                 metrics=self.metrics,
-                metric_labels=(
-                    None if self.metrics is None else self._labels(idx)
-                ),
+                metric_labels=self._labels(idx),
             )
             for idx, share in enumerate(initial_split(blocks, shards or 1))
         ]

@@ -42,7 +42,7 @@ class DeadlockSweep:
     Degraded mode: if the sweep thread dies (``crash`` is set), tuning
     is *not* frozen -- lock memory management is unaffected -- but
     cross-partition cycles then persist until a participant's request
-    deadline or LOCKTIMEOUT resolves them.  The CLI surfaces ``crash``
+    deadline resolves them.  The CLI surfaces ``crash``
     at shutdown.
     """
 

@@ -2,11 +2,10 @@
 
 The lock manager was written against the DES: its blocking entry points
 are generators that ``yield`` events, and the only environment surface
-they touch is ``env.now``, ``env.event()``, ``env.timeout()`` and
-``env.any_of()``.  :class:`WallClockEnvironment` implements exactly that
-surface over a real :class:`~repro.service.clock.Clock` plus a
-``threading.Condition``, which lets :class:`~repro.service.service.LockService`
-run the *unchanged* lock-manager code under real thread concurrency:
+they touch is ``env.now`` and ``env.event()``.  :class:`WallClockEnvironment`
+implements exactly that surface over a real
+:class:`~repro.service.clock.Clock` plus a ``threading.Condition``, which
+lets :class:`~repro.service.service.LockService` run the *unchanged* lock-manager code under real thread concurrency:
 
 * every piece of manager code runs under the service's one mutex, so the
   manager stays logically single-threaded (its own invariant);
@@ -15,22 +14,22 @@ run the *unchanged* lock-manager code under real thread concurrency:
 * firing an event (``succeed``/``fail``) notifies the condition, and
   every parked thread re-checks *its own* target under the mutex -- the
   classic monitor pattern, immune to lost wakeups because the triggered
-  flag is only ever read and written with the mutex held;
-* timeouts are *lazy*: a :class:`WallTimeout` records its deadline, and
-  the one thread that is waiting on it bounds its condition wait by that
-  deadline and fires the timeout itself when the clock passes it.  No
-  timer thread exists, so a service with no waiters costs no CPU.
+  flag is only ever read and written with the mutex held.
 
-The event classes mirror the semantics of :mod:`repro.engine.des`
-(`succeed`/`fail` exactly once, `triggered`/`ok`/`value`, `AnyOf` fires
-on the first child) without inheriting from them: DES events schedule
-themselves onto a simulation queue, which has no meaning here.
+A wait's only bound is its request's deadline, which the waiting thread
+keeps itself (:meth:`LockService._drive`): no timer thread exists, so a
+service with no waiters costs no CPU.
+
+:class:`WallEvent` mirrors the semantics of :mod:`repro.engine.des`
+events (`succeed`/`fail` exactly once, `triggered`/`ok`/`value`) without
+inheriting from them: DES events schedule themselves onto a simulation
+queue, which has no meaning here.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.obs.waits import LATCH_SPINS
@@ -47,13 +46,12 @@ class WallEvent:
     so parked threads re-check their targets.
     """
 
-    __slots__ = ("env", "_value", "_ok", "_callbacks")
+    __slots__ = ("env", "_value", "_ok")
 
     def __init__(self, env: "WallClockEnvironment") -> None:
         self.env = env
         self._value: Any = _PENDING
         self._ok = True
-        self._callbacks: Optional[List[Callable[["WallEvent"], None]]] = []
 
     @property
     def triggered(self) -> bool:
@@ -71,19 +69,12 @@ class WallEvent:
             raise SimulationError("event value not yet available")
         return self._value
 
-    def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-        self.env.notify_all()
-
     def succeed(self, value: Any = None) -> "WallEvent":
         if self.triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self._fire()
+        self.env.notify_all()
         return self
 
     def fail(self, exception: BaseException) -> "WallEvent":
@@ -93,106 +84,12 @@ class WallEvent:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self._fire()
+        self.env.notify_all()
         return self
-
-    def add_callback(self, callback: Callable[["WallEvent"], None]) -> None:
-        if self._callbacks is None:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
-    # -- lazy-timeout protocol (see WallTimeout) ---------------------------
-
-    def next_deadline(self) -> Optional[float]:
-        """Earliest pending timeout deadline in this event's subtree."""
-        return None
-
-    def fire_due(self, now: float) -> None:
-        """Fire any pending timeout in the subtree whose deadline passed."""
 
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class WallTimeout(WallEvent):
-    """An event that becomes due ``delay`` seconds after creation.
-
-    Nothing fires it automatically: the thread waiting on it (directly
-    or through an :class:`WallAnyOf`) learns the deadline from
-    :meth:`next_deadline`, bounds its condition wait accordingly, and
-    calls :meth:`fire_due` when it wakes.
-    """
-
-    __slots__ = ("fire_at", "_timeout_value")
-
-    def __init__(
-        self, env: "WallClockEnvironment", delay: float, value: Any = None
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"timeout delay must be non-negative, got {delay}")
-        super().__init__(env)
-        self.fire_at = env.now + delay
-        self._timeout_value = value
-
-    def next_deadline(self) -> Optional[float]:
-        return None if self.triggered else self.fire_at
-
-    def fire_due(self, now: float) -> None:
-        if not self.triggered and now >= self.fire_at:
-            self.succeed(self._timeout_value)
-
-
-class WallAnyOf(WallEvent):
-    """Fires when the first constituent event fires (DES ``AnyOf``).
-
-    A failing child fails the composite with the same exception, which
-    is how an asynchronous :meth:`LockManager.cancel_wait` reaches a
-    requester that is waiting on ``any_of([grant, timeout])``.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(
-        self, env: "WallClockEnvironment", events: Iterable[WallEvent]
-    ) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-        for event in self._events:
-            event.add_callback(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self._events
-            if event._callbacks is None and event._ok
-        }
-
-    def _check(self, event: WallEvent) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-    def next_deadline(self) -> Optional[float]:
-        if self.triggered:
-            return None
-        deadlines = [
-            d for d in (e.next_deadline() for e in self._events) if d is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def fire_due(self, now: float) -> None:
-        for event in self._events:
-            if self.triggered:
-                return
-            event.fire_due(now)
 
 
 class WallClockEnvironment:
@@ -255,12 +152,6 @@ class WallClockEnvironment:
 
     def event(self) -> WallEvent:
         return WallEvent(self)
-
-    def timeout(self, delay: float, value: Any = None) -> WallTimeout:
-        return WallTimeout(self, delay, value)
-
-    def any_of(self, events: Iterable[WallEvent]) -> WallAnyOf:
-        return WallAnyOf(self, events)
 
     def notify_all(self) -> None:
         """Wake every parked request thread to re-check its target.

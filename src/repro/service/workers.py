@@ -97,6 +97,9 @@ from repro.units import (
     round_pages_to_blocks,
 )
 
+#: Reader/executor threads of each worker's socket server.
+EXECUTOR_THREADS = 8
+
 
 @dataclass
 class WorkerPoolConfig(ServiceConfig):
@@ -109,8 +112,6 @@ class WorkerPoolConfig(ServiceConfig):
     #: Directory for the per-worker Unix-domain sockets (default: a
     #: fresh ``tempfile.mkdtemp`` owned and removed by the pool).
     socket_dir: Optional[str] = None
-    #: Reader/executor threads of each worker's socket server.
-    executor_threads: int = 8
 
     def __post_init__(self) -> None:
         check_partitioned(self, self.workers, "workers")
@@ -149,7 +150,7 @@ class _WorkerPartition(LocalPartition):
         idx: int,
         service: LockService,
         server: ThreadedLockServer,
-        metrics: Optional[MetricRegistry],
+        metrics: MetricRegistry,
     ) -> None:
         super().__init__(idx, service)
         self.server = server
@@ -160,8 +161,8 @@ class _WorkerPartition(LocalPartition):
         posture["responses"] = self.server.responses_written
         return posture
 
-    def metrics(self) -> Optional[dict]:
-        return None if self._metrics is None else self._metrics.snapshot()
+    def metrics(self) -> dict:
+        return self._metrics.snapshot()
 
     def traces(self) -> Optional[dict]:
         tracer = self.server.backend.tracer
@@ -207,12 +208,10 @@ def _worker_main(
     # A per-worker registry: the parent pulls snapshots over the control
     # plane and merges them into one ``/metrics`` scrape under a
     # ``worker="N"`` label.
-    wmetrics = MetricRegistry() if cfg.telemetry else None
+    wmetrics = MetricRegistry()
     service = LockService(
         LockBlockChain(initial_blocks=initial_blocks),
         clock=MonotonicClock(),
-        default_timeout_s=cfg.default_timeout_s,
-        lock_timeout_s=cfg.lock_timeout_s,
         metrics=wmetrics,
     )
     # Disjoint arithmetic progressions make app ids globally unique
@@ -230,7 +229,7 @@ def _worker_main(
             tracer=ServerTracer() if cfg.trace_sample_every > 0 else None,
         ),
         path=sock_path,
-        executor_threads=cfg.executor_threads,
+        executor_threads=EXECUTOR_THREADS,
         metrics=wmetrics,
     )
     part = _WorkerPartition(idx, service, server, wmetrics)
@@ -823,9 +822,7 @@ class WorkerPoolStack(ControlPlane):
                 with contextlib.suppress(ServiceError):
                     part.occupancy()
                 with contextlib.suppress(ServiceError):
-                    snapshot = part.call("metrics")
-                    if snapshot is not None:
-                        self._install_worker_metrics(part.idx, snapshot)
+                    self._install_worker_metrics(part.idx, part.call("metrics"))
         for part in self.partitions:
             reg.gauge("worker.alive", labels=self._labels(part.idx)).set(
                 0.0 if part.dead else 1.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.des import AllOf, AnyOf, Environment, Event, Interrupt, Timeout
+from repro.engine.des import Environment, Event, Interrupt, Timeout
 from repro.errors import SimulationError
 from tests.conftest import run_process
 
@@ -175,53 +175,6 @@ class TestInterrupt:
 
         with pytest.raises(SimulationError):
             run_process(env, selfish())
-
-
-class TestConditions:
-    def test_all_of_waits_for_all(self, env):
-        t1 = env.timeout(1, value="a")
-        t2 = env.timeout(5, value="b")
-
-        def proc():
-            results = yield AllOf(env, [t1, t2])
-            return sorted(results.values())
-
-        assert run_process(env, proc()) == ["a", "b"]
-        assert env.now == 5
-
-    def test_any_of_fires_on_first(self, env):
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(50, value="slow")
-
-        def proc():
-            results = yield AnyOf(env, [t1, t2])
-            return list(results.values())
-
-        assert run_process(env, proc(), until=60) == ["fast"]
-
-    def test_empty_all_of_fires_immediately(self, env):
-        def proc():
-            yield AllOf(env, [])
-            return env.now
-
-        assert run_process(env, proc()) == 0.0
-
-    def test_condition_failure_propagates(self, env):
-        bad = env.event()
-
-        def failer():
-            yield env.timeout(1)
-            bad.fail(RuntimeError("inner"))
-
-        def waiter():
-            yield AllOf(env, [bad, env.timeout(10)])
-
-        env.process(failer())
-        proc = env.process(waiter())
-        with pytest.raises(RuntimeError, match="inner"):
-            env.run()
-            if not proc.ok:
-                raise proc.value
 
 
 class TestEnvironmentRun:

@@ -1,4 +1,4 @@
-"""Tests for LOCKTIMEOUT and the selective-escalation extension."""
+"""Tests for lock-wait timeouts and the selective-escalation extension."""
 
 import pytest
 
@@ -19,13 +19,21 @@ def make_manager(env, blocks=4, capacity=None, **kwargs):
     return LockManager(env, chain, **kwargs)
 
 
+def expire(env, manager, app_id, at):
+    """DES process: at time ``at``, end ``app_id``'s wait the way a
+    request deadline does; returns whether it was still waiting."""
+    yield env.timeout(at - env.now)
+    return manager.cancel_wait(
+        app_id, LockTimeoutError(f"app {app_id}: deadline"), reason="timeout"
+    )
+
+
 class TestLockTimeout:
-    def test_invalid_timeout_rejected(self, env):
-        with pytest.raises(ValueError):
-            make_manager(env, lock_timeout_s=0)
+    """A wait's one bound is its request's deadline, which ends the wait
+    through ``cancel_wait(reason="timeout")``; without one it waits."""
 
     def test_wait_expires_with_error(self, env):
-        manager = make_manager(env, lock_timeout_s=5.0)
+        manager = make_manager(env)
         outcome = {}
 
         def holder():
@@ -44,6 +52,7 @@ class TestLockTimeout:
 
         env.process(holder())
         env.process(waiter())
+        env.process(expire(env, manager, 2, at=6.0))
         env.run(until=50)
         assert outcome["result"] == "timeout@6.0"
         assert manager.stats.lock_timeouts == 1
@@ -51,7 +60,7 @@ class TestLockTimeout:
         assert manager.app_slots(2) == 0
 
     def test_grant_before_timeout_proceeds(self, env):
-        manager = make_manager(env, lock_timeout_s=20.0)
+        manager = make_manager(env)
         outcome = {}
 
         def holder():
@@ -63,17 +72,20 @@ class TestLockTimeout:
             yield env.timeout(1)
             yield from manager.lock_row(2, 0, 7, LockMode.X)
             outcome["granted_at"] = env.now
+            yield env.timeout(30)
             manager.release_all(2)
 
         env.process(holder())
         env.process(waiter())
+        late = env.process(expire(env, manager, 2, at=21.0))
         env.run(until=50)
         assert outcome["granted_at"] == 3.0
+        assert late.value is False
         assert manager.stats.lock_timeouts == 0
 
     def test_timed_out_waiter_unblocks_queue(self, env):
         """A timed-out waiter must not gate later compatible waiters."""
-        manager = make_manager(env, lock_timeout_s=2.0)
+        manager = make_manager(env)
         outcome = {}
 
         def s_holder():
@@ -97,6 +109,7 @@ class TestLockTimeout:
         env.process(s_holder())
         env.process(x_waiter())
         env.process(s_requester())
+        env.process(expire(env, manager, 2, at=3.0))
         env.run(until=60)
         # once the X gave up at t=3, the queued S should be granted
         # immediately (not wait for the holder's release at t=31)
@@ -104,7 +117,25 @@ class TestLockTimeout:
 
     def test_default_is_wait_forever(self, env):
         manager = make_manager(env)
-        assert manager.lock_timeout_s is None
+        outcome = {}
+
+        def holder():
+            yield from manager.lock_row(1, 0, 7, LockMode.X)
+            yield env.timeout(10_000)
+            manager.release_all(1)
+
+        def waiter():
+            yield env.timeout(1)
+            yield from manager.lock_row(2, 0, 7, LockMode.X)
+            outcome["granted_at"] = env.now
+            manager.release_all(2)
+
+        env.process(holder())
+        env.process(waiter())
+        env.run()
+        assert outcome["granted_at"] == 10_000.0
+        assert manager.stats.lock_timeouts == 0
+        assert manager.stats.wait_time_total == pytest.approx(9_999.0)
 
 
 class TestSelectiveEscalation:

@@ -614,6 +614,45 @@ class TestOneDispatchPath:
             assert resp.ok and resp.request_id == 5
             assert service.manager.app_slots(app) == 2
 
+    def _parked_deadline(self, server, stack, monkeypatch, timeout_s):
+        """Park a raw LOCK_ROW behind an in-process holder, then release
+        the holder: the deadline the parked request carried, and the
+        reply it got."""
+        service = stack.service
+        deadlines = []
+        finish = service.finish_request
+
+        def recording(request):
+            deadlines.append(request[-1])
+            finish(request)
+
+        monkeypatch.setattr(service, "finish_request", recording)
+        holder = service.open_session()
+        service.lock_row(holder, 3, 7, LockMode.X)
+        with RawConnection(server.address) as raw:
+            app = raw.open_session()
+            raw.send(wire.pack_lock_row_frame(4, app, 3, 7, X, timeout_s=timeout_s))
+            assert wait_until(lambda: service.waiting_sessions() == {app})
+            time.sleep(0.05)  # a deadline would not be cut this short
+            assert service.waiting_sessions() == {app}
+            service.close_session(holder)
+            resp = raw.reply()
+            assert resp.ok and resp.request_id == 4
+            assert service.manager.holder_mode(app, row_resource(3, 7)) is LockMode.X
+        return deadlines
+
+    def test_a_lock_row_with_no_timeout_tail_waits_until_granted(
+        self, server, stack, monkeypatch
+    ):
+        assert self._parked_deadline(server, stack, monkeypatch, None) == [None]
+        assert stack.service.stats.timeouts == 0
+
+    def test_a_lock_row_with_a_negative_timeout_tail_has_no_deadline(
+        self, server, stack, monkeypatch
+    ):
+        assert self._parked_deadline(server, stack, monkeypatch, -1.0) == [None]
+        assert stack.service.stats.timeouts == 0
+
     def test_no_reply_lock_row_granted_on_the_spot_writes_no_frame(
         self, server, stack
     ):

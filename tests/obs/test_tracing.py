@@ -332,9 +332,8 @@ class TestOneKnobEveryTopology:
         assert loaded.traces == traces
         assert analyze_run(loaded).trace_count == len(traces)
 
-    @pytest.mark.parametrize("telemetry", [True, False])
-    def test_in_process_tracer_needs_no_registry(self, telemetry):
-        stack = build_stack(threads=2, trace_sample_every=2, telemetry=telemetry)
+    def test_in_process_tracer_samples_every_nth_request(self):
+        stack = build_stack(threads=2, trace_sample_every=2)
         (tracer,) = stack.request_tracers
         assert stack.service.tracer is tracer
         with stack.service.session() as app:

@@ -21,7 +21,6 @@ def make_stack(**overrides):
         total_memory_pages=8_192,
         initial_locklist_pages=32,
         tuner_interval_s=30.0,  # daemon idle; tests drive tune_now()
-        telemetry=True,
     )
     defaults.update(overrides)
     clock = ManualClock()

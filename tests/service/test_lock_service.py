@@ -205,15 +205,6 @@ class TestDeadlinesAndCancellation:
                 service.lock_row(app, 0, 7, LockMode.X, timeout_s=0.0)
         service.close_session(holder)
 
-    def test_default_timeout_applies(self):
-        service = make_service(default_timeout_s=0.05)
-        holder = service.open_session()
-        service.lock_row(holder, 0, 7, LockMode.X)
-        with service.session() as app:
-            with pytest.raises(LockTimeoutError):
-                service.lock_row(app, 0, 7, LockMode.X)
-        service.close_session(holder)
-
     def test_negative_timeout_rejected(self):
         service = make_service()
         with service.session() as app:
@@ -240,15 +231,6 @@ class TestDeadlinesAndCancellation:
             assert service.stats.requests == requests
         service.close_session(holder)
         service.check_invariants()
-
-    def test_nan_default_timeouts_are_refused_and_inf_means_none(self):
-        with pytest.raises(ServiceError, match="default_timeout_s must be non-negative"):
-            make_service(default_timeout_s=math.nan)
-        with pytest.raises(ValueError, match="lock_timeout_s must be positive"):
-            make_service(lock_timeout_s=math.nan)
-        service = make_service(default_timeout_s=math.inf, lock_timeout_s=math.inf)
-        assert service.default_timeout_s is None
-        assert service.manager.lock_timeout_s is None
 
     def test_an_infinite_timeout_parks_and_is_granted_on_release(self):
         service = make_service()
@@ -341,18 +323,6 @@ class TestDeadlinesAndCancellation:
         service.lock_row(app, 1, 1, LockMode.X)
         assert service.close_session(app) == 3  # two rows + one intent
         assert service.chain.used_slots == 0
-        service.check_invariants()
-
-    def test_manager_lock_timeout_applies_on_wall_clock(self):
-        """The manager's own LOCKTIMEOUT (any_of(grant, timeout)) fires
-        through the lazy-timeout protocol."""
-        service = make_service(lock_timeout_s=0.05)
-        holder = service.open_session()
-        service.lock_row(holder, 0, 7, LockMode.X)
-        with service.session() as app:
-            with pytest.raises(LockTimeoutError):
-                service.lock_row(app, 0, 7, LockMode.X)
-        service.close_session(holder)
         service.check_invariants()
 
 

@@ -34,7 +34,6 @@ def make_stack(**overrides):
         total_memory_pages=8_192,
         initial_locklist_pages=32,
         tuner_interval_s=30.0,
-        telemetry=True,
         ops_port=0,
         trace_sample_every=1,
     )
@@ -47,7 +46,6 @@ def make_sharded(**overrides):
         total_memory_pages=8_192,
         initial_locklist_pages=64,
         tuner_interval_s=30.0,
-        telemetry=True,
         shards=2,
         ops_port=0,
         trace_sample_every=1,
@@ -57,17 +55,9 @@ def make_sharded(**overrides):
 
 
 class TestConfig:
-    def test_ops_port_requires_telemetry(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(telemetry=False, ops_port=0)
-
     def test_negative_ops_port_rejected(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(ops_port=-1)
-
-    def test_sharded_ops_port_requires_telemetry(self):
-        with pytest.raises(ConfigurationError):
-            ShardedServiceConfig(telemetry=False, ops_port=0)
 
     def test_no_ops_port_no_server(self):
         stack = make_stack(ops_port=None, trace_sample_every=0)

@@ -14,7 +14,6 @@ def make_stack(**overrides) -> ServiceStack:
         total_memory_pages=8_192,
         initial_locklist_pages=32,
         tuner_interval_s=0.02,
-        telemetry=True,
     )
     defaults.update(overrides)
     return ServiceStack(ServiceConfig(**defaults))

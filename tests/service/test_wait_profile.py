@@ -20,10 +20,12 @@ from repro.errors import DeadlockError
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.manager import LockManager, LockTimeoutError
 from repro.lockmgr.modes import LockMode
-from repro.obs.waits import WaitEventProfiler
+from repro.lockmgr.tracing import LockTrace
+from repro.obs.waits import WaitEventProfiler, merged_class_totals
 from repro.service.clock import ManualClock
+from repro.service.sharded import ShardedServiceConfig, ShardedServiceStack
 from repro.service.stack import ServiceConfig, ServiceStack
-from tests.service.sched import wait_until
+from tests.service.sched import ScriptedThread, wait_until
 
 
 class _EnvClock:
@@ -140,7 +142,11 @@ class TestExactlyOnceAccounting:
         assert profiler.open_lock_waits() == 0
 
     def test_locktimeout_expiry_counts_timeout_once(self):
-        env, manager, profiler = make_profiled_manager(lock_timeout_s=2.0)
+        """A request deadline ending a wait is counted once everywhere:
+        the timeout counter, the wait time, the ``timeout`` trace event
+        and the profiler's ``timeout`` outcome."""
+        env, manager, profiler = make_profiled_manager()
+        manager.tracer = LockTrace(capacity=None)
 
         def holder():
             yield from manager.lock_row(1, 0, 7, LockMode.X)
@@ -154,13 +160,70 @@ class TestExactlyOnceAccounting:
             except LockTimeoutError:
                 manager.release_all(2)
 
+        def deadline():
+            yield env.timeout(3)
+            manager.cancel_wait(2, LockTimeoutError("deadline"), reason="timeout")
+
         env.process(holder())
         env.process(waiter())
+        env.process(deadline())
         env.run(until=50)
+        assert manager.stats.lock_timeouts == 1
+        assert manager.stats.wait_time_total == pytest.approx(2.0)
+        (event,) = manager.tracer.query(kind="timeout")
+        assert (event.app_id, event.value) == (2, pytest.approx(2.0))
         totals = profiler.class_totals()
         assert totals["lock.timeout"][0] == 1
+        assert totals["lock.timeout"][1] == pytest.approx(2.0)
         assert totals["lock.granted"][0] == 0
         assert profiler.open_lock_waits() == 0
+
+    def test_sweep_deadlock_victim_wait_recorded_once(self):
+        """A parked waiter the cross-shard sweep picks as victim has its
+        wait recorded once, when the sweep withdraws it: the wait time,
+        the profiler's ``deadlock`` outcome, the ``deadlock`` count."""
+        clock = ManualClock()
+        stack = ShardedServiceStack(
+            ShardedServiceConfig(
+                shards=2, tuner_interval_s=None, wait_profile=True
+            ),
+            clock=clock,
+        )
+        service = stack.service
+        a, b = service.open_session(), service.open_session()
+        service.lock_table(a, 0, LockMode.X)  # shard 0
+        service.lock_table(b, 1, LockMode.X)  # shard 1
+        threads = {
+            app: ScriptedThread(service.lock_table, app, table, LockMode.X)
+            for app, table in ((a, 1), (b, 0))
+        }
+        wait_until(
+            lambda: service.waiting_sessions() == {a, b},
+            what="both cycle participants parked",
+        )
+        clock.advance(2.0)
+        assert stack.detector.check() == 1
+        (victim,) = stack.detector.stats.victims
+        survivor = b if victim == a else a
+        assert isinstance(threads[victim].outcome(), DeadlockError)
+        stats = stack.manager_stats
+        assert stats.deadlocks == 1
+        assert stats.wait_time_total == pytest.approx(2.0)
+        clock.advance(1.0)
+        service.rollback(victim)
+        threads[survivor].result()
+        # The survivor's grant adds its own 3 s, and nothing else does.
+        assert stack.manager_stats.wait_time_total == pytest.approx(5.0)
+        totals = merged_class_totals(stack.wait_profilers)
+        assert totals["lock.deadlock"][0] == 1
+        assert totals["lock.deadlock"][1] == pytest.approx(2.0)
+        assert totals["lock.granted"][0] == 1
+        assert sum(p.open_lock_waits() for p in stack.wait_profilers) == 0
+        for app in (a, b):
+            service.rollback(app)
+            service.close_session(app)
+        stack.stop()
+        stack.check_invariants()
 
     def test_release_all_leaves_no_open_wait(self):
         """A parked waiter rolled back wholesale must close its wait."""
@@ -228,7 +291,6 @@ class TestIncidentCaptureSequence:
             total_memory_pages=8_192,
             initial_locklist_pages=32,
             tuner_interval_s=30.0,  # daemon idle; the test drives tune_now
-            telemetry=True,
             wait_profile=True,
         )
         defaults.update(overrides)

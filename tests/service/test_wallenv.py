@@ -1,4 +1,4 @@
-"""Tests for the wall-clock environment (events, lazy timeouts, any_of)."""
+"""Tests for the wall-clock environment (events and the clock surface)."""
 
 import threading
 
@@ -50,15 +50,6 @@ class TestWallEvent:
         with pytest.raises(TypeError):
             env.event().fail("not an exception")
 
-    def test_callbacks_run_on_fire_and_immediately_after(self, env):
-        event = env.event()
-        seen = []
-        event.add_callback(seen.append)
-        event.succeed()
-        assert seen == [event]
-        event.add_callback(seen.append)  # post-fire: runs immediately
-        assert seen == [event, event]
-
     def test_firing_notifies_the_condition(self, clock):
         cond = threading.Condition()
         env = WallClockEnvironment(clock, cond)
@@ -77,84 +68,6 @@ class TestWallEvent:
             event.succeed()
         thread.join(5.0)
         assert woke.is_set()
-
-    def test_plain_event_has_no_deadline(self, env):
-        event = env.event()
-        assert event.next_deadline() is None
-        event.fire_due(1e9)  # no-op on plain events
-        assert not event.triggered
-
-
-class TestWallTimeout:
-    def test_deadline_arithmetic(self, env, clock):
-        clock.advance(10.0)
-        timeout = env.timeout(5.0, value="late")
-        assert timeout.fire_at == 15.0
-        assert timeout.next_deadline() == 15.0
-
-    def test_not_due_yet(self, env):
-        timeout = env.timeout(5.0)
-        timeout.fire_due(4.999)
-        assert not timeout.triggered
-
-    def test_fires_when_due(self, env):
-        timeout = env.timeout(5.0, value="late")
-        timeout.fire_due(5.0)
-        assert timeout.triggered and timeout.ok
-        assert timeout.value == "late"
-        assert timeout.next_deadline() is None
-
-    def test_negative_delay_rejected(self, env):
-        with pytest.raises(ValueError):
-            env.timeout(-0.1)
-
-
-class TestWallAnyOf:
-    def test_first_success_wins(self, env):
-        first, second = env.event(), env.event()
-        composite = env.any_of([first, second])
-        first.succeed("a")
-        assert composite.triggered and composite.ok
-        assert composite.value == {first: "a"}
-        # the late event doesn't disturb the settled composite
-        second.succeed("b")
-        assert composite.value == {first: "a"}
-
-    def test_child_failure_fails_composite(self, env):
-        first, second = env.event(), env.event()
-        composite = env.any_of([first, second])
-        exc = RuntimeError("child died")
-        first.fail(exc)
-        assert composite.triggered and not composite.ok
-        assert composite.value is exc
-
-    def test_pre_triggered_child_settles_composite_immediately(self, env):
-        done = env.event()
-        done.succeed(42)
-        composite = env.any_of([done, env.event()])
-        assert composite.triggered
-        assert composite.value == {done: 42}
-
-    def test_deadline_is_earliest_child_deadline(self, env):
-        composite = env.any_of(
-            [env.event(), env.timeout(9.0), env.timeout(3.0)]
-        )
-        assert composite.next_deadline() == 3.0
-
-    def test_fire_due_recurses_into_children(self, env):
-        grant = env.event()
-        timeout = env.timeout(2.0)
-        composite = env.any_of([grant, timeout])
-        composite.fire_due(1.0)
-        assert not composite.triggered
-        composite.fire_due(2.0)
-        assert composite.triggered and timeout.triggered
-        assert composite.next_deadline() is None
-
-    def test_rejects_foreign_events(self, env, clock):
-        other = WallClockEnvironment(clock, threading.Condition())
-        with pytest.raises(SimulationError):
-            env.any_of([env.event(), other.event()])
 
 
 class TestEnvironmentSurface:

@@ -62,7 +62,7 @@ class TestConfigTheWorkerPoolCannotHonour:
             pool_config(wait_profile=True)
 
     def test_what_it_does_honour_still_builds(self):
-        cfg = pool_config(trace_sample_every=8, telemetry=True, ops_port=0)
+        cfg = pool_config(trace_sample_every=8, ops_port=0)
         pool = WorkerPoolStack(cfg)
         assert pool.broker is None and pool.wait_profilers == []
         shutil.rmtree(pool.socket_dir, ignore_errors=True)
