@@ -52,7 +52,7 @@ class TunerDaemon:
         its ``_cond`` serialises a pass against lock traffic, its
         ``chain``, ``clock`` and ``controller`` are what the pass reads
         (each controller decision becomes one :class:`TuningAuditRecord`
-        in :attr:`audit`), its ``metrics`` registry (if any) takes the
+        in :attr:`audit`), its ``metrics`` registry takes the
         ``tuner.*`` instruments, its ``wait_for_pass`` / ``before_pass``
         pace and prepare a pass, and its ``freeze_tuning`` is the
         failure path.
@@ -101,12 +101,10 @@ class TunerDaemon:
             target=self._run, name="stmm-tuner", daemon=True
         )
         self._started = False
-        metrics: Optional["MetricRegistry"] = host.metrics
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_intervals = metrics.counter("tuner.intervals")
-            self._m_crashes = metrics.counter("tuner.crashes")
-            self._m_lock_pages = metrics.gauge("tuner.locklist_pages")
+        metrics: "MetricRegistry" = host.metrics
+        self._m_intervals = metrics.counter("tuner.intervals")
+        self._m_crashes = metrics.counter("tuner.crashes")
+        self._m_lock_pages = metrics.gauge("tuner.locklist_pages")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -162,8 +160,7 @@ class TunerDaemon:
     def _degrade(self, exc: BaseException, what: str) -> None:
         """The crash-to-freeze path: record, then freeze the host."""
         self.crash = exc
-        if self._metrics is not None:
-            self._m_crashes.inc()
+        self._m_crashes.inc()
         self._record_freeze(exc)
         self.host.freeze_tuning(f"{what}: {type(exc).__name__}: {exc}")
 
@@ -175,9 +172,8 @@ class TunerDaemon:
             report = self.stmm.tune(host.clock.now())
             self.reports.append(report)
             self.intervals_run += 1
-            if self._metrics is not None:
-                self._m_intervals.inc()
-                self._m_lock_pages.set(host.chain.allocated_pages)
+            self._m_intervals.inc()
+            self._m_lock_pages.set(host.chain.allocated_pages)
             self._record_audit(report, decisions_before)
             if self.broker is not None:
                 self.broker.run_interval(host.clock.now())

@@ -2,10 +2,11 @@
 
 The lock manager was written against the DES: its blocking entry points
 are generators that ``yield`` events, and the only environment surface
-they touch is ``env.now`` and ``env.event()``.  :class:`WallClockEnvironment`
-implements exactly that surface over a real
+they touch is ``env.now`` and ``env.event()``.
+:class:`WallClockEnvironment` implements exactly that surface over a real
 :class:`~repro.service.clock.Clock` plus a ``threading.Condition``, which
-lets :class:`~repro.service.service.LockService` run the *unchanged* lock-manager code under real thread concurrency:
+lets :class:`~repro.service.service.LockService` run the *unchanged*
+lock-manager code under real thread concurrency:
 
 * every piece of manager code runs under the service's one mutex, so the
   manager stays logically single-threaded (its own invariant);
